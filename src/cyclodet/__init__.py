@@ -58,9 +58,9 @@ from .verify import (
     PrimeReport,
     SweepOptions,
     check_perm_sign,
-    report_from_dict,
     report_to_dict,
     run_prime,
+    run_primes,
     run_range,
 )
 

@@ -86,6 +86,7 @@ class ProductFormulaResult:
     h: int | None
     sign: int | None
     detail: str
+    eps: tuple[int, int] | None = None  # the fundamental unit (t, u), p = 1 (mod 4)
 
 
 def verify_product_formula(p: int) -> ProductFormulaResult:
@@ -95,7 +96,8 @@ def verify_product_formula(p: int) -> ProductFormulaResult:
     (-1)^((h(-p)+1)/2) with h(-p) counted independently from reduced forms.
 
     p = 1 (mod 4): the least h >= 1 with P*eps^h = +/-g is reported; that h
-    is the class number of Q(sqrt(p)) and the sign is recorded.
+    is the class number of Q(sqrt(p)) and the sign is recorded, and so is the
+    fundamental unit (t, u), so that no caller has to search for it again.
     """
     require_odd_prime(p)
     if p <= 3:
@@ -120,13 +122,13 @@ def verify_product_formula(p: int) -> ProductFormulaResult:
             acc = acc * step
             if acc == target:
                 return ProductFormulaResult(
-                    p, True, h, 1, f"P*eps^{h} = g ({direction})"
+                    p, True, h, 1, f"P*eps^{h} = g ({direction})", (t, u)
                 )
             if acc == -target:
                 return ProductFormulaResult(
-                    p, True, h, -1, f"P*eps^{h} = -g ({direction})"
+                    p, True, h, -1, f"P*eps^{h} = -g ({direction})", (t, u)
                 )
-    return ProductFormulaResult(p, False, None, None, "no unit power matched")
+    return ProductFormulaResult(p, False, None, None, "no unit power matched", (t, u))
 
 
 def class_data(p: int) -> ClassData:
@@ -135,4 +137,4 @@ def class_data(p: int) -> ClassData:
     if p % 4 == 3:
         return ClassData(p, h_neg=h_neg(p))
     result = verify_product_formula(p)
-    return ClassData(p, h_pos=result.h, eps=fundamental_unit(p))
+    return ClassData(p, h_pos=result.h, eps=result.eps)

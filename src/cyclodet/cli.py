@@ -12,10 +12,10 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+import tempfile
 from pathlib import Path
 
-from .classno import fundamental_unit, h_neg
+from .classno import class_data
 from .detkit import det
 from .matrices import (
     build_C,
@@ -27,23 +27,9 @@ from .matrices import (
 )
 from .modarith import is_prime, legendre
 from .subfield import quad_decompose, quartic_decompose
-from .verify import SweepOptions, report_to_dict, run_range
+from .verify import SweepOptions, report_to_dict, run_primes, run_range
 
 CACHE_ENV = "CYCLODET_CACHE_DIR"
-
-
-@dataclass
-class RunConfig:
-    pmin: int
-    pmax: int
-    delta_mode: str = "least"
-    delta_value: int | None = None
-    sweep_count: int = 3
-    backend: str = "both"
-    threads: int = 1
-    output: str | None = None
-    format: str = "json"
-    cache_dir: str | None = None
 
 
 def _parse_delta(text: str) -> tuple[str, int | None, int]:
@@ -66,12 +52,12 @@ def _code_version_hash() -> str:
     return digest.hexdigest()[:16]
 
 
-def _delta_tag(config: RunConfig) -> str:
-    if config.delta_mode == "least":
+def _delta_tag(options: SweepOptions) -> str:
+    if options.delta_mode == "least":
         return "least"
-    if config.delta_mode == "explicit":
-        return f"d{config.delta_value}"
-    return f"sweep{config.sweep_count}"
+    if options.delta_mode == "explicit":
+        return f"d{options.delta_value}"
+    return f"sweep{options.sweep_count}"
 
 
 def reports_to_json(dicts: list[dict]) -> str:
@@ -93,118 +79,110 @@ def reports_to_csv(dicts: list[dict]) -> str:
 
 
 def exit_code_for(dicts: list[dict]) -> int:
-    for d in dicts:
-        for c in d["checks"].values():
-            if c["status"] == "fail":
-                return 2
-    return 0
+    failed = any(c["status"] == "fail" for d in dicts for c in d["checks"].values())
+    return 2 if failed else 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    if config.pmin > config.pmax or config.pmin <= 3:
-        print(
-            f"error: need 3 < pmin <= pmax, got ({config.pmin}, {config.pmax})",
-            file=sys.stderr,
-        )
-        return 1
-    options = SweepOptions(
-        delta_mode=config.delta_mode,
-        delta_value=config.delta_value,
-        sweep_count=config.sweep_count,
-        backend=config.backend,
-        threads=config.threads,
-    )
-    cache_dir = config.cache_dir or os.environ.get(CACHE_ENV)
-    report_dicts: list[dict]
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
+def cmd_verify(args) -> int:
+    try:
+        mode, value, count = _parse_delta(args.delta)
+    except ValueError:
+        return _usage_error(f"bad --delta value {args.delta!r}")
+    if args.threads < 1:
+        return _usage_error("--threads must be positive")
+    if args.pmin > args.pmax or args.pmin <= 3:
+        return _usage_error(f"need 3 < pmin <= pmax, got ({args.pmin}, {args.pmax})")
+    options = SweepOptions(mode, value, count, args.backend, args.threads)
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     if cache_dir:
-        report_dicts = _run_with_cache(config, options, Path(cache_dir))
+        report_dicts = _run_with_cache(args.pmin, args.pmax, options, Path(cache_dir))
     else:
-        reports = run_range(config.pmin, config.pmax, options)
+        reports = run_range(args.pmin, args.pmax, options)
         report_dicts = [report_to_dict(r) for r in reports]
 
     payload = (
         reports_to_json(report_dicts)
-        if config.format == "json"
+        if args.format == "json"
         else reports_to_csv(report_dicts)
     )
     try:
-        if config.output:
-            Path(config.output).write_text(payload, encoding="utf-8")
+        if args.out:
+            Path(args.out).write_text(payload, encoding="utf-8")
         else:
             sys.stdout.write(payload)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+        return _usage_error(f"cannot write output: {exc}")
     return exit_code_for(report_dicts)
 
 
 def _run_with_cache(
-    config: RunConfig, options: SweepOptions, cache_dir: Path
+    pmin: int, pmax: int, options: SweepOptions, cache_dir: Path
 ) -> list[dict]:
+    """Reports for the primes in [pmin, pmax], each read from its cache entry
+    when that entry is a report for its own p; the rest run in one sweep
+    (honouring `options.threads`) and are written back."""
     cache_dir.mkdir(parents=True, exist_ok=True)
-    version = _code_version_hash()
-    tag = _delta_tag(config)
-    primes = [p for p in range(config.pmin, config.pmax + 1) if is_prime(p)]
-    dicts: list[dict] = []
-    missing: list[int] = []
-    cached: dict[int, dict] = {}
-    for p in primes:
-        path = cache_dir / f"p{p}-{tag}-{version}.json"
-        if path.exists():
-            cached[p] = json.loads(path.read_text(encoding="utf-8"))
-        else:
-            missing.append(p)
-    fresh: dict[int, dict] = {}
-    if missing:
-        # contiguous re-run is wasteful when the misses are sparse; run them
-        # one by one through run_range to keep the worker pool semantics
-        for p in missing:
-            reports = run_range(p, p, options)
-            d = report_to_dict(reports[0])
-            fresh[p] = d
-            path = cache_dir / f"p{p}-{tag}-{version}.json"
-            path.write_text(json.dumps(d, sort_keys=True) + "\n", encoding="utf-8")
-    for p in primes:
-        dicts.append(cached.get(p) or fresh[p])
-    return dicts
+    suffix = f"-{_delta_tag(options)}-{_code_version_hash()}.json"
+    primes = [p for p in range(pmin, pmax + 1) if is_prime(p)]
+    dicts = {p: _read_entry(cache_dir / f"p{p}{suffix}", p) for p in primes}
+    for report in run_primes([p for p in primes if dicts[p] is None], options):
+        d = dicts[report.p] = report_to_dict(report)
+        _write_entry(cache_dir / f"p{report.p}{suffix}", json.dumps(d, sort_keys=True) + "\n")
+    return [dicts[p] for p in primes]
+
+
+def _read_entry(path: Path, p: int) -> dict | None:
+    """The cached report for p; None when missing, unreadable or not p's report."""
+    try:
+        d = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):  # ValueError covers JSON and UTF-8 decoding
+        return None
+    ok = isinstance(d, dict) and d.get("p") == p and isinstance(d.get("checks"), dict)
+    return d if ok else None
+
+
+def _write_entry(path: Path, text: str) -> None:
+    """Write through a temp file in the same directory, then rename it into
+    place, so no reader sees a partial entry.  The temp name never matches
+    the `p{p}-*.json` entry pattern."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_det(args) -> int:
     p = args.p
     if not is_prime(p) or p < 3:
-        print(f"error: p must be an odd prime, got {p}", file=sys.stderr)
-        return 1
+        return _usage_error(f"p must be an odd prime, got {p}")
     family = args.family
     needs_delta = family in ("T", "SD", "DD")
     if needs_delta:
         if args.delta is None:
-            print(f"error: family {family} needs --delta", file=sys.stderr)
-            return 1
+            return _usage_error(f"family {family} needs --delta")
         if legendre(args.delta, p) != -1:
-            print(
-                f"error: delta={args.delta} is not a non-residue mod {p}",
-                file=sys.stderr,
-            )
-            return 1
+            return _usage_error(f"delta={args.delta} is not a non-residue mod {p}")
     elif args.delta is not None:
-        print(f"error: family {family} takes no --delta", file=sys.stderr)
-        return 1
+        return _usage_error(f"family {family} takes no --delta")
 
     builders = {
-        "S": lambda: build_S(p),
-        "T": lambda: build_T(p, args.delta),
-        "SD": lambda: build_S_delta(p, args.delta),
-        "C": lambda: build_C(p),
-        "D": lambda: build_D(p),
-        "DD": lambda: build_D_delta(p, args.delta),
+        "S": build_S, "T": build_T, "SD": build_S_delta,
+        "C": build_C, "D": build_D, "DD": build_D_delta,
     }
     try:
-        mat = builders[family]()
+        mat = builders[family](p, *([args.delta] if needs_delta else []))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    result = det(mat, backend=args.backend)
-    value = result.value
+        return _usage_error(str(exc))
+    value = det(mat, backend=args.backend).value
     suffix = f"({args.delta}, {p})" if needs_delta else f"({p})"
     if mat.kind == "int":
         print(f"det[{family}{suffix}] = {value}")
@@ -232,16 +210,13 @@ def cmd_det(args) -> int:
 def cmd_classno(args) -> int:
     p = args.p
     if not is_prime(p) or p <= 3:
-        print(f"error: p must be a prime > 3, got {p}", file=sys.stderr)
-        return 1
+        return _usage_error(f"p must be a prime > 3, got {p}")
+    data = class_data(p)
     if p % 4 == 3:
-        print(f"h(-{p}) = {h_neg(p)}")
+        print(f"h(-{p}) = {data.h_neg}")
     else:
-        from .classno import verify_product_formula
-
-        result = verify_product_formula(p)
-        t, u = fundamental_unit(p)
-        print(f"h({p}) = {result.h}")
+        t, u = data.eps
+        print(f"h({p}) = {data.h_pos}")
         print(f"eps_{p} = ({t} + {u}*sqrt({p}))/2")
     return 0
 
@@ -283,33 +258,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.command == "verify":
-        try:
-            mode, value, count = _parse_delta(args.delta)
-        except ValueError:
-            print(f"error: bad --delta value {args.delta!r}", file=sys.stderr)
-            return 1
-        if args.threads < 1:
-            print("error: --threads must be positive", file=sys.stderr)
-            return 1
-        config = RunConfig(
-            pmin=args.pmin,
-            pmax=args.pmax,
-            delta_mode=mode,
-            delta_value=value,
-            sweep_count=count,
-            backend=args.backend,
-            threads=args.threads,
-            output=args.out,
-            format=args.format,
-            cache_dir=args.cache_dir,
-        )
-        return cmd_verify(config)
-    if args.command == "det":
-        return cmd_det(args)
-    if args.command == "classno":
-        return cmd_classno(args)
-    return 1
+    commands = {"verify": cmd_verify, "det": cmd_det, "classno": cmd_classno}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -26,9 +26,20 @@ _INT64_SAFE = 1 << 62
 
 @dataclass
 class DetResult:
-    value: object
+    values: tuple  # one per backend run: Bareiss first, then the modular one
     backend: str
     stats: dict = field(default_factory=dict)
+
+    @property
+    def agree(self) -> bool:
+        return all(v == self.values[0] for v in self.values)
+
+    @property
+    def value(self):
+        """The determinant; raises when the backends disagree."""
+        if not self.agree:
+            raise ArithmeticError(f"backend disagreement: {self.values}")
+        return self.values[0]
 
 
 # -- scalar determinants over F_q ----------------------------------------
@@ -371,31 +382,25 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     raise ArithmeticError("ran out of auxiliary primes")  # unreachable
 
 
+_CHOICES = {"bareiss": (0,), "modular": (1,), "both": (0, 1)}
+
+
 def det(m: ExactMatrix, backend: str = "both") -> DetResult:
-    """Determinant with backend selection and cross-checking.
+    """Determinant through the backend(s) chosen: the one dispatch path.
 
     backend: "bareiss", "modular" (CRT / evaluation-interpolation), or
-    "both" (run the pair and require bit-exact agreement).
+    "both" (run the pair; `DetResult.value` requires bit-exact agreement).
+    The backends are looked up as module globals on every call, so a
+    rebinding of one (a tracer wrapping it) is seen here.
     """
+    if backend not in _CHOICES:
+        raise ValueError(f"unknown backend {backend!r}")
     if m.kind == "int":
         pair = (det_int_bareiss, det_int_modular)
     else:
         pair = (det_cyc_bareiss, det_cyc_evalinterp)
     stats: dict = {"n": m.n}
-    if backend == "bareiss":
-        value = pair[0](m, stats)
-    elif backend == "modular":
-        value = pair[1](m, stats)
-    elif backend == "both":
-        v1 = pair[0](m, stats)
-        v2 = pair[1](m, stats)
-        if v1 != v2:
-            raise ArithmeticError(
-                f"backend disagreement on {m!r}: {v1} vs {v2}"
-            )
-        value = v1
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    if m.kind == "cyc" and not value.is_integral:
+    values = tuple(pair[i](m, stats) for i in _CHOICES[backend])
+    if m.kind == "cyc" and not all(v.is_integral for v in values):
         raise ArithmeticError("determinant of an integral matrix must be integral")
-    return DetResult(value, backend, stats)
+    return DetResult(values, backend, stats)

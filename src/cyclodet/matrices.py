@@ -200,8 +200,3 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         rows.append(out)
     meta = MatrixMeta(a.meta.p, f"{a.meta.family}*{b.meta.family}", a.meta.delta or b.meta.delta)
     return ExactMatrix(a.kind, rows, meta)
-
-
-def scale(m: ExactMatrix, factor) -> ExactMatrix:
-    rows = [[factor * e for e in row] for row in m.rows]
-    return ExactMatrix(m.kind, rows, m.meta)

@@ -261,7 +261,7 @@ class QuarticDecomp:
         return QuadElt(self.p, self.alpha, self.beta)
 
 
-def quartic_decompose(d: CycElt, p: int, check_numeric: bool = True) -> QuarticDecomp:
+def quartic_decompose(d: CycElt, p: int) -> QuarticDecomp:
     """Decompose an element of the quartic subfield as (alpha + beta*sqrt(p))*delta.
 
     Both delta branches (signs of the odd part of delta^2) can admit rational
@@ -294,19 +294,17 @@ def quartic_decompose(d: CycElt, p: int, check_numeric: bool = True) -> QuarticD
     )
     s, (alpha, beta) = chosen
 
-    resolved = False
-    if check_numeric:
-        digits = max(
-            (abs(c.numerator if isinstance(c, Fraction) else c) for c in d.coeffs),
-            default=1,
-        )
-        prec = max(30, len(str(digits)) + 25)
-        approx = eval_complex(d, prec).value
-        sqp = math.sqrt(p)
-        delta = complex(2 * p * chi2 + 2 * s * ts.a * sqp) ** 0.5
-        yval = float(alpha) + float(beta) * sqp
-        tol = 1e-6 * (1 + abs(approx))
-        resolved = min(abs(approx - yval * delta), abs(approx + yval * delta)) < tol
+    digits = max(
+        (abs(c.numerator if isinstance(c, Fraction) else c) for c in d.coeffs),
+        default=1,
+    )
+    prec = max(30, len(str(digits)) + 25)
+    approx = eval_complex(d, prec).value
+    sqp = math.sqrt(p)
+    delta = complex(2 * p * chi2 + 2 * s * ts.a * sqp) ** 0.5
+    yval = float(alpha) + float(beta) * sqp
+    tol = 1e-6 * (1 + abs(approx))
+    resolved = min(abs(approx - yval * delta), abs(approx + yval * delta)) < tol
 
     return QuarticDecomp(p, alpha, beta, ts.a, s, resolved)
 

@@ -6,6 +6,9 @@ sides of the violated identity as exact strings.  Wherever a classical
 statement involves a sign convention (which square root a symbol denotes),
 the pass/fail criterion is the squared or absolute form, and the observed
 sign under the fixed embedding zeta -> exp(2*pi*i/p) is recorded separately.
+
+Every check is declared by a single `_PrimeChecks.check` call: in
+`_PrimeChecks.run` (all primes), `checks_3mod4` or `checks_1mod4`.
 """
 from __future__ import annotations
 
@@ -19,17 +22,12 @@ from fractions import Fraction
 
 from .classno import (
     ClassData,
-    fundamental_unit,
+    ProductFormulaResult,
     squares_product,
     verify_product_formula,
 )
 from .cycring import CycElt, eval_complex, galois
-from .detkit import (
-    det_cyc_bareiss,
-    det_cyc_evalinterp,
-    det_int_bareiss,
-    det_int_modular,
-)
+from .detkit import DetResult, det
 from .matrices import (
     ExactMatrix,
     build_C,
@@ -61,6 +59,9 @@ from .subfield import (
     two_squares,
 )
 
+BAREISS_LIMIT = 60  # p-cap for the cyclotomic Bareiss cross-check
+DIRECT_IDENTITY_LIMIT = 60  # p-cap for literal matrix-product checks
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -78,9 +79,6 @@ class SweepOptions:
     sweep_count: int = 3
     backend: str = "both"  # "bareiss" | "modular" | "both"
     threads: int = 1
-    bareiss_limit: int = 60  # p-cap for the cyclotomic Bareiss cross-check
-    direct_identity_limit: int = 60  # p-cap for literal matrix-product checks
-    numeric_checks: bool = True
 
 
 @dataclass
@@ -111,17 +109,6 @@ def _short(s: str) -> str:
         return s
     digest = hashlib.sha256(s.encode()).hexdigest()[:12]
     return f"<len {len(s)}, sha256 {digest}>"
-
-
-def _check(name: str, ok: bool, lhs, rhs, note: str = "") -> CheckResult:
-    ls, rs = str(lhs), str(rhs)
-    if ok:
-        ls, rs = _short(ls), _short(rs)
-    return CheckResult(name, "pass" if ok else "fail", ls, rs, note)
-
-
-def _skipped(name: str, note: str) -> CheckResult:
-    return CheckResult(name, "skipped", "", "", note)
 
 
 # -- permutation sign (multiplication by a^2 on the nonzero squares) -------
@@ -201,23 +188,6 @@ def matrix_identity_direct(p: int, delta: int | None = None) -> bool:
     return True
 
 
-# -- determinant helpers -----------------------------------------------------
-
-
-def _cyc_det(mat: ExactMatrix, opt: SweepOptions) -> CycElt:
-    if opt.backend == "bareiss":
-        return det_cyc_bareiss(mat)
-    return det_cyc_evalinterp(mat)
-
-
-def _int_dets(mat: ExactMatrix, opt: SweepOptions) -> tuple[int, int | None]:
-    if opt.backend == "bareiss":
-        return det_int_bareiss(mat), None
-    if opt.backend == "modular":
-        return det_int_modular(mat), None
-    return det_int_bareiss(mat), det_int_modular(mat)
-
-
 def resolve_deltas(p: int, opt: SweepOptions) -> tuple[list[int], list[int]]:
     """(usable deltas, rejected explicit deltas) for a prime p = 1 (mod 4)."""
     if p % 4 != 1:
@@ -239,416 +209,306 @@ def resolve_deltas(p: int, opt: SweepOptions) -> tuple[list[int], list[int]]:
 # -- per-prime driver --------------------------------------------------------
 
 
+class _PrimeChecks:
+    """The checks of one prime and the values they share.
+
+    `check` records one named result; inside a delta loop `tag` is
+    "[d=<delta>]" and suffixes every name recorded.
+    """
+
+    # set by `run` for the residue-class checks
+    report: PrimeReport
+    g: CycElt  # the Gauss sum
+    det_c: CycElt
+    det_d: CycElt
+    det_dt: CycElt
+    pf: ProductFormulaResult
+    classes_ok: bool  # legendre_sum_classes_hold(p)
+
+    def __init__(self, p: int, opt: SweepOptions) -> None:
+        self.p = p
+        self.m = (p - 1) // 2
+        self.opt = opt
+        self.checks: dict[str, CheckResult] = {}
+        self.tag = ""
+
+    def check(self, name: str, ok: bool | None, lhs, rhs, note: str = "") -> None:
+        """Record `name`: ok True passes, False fails, None skips (sides dropped)."""
+        name += self.tag
+        ls, rs = ("", "") if ok is None else (str(lhs), str(rhs))
+        if ok:
+            ls, rs = _short(ls), _short(rs)
+        status = "skipped" if ok is None else "pass" if ok else "fail"
+        self.checks[name] = CheckResult(name, status, ls, rs, note)
+
+    def det(self, mat: ExactMatrix, cross_check: bool = False) -> DetResult:
+        """The options' backend; "both" runs the modular one alone unless cross_check."""
+        both = self.opt.backend == "both"
+        return det(mat, "modular" if both and not cross_check else self.opt.backend)
+
+    def agreement(self, name: str, results: list[DetResult], lhs, rhs, note: str) -> None:
+        """Bit-exact agreement of the backends behind each result, or a skip."""
+        ok = all(r.agree for r in results)
+        if self.opt.backend != "both":
+            ok, note = None, f"single backend {self.opt.backend!r}"
+        elif len(results[0].values) < 2:
+            ok, note = None, f"p > bareiss limit {BAREISS_LIMIT}"
+        self.check(name, ok, lhs, rhs, note)
+
+    def legendre_identity(self, delta: int | None = None) -> None:
+        """Dtilde*D = g*E (no delta) or Dtilde*DD = g*F, literally while small."""
+        ok = self.classes_ok
+        note = "residue classes (literal product skipped above size limit)"
+        if self.p <= DIRECT_IDENTITY_LIMIT:
+            ok = ok and matrix_identity_direct(self.p, delta)
+            note = "residue classes + literal matrix product"
+        sides = ("Dtilde*D", "g*E") if delta is None else ("Dtilde*DD", "g*F")
+        self.check("legendre_matrix_identity", ok, *sides, note)
+
+    def run(self) -> PrimeReport:
+        p, m, opt, check = self.p, self.m, self.opt, self.check
+        t_start = time.perf_counter()
+        timings: dict[str, float] = {}
+
+        # build
+        t0 = time.perf_counter()
+        g = self.g = gauss_sum(p)
+        c_mat = build_C(p)
+        d_mat = build_D(p)
+        dt_mat = build_D_tilde(p)
+        deltas, bad_deltas = resolve_deltas(p, opt)
+        timings["build"] = (time.perf_counter() - t0) * 1000
+
+        # determinants
+        t0 = time.perf_counter()
+        c_res = self.det(c_mat, cross_check=p <= BAREISS_LIMIT)
+        d_res = self.det(d_mat, cross_check=p <= BAREISS_LIMIT)
+        det_c = self.det_c = c_res.values[-1]  # evaluation-interpolation's when both ran
+        det_d = self.det_d = d_res.values[-1]
+        det_dt = self.det_dt = self.det(dt_mat).values[0]
+        self.agreement("cyc_backend_agreement", [c_res, d_res], "bareiss(C), bareiss(D)",
+                       "evalinterp(C), evalinterp(D)", "bit-exact comparison on C and D")
+        timings["determinants"] = (time.perf_counter() - t0) * 1000
+
+        # checks
+        t0 = time.perf_counter()
+        sign = 1 if p % 4 == 1 else -1
+        check("gauss_square", g * g == CycElt.rational(p, sign * p), str(g * g),
+              str(sign * p), "g^2 = (-1)^((p-1)/2) * p")
+        approx = eval_complex(g, 40).value
+        expected = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
+        check("gauss_sign_numeric", abs(approx - expected) < 1e-8 * math.sqrt(p),
+              f"{approx:.12g}", f"{expected:.12g}",
+              "embedding zeta -> exp(2*pi*i/p) puts g on the principal branch")
+
+        for a in sorted({2 % p, 3 % p, primitive_root(p), p - 1} - {0}):
+            check(f"square_perm_sign[a={a}]", check_perm_sign(p, a), "cycle sign",
+                  str(1 if p % 4 == 3 else legendre(a, p)),
+                  "multiplication by a^2 on the nonzero squares")
+
+        pf = self.pf = verify_product_formula(p)
+        check("residue_product_formula", pf.passed, pf.detail, "exact product identity")
+        cls = (
+            ClassData(p, h_neg=pf.h)
+            if p % 4 == 3
+            else ClassData(p, h_pos=pf.h, eps=pf.eps)
+        )
+
+        rhs_rel = (1 if m % 2 == 0 else -1) * (squares_product(p) * det_c)
+        check("det_product_relation", det_d == rhs_rel, str(det_d), str(rhs_rel),
+              "det D = (-1)^m * prod(1 - zeta^(k^2)) * det C")
+        scaled = (2**m) * det_d
+        check("dtilde_scaling", det_dt == scaled, str(det_dt), str(scaled),
+              "det Dtilde = 2^m * det D")
+
+        self.report = PrimeReport(
+            p=p,
+            residue8=p % 8,
+            class_info=cls,
+            deltas=tuple(deltas),
+            delta=deltas[0] if deltas else None,
+            det_C=det_c,
+            det_D=det_d,
+            checks=self.checks,
+        )
+        self.classes_ok = legendre_sum_classes_hold(p)
+        if p % 4 == 3:
+            self.checks_3mod4()
+        else:
+            self.checks_1mod4(deltas, bad_deltas)
+
+        timings["checks"] = (time.perf_counter() - t0) * 1000
+        timings["total"] = (time.perf_counter() - t_start) * 1000
+        self.report.timings_ms = {k: round(v, 3) for k, v in timings.items()}
+        return self.report
+
+    def checks_3mod4(self) -> None:
+        report = self.report
+        p, m, check = self.p, self.m, self.check
+        det_c, det_d, det_dt = self.det_c, self.det_d, self.det_dt
+
+        s_res = self.det(build_S(p), cross_check=True)
+        det_s = report.det_S = s_res.values[0]
+        self.agreement("int_backend_agreement", [s_res], det_s, s_res.values[-1],
+                       "bareiss vs CRT on det S")
+        det_e = self.det(build_E(p)).values[0]
+
+        d_quad = quad_decompose(det_d)
+        u, v = d_quad.x, d_quad.y
+        h = self.pf.h if self.pf.h is not None else 0
+        sign_h = -1 if ((h + 1) // 2) % 2 else 1
+        c_quad = quad_decompose(det_c)
+        a_val = sign_h * c_quad.x
+        b_val = sign_h * c_quad.y
+        report.decomp = {"a_p": a_val, "b_p": b_val}
+        nu_a = padic_val(a_val, p)
+        nu_b = padic_val(b_val, p)
+        report.nu_a = None if nu_a == math.inf else nu_a
+        report.nu_b = None if nu_b == math.inf else nu_b
+
+        halves_ok = all(Fraction(2 * x).denominator == 1 for x in (a_val, b_val, u, v))
+        check("detC_quad_half_integers", halves_ok, f"a={a_val}, b={b_val}",
+              f"u={u}, v={v}", "all of a, b, u, v lie in (1/2)Z")
+
+        # consistency between the two quadratic coordinates: a = -v, b = u/p
+        check("coordinate_transfer", a_val == -v and b_val == u / p,
+              f"(a, b) = ({a_val}, {b_val})", f"(-v, u/p) = ({-v}, {u / p})",
+              "det C coordinates vs det D coordinates")
+
+        lhs1 = 2 ** ((p + 1) // 2) * a_val * b_val
+        rhs1 = (-1) ** ((p + 1) // 4) * p ** ((p - 3) // 4) * det_s
+        check("ab_product_identity", lhs1 == rhs1, lhs1, rhs1,
+              "2^((p+1)/2) * a * b = (-1)^((p+1)/4) * p^((p-3)/4) * det S")
+
+        lhs2 = 2 ** ((p - 1) // 2) * (a_val * a_val - p * b_val * b_val)
+        rhs2 = m * (-p) ** ((p - 3) // 4) * det_s
+        check("ab_norm_identity", lhs2 == rhs2, lhs2, rhs2,
+              "2^((p-1)/2) * (a^2 - p*b^2) = ((p-1)/2) * (-p)^((p-3)/4) * det S")
+
+        nu_u = padic_val(u, p)
+        nu_v = padic_val(v, p)
+        if p % 8 == 3:
+            val_ok = nu_a == nu_b == (p - 3) // 8 and nu_u == nu_v + 1 == (p + 5) // 8
+            expected = f"nu(a)=nu(b)={(p - 3) // 8}; nu(u)=nu(v)+1={(p + 5) // 8}"
+        else:
+            val_ok = nu_a == nu_b + 1 == (p + 1) // 8 and nu_u == nu_v == (p + 1) // 8
+            expected = f"nu(a)=nu(b)+1={(p + 1) // 8}; nu(u)=nu(v)={(p + 1) // 8}"
+        check("padic_valuations", val_ok,
+              f"nu(a)={nu_a}, nu(b)={nu_b}, nu(u)={nu_u}, nu(v)={nu_v}", expected,
+              "valuation dichotomy by p mod 8, in both coordinate systems")
+
+        check("detS_two_adic_bound", padic_val(det_s, 2) >= (p - 3) // 2,
+              f"nu_2({det_s}) = {padic_val(det_s, 2)}", f">= {(p - 3) // 2}")
+        check("detS_not_divisible_by_p", det_s % p != 0, f"det S = {det_s}", f"p = {p}")
+
+        k_const = (-p) ** ((m + 1) // 2) * det_s
+        lhs_sq = (2**m) * (d_quad * d_quad)
+        rhs_sq = QuadElt(p, m * k_const, -k_const)
+        check("detD_square_identity", lhs_sq == rhs_sq, lhs_sq, rhs_sq,
+              "2^m * (det D)^2 = (-p)^((m+1)/2) * (m - g) * det S")
+
+        self.legendre_identity()
+
+        e_quad = quad_decompose(det_e)
+        e_rhs = QuadElt(p, m * det_s, -det_s)
+        check("detE_column_reduction", e_quad == e_rhs, e_quad, e_rhs,
+              "det E = (m - g) * det S via zero column sums")
+
+        mult_lhs = det_dt * det_d
+        mult_rhs = (-p) ** ((m + 1) // 2) * det_e
+        check("det_multiplicativity", mult_lhs == mult_rhs, mult_lhs, mult_rhs,
+              "det Dtilde * det D = g^(m+1) * det E")
+
+    def checks_1mod4(self, deltas: list[int], bad_deltas: list[int]) -> None:
+        report = self.report
+        p, m, check = self.p, self.m, self.check
+        g, pf, det_c, det_d, det_dt = self.g, self.pf, self.det_c, self.det_d, self.det_dt
+        ts = two_squares(p)
+
+        ok, rhs = True, f"a = {ts.a}, b = {ts.b}"
+        note = "(g4 - g)^2 = (2/p)*2p + 2a'*sqrt(p), a' = +/-a"
+        try:
+            lhs = f"(g4 - g)^2 matches a' = {quartic_gauss_check(p) * ts.a}"
+        except ArithmeticError as exc:
+            ok, lhs, rhs, note = False, str(exc), "branch +/-a", ""
+        check("quartic_gauss_branch", ok, lhs, rhs, note)
+
+        qd4 = quartic_decompose(det_d, p)
+        alpha, beta = qd4.alpha, qd4.beta
+        report.decomp = {
+            "alpha": alpha, "beta": beta, "delta_sign": qd4.delta_sign, "a": qd4.a,
+        }
+        square = quad_decompose(det_d * det_d)
+        recon = (qd4.quad_part() * qd4.quad_part()) * qd4.delta_squared()
+        check("quartic_reconstruction", recon == square and qd4.resolved_numerically,
+              recon, square,
+              f"(alpha + beta*sqrt(p))^2 * delta^2 = (det D)^2; "
+              f"numeric branch ok={qd4.resolved_numerically}")
+
+        ok, lhs_up, rhs_up = None, "", ""
+        note = "product formula did not resolve h"
+        if pf.h is not None and pf.sign is not None:
+            eps_power = QuadElt(p, Fraction(pf.eps[0], 2), Fraction(pf.eps[1], 2)) ** pf.h
+            lhs_up = det_c * g
+            rhs_up = pf.sign * (det_d * eps_power.embed())
+            ok, note = lhs_up == rhs_up, "det C * g = sign * det D * eps^h"
+        check("unit_power_product", ok, lhs_up, rhs_up, note)
+
+        report.discrepancies = report.discrepancies + (
+            f"quoted exponent 2^((p+1)/4) is non-integral for p={p} "
+            f"((p+1)/4 = {Fraction(p + 1, 4)}); verified identity uses "
+            f"2^(m+1) = 2^{m + 1} with p^(m/2)",
+        )
+
+        for d in bad_deltas + deltas:
+            self.tag = f"[d={d}]"
+            if d in bad_deltas:
+                check("delta_valid", False, f"legendre({d}, {p}) = {legendre(d, p)}", "-1",
+                      "explicit delta must be a quadratic non-residue")
+                continue
+            t_res = self.det(build_T(p, d), cross_check=True)
+            sd_res = self.det(build_S_delta(p, d), cross_check=True)
+            det_t, det_sd = t_res.values[0], sd_res.values[0]
+            self.agreement(
+                "int_backend_agreement", [t_res, sd_res], f"T: {det_t}, SD: {det_sd}",
+                f"T: {t_res.values[-1]}, SD: {sd_res.values[-1]}",
+                "bareiss vs CRT on det T and det SD",
+            )
+            if report.det_T is None:
+                report.det_T, report.det_SD = det_t, det_sd
+
+            check("detSD_vanishes", det_sd == 0, det_sd, 0, "det S(delta, p) = 0")
+
+            lhs_n = 2 ** (m + 1) * ts.b * (alpha * alpha - p * beta * beta)
+            rhs_n = p ** (m // 2) * det_t
+            check("quartic_norm_identity", abs(lhs_n) == abs(rhs_n), lhs_n, rhs_n,
+                  f"|2^(m+1) * b * (alpha^2 - p*beta^2)| = |p^(m/2) * det T|; "
+                  f"observed sign {'+' if lhs_n == rhs_n else '-'}")
+
+            det_dd = self.det(build_D_delta(p, d)).values[0]
+            check("twisted_det_galois", det_dd == galois(d, det_d), det_dd,
+                  galois(d, det_d), "det DD = sigma_delta(det D)")
+
+            det_f = self.det(build_F(p, d)).values[0]
+            f_quad = quad_decompose(det_f)
+            f_rhs = QuadElt(p, det_t, det_sd)
+            check("detF_corner_expansion", f_quad == f_rhs, f_quad, f_rhs,
+                  "det F = det T + g * det SD")
+
+            mult_lhs = det_dt * det_dd
+            mult_rhs = p ** (m // 2) * (g * det_f)
+            check("det_multiplicativity", mult_lhs == mult_rhs, mult_lhs, mult_rhs,
+                  "det Dtilde * det DD = g^(m+1) * det F")
+
+            self.legendre_identity(d)
+        self.tag = ""
+
+
 def run_prime(p: int, options: SweepOptions | None = None) -> PrimeReport:
-    opt = options or SweepOptions()
     require_odd_prime(p)
     if p <= 3:
         raise ValueError("verification needs p > 3")
-    t_start = time.perf_counter()
-    timings: dict[str, float] = {}
-    m = (p - 1) // 2
-    checks: dict[str, CheckResult] = {}
-
-    # build
-    t0 = time.perf_counter()
-    g = gauss_sum(p)
-    c_mat = build_C(p)
-    d_mat = build_D(p)
-    dt_mat = build_D_tilde(p)
-    deltas, bad_deltas = resolve_deltas(p, opt)
-    timings["build"] = (time.perf_counter() - t0) * 1000
-
-    # determinants
-    t0 = time.perf_counter()
-    det_c = _cyc_det(c_mat, opt)
-    det_d = _cyc_det(d_mat, opt)
-    det_dt = _cyc_det(dt_mat, opt)
-    if opt.backend == "both":
-        if p <= opt.bareiss_limit:
-            agree = det_cyc_bareiss(c_mat) == det_c and det_cyc_bareiss(d_mat) == det_d
-            checks["cyc_backend_agreement"] = _check(
-                "cyc_backend_agreement", agree, "bareiss(C), bareiss(D)",
-                "evalinterp(C), evalinterp(D)",
-                "bit-exact comparison on C and D",
-            )
-        else:
-            checks["cyc_backend_agreement"] = _skipped(
-                "cyc_backend_agreement", f"p > bareiss limit {opt.bareiss_limit}"
-            )
-    else:
-        checks["cyc_backend_agreement"] = _skipped(
-            "cyc_backend_agreement", f"single backend {opt.backend!r}"
-        )
-    timings["determinants"] = (time.perf_counter() - t0) * 1000
-
-    # checks
-    t0 = time.perf_counter()
-    checks["gauss_square"] = _check(
-        "gauss_square",
-        g * g == CycElt.rational(p, (1 if p % 4 == 1 else -1) * p),
-        str(g * g),
-        str((1 if p % 4 == 1 else -1) * p),
-        "g^2 = (-1)^((p-1)/2) * p",
-    )
-    if opt.numeric_checks:
-        approx = eval_complex(g, 40).value
-        expected = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
-        checks["gauss_sign_numeric"] = _check(
-            "gauss_sign_numeric",
-            abs(approx - expected) < 1e-8 * math.sqrt(p),
-            f"{approx:.12g}",
-            f"{expected:.12g}",
-            "embedding zeta -> exp(2*pi*i/p) puts g on the principal branch",
-        )
-
-    g0 = primitive_root(p)
-    for a in sorted({2 % p, 3 % p, g0, p - 1} - {0}):
-        name = f"square_perm_sign[a={a}]"
-        expected = 1 if p % 4 == 3 else legendre(a, p)
-        checks[name] = _check(
-            name, check_perm_sign(p, a), "cycle sign", str(expected),
-            "multiplication by a^2 on the nonzero squares",
-        )
-
-    pf = verify_product_formula(p)
-    checks["residue_product_formula"] = _check(
-        "residue_product_formula", pf.passed, pf.detail, "exact product identity"
-    )
-    cls = (
-        ClassData(p, h_neg=pf.h)
-        if p % 4 == 3
-        else ClassData(p, h_pos=pf.h, eps=fundamental_unit(p))
-    )
-
-    prod = squares_product(p)
-    relation_sign = 1 if m % 2 == 0 else -1
-    rhs_rel = relation_sign * (prod * det_c)
-    checks["det_product_relation"] = _check(
-        "det_product_relation",
-        det_d == rhs_rel,
-        str(det_d),
-        str(rhs_rel),
-        "det D = (-1)^m * prod(1 - zeta^(k^2)) * det C",
-    )
-
-    scaled = (2**m) * det_d
-    checks["dtilde_scaling"] = _check(
-        "dtilde_scaling", det_dt == scaled, str(det_dt), str(scaled),
-        "det Dtilde = 2^m * det D",
-    )
-
-    report = PrimeReport(
-        p=p,
-        residue8=p % 8,
-        class_info=cls,
-        deltas=tuple(deltas),
-        delta=deltas[0] if deltas else None,
-        det_C=det_c,
-        det_D=det_d,
-        checks=checks,
-        timings_ms=timings,
-    )
-
-    if p % 4 == 3:
-        _checks_3mod4(report, opt, g, det_c, det_d, det_dt, pf)
-    else:
-        _checks_1mod4(report, opt, g, det_c, det_d, det_dt, pf, deltas, bad_deltas)
-
-    timings["checks"] = (time.perf_counter() - t0) * 1000
-    timings["total"] = (time.perf_counter() - t_start) * 1000
-    report.timings_ms = {k: round(v, 3) for k, v in timings.items()}
-    return report
-
-
-def _checks_3mod4(
-    report: PrimeReport,
-    opt: SweepOptions,
-    g: CycElt,
-    det_c: CycElt,
-    det_d: CycElt,
-    det_dt: CycElt,
-    pf,
-) -> None:
-    p = report.p
-    m = (p - 1) // 2
-    checks = report.checks
-
-    s_mat = build_S(p)
-    det_s, det_s_alt = _int_dets(s_mat, opt)
-    if det_s_alt is not None:
-        checks["int_backend_agreement"] = _check(
-            "int_backend_agreement", det_s == det_s_alt, det_s, det_s_alt,
-            "bareiss vs CRT on det S",
-        )
-    else:
-        checks["int_backend_agreement"] = _skipped(
-            "int_backend_agreement", f"single backend {opt.backend!r}"
-        )
-    report.det_S = det_s
-
-    e_mat = build_E(p)
-    det_e = _cyc_det(e_mat, opt)
-
-    d_quad = quad_decompose(det_d)
-    u, v = d_quad.x, d_quad.y
-    h = pf.h if pf.h is not None else 0
-    sign_h = -1 if ((h + 1) // 2) % 2 else 1
-    c_quad = quad_decompose(det_c)
-    a_val = sign_h * c_quad.x
-    b_val = sign_h * c_quad.y
-    report.decomp = {"a_p": a_val, "b_p": b_val}
-    nu_a = padic_val(a_val, p)
-    nu_b = padic_val(b_val, p)
-    report.nu_a = None if nu_a == math.inf else nu_a
-    report.nu_b = None if nu_b == math.inf else nu_b
-
-    halves_ok = all(
-        Fraction(2 * x).denominator == 1 for x in (a_val, b_val, u, v)
-    )
-    checks["detC_quad_half_integers"] = _check(
-        "detC_quad_half_integers", halves_ok,
-        f"a={a_val}, b={b_val}", f"u={u}, v={v}",
-        "all of a, b, u, v lie in (1/2)Z",
-    )
-
-    # consistency between the two quadratic coordinates: a = -v, b = u/p
-    checks["coordinate_transfer"] = _check(
-        "coordinate_transfer",
-        a_val == -v and b_val == u / p,
-        f"(a, b) = ({a_val}, {b_val})",
-        f"(-v, u/p) = ({-v}, {u / p})",
-        "det C coordinates vs det D coordinates",
-    )
-
-    lhs1 = 2 ** ((p + 1) // 2) * a_val * b_val
-    rhs1 = (-1) ** ((p + 1) // 4) * p ** ((p - 3) // 4) * det_s
-    checks["ab_product_identity"] = _check(
-        "ab_product_identity", lhs1 == rhs1, lhs1, rhs1,
-        "2^((p+1)/2) * a * b = (-1)^((p+1)/4) * p^((p-3)/4) * det S",
-    )
-
-    lhs2 = 2 ** ((p - 1) // 2) * (a_val * a_val - p * b_val * b_val)
-    rhs2 = m * (-p) ** ((p - 3) // 4) * det_s
-    checks["ab_norm_identity"] = _check(
-        "ab_norm_identity", lhs2 == rhs2, lhs2, rhs2,
-        "2^((p-1)/2) * (a^2 - p*b^2) = ((p-1)/2) * (-p)^((p-3)/4) * det S",
-    )
-
-    nu_u = padic_val(u, p)
-    nu_v = padic_val(v, p)
-    if p % 8 == 3:
-        val_ok = nu_a == nu_b == (p - 3) // 8 and nu_u == nu_v + 1 == (p + 5) // 8
-        expected = f"nu(a)=nu(b)={(p - 3) // 8}; nu(u)=nu(v)+1={(p + 5) // 8}"
-    else:
-        val_ok = nu_a == nu_b + 1 == (p + 1) // 8 and nu_u == nu_v == (p + 1) // 8
-        expected = f"nu(a)=nu(b)+1={(p + 1) // 8}; nu(u)=nu(v)={(p + 1) // 8}"
-    checks["padic_valuations"] = _check(
-        "padic_valuations", val_ok,
-        f"nu(a)={nu_a}, nu(b)={nu_b}, nu(u)={nu_u}, nu(v)={nu_v}",
-        expected,
-        "valuation dichotomy by p mod 8, in both coordinate systems",
-    )
-
-    checks["detS_two_adic_bound"] = _check(
-        "detS_two_adic_bound",
-        padic_val(det_s, 2) >= (p - 3) // 2,
-        f"nu_2({det_s}) = {padic_val(det_s, 2)}",
-        f">= {(p - 3) // 2}",
-    )
-
-    checks["detS_not_divisible_by_p"] = _check(
-        "detS_not_divisible_by_p", det_s % p != 0, f"det S = {det_s}", f"p = {p}"
-    )
-
-    k_const = (-p) ** ((m + 1) // 2) * det_s
-    lhs_sq = (2**m) * (d_quad * d_quad)
-    rhs_sq = QuadElt(p, m * k_const, -k_const)
-    checks["detD_square_identity"] = _check(
-        "detD_square_identity", lhs_sq == rhs_sq, lhs_sq, rhs_sq,
-        "2^m * (det D)^2 = (-p)^((m+1)/2) * (m - g) * det S",
-    )
-
-    classes_ok = legendre_sum_classes_hold(p)
-    if p <= opt.direct_identity_limit:
-        ok = classes_ok and matrix_identity_direct(p)
-        note = "residue classes + literal matrix product"
-    else:
-        ok = classes_ok
-        note = "residue classes (literal product skipped above size limit)"
-    checks["legendre_matrix_identity"] = _check(
-        "legendre_matrix_identity", ok, "Dtilde*D", "g*E", note
-    )
-
-    e_quad = quad_decompose(det_e)
-    checks["detE_column_reduction"] = _check(
-        "detE_column_reduction",
-        e_quad == QuadElt(p, m * det_s, -det_s),
-        e_quad,
-        QuadElt(p, m * det_s, -det_s),
-        "det E = (m - g) * det S via zero column sums",
-    )
-
-    mult_lhs = det_dt * det_d
-    mult_rhs = (-p) ** ((m + 1) // 2) * det_e
-    checks["det_multiplicativity"] = _check(
-        "det_multiplicativity", mult_lhs == mult_rhs, mult_lhs, mult_rhs,
-        "det Dtilde * det D = g^(m+1) * det E",
-    )
-
-
-def _checks_1mod4(
-    report: PrimeReport,
-    opt: SweepOptions,
-    g: CycElt,
-    det_c: CycElt,
-    det_d: CycElt,
-    det_dt: CycElt,
-    pf,
-    deltas: list[int],
-    bad_deltas: list[int],
-) -> None:
-    p = report.p
-    m = (p - 1) // 2
-    checks = report.checks
-    ts = two_squares(p)
-
-    try:
-        branch = quartic_gauss_check(p)
-        checks["quartic_gauss_branch"] = _check(
-            "quartic_gauss_branch", True,
-            f"(g4 - g)^2 matches a' = {branch * ts.a}",
-            f"a = {ts.a}, b = {ts.b}",
-            "(g4 - g)^2 = (2/p)*2p + 2a'*sqrt(p), a' = +/-a",
-        )
-    except ArithmeticError as exc:
-        checks["quartic_gauss_branch"] = _check(
-            "quartic_gauss_branch", False, str(exc), "branch +/-a"
-        )
-
-    qd4 = quartic_decompose(det_d, p, check_numeric=opt.numeric_checks)
-    alpha, beta = qd4.alpha, qd4.beta
-    report.decomp = {
-        "alpha": alpha,
-        "beta": beta,
-        "delta_sign": qd4.delta_sign,
-        "a": qd4.a,
-    }
-    square = quad_decompose(det_d * det_d)
-    recon = (qd4.quad_part() * qd4.quad_part()) * qd4.delta_squared()
-    numeric_ok = qd4.resolved_numerically or not opt.numeric_checks
-    checks["quartic_reconstruction"] = _check(
-        "quartic_reconstruction",
-        recon == square and numeric_ok,
-        recon,
-        square,
-        f"(alpha + beta*sqrt(p))^2 * delta^2 = (det D)^2; numeric branch ok={qd4.resolved_numerically}",
-    )
-
-    if pf.h is not None and pf.sign is not None:
-        t, uu = fundamental_unit(p)
-        eps_power = QuadElt(p, Fraction(t, 2), Fraction(uu, 2)) ** pf.h
-        lhs_up = det_c * g
-        rhs_up = pf.sign * (det_d * eps_power.embed())
-        checks["unit_power_product"] = _check(
-            "unit_power_product", lhs_up == rhs_up, lhs_up, rhs_up,
-            "det C * g = sign * det D * eps^h",
-        )
-    else:
-        checks["unit_power_product"] = _skipped(
-            "unit_power_product", "product formula did not resolve h"
-        )
-
-    quoted = Fraction(p + 1, 4)
-    report.discrepancies = report.discrepancies + (
-        f"quoted exponent 2^((p+1)/4) is non-integral for p={p} "
-        f"((p+1)/4 = {quoted}); verified identity uses 2^(m+1) = 2^{m + 1} "
-        f"with p^(m/2)",
-    )
-
-    for d in bad_deltas:
-        name = f"delta_valid[d={d}]"
-        checks[name] = _check(
-            name, False, f"legendre({d}, {p}) = {legendre(d, p)}", "-1",
-            "explicit delta must be a quadratic non-residue",
-        )
-
-    classes_ok = legendre_sum_classes_hold(p)
-
-    for i, d in enumerate(deltas):
-        tag = f"[d={d}]"
-        t_mat = build_T(p, d)
-        sd_mat = build_S_delta(p, d)
-        det_t, det_t_alt = _int_dets(t_mat, opt)
-        det_sd, det_sd_alt = _int_dets(sd_mat, opt)
-        if det_t_alt is not None:
-            checks[f"int_backend_agreement{tag}"] = _check(
-                f"int_backend_agreement{tag}",
-                det_t == det_t_alt and det_sd == det_sd_alt,
-                f"T: {det_t}, SD: {det_sd}",
-                f"T: {det_t_alt}, SD: {det_sd_alt}",
-                "bareiss vs CRT on det T and det SD",
-            )
-        else:
-            checks[f"int_backend_agreement{tag}"] = _skipped(
-                f"int_backend_agreement{tag}", f"single backend {opt.backend!r}"
-            )
-        if i == 0:
-            report.det_T = det_t
-            report.det_SD = det_sd
-
-        checks[f"detSD_vanishes{tag}"] = _check(
-            f"detSD_vanishes{tag}", det_sd == 0, det_sd, 0,
-            "det S(delta, p) = 0",
-        )
-
-        lhs_n = 2 ** (m + 1) * ts.b * (alpha * alpha - p * beta * beta)
-        rhs_n = p ** (m // 2) * det_t
-        checks[f"quartic_norm_identity{tag}"] = _check(
-            f"quartic_norm_identity{tag}",
-            abs(lhs_n) == abs(rhs_n),
-            lhs_n,
-            rhs_n,
-            f"|2^(m+1) * b * (alpha^2 - p*beta^2)| = |p^(m/2) * det T|; "
-            f"observed sign {'+' if lhs_n == rhs_n else '-'}",
-        )
-
-        dd_mat = build_D_delta(p, d)
-        det_dd = _cyc_det(dd_mat, opt)
-        checks[f"twisted_det_galois{tag}"] = _check(
-            f"twisted_det_galois{tag}",
-            det_dd == galois(d, det_d),
-            det_dd,
-            galois(d, det_d),
-            "det DD = sigma_delta(det D)",
-        )
-
-        f_mat = build_F(p, d)
-        det_f = _cyc_det(f_mat, opt)
-        f_quad = quad_decompose(det_f)
-        checks[f"detF_corner_expansion{tag}"] = _check(
-            f"detF_corner_expansion{tag}",
-            f_quad == QuadElt(p, det_t, det_sd),
-            f_quad,
-            QuadElt(p, det_t, det_sd),
-            "det F = det T + g * det SD",
-        )
-
-        mult_lhs = det_dt * det_dd
-        mult_rhs = p ** (m // 2) * (g * det_f)
-        checks[f"det_multiplicativity{tag}"] = _check(
-            f"det_multiplicativity{tag}", mult_lhs == mult_rhs, mult_lhs, mult_rhs,
-            "det Dtilde * det DD = g^(m+1) * det F",
-        )
-
-        if p <= opt.direct_identity_limit:
-            ok = classes_ok and matrix_identity_direct(p, d)
-            note = "residue classes + literal matrix product"
-        else:
-            ok = classes_ok
-            note = "residue classes (literal product skipped above size limit)"
-        checks[f"legendre_matrix_identity{tag}"] = _check(
-            f"legendre_matrix_identity{tag}", ok, "Dtilde*DD", "g*F", note
-        )
+    return _PrimeChecks(p, options or SweepOptions()).run()
 
 
 # -- sweep -------------------------------------------------------------------
@@ -676,15 +536,19 @@ def run_range(
     pmin: int, pmax: int, options: SweepOptions | None = None
 ) -> list[PrimeReport]:
     """Verify every prime in [pmin, pmax]; deterministic order, never aborts."""
-    opt = options or SweepOptions()
     if not (isinstance(pmin, int) and isinstance(pmax, int)):
         raise ValueError("integer bounds required")
     if not 3 < pmin <= pmax:
         raise ValueError(f"need 3 < pmin <= pmax, got ({pmin}, {pmax})")
-    primes = [p for p in range(pmin, pmax + 1) if is_prime(p)]
+    return run_primes([p for p in range(pmin, pmax + 1) if is_prime(p)], options)
+
+
+def run_primes(primes: list[int], options: SweepOptions | None = None) -> list[PrimeReport]:
+    """Verify the given primes in order on up to `threads` processes; never aborts."""
+    opt = options or SweepOptions()
     jobs = [(p, opt) for p in primes]
-    if opt.threads > 1 and len(primes) > 1:
-        with ProcessPoolExecutor(max_workers=opt.threads) as pool:
+    if opt.threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(opt.threads, len(jobs))) as pool:
             return list(pool.map(_run_prime_job, jobs))
     return [_run_prime_job(job) for job in jobs]
 
@@ -736,49 +600,3 @@ def report_to_dict(r: PrimeReport) -> dict:
         "discrepancies": list(r.discrepancies),
         "timings_ms": dict(r.timings_ms),
     }
-
-
-def _cyc_from_strs(p: int, strs: list[str] | None) -> CycElt | None:
-    if strs is None:
-        return None
-    return CycElt(p, [Fraction(s) for s in strs])
-
-
-def report_from_dict(d: dict) -> PrimeReport:
-    p = d["p"]
-    cls = ClassData(
-        p,
-        h_neg=d["class"]["h_neg"],
-        h_pos=d["class"]["h_pos"],
-        eps=(
-            (int(d["class"]["eps_t"]), int(d["class"]["eps_u"]))
-            if d["class"]["eps_t"] is not None
-            else None
-        ),
-    )
-    decomp = {}
-    for k, v in d["decomp"].items():
-        decomp[k] = v if isinstance(v, int) else Fraction(v)
-    checks = {
-        name: CheckResult(name, c["status"], c["lhs"], c["rhs"], c["note"])
-        for name, c in d["checks"].items()
-    }
-    dets = d["dets"]
-    return PrimeReport(
-        p=p,
-        residue8=d["residue8"],
-        class_info=cls,
-        delta=d["delta"],
-        deltas=tuple(d["deltas"]),
-        det_S=None if dets["S"] is None else int(dets["S"]),
-        det_T=None if dets["T"] is None else int(dets["T"]),
-        det_SD=None if dets["SD"] is None else int(dets["SD"]),
-        det_C=_cyc_from_strs(p, dets["C"]),
-        det_D=_cyc_from_strs(p, dets["D"]),
-        decomp=decomp,
-        nu_a=d["nu_a"],
-        nu_b=d["nu_b"],
-        checks=checks,
-        discrepancies=tuple(d["discrepancies"]),
-        timings_ms=dict(d["timings_ms"]),
-    )

@@ -25,19 +25,22 @@ from cyclodet.subfield import (
     quad_decompose,
     two_squares,
 )
+from cyclodet import verify
 from cyclodet.verify import SweepOptions, check_perm_sign, run_prime, run_range
 
 from oracles import random_cyc
 
-SWEEP_OPTIONS = SweepOptions(delta_mode="sweep", sweep_count=3, backend="both",
-                             threads=2, bareiss_limit=60, direct_identity_limit=60)
+SWEEP_OPTIONS = SweepOptions(delta_mode="sweep", sweep_count=3, backend="both", threads=2)
 
 
 @pytest.fixture(scope="session")
 def sweep():
-    start = time.perf_counter()
-    reports = run_range(5, 100, SWEEP_OPTIONS)
-    elapsed = time.perf_counter() - start
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "BAREISS_LIMIT", 60)
+        mp.setattr(verify, "DIRECT_IDENTITY_LIMIT", 60)
+        start = time.perf_counter()
+        reports = run_range(5, 100, SWEEP_OPTIONS)
+        elapsed = time.perf_counter() - start
     return reports, elapsed
 
 

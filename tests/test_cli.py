@@ -5,21 +5,24 @@ from pathlib import Path
 
 import pytest
 
+from cyclodet import classno
 from cyclodet.cli import (
-    RunConfig,
-    cmd_verify,
     exit_code_for,
     main,
     reports_to_csv,
     reports_to_json,
 )
-from cyclodet.verify import report_from_dict
 
 
 def run_main(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def report_content(out: str) -> list[dict]:
+    """The reports of a `verify` JSON output without their timings."""
+    return [{k: v for k, v in r.items() if k != "timings_ms"} for r in json.loads(out)]
 
 
 class TestVerifyCommand:
@@ -49,9 +52,6 @@ class TestVerifyCommand:
         assert report["class"]["eps_t"] == "1"
         # rationals serialized as exact strings
         assert isinstance(report["dets"]["D"], list)
-        # round-trips through the reader
-        rebuilt = report_from_dict(report)
-        assert rebuilt.p == 5
 
     def test_empty_range(self, capsys):
         code, out, _ = run_main(capsys, "verify", "--pmin", "4", "--pmax", "4")
@@ -112,6 +112,37 @@ class TestCache:
                               "--threads", "1")
         assert code == 0
         assert list(cache.glob("p5-*.json"))
+
+    def test_cold_parallel_and_warm_runs_match_uncached_serial(self, capsys, tmp_path):
+        base = ("verify", "--pmin", "5", "--pmax", "13")
+        _, serial, _ = run_main(capsys, *base, "--threads", "1")
+        cached = (*base, "--threads", "2", "--cache-dir", str(tmp_path / "cache"))
+        code_cold, cold, _ = run_main(capsys, *cached)
+        assert len(list((tmp_path / "cache").glob("p*-*.json"))) == 4
+        code_warm, warm, _ = run_main(capsys, *cached)
+        assert code_cold == code_warm == 0
+        assert report_content(cold) == report_content(serial)
+        assert warm == cold
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "other prime"])
+    def test_bad_entry_is_recomputed_and_rewritten(self, capsys, tmp_path, damage):
+        cache = tmp_path / "cache"
+        args = ("verify", "--pmin", "5", "--pmax", "7", "--threads", "1",
+                "--cache-dir", str(cache))
+        _, first, _ = run_main(capsys, *args)
+        (entry,) = cache.glob("p5-*.json")
+        good = entry.read_text()
+        bad = {
+            "empty": "",
+            "truncated": good[: len(good) // 2],
+            "other prime": next(cache.glob("p7-*.json")).read_text(),
+        }[damage]
+        entry.write_text(bad)
+        code, again, _ = run_main(capsys, *args)
+        assert code == 0
+        assert json.loads(entry.read_text())["p"] == 5
+        assert report_content(again) == report_content(first)
+        assert sorted(f.name[:3] for f in cache.iterdir()) == ["p5-", "p7-"]
 
     def test_cache_key_includes_delta_mode(self, capsys, tmp_path):
         cache = tmp_path / "cache"
@@ -186,6 +217,13 @@ class TestClassnoCommand:
     def test_composite(self, capsys):
         code, _, err = run_main(capsys, "classno", "--p", "9")
         assert code == 1
+
+    def test_fundamental_unit_searched_once(self, capsys, count_calls):
+        calls = count_calls(classno.fundamental_unit)
+        code, out, _ = run_main(capsys, "classno", "--p", "29")
+        assert code == 0
+        assert out == "h(29) = 1\neps_29 = (5 + 1*sqrt(29))/2\n"
+        assert calls == [29]
 
 
 class TestJsonHelpers:

@@ -187,3 +187,12 @@ class TestDetDispatcher:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             det(build_S(7), backend="magic")
+
+    def test_values_per_backend_and_disagreement(self):
+        result = det(build_D(7), backend="both")
+        assert len(result.values) == 2 and result.agree
+        assert len(det(build_D(7), backend="modular").values) == 1
+        broken = DetResult((-4, 4), "both")
+        assert not broken.agree
+        with pytest.raises(ArithmeticError):
+            broken.value

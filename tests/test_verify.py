@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclodet import classno, detkit, verify
 from cyclodet.modarith import primes_between, primitive_root
 from cyclodet.verify import (
     CheckResult,
@@ -9,10 +10,10 @@ from cyclodet.verify import (
     check_perm_sign,
     legendre_sum_classes_hold,
     matrix_identity_direct,
-    report_from_dict,
     report_to_dict,
     resolve_deltas,
     run_prime,
+    run_primes,
     run_range,
 )
 
@@ -161,9 +162,11 @@ class TestRunRange:
             db.pop("timings_ms")
             assert da == db
 
-    def test_backend_skip_status(self):
-        report = run_range(7, 7, SweepOptions(bareiss_limit=5))[0]
+    def test_backend_skip_status(self, monkeypatch):
+        monkeypatch.setattr(verify, "BAREISS_LIMIT", 5)
+        report = run_range(7, 7)[0]
         assert report.checks["cyc_backend_agreement"].status == "skipped"
+        assert report.checks["cyc_backend_agreement"].note == "p > bareiss limit 5"
 
     def test_modular_only_backend(self):
         report = run_range(7, 7, SweepOptions(backend="modular"))[0]
@@ -173,6 +176,48 @@ class TestRunRange:
     def test_bareiss_only_backend(self):
         report = run_range(5, 5, SweepOptions(backend="bareiss"))[0]
         assert report.all_passed()
+        assert report.checks["cyc_backend_agreement"].note == "single backend 'bareiss'"
+
+    def test_run_primes_keeps_the_given_order(self):
+        reports = run_primes([11, 5, 7], SweepOptions(threads=2))
+        assert [r.p for r in reports] == [11, 5, 7]
+        assert all(r.all_passed() for r in reports)
+
+    def test_run_primes_reports_a_bad_prime_without_aborting(self):
+        bad, good = run_primes([3, 5])
+        assert bad.checks["no_internal_error"].status == "fail"
+        assert good.all_passed()
+
+
+class TestOnePassPerDecision:
+    """Each prime searches for its fundamental unit once and computes each
+    determinant once, through the one `detkit.det` entry point."""
+
+    def test_fundamental_unit_searched_once(self, count_calls):
+        calls = count_calls(classno.fundamental_unit)
+        report = run_prime(13)
+        assert report.all_passed() and report.class_info.eps == (3, 1)
+        assert calls == [13]
+
+    @pytest.mark.parametrize(
+        "p,backend,expected",
+        [
+            (7, "both", {"det_cyc_bareiss": "C D", "det_cyc_evalinterp": "C D Dtilde E",
+                         "det_int_bareiss": "S", "det_int_modular": "S"}),
+            (5, "both", {"det_cyc_bareiss": "C D", "det_cyc_evalinterp": "C D DD Dtilde F",
+                         "det_int_bareiss": "SD T", "det_int_modular": "SD T"}),
+            (7, "modular", {"det_cyc_evalinterp": "C D Dtilde E", "det_int_modular": "S"}),
+            (5, "bareiss", {"det_cyc_bareiss": "C D DD Dtilde F", "det_int_bareiss": "SD T"}),
+        ],
+    )
+    def test_each_determinant_once(self, count_calls, p, backend, expected):
+        backends = [detkit.det_cyc_bareiss, detkit.det_cyc_evalinterp,
+                    detkit.det_int_bareiss, detkit.det_int_modular]
+        calls = {fn.__name__: count_calls(fn) for fn in backends}
+        report = run_prime(p, SweepOptions(backend=backend))
+        assert report.all_passed()
+        seen = {name: " ".join(sorted(m.meta.family for m in c)) for name, c in calls.items()}
+        assert {name: fams for name, fams in seen.items() if fams} == expected
 
 
 class TestResolveDeltas:
@@ -193,16 +238,6 @@ class TestResolveDeltas:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("p", [5, 7])
-    def test_roundtrip(self, p):
-        report = run_prime(p, SweepOptions(delta_mode="sweep"))
-        rebuilt = report_from_dict(report_to_dict(report))
-        assert report_to_dict(rebuilt) == report_to_dict(report)
-        assert rebuilt.decomp == report.decomp
-        assert rebuilt.det_C == report.det_C
-        assert rebuilt.det_D == report.det_D
-        assert rebuilt.checks == report.checks
-
     def test_failure_carries_both_sides(self):
         check = CheckResult("demo", "fail", "1 + g", "2 + g", "note")
         assert check.lhs and check.rhs
