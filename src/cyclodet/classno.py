@@ -2,22 +2,20 @@
 
 h(-p) is counted directly from reduced positive-definite binary quadratic
 forms of discriminant -p.  For p = 1 (mod 4) the fundamental unit comes from
-a brute-force Pell search, and h(p) is recovered by inverting the exact
-product identity prod_{k<=m} (1 - zeta^(k^2)) * eps^h = +/- g, which
-exercises the cyclotomic arithmetic end to end.
+the continued fraction of (1 + sqrt(p))/2, and h(p) is recovered by inverting
+the exact product identity prod_{k<=m} (1 - zeta^(k^2)) * eps^h = +/- g,
+which exercises the cyclotomic arithmetic end to end.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .cycring import CycElt
-from .modarith import is_square, require_odd_prime
-from .subfield import QuadElt, gauss_sum, quad_decompose
+from .cycring import CycElt, make
+from .modarith import require_odd_prime
+from .subfield import QuadElt, quad_decompose
 
-_PELL_CAP = 10_000_000
 _H_CAP = 400
 
 
@@ -49,26 +47,36 @@ def h_neg(p: int) -> int:
 
 
 def fundamental_unit(p: int) -> tuple[int, int]:
-    """Smallest (t, u) with t, u >= 1 and t^2 - p*u^2 = +/-4; eps = (t+u*sqrt(p))/2."""
+    """Smallest (t, u) with t, u >= 1 and t^2 - p*u^2 = +/-4; eps = (t+u*sqrt(p))/2.
+
+    (t, u) = (2h - k, k) for the first convergent h/k of w = (1 + sqrt(p))/2
+    that has norm +/-4 (Cohen, GTM 138, 5.7): O(sqrt(p)) steps on the complete
+    quotients (P + sqrt(p))/Q, where Q > 0 divides p - P^2.
+    """
     require_odd_prime(p)
     if p % 4 != 1:
         raise ValueError(f"fundamental_unit needs p = 1 mod 4, got {p}")
-    for u in range(1, _PELL_CAP):
-        uu = p * u * u
-        for t2 in (uu - 4, uu + 4):
-            if t2 > 0 and is_square(t2):
-                return (math.isqrt(t2), u)
-    raise ArithmeticError(f"no Pell solution below cap for p={p}")
+    s = math.isqrt(p)
+    P, Q = 1, 2
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    while True:
+        a = (P + s) // Q
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        t = 2 * h - k
+        if t * t - p * k * k in (4, -4):
+            return t, k
+        P, Q = a * Q - P, (p - (a * Q - P) ** 2) // Q
 
 
-@lru_cache(maxsize=None)
 def squares_product(p: int) -> CycElt:
     """The half-range product prod_{k=1}^{(p-1)/2} (1 - zeta^(k^2))."""
     require_odd_prime(p)
-    acc = CycElt.one(p)
+    raw = [1] + [0] * (p - 1)
     for k in range(1, (p - 1) // 2 + 1):
-        acc = acc * (CycElt.one(p) - CycElt.zeta(p, k * k))
-    return acc
+        e = k * k % p
+        raw = [a - b for a, b in zip(raw, raw[-e:] + raw[:-e])]  # *= 1 - x^e
+    return make(p, raw)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,8 @@ class DetResult:
 
 def _det_mod_prime(a: np.ndarray, q: int) -> int:
     """Determinant mod a prime q < 2^31 by row reduction (int64-safe)."""
+    if (q - 1) ** 2 >= 1 << 63:
+        raise OverflowError(f"products mod q={q} overflow int64")
     a = np.array(a, dtype=np.int64) % q
     n = a.shape[0]
     det = 1
@@ -219,6 +221,8 @@ def _coeff_rows(entries: list[CycElt]) -> tuple[list[list[int]], bool]:
 def _values_at_nodes(coeff_rows, small: bool, data: _EvalData) -> np.ndarray:
     """Evaluate each coefficient vector at every node of data, mod data.q."""
     q = data.q
+    if (data.p - 1) * (q - 1) ** 2 >= 1 << 63:
+        raise OverflowError(f"sums of {data.p - 1} products mod q={q} overflow int64")
     if small:
         arr = np.array(coeff_rows, dtype=np.int64) % q
     else:

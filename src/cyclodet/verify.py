@@ -16,7 +16,7 @@ import hashlib
 import math
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -514,22 +514,17 @@ def run_prime(p: int, options: SweepOptions | None = None) -> PrimeReport:
 # -- sweep -------------------------------------------------------------------
 
 
-def _run_prime_job(args) -> PrimeReport:
-    p, opt = args
+def _internal_error(p: int, kind: str, note: str) -> PrimeReport:
+    check = CheckResult("no_internal_error", "fail", kind, "", note)
+    return PrimeReport(p=p, residue8=p % 8, class_info=ClassData(p),
+                       checks={"no_internal_error": check})
+
+
+def _run_prime_job(p: int, opt: SweepOptions) -> PrimeReport:
     try:
         return run_prime(p, opt)
     except Exception as exc:  # single-prime failures must not abort the sweep
-        note = traceback.format_exc(limit=8)
-        return PrimeReport(
-            p=p,
-            residue8=p % 8,
-            class_info=ClassData(p),
-            checks={
-                "no_internal_error": CheckResult(
-                    "no_internal_error", "fail", type(exc).__name__, "", note
-                )
-            },
-        )
+        return _internal_error(p, type(exc).__name__, traceback.format_exc(limit=8))
 
 
 def run_range(
@@ -544,13 +539,26 @@ def run_range(
 
 
 def run_primes(primes: list[int], options: SweepOptions | None = None) -> list[PrimeReport]:
-    """Verify the given primes in order on up to `threads` processes; never aborts."""
+    """Verify the given primes in order on up to `threads` processes; never aborts.
+
+    A prime lost with a dead worker is rerun in a pool of its own, so only a
+    prime whose own worker dies gets a `no_internal_error` report.
+    """
     opt = options or SweepOptions()
-    jobs = [(p, opt) for p in primes]
-    if opt.threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(opt.threads, len(jobs))) as pool:
-            return list(pool.map(_run_prime_job, jobs))
-    return [_run_prime_job(job) for job in jobs]
+    if opt.threads <= 1 or len(primes) <= 1:
+        return [_run_prime_job(p, opt) for p in primes]
+    reports = _pool_run(primes, opt, min(opt.threads, len(primes)))
+    return [r or _pool_run([p], opt, 1)[0] or _internal_error(
+        p, "BrokenProcessPool", f"the worker process died while verifying p={p}")
+        for p, r in zip(primes, reports)]
+
+
+def _pool_run(primes: list[int], opt: SweepOptions, workers: int) -> list:
+    """One report per prime from a pool of `workers`; None where the pool broke."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_prime_job, p, opt) for p in primes]
+        return [None if isinstance(f.exception(), BrokenProcessPool) else f.result()
+                for f in futures]
 
 
 # -- serialization -----------------------------------------------------------

@@ -4,7 +4,8 @@ These deliberately avoid the library's elimination and interpolation code
 paths: cofactor expansion works in any commutative ring using only +, -, *;
 the numeric determinant goes through complex floating point; the narrow
 class number enumerates reduced indefinite forms and counts reduction
-cycles.
+cycles; the fundamental unit is searched for by brute force; the residue
+product is multiplied out factor by factor in the cyclotomic ring.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from cyclodet.cycring import CycElt, eval_complex
+from cyclodet.modarith import is_square
 
 
 def det_cofactor(rows):
@@ -83,6 +85,24 @@ def narrow_class_number(d: int) -> int:
             cur = step(cur)
             assert cur in forms, f"rho left the reduced set: {f} -> {cur}"
     return cycles
+
+
+def pell_brute_force(p: int, cap: int) -> tuple[int, int]:
+    """Smallest (t, u), 1 <= u < cap, with t^2 - p*u^2 = +/-4, by trying every u."""
+    for u in range(1, cap):
+        uu = p * u * u
+        for t2 in (uu - 4, uu + 4):
+            if t2 > 0 and is_square(t2):
+                return (math.isqrt(t2), u)
+    raise ArithmeticError(f"no Pell solution below u = {cap} for p={p}")
+
+
+def squares_product_by_mul(p: int) -> CycElt:
+    """prod_{k=1}^{(p-1)/2} (1 - zeta^(k^2)) through (p-1)/2 general products."""
+    acc = CycElt.one(p)
+    for k in range(1, (p - 1) // 2 + 1):
+        acc = acc * (CycElt.one(p) - CycElt.zeta(p, k * k))
+    return acc
 
 
 def random_cyc(rng: random.Random, p: int, span: int = 5, frac: bool = False) -> CycElt:

@@ -8,9 +8,9 @@ from cyclodet.classno import (
     verify_product_formula,
 )
 from cyclodet.cycring import CycElt
-from cyclodet.modarith import is_square, primes_between
+from cyclodet.modarith import primes_between
 
-from oracles import narrow_class_number
+from oracles import narrow_class_number, pell_brute_force, squares_product_by_mul
 
 H_NEG_TABLE = {
     7: 1, 11: 1, 19: 1, 23: 3, 31: 3, 43: 1, 47: 5,
@@ -46,14 +46,12 @@ class TestFundamentalUnit:
     def test_table(self, p, tu):
         assert fundamental_unit(p) == tu
 
-    @pytest.mark.parametrize("p", [p for p in primes_between(5, 100) if p % 4 == 1])
+    @pytest.mark.parametrize("p", [p for p in primes_between(5, 200) if p % 4 == 1])
     def test_pell_relation_and_minimality(self, p):
         t, u = fundamental_unit(p)
         assert t > 0 and u >= 1
         assert t * t - p * u * u in (4, -4)
-        for smaller in range(1, u):
-            uu = p * smaller * smaller
-            assert not is_square(uu - 4) and not is_square(uu + 4)
+        assert pell_brute_force(p, u + 1) == (t, u)  # no smaller u solves it
 
     def test_rejects_wrong_residue(self):
         with pytest.raises(ValueError):
@@ -78,6 +76,10 @@ class TestProductFormula:
     def test_squared_form(self, p):
         prod = squares_product(p)
         assert prod * prod == CycElt.rational(p, -p)
+
+    @pytest.mark.parametrize("p", primes_between(3, 101))
+    def test_squares_product_matches_ring_products(self, p):
+        assert squares_product(p) == squares_product_by_mul(p)
 
     @pytest.mark.parametrize("p", [p for p in primes_between(5, 100) if p % 4 == 3])
     def test_sign_matches_form_count(self, p):

@@ -214,6 +214,18 @@ class TestClassnoCommand:
         assert "h(5) = 1" in out
         assert "eps_5 = (1 + 1*sqrt(5))/2" in out
 
+    @pytest.mark.parametrize("p,t,u", [
+        (313, 253724736, 14341370),
+        (337, 2031654672, 110671282),
+        (409, 223843593936, 11068353370),
+    ])
+    def test_units_past_the_old_search_cap(self, capsys, p, t, u):
+        # u >= 10^7: a brute-force search over u below 10^7 found none of these
+        code, out, _ = run_main(capsys, "classno", "--p", str(p))
+        assert code == 0
+        assert out == f"h({p}) = 1\neps_{p} = ({t} + {u}*sqrt({p}))/2\n"
+        assert t * t - p * u * u == -4
+
     def test_composite(self, capsys):
         code, _, err = run_main(capsys, "classno", "--p", "9")
         assert code == 1

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cyclodet.cycring import CycElt, eval_complex
 from cyclodet.detkit import (
     DetResult,
+    _det_mod_prime,
+    _EvalData,
+    _values_at_nodes,
     det,
     det_cyc_bareiss,
     det_cyc_evalinterp,
@@ -22,6 +26,7 @@ from cyclodet.matrices import (
     build_T,
     matmul,
 )
+from cyclodet.modarith import aux_primes
 from cyclodet.subfield import quad_decompose
 
 from oracles import det_cofactor, det_numeric, random_cyc
@@ -196,3 +201,18 @@ class TestDetDispatcher:
         assert not broken.agree
         with pytest.raises(ArithmeticError):
             broken.value
+
+
+class TestInt64Headroom:
+    """A modulus too large for int64 products raises instead of wrapping."""
+
+    def test_det_mod_prime_refuses_q_whose_square_overflows(self):
+        with pytest.raises(OverflowError):
+            _det_mod_prime(np.array([[1, 2], [3, 4]]), (1 << 32) + 15)
+
+    def test_values_at_nodes_refuses_sums_that_can_wrap(self):
+        # (q-1)^2 fits in int64, a sum of p-1 = 4 such products does not
+        q = next(aux_primes(5, 1 << 31))
+        data = _EvalData(5, q)
+        with pytest.raises(OverflowError):
+            _values_at_nodes([[q - 1] * 4], True, data)

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
@@ -241,3 +243,30 @@ class TestSerialization:
     def test_failure_carries_both_sides(self):
         check = CheckResult("demo", "fail", "1 + g", "2 + g", "note")
         assert check.lhs and check.rhs
+
+
+class TestDeadWorker:
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the killer is installed by monkeypatch, which workers inherit only by fork")
+    def test_a_dead_worker_costs_one_prime(self, monkeypatch):
+        parent = os.getpid()
+        real_run_prime = verify.run_prime
+
+        def killer(p, opt):
+            if p == 11 and os.getpid() != parent:
+                os._exit(1)
+            return real_run_prime(p, opt)
+
+        monkeypatch.setattr(verify, "run_prime", killer)
+        primes = [5, 7, 11, 13, 17]
+        pooled = run_primes(primes, SweepOptions(threads=2))
+        serial = run_primes([5, 7, 13, 17])
+        assert [r.p for r in pooled] == primes
+        lost = pooled.pop(2)
+        assert list(lost.checks) == ["no_internal_error"]
+        assert lost.checks["no_internal_error"].lhs == "BrokenProcessPool"
+        for a, b in zip(pooled, serial):
+            da, db = report_to_dict(a), report_to_dict(b)
+            da.pop("timings_ms")
+            db.pop("timings_ms")
+            assert da == db and a.all_passed()
