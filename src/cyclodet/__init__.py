@@ -3,12 +3,8 @@
 from .cycring import (
     CycElt,
     eval_complex,
-    eval_mod,
-    exact_div,
-    galois,
     geometric_quotient,
     make,
-    mul,
 )
 from .matrices import (
     ExactMatrix,

@@ -39,7 +39,10 @@ def _parse_delta(text: str) -> tuple[str, int | None, int]:
     if text == "sweep":
         return "sweep", None, 3
     if text.startswith("sweep:"):
-        return "sweep", None, int(text.split(":", 1)[1])
+        count = int(text.split(":", 1)[1])
+        if count < 1:
+            raise ValueError(f"sweep count must be positive, got {count}")
+        return "sweep", None, count
     return "explicit", int(text), 3
 
 

@@ -1,9 +1,11 @@
 """Exact arithmetic in the prime cyclotomic field Q(zeta_p).
 
-Elements are kept in the power basis 1, zeta, ..., zeta^(p-2) with exact
-rational coefficients, so equality is plain coefficient comparison.  The
-missing power zeta^(p-1) is always eliminated through the relation
-1 + zeta + ... + zeta^(p-1) = 0.
+An element is p - 1 integer coefficients over one positive denominator in
+lowest terms, (num[0] + num[1]*zeta + ... + num[p-2]*zeta^(p-2)) / den, so
+equality is plain comparison of (num, den).  The missing power zeta^(p-1)
+is always eliminated through the relation 1 + zeta + ... + zeta^(p-1) = 0.
+`Fraction` appears only at the edges: the public constructor, scalar
+operands, and the `coeffs` view.
 
 Every value is immutable and hashable; all operations are pure functions,
 so elements can be shared freely between concurrent workers.
@@ -12,89 +14,87 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .modarith import is_prime, require_odd_prime
-
-
-def _norm_num(v):
-    """Normalize an exact scalar: ints stay ints, integral Fractions collapse."""
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else v
-    raise TypeError(f"exact rational coefficient required, got {type(v).__name__}")
+from .modarith import require_odd_prime
 
 
-def _poly_mul_int(xs: list[int], ys: list[int]) -> list[int]:
-    """Plain integer polynomial product; Kronecker substitution when dense."""
-    nx = sum(1 for v in xs if v)
-    ny = sum(1 for v in ys if v)
-    out_len = len(xs) + len(ys) - 1
-    if nx == 0 or ny == 0:
-        return [0] * out_len
-    if nx * ny <= 4 * out_len:
-        out = [0] * out_len
-        for i, a in enumerate(xs):
-            if a:
-                for j, b in enumerate(ys):
-                    if b:
-                        out[i + j] += a * b
-        return out
-    return _poly_mul_kronecker(xs, ys)
+def _poly_mul_int(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """Integer polynomial product by one signed Kronecker substitution.
 
-
-def _poly_mul_kronecker(xs: list[int], ys: list[int]) -> list[int]:
-    # Pack coefficients into machine integers; one digit per coefficient.
-    # Signs are handled by the 4-way positive/negative split so no digit
-    # ever borrows from its neighbour.
-    out_len = len(xs) + len(ys) - 1
-    mx = max(abs(v) for v in xs)
-    my = max(abs(v) for v in ys)
-    bound = 2 * mx * my * min(len(xs), len(ys))
-    width = bound.bit_length() // 8 + 1
-
-    def pack(vec: list[int]) -> int:
-        return int.from_bytes(
-            b"".join(v.to_bytes(width, "little") for v in vec), "little"
-        )
-
-    xp = pack([v if v > 0 else 0 for v in xs])
-    xn = pack([-v if v < 0 else 0 for v in xs])
-    yp = pack([v if v > 0 else 0 for v in ys])
-    yn = pack([-v if v < 0 else 0 for v in ys])
-    pos = xp * yp + xn * yn
-    neg = xp * yn + xn * yp
-    nbytes = width * (out_len + 2)
-    pb = pos.to_bytes(nbytes, "little")
-    nb = neg.to_bytes(nbytes, "little")
+    Every product coefficient is below 2^(b-1) in absolute value, so both
+    vectors are packed as b-bit signed digits, multiplied as one big int,
+    and unpacked lowest digit first, borrowing one from the rest whenever
+    a digit is negative.
+    """
+    bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
+    b = bound.bit_length() + 1
+    x = y = 0
+    for v in reversed(xs):
+        x = (x << b) + v
+    for v in reversed(ys):
+        y = (y << b) + v
+    z = x * y
+    mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
     out = []
-    for k in range(out_len):
-        chunk = slice(k * width, (k + 1) * width)
-        out.append(
-            int.from_bytes(pb[chunk], "little") - int.from_bytes(nb[chunk], "little")
-        )
+    for _ in range(len(xs) + len(ys) - 1):
+        d = z & mask
+        z >>= b
+        if d >= half:
+            d -= full
+            z += 1
+        out.append(d)
     return out
 
 
 class CycElt:
-    """An element of Q(zeta_p) in canonical power-basis form."""
+    """An element of Q(zeta_p): integer coefficients `num` over `den` > 0."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "num", "den")
 
     def __init__(self, p: int, coeffs: Sequence) -> None:
         require_odd_prime(p)
-        cs = tuple(_norm_num(c) for c in coeffs)
+        cs = tuple(coeffs)
         if len(cs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p={p}, got {len(cs)}")
+        den = 1
+        for c in cs:
+            if isinstance(c, Fraction):
+                den = math.lcm(den, c.denominator)
+            elif not isinstance(c, int):
+                raise TypeError(f"exact rational coefficient required, got {type(c).__name__}")
+        # den is the lcm of reduced denominators, so the result is in lowest terms
         self.p = p
-        self.coeffs = cs
+        self.num = tuple(int(c * den) for c in cs)
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _new(cls, p: int, num: Sequence[int], den: int = 1) -> CycElt:
+        """Trusted constructor: p - 1 ints over den > 0, reduced by the gcd."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        x = object.__new__(cls)
+        x.p = p
+        x.num = tuple(num)
+        x.den = den
+        return x
+
+    @classmethod
+    def _from_raw(cls, p: int, raw: Sequence[int], den: int = 1) -> CycElt:
+        """Canonicalize ints of zeta^0 .. zeta^(p-1) over den."""
+        last = raw[p - 1]
+        if last:
+            return cls._new(p, [raw[i] - last for i in range(p - 1)], den)
+        return cls._new(p, raw[: p - 1], den)
+
+    @classmethod
     def zero(cls, p: int) -> CycElt:
-        return cls(p, (0,) * (p - 1))
+        return cls._new(p, (0,) * (p - 1))
 
     @classmethod
     def one(cls, p: int) -> CycElt:
@@ -108,50 +108,33 @@ class CycElt:
     def zeta(cls, p: int, exponent: int = 1) -> CycElt:
         raw = [0] * p
         raw[exponent % p] = 1
-        return cls._from_raw_exact(p, raw)
-
-    @classmethod
-    def _from_raw_exact(cls, p: int, raw: list) -> CycElt:
-        """Canonicalize a length-p raw coefficient vector of exact scalars."""
-        last = raw[p - 1]
-        if last:
-            return cls(p, [raw[i] - last for i in range(p - 1)])
-        return cls(p, raw[: p - 1])
-
-    @classmethod
-    def _from_raw_scaled(cls, p: int, raw: list[int], den: int) -> CycElt:
-        last = raw[p - 1]
-        if den == 1:
-            return cls(p, [raw[i] - last for i in range(p - 1)])
-        return cls(p, [Fraction(raw[i] - last, den) for i in range(p - 1)])
+        return cls._from_raw(p, raw)
 
     # -- predicates ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as ints or (non-integral) Fractions."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return tuple(c // den if c % den == 0 else Fraction(c, den) for c in self.num)
+
+    @property
     def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
+        return self.den == 1
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def rational_value(self):
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
-
-    def int_coeffs(self) -> tuple[list[int], int]:
-        """Coefficients cleared of denominators: (integer vector, denominator)."""
-        den = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        if den == 1:
-            return list(self.coeffs), 1
-        return [int(c * den) for c in self.coeffs], den
 
     # -- ring operations ----------------------------------------------
 
@@ -162,17 +145,25 @@ class CycElt:
     def __add__(self, other):
         if isinstance(other, CycElt):
             self._check_same_field(other)
-            return CycElt(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-        if isinstance(other, (int, Fraction)):
-            cs = list(self.coeffs)
-            cs[0] = cs[0] + other
-            return CycElt(self.p, cs)
-        return NotImplemented
+        elif isinstance(other, int):
+            num = list(self.num)
+            num[0] += other * self.den
+            return CycElt._new(self.p, num, self.den)
+        elif isinstance(other, Fraction):
+            other = CycElt.rational(self.p, other)
+        else:
+            return NotImplemented
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return CycElt._new(self.p, [a + b for a, b in zip(self.num, other.num)], d1)
+        return CycElt._new(
+            self.p, [a * d2 + b * d1 for a, b in zip(self.num, other.num)], d1 * d2
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElt(self.p, [-c for c in self.coeffs])
+        return CycElt._new(self.p, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         if isinstance(other, (CycElt, int, Fraction)):
@@ -185,13 +176,19 @@ class CycElt:
         return NotImplemented
 
     def __mul__(self, other):
+        p = self.p
         if isinstance(other, CycElt):
             self._check_same_field(other)
-            return _mul_cyc(self, other)
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return CycElt.zero(self.p)
-            return CycElt(self.p, [c * other for c in self.coeffs])
+            prod = _poly_mul_int(self.num, other.num)
+            raw = prod[:p]
+            for k in range(p, len(prod)):
+                raw[k - p] += prod[k]
+            return CycElt._from_raw(p, raw, self.den * other.den)
+        if isinstance(other, int):
+            return CycElt._new(p, [c * other for c in self.num], self.den)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return CycElt._new(p, [c * n for c in self.num], self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -210,34 +207,34 @@ class CycElt:
 
     def __eq__(self, other):
         if isinstance(other, CycElt):
-            return self.p == other.p and self.coeffs == other.coeffs
+            return self.p == other.p and self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.coeffs[0] == other
+            return self.is_rational and Fraction(self.num[0], self.den) == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        return hash((self.p, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __reduce__(self):
-        return (CycElt, (self.p, self.coeffs))
+        return (CycElt._new, (self.p, self.num, self.den))
 
     # -- Galois action --------------------------------------------------
 
     def galois(self, a: int) -> CycElt:
         """Apply the automorphism zeta -> zeta^a (requires gcd(a, p) = 1)."""
-        a %= self.p
+        p = self.p
+        a %= p
         if a == 0:
-            raise ValueError(f"a must be coprime to {self.p}")
+            raise ValueError(f"a must be coprime to {p}")
         if a == 1:
             return self
-        raw = [0] * self.p
-        for i, c in enumerate(self.coeffs):
-            if c:
-                raw[a * i % self.p] = c
-        return CycElt._from_raw_exact(self.p, raw)
+        raw = [0] * p
+        for i, c in enumerate(self.num):
+            raw[a * i % p] = c
+        return CycElt._from_raw(p, raw, self.den)
 
     def conj(self) -> CycElt:
         """Complex conjugation, zeta -> zeta^(-1)."""
@@ -266,18 +263,6 @@ class CycElt:
         return f"CycElt(p={self.p}, {self})"
 
 
-def _mul_cyc(x: CycElt, y: CycElt) -> CycElt:
-    p = x.p
-    xs, dx = x.int_coeffs()
-    ys, dy = y.int_coeffs()
-    prod = _poly_mul_int(xs, ys)
-    raw = [0] * p
-    for k, v in enumerate(prod):
-        if v:
-            raw[k if k < p else k - p] += v
-    return CycElt._from_raw_scaled(p, raw, dx * dy)
-
-
 # -- named operations ---------------------------------------------------
 
 
@@ -286,15 +271,7 @@ def make(p: int, raw: Sequence) -> CycElt:
     require_odd_prime(p)
     if len(raw) != p:
         raise ValueError(f"need {p} raw coefficients, got {len(raw)}")
-    return CycElt._from_raw_exact(p, [_norm_num(c) for c in raw])
-
-
-def mul(x: CycElt, y: CycElt) -> CycElt:
-    return x * y
-
-
-def galois(a: int, x: CycElt) -> CycElt:
-    return x.galois(a)
+    return CycElt(p, [c - raw[p - 1] for c in raw[: p - 1]])
 
 
 def geometric_quotient(p: int, e: int, n: int) -> CycElt:
@@ -312,131 +289,23 @@ def geometric_quotient(p: int, e: int, n: int) -> CycElt:
         idx += e
         if idx >= p:
             idx -= p
-    return CycElt._from_raw_exact(p, raw)
+    return CycElt._from_raw(p, raw)
 
 
-# polynomial helpers over Q for field inversion ---------------------------
-
-
-def _ptrim(a: list[Fraction]) -> list[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and any(a):
-        if not a[-1]:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        factor = a[-1] * inv_lead
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-        a.pop()
-    return _ptrim(q), _ptrim(a)
-
-
-def _field_inverse(den: CycElt) -> CycElt:
-    """Inverse in Q[x]/Phi_p via the extended Euclidean algorithm."""
-    p = den.p
-    phi = [Fraction(1)] * p
-    r0, r1 = phi, _ptrim([Fraction(c) for c in den.coeffs])
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        prod = _poly_mul_frac(q, t1)
-        t2 = [a - b for a, b in _zip_pad(t0, prod)]
-        t0, t1 = t1, _ptrim(t2)
-    # r0 is a nonzero constant because Phi_p is irreducible and den != 0
-    g = r0[0]
-    inv_coeffs = [c / g for c in t0]
-    inv_coeffs += [Fraction(0)] * (p - 1 - len(inv_coeffs))
-    return CycElt(p, inv_coeffs[: p - 1])
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ac in enumerate(a):
-        if ac:
-            for j, bc in enumerate(b):
-                if bc:
-                    out[i + j] += ac * bc
-    return out
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
-
-
-def exact_div(num: CycElt, den: CycElt) -> CycElt:
-    """Exact quotient num/den in Q(zeta_p); verified by re-multiplication."""
-    num._check_same_field(den)
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero cyclotomic element")
-    if den.is_rational:
-        inv = Fraction(1, 1) / Fraction(den.coeffs[0])
-        return num * inv
-    q = num * _field_inverse(den)
-    if q * den != num:
-        raise ArithmeticError("exact division verification failed (inversion bug)")
-    return q
-
-
-class ComplexApprox(NamedTuple):
-    value: complex
-    error_bound: float
-
-
-def eval_complex(x: CycElt, prec: int = 30) -> ComplexApprox:
-    """Numeric image of x under zeta -> exp(2*pi*i/p).
+def eval_complex(x: CycElt, prec: int = 30):
+    """Numeric image of x under zeta -> exp(2*pi*i/p), an mpmath mpc.
 
     Only for sign resolution and sanity checks; exact claims never rest on it.
-    `prec` is the working precision in significant digits (>= 15).
+    `prec` is the working precision in significant digits (>= 15); the sum
+    carries ten guard digits.
     """
     if prec < 15:
         raise ValueError("prec must be at least 15 significant digits")
     import mpmath
 
-    p = x.p
     with mpmath.workdps(prec + 10):
         total = mpmath.mpc(0)
-        scale = mpmath.mpf(0)
-        for k, c in enumerate(x.coeffs):
-            if not c:
-                continue
-            if isinstance(c, Fraction):
-                cv = mpmath.mpf(c.numerator) / c.denominator
-            else:
-                cv = mpmath.mpf(c)
-            total += cv * mpmath.expjpi(mpmath.mpf(2 * k) / p)
-            scale += abs(cv)
-        value = complex(total)
-        bound = float(scale) * 10.0 ** (1 - prec) + 4e-16 * abs(value)
-    return ComplexApprox(value, bound)
-
-
-def eval_mod(x: CycElt, q: int, r: int) -> int:
-    """Reduce x under zeta -> r in F_q, where r has multiplicative order p."""
-    if not is_prime(q):
-        raise ValueError(f"q={q} is not prime")
-    if not x.is_integral:
-        raise ValueError("x must have integer coefficients")
-    p = x.p
-    r %= q
-    if r in (0, 1) or pow(r, p, q) != 1:
-        raise ValueError(f"r={r} does not have order exactly {p} mod {q}")
-    acc = 0
-    for c in reversed(x.coeffs):
-        acc = (acc * r + c) % q
-    return acc
+        for k, c in enumerate(x.num):
+            if c:
+                total += mpmath.mpf(c) * mpmath.expjpi(mpmath.mpf(2 * k) / x.p)
+        return total / x.den

@@ -204,30 +204,30 @@ def _eval_data(p: int, q: int) -> _EvalData:
     return data
 
 
-def _coeff_rows(entries: list[CycElt]) -> tuple[list[list[int]], bool]:
-    """Integer coefficient vectors for integral entries; flags int64 safety."""
-    rows = []
-    small = True
-    for e in entries:
-        if not e.is_integral:
-            raise ValueError("integral cyclotomic entries required")
-        cs = list(e.coeffs)
-        rows.append(cs)
-        if small and any(abs(c) >= _INT64_SAFE for c in cs):
-            small = False
-    return rows, small
-
-
-def _values_at_nodes(coeff_rows, small: bool, data: _EvalData) -> np.ndarray:
-    """Evaluate each coefficient vector at every node of data, mod data.q."""
+def _values_at_nodes(entries: list[CycElt], data: _EvalData) -> np.ndarray:
+    """Evaluate each integral element at every node of data, mod data.q."""
     q = data.q
     if (data.p - 1) * (q - 1) ** 2 >= 1 << 63:
         raise OverflowError(f"sums of {data.p - 1} products mod q={q} overflow int64")
-    if small:
-        arr = np.array(coeff_rows, dtype=np.int64) % q
-    else:
-        arr = np.array([[c % q for c in row] for row in coeff_rows], dtype=np.int64)
+    if not all(e.is_integral for e in entries):
+        raise ValueError("integral cyclotomic entries required")
+    try:
+        arr = np.array([e.num for e in entries], dtype=np.int64) % q
+    except OverflowError:  # a coefficient beyond int64: reduce it in Python
+        arr = np.array([[c % q for c in e.num] for e in entries], dtype=np.int64)
     return arr @ data.vand % q
+
+
+def _crt_lift(residues: list[int], modulus: int, coeffs_q, q: int):
+    """Fold one more prime's coefficient residues into a CRT accumulation.
+
+    Start from ([0] * n, 1).  Returns (residues, modulus) mod modulus * q and
+    the coefficients lifted to the symmetric range.
+    """
+    inv = pow(modulus, -1, q)  # crt_pair with the inverse taken once per prime
+    residues = [r + modulus * ((c - r) * inv % q) for r, c in zip(residues, coeffs_q.tolist())]
+    modulus *= q
+    return residues, modulus, [r - modulus if 2 * r > modulus else r for r in residues]
 
 
 # -- exact division of integral cyclotomic elements ------------------------
@@ -246,7 +246,6 @@ class _ExactDivider:
             raise ZeroDivisionError("division by zero")
         self.den = den
         self.p = den.p
-        self._den_rows, self._den_small = _coeff_rows([den])
         self._primes: list[tuple[_EvalData, np.ndarray]] = []
         self._iter = aux_primes(self.p)
 
@@ -254,7 +253,7 @@ class _ExactDivider:
         while len(self._primes) <= i:
             q = next(self._iter)
             data = _eval_data(self.p, q)
-            den_vals = _values_at_nodes(self._den_rows, self._den_small, data)[0]
+            den_vals = _values_at_nodes([self.den], data)[0]
             if np.any(den_vals == 0):
                 continue  # q divides a conjugate of den; unusable
             inv_vals = np.array(
@@ -266,28 +265,15 @@ class _ExactDivider:
     def divide(self, num: CycElt) -> CycElt:
         if num.is_zero():
             return CycElt.zero(self.p)
-        num_rows, num_small = _coeff_rows([num])
-        residues = None
-        modulus = 1
+        residues, modulus = [0] * (self.p - 1), 1
         prev_sym = None
         for i in range(64):
             data, inv_vals = self._prime_data(i)
             q = data.q
-            num_vals = _values_at_nodes(num_rows, num_small, data)[0]
-            qvals = num_vals * inv_vals % q
-            coeffs_q = data.lagrange @ qvals % q
-            if residues is None:
-                residues = [int(c) for c in coeffs_q]
-                modulus = q
-            else:
-                residues = [
-                    crt_pair(r, modulus, int(c), q) % (modulus * q)
-                    for r, c in zip(residues, coeffs_q)
-                ]
-                modulus *= q
-            sym = [symmetric_mod(r, modulus) for r in residues]
+            qvals = _values_at_nodes([num], data)[0] * inv_vals % q
+            residues, modulus, sym = _crt_lift(residues, modulus, data.lagrange @ qvals % q, q)
             if sym == prev_sym:
-                candidate = CycElt(self.p, sym)
+                candidate = CycElt._new(self.p, sym)
                 if candidate * self.den == num:
                     return candidate
             prev_sym = sym
@@ -347,9 +333,7 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     p = m.meta.p
     n = m.n
     flat = [e for row in m.rows for e in row]
-    coeff_rows, small = _coeff_rows(flat)
-    residues = None
-    modulus = 1
+    residues, modulus = [0] * (p - 1), 1
     prev_sym = None
     stable = 0
     moduli = []
@@ -358,26 +342,16 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         stats["moduli"] = moduli
     for q in aux_primes(p):
         data = _eval_data(p, q)
-        vals = _values_at_nodes(coeff_rows, small, data).reshape(n, n, p - 1)
+        vals = _values_at_nodes(flat, data).reshape(n, n, p - 1)
         dets = np.array(
             [_det_mod_prime(vals[:, :, t], q) for t in range(p - 1)], dtype=np.int64
         )
-        coeffs_q = data.lagrange @ dets % q
-        if residues is None:
-            residues = [int(c) for c in coeffs_q]
-            modulus = q
-        else:
-            residues = [
-                crt_pair(r, modulus, int(c), q) % (modulus * q)
-                for r, c in zip(residues, coeffs_q)
-            ]
-            modulus *= q
+        residues, modulus, sym = _crt_lift(residues, modulus, data.lagrange @ dets % q, q)
         moduli.append(q)
-        sym = [symmetric_mod(r, modulus) for r in residues]
         if sym == prev_sym:
             stable += 1
             if stable >= 2:
-                return CycElt(p, sym)
+                return CycElt._new(p, sym)
         else:
             stable = 0
         prev_sym = sym

@@ -32,7 +32,7 @@ def gauss_sum(p: int) -> CycElt:
     raw = [0] * p
     for t in range(1, p):
         raw[t] = legendre(t, p)
-    return CycElt._from_raw_exact(p, raw)
+    return CycElt._from_raw(p, raw)
 
 
 @lru_cache(maxsize=None)
@@ -42,7 +42,7 @@ def fourth_power_sum(p: int) -> CycElt:
     raw = [0] * p
     for t in range(p):
         raw[pow(t, 4, p)] += 1
-    return CycElt._from_raw_exact(p, raw)
+    return CycElt._from_raw(p, raw)
 
 
 def gauss_square_sign(p: int) -> int:
@@ -294,17 +294,19 @@ def quartic_decompose(d: CycElt, p: int) -> QuarticDecomp:
     )
     s, (alpha, beta) = chosen
 
-    digits = max(
-        (abs(c.numerator if isinstance(c, Fraction) else c) for c in d.coeffs),
-        default=1,
-    )
-    prec = max(30, len(str(digits)) + 25)
-    approx = eval_complex(d, prec).value
-    sqp = math.sqrt(p)
-    delta = complex(2 * p * chi2 + 2 * s * ts.a * sqp) ** 0.5
-    yval = float(alpha) + float(beta) * sqp
-    tol = 1e-6 * (1 + abs(approx))
-    resolved = min(abs(approx - yval * delta), abs(approx + yval * delta)) < tol
+    # in mpmath throughout: |d| may exceed the float range
+    import mpmath
+
+    bits = max(abs(c) for c in d.num).bit_length()
+    prec = max(30, bits * 3 // 10 + 26)
+    approx = eval_complex(d, prec)
+    with mpmath.workdps(prec):
+        sqp = mpmath.sqrt(p)
+        delta = mpmath.sqrt(mpmath.mpc(2 * p * chi2 + 2 * s * ts.a * sqp))
+        yval = mpmath.mpf(alpha.numerator) / alpha.denominator
+        yval += mpmath.mpf(beta.numerator) / beta.denominator * sqp
+        tol = mpmath.mpf("1e-6") * (1 + abs(approx))
+        resolved = bool(min(abs(approx - yval * delta), abs(approx + yval * delta)) < tol)
 
     return QuarticDecomp(p, alpha, beta, ts.a, s, resolved)
 

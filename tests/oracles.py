@@ -37,7 +37,7 @@ def det_cofactor(rows):
 def det_numeric(matrix) -> complex:
     """Floating-point determinant via the canonical complex embedding."""
     vals = [
-        [complex(e) if isinstance(e, int) else eval_complex(e, 30).value for e in row]
+        [complex(e) if isinstance(e, int) else complex(eval_complex(e, 30)) for e in row]
         for row in matrix.rows
     ]
     return complex(np.linalg.det(np.array(vals, dtype=complex)))

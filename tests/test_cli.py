@@ -69,6 +69,14 @@ class TestVerifyCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_sweep_count_must_be_positive(self, capsys, count):
+        code, out, err = run_main(
+            capsys, "verify", "--pmin", "13", "--pmax", "13", "--delta", f"sweep:{count}"
+        )
+        assert code == 1 and out == ""
+        assert f"sweep:{count}" in err
+
     def test_out_file_and_csv(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
         code, _, _ = run_main(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cyclodet.cycring import CycElt, eval_complex
-from cyclodet.detkit import det_cyc_bareiss
+from cyclodet.detkit import det_cyc_bareiss, det_cyc_evalinterp
 from cyclodet.matrices import build_D
 from cyclodet.modarith import distinct_nonresidues, legendre, primes_between
 from cyclodet.subfield import (
@@ -37,7 +37,7 @@ class TestGaussSum:
 
     @pytest.mark.parametrize("p", [5, 7, 13, 19])
     def test_numeric_principal_branch(self, p):
-        val = eval_complex(gauss_sum(p), 30).value
+        val = complex(eval_complex(gauss_sum(p), 30))
         expected = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
         assert val == pytest.approx(expected, abs=1e-10)
 
@@ -161,6 +161,16 @@ class TestQuarticDecompose:
             lhs = (qd.quad_part() * qd.quad_part()) * qd.delta_squared()
             assert lhs == quad_decompose(d * d)
             assert qd.resolved_numerically
+
+    @pytest.mark.parametrize("p", [13, 17, 29])
+    def test_beyond_float_range(self, p):
+        # |10^400 * det D| is far past the largest float
+        d = det_cyc_evalinterp(build_D(p))
+        small = quartic_decompose(d, p)
+        big = quartic_decompose(10**400 * d, p)
+        assert big.resolved_numerically
+        assert (big.alpha, big.beta) == (10**400 * small.alpha, 10**400 * small.beta)
+        assert big.delta_sign == small.delta_sign
 
     def test_degenerate_input_raises(self):
         with pytest.raises(ArithmeticError):
