@@ -6,8 +6,9 @@ over word-sized primes driven by the Hadamard bound.
 Cyclotomic matrices: Bareiss elimination over Z[zeta_p] (the exactness of
 every interior division is re-verified by multiplication), and an
 evaluation-interpolation backend that reduces the matrix at all elements of
-order p in F_q for primes q = 1 (mod p), takes scalar determinants, solves
-the interpolation system on the nontrivial p-th roots of unity, and CRTs
+order p in F_q for primes q = 1 (mod p), takes their determinants a block of
+nodes at a time in one batched int64 elimination mod q (no floats), solves the
+interpolation system on the nontrivial p-th roots of unity, and CRTs
 coefficients until they stabilize with one confirming prime.
 """
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .cycring import CycElt
 from .matrices import ExactMatrix
 from .modarith import aux_primes, crt_pair, symmetric_mod, word_primes_desc
 
-_INT64_SAFE = 1 << 62
+_STACK_ENTRIES = 1 << 16  # int64 entries per (nodes, n, n) block: bounds evalinterp's transients
 
 
 @dataclass
@@ -42,32 +43,42 @@ class DetResult:
         return self.values[0]
 
 
-# -- scalar determinants over F_q ----------------------------------------
+# -- determinants over F_q --------------------------------------------------
 
 
-def _det_mod_prime(a: np.ndarray, q: int) -> int:
-    """Determinant mod a prime q < 2^31 by row reduction (int64-safe)."""
-    if (q - 1) ** 2 >= 1 << 63:
+def _det_mod_stack(a: np.ndarray, q: int) -> np.ndarray:
+    """Determinants mod a prime q of a stack of matrices, shape (stack, n, n).
+
+    One Gaussian elimination over F_q runs on every matrix at once.  Each
+    column takes every matrix's first nonzero pivot (a row swap flips its
+    sign), and a zero column makes that matrix's determinant 0.  The trailing
+    block is reduced mod q only before an update, of at most (q-1)^2 per
+    entry, that could pass 2^63.  Entries beyond int64 may come as Python
+    ints (dtype object).  Returns the determinants in [0, q) as int64.
+    """
+    if q * (q - 1) >= 1 << 63:
         raise OverflowError(f"products mod q={q} overflow int64")
-    a = np.array(a, dtype=np.int64) % q
-    n = a.shape[0]
-    det = 1
-    sign = 1
-    for col in range(n):
-        pivots = np.nonzero(a[col:, col])[0]
-        if pivots.size == 0:
-            return 0
-        pr = col + int(pivots[0])
-        if pr != col:
-            a[[col, pr]] = a[[pr, col]]
-            sign = -sign
-        piv = int(a[col, col])
-        det = det * piv % q
-        if col + 1 < n:
-            inv = pow(piv, q - 2, q)
-            factors = a[col + 1 :, col] * inv % q
-            a[col + 1 :, col:] = (a[col + 1 :, col:] - factors[:, None] * a[col, col:]) % q
-    return det * sign % q
+    a = (a % q).astype(np.int64, copy=False)
+    stack, n = a.shape[0], a.shape[1]
+    each = np.arange(stack)
+    det = np.ones(stack, dtype=np.int64)
+    lazy = ((1 << 63) - q) // (q - 1) ** 2  # updates an entry in [0, q) takes below 2^63
+    for k in range(n - 1):
+        rows = k + np.argmax(a[:, k:, k] % q != 0, axis=1)
+        swap = rows != k
+        if swap.any():
+            pivot_rows = a[each, rows, k:]
+            a[each, rows, k:] = a[:, k, k:]
+            a[:, k, k:] = pivot_rows
+            det = np.where(swap, q - det, det)
+        prow = a[:, k, k:] % q
+        det = det * prow[:, 0] % q
+        inv = np.array([pow(v, q - 2, q) for v in prow[:, 0].tolist()], dtype=np.int64)
+        factors = a[:, k + 1 :, k] % q * inv[:, None] % q
+        if k and k % lazy == 0:
+            a[:, k + 1 :, k + 1 :] %= q
+        a[:, k + 1 :, k + 1 :] -= factors[:, :, None] * prow[:, None, 1:]
+    return det * (a[:, -1, -1] % q) % q
 
 
 # -- integer backends ------------------------------------------------------
@@ -126,17 +137,13 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
         stats["moduli"] = []
     if bound == 0:
         return 0
-    small = all(abs(e) < _INT64_SAFE for row in m.rows for e in row)
-    arr = np.array(m.rows, dtype=np.int64) if small else None
+    try:
+        arr = np.array(m.rows, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64: reduced mod each q as a Python int
+        arr = np.array(m.rows, dtype=object)
     residue, modulus = 0, 1
     for q in word_primes_desc():
-        if arr is None:
-            reduced = np.array(
-                [[e % q for e in row] for row in m.rows], dtype=np.int64
-            )
-            r = _det_mod_prime(reduced, q)
-        else:
-            r = _det_mod_prime(arr, q)
+        r = int(_det_mod_stack(arr[None], q)[0])
         if stats is not None:
             stats["moduli"].append(q)
         if modulus == 1:
@@ -204,18 +211,30 @@ def _eval_data(p: int, q: int) -> _EvalData:
     return data
 
 
-def _values_at_nodes(entries: list[CycElt], data: _EvalData) -> np.ndarray:
-    """Evaluate each integral element at every node of data, mod data.q."""
+class _Coefficients:
+    """Coefficient rows of integral elements, converted to int64 once (Python
+    ints beyond int64) and reduced mod one q at a time into one reused buffer."""
+
+    def __init__(self, entries: list[CycElt]) -> None:
+        if not all(e.is_integral for e in entries):
+            raise ValueError("integral cyclotomic entries required")
+        try:
+            self.rows = np.array([e.num for e in entries], dtype=np.int64)
+        except OverflowError:
+            self.rows = np.array([e.num for e in entries], dtype=object)
+        self.reduced = np.empty(self.rows.shape, dtype=np.int64)
+        self.q = None
+
+
+def _values_at_nodes(coeffs: _Coefficients, data: _EvalData, nodes: slice = slice(None)) -> np.ndarray:
+    """Evaluate the elements at data.nodes[nodes] mod data.q: shape (elements, nodes)."""
     q = data.q
     if (data.p - 1) * (q - 1) ** 2 >= 1 << 63:
         raise OverflowError(f"sums of {data.p - 1} products mod q={q} overflow int64")
-    if not all(e.is_integral for e in entries):
-        raise ValueError("integral cyclotomic entries required")
-    try:
-        arr = np.array([e.num for e in entries], dtype=np.int64) % q
-    except OverflowError:  # a coefficient beyond int64: reduce it in Python
-        arr = np.array([[c % q for c in e.num] for e in entries], dtype=np.int64)
-    return arr @ data.vand % q
+    if coeffs.q != q:
+        np.remainder(coeffs.rows, q, out=coeffs.reduced, casting="unsafe")
+        coeffs.q = q
+    return coeffs.reduced @ data.vand[:, nodes] % q
 
 
 def _crt_lift(residues: list[int], modulus: int, coeffs_q, q: int):
@@ -253,7 +272,7 @@ class _ExactDivider:
         while len(self._primes) <= i:
             q = next(self._iter)
             data = _eval_data(self.p, q)
-            den_vals = _values_at_nodes([self.den], data)[0]
+            den_vals = _values_at_nodes(_Coefficients([self.den]), data)[0]
             if np.any(den_vals == 0):
                 continue  # q divides a conjugate of den; unusable
             inv_vals = np.array(
@@ -265,12 +284,13 @@ class _ExactDivider:
     def divide(self, num: CycElt) -> CycElt:
         if num.is_zero():
             return CycElt.zero(self.p)
+        coeffs = _Coefficients([num])
         residues, modulus = [0] * (self.p - 1), 1
         prev_sym = None
         for i in range(64):
             data, inv_vals = self._prime_data(i)
             q = data.q
-            qvals = _values_at_nodes([num], data)[0] * inv_vals % q
+            qvals = _values_at_nodes(coeffs, data)[0] * inv_vals % q
             residues, modulus, sym = _crt_lift(residues, modulus, data.lagrange @ qvals % q, q)
             if sym == prev_sym:
                 candidate = CycElt._new(self.p, sym)
@@ -332,7 +352,8 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         raise ValueError("cyclotomic matrix required")
     p = m.meta.p
     n = m.n
-    flat = [e for row in m.rows for e in row]
+    coeffs = _Coefficients([e for row in m.rows for e in row])
+    size = max(1, _STACK_ENTRIES // (n * n))  # nodes per block
     residues, modulus = [0] * (p - 1), 1
     prev_sym = None
     stable = 0
@@ -342,10 +363,11 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         stats["moduli"] = moduli
     for q in aux_primes(p):
         data = _eval_data(p, q)
-        vals = _values_at_nodes(flat, data).reshape(n, n, p - 1)
-        dets = np.array(
-            [_det_mod_prime(vals[:, :, t], q) for t in range(p - 1)], dtype=np.int64
-        )
+        dets = np.empty(p - 1, dtype=np.int64)
+        for start in range(0, p - 1, size):
+            nodes = slice(start, start + size)
+            vals = _values_at_nodes(coeffs, data, nodes).reshape(n, n, -1)
+            dets[nodes] = _det_mod_stack(vals.transpose(2, 0, 1), q)
         residues, modulus, sym = _crt_lift(residues, modulus, data.lagrange @ dets % q, q)
         moduli.append(q)
         if sym == prev_sym:

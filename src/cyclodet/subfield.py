@@ -50,6 +50,12 @@ def gauss_square_sign(p: int) -> int:
     return 1 if p % 4 == 1 else -1
 
 
+def _rational(v) -> Fraction:
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError(f"exact rational required, got {type(v).__name__}")
+    return Fraction(v)
+
+
 class QuadElt:
     """x + y*g with rational x, y, where g^2 = (+/-)p per the residue class of p."""
 
@@ -58,8 +64,8 @@ class QuadElt:
     def __init__(self, p: int, x, y) -> None:
         require_odd_prime(p)
         self.p = p
-        self.x = Fraction(x)
-        self.y = Fraction(y)
+        self.x = _rational(x)
+        self.y = _rational(y)
 
     @property
     def gsq(self) -> int:
@@ -215,8 +221,8 @@ def sqrt_in_quad(c, d, p: int):
     Returns (alpha, beta) normalized to alpha > 0 (or beta > 0 when
     alpha = 0), or None when no rational solution exists.
     """
-    c = Fraction(c)
-    d = Fraction(d)
+    c = _rational(c)
+    d = _rational(d)
     if d == 0:
         if c == 0:
             return (Fraction(0), Fraction(0))
@@ -334,10 +340,7 @@ def quartic_gauss_check(p: int) -> int:
 
 def padic_val(x, p: int):
     """p-adic valuation of a rational; +infinity for zero."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    if not isinstance(x, Fraction):
-        raise TypeError("exact rational required")
+    x = _rational(x)
     if x == 0:
         return math.inf
     def count(n: int) -> int:

@@ -5,7 +5,8 @@ paths: cofactor expansion works in any commutative ring using only +, -, *;
 the numeric determinant goes through complex floating point; the narrow
 class number enumerates reduced indefinite forms and counts reduction
 cycles; the fundamental unit is searched for by brute force; the residue
-product is multiplied out factor by factor in the cyclotomic ring.
+product is multiplied out factor by factor in the cyclotomic ring; a
+determinant mod q is one row reduction of one matrix, reduced every step.
 """
 from __future__ import annotations
 
@@ -85,6 +86,31 @@ def narrow_class_number(d: int) -> int:
             cur = step(cur)
             assert cur in forms, f"rho left the reduced set: {f} -> {cur}"
     return cycles
+
+
+def det_mod_prime(a, q: int) -> int:
+    """Determinant mod a prime q < 2^31 of one matrix by row reduction (int64-safe)."""
+    if (q - 1) ** 2 >= 1 << 63:
+        raise OverflowError(f"products mod q={q} overflow int64")
+    a = np.array(a, dtype=np.int64) % q
+    n = a.shape[0]
+    det = 1
+    sign = 1
+    for col in range(n):
+        pivots = np.nonzero(a[col:, col])[0]
+        if pivots.size == 0:
+            return 0
+        pr = col + int(pivots[0])
+        if pr != col:
+            a[[col, pr]] = a[[pr, col]]
+            sign = -sign
+        piv = int(a[col, col])
+        det = det * piv % q
+        if col + 1 < n:
+            inv = pow(piv, q - 2, q)
+            factors = a[col + 1 :, col] * inv % q
+            a[col + 1 :, col:] = (a[col + 1 :, col:] - factors[:, None] * a[col, col:]) % q
+    return det * sign % q
 
 
 def pell_brute_force(p: int, cap: int) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from cyclodet.cycring import (
     make,
     _poly_mul_int,
 )
-from cyclodet.detkit import _EvalData, _ExactDivider, _values_at_nodes
+from cyclodet.detkit import _Coefficients, _EvalData, _ExactDivider, _values_at_nodes
 from cyclodet.modarith import aux_primes
 
 from oracles import random_cyc
@@ -164,25 +164,24 @@ class TestEvalMod:
 
     def test_basis_image(self):
         data, nodes = self.nodes_of(5)
-        assert [int(v) for v in _values_at_nodes([zeta(5)], data)[0]] == nodes
-        squares = [int(v) for v in _values_at_nodes([zeta(5, 2)], data)[0]]
+        assert [int(v) for v in _values_at_nodes(_Coefficients([zeta(5)]), data)[0]] == nodes
+        squares = [int(v) for v in _values_at_nodes(_Coefficients([zeta(5, 2)]), data)[0]]
         assert squares == [a * a % data.q for a in nodes]
 
     def test_zero(self):
         data, _ = self.nodes_of(5)
-        assert not _values_at_nodes([CycElt.zero(5)], data).any()
+        assert not _values_at_nodes(_Coefficients([CycElt.zero(5)]), data).any()
 
     def test_orbit_sum_maps_to_zero(self):
         x = make(5, [1, 1, 1, 1, 1])
         assert x.is_zero()
         data, _ = self.nodes_of(7)
-        powers = _values_at_nodes([zeta(7, k) for k in range(7)], data)
+        powers = _values_at_nodes(_Coefficients([zeta(7, k) for k in range(7)]), data)
         assert not (powers.sum(axis=0) % data.q).any()
 
     def test_rejects_non_integral(self):
-        data, _ = self.nodes_of(5)
         with pytest.raises(ValueError):
-            _values_at_nodes([Fraction(1, 2) * zeta(5)], data)
+            _Coefficients([Fraction(1, 2) * zeta(5)])
 
     def test_ring_homomorphism(self):
         rng = random.Random(7)
@@ -191,9 +190,26 @@ class TestEvalMod:
             for _ in range(40):
                 x = random_cyc(rng, p, span=10**30)
                 y = random_cyc(rng, p, span=10**30)
-                vx, vy, vxy, vsum = _values_at_nodes([x, y, x * y, x + y], data)
+                vx, vy, vxy, vsum = _values_at_nodes(_Coefficients([x, y, x * y, x + y]), data)
                 assert ((vx * vy - vxy) % data.q == 0).all()
                 assert ((vx + vy - vsum) % data.q == 0).all()
+
+    def test_node_blocks_and_moduli_in_turn(self):
+        # one conversion serves every modulus in turn and every block of nodes
+        rng = random.Random(11)
+        entries = [random_cyc(rng, 13, span=span) for span in (5, 10**30)]
+        coeffs = _Coefficients(entries)
+        aux = aux_primes(13)
+        first, second = _EvalData(13, next(aux)), _EvalData(13, next(aux))
+        for data in (first, second, first):
+            q = data.q
+            expected = [
+                [sum(c * pow(a, i, q) for i, c in enumerate(e.num)) % q for a in data.nodes]
+                for e in entries
+            ]
+            assert _values_at_nodes(coeffs, data).tolist() == expected
+            blocks = [_values_at_nodes(coeffs, data, slice(s, s + 5)).tolist() for s in (0, 5, 10)]
+            assert [sum((b[i] for b in blocks), []) for i in range(2)] == expected
 
 
 class TestRingAxioms:

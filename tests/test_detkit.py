@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cyclodet import detkit
 from cyclodet.cycring import CycElt, eval_complex
 from cyclodet.detkit import (
     DetResult,
-    _det_mod_prime,
+    _Coefficients,
+    _det_mod_stack,
     _EvalData,
     _values_at_nodes,
     det,
@@ -26,10 +29,16 @@ from cyclodet.matrices import (
     build_T,
     matmul,
 )
-from cyclodet.modarith import aux_primes
+from cyclodet.modarith import aux_primes, is_prime, word_primes_desc
 from cyclodet.subfield import quad_decompose
 
-from oracles import det_cofactor, det_numeric, random_cyc
+from oracles import det_cofactor, det_mod_prime, det_numeric, random_cyc
+
+Q20 = next(aux_primes(5))  # just above 2^20: the trailing block is never reduced
+Q30 = next(word_primes_desc())  # just below 2^30: reduced every 8 updates
+Q_TOP = next(  # q(q-1) just below 2^63: reduced before every update
+    q for q in range(math.isqrt(1 << 63), 0, -1) if q * (q - 1) < 1 << 63 and is_prime(q)
+)
 
 
 def int_matrix(rows, p=5):
@@ -181,6 +190,17 @@ class TestDetDispatcher:
         assert result.stats["nodes"] == 6
         assert len(result.stats["moduli"]) >= 3
 
+    def test_evalinterp_stats_across_node_blocks(self, monkeypatch):
+        m = build_D(13)
+        whole = det_cyc_evalinterp(m)
+        for entries in (7 * 7, 3 * 7 * 7):  # blocks of one node, of three nodes
+            monkeypatch.setattr(detkit, "_STACK_ENTRIES", entries)
+            stats = {}
+            assert det_cyc_evalinterp(m, stats) == whole
+            assert stats["nodes"] == 12
+            aux = aux_primes(13)
+            assert stats["moduli"] == [next(aux) for _ in stats["moduli"]]
+
     def test_single_backends(self):
         assert det(build_S(7), backend="bareiss").value == -4
         assert det(build_S(7), backend="modular").value == -4
@@ -208,11 +228,82 @@ class TestInt64Headroom:
 
     def test_det_mod_prime_refuses_q_whose_square_overflows(self):
         with pytest.raises(OverflowError):
-            _det_mod_prime(np.array([[1, 2], [3, 4]]), (1 << 32) + 15)
+            _det_mod_stack(np.array([[[1, 2], [3, 4]]]), (1 << 32) + 15)
 
     def test_values_at_nodes_refuses_sums_that_can_wrap(self):
         # (q-1)^2 fits in int64, a sum of p-1 = 4 such products does not
         q = next(aux_primes(5, 1 << 31))
         data = _EvalData(5, q)
         with pytest.raises(OverflowError):
-            _values_at_nodes([CycElt(5, [q - 1] * 4)], data)
+            _values_at_nodes(_Coefficients([CycElt(5, [q - 1] * 4)]), data)
+
+
+def oracle_dets(a, q):
+    return [det_mod_prime(m, q) for m in a]
+
+
+class TestDetModStack:
+    """The batched elimination against the one-matrix oracle `det_mod_prime`."""
+
+    @pytest.mark.parametrize("q", [Q20, Q30, Q_TOP])
+    def test_random_stacks(self, q):
+        rng = np.random.default_rng(q % 997)
+        for stack, n in [(1, 1), (1, 9), (7, 1), (5, 4), (16, 12)]:
+            a = rng.integers(-q, 2 * q, size=(stack, n, n))  # not reduced mod q
+            assert _det_mod_stack(a, q).tolist() == oracle_dets(a, q)
+
+    def test_all_zero(self):
+        for stack, n in [(1, 1), (1, 5), (3, 4)]:
+            a = np.zeros((stack, n, n), dtype=np.int64)
+            assert _det_mod_stack(a, Q20).tolist() == [0] * stack
+
+    @pytest.mark.parametrize("q", [Q20, Q30])
+    def test_zero_column_at_every_position(self, q):
+        n = 6
+        a = np.random.default_rng(3).integers(1, q, size=(n + 1, n, n))
+        for c in range(n):
+            a[c, :, c] = 0  # matrix c has its column c zero; the last matrix has none
+        got = _det_mod_stack(a, q).tolist()
+        assert got == oracle_dets(a, q)
+        assert got[:n] == [0] * n and got[n] != 0
+
+    @pytest.mark.parametrize("q", [Q20, Q30, Q_TOP])
+    def test_row_swap_at_every_column(self, q):
+        n = 7
+        rng = np.random.default_rng(5)
+        upper = np.triu(rng.integers(1, q, size=(n, n)))
+        # rows 1, 2, ..., n-1, 0 of an upper-triangular matrix: row k is zero in
+        # column k when that column is eliminated, so every column swaps
+        shifted = np.roll(upper, -1, axis=0)
+        a = np.stack([shifted, upper, rng.integers(0, q, size=(n, n))])
+        got = _det_mod_stack(a, q).tolist()
+        assert got == oracle_dets(a, q)
+        assert got[0] == (-1) ** (n - 1) * math.prod(int(d) for d in np.diag(upper)) % q
+
+    def test_repeated_rows(self):
+        n = 5
+        a = np.random.default_rng(7).integers(0, Q20, size=(n, n, n))
+        for i in range(n):
+            a[i, (i + 1) % n] = a[i, i] + Q20 * (i - 2)  # equal mod q, not as integers
+        assert _det_mod_stack(a, Q20).tolist() == oracle_dets(a, Q20) == [0] * n
+
+    @pytest.mark.parametrize("q", [Q20, Q30, Q_TOP])
+    def test_entries_all_q_minus_1(self, q):
+        # 2I - J: the first pivot is 1 and every factor and pivot-row entry q - 1,
+        # the largest update there is; det(2I - J) = 2^(n-1) (2 - n)
+        n = 24
+        full = np.full((2, n, n), q - 1, dtype=np.int64)
+        full[1] += 2 * np.eye(n, dtype=np.int64)
+        got = _det_mod_stack(full, q).tolist()
+        assert got == oracle_dets(full, q)
+        assert got == [0, 2 ** (n - 1) * (2 - n) % q]
+
+    @pytest.mark.parametrize("q", [Q20, Q30, Q_TOP])
+    def test_every_update_the_largest(self, q):
+        # A = L U with unit L, U and q - 1 off the diagonal: elimination without
+        # swaps meets factors q - 1 and pivot rows (1, q - 1, ...) at every column,
+        # so every update subtracts (q-1)^2 from every trailing entry
+        n = 24
+        lower = np.tril(np.full((n, n), q - 1, dtype=object), -1) + np.eye(n, dtype=object)
+        a = (lower @ lower.T % q).astype(np.int64)
+        assert _det_mod_stack(a[None], q).tolist() == oracle_dets(a[None], q) == [1]

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,11 @@ class TestQuadElt:
     def test_norm_sign_depends_on_residue_class(self):
         assert QuadElt(5, 1, 1).norm() == 1 - 5
         assert QuadElt(7, 1, 1).norm() == 1 + 7
+
+    @pytest.mark.parametrize("x, y", [(0.1, 0), (1, 0.5), (1, "1/2"), (Decimal(1), 0)])
+    def test_rejects_inexact_coordinates(self, x, y):
+        with pytest.raises(TypeError):
+            QuadElt(5, x, y)
 
     def test_embed_matches_cyclotomic_arithmetic(self):
         x = QuadElt(7, 2, Fraction(1, 2))
@@ -136,6 +142,11 @@ class TestSqrtInQuad:
         assert sqrt_in_quad(29, 12, 5) == (3, 2)
         # normalization picks the positive-alpha branch
         assert sqrt_in_quad(29, -12, 5) == (3, -2)
+
+    @pytest.mark.parametrize("c, d", [(29.0, 12), (29, 12.0), ("29", 12)])
+    def test_rejects_inexact_input(self, c, d):
+        with pytest.raises(TypeError):
+            sqrt_in_quad(c, d, 5)
 
     def test_verifies_solution(self):
         got = sqrt_in_quad(Fraction(15, 8), Fraction(-5, 8), 5)
