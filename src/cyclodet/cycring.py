@@ -236,10 +236,6 @@ class CycElt:
             raw[a * i % p] = c
         return CycElt._from_raw(p, raw, self.den)
 
-    def conj(self) -> CycElt:
-        """Complex conjugation, zeta -> zeta^(-1)."""
-        return self.galois(self.p - 1)
-
     # -- display --------------------------------------------------------
 
     def __str__(self):
@@ -284,7 +280,7 @@ def geometric_quotient(p: int, e: int, n: int) -> CycElt:
     raw = [0] * p
     e %= p
     idx = 0
-    for _ in range(n):
+    for _ in range((n - 1) % p + 1):  # a full cycle of p terms sums to 0
         raw[idx] += 1
         idx += e
         if idx >= p:

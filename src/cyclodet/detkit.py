@@ -1,15 +1,16 @@
 """Exact determinants with two independent backends per entry kind.
 
-Integer matrices: fraction-free (Bareiss) elimination, and a CRT backend
-over word-sized primes driven by the Hadamard bound.
+Bareiss: one fraction-free elimination serves both rings; integer matrices
+divide by the previous pivot with a remainder check, cyclotomic ones through
+`_ExactDivider` (every quotient re-verified by multiplication).
 
-Cyclotomic matrices: Bareiss elimination over Z[zeta_p] (the exactness of
-every interior division is re-verified by multiplication), and an
-evaluation-interpolation backend that reduces the matrix at all elements of
-order p in F_q for primes q = 1 (mod p), takes their determinants a block of
-nodes at a time in one batched int64 elimination mod q (no floats), solves the
-interpolation system on the nontrivial p-th roots of unity, and CRTs
-coefficients until they stabilize with one confirming prime.
+Modular: integer matrices are CRT-lifted over word-sized primes driven by the
+Hadamard bound.  Cyclotomic matrices are reduced at all elements of order p
+in F_q for primes q = 1 (mod p), their determinants taken a block of nodes
+at a time in one batched int64 elimination mod q (no floats), and the
+coefficients recovered by the inverse transform on the same power table
+r^e mod q that built the evaluation (Vandermonde) matrix, then CRT-lifted
+until they stabilize with one confirming prime.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .cycring import CycElt
 from .matrices import ExactMatrix
-from .modarith import aux_primes, crt_pair, symmetric_mod, word_primes_desc
+from .modarith import aux_primes, word_primes_desc
 
 _STACK_ENTRIES = 1 << 16  # int64 entries per (nodes, n, n) block: bounds evalinterp's transients
 
@@ -81,42 +82,55 @@ def _det_mod_stack(a: np.ndarray, q: int) -> np.ndarray:
     return det * (a[:, -1, -1] % q) % q
 
 
-# -- integer backends ------------------------------------------------------
+# -- fraction-free elimination and the integer backends ---------------------
 
 
-def det_int_bareiss(m: ExactMatrix, stats: dict | None = None) -> int:
-    """Fraction-free elimination; first nonzero pivot per column, row swaps signed."""
-    if m.kind != "int":
-        raise ValueError("integer matrix required")
-    a = [list(row) for row in m.rows]
-    n = m.n
-    if stats is not None:
-        stats["elimination_steps"] = n - 1
+def _fraction_free(rows, divider):
+    """Bareiss elimination: first nonzero pivot per column, row swaps signed.
+
+    `divider(prev)` returns the exact division by a previous pivot; it is
+    applied to every update after the first column.  Entries need +, -, *,
+    truth and negation, so ints and CycElts go through the same loop.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
     sign = 1
-    prev = 1
+    divide = None
     for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+        if not a[k][k]:
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
+                return a[k][k]  # the pivot column is zero: so is the determinant
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
         piv = a[k][k]
         row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
+        for row_i in a[k + 1 :]:
             aik = row_i[k]
             for j in range(k + 1, n):
                 t = row_i[j] * piv - aik * row_k[j]
-                quot, rem = divmod(t, prev)
-                if rem:
-                    raise ArithmeticError("Bareiss division was not exact")
-                row_i[j] = quot
-            row_i[k] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
+                row_i[j] = divide(t) if divide else t
+        divide = divider(piv)
+    return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
+
+
+def _int_divider(prev: int):
+    def divide(t: int) -> int:
+        quot, rem = divmod(t, prev)
+        if rem:
+            raise ArithmeticError("Bareiss division was not exact")
+        return quot
+
+    return divide
+
+
+def det_int_bareiss(m: ExactMatrix, stats: dict | None = None) -> int:
+    """Fraction-free elimination over Z."""
+    if m.kind != "int":
+        raise ValueError("integer matrix required")
+    if stats is not None:
+        stats["elimination_steps"] = m.n - 1
+    return _fraction_free(m.rows, _int_divider)
 
 
 def _hadamard_bound(m: ExactMatrix) -> int:
@@ -141,54 +155,53 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
         arr = np.array(m.rows, dtype=np.int64)
     except OverflowError:  # an entry beyond int64: reduced mod each q as a Python int
         arr = np.array(m.rows, dtype=object)
-    residue, modulus = 0, 1
+    residues, modulus = [0], 1
     for q in word_primes_desc():
-        r = int(_det_mod_stack(arr[None], q)[0])
+        residues, modulus, sym = _crt_lift(residues, modulus, _det_mod_stack(arr[None], q), q)
         if stats is not None:
             stats["moduli"].append(q)
-        if modulus == 1:
-            residue, modulus = r, q
-        else:
-            residue, modulus = crt_pair(residue, modulus, r, q) % (modulus * q), modulus * q
         if modulus > 2 * bound:
             break
-    return symmetric_mod(residue, modulus)
+    return sym[0]
 
 
 # -- evaluation data shared by the cyclotomic backends ---------------------
 
 
 class _EvalData:
-    """Vandermonde and interpolation matrices for the order-p points of F_q."""
+    """The power table of an element r of order p in F_q, for a prime q = 1 (mod p).
 
-    __slots__ = ("p", "q", "r", "nodes", "vand", "lagrange")
+    pow_r[e] = r^e mod q.  The nodes are r^t for t = 1..p-1, and the
+    Vandermonde matrix vand[i, t-1] = r^(i t) is an index into the table.
+    Evaluation and interpolation both sum p-1 products of residues mod q in
+    int64, so a q for which such a sum could wrap is refused here.
+    """
+
+    __slots__ = ("p", "q", "pow_r", "nodes", "vand", "inv_p")
 
     def __init__(self, p: int, q: int) -> None:
+        if (p - 1) * (q - 1) ** 2 >= 1 << 63:
+            raise OverflowError(f"sums of {p - 1} products mod q={q} overflow int64")
         self.p = p
         self.q = q
-        self.r = _order_p_element(p, q)
-        nodes = [pow(self.r, j, q) for j in range(1, p)]
-        self.nodes = nodes
-        vand = np.empty((p - 1, p - 1), dtype=np.int64)
-        for t, a in enumerate(nodes):
-            acc = 1
-            for i in range(p - 1):
-                vand[i, t] = acc
-                acc = acc * a % q
-        self.vand = vand
-        # Lagrange basis through the cyclotomic polynomial: Phi_p has all-ones
-        # coefficients, so the synthetic quotient by (x - a) is a prefix scan,
-        # and Phi_p'(a) = p / (a * (a - 1)) since a^p = 1.
-        lagrange = np.empty((p - 1, p - 1), dtype=np.int64)
-        inv_p = pow(p, q - 2, q)
-        for t, a in enumerate(nodes):
-            w = a * (a - 1) % q * inv_p % q
-            b = 1
-            lagrange[p - 2, t] = w
-            for i in range(p - 3, -1, -1):
-                b = (b * a + 1) % q
-                lagrange[i, t] = b * w % q
-        self.lagrange = lagrange
+        r = _order_p_element(p, q)
+        pow_r = [1]
+        for _ in range(p - 1):
+            pow_r.append(pow_r[-1] * r % q)
+        self.pow_r = np.array(pow_r, dtype=np.int64)
+        self.nodes = pow_r[1:]
+        self.vand = self.pow_r[np.outer(np.arange(p - 1), np.arange(1, p)) % p]
+        self.inv_p = pow(p, -1, q)
+
+    def interpolate(self, vals: np.ndarray) -> np.ndarray:
+        """Coefficients mod q of the element of degree < p-1 with values `vals` at the nodes.
+
+        The inverse transform on the same table: with v_0 the value at 1,
+        p c_i = sum_t v_t r^(-ti) over t = 0..p-1, and c_(p-1) = 0 fixes
+        v_0 = -sum_(t>0) v_t r^t.  vand @ vals[::-1] is sum_(t>0) v_t r^(-ti).
+        """
+        q = self.q
+        return (self.vand @ vals[::-1] - self.pow_r[1:] @ vals) % q * self.inv_p % q
 
 
 def _order_p_element(p: int, q: int) -> int:
@@ -197,18 +210,6 @@ def _order_p_element(p: int, q: int) -> int:
         if r != 1:
             return r
     raise ArithmeticError(f"no element of order {p} in F_{q}")
-
-
-_EVAL_CACHE: dict[tuple[int, int], _EvalData] = {}
-
-
-def _eval_data(p: int, q: int) -> _EvalData:
-    key = (p, q)
-    data = _EVAL_CACHE.get(key)
-    if data is None:
-        data = _EvalData(p, q)
-        _EVAL_CACHE[key] = data
-    return data
 
 
 class _Coefficients:
@@ -229,8 +230,6 @@ class _Coefficients:
 def _values_at_nodes(coeffs: _Coefficients, data: _EvalData, nodes: slice = slice(None)) -> np.ndarray:
     """Evaluate the elements at data.nodes[nodes] mod data.q: shape (elements, nodes)."""
     q = data.q
-    if (data.p - 1) * (q - 1) ** 2 >= 1 << 63:
-        raise OverflowError(f"sums of {data.p - 1} products mod q={q} overflow int64")
     if coeffs.q != q:
         np.remainder(coeffs.rows, q, out=coeffs.reduced, casting="unsafe")
         coeffs.q = q
@@ -243,7 +242,7 @@ def _crt_lift(residues: list[int], modulus: int, coeffs_q, q: int):
     Start from ([0] * n, 1).  Returns (residues, modulus) mod modulus * q and
     the coefficients lifted to the symmetric range.
     """
-    inv = pow(modulus, -1, q)  # crt_pair with the inverse taken once per prime
+    inv = pow(modulus, -1, q)  # taken once per prime, not once per coefficient
     residues = [r + modulus * ((c - r) * inv % q) for r, c in zip(residues, coeffs_q.tolist())]
     modulus *= q
     return residues, modulus, [r - modulus if 2 * r > modulus else r for r in residues]
@@ -271,7 +270,7 @@ class _ExactDivider:
     def _prime_data(self, i: int) -> tuple[_EvalData, np.ndarray]:
         while len(self._primes) <= i:
             q = next(self._iter)
-            data = _eval_data(self.p, q)
+            data = _EvalData(self.p, q)
             den_vals = _values_at_nodes(_Coefficients([self.den]), data)[0]
             if np.any(den_vals == 0):
                 continue  # q divides a conjugate of den; unusable
@@ -291,7 +290,7 @@ class _ExactDivider:
             data, inv_vals = self._prime_data(i)
             q = data.q
             qvals = _values_at_nodes(coeffs, data)[0] * inv_vals % q
-            residues, modulus, sym = _crt_lift(residues, modulus, data.lagrange @ qvals % q, q)
+            residues, modulus, sym = _crt_lift(residues, modulus, data.interpolate(qvals), q)
             if sym == prev_sym:
                 candidate = CycElt._new(self.p, sym)
                 if candidate * self.den == num:
@@ -304,42 +303,14 @@ class _ExactDivider:
 
 
 def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
-    """Bareiss elimination over Z[zeta_p] with verified exact divisions."""
+    """Fraction-free elimination over Z[zeta_p] with verified exact divisions."""
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
-    p = m.meta.p
-    a = [list(row) for row in m.rows]
-    n = m.n
-    for row in m.rows:
-        for e in row:
-            if not e.is_integral:
-                raise ValueError("integral entries required")
+    if not all(e.is_integral for row in m.rows for e in row):
+        raise ValueError("integral entries required")
     if stats is not None:
-        stats["elimination_steps"] = n - 1
-    sign = 1
-    prev: CycElt | None = None
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero():
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return CycElt.zero(p)
-        piv = a[k][k]
-        divider = _ExactDivider(prev) if prev is not None else None
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                t = row_i[j] * piv - aik * row_k[j]
-                row_i[j] = divider.divide(t) if divider is not None else t
-            row_i[k] = CycElt.zero(p)
-        prev = piv
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
+        stats["elimination_steps"] = m.n - 1
+    return _fraction_free(m.rows, lambda prev: _ExactDivider(prev).divide)
 
 
 def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
@@ -362,13 +333,13 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         stats["nodes"] = p - 1
         stats["moduli"] = moduli
     for q in aux_primes(p):
-        data = _eval_data(p, q)
+        data = _EvalData(p, q)
         dets = np.empty(p - 1, dtype=np.int64)
         for start in range(0, p - 1, size):
             nodes = slice(start, start + size)
             vals = _values_at_nodes(coeffs, data, nodes).reshape(n, n, -1)
             dets[nodes] = _det_mod_stack(vals.transpose(2, 0, 1), q)
-        residues, modulus, sym = _crt_lift(residues, modulus, data.lagrange @ dets % q, q)
+        residues, modulus, sym = _crt_lift(residues, modulus, data.interpolate(dets), q)
         moduli.append(q)
         if sym == prev_sym:
             stable += 1

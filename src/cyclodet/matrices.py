@@ -65,48 +65,51 @@ def _require_nonresidue(p: int, delta: int) -> None:
         raise ValueError(f"delta={delta} is not a quadratic non-residue mod {p}")
 
 
+def _legendre_rows(p: int, delta: int, start: int) -> list[list[int]]:
+    """Legendre symbols ((j^2 + delta*k^2)/p) for start <= j, k <= m."""
+    idx = range(start, (p - 1) // 2 + 1)
+    return [[legendre(j * j + delta * k * k, p) for k in idx] for j in idx]
+
+
+def _with_corner(p: int, delta: int, corner: CycElt) -> list[list[CycElt]]:
+    """The Legendre rows from index 0 as elements, with `corner` at (0, 0)."""
+    rows = [[CycElt.rational(p, s) for s in row] for row in _legendre_rows(p, delta, 0)]
+    rows[0][0] = corner
+    return rows
+
+
+def _zeta_rows(p: int, delta: int) -> list[list[CycElt]]:
+    """Entries zeta^(delta j^2 k^2) for 0 <= j, k <= m."""
+    idx = range((p - 1) // 2 + 1)
+    return [[CycElt.zeta(p, delta * j * j * k * k) for k in idx] for j in idx]
+
+
 def build_C(p: int) -> ExactMatrix:
     """Entries (1 - zeta^(j^2 k^2)) / (1 - zeta^(j^2)), built as geometric sums."""
     require_odd_prime(p)
-    m = (p - 1) // 2
-    rows = [
-        [geometric_quotient(p, j * j, k * k) for k in range(1, m + 1)]
-        for j in range(1, m + 1)
-    ]
+    idx = range(1, (p - 1) // 2 + 1)
+    rows = [[geometric_quotient(p, j * j, k * k) for k in idx] for j in idx]
     return ExactMatrix("cyc", rows, MatrixMeta(p, "C"))
 
 
 def build_D(p: int) -> ExactMatrix:
     """Entries zeta^(j^2 k^2) for 0 <= j, k <= m."""
     require_odd_prime(p)
-    m = (p - 1) // 2
-    rows = [
-        [CycElt.zeta(p, j * j * k * k) for k in range(m + 1)] for j in range(m + 1)
-    ]
-    return ExactMatrix("cyc", rows, MatrixMeta(p, "D"))
+    return ExactMatrix("cyc", _zeta_rows(p, 1), MatrixMeta(p, "D"))
 
 
 def build_D_delta(p: int, delta: int) -> ExactMatrix:
     """Entries zeta^(delta j^2 k^2), delta a quadratic non-residue."""
     require_odd_prime(p)
     _require_nonresidue(p, delta)
-    m = (p - 1) // 2
-    rows = [
-        [CycElt.zeta(p, delta * j * j * k * k) for k in range(m + 1)]
-        for j in range(m + 1)
-    ]
-    return ExactMatrix("cyc", rows, MatrixMeta(p, "DD", delta))
+    return ExactMatrix("cyc", _zeta_rows(p, delta), MatrixMeta(p, "DD", delta))
 
 
 def build_D_tilde(p: int) -> ExactMatrix:
     """Column 0 all ones, other entries 2*zeta^(j^2 k^2)."""
     require_odd_prime(p)
-    m = (p - 1) // 2
     one = CycElt.one(p)
-    rows = [
-        [one if k == 0 else 2 * CycElt.zeta(p, j * j * k * k) for k in range(m + 1)]
-        for j in range(m + 1)
-    ]
+    rows = [[one] + [2 * e for e in row[1:]] for row in _zeta_rows(p, 1)]
     return ExactMatrix("cyc", rows, MatrixMeta(p, "Dtilde"))
 
 
@@ -115,18 +118,7 @@ def build_E(p: int) -> ExactMatrix:
     require_odd_prime(p)
     if p % 4 != 3:
         raise ValueError(f"E requires p = 3 mod 4, got {p}")
-    m = (p - 1) // 2
-    corner = -gauss_sum(p)
-    rows = [
-        [
-            corner
-            if j == k == 0
-            else CycElt.rational(p, legendre(j * j + k * k, p))
-            for k in range(m + 1)
-        ]
-        for j in range(m + 1)
-    ]
-    return ExactMatrix("cyc", rows, MatrixMeta(p, "E"))
+    return ExactMatrix("cyc", _with_corner(p, 1, -gauss_sum(p)), MatrixMeta(p, "E"))
 
 
 def build_F(p: int, delta: int) -> ExactMatrix:
@@ -135,52 +127,27 @@ def build_F(p: int, delta: int) -> ExactMatrix:
     if p % 4 != 1:
         raise ValueError(f"F requires p = 1 mod 4, got {p}")
     _require_nonresidue(p, delta)
-    m = (p - 1) // 2
-    corner = gauss_sum(p)
-    rows = [
-        [
-            corner
-            if j == k == 0
-            else CycElt.rational(p, legendre(j * j + delta * k * k, p))
-            for k in range(m + 1)
-        ]
-        for j in range(m + 1)
-    ]
-    return ExactMatrix("cyc", rows, MatrixMeta(p, "F", delta))
+    return ExactMatrix("cyc", _with_corner(p, delta, gauss_sum(p)), MatrixMeta(p, "F", delta))
 
 
 def build_S(p: int) -> ExactMatrix:
     """Legendre symbols ((j^2+k^2)/p) for 1 <= j, k <= m."""
     require_odd_prime(p)
-    m = (p - 1) // 2
-    rows = [
-        [legendre(j * j + k * k, p) for k in range(1, m + 1)] for j in range(1, m + 1)
-    ]
-    return ExactMatrix("int", rows, MatrixMeta(p, "S"))
+    return ExactMatrix("int", _legendre_rows(p, 1, 1), MatrixMeta(p, "S"))
 
 
 def build_T(p: int, delta: int) -> ExactMatrix:
     """Legendre symbols ((j^2+delta*k^2)/p) for 0 <= j, k <= m."""
     require_odd_prime(p)
     _require_nonresidue(p, delta)
-    m = (p - 1) // 2
-    rows = [
-        [legendre(j * j + delta * k * k, p) for k in range(m + 1)]
-        for j in range(m + 1)
-    ]
-    return ExactMatrix("int", rows, MatrixMeta(p, "T", delta))
+    return ExactMatrix("int", _legendre_rows(p, delta, 0), MatrixMeta(p, "T", delta))
 
 
 def build_S_delta(p: int, delta: int) -> ExactMatrix:
     """Legendre symbols ((j^2+delta*k^2)/p) for 1 <= j, k <= m."""
     require_odd_prime(p)
     _require_nonresidue(p, delta)
-    m = (p - 1) // 2
-    rows = [
-        [legendre(j * j + delta * k * k, p) for k in range(1, m + 1)]
-        for j in range(1, m + 1)
-    ]
-    return ExactMatrix("int", rows, MatrixMeta(p, "SD", delta))
+    return ExactMatrix("int", _legendre_rows(p, delta, 1), MatrixMeta(p, "SD", delta))
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -87,10 +87,6 @@ def primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found for {p}")
 
 
-def primes_between(lo: int, hi: int) -> list[int]:
-    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
-
-
 def aux_primes(p: int, minimum: int = 1 << 20):
     """Yield primes q with q ≡ 1 (mod p) and q > minimum, in increasing order."""
     k = (minimum - 1) // p + 1
@@ -110,19 +106,6 @@ def word_primes_desc(start: int = (1 << 30) - 1):
         if is_prime(q):
             yield q
         q -= 2
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    t = (r2 - r1) * pow(m1, -1, m2) % m2
-    return r1 + m1 * t
-
-
-def symmetric_mod(x: int, m: int) -> int:
-    x %= m
-    if 2 * x > m:
-        x -= m
-    return x
 
 
 def is_square(n: int) -> bool:

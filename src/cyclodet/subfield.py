@@ -109,9 +109,6 @@ class QuadElt:
 
     __rmul__ = __mul__
 
-    def conj(self) -> QuadElt:
-        return QuadElt(self.p, self.x, -self.y)
-
     def norm(self) -> Fraction:
         return self.x * self.x - self.gsq * self.y * self.y
 

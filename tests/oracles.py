@@ -6,7 +6,9 @@ the numeric determinant goes through complex floating point; the narrow
 class number enumerates reduced indefinite forms and counts reduction
 cycles; the fundamental unit is searched for by brute force; the residue
 product is multiplied out factor by factor in the cyclotomic ring; a
-determinant mod q is one row reduction of one matrix, reduced every step.
+determinant mod q is one row reduction of one matrix, reduced every step;
+the evaluation and interpolation matrices at the order-p nodes of F_q are
+filled entry by entry; a geometric sum adds every one of its terms.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cyclodet.cycring import CycElt, eval_complex
+from cyclodet.cycring import CycElt, eval_complex, make
 from cyclodet.modarith import is_square
 
 
@@ -111,6 +113,45 @@ def det_mod_prime(a, q: int) -> int:
             factors = a[col + 1 :, col] * inv % q
             a[col + 1 :, col:] = (a[col + 1 :, col:] - factors[:, None] * a[col, col:]) % q
     return det * sign % q
+
+
+def vandermonde_loop(nodes: list[int], q: int) -> np.ndarray:
+    """vand[i, t] = nodes[t]^i mod q for 0 <= i < len(nodes), by repeated products."""
+    size = len(nodes)
+    vand = np.empty((size, size), dtype=np.int64)
+    for t, a in enumerate(nodes):
+        acc = 1
+        for i in range(size):
+            vand[i, t] = acc
+            acc = acc * a % q
+    return vand
+
+
+def lagrange_loop(p: int, nodes: list[int], q: int) -> np.ndarray:
+    """The interpolation matrix at the nontrivial p-th roots of unity mod q.
+
+    Column t holds the coefficients of the Lagrange basis polynomial of
+    nodes[t]: Phi_p has all-ones coefficients, so the synthetic quotient by
+    (x - a) is a prefix scan, and Phi_p'(a) = p / (a * (a - 1)) since a^p = 1.
+    """
+    lagrange = np.empty((p - 1, p - 1), dtype=np.int64)
+    inv_p = pow(p, q - 2, q)
+    for t, a in enumerate(nodes):
+        w = a * (a - 1) % q * inv_p % q
+        b = 1
+        lagrange[p - 2, t] = w
+        for i in range(p - 3, -1, -1):
+            b = (b * a + 1) % q
+            lagrange[i, t] = b * w % q
+    return lagrange
+
+
+def geometric_sum_loop(p: int, e: int, n: int) -> CycElt:
+    """1 + zeta^e + ... + zeta^(e(n-1)), adding all n terms."""
+    raw = [0] * p
+    for s in range(n):
+        raw[e * s % p] += 1
+    return make(p, raw)
 
 
 def pell_brute_force(p: int, cap: int) -> tuple[int, int]:

@@ -8,7 +8,7 @@ from cyclodet.classno import (
     verify_product_formula,
 )
 from cyclodet.cycring import CycElt
-from cyclodet.modarith import primes_between
+from cyclodet.modarith import is_prime
 
 from oracles import narrow_class_number, pell_brute_force, squares_product_by_mul
 
@@ -46,7 +46,7 @@ class TestFundamentalUnit:
     def test_table(self, p, tu):
         assert fundamental_unit(p) == tu
 
-    @pytest.mark.parametrize("p", [p for p in primes_between(5, 200) if p % 4 == 1])
+    @pytest.mark.parametrize("p", [p for p in range(5, 201) if is_prime(p) and p % 4 == 1])
     def test_pell_relation_and_minimality(self, p):
         t, u = fundamental_unit(p)
         assert t > 0 and u >= 1
@@ -72,23 +72,23 @@ class TestProductFormula:
         result = verify_product_formula(13)
         assert result.passed and result.h == 1
 
-    @pytest.mark.parametrize("p", [p for p in primes_between(5, 60) if p % 4 == 3])
+    @pytest.mark.parametrize("p", [p for p in range(5, 61) if is_prime(p) and p % 4 == 3])
     def test_squared_form(self, p):
         prod = squares_product(p)
         assert prod * prod == CycElt.rational(p, -p)
 
-    @pytest.mark.parametrize("p", primes_between(3, 101))
+    @pytest.mark.parametrize("p", [p for p in range(3, 102) if is_prime(p)])
     def test_squares_product_matches_ring_products(self, p):
         assert squares_product(p) == squares_product_by_mul(p)
 
-    @pytest.mark.parametrize("p", [p for p in primes_between(5, 100) if p % 4 == 3])
+    @pytest.mark.parametrize("p", [p for p in range(5, 101) if is_prime(p) and p % 4 == 3])
     def test_sign_matches_form_count(self, p):
         result = verify_product_formula(p)
         assert result.passed
         expected = -1 if (h_neg(p) + 1) // 2 % 2 else 1
         assert result.sign == expected
 
-    @pytest.mark.parametrize("p", [p for p in primes_between(5, 100) if p % 4 == 1])
+    @pytest.mark.parametrize("p", [p for p in range(5, 101) if is_prime(p) and p % 4 == 1])
     def test_h_matches_narrow_form_oracle(self, p):
         result = verify_product_formula(p)
         assert result.passed

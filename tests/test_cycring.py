@@ -3,6 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cyclodet.cycring import (
@@ -15,7 +16,7 @@ from cyclodet.cycring import (
 from cyclodet.detkit import _Coefficients, _EvalData, _ExactDivider, _values_at_nodes
 from cyclodet.modarith import aux_primes
 
-from oracles import random_cyc
+from oracles import geometric_sum_loop, lagrange_loop, random_cyc, vandermonde_loop
 
 
 def zeta(p, k=1):
@@ -136,6 +137,14 @@ class TestGeometricQuotient:
                 gq = geometric_quotient(p, e, n)
                 assert gq * (1 - zeta(p, e)) == 1 - zeta(p, e * n)
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_matches_every_term_summed(self, p):
+        # (n - 1) % p + 1 terms stand for n: full cycles of p terms cancel
+        for e in range(1, 2 * p):
+            if e % p:
+                for n in range(1, 4 * p + 1):
+                    assert geometric_quotient(p, e, n) == geometric_sum_loop(p, e, n)
+
 
 class TestEvalComplex:
     def test_two_cos(self):
@@ -210,6 +219,26 @@ class TestEvalMod:
             assert _values_at_nodes(coeffs, data).tolist() == expected
             blocks = [_values_at_nodes(coeffs, data, slice(s, s + 5)).tolist() for s in (0, 5, 10)]
             assert [sum((b[i] for b in blocks), []) for i in range(2)] == expected
+
+
+class TestPowerTable:
+    """`_EvalData`'s one power table against the entry-by-entry loops."""
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 61, 89, 101])
+    def test_vandermonde_and_interpolation(self, p):
+        rng = random.Random(p)
+        aux = aux_primes(p)
+        for data in (_EvalData(p, next(aux)), _EvalData(p, next(aux))):
+            q = data.q
+            assert data.nodes == [pow(data.nodes[0], t, q) for t in range(1, p)]
+            assert data.vand.tolist() == vandermonde_loop(data.nodes, q).tolist()
+            lagrange = lagrange_loop(p, data.nodes, q)
+            for _ in range(3):
+                vals = np.array([rng.randrange(q) for _ in range(p - 1)], dtype=np.int64)
+                assert data.interpolate(vals).tolist() == (lagrange @ vals % q).tolist()
+            x = random_cyc(rng, p, span=10**30)
+            vals = _values_at_nodes(_Coefficients([x]), data)[0]
+            assert data.interpolate(vals).tolist() == [c % q for c in x.num]
 
 
 class TestRingAxioms:

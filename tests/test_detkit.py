@@ -91,6 +91,13 @@ class TestIntBackends:
             assert det_int_bareiss(m) == expected
             assert det_int_modular(m) == expected
 
+    def test_pivot_column_empties_mid_elimination(self):
+        # column 1 is twice column 0, so it is zero after the first step
+        m = int_matrix([[1, 2, 3], [2, 4, 5], [3, 6, 7]])
+        for backend in (det_int_bareiss, det_int_modular):
+            value = backend(m)
+            assert type(value) is int and value == 0
+
     def test_large_entries(self):
         rows = [[10**20, 3], [-7, 10**22]]
         m = int_matrix(rows)
@@ -110,6 +117,16 @@ class TestCycBackends:
         expected = CycElt.zeta(3) - 1
         assert det_cyc_bareiss(d3) == expected
         assert det_cyc_evalinterp(d3) == expected
+
+    def test_pivot_column_empties_mid_elimination(self):
+        # column 1 is zeta times column 0, so it is zero after the first step
+        p = 7
+        z = CycElt.zeta(p)
+        col0 = [CycElt.one(p), 1 + z, z**3]
+        m = cyc_matrix([[c, z * c, CycElt.rational(p, k)] for k, c in enumerate(col0)], p)
+        for backend in (det_cyc_bareiss, det_cyc_evalinterp):
+            value = backend(m)
+            assert isinstance(value, CycElt) and value == CycElt.zero(p)
 
     def test_diagonal(self):
         p = 7
@@ -231,11 +248,12 @@ class TestInt64Headroom:
             _det_mod_stack(np.array([[[1, 2], [3, 4]]]), (1 << 32) + 15)
 
     def test_values_at_nodes_refuses_sums_that_can_wrap(self):
-        # (q-1)^2 fits in int64, a sum of p-1 = 4 such products does not
+        # (q-1)^2 fits in int64, a sum of p-1 = 4 such products does not;
+        # the evaluation data for such a q, used by evaluation and
+        # interpolation alike, is refused
         q = next(aux_primes(5, 1 << 31))
-        data = _EvalData(5, q)
         with pytest.raises(OverflowError):
-            _values_at_nodes(_Coefficients([CycElt(5, [q - 1] * 4)]), data)
+            _values_at_nodes(_Coefficients([CycElt(5, [q - 1] * 4)]), _EvalData(5, q))
 
 
 def oracle_dets(a, q):

@@ -8,7 +8,7 @@ import pytest
 from cyclodet.cycring import CycElt, eval_complex
 from cyclodet.detkit import det_cyc_bareiss, det_cyc_evalinterp
 from cyclodet.matrices import build_D
-from cyclodet.modarith import distinct_nonresidues, legendre, primes_between
+from cyclodet.modarith import distinct_nonresidues, is_prime, legendre
 from cyclodet.subfield import (
     QuadElt,
     fourth_power_sum,
@@ -115,7 +115,7 @@ class TestTwoSquares:
         assert (two_squares(13).a, two_squares(13).b) == (3, 2)
         assert (two_squares(29).a, two_squares(29).b) == (5, 2)
 
-    @pytest.mark.parametrize("p", primes_between(5, 200))
+    @pytest.mark.parametrize("p", [p for p in range(5, 201) if is_prime(p)])
     def test_all_splits(self, p):
         if p % 4 != 1:
             with pytest.raises(ValueError):
