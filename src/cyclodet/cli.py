@@ -15,7 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .classno import class_data
+from .classno import ClassData, class_data
 from .detkit import det
 from .matrices import (
     build_C,
@@ -27,9 +27,13 @@ from .matrices import (
 )
 from .modarith import is_prime, legendre
 from .subfield import quad_decompose, quartic_decompose
-from .verify import SweepOptions, report_to_dict, run_primes, run_range
+from .verify import PrimeReport, SweepOptions, report_to_dict, run_primes, run_range
 
 CACHE_ENV = "CYCLODET_CACHE_DIR"
+# what a cached report must hold: the keys `report_to_dict` writes, and per check
+_REPORT_KEYS = report_to_dict(PrimeReport(p=5, residue8=5, class_info=ClassData(5))).keys()
+_CHECK_KEYS = {"pass", "status", "lhs", "rhs", "note"}
+_STATUSES = ("pass", "fail", "skipped")
 
 
 def _parse_delta(text: str) -> tuple[str, int | None, int]:
@@ -103,6 +107,10 @@ def cmd_verify(args) -> int:
     options = SweepOptions(mode, value, count, args.backend, args.threads)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     if cache_dir:
+        try:
+            Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _usage_error(f"cannot use cache dir: {exc}")
         report_dicts = _run_with_cache(args.pmin, args.pmax, options, Path(cache_dir))
     else:
         reports = run_range(args.pmin, args.pmax, options)
@@ -129,7 +137,6 @@ def _run_with_cache(
     """Reports for the primes in [pmin, pmax], each read from its cache entry
     when that entry is a report for its own p; the rest run in one sweep
     (honouring `options.threads`) and are written back."""
-    cache_dir.mkdir(parents=True, exist_ok=True)
     suffix = f"-{_delta_tag(options)}-{_code_version_hash()}.json"
     primes = [p for p in range(pmin, pmax + 1) if is_prime(p)]
     dicts = {p: _read_entry(cache_dir / f"p{p}{suffix}", p) for p in primes}
@@ -140,12 +147,16 @@ def _run_with_cache(
 
 
 def _read_entry(path: Path, p: int) -> dict | None:
-    """The cached report for p; None when missing, unreadable or not p's report."""
+    """The cached report for p; None when missing, unreadable or not a whole
+    report for p (any other keys, or a check without its fields or status)."""
     try:
         d = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):  # ValueError covers JSON and UTF-8 decoding
         return None
-    ok = isinstance(d, dict) and d.get("p") == p and isinstance(d.get("checks"), dict)
+    ok = (isinstance(d, dict) and d.keys() == _REPORT_KEYS and d["p"] == p
+          and isinstance(d["checks"], dict) and all(
+              isinstance(c, dict) and c.keys() == _CHECK_KEYS and c["status"] in _STATUSES
+              and c["pass"] == (c["status"] != "fail") for c in d["checks"].values()))
     return d if ok else None
 
 

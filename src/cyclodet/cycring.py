@@ -193,18 +193,6 @@ class CycElt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are defined here")
-        acc = CycElt.one(self.p)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
-
     def __eq__(self, other):
         if isinstance(other, CycElt):
             return self.p == other.p and self.den == other.den and self.num == other.num

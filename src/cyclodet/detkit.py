@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -24,12 +25,12 @@ from .matrices import ExactMatrix
 from .modarith import aux_primes, word_primes_desc
 
 _STACK_ENTRIES = 1 << 16  # int64 entries per (nodes, n, n) block: bounds evalinterp's transients
+_MAX_MODULI = 64  # auxiliary primes one CRT lift may use (evalinterp and the exact divider)
 
 
 @dataclass
 class DetResult:
     values: tuple  # one per backend run: Bareiss first, then the modular one
-    backend: str
     stats: dict = field(default_factory=dict)
 
     @property
@@ -286,7 +287,7 @@ class _ExactDivider:
         coeffs = _Coefficients([num])
         residues, modulus = [0] * (self.p - 1), 1
         prev_sym = None
-        for i in range(64):
+        for i in range(_MAX_MODULI):
             data, inv_vals = self._prime_data(i)
             q = data.q
             qvals = _values_at_nodes(coeffs, data)[0] * inv_vals % q
@@ -332,7 +333,7 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     if stats is not None:
         stats["nodes"] = p - 1
         stats["moduli"] = moduli
-    for q in aux_primes(p):
+    for q in islice(aux_primes(p), _MAX_MODULI):
         data = _EvalData(p, q)
         dets = np.empty(p - 1, dtype=np.int64)
         for start in range(0, p - 1, size):
@@ -348,9 +349,7 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         else:
             stable = 0
         prev_sym = sym
-        if len(moduli) > 64:
-            raise ArithmeticError("CRT failed to stabilize (coefficient bound bug)")
-    raise ArithmeticError("ran out of auxiliary primes")  # unreachable
+    raise ArithmeticError("CRT failed to stabilize (coefficient bound bug)")
 
 
 _CHOICES = {"bareiss": (0,), "modular": (1,), "both": (0, 1)}
@@ -374,4 +373,4 @@ def det(m: ExactMatrix, backend: str = "both") -> DetResult:
     values = tuple(pair[i](m, stats) for i in _CHOICES[backend])
     if m.kind == "cyc" and not all(v.is_integral for v in values):
         raise ArithmeticError("determinant of an integral matrix must be integral")
-    return DetResult(values, backend, stats)
+    return DetResult(values, stats)

@@ -45,9 +45,6 @@ class ExactMatrix:
         self.rows = rows
         self.meta = meta
 
-    def entry(self, j: int, k: int):
-        return self.rows[j][k]
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

@@ -7,8 +7,8 @@ statement involves a sign convention (which square root a symbol denotes),
 the pass/fail criterion is the squared or absolute form, and the observed
 sign under the fixed embedding zeta -> exp(2*pi*i/p) is recorded separately.
 
-Every check is declared by a single `_PrimeChecks.check` call: in
-`_PrimeChecks.run` (all primes), `checks_3mod4` or `checks_1mod4`.
+Every check is one row of the `CHECKS` table, over the values of one prime
+(`_PrimeValues`, each computed on first use); adding a check is adding a row.
 """
 from __future__ import annotations
 
@@ -19,17 +19,13 @@ import traceback
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable, NamedTuple
 
-from .classno import (
-    ClassData,
-    ProductFormulaResult,
-    squares_product,
-    verify_product_formula,
-)
+from .classno import ClassData, squares_product, verify_product_formula
 from .cycring import CycElt, eval_complex
 from .detkit import DetResult, det
-from .matrices import (
-    ExactMatrix,
+from .matrices import (  # the builders are called through _BUILDERS
     build_C,
     build_D,
     build_D_delta,
@@ -122,25 +118,17 @@ def check_perm_sign(p: int, a: int) -> bool:
     if a == 0:
         raise ValueError("a must be coprime to p")
     m = (p - 1) // 2
-    squares = sorted({k * k % p for k in range(1, m + 1)})
-    index = {s: i for i, s in enumerate(squares)}
     a2 = a * a % p
-    perm = [index[a2 * s % p] for s in squares]
-    sign = 1
-    seen = [False] * m
-    for start in range(m):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = perm[cur]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    expected = 1 if p % 4 == 3 else legendre(a, p)
-    return sign == expected
+    seen: set[int] = set()
+    cycles = 0
+    for x in {k * k % p for k in range(1, m + 1)}:
+        if x not in seen:
+            cycles += 1
+            while x not in seen:
+                seen.add(x)
+                x = a2 * x % p
+    sign = (-1) ** (m - cycles)  # a permutation of m points with `cycles` cycles
+    return sign == (1 if p % 4 == 3 else legendre(a, p))
 
 
 # -- Legendre-sum identities ------------------------------------------------
@@ -166,12 +154,8 @@ def legendre_sum_classes_hold(p: int) -> bool:
     """
     g = gauss_sum(p)
     w = _twisted_square_sums(p)
-    if 1 + 2 * w[0] != CycElt.rational(p, p):
-        return False
-    for n in range(1, p):
-        if 1 + 2 * w[n] != legendre(n, p) * g:
-            return False
-    return True
+    return 1 + 2 * w[0] == CycElt.rational(p, p) and all(
+        1 + 2 * w[n] == legendre(n, p) * g for n in range(1, p))
 
 
 def matrix_identity_direct(p: int, delta: int | None = None) -> bool:
@@ -181,11 +165,7 @@ def matrix_identity_direct(p: int, delta: int | None = None) -> bool:
     target = build_E(p) if delta is None else build_F(p, delta)
     g = gauss_sum(p)
     prod = matmul(dt, right)
-    for j in range(prod.n):
-        for k in range(prod.n):
-            if prod.rows[j][k] != g * target.rows[j][k]:
-                return False
-    return True
+    return all(x == g * y for row, trow in zip(prod.rows, target.rows) for x, y in zip(row, trow))
 
 
 def resolve_deltas(p: int, opt: SweepOptions) -> tuple[list[int], list[int]]:
@@ -206,309 +186,323 @@ def resolve_deltas(p: int, opt: SweepOptions) -> tuple[list[int], list[int]]:
     raise ValueError(f"unknown delta mode {opt.delta_mode!r}")
 
 
-# -- per-prime driver --------------------------------------------------------
+# -- per-prime values ----------------------------------------------------------
+
+# family -> its builder, looked up in this module at each call so that a
+# rebinding of the builder (a tracer or a test wrapping it) is seen
+_BUILDERS = {
+    "C": "build_C", "D": "build_D", "Dtilde": "build_D_tilde", "E": "build_E", "S": "build_S",
+    "T": "build_T", "SD": "build_S_delta", "DD": "build_D_delta", "F": "build_F",
+}
+# under backend "both", the families that both backends take (the rest: modular only)
+_CROSS_CHECKED = ("S", "T", "SD")
+_CROSS_CHECKED_SMALL = ("C", "D")  # while p <= BAREISS_LIMIT
 
 
-class _PrimeChecks:
-    """The checks of one prime and the values they share.
+def _det_value(family: str) -> cached_property:
+    """The DetResult of `family`, taken on first use (with the view's delta, if any)."""
+    return cached_property(lambda pv: pv.det_of(family, *pv.delta))
 
-    `check` records one named result; inside a delta loop `tag` is
-    "[d=<delta>]" and suffixes every name recorded.
-    """
 
-    # set by `run` for the residue-class checks
-    report: PrimeReport
-    g: CycElt  # the Gauss sum
-    det_c: CycElt
-    det_d: CycElt
-    det_dt: CycElt
-    pf: ProductFormulaResult
-    classes_ok: bool  # legendre_sum_classes_hold(p)
+class _PrimeValues:
+    """The values the checks of one prime share, each computed on first use."""
+
+    delta: tuple[int, ...] = ()  # the matrices' delta argument
 
     def __init__(self, p: int, opt: SweepOptions) -> None:
-        self.p = p
-        self.m = (p - 1) // 2
-        self.opt = opt
-        self.checks: dict[str, CheckResult] = {}
-        self.tag = ""
+        self.p, self.m, self.opt = p, (p - 1) // 2, opt
 
-    def check(self, name: str, ok: bool | None, lhs, rhs, note: str = "") -> None:
-        """Record `name`: ok True passes, False fails, None skips (sides dropped)."""
-        name += self.tag
-        ls, rs = ("", "") if ok is None else (str(lhs), str(rhs))
-        if ok:
-            ls, rs = _short(ls), _short(rs)
-        status = "skipped" if ok is None else "pass" if ok else "fail"
-        self.checks[name] = CheckResult(name, status, ls, rs, note)
+    def det_of(self, family: str, *delta: int) -> DetResult:
+        """One determinant through `detkit.det`: the options' backend, with
+        "both" narrowed to the modular one unless the family is cross-checked."""
+        mat = self.matrices.pop(family, None) or globals()[_BUILDERS[family]](self.p, *delta)
+        cross = family in _CROSS_CHECKED or (
+            family in _CROSS_CHECKED_SMALL and self.p <= BAREISS_LIMIT)
+        backend = self.opt.backend
+        return det(mat, "modular" if backend == "both" and not cross else backend)
 
-    def det(self, mat: ExactMatrix, cross_check: bool = False) -> DetResult:
-        """The options' backend; "both" runs the modular one alone unless cross_check."""
-        both = self.opt.backend == "both"
-        return det(mat, "modular" if both and not cross_check else self.opt.backend)
+    # C, D and Dtilde are built together, each dropped once its determinant is taken
+    matrices = cached_property(
+        lambda pv: {f: globals()[_BUILDERS[f]](pv.p) for f in ("C", "D", "Dtilde")})
+    C, D, Dtilde, E, S = (_det_value(f) for f in ("C", "D", "Dtilde", "E", "S"))
+    deltas = cached_property(lambda pv: resolve_deltas(pv.p, pv.opt))  # (usable, rejected)
+    views = cached_property(lambda pv: [_DeltaValues(pv, d) for d in pv.deltas[0]])
+    # the a of the square_perm_sign checks
+    multipliers = cached_property(
+        lambda pv: sorted({2 % pv.p, 3 % pv.p, primitive_root(pv.p), pv.p - 1} - {0}))
+    g = cached_property(lambda pv: gauss_sum(pv.p))
+    det_c = cached_property(lambda pv: pv.C.values[-1])  # evalinterp's when both ran
+    det_d = cached_property(lambda pv: pv.D.values[-1])
+    det_dt = cached_property(lambda pv: pv.Dtilde.values[0])
+    det_e = cached_property(lambda pv: pv.E.values[0])
+    det_s = cached_property(lambda pv: pv.S.values[0])
+    pf = cached_property(lambda pv: verify_product_formula(pv.p))
+    classes_ok = cached_property(lambda pv: legendre_sum_classes_hold(pv.p))
+    # p = 3 (mod 4): det D = u + v*g, and det C = (a + b*g) times a sign set by h
+    sign_h = cached_property(lambda pv: -1 if ((pv.pf.h or 0) + 1) // 2 % 2 else 1)
+    d_quad = cached_property(lambda pv: quad_decompose(pv.det_d))
+    c_quad = cached_property(lambda pv: quad_decompose(pv.det_c))
+    u = cached_property(lambda pv: pv.d_quad.x)
+    v = cached_property(lambda pv: pv.d_quad.y)
+    a_p = cached_property(lambda pv: pv.sign_h * pv.c_quad.x)
+    b_p = cached_property(lambda pv: pv.sign_h * pv.c_quad.y)
+    nu = cached_property(lambda pv: [padic_val(x, pv.p) for x in (pv.a_p, pv.b_p, pv.u, pv.v)])
+    # p = 1 (mod 4)
+    split = cached_property(lambda pv: two_squares(pv.p))  # p = a^2 + b^2
+    qd4 = cached_property(lambda pv: quartic_decompose(pv.det_d, pv.p))
+    checks = cached_property(lambda pv: _run_checks(pv))
 
-    def agreement(self, name: str, results: list[DetResult], lhs, rhs, note: str) -> None:
-        """Bit-exact agreement of the backends behind each result, or a skip."""
-        ok = all(r.agree for r in results)
-        if self.opt.backend != "both":
-            ok, note = None, f"single backend {self.opt.backend!r}"
-        elif len(results[0].values) < 2:
-            ok, note = None, f"p > bareiss limit {BAREISS_LIMIT}"
-        self.check(name, ok, lhs, rhs, note)
 
-    def legendre_identity(self, delta: int | None = None) -> None:
-        """Dtilde*D = g*E (no delta) or Dtilde*DD = g*F, literally while small."""
-        ok = self.classes_ok
-        note = "residue classes (literal product skipped above size limit)"
-        if self.p <= DIRECT_IDENTITY_LIMIT:
-            ok = ok and matrix_identity_direct(self.p, delta)
-            note = "residue classes + literal matrix product"
-        sides = ("Dtilde*D", "g*E") if delta is None else ("Dtilde*DD", "g*F")
-        self.check("legendre_matrix_identity", ok, *sides, note)
+class _DeltaValues:
+    """The values of one delta: T, SD, DD and F, then the prime's values."""
 
-    def run(self) -> PrimeReport:
-        p, m, opt, check = self.p, self.m, self.opt, self.check
-        t_start = time.perf_counter()
-        timings: dict[str, float] = {}
+    def __init__(self, prime: _PrimeValues, d: int) -> None:
+        self.prime, self.d, self.delta = prime, d, (d,)
 
-        # build
-        t0 = time.perf_counter()
-        g = self.g = gauss_sum(p)
-        c_mat = build_C(p)
-        d_mat = build_D(p)
-        dt_mat = build_D_tilde(p)
-        deltas, bad_deltas = resolve_deltas(p, opt)
-        timings["build"] = (time.perf_counter() - t0) * 1000
+    def __getattr__(self, name: str):
+        return getattr(self.prime, name)
 
-        # determinants
-        t0 = time.perf_counter()
-        c_res = self.det(c_mat, cross_check=p <= BAREISS_LIMIT)
-        d_res = self.det(d_mat, cross_check=p <= BAREISS_LIMIT)
-        det_c = self.det_c = c_res.values[-1]  # evaluation-interpolation's when both ran
-        det_d = self.det_d = d_res.values[-1]
-        det_dt = self.det_dt = self.det(dt_mat).values[0]
-        self.agreement("cyc_backend_agreement", [c_res, d_res], "bareiss(C), bareiss(D)",
-                       "evalinterp(C), evalinterp(D)", "bit-exact comparison on C and D")
-        timings["determinants"] = (time.perf_counter() - t0) * 1000
+    T, SD, DD, F = (_det_value(f) for f in ("T", "SD", "DD", "F"))
+    det_t = cached_property(lambda dv: dv.T.values[0])
+    det_sd = cached_property(lambda dv: dv.SD.values[0])
+    det_dd = cached_property(lambda dv: dv.DD.values[0])
+    det_f = cached_property(lambda dv: dv.F.values[0])
 
-        # checks
-        t0 = time.perf_counter()
-        sign = 1 if p % 4 == 1 else -1
-        check("gauss_square", g * g == CycElt.rational(p, sign * p), str(g * g),
-              str(sign * p), "g^2 = (-1)^((p-1)/2) * p")
-        approx = complex(eval_complex(g, 40))
-        expected = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
-        check("gauss_sign_numeric", abs(approx - expected) < 1e-8 * math.sqrt(p),
-              f"{approx:.12g}", f"{expected:.12g}",
-              "embedding zeta -> exp(2*pi*i/p) puts g on the principal branch")
 
-        for a in sorted({2 % p, 3 % p, primitive_root(p), p - 1} - {0}):
-            check(f"square_perm_sign[a={a}]", check_perm_sign(p, a), "cycle sign",
-                  str(1 if p % 4 == 3 else legendre(a, p)),
-                  "multiplication by a^2 on the nonzero squares")
+# -- the checks ----------------------------------------------------------------
 
-        pf = self.pf = verify_product_formula(p)
-        check("residue_product_formula", pf.passed, pf.detail, "exact product identity")
-        cls = (
-            ClassData(p, h_neg=pf.h)
-            if p % 4 == 3
-            else ClassData(p, h_pos=pf.h, eps=pf.eps)
-        )
 
-        rhs_rel = (1 if m % 2 == 0 else -1) * (squares_product(p) * det_c)
-        check("det_product_relation", det_d == rhs_rel, str(det_d), str(rhs_rel),
-              "det D = (-1)^m * prod(1 - zeta^(k^2)) * det C")
-        scaled = (2**m) * det_d
-        check("dtilde_scaling", det_dt == scaled, str(det_dt), str(scaled),
-              "det Dtilde = 2^m * det D")
+class Check(NamedTuple):
+    """One row of CHECKS.
 
-        self.report = PrimeReport(
-            p=p,
-            residue8=p % 8,
-            class_info=cls,
-            deltas=tuple(deltas),
-            delta=deltas[0] if deltas else None,
-            det_C=det_c,
-            det_D=det_d,
-            checks=self.checks,
-        )
-        self.classes_ok = legendre_sum_classes_hold(p)
-        if p % 4 == 3:
-            self.checks_3mod4()
-        else:
-            self.checks_1mod4(deltas, bad_deltas)
+    `fn(values)` returns (lhs, rhs), which pass when equal; or (ok, lhs, rhs),
+    or (ok, lhs, rhs, note) to replace the row's note.  ok None is a skip.
+    `over` is "" for one check, "a" for one per multiplier a (fn also takes
+    a), or "d" for one per usable delta (values are then the delta's view).
+    """
 
-        timings["checks"] = (time.perf_counter() - t0) * 1000
-        timings["total"] = (time.perf_counter() - t_start) * 1000
-        self.report.timings_ms = {k: round(v, 3) for k, v in timings.items()}
-        return self.report
+    name: str
+    residue: int | None  # p mod 4 the row applies to; None: every p
+    over: str
+    note: str
+    fn: Callable
 
-    def checks_3mod4(self) -> None:
-        report = self.report
-        p, m, check = self.p, self.m, self.check
-        det_c, det_d, det_dt = self.det_c, self.det_d, self.det_dt
 
-        s_res = self.det(build_S(p), cross_check=True)
-        det_s = report.det_S = s_res.values[0]
-        self.agreement("int_backend_agreement", [s_res], det_s, s_res.values[-1],
-                       "bareiss vs CRT on det S")
-        det_e = self.det(build_E(p)).values[0]
+def _agreement(pv, results: list[DetResult], lhs, rhs) -> tuple:
+    """Bit-exact agreement of the backends behind each result, or a skip."""
+    if pv.opt.backend != "both":
+        return None, "", "", f"single backend {pv.opt.backend!r}"
+    if len(results[0].values) < 2:
+        return None, "", "", f"p > bareiss limit {BAREISS_LIMIT}"
+    return all(r.agree for r in results), lhs, rhs
 
-        d_quad = quad_decompose(det_d)
-        u, v = d_quad.x, d_quad.y
-        h = self.pf.h if self.pf.h is not None else 0
-        sign_h = -1 if ((h + 1) // 2) % 2 else 1
-        c_quad = quad_decompose(det_c)
-        a_val = sign_h * c_quad.x
-        b_val = sign_h * c_quad.y
-        report.decomp = {"a_p": a_val, "b_p": b_val}
-        nu_a = padic_val(a_val, p)
-        nu_b = padic_val(b_val, p)
-        report.nu_a = None if nu_a == math.inf else nu_a
-        report.nu_b = None if nu_b == math.inf else nu_b
 
-        halves_ok = all(Fraction(2 * x).denominator == 1 for x in (a_val, b_val, u, v))
-        check("detC_quad_half_integers", halves_ok, f"a={a_val}, b={b_val}",
-              f"u={u}, v={v}", "all of a, b, u, v lie in (1/2)Z")
+def _legendre_identity(pv, delta: int | None) -> tuple:
+    """Dtilde*D = g*E (no delta) or Dtilde*DD = g*F, literally while small."""
+    ok = pv.classes_ok
+    note = "residue classes (literal product skipped above size limit)"
+    if pv.p <= DIRECT_IDENTITY_LIMIT:
+        ok = ok and matrix_identity_direct(pv.p, delta)
+        note = "residue classes + literal matrix product"
+    sides = ("Dtilde*D", "g*E") if delta is None else ("Dtilde*DD", "g*F")
+    return ok, *sides, note
 
-        # consistency between the two quadratic coordinates: a = -v, b = u/p
-        check("coordinate_transfer", a_val == -v and b_val == u / p,
-              f"(a, b) = ({a_val}, {b_val})", f"(-v, u/p) = ({-v}, {u / p})",
-              "det C coordinates vs det D coordinates")
 
-        lhs1 = 2 ** ((p + 1) // 2) * a_val * b_val
-        rhs1 = (-1) ** ((p + 1) // 4) * p ** ((p - 3) // 4) * det_s
-        check("ab_product_identity", lhs1 == rhs1, lhs1, rhs1,
-              "2^((p+1)/2) * a * b = (-1)^((p+1)/4) * p^((p-3)/4) * det S")
+def _gauss_sign(pv) -> tuple:
+    approx = complex(eval_complex(pv.g, 40))
+    expected = math.sqrt(pv.p) * (1 if pv.p % 4 == 1 else 1j)
+    return (abs(approx - expected) < 1e-8 * math.sqrt(pv.p),
+            f"{approx:.12g}", f"{expected:.12g}")
 
-        lhs2 = 2 ** ((p - 1) // 2) * (a_val * a_val - p * b_val * b_val)
-        rhs2 = m * (-p) ** ((p - 3) // 4) * det_s
-        check("ab_norm_identity", lhs2 == rhs2, lhs2, rhs2,
-              "2^((p-1)/2) * (a^2 - p*b^2) = ((p-1)/2) * (-p)^((p-3)/4) * det S")
 
-        nu_u = padic_val(u, p)
-        nu_v = padic_val(v, p)
-        if p % 8 == 3:
-            val_ok = nu_a == nu_b == (p - 3) // 8 and nu_u == nu_v + 1 == (p + 5) // 8
-            expected = f"nu(a)=nu(b)={(p - 3) // 8}; nu(u)=nu(v)+1={(p + 5) // 8}"
-        else:
-            val_ok = nu_a == nu_b + 1 == (p + 1) // 8 and nu_u == nu_v == (p + 1) // 8
-            expected = f"nu(a)=nu(b)+1={(p + 1) // 8}; nu(u)=nu(v)={(p + 1) // 8}"
-        check("padic_valuations", val_ok,
-              f"nu(a)={nu_a}, nu(b)={nu_b}, nu(u)={nu_u}, nu(v)={nu_v}", expected,
-              "valuation dichotomy by p mod 8, in both coordinate systems")
+def _valuations(pv) -> tuple:
+    p, (nu_a, nu_b, nu_u, nu_v) = pv.p, pv.nu
+    if p % 8 == 3:
+        ok = nu_a == nu_b == (p - 3) // 8 and nu_u == nu_v + 1 == (p + 5) // 8
+        expected = f"nu(a)=nu(b)={(p - 3) // 8}; nu(u)=nu(v)+1={(p + 5) // 8}"
+    else:
+        ok = nu_a == nu_b + 1 == (p + 1) // 8 and nu_u == nu_v == (p + 1) // 8
+        expected = f"nu(a)=nu(b)+1={(p + 1) // 8}; nu(u)=nu(v)={(p + 1) // 8}"
+    return ok, f"nu(a)={nu_a}, nu(b)={nu_b}, nu(u)={nu_u}, nu(v)={nu_v}", expected
 
-        check("detS_two_adic_bound", padic_val(det_s, 2) >= (p - 3) // 2,
-              f"nu_2({det_s}) = {padic_val(det_s, 2)}", f">= {(p - 3) // 2}")
-        check("detS_not_divisible_by_p", det_s % p != 0, f"det S = {det_s}", f"p = {p}")
 
-        k_const = (-p) ** ((m + 1) // 2) * det_s
-        lhs_sq = (2**m) * (d_quad * d_quad)
-        rhs_sq = QuadElt(p, m * k_const, -k_const)
-        check("detD_square_identity", lhs_sq == rhs_sq, lhs_sq, rhs_sq,
-              "2^m * (det D)^2 = (-p)^((m+1)/2) * (m - g) * det S")
+def _quartic_branch(pv) -> tuple:
+    ts = pv.split
+    try:
+        lhs = f"(g4 - g)^2 matches a' = {quartic_gauss_check(pv.p) * ts.a}"
+    except ArithmeticError as exc:
+        return False, str(exc), "branch +/-a", ""
+    return True, lhs, f"a = {ts.a}, b = {ts.b}"
 
-        self.legendre_identity()
 
-        e_quad = quad_decompose(det_e)
-        e_rhs = QuadElt(p, m * det_s, -det_s)
-        check("detE_column_reduction", e_quad == e_rhs, e_quad, e_rhs,
-              "det E = (m - g) * det S via zero column sums")
+def _quartic_reconstruction(pv) -> tuple:
+    qd4 = pv.qd4
+    square = quad_decompose(pv.det_d * pv.det_d)
+    recon = (qd4.quad_part() * qd4.quad_part()) * qd4.delta_squared()
+    return (recon == square and qd4.resolved_numerically, recon, square,
+            f"(alpha + beta*sqrt(p))^2 * delta^2 = (det D)^2; "
+            f"numeric branch ok={qd4.resolved_numerically}")
 
-        mult_lhs = det_dt * det_d
-        mult_rhs = (-p) ** ((m + 1) // 2) * det_e
-        check("det_multiplicativity", mult_lhs == mult_rhs, mult_lhs, mult_rhs,
-              "det Dtilde * det D = g^(m+1) * det E")
 
-    def checks_1mod4(self, deltas: list[int], bad_deltas: list[int]) -> None:
-        report = self.report
-        p, m, check = self.p, self.m, self.check
-        g, pf, det_c, det_d, det_dt = self.g, self.pf, self.det_c, self.det_d, self.det_dt
-        ts = two_squares(p)
+def _unit_power(pv) -> tuple:
+    pf = pv.pf
+    if pf.h is None or pf.sign is None:
+        return None, "", "", "product formula did not resolve h"
+    eps_power = QuadElt(pv.p, Fraction(pf.eps[0], 2), Fraction(pf.eps[1], 2)) ** pf.h
+    return pv.det_c * pv.g, pf.sign * (pv.det_d * eps_power.embed())
 
-        ok, rhs = True, f"a = {ts.a}, b = {ts.b}"
-        note = "(g4 - g)^2 = (2/p)*2p + 2a'*sqrt(p), a' = +/-a"
-        try:
-            lhs = f"(g4 - g)^2 matches a' = {quartic_gauss_check(p) * ts.a}"
-        except ArithmeticError as exc:
-            ok, lhs, rhs, note = False, str(exc), "branch +/-a", ""
-        check("quartic_gauss_branch", ok, lhs, rhs, note)
 
-        qd4 = quartic_decompose(det_d, p)
-        alpha, beta = qd4.alpha, qd4.beta
-        report.decomp = {
-            "alpha": alpha, "beta": beta, "delta_sign": qd4.delta_sign, "a": qd4.a,
-        }
-        square = quad_decompose(det_d * det_d)
-        recon = (qd4.quad_part() * qd4.quad_part()) * qd4.delta_squared()
-        check("quartic_reconstruction", recon == square and qd4.resolved_numerically,
-              recon, square,
-              f"(alpha + beta*sqrt(p))^2 * delta^2 = (det D)^2; "
-              f"numeric branch ok={qd4.resolved_numerically}")
+def _quartic_norm(dv) -> tuple:
+    p, m, qd4 = dv.p, dv.m, dv.qd4
+    lhs = 2 ** (m + 1) * dv.split.b * (qd4.alpha * qd4.alpha - p * qd4.beta * qd4.beta)
+    rhs = p ** (m // 2) * dv.det_t
+    return (abs(lhs) == abs(rhs), lhs, rhs,
+            f"|2^(m+1) * b * (alpha^2 - p*beta^2)| = |p^(m/2) * det T|; "
+            f"observed sign {'+' if lhs == rhs else '-'}")
 
-        ok, lhs_up, rhs_up = None, "", ""
-        note = "product formula did not resolve h"
-        if pf.h is not None and pf.sign is not None:
-            eps_power = QuadElt(p, Fraction(pf.eps[0], 2), Fraction(pf.eps[1], 2)) ** pf.h
-            lhs_up = det_c * g
-            rhs_up = pf.sign * (det_d * eps_power.embed())
-            ok, note = lhs_up == rhs_up, "det C * g = sign * det D * eps^h"
-        check("unit_power_product", ok, lhs_up, rhs_up, note)
 
-        report.discrepancies = report.discrepancies + (
-            f"quoted exponent 2^((p+1)/4) is non-integral for p={p} "
-            f"((p+1)/4 = {Fraction(p + 1, 4)}); verified identity uses "
-            f"2^(m+1) = 2^{m + 1} with p^(m/2)",
-        )
+# Every check of a prime, in report order.  A new check is one more row.
+CHECKS = (
+    Check("cyc_backend_agreement", None, "", "bit-exact comparison on C and D",
+          lambda pv: _agreement(pv, [pv.C, pv.D], "bareiss(C), bareiss(D)",
+                                "evalinterp(C), evalinterp(D)")),
+    Check("gauss_square", None, "", "g^2 = (-1)^((p-1)/2) * p",
+          lambda pv: (pv.g * pv.g, (-1) ** pv.m * pv.p)),
+    Check("gauss_sign_numeric", None, "",
+          "embedding zeta -> exp(2*pi*i/p) puts g on the principal branch", _gauss_sign),
+    Check("square_perm_sign", None, "a", "multiplication by a^2 on the nonzero squares",
+          lambda pv, a: (check_perm_sign(pv.p, a), "cycle sign",
+                         1 if pv.p % 4 == 3 else legendre(a, pv.p))),
+    Check("residue_product_formula", None, "", "",
+          lambda pv: (pv.pf.passed, pv.pf.detail, "exact product identity")),
+    Check("det_product_relation", None, "", "det D = (-1)^m * prod(1 - zeta^(k^2)) * det C",
+          lambda pv: (pv.det_d, (-1) ** pv.m * (squares_product(pv.p) * pv.det_c))),
+    Check("dtilde_scaling", None, "", "det Dtilde = 2^m * det D",
+          lambda pv: (pv.det_dt, 2**pv.m * pv.det_d)),
+    # p = 3 (mod 4)
+    Check("int_backend_agreement", 3, "", "bareiss vs CRT on det S",
+          lambda pv: _agreement(pv, [pv.S], pv.det_s, pv.S.values[-1])),
+    Check("detC_quad_half_integers", 3, "", "all of a, b, u, v lie in (1/2)Z",
+          lambda pv: (all(Fraction(2 * x).denominator == 1
+                          for x in (pv.a_p, pv.b_p, pv.u, pv.v)),
+                      f"a={pv.a_p}, b={pv.b_p}", f"u={pv.u}, v={pv.v}")),
+    Check("coordinate_transfer", 3, "", "det C coordinates vs det D coordinates",
+          lambda pv: (pv.a_p == -pv.v and pv.b_p == pv.u / pv.p,
+                      f"(a, b) = ({pv.a_p}, {pv.b_p})",
+                      f"(-v, u/p) = ({-pv.v}, {pv.u / pv.p})")),
+    Check("ab_product_identity", 3, "",
+          "2^((p+1)/2) * a * b = (-1)^((p+1)/4) * p^((p-3)/4) * det S",
+          lambda pv: (2 ** ((pv.p + 1) // 2) * pv.a_p * pv.b_p,
+                      (-1) ** ((pv.p + 1) // 4) * pv.p ** ((pv.p - 3) // 4) * pv.det_s)),
+    Check("ab_norm_identity", 3, "",
+          "2^((p-1)/2) * (a^2 - p*b^2) = ((p-1)/2) * (-p)^((p-3)/4) * det S",
+          lambda pv: (2**pv.m * (pv.a_p * pv.a_p - pv.p * pv.b_p * pv.b_p),
+                      pv.m * (-pv.p) ** ((pv.p - 3) // 4) * pv.det_s)),
+    Check("padic_valuations", 3, "",
+          "valuation dichotomy by p mod 8, in both coordinate systems", _valuations),
+    Check("detS_two_adic_bound", 3, "", "",
+          lambda pv: (padic_val(pv.det_s, 2) >= (pv.p - 3) // 2,
+                      f"nu_2({pv.det_s}) = {padic_val(pv.det_s, 2)}", f">= {(pv.p - 3) // 2}")),
+    Check("detS_not_divisible_by_p", 3, "", "",
+          lambda pv: (pv.det_s % pv.p != 0, f"det S = {pv.det_s}", f"p = {pv.p}")),
+    Check("detD_square_identity", 3, "", "2^m * (det D)^2 = (-p)^((m+1)/2) * (m - g) * det S",
+          lambda pv: (2**pv.m * (pv.d_quad * pv.d_quad),
+                      (-pv.p) ** ((pv.m + 1) // 2) * pv.det_s * QuadElt(pv.p, pv.m, -1))),
+    Check("legendre_matrix_identity", 3, "", "", lambda pv: _legendre_identity(pv, None)),
+    Check("detE_column_reduction", 3, "", "det E = (m - g) * det S via zero column sums",
+          lambda pv: (quad_decompose(pv.det_e), QuadElt(pv.p, pv.m * pv.det_s, -pv.det_s))),
+    Check("det_multiplicativity", 3, "", "det Dtilde * det D = g^(m+1) * det E",
+          lambda pv: (pv.det_dt * pv.det_d, (-pv.p) ** ((pv.m + 1) // 2) * pv.det_e)),
+    # p = 1 (mod 4)
+    Check("quartic_gauss_branch", 1, "", "(g4 - g)^2 = (2/p)*2p + 2a'*sqrt(p), a' = +/-a",
+          _quartic_branch),
+    Check("quartic_reconstruction", 1, "", "", _quartic_reconstruction),
+    Check("unit_power_product", 1, "", "det C * g = sign * det D * eps^h", _unit_power),
+    # p = 1 (mod 4), once per usable delta
+    Check("int_backend_agreement", 1, "d", "bareiss vs CRT on det T and det SD",
+          lambda dv: _agreement(dv, [dv.T, dv.SD], f"T: {dv.det_t}, SD: {dv.det_sd}",
+                                f"T: {dv.T.values[-1]}, SD: {dv.SD.values[-1]}")),
+    Check("detSD_vanishes", 1, "d", "det S(delta, p) = 0", lambda dv: (dv.det_sd, 0)),
+    Check("quartic_norm_identity", 1, "d", "", _quartic_norm),
+    Check("twisted_det_galois", 1, "d", "det DD = sigma_delta(det D)",
+          lambda dv: (dv.det_dd, dv.det_d.galois(dv.d))),
+    Check("detF_corner_expansion", 1, "d", "det F = det T + g * det SD",
+          lambda dv: (quad_decompose(dv.det_f), QuadElt(dv.p, dv.det_t, dv.det_sd))),
+    Check("det_multiplicativity", 1, "d", "det Dtilde * det DD = g^(m+1) * det F",
+          lambda dv: (dv.det_dt * dv.det_dd, dv.p ** (dv.m // 2) * (dv.g * dv.det_f))),
+    Check("legendre_matrix_identity", 1, "d", "", lambda dv: _legendre_identity(dv, dv.d)),
+)
 
-        for d in bad_deltas + deltas:
-            self.tag = f"[d={d}]"
-            if d in bad_deltas:
-                check("delta_valid", False, f"legendre({d}, {p}) = {legendre(d, p)}", "-1",
-                      "explicit delta must be a quadratic non-residue")
-                continue
-            t_res = self.det(build_T(p, d), cross_check=True)
-            sd_res = self.det(build_S_delta(p, d), cross_check=True)
-            det_t, det_sd = t_res.values[0], sd_res.values[0]
-            self.agreement(
-                "int_backend_agreement", [t_res, sd_res], f"T: {det_t}, SD: {det_sd}",
-                f"T: {t_res.values[-1]}, SD: {sd_res.values[-1]}",
-                "bareiss vs CRT on det T and det SD",
-            )
-            if report.det_T is None:
-                report.det_T, report.det_SD = det_t, det_sd
 
-            check("detSD_vanishes", det_sd == 0, det_sd, 0, "det S(delta, p) = 0")
+def _result(name: str, row: Check, out: tuple) -> CheckResult:
+    """Record one outcome: ok None skips (sides dropped), a pass shortens its sides."""
+    if len(out) == 2:
+        out = (out[0] == out[1], *out)
+    ok, lhs, rhs, note = (*out, row.note)[:4]  # the row's note unless fn gave one
+    ls, rs = ("", "") if ok is None else (str(lhs), str(rhs))
+    if ok:
+        ls, rs = _short(ls), _short(rs)
+    return CheckResult(name, "skipped" if ok is None else "pass" if ok else "fail", ls, rs, note)
 
-            lhs_n = 2 ** (m + 1) * ts.b * (alpha * alpha - p * beta * beta)
-            rhs_n = p ** (m // 2) * det_t
-            check("quartic_norm_identity", abs(lhs_n) == abs(rhs_n), lhs_n, rhs_n,
-                  f"|2^(m+1) * b * (alpha^2 - p*beta^2)| = |p^(m/2) * det T|; "
-                  f"observed sign {'+' if lhs_n == rhs_n else '-'}")
 
-            det_dd = self.det(build_D_delta(p, d)).values[0]
-            check("twisted_det_galois", det_dd == det_d.galois(d), det_dd,
-                  det_d.galois(d), "det DD = sigma_delta(det D)")
+def _run_checks(pv: _PrimeValues) -> dict[str, CheckResult]:
+    rows = [row for row in CHECKS if row.residue in (None, pv.p % 4)]
+    once = {"": [("", ())], "a": [(f"[a={a}]", (a,)) for a in pv.multipliers]}
+    results = [_result(row.name + tag, row, row.fn(pv, *args))
+               for row in rows if row.over != "d" for tag, args in once[row.over]]
+    for d in pv.deltas[1]:  # rejected explicit deltas
+        results.append(CheckResult(
+            f"delta_valid[d={d}]", "fail", f"legendre({d}, {pv.p}) = {legendre(d, pv.p)}",
+            "-1", "explicit delta must be a quadratic non-residue"))
+    for dv in pv.views:
+        results += [_result(f"{row.name}[d={dv.d}]", row, row.fn(dv))
+                    for row in rows if row.over == "d"]
+    return {r.name: r for r in results}
 
-            det_f = self.det(build_F(p, d)).values[0]
-            f_quad = quad_decompose(det_f)
-            f_rhs = QuadElt(p, det_t, det_sd)
-            check("detF_corner_expansion", f_quad == f_rhs, f_quad, f_rhs,
-                  "det F = det T + g * det SD")
 
-            mult_lhs = det_dt * det_dd
-            mult_rhs = p ** (m // 2) * (g * det_f)
-            check("det_multiplicativity", mult_lhs == mult_rhs, mult_lhs, mult_rhs,
-                  "det Dtilde * det DD = g^(m+1) * det F")
-
-            self.legendre_identity(d)
-        self.tag = ""
+# the timed stages of a prime and the values each computes
+_STAGES = {
+    "build": ("g", "deltas", "matrices"),
+    "determinants": ("C", "D", "Dtilde"),
+    "checks": ("checks",),
+}
 
 
 def run_prime(p: int, options: SweepOptions | None = None) -> PrimeReport:
     require_odd_prime(p)
     if p <= 3:
         raise ValueError("verification needs p > 3")
-    return _PrimeChecks(p, options or SweepOptions()).run()
+    pv = _PrimeValues(p, options or SweepOptions())
+    timings: dict[str, float] = {}
+    t_start = time.perf_counter()
+    for stage, names in _STAGES.items():
+        t0 = time.perf_counter()
+        for name in names:
+            getattr(pv, name)
+        timings[stage] = (time.perf_counter() - t0) * 1000
+
+    pf, first = pv.pf, (pv.views or [None])[0]  # det T and det SD are the first delta's
+    report = PrimeReport(
+        p=p, residue8=p % 8, class_info=ClassData(p, h_neg=pf.h), deltas=tuple(pv.deltas[0]),
+        delta=first and first.d, det_T=first and first.det_t, det_SD=first and first.det_sd,
+        det_C=pv.det_c, det_D=pv.det_d, checks=pv.checks)
+    if p % 4 == 3:
+        report.det_S = pv.det_s
+        report.decomp = {"a_p": pv.a_p, "b_p": pv.b_p}
+        report.nu_a, report.nu_b = (None if nu == math.inf else nu for nu in pv.nu[:2])
+    else:
+        qd4 = pv.qd4
+        report.class_info = ClassData(p, h_pos=pf.h, eps=pf.eps)
+        report.decomp = {"alpha": qd4.alpha, "beta": qd4.beta,
+                         "delta_sign": qd4.delta_sign, "a": qd4.a}
+        report.discrepancies = (
+            f"quoted exponent 2^((p+1)/4) is non-integral for p={p} "
+            f"((p+1)/4 = {Fraction(p + 1, 4)}); verified identity uses "
+            f"2^(m+1) = 2^{pv.m + 1} with p^(m/2)",
+        )
+    timings["total"] = (time.perf_counter() - t_start) * 1000
+    report.timings_ms = {k: round(v, 3) for k, v in timings.items()}
+    return report
 
 
 # -- sweep -------------------------------------------------------------------
@@ -565,9 +559,7 @@ def _pool_run(primes: list[int], opt: SweepOptions, workers: int) -> list:
 
 
 def _cyc_strs(x: CycElt | None) -> list[str] | None:
-    if x is None:
-        return None
-    return [str(c) for c in x.coeffs]
+    return None if x is None else [str(c) for c in x.coeffs]
 
 
 def report_to_dict(r: PrimeReport) -> dict:

@@ -132,7 +132,8 @@ class TestCache:
         assert report_content(cold) == report_content(serial)
         assert warm == cold
 
-    @pytest.mark.parametrize("damage", ["empty", "truncated", "other prime"])
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "other prime",
+                                        "check without fields", "check without sides"])
     def test_bad_entry_is_recomputed_and_rewritten(self, capsys, tmp_path, damage):
         cache = tmp_path / "cache"
         args = ("verify", "--pmin", "5", "--pmax", "7", "--threads", "1",
@@ -144,6 +145,8 @@ class TestCache:
             "empty": "",
             "truncated": good[: len(good) // 2],
             "other prime": next(cache.glob("p7-*.json")).read_text(),
+            "check without fields": '{"p": 5, "checks": {"gauss_square": {}}}',
+            "check without sides": '{"p": 5, "checks": {"gauss_square": {"status": "pass"}}}',
         }[damage]
         entry.write_text(bad)
         code, again, _ = run_main(capsys, *args)
@@ -151,6 +154,19 @@ class TestCache:
         assert json.loads(entry.read_text())["p"] == 5
         assert report_content(again) == report_content(first)
         assert sorted(f.name[:3] for f in cache.iterdir()) == ["p5-", "p7-"]
+
+    @pytest.mark.parametrize("via", ["option", "env"])
+    def test_unusable_cache_dir_is_a_usage_error(self, capsys, tmp_path, monkeypatch, via):
+        taken = tmp_path / "a-file"
+        taken.write_text("")
+        args = ["verify", "--pmin", "5", "--pmax", "5", "--threads", "1"]
+        if via == "option":
+            args += ["--cache-dir", str(taken)]
+        else:
+            monkeypatch.setenv("CYCLODET_CACHE_DIR", str(taken))
+        code, out, err = run_main(capsys, *args)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot use cache dir")
 
     def test_cache_key_includes_delta_mode(self, capsys, tmp_path):
         cache = tmp_path / "cache"

@@ -122,7 +122,7 @@ class TestCycBackends:
         # column 1 is zeta times column 0, so it is zero after the first step
         p = 7
         z = CycElt.zeta(p)
-        col0 = [CycElt.one(p), 1 + z, z**3]
+        col0 = [CycElt.one(p), 1 + z, z * z * z]
         m = cyc_matrix([[c, z * c, CycElt.rational(p, k)] for k, c in enumerate(col0)], p)
         for backend in (det_cyc_bareiss, det_cyc_evalinterp):
             value = backend(m)
@@ -133,8 +133,8 @@ class TestCycBackends:
         z = CycElt.zeta(p)
         zero = CycElt.zero(p)
         m = cyc_matrix([[z, zero], [zero, z * z]], p)
-        assert det_cyc_evalinterp(m) == z**3
-        assert det_cyc_bareiss(m) == z**3
+        assert det_cyc_evalinterp(m) == CycElt.zeta(p, 3)
+        assert det_cyc_bareiss(m) == CycElt.zeta(p, 3)
 
     def test_D5_numeric_oracle(self):
         d = det_cyc_bareiss(build_D(5))
@@ -192,13 +192,29 @@ class TestCycBackends:
         assert det_cyc_bareiss(m).is_zero()
         assert det_cyc_evalinterp(m).is_zero()
 
+    def test_one_cap_on_auxiliary_primes(self, monkeypatch):
+        """Both CRT lifts raise at the one `_MAX_MODULI` cap.  Small values need
+        three primes in evalinterp (a stable pair plus one confirming prime)
+        and two in an exact division (a stable pair)."""
+        z = CycElt.zeta(7)
+        d7 = det_cyc_bareiss(build_D(7))
+        monkeypatch.setattr(detkit, "_MAX_MODULI", 3)
+        assert det_cyc_evalinterp(build_D(7)) == d7
+        monkeypatch.setattr(detkit, "_MAX_MODULI", 2)
+        assert detkit._ExactDivider(1 + z).divide((1 + z) * z) == z
+        with pytest.raises(ArithmeticError, match="stabilize"):
+            det_cyc_evalinterp(build_D(7))
+        monkeypatch.setattr(detkit, "_MAX_MODULI", 1)
+        with pytest.raises(ArithmeticError, match="stabilize"):
+            detkit._ExactDivider(1 + z).divide((1 + z) * z)
+
 
 class TestDetDispatcher:
     def test_both_backends_cross_checked(self):
         result = det(build_S(7), backend="both")
         assert isinstance(result, DetResult)
         assert result.value == -4
-        assert result.backend == "both"
+        assert result.values == (-4, -4)
         assert result.stats["elimination_steps"] == 2
         assert result.stats["moduli"] and result.stats["coefficient_bound"] >= 4
 
@@ -234,7 +250,7 @@ class TestDetDispatcher:
         result = det(build_D(7), backend="both")
         assert len(result.values) == 2 and result.agree
         assert len(det(build_D(7), backend="modular").values) == 1
-        broken = DetResult((-4, 4), "both")
+        broken = DetResult((-4, 4))
         assert not broken.agree
         with pytest.raises(ArithmeticError):
             broken.value

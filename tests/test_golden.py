@@ -4,7 +4,9 @@
 the exit code and the sha256 of every `verify` report with `timings_ms`
 removed (canonical JSON: sorted keys, compact separators, ASCII), and the
 exact stdout of a few `det` and `classno` calls.  The digests were recorded
-before the verify/CLI refactor that they guard; print the current values with
+before the verify/CLI refactor that they guard (the "above-limits" case, whose
+primes reach the skip notes of both size limits, before the checks became a
+table); print the current values with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -23,11 +25,14 @@ from cyclodet.cli import main
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_reports.json"
 
+SMALL = ["--pmin", "5", "--pmax", "23"]
 VERIFY_CASES = {
-    "delta-sweep": ["--delta", "sweep"],
-    "delta-3": ["--delta", "3"],
-    "backend-bareiss": ["--backend", "bareiss"],
-    "backend-modular": ["--backend", "modular"],
+    "delta-sweep": [*SMALL, "--delta", "sweep"],
+    "delta-3": [*SMALL, "--delta", "3"],
+    "backend-bareiss": [*SMALL, "--backend", "bareiss"],
+    "backend-modular": [*SMALL, "--backend", "modular"],
+    # p = 5, 3, 7, 1 (mod 8), all above BAREISS_LIMIT and DIRECT_IDENTITY_LIMIT
+    "above-limits": ["--pmin", "61", "--pmax", "73"],
 }
 STDOUT_CASES = [
     f"det --family {family} --p {p}" for family in ("S", "C", "D") for p in (7, 13)
@@ -51,8 +56,7 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 
 
 def observe_verify(case: str) -> dict:
-    argv = ["verify", "--pmin", "5", "--pmax", "23", "--threads", "1"]
-    code, out = run_cli(argv + VERIFY_CASES[case])
+    code, out = run_cli(["verify", "--threads", "1", *VERIFY_CASES[case]])
     return {
         "exit": code,
         "digests": {str(r["p"]): report_digest(r) for r in json.loads(out)},

@@ -25,16 +25,16 @@ class TestBuildC:
     def test_p3_is_one_by_one_identity(self):
         c = build_C(3)
         assert c.n == 1
-        assert c.entry(0, 0) == CycElt.one(3)
+        assert c.rows[0][0] == CycElt.one(3)
 
     def test_p5_entry_12(self):
         c = build_C(5)
-        assert c.entry(0, 1) == 1 + zeta(5) + zeta(5, 2) + zeta(5, 3)
+        assert c.rows[0][1] == 1 + zeta(5) + zeta(5, 2) + zeta(5, 3)
 
     def test_p7_entry_23_matches_exact_division(self):
         c = build_C(7)
         # the (j, k) = (2, 3) entry is (1 - zeta^(j^2 k^2)) / (1 - zeta^(j^2))
-        assert c.entry(1, 2) * (1 - zeta(7, 4)) == 1 - zeta(7, 36)
+        assert c.rows[1][2] * (1 - zeta(7, 4)) == 1 - zeta(7, 36)
 
     def test_entries_integral(self):
         c = build_C(11)
@@ -53,7 +53,7 @@ class TestBuildD:
 
     def test_delta_twist(self):
         dd = build_D_delta(5, 2)
-        assert dd.entry(1, 1) == zeta(5, 2)
+        assert dd.rows[1][1] == zeta(5, 2)
 
     def test_delta_must_be_nonresidue(self):
         with pytest.raises(ValueError):
@@ -67,21 +67,21 @@ class TestBuildDTilde:
 
     def test_doubled_entry(self):
         dt = build_D_tilde(5)
-        assert dt.entry(1, 2) == 2 * zeta(5, 4)
+        assert dt.rows[1][2] == 2 * zeta(5, 4)
 
     def test_exponent_arithmetic_p7(self):
         dt = build_D_tilde(7)
-        assert dt.entry(3, 3) == 2 * zeta(7, 4)  # 81 = 4 mod 7
+        assert dt.rows[3][3] == 2 * zeta(7, 4)  # 81 = 4 mod 7
 
 
 class TestBuildEF:
     def test_E_corner_is_minus_gauss_sum(self):
         e = build_E(7)
-        assert e.entry(0, 0) == -gauss_sum(7)
+        assert e.rows[0][0] == -gauss_sum(7)
 
     def test_E_legendre_entry(self):
         e = build_E(7)
-        assert e.entry(1, 1) == CycElt.one(7)  # (2/7) = +1
+        assert e.rows[1][1] == CycElt.one(7)  # (2/7) = +1
 
     def test_E_wrong_residue_class(self):
         with pytest.raises(ValueError):
@@ -89,8 +89,8 @@ class TestBuildEF:
 
     def test_F_corner_and_entry(self):
         f = build_F(5, 2)
-        assert f.entry(0, 0) == gauss_sum(5)
-        assert f.entry(1, 2) == CycElt.one(5)  # (9/5) = +1
+        assert f.rows[0][0] == gauss_sum(5)
+        assert f.rows[1][2] == CycElt.one(5)  # (9/5) = +1
 
     def test_F_wrong_residue_class(self):
         with pytest.raises(ValueError):
@@ -115,15 +115,15 @@ class TestLegendreFamilies:
     def test_T_border(self, p):
         delta = distinct_nonresidues(p, 1)[0]
         t = build_T(p, delta)
-        assert t.entry(0, 0) == 0
-        assert all(t.entry(0, k) == -1 for k in range(1, t.n))
-        assert all(t.entry(j, 0) == 1 for j in range(1, t.n))
+        assert t.rows[0][0] == 0
+        assert all(t.rows[0][k] == -1 for k in range(1, t.n))
+        assert all(t.rows[j][0] == 1 for j in range(1, t.n))
 
     @pytest.mark.parametrize("p", [7, 11, 13, 29])
     def test_S_symmetric(self, p):
         s = build_S(p)
         assert all(
-            s.entry(j, k) == s.entry(k, j) for j in range(s.n) for k in range(s.n)
+            s.rows[j][k] == s.rows[k][j] for j in range(s.n) for k in range(s.n)
         )
 
     @pytest.mark.parametrize("p", [5, 13, 17, 29, 37])
@@ -135,7 +135,7 @@ class TestLegendreFamilies:
             lhs = build_S_delta(p, delta)
             rhs = build_S_delta(p, dinv)
             assert all(
-                lhs.entry(k, j) == -rhs.entry(j, k)
+                lhs.rows[k][j] == -rhs.rows[j][k]
                 for j in range(lhs.n)
                 for k in range(lhs.n)
             )
@@ -146,8 +146,8 @@ class TestMatmul:
         d3 = build_D(3)
         sq = matmul(d3, d3)
         z = zeta(3)
-        assert sq.entry(0, 0) == 2
-        assert sq.entry(1, 1) == 1 + z * z
+        assert sq.rows[0][0] == 2
+        assert sq.rows[1][1] == 1 + z * z
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclodet import classno, detkit, verify
+from cyclodet import classno, detkit, matrices, verify
 from cyclodet.modarith import is_prime, primitive_root
 from cyclodet.verify import (
     CheckResult,
@@ -220,6 +220,58 @@ class TestOnePassPerDecision:
         assert report.all_passed()
         seen = {name: " ".join(sorted(m.meta.family for m in c)) for name, c in calls.items()}
         assert {name: fams for name, fams in seen.items() if fams} == expected
+
+
+class TestCheckTable:
+    """The recorded checks are the table's rows, and the table reaches the
+    builders and helpers through module names rebound at call time."""
+
+    @staticmethod
+    def expected_names(report) -> list[str]:
+        p = report.p
+        rows = [row for row in verify.CHECKS if row.residue in (None, p % 4)]
+        multipliers = sorted({2 % p, 3 % p, primitive_root(p), p - 1} - {0})
+        names = []
+        for row in rows:
+            if row.over == "a":
+                names += [f"{row.name}[a={a}]" for a in multipliers]
+            elif row.over == "":
+                names.append(row.name)
+        for d in report.deltas:
+            names += [f"{row.name}[d={d}]" for row in rows if row.over == "d"]
+        return names
+
+    def test_recorded_names_are_the_expanded_rows(self):
+        recorded = set()
+        for p in (5, 7, 11, 13):
+            report = run_prime(p, SweepOptions(delta_mode="sweep"))
+            assert report.all_passed()
+            assert list(report.checks) == self.expected_names(report)
+            recorded |= {name.split("[")[0] for name in report.checks}
+        assert recorded == {row.name for row in verify.CHECKS}
+
+    @pytest.mark.parametrize(
+        "p,options,expected",
+        [
+            # p = 13 sweeps deltas 2, 5, 6.  Per delta: T, SD, DD and F for the
+            # determinants, and Dtilde, DD and F again for the literal product.
+            (13, SweepOptions(delta_mode="sweep"),
+             {"matrix_identity_direct": 3, "legendre_sum_classes_hold": 1,
+              "build_C": 1, "build_D": 1, "build_D_tilde": 1 + 3, "build_D_delta": 3 + 3,
+              "build_F": 3 + 3, "build_T": 3, "build_S_delta": 3, "build_S": 0, "build_E": 0}),
+            # p = 7: one literal product rebuilds Dtilde, D and E
+            (7, SweepOptions(),
+             {"matrix_identity_direct": 1, "legendre_sum_classes_hold": 1,
+              "build_C": 1, "build_D": 1 + 1, "build_D_tilde": 1 + 1, "build_D_delta": 0,
+              "build_F": 0, "build_T": 0, "build_S_delta": 0, "build_S": 1, "build_E": 1 + 1}),
+        ],
+    )
+    def test_helpers_called_through_rebindable_names(self, count_calls, p, options, expected):
+        fns = [verify.matrix_identity_direct, verify.legendre_sum_classes_hold] + [
+            getattr(matrices, name) for name in expected if name.startswith("build_")]
+        calls = {fn.__name__: count_calls(fn) for fn in fns}
+        assert run_prime(p, options).all_passed()
+        assert {name: len(c) for name, c in calls.items()} == expected
 
 
 class TestResolveDeltas:
