@@ -1,8 +1,9 @@
 """Exact determinants with two independent backends per entry kind.
 
-Bareiss: one fraction-free elimination serves both rings; integer matrices
-divide by the previous pivot with a remainder check, cyclotomic ones through
-`_ExactDivider` (every quotient re-verified by multiplication).
+Bareiss: one fraction-free elimination serves both rings and divides each
+row's updates by the previous pivot in one call: `_divide_ints` with a
+remainder check, or `_divide_exact`, which reconstructs the row's quotients by
+CRT and re-verifies every one by multiplication.
 
 Modular: integer matrices are CRT-lifted over word-sized primes driven by the
 Hadamard bound.  Cyclotomic matrices are reduced at all elements of order p
@@ -15,7 +16,7 @@ until they stabilize with one confirming prime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -25,13 +26,12 @@ from .matrices import ExactMatrix
 from .modarith import aux_primes, word_primes_desc
 
 _STACK_ENTRIES = 1 << 16  # int64 entries per (nodes, n, n) block: bounds evalinterp's transients
-_MAX_MODULI = 64  # auxiliary primes one CRT lift may use (evalinterp and the exact divider)
+_MAX_MODULI = 64  # auxiliary primes one CRT lift may try (evalinterp and the exact divider)
 
 
 @dataclass
 class DetResult:
     values: tuple  # one per backend run: Bareiss first, then the modular one
-    stats: dict = field(default_factory=dict)
 
     @property
     def agree(self) -> bool:
@@ -86,17 +86,18 @@ def _det_mod_stack(a: np.ndarray, q: int) -> np.ndarray:
 # -- fraction-free elimination and the integer backends ---------------------
 
 
-def _fraction_free(rows, divider):
+def _fraction_free(rows, divide):
     """Bareiss elimination: first nonzero pivot per column, row swaps signed.
 
-    `divider(prev)` returns the exact division by a previous pivot; it is
-    applied to every update after the first column.  Entries need +, -, *,
-    truth and negation, so ints and CycElts go through the same loop.
+    After the first column, `divide(updates, prev)` returns the exact
+    quotients of one row's updates by the previous pivot, so the divider is
+    called once per row.  Entries need +, -, *, truth and negation, so ints
+    and CycElts go through the same loop.
     """
     a = [list(row) for row in rows]
     n = len(a)
     sign = 1
-    divide = None
+    prev = None
     for k in range(n - 1):
         if not a[k][k]:
             r = next((r for r in range(k + 1, n) if a[r][k]), None)
@@ -108,30 +109,25 @@ def _fraction_free(rows, divider):
         row_k = a[k]
         for row_i in a[k + 1 :]:
             aik = row_i[k]
-            for j in range(k + 1, n):
-                t = row_i[j] * piv - aik * row_k[j]
-                row_i[j] = divide(t) if divide else t
-        divide = divider(piv)
+            updates = [row_i[j] * piv - aik * row_k[j] for j in range(k + 1, n)]
+            row_i[k + 1 :] = divide(updates, prev) if k else updates
+        prev = piv
     return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
 
 
-def _int_divider(prev: int):
-    def divide(t: int) -> int:
-        quot, rem = divmod(t, prev)
-        if rem:
-            raise ArithmeticError("Bareiss division was not exact")
-        return quot
-
-    return divide
+def _divide_ints(values: list[int], den: int) -> list[int]:
+    """Exact quotients of integers by den; a remainder raises."""
+    pairs = [divmod(t, den) for t in values]
+    if any(rem for _, rem in pairs):
+        raise ArithmeticError("Bareiss division was not exact")
+    return [quot for quot, _ in pairs]
 
 
 def det_int_bareiss(m: ExactMatrix, stats: dict | None = None) -> int:
     """Fraction-free elimination over Z."""
     if m.kind != "int":
         raise ValueError("integer matrix required")
-    if stats is not None:
-        stats["elimination_steps"] = m.n - 1
-    return _fraction_free(m.rows, _int_divider)
+    return _fraction_free(m.rows, _divide_ints)
 
 
 def _hadamard_bound(m: ExactMatrix) -> int:
@@ -148,7 +144,6 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
         raise ValueError("integer matrix required")
     bound = _hadamard_bound(m)
     if stats is not None:
-        stats["coefficient_bound"] = bound
         stats["moduli"] = []
     if bound == 0:
         return 0
@@ -156,9 +151,9 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
         arr = np.array(m.rows, dtype=np.int64)
     except OverflowError:  # an entry beyond int64: reduced mod each q as a Python int
         arr = np.array(m.rows, dtype=object)
-    residues, modulus = [0], 1
+    sym, modulus = [0], 1
     for q in word_primes_desc():
-        residues, modulus, sym = _crt_lift(residues, modulus, _det_mod_stack(arr[None], q), q)
+        sym, modulus, _ = _crt_lift(sym, modulus, _det_mod_stack(arr[None], q), q)
         if stats is not None:
             stats["moduli"].append(q)
         if modulus > 2 * bound:
@@ -237,67 +232,52 @@ def _values_at_nodes(coeffs: _Coefficients, data: _EvalData, nodes: slice = slic
     return coeffs.reduced @ data.vand[:, nodes] % q
 
 
-def _crt_lift(residues: list[int], modulus: int, coeffs_q, q: int):
-    """Fold one more prime's coefficient residues into a CRT accumulation.
+def _crt_lift(sym: list[int], modulus: int, coeffs_q, q: int):
+    """Fold one more prime's coefficient residues into a CRT lift.
 
-    Start from ([0] * n, 1).  Returns (residues, modulus) mod modulus * q and
-    the coefficients lifted to the symmetric range.
+    Start from ([0] * n, 1).  `sym` holds the lifted values in symmetric range
+    mod `modulus` (odd, a product of odd primes); one conditional subtraction
+    brings s + modulus * ((c - s) / modulus mod q) back into that range mod
+    modulus * q.  Returns (sym, modulus * q, changed); the first fold counts
+    as a change.
     """
     inv = pow(modulus, -1, q)  # taken once per prime, not once per coefficient
-    residues = [r + modulus * ((c - r) * inv % q) for r, c in zip(residues, coeffs_q.tolist())]
-    modulus *= q
-    return residues, modulus, [r - modulus if 2 * r > modulus else r for r in residues]
+    mq = modulus * q
+    lifted = [s + modulus * ((c - s) * inv % q) for s, c in zip(sym, coeffs_q.tolist())]
+    lifted = [t - mq if 2 * t > mq else t for t in lifted]
+    return lifted, mq, modulus == 1 or lifted != sym
 
 
 # -- exact division of integral cyclotomic elements ------------------------
 
 
-class _ExactDivider:
-    """Division by a fixed nonzero integral element of Z[zeta_p].
+def _divide_exact(values: list[CycElt], den: CycElt) -> list[CycElt]:
+    """Exact quotients of integral elements of Z[zeta_p] by a nonzero integral den.
 
-    Quotients are reconstructed by CRT from images at the order-p points of
-    several F_q and then verified exactly by re-multiplication, so a wrong
-    answer is impossible; a non-exact division raises.
+    Per auxiliary prime q at which den has no zero value, the whole row is
+    evaluated at the order-p nodes of F_q, scaled by den's inverse values,
+    interpolated and CRT-lifted.  Once the lift is unchanged by a prime, every
+    candidate is verified by re-multiplication, so a wrong answer is
+    impossible; a non-exact division raises.
     """
-
-    def __init__(self, den: CycElt) -> None:
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero")
-        self.den = den
-        self.p = den.p
-        self._primes: list[tuple[_EvalData, np.ndarray]] = []
-        self._iter = aux_primes(self.p)
-
-    def _prime_data(self, i: int) -> tuple[_EvalData, np.ndarray]:
-        while len(self._primes) <= i:
-            q = next(self._iter)
-            data = _EvalData(self.p, q)
-            den_vals = _values_at_nodes(_Coefficients([self.den]), data)[0]
-            if np.any(den_vals == 0):
-                continue  # q divides a conjugate of den; unusable
-            inv_vals = np.array(
-                [pow(int(v), q - 2, q) for v in den_vals], dtype=np.int64
-            )
-            self._primes.append((data, inv_vals))
-        return self._primes[i]
-
-    def divide(self, num: CycElt) -> CycElt:
-        if num.is_zero():
-            return CycElt.zero(self.p)
-        coeffs = _Coefficients([num])
-        residues, modulus = [0] * (self.p - 1), 1
-        prev_sym = None
-        for i in range(_MAX_MODULI):
-            data, inv_vals = self._prime_data(i)
-            q = data.q
-            qvals = _values_at_nodes(coeffs, data)[0] * inv_vals % q
-            residues, modulus, sym = _crt_lift(residues, modulus, data.interpolate(qvals), q)
-            if sym == prev_sym:
-                candidate = CycElt._new(self.p, sym)
-                if candidate * self.den == num:
-                    return candidate
-            prev_sym = sym
-        raise ArithmeticError("exact division failed to stabilize (arithmetic bug)")
+    if den.is_zero():
+        raise ZeroDivisionError("division by zero")
+    p = den.p
+    coeffs, den_coeffs = _Coefficients(values), _Coefficients([den])
+    sym, modulus = [0] * (len(values) * (p - 1)), 1
+    for q in islice(aux_primes(p), _MAX_MODULI):
+        data = _EvalData(p, q)
+        den_vals = _values_at_nodes(den_coeffs, data)[0]
+        if np.any(den_vals == 0):
+            continue  # q divides a conjugate of den; unusable
+        inv_vals = np.array([pow(v, q - 2, q) for v in den_vals.tolist()], dtype=np.int64)
+        qvals = _values_at_nodes(coeffs, data) * inv_vals % q  # (elements, nodes)
+        sym, modulus, changed = _crt_lift(sym, modulus, data.interpolate(qvals.T).T.ravel(), q)
+        if not changed:
+            quots = [CycElt._new(p, sym[i : i + p - 1]) for i in range(0, len(sym), p - 1)]
+            if all(x * den == v for x, v in zip(quots, values)):
+                return quots
+    raise ArithmeticError("exact division failed to stabilize (arithmetic bug)")
 
 
 # -- cyclotomic backends ----------------------------------------------------
@@ -309,9 +289,7 @@ def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         raise ValueError("cyclotomic matrix required")
     if not all(e.is_integral for row in m.rows for e in row):
         raise ValueError("integral entries required")
-    if stats is not None:
-        stats["elimination_steps"] = m.n - 1
-    return _fraction_free(m.rows, lambda prev: _ExactDivider(prev).divide)
+    return _fraction_free(m.rows, _divide_exact)
 
 
 def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
@@ -326,8 +304,7 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     n = m.n
     coeffs = _Coefficients([e for row in m.rows for e in row])
     size = max(1, _STACK_ENTRIES // (n * n))  # nodes per block
-    residues, modulus = [0] * (p - 1), 1
-    prev_sym = None
+    sym, modulus = [0] * (p - 1), 1
     stable = 0
     moduli = []
     if stats is not None:
@@ -340,15 +317,11 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
             nodes = slice(start, start + size)
             vals = _values_at_nodes(coeffs, data, nodes).reshape(n, n, -1)
             dets[nodes] = _det_mod_stack(vals.transpose(2, 0, 1), q)
-        residues, modulus, sym = _crt_lift(residues, modulus, data.interpolate(dets), q)
+        sym, modulus, changed = _crt_lift(sym, modulus, data.interpolate(dets), q)
         moduli.append(q)
-        if sym == prev_sym:
-            stable += 1
-            if stable >= 2:
-                return CycElt._new(p, sym)
-        else:
-            stable = 0
-        prev_sym = sym
+        stable = 0 if changed else stable + 1
+        if stable >= 2:
+            return CycElt._new(p, sym)
     raise ArithmeticError("CRT failed to stabilize (coefficient bound bug)")
 
 
@@ -361,7 +334,9 @@ def det(m: ExactMatrix, backend: str = "both") -> DetResult:
     backend: "bareiss", "modular" (CRT / evaluation-interpolation), or
     "both" (run the pair; `DetResult.value` requires bit-exact agreement).
     The backends are looked up as module globals on every call, so a
-    rebinding of one (a tracer wrapping it) is seen here.
+    rebinding of one (a tracer wrapping it) is seen here.  Each backend also
+    takes an optional `stats` dict, where the modular ones record `moduli`
+    (and evalinterp its `nodes`).
     """
     if backend not in _CHOICES:
         raise ValueError(f"unknown backend {backend!r}")
@@ -369,8 +344,7 @@ def det(m: ExactMatrix, backend: str = "both") -> DetResult:
         pair = (det_int_bareiss, det_int_modular)
     else:
         pair = (det_cyc_bareiss, det_cyc_evalinterp)
-    stats: dict = {"n": m.n}
-    values = tuple(pair[i](m, stats) for i in _CHOICES[backend])
+    values = tuple(pair[i](m) for i in _CHOICES[backend])
     if m.kind == "cyc" and not all(v.is_integral for v in values):
         raise ArithmeticError("determinant of an integral matrix must be integral")
-    return DetResult(values, stats)
+    return DetResult(values)

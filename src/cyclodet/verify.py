@@ -211,19 +211,23 @@ class _PrimeValues:
 
     def __init__(self, p: int, opt: SweepOptions) -> None:
         self.p, self.m, self.opt = p, (p - 1) // 2, opt
+        self.timings_ms = {"build": 0.0, "determinants": 0.0}  # summed over det_of
 
     def det_of(self, family: str, *delta: int) -> DetResult:
         """One determinant through `detkit.det`: the options' backend, with
-        "both" narrowed to the modular one unless the family is cross-checked."""
-        mat = self.matrices.pop(family, None) or globals()[_BUILDERS[family]](self.p, *delta)
+        "both" narrowed to the modular one unless the family is cross-checked.
+        The matrix is built here and dropped once its determinant is taken."""
+        t0 = time.perf_counter()
+        mat = globals()[_BUILDERS[family]](self.p, *delta)
+        t1 = time.perf_counter()
         cross = family in _CROSS_CHECKED or (
             family in _CROSS_CHECKED_SMALL and self.p <= BAREISS_LIMIT)
         backend = self.opt.backend
-        return det(mat, "modular" if backend == "both" and not cross else backend)
+        result = det(mat, "modular" if backend == "both" and not cross else backend)
+        self.timings_ms["build"] += (t1 - t0) * 1000
+        self.timings_ms["determinants"] += (time.perf_counter() - t1) * 1000
+        return result
 
-    # C, D and Dtilde are built together, each dropped once its determinant is taken
-    matrices = cached_property(
-        lambda pv: {f: globals()[_BUILDERS[f]](pv.p) for f in ("C", "D", "Dtilde")})
     C, D, Dtilde, E, S = (_det_value(f) for f in ("C", "D", "Dtilde", "E", "S"))
     deltas = cached_property(lambda pv: resolve_deltas(pv.p, pv.opt))  # (usable, rejected)
     views = cached_property(lambda pv: [_DeltaValues(pv, d) for d in pv.deltas[0]])
@@ -460,32 +464,21 @@ def _run_checks(pv: _PrimeValues) -> dict[str, CheckResult]:
     return {r.name: r for r in results}
 
 
-# the timed stages of a prime and the values each computes
-_STAGES = {
-    "build": ("g", "deltas", "matrices"),
-    "determinants": ("C", "D", "Dtilde"),
-    "checks": ("checks",),
-}
-
-
 def run_prime(p: int, options: SweepOptions | None = None) -> PrimeReport:
     require_odd_prime(p)
     if p <= 3:
         raise ValueError("verification needs p > 3")
     pv = _PrimeValues(p, options or SweepOptions())
-    timings: dict[str, float] = {}
     t_start = time.perf_counter()
-    for stage, names in _STAGES.items():
-        t0 = time.perf_counter()
-        for name in names:
-            getattr(pv, name)
-        timings[stage] = (time.perf_counter() - t0) * 1000
+    checks = pv.checks  # every matrix is built and every determinant taken in here, by det_of
+    timings = dict(pv.timings_ms)
+    timings["checks"] = (time.perf_counter() - t_start) * 1000 - sum(timings.values())
 
     pf, first = pv.pf, (pv.views or [None])[0]  # det T and det SD are the first delta's
     report = PrimeReport(
         p=p, residue8=p % 8, class_info=ClassData(p, h_neg=pf.h), deltas=tuple(pv.deltas[0]),
         delta=first and first.d, det_T=first and first.det_t, det_SD=first and first.det_sd,
-        det_C=pv.det_c, det_D=pv.det_d, checks=pv.checks)
+        det_C=pv.det_c, det_D=pv.det_d, checks=checks)
     if p % 4 == 3:
         report.det_S = pv.det_s
         report.decomp = {"a_p": pv.a_p, "b_p": pv.b_p}

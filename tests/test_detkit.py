@@ -201,12 +201,46 @@ class TestCycBackends:
         monkeypatch.setattr(detkit, "_MAX_MODULI", 3)
         assert det_cyc_evalinterp(build_D(7)) == d7
         monkeypatch.setattr(detkit, "_MAX_MODULI", 2)
-        assert detkit._ExactDivider(1 + z).divide((1 + z) * z) == z
+        assert detkit._divide_exact([(1 + z) * z], 1 + z) == [z]
         with pytest.raises(ArithmeticError, match="stabilize"):
             det_cyc_evalinterp(build_D(7))
         monkeypatch.setattr(detkit, "_MAX_MODULI", 1)
         with pytest.raises(ArithmeticError, match="stabilize"):
-            detkit._ExactDivider(1 + z).divide((1 + z) * z)
+            detkit._divide_exact([(1 + z) * z], 1 + z)
+
+
+class TestExactDivider:
+    """Bareiss hands each row's updates to one divide call; every quotient is
+    verified, and a division that is not exact raises."""
+
+    def test_one_call_per_row(self, count_calls):
+        calls = count_calls(detkit._divide_exact)
+        assert det_cyc_bareiss(build_D(13)) == det_cyc_evalinterp(build_D(13))
+        assert [len(row) for row in calls] == [5, 5, 5, 5, 5, 4, 4, 4, 4, 3, 3, 3, 2, 2, 1]
+
+    def test_int_row(self):
+        assert detkit._divide_ints([6, -8, 0], 2) == [3, -4, 0]
+        with pytest.raises(ArithmeticError, match="not exact"):
+            detkit._divide_ints([6, 7], 2)
+
+    def test_non_exact_row_raises(self):
+        z = CycElt.zeta(5)
+        with pytest.raises(ArithmeticError, match="stabilize"):
+            detkit._divide_exact([(1 - z) * z, CycElt.one(5)], 1 - z)
+
+    def test_zero_numerators(self):
+        z, zero = CycElt.zeta(7), CycElt.zero(7)
+        assert detkit._divide_exact([zero] * 3, 1 + z) == [zero] * 3
+        x = 2 - 3 * z * z
+        assert detkit._divide_exact([zero, x * (1 + z), zero], 1 + z) == [zero, x, zero]
+
+    def test_zero_determinant_takes_three_moduli(self):
+        """The first CRT fold counts as a change, so a zero determinant is
+        accepted only after a stable pair plus one confirming prime."""
+        z = CycElt.zeta(5)
+        stats = {}
+        assert det_cyc_evalinterp(cyc_matrix([[z, z], [z, z]], 5), stats).is_zero()
+        assert len(stats["moduli"]) == 3
 
 
 class TestDetDispatcher:
@@ -215,13 +249,12 @@ class TestDetDispatcher:
         assert isinstance(result, DetResult)
         assert result.value == -4
         assert result.values == (-4, -4)
-        assert result.stats["elimination_steps"] == 2
-        assert result.stats["moduli"] and result.stats["coefficient_bound"] >= 4
 
     def test_evalinterp_stats(self):
-        result = det(build_D(7), backend="modular")
-        assert result.stats["nodes"] == 6
-        assert len(result.stats["moduli"]) >= 3
+        stats = {}
+        det_cyc_evalinterp(build_D(7), stats)
+        assert stats["nodes"] == 6
+        assert len(stats["moduli"]) >= 3
 
     def test_evalinterp_stats_across_node_blocks(self, monkeypatch):
         m = build_D(13)

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,26 @@ class TestOnePassPerDecision:
         assert report.all_passed()
         seen = {name: " ".join(sorted(m.meta.family for m in c)) for name, c in calls.items()}
         assert {name: fams for name, fams in seen.items() if fams} == expected
+
+
+class TestTimings:
+    def test_every_build_and_determinant_is_timed_where_it_happens(self, monkeypatch):
+        """Every determinant of a prime lands in `determinants`, also those
+        taken inside the check rows (T, SD, DD and F per delta)."""
+        det, calls = verify.det, []
+
+        def slow_det(m, *args):
+            calls.append(m.meta.family)
+            time.sleep(0.02)
+            return det(m, *args)
+
+        monkeypatch.setattr(verify, "det", slow_det)
+        timings = run_prime(13, SweepOptions(delta_mode="sweep")).timings_ms
+        assert len(calls) == 15  # C, D, Dtilde, then T, SD, DD, F for three deltas
+        assert list(timings) == ["build", "determinants", "checks", "total"]
+        assert timings["determinants"] >= 20 * len(calls)
+        parts = timings["build"] + timings["determinants"] + timings["checks"]
+        assert parts <= timings["total"] + 0.002  # each value is rounded to 0.001 ms
 
 
 class TestCheckTable:
