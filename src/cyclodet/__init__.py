@@ -37,7 +37,6 @@ from .subfield import (
     quad_decompose,
     quartic_decompose,
     quartic_gauss_check,
-    sqrt_in_quad,
     two_squares,
 )
 from .classno import (

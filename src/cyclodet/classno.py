@@ -124,18 +124,13 @@ def verify_product_formula(p: int) -> ProductFormulaResult:
     t, u = fundamental_unit(p)
     eps = QuadElt(p, Fraction(t, 2), Fraction(u, 2))
     target = QuadElt(p, 0, 1)
-    for direction, step in (("forward", eps), ("inverse", eps.inverse())):
-        acc = quad_decompose(prod)
-        for h in range(1, _H_CAP + 1):
-            acc = acc * step
-            if acc == target:
-                return ProductFormulaResult(
-                    p, True, h, 1, f"P*eps^{h} = g ({direction})", (t, u)
-                )
-            if acc == -target:
-                return ProductFormulaResult(
-                    p, True, h, -1, f"P*eps^{h} = -g ({direction})", (t, u)
-                )
+    acc = quad_decompose(prod)
+    for h in range(1, _H_CAP + 1):
+        acc = acc * eps
+        if acc == target:
+            return ProductFormulaResult(p, True, h, 1, f"P*eps^{h} = g (forward)", (t, u))
+        if acc == -target:
+            return ProductFormulaResult(p, True, h, -1, f"P*eps^{h} = -g (forward)", (t, u))
     return ProductFormulaResult(p, False, None, None, "no unit power matched", (t, u))
 
 

@@ -147,10 +147,7 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
         stats["moduli"] = []
     if bound == 0:
         return 0
-    try:
-        arr = np.array(m.rows, dtype=np.int64)
-    except OverflowError:  # an entry beyond int64: reduced mod each q as a Python int
-        arr = np.array(m.rows, dtype=object)
+    arr = _int_array(m.rows)
     sym, modulus = [0], 1
     for q in word_primes_desc():
         sym, modulus, _ = _crt_lift(sym, modulus, _det_mod_stack(arr[None], q), q)
@@ -208,28 +205,25 @@ def _order_p_element(p: int, q: int) -> int:
     raise ArithmeticError(f"no element of order {p} in F_{q}")
 
 
-class _Coefficients:
-    """Coefficient rows of integral elements, converted to int64 once (Python
-    ints beyond int64) and reduced mod one q at a time into one reused buffer."""
-
-    def __init__(self, entries: list[CycElt]) -> None:
-        if not all(e.is_integral for e in entries):
-            raise ValueError("integral cyclotomic entries required")
-        try:
-            self.rows = np.array([e.num for e in entries], dtype=np.int64)
-        except OverflowError:
-            self.rows = np.array([e.num for e in entries], dtype=object)
-        self.reduced = np.empty(self.rows.shape, dtype=np.int64)
-        self.q = None
+def _int_array(rows) -> np.ndarray:
+    """Integer rows as int64, or as Python ints (dtype object) beyond int64."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:  # reduced mod each q as Python ints
+        return np.array(rows, dtype=object)
 
 
-def _values_at_nodes(coeffs: _Coefficients, data: _EvalData, nodes: slice = slice(None)) -> np.ndarray:
-    """Evaluate the elements at data.nodes[nodes] mod data.q: shape (elements, nodes)."""
-    q = data.q
-    if coeffs.q != q:
-        np.remainder(coeffs.rows, q, out=coeffs.reduced, casting="unsafe")
-        coeffs.q = q
-    return coeffs.reduced @ data.vand[:, nodes] % q
+def _coefficients(entries: list[CycElt]) -> np.ndarray:
+    """The coefficient rows of integral elements, shape (elements, p-1)."""
+    if not all(e.is_integral for e in entries):
+        raise ValueError("integral cyclotomic entries required")
+    return _int_array([e.num for e in entries])
+
+
+def _values_at_nodes(reduced: np.ndarray, data: _EvalData, nodes: slice = slice(None)) -> np.ndarray:
+    """Evaluate coefficient rows reduced mod data.q (int64) at data.nodes[nodes]:
+    shape (elements, nodes)."""
+    return reduced @ data.vand[:, nodes] % data.q
 
 
 def _crt_lift(sym: list[int], modulus: int, coeffs_q, q: int):
@@ -263,15 +257,16 @@ def _divide_exact(values: list[CycElt], den: CycElt) -> list[CycElt]:
     if den.is_zero():
         raise ZeroDivisionError("division by zero")
     p = den.p
-    coeffs, den_coeffs = _Coefficients(values), _Coefficients([den])
+    coeffs, den_coeffs = _coefficients(values), _coefficients([den])
     sym, modulus = [0] * (len(values) * (p - 1)), 1
     for q in islice(aux_primes(p), _MAX_MODULI):
         data = _EvalData(p, q)
-        den_vals = _values_at_nodes(den_coeffs, data)[0]
+        den_vals = _values_at_nodes((den_coeffs % q).astype(np.int64, copy=False), data)[0]
         if np.any(den_vals == 0):
             continue  # q divides a conjugate of den; unusable
         inv_vals = np.array([pow(v, q - 2, q) for v in den_vals.tolist()], dtype=np.int64)
-        qvals = _values_at_nodes(coeffs, data) * inv_vals % q  # (elements, nodes)
+        reduced = (coeffs % q).astype(np.int64, copy=False)
+        qvals = _values_at_nodes(reduced, data) * inv_vals % q  # (elements, nodes)
         sym, modulus, changed = _crt_lift(sym, modulus, data.interpolate(qvals.T).T.ravel(), q)
         if not changed:
             quots = [CycElt._new(p, sym[i : i + p - 1]) for i in range(0, len(sym), p - 1)]
@@ -302,7 +297,7 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         raise ValueError("cyclotomic matrix required")
     p = m.meta.p
     n = m.n
-    coeffs = _Coefficients([e for row in m.rows for e in row])
+    coeffs = _coefficients([e for row in m.rows for e in row])
     size = max(1, _STACK_ENTRIES // (n * n))  # nodes per block
     sym, modulus = [0] * (p - 1), 1
     stable = 0
@@ -312,10 +307,11 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         stats["moduli"] = moduli
     for q in islice(aux_primes(p), _MAX_MODULI):
         data = _EvalData(p, q)
+        reduced = (coeffs % q).astype(np.int64, copy=False)
         dets = np.empty(p - 1, dtype=np.int64)
         for start in range(0, p - 1, size):
             nodes = slice(start, start + size)
-            vals = _values_at_nodes(coeffs, data, nodes).reshape(n, n, -1)
+            vals = _values_at_nodes(reduced, data, nodes).reshape(n, n, -1)
             dets[nodes] = _det_mod_stack(vals.transpose(2, 0, 1), q)
         sym, modulus, changed = _crt_lift(sym, modulus, data.interpolate(dets), q)
         moduli.append(q)

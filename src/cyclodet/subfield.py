@@ -5,8 +5,9 @@ p = 1 (mod 4) and g^2 = -p for p = 3 (mod 4), so g is an exact square root
 living inside Z[zeta_p].  Galois-stable elements decompose as x + y*g with
 rational x, y (`quad_decompose`); for p = 1 (mod 4) certain determinants
 further decompose through the quartic subfield as (alpha + beta*sqrt(p))
-times a square root of (2/p)*2p + 2a*sqrt(p), where p = a^2 + b^2 with a
-odd (`quartic_decompose`).
+times a square root delta of (2/p)*2p +/- 2a*sqrt(p), where p = a^2 + b^2
+with a odd.  delta is an exact element, g4 - g or its conjugate, so
+`quartic_decompose` divides by it instead of searching for square roots.
 """
 from __future__ import annotations
 
@@ -204,47 +205,6 @@ def two_squares(p: int) -> TwoSquares:
     raise ArithmeticError(f"no two-square split found for {p}")  # unreachable
 
 
-def _rational_sqrt(v: Fraction) -> Fraction | None:
-    if v < 0:
-        return None
-    if is_square(v.numerator) and is_square(v.denominator):
-        return Fraction(math.isqrt(v.numerator), math.isqrt(v.denominator))
-    return None
-
-
-def sqrt_in_quad(c, d, p: int):
-    """Solve (alpha + beta*sqrt(p))^2 = c + d*sqrt(p) over the rationals.
-
-    Returns (alpha, beta) normalized to alpha > 0 (or beta > 0 when
-    alpha = 0), or None when no rational solution exists.
-    """
-    c = _rational(c)
-    d = _rational(d)
-    if d == 0:
-        if c == 0:
-            return (Fraction(0), Fraction(0))
-        root = _rational_sqrt(c)
-        if root is not None:
-            return (root, Fraction(0))
-        root = _rational_sqrt(c / p)
-        if root is not None:
-            return (Fraction(0), root)
-        return None
-    # alpha^2 solves t^2 - c*t + p*d^2/4 = 0 and must be a rational square
-    disc = _rational_sqrt(c * c - p * d * d)
-    if disc is None:
-        return None
-    for t in ((c + disc) / 2, (c - disc) / 2):
-        if t <= 0:
-            continue
-        alpha = _rational_sqrt(t)
-        if alpha is None:
-            continue
-        beta = d / (2 * alpha)
-        return (alpha, beta)
-    return None
-
-
 @dataclass(frozen=True)
 class QuarticDecomp:
     """d = (alpha + beta*sqrt(p)) * delta with delta^2 = (2/p)*2p + 2*delta_sign*a*sqrt(p)."""
@@ -267,35 +227,34 @@ class QuarticDecomp:
 def quartic_decompose(d: CycElt, p: int) -> QuarticDecomp:
     """Decompose an element of the quartic subfield as (alpha + beta*sqrt(p))*delta.
 
-    Both delta branches (signs of the odd part of delta^2) can admit rational
-    solutions; the branch whose solution has alpha*beta = 0 is preferred,
-    falling back to the +1 branch.  Raises when neither branch works, which
-    flags either an arithmetic bug or an input outside the quartic subfield.
+    An exact division, no search: delta is g4 - g on the branch that
+    `quartic_gauss_check` pins, and its image under zeta -> zeta^n (n a
+    non-residue) on the other, so alpha + beta*sqrt(p) = d*delta / delta^2
+    with d*delta decomposed by `quad_decompose`.  Both branches always solve
+    (the two deltas multiply to +/-2b*sqrt(p)); the one whose solution has
+    alpha*beta = 0 is preferred, else the +1 branch, and the sign is
+    normalized to alpha > 0 (beta > 0 when alpha = 0).  An input outside
+    Q(sqrt(p))*delta raises ArithmeticError.
     """
     require_odd_prime(p)
     if p % 4 != 1:
         raise ValueError(f"p={p} is not 1 mod 4")
     if d.p != p:
         raise ValueError("element does not belong to Q(zeta_p)")
-    square = quad_decompose(d * d)
     ts = two_squares(p)
     chi2 = legendre(2, p)
-    solutions = []
-    for s in (1, -1):
-        denom = QuadElt(p, 2 * p * chi2, 2 * s * ts.a)
-        ratio = square * denom.inverse()
-        pair = sqrt_in_quad(ratio.x, ratio.y, p)
-        if pair is not None:
-            solutions.append((s, pair))
-    if not solutions:
-        raise ArithmeticError(
-            "no delta branch admits a rational square root; "
-            "input is not a pure quartic element"
-        )
-    chosen = next(
-        (sol for sol in solutions if sol[1][0] * sol[1][1] == 0), solutions[0]
-    )
-    s, (alpha, beta) = chosen
+    plus = fourth_power_sum(p) - gauss_sum(p)
+    plus_sign = quartic_gauss_check(p)
+    roots = {plus_sign: plus, -plus_sign: plus.galois(least_nonresidue(p))}
+    solutions = {}
+    for s, root in roots.items():
+        try:
+            y = quad_decompose(d * root) * QuadElt(p, 2 * p * chi2, 2 * s * ts.a).inverse()
+        except ValueError as exc:
+            raise ArithmeticError("input is not in Q(sqrt(p)) * delta") from exc
+        solutions[s] = -y if y.x < 0 or (y.x == 0 and y.y < 0) else y
+    s = next((s for s in (1, -1) if solutions[s].x * solutions[s].y == 0), 1)
+    alpha, beta = solutions[s].x, solutions[s].y
 
     # in mpmath throughout: |d| may exceed the float range
     import mpmath

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from cyclodet import classno
 from cyclodet.classno import (
     class_data,
     fundamental_unit,
@@ -9,6 +12,7 @@ from cyclodet.classno import (
 )
 from cyclodet.cycring import CycElt
 from cyclodet.modarith import is_prime
+from cyclodet.subfield import QuadElt
 
 from oracles import narrow_class_number, pell_brute_force, squares_product_by_mul
 
@@ -93,6 +97,14 @@ class TestProductFormula:
         result = verify_product_formula(p)
         assert result.passed
         assert result.h == narrow_class_number(p)
+
+    def test_inverse_identity_does_not_pass(self, monkeypatch):
+        # P = g*eps satisfies P*eps^(-1) = g, but P*eps^h = +/-g for no h >= 1
+        t, u = fundamental_unit(29)
+        fake = QuadElt(29, 0, 1) * QuadElt(29, Fraction(t, 2), Fraction(u, 2))
+        monkeypatch.setattr(classno, "squares_product", lambda p: fake.embed())
+        result = verify_product_formula(29)
+        assert not result.passed and result.h is None
 
     def test_oracle_detects_larger_class_number(self):
         # 229 is the least prime = 1 mod 4 with class number 3

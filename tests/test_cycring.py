@@ -13,7 +13,7 @@ from cyclodet.cycring import (
     make,
     _poly_mul_int,
 )
-from cyclodet.detkit import _Coefficients, _divide_exact, _EvalData, _values_at_nodes
+from cyclodet.detkit import _coefficients, _divide_exact, _EvalData, _values_at_nodes
 from cyclodet.modarith import aux_primes
 
 from oracles import geometric_sum_loop, lagrange_loop, random_cyc, vandermonde_loop
@@ -162,6 +162,12 @@ class TestEvalComplex:
             eval_complex(zeta(5), prec=10)
 
 
+def values_at_nodes(entries, data, nodes=slice(None)):
+    """`_values_at_nodes` of entries reduced mod data.q as its callers reduce them."""
+    reduced = (_coefficients(entries) % data.q).astype(np.int64, copy=False)
+    return _values_at_nodes(reduced, data, nodes)
+
+
 class TestEvalMod:
     """Evaluation mod q at the order-p nodes of F_q (`detkit._values_at_nodes`)."""
 
@@ -172,24 +178,24 @@ class TestEvalMod:
 
     def test_basis_image(self):
         data, nodes = self.nodes_of(5)
-        assert [int(v) for v in _values_at_nodes(_Coefficients([zeta(5)]), data)[0]] == nodes
-        squares = [int(v) for v in _values_at_nodes(_Coefficients([zeta(5, 2)]), data)[0]]
+        assert [int(v) for v in values_at_nodes([zeta(5)], data)[0]] == nodes
+        squares = [int(v) for v in values_at_nodes([zeta(5, 2)], data)[0]]
         assert squares == [a * a % data.q for a in nodes]
 
     def test_zero(self):
         data, _ = self.nodes_of(5)
-        assert not _values_at_nodes(_Coefficients([CycElt.zero(5)]), data).any()
+        assert not values_at_nodes([CycElt.zero(5)], data).any()
 
     def test_orbit_sum_maps_to_zero(self):
         x = make(5, [1, 1, 1, 1, 1])
         assert x.is_zero()
         data, _ = self.nodes_of(7)
-        powers = _values_at_nodes(_Coefficients([zeta(7, k) for k in range(7)]), data)
+        powers = values_at_nodes([zeta(7, k) for k in range(7)], data)
         assert not (powers.sum(axis=0) % data.q).any()
 
     def test_rejects_non_integral(self):
         with pytest.raises(ValueError):
-            _Coefficients([Fraction(1, 2) * zeta(5)])
+            _coefficients([Fraction(1, 2) * zeta(5)])
 
     def test_ring_homomorphism(self):
         rng = random.Random(7)
@@ -198,7 +204,7 @@ class TestEvalMod:
             for _ in range(40):
                 x = random_cyc(rng, p, span=10**30)
                 y = random_cyc(rng, p, span=10**30)
-                vx, vy, vxy, vsum = _values_at_nodes(_Coefficients([x, y, x * y, x + y]), data)
+                vx, vy, vxy, vsum = values_at_nodes([x, y, x * y, x + y], data)
                 assert ((vx * vy - vxy) % data.q == 0).all()
                 assert ((vx + vy - vsum) % data.q == 0).all()
 
@@ -206,7 +212,7 @@ class TestEvalMod:
         # one conversion serves every modulus in turn and every block of nodes
         rng = random.Random(11)
         entries = [random_cyc(rng, 13, span=span) for span in (5, 10**30)]
-        coeffs = _Coefficients(entries)
+        coeffs = _coefficients(entries)
         aux = aux_primes(13)
         first, second = _EvalData(13, next(aux)), _EvalData(13, next(aux))
         for data in (first, second, first):
@@ -215,8 +221,9 @@ class TestEvalMod:
                 [sum(c * pow(a, i, q) for i, c in enumerate(e.num)) % q for a in data.nodes]
                 for e in entries
             ]
-            assert _values_at_nodes(coeffs, data).tolist() == expected
-            blocks = [_values_at_nodes(coeffs, data, slice(s, s + 5)).tolist() for s in (0, 5, 10)]
+            reduced = (coeffs % q).astype(np.int64, copy=False)
+            assert _values_at_nodes(reduced, data).tolist() == expected
+            blocks = [_values_at_nodes(reduced, data, slice(s, s + 5)).tolist() for s in (0, 5, 10)]
             assert [sum((b[i] for b in blocks), []) for i in range(2)] == expected
 
 
@@ -236,7 +243,7 @@ class TestPowerTable:
                 vals = np.array([rng.randrange(q) for _ in range(p - 1)], dtype=np.int64)
                 assert data.interpolate(vals).tolist() == (lagrange @ vals % q).tolist()
             x = random_cyc(rng, p, span=10**30)
-            vals = _values_at_nodes(_Coefficients([x]), data)[0]
+            vals = values_at_nodes([x], data)[0]
             assert data.interpolate(vals).tolist() == [c % q for c in x.num]
 
 

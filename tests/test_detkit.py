@@ -9,7 +9,7 @@ from cyclodet import detkit
 from cyclodet.cycring import CycElt, eval_complex
 from cyclodet.detkit import (
     DetResult,
-    _Coefficients,
+    _coefficients,
     _det_mod_stack,
     _EvalData,
     _values_at_nodes,
@@ -302,7 +302,7 @@ class TestInt64Headroom:
         # interpolation alike, is refused
         q = next(aux_primes(5, 1 << 31))
         with pytest.raises(OverflowError):
-            _values_at_nodes(_Coefficients([CycElt(5, [q - 1] * 4)]), _EvalData(5, q))
+            _values_at_nodes(_coefficients([CycElt(5, [q - 1] * 4)]) % q, _EvalData(5, q))
 
 
 def oracle_dets(a, q):

@@ -39,6 +39,11 @@ STDOUT_CASES = [
 ] + [
     # above the Bareiss limit: no second backend checks these coefficients
     f"det --family {family} --p 101 --backend modular" for family in ("C", "D")
+] + [
+    # the quartic decomposition: the -1 branch with alpha = 0, then the +1 branch
+    "det --family DD --p 5 --delta 2",
+    "det --family DD --p 13 --delta 5",
+    "det --family D --p 41",
 ] + ["classno --p 23", "classno --p 29"]
 
 

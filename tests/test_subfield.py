@@ -17,7 +17,6 @@ from cyclodet.subfield import (
     quad_decompose,
     quartic_decompose,
     quartic_gauss_check,
-    sqrt_in_quad,
     two_squares,
 )
 from cyclodet.classno import squares_product
@@ -125,35 +124,6 @@ class TestTwoSquares:
         assert ts.a * ts.a + ts.b * ts.b == p
         assert ts.a % 2 == 1 and ts.a > 0
         assert ts.b % 2 == 0 and ts.b > 0
-
-
-class TestSqrtInQuad:
-    def test_pure_root_of_five_quarters(self):
-        assert sqrt_in_quad(Fraction(5, 4), 0, 5) == (0, Fraction(1, 2))
-
-    def test_rational_square(self):
-        assert sqrt_in_quad(1, 0, 5) == (1, 0)
-
-    def test_no_solution(self):
-        assert sqrt_in_quad(2, 0, 5) is None
-
-    def test_mixed_square(self):
-        # (3 + 2*sqrt(5))^2 = 29 + 12*sqrt(5)
-        assert sqrt_in_quad(29, 12, 5) == (3, 2)
-        # normalization picks the positive-alpha branch
-        assert sqrt_in_quad(29, -12, 5) == (3, -2)
-
-    @pytest.mark.parametrize("c, d", [(29.0, 12), (29, 12.0), ("29", 12)])
-    def test_rejects_inexact_input(self, c, d):
-        with pytest.raises(TypeError):
-            sqrt_in_quad(c, d, 5)
-
-    def test_verifies_solution(self):
-        got = sqrt_in_quad(Fraction(15, 8), Fraction(-5, 8), 5)
-        if got is not None:
-            a, b = got
-            assert a * a + 5 * b * b == Fraction(15, 8)
-            assert 2 * a * b == Fraction(-5, 8)
 
 
 class TestQuarticDecompose:
