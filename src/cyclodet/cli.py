@@ -1,5 +1,11 @@
 """Command-line front end: range sweeps, single determinants, class numbers.
 
+`verify` turns --delta and --backend into one SweepOptions and runs the
+primes of the range through `verify.run_primes`.  With a cache dir
+(--cache-dir, or $CYCLODET_CACHE_DIR) each report is first looked up in its
+entry `p{p}-{digest}.json`, the digest taken over the SweepOptions and the
+package source, and a report that had to be run is written back.
+
 Exit codes: 0 when every check passed (or nothing to check), 1 on usage
 errors, 2 when at least one verification check failed.
 """
@@ -17,17 +23,10 @@ from pathlib import Path
 
 from .classno import ClassData, class_data
 from .detkit import det
-from .matrices import (
-    build_C,
-    build_D,
-    build_D_delta,
-    build_S,
-    build_S_delta,
-    build_T,
-)
-from .modarith import is_prime, legendre
+from .matrices import build
+from .modarith import is_prime
 from .subfield import quad_decompose, quartic_decompose
-from .verify import PrimeReport, SweepOptions, report_to_dict, run_primes, run_range
+from .verify import PrimeReport, SweepOptions, report_to_dict, run_primes
 
 CACHE_ENV = "CYCLODET_CACHE_DIR"
 # what a cached report must hold: the keys `report_to_dict` writes, and per check
@@ -36,35 +35,14 @@ _CHECK_KEYS = {"pass", "status", "lhs", "rhs", "note"}
 _STATUSES = ("pass", "fail", "skipped")
 
 
-def _parse_delta(text: str) -> tuple[str, int | None, int]:
-    """--delta accepts 'least', 'sweep', 'sweep:K', or an explicit integer."""
-    if text == "least":
-        return "least", None, 3
-    if text == "sweep":
-        return "sweep", None, 3
-    if text.startswith("sweep:"):
-        count = int(text.split(":", 1)[1])
-        if count < 1:
-            raise ValueError(f"sweep count must be positive, got {count}")
-        return "sweep", None, count
-    return "explicit", int(text), 3
-
-
-def _code_version_hash() -> str:
-    here = Path(__file__).resolve().parent
-    digest = hashlib.sha256()
-    for path in sorted(here.glob("*.py")):
+def _entry_digest(options: SweepOptions) -> str:
+    """What a cache entry is keyed by besides p: every report-shaping option
+    (through its repr) and the package source."""
+    digest = hashlib.sha256(repr(options).encode())
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
-
-
-def _delta_tag(options: SweepOptions) -> str:
-    if options.delta_mode == "least":
-        return "least"
-    if options.delta_mode == "explicit":
-        return f"d{options.delta_value}"
-    return f"sweep{options.sweep_count}"
 
 
 def reports_to_json(dicts: list[dict]) -> str:
@@ -97,24 +75,21 @@ def _usage_error(message: str) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        mode, value, count = _parse_delta(args.delta)
+        options = SweepOptions(args.delta, args.backend)
     except ValueError:
         return _usage_error(f"bad --delta value {args.delta!r}")
     if args.threads < 1:
         return _usage_error("--threads must be positive")
     if args.pmin > args.pmax or args.pmin <= 3:
         return _usage_error(f"need 3 < pmin <= pmax, got ({args.pmin}, {args.pmax})")
-    options = SweepOptions(mode, value, count, args.backend, args.threads)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     if cache_dir:
         try:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             return _usage_error(f"cannot use cache dir: {exc}")
-        report_dicts = _run_with_cache(args.pmin, args.pmax, options, Path(cache_dir))
-    else:
-        reports = run_range(args.pmin, args.pmax, options)
-        report_dicts = [report_to_dict(r) for r in reports]
+    primes = [p for p in range(args.pmin, args.pmax + 1) if is_prime(p)]
+    report_dicts = _reports(primes, options, args.threads, Path(cache_dir) if cache_dir else None)
 
     payload = (
         reports_to_json(report_dicts)
@@ -131,18 +106,21 @@ def cmd_verify(args) -> int:
     return exit_code_for(report_dicts)
 
 
-def _run_with_cache(
-    pmin: int, pmax: int, options: SweepOptions, cache_dir: Path
+def _reports(
+    primes: list[int], options: SweepOptions, threads: int, cache_dir: Path | None
 ) -> list[dict]:
-    """Reports for the primes in [pmin, pmax], each read from its cache entry
-    when that entry is a report for its own p; the rest run in one sweep
-    (honouring `options.threads`) and are written back."""
-    suffix = f"-{_delta_tag(options)}-{_code_version_hash()}.json"
-    primes = [p for p in range(pmin, pmax + 1) if is_prime(p)]
-    dicts = {p: _read_entry(cache_dir / f"p{p}{suffix}", p) for p in primes}
-    for report in run_primes([p for p in primes if dicts[p] is None], options):
+    """The report of each prime.  With a cache dir, each is read from its
+    entry `p{p}-{digest}.json` when that is a report for its own p; the rest
+    run in one sweep on up to `threads` processes and are written back."""
+    entry = {}
+    if cache_dir:
+        digest = _entry_digest(options)
+        entry = {p: cache_dir / f"p{p}-{digest}.json" for p in primes}
+    dicts = {p: _read_entry(entry[p], p) if entry else None for p in primes}
+    for report in run_primes([p for p in primes if dicts[p] is None], options, threads):
         d = dicts[report.p] = report_to_dict(report)
-        _write_entry(cache_dir / f"p{report.p}{suffix}", json.dumps(d, sort_keys=True) + "\n")
+        if entry:
+            _write_entry(entry[report.p], json.dumps(d, sort_keys=True) + "\n")
     return [dicts[p] for p in primes]
 
 
@@ -175,25 +153,14 @@ def _write_entry(path: Path, text: str) -> None:
 
 
 def cmd_det(args) -> int:
-    p = args.p
-    if not is_prime(p) or p < 3:
-        return _usage_error(f"p must be an odd prime, got {p}")
-    family = args.family
+    p, family = args.p, args.family
     needs_delta = family in ("T", "SD", "DD")
-    if needs_delta:
-        if args.delta is None:
-            return _usage_error(f"family {family} needs --delta")
-        if legendre(args.delta, p) != -1:
-            return _usage_error(f"delta={args.delta} is not a non-residue mod {p}")
-    elif args.delta is not None:
+    if needs_delta and args.delta is None:
+        return _usage_error(f"family {family} needs --delta")
+    if not needs_delta and args.delta is not None:
         return _usage_error(f"family {family} takes no --delta")
-
-    builders = {
-        "S": build_S, "T": build_T, "SD": build_S_delta,
-        "C": build_C, "D": build_D, "DD": build_D_delta,
-    }
-    try:
-        mat = builders[family](p, *([args.delta] if needs_delta else []))
+    try:  # the builder rejects a p that is no odd prime and a delta that is a residue
+        mat = build(family, p, *([args.delta] if needs_delta else []))
     except ValueError as exc:
         return _usage_error(str(exc))
     value = det(mat, backend=args.backend).value
@@ -209,15 +176,9 @@ def cmd_det(args) -> int:
         q = quad_decompose(value)
         print(f"quad: {q.x} + {q.y}*g  (g^2 = -{p})")
     else:
-        try:
-            qd = quartic_decompose(value, p)
-            print(
-                f"quartic: ({qd.alpha} + {qd.beta}*sqrt({p})) * delta, "
-                f"delta_sign={qd.delta_sign}, a={qd.a}"
-            )
-        except (ArithmeticError, ValueError):
-            q = quad_decompose(value)
-            print(f"quad: {q.x} + {q.y}*g  (g^2 = {p})")
+        qd = quartic_decompose(value, p)
+        print(f"quartic: ({qd.alpha} + {qd.beta}*sqrt({p})) * delta, "
+              f"delta_sign={qd.delta_sign}, a={qd.a}")
     return 0
 
 

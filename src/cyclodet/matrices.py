@@ -69,8 +69,10 @@ def _legendre_rows(p: int, delta: int, start: int) -> list[list[int]]:
 
 
 def _with_corner(p: int, delta: int, corner: CycElt) -> list[list[CycElt]]:
-    """The Legendre rows from index 0 as elements, with `corner` at (0, 0)."""
-    rows = [[CycElt.rational(p, s) for s in row] for row in _legendre_rows(p, delta, 0)]
+    """The Legendre rows from index 0 as elements, with `corner` at (0, 0);
+    the symbols -1, 0 and 1 share one immutable element each."""
+    values = {s: CycElt.rational(p, s) for s in (-1, 0, 1)}
+    rows = [[values[s] for s in row] for row in _legendre_rows(p, delta, 0)]
     rows[0][0] = corner
     return rows
 
@@ -145,6 +147,14 @@ def build_S_delta(p: int, delta: int) -> ExactMatrix:
     require_odd_prime(p)
     _require_nonresidue(p, delta)
     return ExactMatrix("int", _legendre_rows(p, delta, 1), MatrixMeta(p, "SD", delta))
+
+
+def build(family: str, p: int, *delta: int) -> ExactMatrix:
+    """The matrix of `family` (its MatrixMeta name) for p, and delta for T, SD,
+    DD and F.  The builder is looked up at each call, so that a rebinding of
+    it (a tracer or a test wrapping it) is seen."""
+    name = {"Dtilde": "D_tilde", "DD": "D_delta", "SD": "S_delta"}.get(family, family)
+    return globals()[f"build_{name}"](p, *delta)
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -1,11 +1,12 @@
 """Per-prime verification of the determinant, subfield, and valuation identities.
 
-`run_range` sweeps the primes in an interval and produces one PrimeReport per
-prime.  Each report is a named map of checks; a failing check carries both
-sides of the violated identity as exact strings.  Wherever a classical
-statement involves a sign convention (which square root a symbol denotes),
-the pass/fail criterion is the squared or absolute form, and the observed
-sign under the fixed embedding zeta -> exp(2*pi*i/p) is recorded separately.
+`run_primes` (or `run_range`, over an interval) produces one PrimeReport per
+prime, shaped only by its SweepOptions: which deltas and which backends.
+Each report is a named map of checks; a failing check carries both sides of
+the violated identity as exact strings.  Wherever a classical statement
+involves a sign convention (which square root a symbol denotes), the
+pass/fail criterion is the squared or absolute form, and the observed sign
+under the fixed embedding zeta -> exp(2*pi*i/p) is recorded separately.
 
 Every check is one row of the `CHECKS` table, over the values of one prime
 (`_PrimeValues`, each computed on first use); adding a check is adding a row.
@@ -25,18 +26,7 @@ from typing import Callable, NamedTuple
 from .classno import ClassData, squares_product, verify_product_formula
 from .cycring import CycElt, eval_complex
 from .detkit import DetResult, det
-from .matrices import (  # the builders are called through _BUILDERS
-    build_C,
-    build_D,
-    build_D_delta,
-    build_D_tilde,
-    build_E,
-    build_F,
-    build_S,
-    build_S_delta,
-    build_T,
-    matmul,
-)
+from .matrices import build, matmul
 from .modarith import (
     distinct_nonresidues,
     is_prime,
@@ -70,11 +60,22 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class SweepOptions:
-    delta_mode: str = "least"  # "least" | "explicit" | "sweep"
-    delta_value: int | None = None
-    sweep_count: int = 3
+    """Everything that shapes a report, each choice in one spelling."""
+
+    delta: str = "least"  # "least" | "sweep:K" | an integer; "sweep" is "sweep:3"
     backend: str = "both"  # "bareiss" | "modular" | "both"
-    threads: int = 1
+
+    def __post_init__(self) -> None:
+        """Normalise `delta` once; resolve_deltas decodes it.  ValueError if bad."""
+        text = "sweep:3" if self.delta == "sweep" else self.delta
+        if text.startswith("sweep:"):
+            count = int(text[len("sweep:"):])
+            if count < 1:
+                raise ValueError(f"sweep count must be positive, got {count}")
+            text = f"sweep:{count}"
+        elif text != "least":
+            text = str(int(text))
+        object.__setattr__(self, "delta", text)
 
 
 @dataclass
@@ -160,9 +161,10 @@ def legendre_sum_classes_hold(p: int) -> bool:
 
 def matrix_identity_direct(p: int, delta: int | None = None) -> bool:
     """Literal product check Dtilde*D = g*E (or Dtilde*DD = g*F)."""
-    dt = build_D_tilde(p)
-    right = build_D(p) if delta is None else build_D_delta(p, delta)
-    target = build_E(p) if delta is None else build_F(p, delta)
+    ds = () if delta is None else (delta,)
+    dt = build("Dtilde", p)
+    right = build("DD" if ds else "D", p, *ds)
+    target = build("F" if ds else "E", p, *ds)
     g = gauss_sum(p)
     prod = matmul(dt, right)
     return all(x == g * y for row, trow in zip(prod.rows, target.rows) for x, y in zip(row, trow))
@@ -172,28 +174,16 @@ def resolve_deltas(p: int, opt: SweepOptions) -> tuple[list[int], list[int]]:
     """(usable deltas, rejected explicit deltas) for a prime p = 1 (mod 4)."""
     if p % 4 != 1:
         return [], []
-    if opt.delta_mode == "least":
+    if opt.delta == "least":
         return [least_nonresidue(p)], []
-    if opt.delta_mode == "explicit":
-        d = opt.delta_value
-        if d is None:
-            raise ValueError("explicit delta mode needs a delta value")
-        if legendre(d, p) == -1:
-            return [d], []
-        return [], [d]
-    if opt.delta_mode == "sweep":
-        return distinct_nonresidues(p, opt.sweep_count), []
-    raise ValueError(f"unknown delta mode {opt.delta_mode!r}")
+    if opt.delta.startswith("sweep:"):
+        return distinct_nonresidues(p, int(opt.delta[len("sweep:"):])), []
+    d = int(opt.delta)
+    return ([d], []) if legendre(d, p) == -1 else ([], [d])
 
 
 # -- per-prime values ----------------------------------------------------------
 
-# family -> its builder, looked up in this module at each call so that a
-# rebinding of the builder (a tracer or a test wrapping it) is seen
-_BUILDERS = {
-    "C": "build_C", "D": "build_D", "Dtilde": "build_D_tilde", "E": "build_E", "S": "build_S",
-    "T": "build_T", "SD": "build_S_delta", "DD": "build_D_delta", "F": "build_F",
-}
 # under backend "both", the families that both backends take (the rest: modular only)
 _CROSS_CHECKED = ("S", "T", "SD")
 _CROSS_CHECKED_SMALL = ("C", "D")  # while p <= BAREISS_LIMIT
@@ -218,7 +208,7 @@ class _PrimeValues:
         "both" narrowed to the modular one unless the family is cross-checked.
         The matrix is built here and dropped once its determinant is taken."""
         t0 = time.perf_counter()
-        mat = globals()[_BUILDERS[family]](self.p, *delta)
+        mat = build(family, self.p, *delta)
         t1 = time.perf_counter()
         cross = family in _CROSS_CHECKED or (
             family in _CROSS_CHECKED_SMALL and self.p <= BAREISS_LIMIT)
@@ -515,26 +505,28 @@ def _run_prime_job(p: int, opt: SweepOptions) -> PrimeReport:
 
 
 def run_range(
-    pmin: int, pmax: int, options: SweepOptions | None = None
+    pmin: int, pmax: int, options: SweepOptions | None = None, threads: int = 1
 ) -> list[PrimeReport]:
     """Verify every prime in [pmin, pmax]; deterministic order, never aborts."""
     if not (isinstance(pmin, int) and isinstance(pmax, int)):
         raise ValueError("integer bounds required")
     if not 3 < pmin <= pmax:
         raise ValueError(f"need 3 < pmin <= pmax, got ({pmin}, {pmax})")
-    return run_primes([p for p in range(pmin, pmax + 1) if is_prime(p)], options)
+    return run_primes([p for p in range(pmin, pmax + 1) if is_prime(p)], options, threads)
 
 
-def run_primes(primes: list[int], options: SweepOptions | None = None) -> list[PrimeReport]:
+def run_primes(
+    primes: list[int], options: SweepOptions | None = None, threads: int = 1
+) -> list[PrimeReport]:
     """Verify the given primes in order on up to `threads` processes; never aborts.
 
     A prime lost with a dead worker is rerun in a pool of its own, so only a
     prime whose own worker dies gets a `no_internal_error` report.
     """
     opt = options or SweepOptions()
-    if opt.threads <= 1 or len(primes) <= 1:
+    if threads <= 1 or len(primes) <= 1:
         return [_run_prime_job(p, opt) for p in primes]
-    reports = _pool_run(primes, opt, min(opt.threads, len(primes)))
+    reports = _pool_run(primes, opt, min(threads, len(primes)))
     return [r or _pool_run([p], opt, 1)[0] or _internal_error(
         p, "BrokenProcessPool", f"the worker process died while verifying p={p}")
         for p, r in zip(primes, reports)]

@@ -30,7 +30,7 @@ from cyclodet.verify import SweepOptions, check_perm_sign, run_prime, run_range
 
 from oracles import random_cyc
 
-SWEEP_OPTIONS = SweepOptions(delta_mode="sweep", sweep_count=3, backend="both", threads=2)
+SWEEP_OPTIONS = SweepOptions(delta="sweep:3", backend="both")
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +39,7 @@ def sweep():
         mp.setattr(verify, "BAREISS_LIMIT", 60)
         mp.setattr(verify, "DIRECT_IDENTITY_LIMIT", 60)
         start = time.perf_counter()
-        reports = run_range(5, 100, SWEEP_OPTIONS)
+        reports = run_range(5, 100, SWEEP_OPTIONS, threads=2)
         elapsed = time.perf_counter() - start
     return reports, elapsed
 
@@ -78,7 +78,7 @@ def test_criterion_1_p7_end_to_end():
 def test_criterion_2_p5_delta2_end_to_end():
     run_prime(13)  # warm caches
     start = time.perf_counter()
-    report = run_prime(5, SweepOptions(delta_mode="explicit", delta_value=2))
+    report = run_prime(5, SweepOptions(delta="2"))
     elapsed = time.perf_counter() - start
     problems = []
     if report.det_T != -4 or report.det_SD != 0:

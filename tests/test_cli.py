@@ -176,6 +176,17 @@ class TestCache:
                  "--delta", "3", "--cache-dir", str(cache))
         assert len(list(cache.glob("*.json"))) == 2
 
+    def test_cache_key_includes_backend(self, capsys, tmp_path):
+        """Entries of a modular-only run are not served to a default run."""
+        base = ("verify", "--pmin", "5", "--pmax", "7", "--threads", "1")
+        cached = (*base, "--cache-dir", str(tmp_path / "cache"))
+        run_main(capsys, *cached, "--backend", "modular")
+        code, out, _ = run_main(capsys, *cached)
+        _, uncached, _ = run_main(capsys, *base)
+        assert code == 0
+        assert report_content(out) == report_content(uncached)
+        assert len(list((tmp_path / "cache").glob("p*-*.json"))) == 4
+
 
 class TestDetCommand:
     def test_det_S7(self, capsys):

@@ -62,7 +62,7 @@ def report7():
 
 @pytest.fixture(scope="module")
 def report5():
-    return run_prime(5, SweepOptions(delta_mode="sweep"))
+    return run_prime(5, SweepOptions(delta="sweep"))
 
 
 class TestRunPrime3Mod4:
@@ -123,12 +123,12 @@ class TestRunPrime1Mod4:
         assert "detSD_vanishes[d=3]" in report5.checks
 
     def test_explicit_delta_override(self):
-        report = run_prime(5, SweepOptions(delta_mode="explicit", delta_value=3))
+        report = run_prime(5, SweepOptions(delta="3"))
         assert report.all_passed()
         assert report.delta == 3
 
     def test_invalid_explicit_delta_is_recorded_not_raised(self):
-        report = run_prime(5, SweepOptions(delta_mode="explicit", delta_value=4))
+        report = run_prime(5, SweepOptions(delta="4"))
         assert report.checks["delta_valid[d=4]"].status == "fail"
         assert not report.all_passed()
 
@@ -157,8 +157,8 @@ class TestRunRange:
             run_range(2, 9)
 
     def test_parallel_matches_serial(self):
-        serial = run_range(5, 13, SweepOptions(threads=1))
-        parallel = run_range(5, 13, SweepOptions(threads=2))
+        serial = run_range(5, 13, threads=1)
+        parallel = run_range(5, 13, threads=2)
         for a, b in zip(serial, parallel):
             da, db = report_to_dict(a), report_to_dict(b)
             da.pop("timings_ms")
@@ -182,7 +182,7 @@ class TestRunRange:
         assert report.checks["cyc_backend_agreement"].note == "single backend 'bareiss'"
 
     def test_run_primes_keeps_the_given_order(self):
-        reports = run_primes([11, 5, 7], SweepOptions(threads=2))
+        reports = run_primes([11, 5, 7], threads=2)
         assert [r.p for r in reports] == [11, 5, 7]
         assert all(r.all_passed() for r in reports)
 
@@ -235,7 +235,7 @@ class TestTimings:
             return det(m, *args)
 
         monkeypatch.setattr(verify, "det", slow_det)
-        timings = run_prime(13, SweepOptions(delta_mode="sweep")).timings_ms
+        timings = run_prime(13, SweepOptions(delta="sweep")).timings_ms
         assert len(calls) == 15  # C, D, Dtilde, then T, SD, DD, F for three deltas
         assert list(timings) == ["build", "determinants", "checks", "total"]
         assert timings["determinants"] >= 20 * len(calls)
@@ -265,7 +265,7 @@ class TestCheckTable:
     def test_recorded_names_are_the_expanded_rows(self):
         recorded = set()
         for p in (5, 7, 11, 13):
-            report = run_prime(p, SweepOptions(delta_mode="sweep"))
+            report = run_prime(p, SweepOptions(delta="sweep"))
             assert report.all_passed()
             assert list(report.checks) == self.expected_names(report)
             recorded |= {name.split("[")[0] for name in report.checks}
@@ -276,7 +276,7 @@ class TestCheckTable:
         [
             # p = 13 sweeps deltas 2, 5, 6.  Per delta: T, SD, DD and F for the
             # determinants, and Dtilde, DD and F again for the literal product.
-            (13, SweepOptions(delta_mode="sweep"),
+            (13, SweepOptions(delta="sweep"),
              {"matrix_identity_direct": 3, "legendre_sum_classes_hold": 1,
               "build_C": 1, "build_D": 1, "build_D_tilde": 1 + 3, "build_D_delta": 3 + 3,
               "build_F": 3 + 3, "build_T": 3, "build_S_delta": 3, "build_S": 0, "build_E": 0}),
@@ -300,16 +300,26 @@ class TestResolveDeltas:
         assert resolve_deltas(13, SweepOptions()) == ([2], [])
 
     def test_sweep(self):
-        assert resolve_deltas(13, SweepOptions(delta_mode="sweep")) == ([2, 5, 6], [])
+        assert resolve_deltas(13, SweepOptions(delta="sweep")) == ([2, 5, 6], [])
 
     def test_explicit_invalid(self):
-        good, bad = resolve_deltas(
-            13, SweepOptions(delta_mode="explicit", delta_value=4)
-        )
+        good, bad = resolve_deltas(13, SweepOptions(delta="4"))
         assert good == [] and bad == [4]
 
     def test_not_applicable_for_3mod4(self):
         assert resolve_deltas(7, SweepOptions()) == ([], [])
+
+    @pytest.mark.parametrize("text", ["sweep:0", "sweep:-2", "sweep:", "abc", ""])
+    def test_bad_text_raises_at_construction(self, text):
+        with pytest.raises(ValueError):
+            SweepOptions(delta=text)
+
+    @pytest.mark.parametrize("text,normal", [("sweep", "sweep:3"), ("sweep:03", "sweep:3"),
+                                             ("+4", "4"), ("-3", "-3")])
+    def test_each_choice_has_one_spelling(self, text, normal):
+        assert SweepOptions(delta=text) == SweepOptions(delta=normal)
+        assert repr(SweepOptions(delta=text)) == repr(SweepOptions(delta=normal))
+        assert SweepOptions(delta=text).delta == normal
 
 
 class TestSerialization:
@@ -332,7 +342,7 @@ class TestDeadWorker:
 
         monkeypatch.setattr(verify, "run_prime", killer)
         primes = [5, 7, 11, 13, 17]
-        pooled = run_primes(primes, SweepOptions(threads=2))
+        pooled = run_primes(primes, threads=2)
         serial = run_primes([5, 7, 13, 17])
         assert [r.p for r in pooled] == primes
         lost = pooled.pop(2)
