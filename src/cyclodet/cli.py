@@ -7,7 +7,8 @@ entry `p{p}-{digest}.json`, the digest taken over the SweepOptions and the
 package source, and a report that had to be run is written back.
 
 Exit codes: 0 when every check passed (or nothing to check), 1 on usage
-errors, 2 when at least one verification check failed.
+errors, 2 when at least one verification check failed (for `det`: when the
+two backends disagree; both values go to stderr).
 """
 from __future__ import annotations
 
@@ -163,8 +164,14 @@ def cmd_det(args) -> int:
         mat = build(family, p, *([args.delta] if needs_delta else []))
     except ValueError as exc:
         return _usage_error(str(exc))
-    value = det(mat, backend=args.backend).value
+    result = det(mat, backend=args.backend)
     suffix = f"({args.delta}, {p})" if needs_delta else f"({p})"
+    if not result.agree:
+        bareiss, modular = result.values
+        print(f"error: det[{family}{suffix}]: bareiss = {bareiss} but modular = {modular}",
+              file=sys.stderr)
+        return 2
+    value = result.value
     if mat.kind == "int":
         print(f"det[{family}{suffix}] = {value}")
         return 0

@@ -7,43 +7,86 @@ is always eliminated through the relation 1 + zeta + ... + zeta^(p-1) = 0.
 `Fraction` appears only at the edges: the public constructor, scalar
 operands, and the `coeffs` view.
 
+Every product of integral elements goes through `lincomb`, which packs a
+whole row of elements into one integer (Kronecker substitution on byte
+boundaries) and combines rows with one big-int multiply per term: a single
+product, a Bareiss row update, a divider's check, a row of a matrix product.
+
 Every value is immutable and hashable; all operations are pure functions,
 so elements can be shared freely between concurrent workers.
 """
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 from .modarith import require_odd_prime
 
 
-def _poly_mul_int(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-    """Integer polynomial product by one signed Kronecker substitution.
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}  # the signed digit widths numpy reads
 
-    Every product coefficient is below 2^(b-1) in absolute value, so both
-    vectors are packed as b-bit signed digits, multiplied as one big int,
-    and unpacked lowest digit first, borrowing one from the rest whenever
-    a digit is negative.
+
+def _digit_mask(digits: int, w: int) -> int:
+    """H = 2^(8w-1) in each of `digits` digits of 8w bits.  XOR with H adds H
+    to a two's-complement digit in [-H, H), which makes it nonnegative."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * digits, "little")
+
+
+def _pack(flat: Sequence[int], m: int, slot: int, w: int) -> int:
+    """Vectors of m digits in [-H, H) as one integer in base 2^(8w), vector j
+    in the digits j*slot .. j*slot + m - 1 and zeros above it."""
+    n, pad = len(flat) // m, (slot - m) * w
+    if w <= 8:
+        buf = struct.pack("<" + f"{m}{_STRUCT_CODES[w]}{pad}x" * n, *flat)
+    else:
+        buf = b"".join(b"".join(c.to_bytes(w, "little", signed=True) for c in flat[j : j + m])
+                       + bytes(pad) for j in range(0, len(flat), m))
+    mask = _digit_mask(n * slot, w)
+    return (int.from_bytes(buf, "little") ^ mask) - mask
+
+
+def lincomb(p: int, weights: Sequence[Sequence[Sequence[int]]],
+            rows: Sequence[Sequence[Sequence[int]]]) -> list[list[list[int]]]:
+    """Entry [i][j] is sum_t weights[i][t] * rows[t][j] over Z[zeta_p]; every
+    entry, given and returned, is a coefficient vector of p - 1 ints.
+
+    A row is one integer in base D = 2^(8w), element j in the 2p - 3 digits
+    from digit j(2p - 3), so no product with a weight spills into the next
+    slot.  Every sum's coefficients are below H = D/2 in absolute value, so
+    with each digit biased by H the sum's bytes are its digits: read by numpy
+    for w in {1, 2, 4, 8}, sliced from the bytes for wider digits.
     """
-    bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
-    b = bound.bit_length() + 1
-    x = y = 0
-    for v in reversed(xs):
-        x = (x << b) + v
-    for v in reversed(ys):
-        y = (y << b) + v
-    z = x * y
-    mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
-    out = []
-    for _ in range(len(xs) + len(ys) - 1):
-        d = z & mask
-        z >>= b
-        if d >= half:
-            d -= full
-            z += 1
-        out.append(d)
+    terms, n = len(rows), len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows) or any(len(ws) != terms for ws in weights):
+        raise ValueError("need one weight per row and rows of equal length")
+    m, slot = p - 1, 2 * p - 3
+    flats = [list(chain.from_iterable(row)) for row in rows]
+    bound = terms * m  # products per coefficient, times the largest of each side (at least 1)
+    for vectors in (flats, chain.from_iterable(weights)):
+        bound *= max((max(max(v), -min(v), 1) for v in vectors if v), default=1)
+    w = (bound.bit_length() + 8) // 8  # the fewest bytes with bound < 2^(8w-1)
+    w = next(v for v in (1, 2, 4, 8, w) if v >= w)  # a width numpy reads, up to 8
+    packed = [_pack(flat, m, slot, w) for flat in flats]
+    mask, out = _digit_mask(n * slot, w), []
+    for ws in weights:
+        z = sum(_pack(c, m, m, w) * x for c, x in zip(ws, packed))
+        buf = ((z + mask) ^ mask).to_bytes(n * slot * w, "little")
+        if w <= 8:
+            d = np.frombuffer(buf, f"<i{w}").astype(np.int64 if 4 * bound < 1 << 63 else object)
+        else:
+            d = np.array([int.from_bytes(buf[k : k + w], "little", signed=True)
+                          for k in range(0, len(buf), w)], dtype=object)
+        # fold zeta^(p+k) = zeta^k and remove zeta^(p-1): three digits meet in a coefficient
+        d = d.reshape(n, slot)
+        assert d.dtype == object or 4 * bound < 1 << 63, "int64 fold headroom"
+        num = d[:, :m] - d[:, m:p]
+        num[:, : p - 3] += d[:, p:]
+        out.append(num.tolist())
     return out
 
 
@@ -179,11 +222,8 @@ class CycElt:
         p = self.p
         if isinstance(other, CycElt):
             self._check_same_field(other)
-            prod = _poly_mul_int(self.num, other.num)
-            raw = prod[:p]
-            for k in range(p, len(prod)):
-                raw[k - p] += prod[k]
-            return CycElt._from_raw(p, raw, self.den * other.den)
+            ((num,),) = lincomb(p, [[self.num]], [[other.num]])
+            return CycElt._new(p, num, self.den * other.den)
         if isinstance(other, int):
             return CycElt._new(p, [c * other for c in self.num], self.den)
         if isinstance(other, Fraction):

@@ -3,7 +3,8 @@
 Bareiss: one fraction-free elimination serves both rings and divides each
 row's updates by the previous pivot in one call: `_divide_ints` with a
 remainder check, or `_divide_exact`, which reconstructs the row's quotients by
-CRT and re-verifies every one by multiplication.
+CRT and re-verifies them all by one packed product.  A cyclotomic row update
+is one packed combination of two rows (`cycring.lincomb`).
 
 Modular: integer matrices are CRT-lifted over word-sized primes driven by the
 Hadamard bound.  Cyclotomic matrices are reduced at all elements of order p
@@ -21,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .cycring import CycElt
+from .cycring import CycElt, lincomb
 from .matrices import ExactMatrix
 from .modarith import aux_primes, word_primes_desc
 
@@ -91,8 +92,8 @@ def _fraction_free(rows, divide):
 
     After the first column, `divide(updates, prev)` returns the exact
     quotients of one row's updates by the previous pivot, so the divider is
-    called once per row.  Entries need +, -, *, truth and negation, so ints
-    and CycElts go through the same loop.
+    called once per row, as is `_update`.  Entries need truth and negation,
+    so ints and CycElts go through the same loop.
     """
     a = [list(row) for row in rows]
     n = len(a)
@@ -108,11 +109,20 @@ def _fraction_free(rows, divide):
         piv = a[k][k]
         row_k = a[k]
         for row_i in a[k + 1 :]:
-            aik = row_i[k]
-            updates = [row_i[j] * piv - aik * row_k[j] for j in range(k + 1, n)]
+            updates = _update(row_i[k + 1 :], piv, row_k[k + 1 :], row_i[k])
             row_i[k + 1 :] = divide(updates, prev) if k else updates
         prev = piv
     return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
+
+
+def _update(xs: list, piv, ys: list, aik) -> list:
+    """[x*piv - aik*y] over a row's tail: elementwise for ints, one packed
+    combination of the two rows for CycElts."""
+    if isinstance(piv, int):
+        return [x * piv - aik * y for x, y in zip(xs, ys)]
+    p = piv.p
+    (out,) = lincomb(p, [[piv.num, (-aik).num]], [[x.num for x in xs], [y.num for y in ys]])
+    return [CycElt._new(p, c) for c in out]
 
 
 def _divide_ints(values: list[int], den: int) -> list[int]:
@@ -250,9 +260,9 @@ def _divide_exact(values: list[CycElt], den: CycElt) -> list[CycElt]:
 
     Per auxiliary prime q at which den has no zero value, the whole row is
     evaluated at the order-p nodes of F_q, scaled by den's inverse values,
-    interpolated and CRT-lifted.  Once the lift is unchanged by a prime, every
-    candidate is verified by re-multiplication, so a wrong answer is
-    impossible; a non-exact division raises.
+    interpolated and CRT-lifted.  Once the lift is unchanged by a prime, the
+    candidates are verified by one packed re-multiplication, so a wrong
+    answer is impossible; a non-exact division raises.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by zero")
@@ -264,14 +274,14 @@ def _divide_exact(values: list[CycElt], den: CycElt) -> list[CycElt]:
         den_vals = _values_at_nodes((den_coeffs % q).astype(np.int64, copy=False), data)[0]
         if np.any(den_vals == 0):
             continue  # q divides a conjugate of den; unusable
-        inv_vals = np.array([pow(v, q - 2, q) for v in den_vals.tolist()], dtype=np.int64)
+        inv_vals = np.array([pow(v, -1, q) for v in den_vals.tolist()], dtype=np.int64)
         reduced = (coeffs % q).astype(np.int64, copy=False)
         qvals = _values_at_nodes(reduced, data) * inv_vals % q  # (elements, nodes)
         sym, modulus, changed = _crt_lift(sym, modulus, data.interpolate(qvals.T).T.ravel(), q)
         if not changed:
-            quots = [CycElt._new(p, sym[i : i + p - 1]) for i in range(0, len(sym), p - 1)]
-            if all(x * den == v for x, v in zip(quots, values)):
-                return quots
+            quots = [sym[i : i + p - 1] for i in range(0, len(sym), p - 1)]
+            if lincomb(p, [[den.num]], [quots]) == [coeffs.tolist()]:
+                return [CycElt._new(p, x) for x in quots]
     raise ArithmeticError("exact division failed to stabilize (arithmetic bug)")
 
 

@@ -9,9 +9,10 @@ All constructors are pure and return immutable matrices.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .cycring import CycElt, geometric_quotient
+from .cycring import CycElt, geometric_quotient, lincomb
 from .modarith import legendre, require_odd_prime
 from .subfield import gauss_sum
 
@@ -158,19 +159,16 @@ def build(family: str, p: int, *delta: int) -> ExactMatrix:
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product; used by the identity checks and tests."""
-    if a.n != b.n or a.kind != b.kind:
+    """Exact matrix product; used by the identity checks and tests.  A
+    cyclotomic product is one packed combination of b's rows per row of a."""
+    if a.n != b.n or a.kind != b.kind or (a.kind == "cyc" and a.meta.p != b.meta.p):
         raise ValueError("incompatible matrices")
-    n = a.n
-    rows = []
-    for j in range(n):
-        arow = a.rows[j]
-        out = []
-        for k in range(n):
-            acc = arow[0] * b.rows[0][k]
-            for t in range(1, n):
-                acc = acc + arow[t] * b.rows[t][k]
-            out.append(acc)
-        rows.append(out)
+    if a.kind == "int":
+        rows = [[sum(x * y for x, y in zip(arow, col)) for col in zip(*b.rows)] for arow in a.rows]
+    else:
+        p, den = a.meta.p, math.lcm(*(e.den for x in (a, b) for row in x.rows for e in row))
+        nums = [[[e.num if e.den == den else [c * (den // e.den) for c in e.num] for e in row]
+                 for row in x.rows] for x in (a, b)]
+        rows = [[CycElt._new(p, c, den * den) for c in row] for row in lincomb(p, *nums)]
     meta = MatrixMeta(a.meta.p, f"{a.meta.family}*{b.meta.family}", a.meta.delta or b.meta.delta)
     return ExactMatrix(a.kind, rows, meta)

@@ -172,6 +172,16 @@ def squares_product_by_mul(p: int) -> CycElt:
     return acc
 
 
+def cyc_mul_loop(x: CycElt, y: CycElt) -> CycElt:
+    """x * y by the schoolbook product of the power-basis coefficients."""
+    p = x.p
+    raw = [Fraction(0)] * p
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            raw[(i + j) % p] += a * b
+    return make(p, raw)
+
+
 def random_cyc(rng: random.Random, p: int, span: int = 5, frac: bool = False) -> CycElt:
     if frac:
         coeffs = [

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclodet import classno
+from cyclodet import classno, detkit
 from cyclodet.cli import (
     exit_code_for,
     main,
@@ -235,6 +235,18 @@ class TestDetCommand:
     def test_composite_p(self, capsys):
         code, _, err = run_main(capsys, "det", "--family", "S", "--p", "15")
         assert code == 1
+
+    @pytest.mark.parametrize("family, backend, shown", [
+        ("S", "det_int_modular", "det[S(7)]: bareiss = -4 but modular = -3"),
+        ("D", "det_cyc_evalinterp", "det[D(7)]: bareiss = "),
+    ])
+    def test_backend_disagreement_exits_2(self, capsys, monkeypatch, family, backend, shown):
+        """A failed cross-check is a failed check: both values on stderr, exit 2."""
+        real = getattr(detkit, backend)
+        monkeypatch.setattr(detkit, backend, lambda m, stats=None: real(m, stats) + 1)
+        code, out, err = run_main(capsys, "det", "--family", family, "--p", "7")
+        assert code == 2 and out == ""
+        assert shown in err and " but modular = " in err
 
 
 class TestClassnoCommand:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import random
@@ -6,17 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclodet import cycring
 from cyclodet.cycring import (
     CycElt,
     eval_complex,
     geometric_quotient,
+    lincomb,
     make,
-    _poly_mul_int,
 )
 from cyclodet.detkit import _coefficients, _divide_exact, _EvalData, _values_at_nodes
 from cyclodet.modarith import aux_primes
 
-from oracles import geometric_sum_loop, lagrange_loop, random_cyc, vandermonde_loop
+from oracles import cyc_mul_loop, geometric_sum_loop, lagrange_loop, random_cyc, vandermonde_loop
 
 
 def zeta(p, k=1):
@@ -283,31 +285,79 @@ class TestRingAxioms:
             assert abs(lhs - vx * vy) < 1e-9
 
 
+def lincomb_loop(p, weights, rows):
+    """`lincomb` by schoolbook products, summed term by term."""
+    zero = CycElt.zero(p)
+    out = []
+    for ws in weights:
+        acc = [zero] * (len(rows[0]) if rows else 0)
+        for c, row in zip(ws, rows):
+            acc = [s + cyc_mul_loop(CycElt(p, c), CycElt(p, x)) for s, x in zip(acc, row)]
+        out.append([list(s.num) for s in acc])
+    return out
+
+
 class TestKroneckerMultiplication:
+    """The one packed product, `lincomb`, against schoolbook products."""
+
     def test_matches_schoolbook(self):
         rng = random.Random(0xABCD)
-        for _ in range(300):
-            n1 = rng.randint(1, 30)
-            n2 = rng.randint(1, 30)
-            span = rng.choice([0, 1, 3, 10**6, 10**30, 2**150])
-            xs = [rng.randint(-span, span) for _ in range(n1)]
-            ys = [rng.randint(-span, span) for _ in range(n2)]
-            if rng.random() < 0.1:
-                xs = [0] * n1
-            slow = [0] * (n1 + n2 - 1)
-            for i, a in enumerate(xs):
-                for j, b in enumerate(ys):
-                    slow[i + j] += a * b
-            assert _poly_mul_int(xs, ys) == slow
+        for p in (3, 5, 7, 47):
+            for _ in range(40 if p < 47 else 8):
+                span = rng.choice([0, 1, 3, 10**6, 2**62, 10**30, 2**150])
+                terms, n, m = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 2)
+
+                def vec():
+                    return [rng.randint(-span, span) for _ in range(p - 1)]
+
+                weights = [[vec() for _ in range(terms)] for _ in range(m)]
+                rows = [[vec() for _ in range(n)] for _ in range(terms)]
+                if rng.random() < 0.2:
+                    rows[0] = [[0] * (p - 1) for _ in range(n)]  # a zero row
+                assert lincomb(p, weights, rows) == lincomb_loop(p, weights, rows)
 
     def test_extreme_digits(self):
-        # every product coefficient at the bound, with either sign
-        for span in (1, 2**64 - 1, 2**150):
-            for sign in (1, -1):
-                xs, ys = [span] * 9, [sign * span] * 9
-                assert _poly_mul_int(xs, ys)[8] == 9 * sign * span * span
-                assert _poly_mul_int([span], [-span]) == [-span * span]
-                assert _poly_mul_int([0], ys) == [0] * 9
+        """Product digits at 2^bits - 2 and 2^bits, either sign: on either
+        side of each digit-width step (8w - 1 = bits) and of the int64 fold
+        (bound 2^61), and past 64 bits."""
+        for bits, sign in itertools.product((7, 8, 15, 16, 31, 32, 61, 62, 63, 64, 65, 100), (1, -1)):
+            for v in ((1 << bits) - 2, 1 << bits):
+                half = v // 2
+                # (h + h z)(1 + z) has middle digit 2h = v, which is also the bound
+                weights, rows = [[[sign * half, sign * half]]], [[[1, 1]]]
+                assert lincomb(3, weights, rows) == lincomb_loop(3, weights, rows)
+                # every coefficient of both factors at the value itself
+                for p in (3, 7):
+                    full, row = [[[sign * v] * (p - 1)]], [[[v] * (p - 1)]]
+                    assert lincomb(p, full, row) == lincomb_loop(p, full, row)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 47])
+    def test_zero_rows_and_term_counts(self, p):
+        rng = random.Random(p)
+        zero, x = [0] * (p - 1), [rng.randint(-9, 9) for _ in range(p - 1)]
+        assert lincomb(p, [[x]], [[zero, zero]]) == [[zero, zero]]
+        assert lincomb(p, [[zero, zero]], [[x], [x]]) == [[zero]]
+        assert lincomb(p, [], [[x]]) == []
+        assert lincomb(p, [[x]], [[]]) == [[]]
+        one = [1] + [0] * (p - 2)
+        assert lincomb(p, [[one]], [[x]]) == [[x]]
+        for terms in (1, 2, 5):
+            weights = [[[rng.randint(-9, 9) for _ in range(p - 1)] for _ in range(terms)]]
+            rows = [[[rng.randint(-9, 9) for _ in range(p - 1)] for _ in range(3)]
+                    for _ in range(terms)]
+            assert lincomb(p, weights, rows) == lincomb_loop(p, weights, rows)
+        with pytest.raises(ValueError):
+            lincomb(p, [[x, x]], [[x]])
+        with pytest.raises(ValueError):
+            lincomb(p, [[x, x]], [[x], [x, x]])
+
+    def test_product_is_the_one_packed_combination(self, monkeypatch):
+        calls = []
+        real = cycring.lincomb
+        monkeypatch.setattr(cycring, "lincomb", lambda *a: calls.append(a) or real(*a))
+        x, y = random_cyc(random.Random(1), 7), random_cyc(random.Random(2), 7, frac=True)
+        assert x * y == cyc_mul_loop(x, y)
+        assert len(calls) == 1
 
 
 class TestValueSemantics:

@@ -32,7 +32,7 @@ from cyclodet.matrices import (
 from cyclodet.modarith import aux_primes, is_prime, word_primes_desc
 from cyclodet.subfield import quad_decompose
 
-from oracles import det_cofactor, det_mod_prime, det_numeric, random_cyc
+from oracles import cyc_mul_loop, det_cofactor, det_mod_prime, det_numeric, random_cyc
 
 Q20 = next(aux_primes(5))  # just above 2^20: the trailing block is never reduced
 Q30 = next(word_primes_desc())  # just below 2^30: reduced every 8 updates
@@ -241,6 +241,57 @@ class TestExactDivider:
         stats = {}
         assert det_cyc_evalinterp(cyc_matrix([[z, z], [z, z]], 5), stats).is_zero()
         assert len(stats["moduli"]) == 3
+
+    def test_remultiplication_rejects_a_perturbed_lift(self, monkeypatch):
+        """A stabilised CRT lift with one coefficient off by one is caught by
+        the packed re-multiplication.  The lift stays wrong modulo the primes
+        already used, so it never stabilises again and the call raises: it
+        never returns the wrong quotient."""
+        rng = random.Random(0xBAD)
+        p = 13
+        den = random_cyc(rng, p, span=2**40)
+        values = [random_cyc(rng, p, span=2**40) * den for _ in range(3)]
+        real, hits = detkit._crt_lift, []
+
+        def perturbed(sym, modulus, coeffs_q, q):
+            sym, modulus, changed = real(sym, modulus, coeffs_q, q)
+            if not changed and not hits:
+                hits.append(q)
+                sym = [sym[0] + 1] + sym[1:]
+            return sym, modulus, changed
+
+        monkeypatch.setattr(detkit, "_crt_lift", perturbed)
+        with pytest.raises(ArithmeticError, match="stabilize"):
+            detkit._divide_exact(values, den)
+        assert len(hits) == 1
+
+
+class TestPackedRowProducts:
+    """The packed Bareiss row update and matmul against elementwise schoolbook
+    products, at p = 13 with entries of up to 200 bits."""
+
+    P = 13
+
+    def entries(self, rng, count, span=2**200):
+        return [random_cyc(rng, self.P, span=rng.choice([1, 2**62, span])) for _ in range(count)]
+
+    def test_row_update(self):
+        rng = random.Random(0x13)
+        for n in (1, 2, 7):
+            xs, ys = self.entries(rng, n), self.entries(rng, n)
+            piv, aik = self.entries(rng, 2)
+            expected = [cyc_mul_loop(x, piv) - cyc_mul_loop(aik, y) for x, y in zip(xs, ys)]
+            assert detkit._update(xs, piv, ys, aik) == expected
+
+    def test_matmul(self):
+        rng = random.Random(0x31)
+        for n, frac in ((1, False), (4, False), (3, True)):
+            rows = [[random_cyc(rng, self.P, span=2**100, frac=frac) for _ in range(n)]
+                    for _ in range(2 * n)]
+            a, b = cyc_matrix(rows[:n], self.P), cyc_matrix(rows[n:], self.P)
+            expected = [[sum((cyc_mul_loop(a.rows[i][t], b.rows[t][j]) for t in range(n)),
+                             CycElt.zero(self.P)) for j in range(n)] for i in range(n)]
+            assert [list(row) for row in matmul(a, b).rows] == expected
 
 
 class TestDetDispatcher:

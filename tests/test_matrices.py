@@ -152,3 +152,5 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             matmul(build_D(5), build_D(7))
+        with pytest.raises(ValueError):  # both 3 x 3, over different fields
+            matmul(build_C(7), build_D(5))
