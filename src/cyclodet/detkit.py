@@ -7,12 +7,12 @@ CRT and re-verifies them all by one packed product.  A cyclotomic row update
 is one packed combination of two rows (`cycring.lincomb`).
 
 Modular: integer matrices are CRT-lifted over word-sized primes driven by the
-Hadamard bound.  Cyclotomic matrices are reduced at all elements of order p
-in F_q for primes q = 1 (mod p), their determinants taken a block of nodes
-at a time in one batched int64 elimination mod q (no floats), and the
-coefficients recovered by the inverse transform on the same power table
-r^e mod q that built the evaluation (Vandermonde) matrix, then CRT-lifted
-until they stabilize with one confirming prime.
+Hadamard bound.  Cyclotomic matrices are evaluated at one element of order p
+in F_q per orbit of a certified Galois symmetry, for primes q = 1 (mod p),
+their determinants taken in one batched int64 elimination mod q (no floats)
+and broadcast to all p-1 nodes, and the coefficients recovered by the inverse
+transform on the same power table r^e mod q that built the evaluation
+(Vandermonde) matrix, then CRT-lifted past a proven coefficient bound.
 """
 from __future__ import annotations
 
@@ -24,10 +24,10 @@ import numpy as np
 
 from .cycring import CycElt, lincomb
 from .matrices import ExactMatrix
-from .modarith import aux_primes, word_primes_desc
+from .modarith import aux_primes, primitive_root, word_primes_desc
 
 _STACK_ENTRIES = 1 << 16  # int64 entries per (nodes, n, n) block: bounds evalinterp's transients
-_MAX_MODULI = 64  # auxiliary primes one CRT lift may try (evalinterp and the exact divider)
+_MAX_MODULI = 64  # auxiliary primes the exact divider's CRT lift may try
 
 
 @dataclass
@@ -76,7 +76,7 @@ def _det_mod_stack(a: np.ndarray, q: int) -> np.ndarray:
             det = np.where(swap, q - det, det)
         prow = a[:, k, k:] % q
         det = det * prow[:, 0] % q
-        inv = np.array([pow(v, q - 2, q) for v in prow[:, 0].tolist()], dtype=np.int64)
+        inv = np.array([pow(v, -1, q) if v else 0 for v in prow[:, 0].tolist()], dtype=np.int64)
         factors = a[:, k + 1 :, k] % q * inv[:, None] % q
         if k and k % lazy == 0:
             a[:, k + 1 :, k + 1 :] %= q
@@ -230,9 +230,9 @@ def _coefficients(entries: list[CycElt]) -> np.ndarray:
     return _int_array([e.num for e in entries])
 
 
-def _values_at_nodes(reduced: np.ndarray, data: _EvalData, nodes: slice = slice(None)) -> np.ndarray:
-    """Evaluate coefficient rows reduced mod data.q (int64) at data.nodes[nodes]:
-    shape (elements, nodes)."""
+def _values_at_nodes(reduced: np.ndarray, data: _EvalData, nodes=slice(None)) -> np.ndarray:
+    """Evaluate coefficient rows reduced mod data.q (int64) at data.nodes[nodes], `nodes`
+    a slice or an index array: shape (elements, nodes)."""
     return reduced @ data.vand[:, nodes] % data.q
 
 
@@ -297,38 +297,77 @@ def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     return _fraction_free(m.rows, _divide_exact)
 
 
-def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
-    """Evaluation-interpolation determinant over Z[zeta_p].
+def _orbit_step(coeffs: np.ndarray, p: int, n: int) -> int:
+    """The least f | p-1 for which sigma_b: zeta -> zeta^b, b = g^f (g = primitive_root(p)),
+    maps M (`coeffs`: entries row-major, (n*n, p-1)) to P*M, P a row permutation of sign +1.
 
-    Stops once the CRT coefficients are stable in symmetric range across two
-    consecutive auxiliary primes (stability plus one confirming prime).
-    """
+    sigma_b moves coefficient i to power b*i mod p; zeta^(p-1) is then removed.  Rows are matched
+    by value (a hash of the tuple, then the arrays): a row met twice or not at all, or a hash
+    collision, rejects f; f = p-1 (b = 1) always holds.  As det(sigma_b M) = sigma_b(det M) and
+    det(P*M) = det M, det M is fixed by <sigma_b>: its value at the node r^t depends only on
+    the coset t<b>, so the f nodes r^(g^j), j < f, give all."""
+    rows = coeffs.reshape(n, n, p - 1)
+    index = {hash(tuple(row.ravel().tolist())): j for j, row in enumerate(rows)}
+    zero, g = np.zeros((n, 1), dtype=coeffs.dtype), primitive_root(p)
+    for f in (f for f in range(1, p - 1) if (p - 1) % f == 0):
+        source = np.arange(p) * pow(g, -f, p) % p  # power b*i of sigma_b(x) is power i of x
+        perm = []
+        for row in rows:  # up to the first row with no match
+            image = np.hstack([row, zero])[:, source]
+            image = image[:, :-1] - image[:, -1:]
+            j = index.get(hash(tuple(image.ravel().tolist())), -1)
+            perm.append(j if j >= 0 and np.array_equal(rows[j], image) else -1)
+            if perm[-1] < 0:
+                break
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        if sorted(perm) == list(range(n)) and inversions % 2 == 0:
+            return f
+    return p - 1
+
+
+def _embedding_bound_sq(coeffs: np.ndarray, n: int) -> int:
+    """H^2 = prod_rows sum_k l(M_jk)^2, so that H >= |sigma(det M)| for every embedding sigma.
+
+    For x = sum b_i zeta^i (i < p-1) and c a median of the b_i, l(x) = min(sum |b_i|, sum |b_i - c|
+    + |c|) bounds |sigma(x)|, as x = sum (b_i - c) zeta^i - c zeta^(p-1); Hadamard gives H.  As
+    Tr(zeta^k) = -1 for p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every |b_k| < 2H."""
+    h2, mid = 1, coeffs.shape[1] // 2
+    for row in coeffs.reshape(n, n, -1):  # a row at a time: transients of n entries
+        c = np.sort(row, axis=1)[:, mid : mid + 1]
+        ell = np.minimum(abs(row).sum(axis=1), abs(row - c).sum(axis=1) + abs(c[:, 0]))
+        h2 *= sum(x * x for x in ell.tolist())
+    return h2
+
+
+def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
+    """Evaluation-interpolation determinant over Z[zeta_p]: per auxiliary prime, at the
+    f nodes of `_orbit_step`, broadcast to all p-1 by coset; the CRT lift stops at the
+    first modulus above 4H, which holds coefficients below 2H exactly."""
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
-    p = m.meta.p
-    n = m.n
+    p, n = m.meta.p, m.n
     coeffs = _coefficients([e for row in m.rows for e in row])
+    if 2 * p * max(int(coeffs.max()), -int(coeffs.min())) >= 1 << 63:
+        coeffs = coeffs.astype(object)  # sums of p-1 coefficients stay exact
+    f, g = _orbit_step(coeffs, p, n), primitive_root(p)
+    bound_sq = 16 * _embedding_bound_sq(coeffs, n)
+    columns = np.array([pow(g, k, p) - 1 for k in range(p - 1)])  # node r^(g^k) in data.vand
+    coset = np.argsort(columns) % f  # node r^t takes the value of r^(g^(k mod f)), t = g^k
     size = max(1, _STACK_ENTRIES // (n * n))  # nodes per block
-    sym, modulus = [0] * (p - 1), 1
-    stable = 0
-    moduli = []
+    sym, modulus, moduli = [0] * (p - 1), 1, []
     if stats is not None:
-        stats["nodes"] = p - 1
-        stats["moduli"] = moduli
-    for q in islice(aux_primes(p), _MAX_MODULI):
+        stats.update(nodes=f, moduli=moduli)
+    for q in aux_primes(p):
         data = _EvalData(p, q)
         reduced = (coeffs % q).astype(np.int64, copy=False)
-        dets = np.empty(p - 1, dtype=np.int64)
-        for start in range(0, p - 1, size):
-            nodes = slice(start, start + size)
-            vals = _values_at_nodes(reduced, data, nodes).reshape(n, n, -1)
-            dets[nodes] = _det_mod_stack(vals.transpose(2, 0, 1), q)
-        sym, modulus, changed = _crt_lift(sym, modulus, data.interpolate(dets), q)
+        dets = np.empty(f, dtype=np.int64)
+        for block in (slice(start, min(start + size, f)) for start in range(0, f, size)):
+            vals = _values_at_nodes(reduced, data, columns[block]).reshape(n, n, -1)
+            dets[block] = _det_mod_stack(vals.transpose(2, 0, 1), q)
+        sym, modulus, _ = _crt_lift(sym, modulus, data.interpolate(dets[coset]), q)
         moduli.append(q)
-        stable = 0 if changed else stable + 1
-        if stable >= 2:
+        if modulus * modulus > bound_sq:
             return CycElt._new(p, sym)
-    raise ArithmeticError("CRT failed to stabilize (coefficient bound bug)")
 
 
 _CHOICES = {"bareiss": (0,), "modular": (1,), "both": (0, 1)}

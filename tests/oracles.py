@@ -8,18 +8,24 @@ cycles; the fundamental unit is searched for by brute force; the residue
 product is multiplied out factor by factor in the cyclotomic ring; a
 determinant mod q is one row reduction of one matrix, reduced every step;
 the evaluation and interpolation matrices at the order-p nodes of F_q are
-filled entry by entry; a geometric sum adds every one of its terms.
+filled entry by entry; a geometric sum adds every one of its terms.  The
+all-node evaluation-interpolation determinant is the one exception: it reuses
+the library's per-prime steps, and stands apart from `det_cyc_evalinterp` in
+its node choice (every node) and its stop (a stable lift plus one confirming
+prime).
 """
 from __future__ import annotations
 
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from cyclodet.cycring import CycElt, eval_complex, make
-from cyclodet.modarith import is_square
+from cyclodet.detkit import _coefficients, _crt_lift, _det_mod_stack, _EvalData, _values_at_nodes
+from cyclodet.modarith import aux_primes, is_square
 
 
 def det_cofactor(rows):
@@ -190,3 +196,21 @@ def random_cyc(rng: random.Random, p: int, span: int = 5, frac: bool = False) ->
     else:
         coeffs = [rng.randint(-span, span) for _ in range(p - 1)]
     return CycElt(p, coeffs)
+
+
+def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
+    """Determinant of a cyclotomic matrix from its values at all p-1 nodes of
+    each auxiliary prime, CRT-lifted until the coefficients are unchanged by
+    two consecutive primes: no symmetry and no coefficient bound used."""
+    p, n = m.meta.p, m.n
+    coeffs = _coefficients([e for row in m.rows for e in row])
+    sym, modulus, stable = [0] * (p - 1), 1, 0
+    for q in islice(aux_primes(p), max_moduli):
+        data = _EvalData(p, q)
+        vals = _values_at_nodes((coeffs % q).astype(np.int64), data).reshape(n, n, p - 1)
+        dets = _det_mod_stack(vals.transpose(2, 0, 1), q)
+        sym, modulus, changed = _crt_lift(sym, modulus, data.interpolate(dets), q)
+        stable = 0 if changed else stable + 1
+        if stable >= 2:
+            return CycElt._new(p, sym)
+    raise ArithmeticError("CRT failed to stabilize")

@@ -192,21 +192,23 @@ class TestCycBackends:
         assert det_cyc_bareiss(m).is_zero()
         assert det_cyc_evalinterp(m).is_zero()
 
-    def test_one_cap_on_auxiliary_primes(self, monkeypatch):
-        """Both CRT lifts raise at the one `_MAX_MODULI` cap.  Small values need
-        three primes in evalinterp (a stable pair plus one confirming prime)
-        and two in an exact division (a stable pair)."""
-        z = CycElt.zeta(7)
-        d7 = det_cyc_bareiss(build_D(7))
-        monkeypatch.setattr(detkit, "_MAX_MODULI", 3)
-        assert det_cyc_evalinterp(build_D(7)) == d7
-        monkeypatch.setattr(detkit, "_MAX_MODULI", 2)
-        assert detkit._divide_exact([(1 + z) * z], 1 + z) == [z]
-        with pytest.raises(ArithmeticError, match="stabilize"):
-            det_cyc_evalinterp(build_D(7))
+    def test_certified_stop_and_divider_cap(self, monkeypatch):
+        """evalinterp stops at the first modulus above 4H, with no cap on the
+        primes it may take; the exact divider raises at the `_MAX_MODULI` cap
+        (a stable pair of primes for a small quotient)."""
+        m, z = build_C(23), CycElt.zeta(7)
+        h2 = detkit._embedding_bound_sq(_coefficients([e for row in m.rows for e in row]), m.n)
+        expected = det_cyc_bareiss(m)
         monkeypatch.setattr(detkit, "_MAX_MODULI", 1)
+        stats = {}
+        assert det_cyc_evalinterp(m, stats) == expected
+        moduli = stats["moduli"]
+        assert len(moduli) == 3
+        assert math.prod(moduli) ** 2 > 16 * h2 >= math.prod(moduli[:-1]) ** 2
         with pytest.raises(ArithmeticError, match="stabilize"):
             detkit._divide_exact([(1 + z) * z], 1 + z)
+        monkeypatch.setattr(detkit, "_MAX_MODULI", 2)
+        assert detkit._divide_exact([(1 + z) * z], 1 + z) == [z]
 
 
 class TestExactDivider:
@@ -234,13 +236,14 @@ class TestExactDivider:
         x = 2 - 3 * z * z
         assert detkit._divide_exact([zero, x * (1 + z), zero], 1 + z) == [zero, x, zero]
 
-    def test_zero_determinant_takes_three_moduli(self):
-        """The first CRT fold counts as a change, so a zero determinant is
-        accepted only after a stable pair plus one confirming prime."""
+    def test_zero_determinant_stops_at_the_bound(self):
+        """A zero determinant is accepted at the first modulus above 4H, here
+        H = 2 (rows of two entries zeta): one auxiliary prime."""
         z = CycElt.zeta(5)
-        stats = {}
-        assert det_cyc_evalinterp(cyc_matrix([[z, z], [z, z]], 5), stats).is_zero()
-        assert len(stats["moduli"]) == 3
+        m, stats = cyc_matrix([[z, z], [z, z]], 5), {}
+        assert detkit._embedding_bound_sq(_coefficients([z] * 4), 2) == 4
+        assert det_cyc_evalinterp(m, stats).is_zero()
+        assert stats["moduli"] == [next(aux_primes(5))]
 
     def test_remultiplication_rejects_a_perturbed_lift(self, monkeypatch):
         """A stabilised CRT lift with one coefficient off by one is caught by
@@ -304,12 +307,16 @@ class TestDetDispatcher:
     def test_evalinterp_stats(self):
         stats = {}
         det_cyc_evalinterp(build_D(7), stats)
-        assert stats["nodes"] == 6
-        assert len(stats["moduli"]) >= 3
+        assert stats["nodes"] == 2  # p = 3 (mod 4): det D(7) lies in Q(sqrt(-7))
+        aux = aux_primes(7)
+        assert stats["moduli"] == [next(aux) for _ in stats["moduli"]]
 
     def test_evalinterp_stats_across_node_blocks(self, monkeypatch):
-        m = build_D(13)
+        """A matrix without the symmetry takes all 12 nodes, a block at a time."""
+        rng = random.Random(0xB10C)
+        m = cyc_matrix([[random_cyc(rng, 13, span=3) for _ in range(7)] for _ in range(7)], 13)
         whole = det_cyc_evalinterp(m)
+        assert whole == det_cyc_bareiss(m)
         for entries in (7 * 7, 3 * 7 * 7):  # blocks of one node, of three nodes
             monkeypatch.setattr(detkit, "_STACK_ENTRIES", entries)
             stats = {}

@@ -1,0 +1,182 @@
+"""The evaluation-interpolation backend's two proofs: the Galois-orbit
+certificate that lets one node per coset stand for all p-1, and the
+coefficient bound that stops the CRT lift.
+
+The certificate is checked against `CycElt.galois` on the dense entries, the
+bound against every coefficient of the determinants of the sweep's families
+and against their complex embeddings, and the backend against the all-node
+loop with a stability stop (`oracles.evalinterp_all_nodes`) and Bareiss.
+"""
+import cmath
+import math
+import random
+from functools import cache
+
+import numpy as np
+import pytest
+
+from cyclodet.cycring import CycElt
+from cyclodet.detkit import (
+    _coefficients,
+    _embedding_bound_sq,
+    _orbit_step,
+    det_cyc_bareiss,
+    det_cyc_evalinterp,
+)
+from cyclodet.matrices import ExactMatrix, MatrixMeta, build
+from cyclodet.modarith import is_prime, least_nonresidue, primitive_root
+
+from oracles import evalinterp_all_nodes, random_cyc
+
+PRIMES = [p for p in range(3, 104) if is_prime(p)]
+
+
+def families(p: int) -> list[str]:
+    return ["C", "D", "Dtilde"] + (["E"] if p % 4 == 3 else ["DD", "F"])
+
+
+@cache
+def matrix(family: str, p: int) -> ExactMatrix:
+    delta = (least_nonresidue(p),) if family in ("DD", "F") else ()
+    return build(family, p, *delta)
+
+
+@cache
+def evalinterp(family: str, p: int):
+    stats = {}
+    return det_cyc_evalinterp(matrix(family, p), stats), stats
+
+
+def expected_f(family: str, p: int) -> int:
+    """2 for p = 3 (mod 4) and for F; 4 for C, D, DD and Dtilde when p = 1 (mod 4)."""
+    return 2 if p % 4 == 3 or family == "F" else 4
+
+
+def cyc_matrix(rows, p: int) -> ExactMatrix:
+    return ExactMatrix("cyc", rows, MatrixMeta(p, "test"))
+
+
+def coefficients(m: ExactMatrix) -> np.ndarray:
+    return _coefficients([e for row in m.rows for e in row])
+
+
+def galois_sign(m: ExactMatrix, b: int):
+    """The sign of the row permutation P with galois(b) of every entry of M
+    equal to P*M, or None when no such P exists (rows compared as CycElts)."""
+    rows = [list(row) for row in m.rows]
+    if any(rows.count(row) > 1 for row in rows):
+        return None
+    perm = []
+    for row in rows:
+        image = [e.galois(b) for e in row]
+        if image not in rows:
+            return None
+        perm.append(rows.index(image))
+    cycles, seen = 0, set()
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return (-1) ** (len(perm) - cycles)
+
+
+class TestOrbitCertificate:
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_galois_oracle_and_listed_steps(self, p):
+        """For each family, galois(g^f) is a row permutation of sign +1 at the
+        f `_orbit_step` returns, and at no smaller divisor of p-1."""
+        g = primitive_root(p)
+        for family in families(p):
+            m = matrix(family, p)
+            f = _orbit_step(coefficients(m), p, m.n)
+            assert (p - 1) % f == 0
+            assert galois_sign(m, pow(g, f, p)) == 1
+            for smaller in range(1, f):
+                if (p - 1) % smaller == 0:
+                    assert galois_sign(m, pow(g, smaller, p)) != 1
+            if p > 3 or family != "C":  # C(3) is the 1 x 1 matrix [1]: f = 1
+                assert f == expected_f(family, p)
+
+    def test_odd_symmetry_is_refused(self):
+        """sigma_(g^2) maps D(13) to an odd row permutation of itself (the sign
+        of a -> g^2 a on the squares is (g/13) = -1), so f = 2 is refused."""
+        m = matrix("D", 13)
+        assert galois_sign(m, pow(primitive_root(13), 2, 13)) == -1
+        assert _orbit_step(coefficients(m), 13, m.n) == 4
+
+
+def perturbed(m: ExactMatrix, j: int, k: int, delta) -> ExactMatrix:
+    rows = [list(row) for row in m.rows]
+    rows[j][k] = rows[j][k] + delta
+    return cyc_matrix(rows, m.meta.p)
+
+
+class TestCertificateCannotBeFooled:
+    """Matrices without the symmetry take every node and agree with Bareiss."""
+
+    def check_all_nodes(self, m: ExactMatrix) -> CycElt:
+        p = m.meta.p
+        assert _orbit_step(coefficients(m), p, m.n) == p - 1
+        stats = {}
+        value = det_cyc_evalinterp(m, stats)
+        assert stats["nodes"] == p - 1
+        assert value == det_cyc_bareiss(m)
+        return value
+
+    def test_one_entry_perturbed(self):
+        self.check_all_nodes(perturbed(matrix("D", 13), 2, 3, 1))
+        self.check_all_nodes(perturbed(matrix("C", 29), 1, 4, CycElt.zeta(29)))
+
+    def test_random_matrix(self):
+        rng = random.Random(0x0B17)
+        p, n = 11, 5
+        self.check_all_nodes(cyc_matrix([[random_cyc(rng, p) for _ in range(n)]
+                                          for _ in range(n)], p))
+
+    def test_repeated_row(self):
+        rows = [list(row) for row in matrix("D", 13).rows]
+        rows[5] = rows[4]
+        assert self.check_all_nodes(cyc_matrix(rows, 13)).is_zero()
+
+    def test_coefficients_beyond_int64(self):
+        rng = random.Random(0xB16)
+        p, n = 7, 3
+        m = cyc_matrix([[random_cyc(rng, p, span=2**80) for _ in range(n)] for _ in range(n)], p)
+        assert coefficients(m).dtype == object
+        self.check_all_nodes(m)
+        # the symmetric D(7) scaled past int64 keeps its two orbits
+        scaled = cyc_matrix([[e * 2**70 for e in row] for row in matrix("D", 7).rows], 7)
+        assert coefficients(scaled).dtype == object
+        assert _orbit_step(coefficients(scaled), 7, scaled.n) == 2
+        assert det_cyc_evalinterp(scaled) == det_cyc_bareiss(scaled)
+
+
+class TestCoefficientBound:
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_bound_holds_and_stops_the_lift(self, p):
+        """Every coefficient of det is below 2H, every embedding at most H,
+        and the lift stops at the first modulus above 4H."""
+        for family in families(p):
+            m = matrix(family, p)
+            h2 = _embedding_bound_sq(coefficients(m), m.n)
+            value, stats = evalinterp(family, p)
+            assert max(c * c for c in value.num) < 4 * h2
+            roots = [cmath.exp(2j * math.pi * a / p) for a in range(1, p)]
+            top = max(abs(sum(c * w**i for i, c in enumerate(value.num))) for w in roots)
+            assert top == 0 or math.log(top) <= math.log(h2) / 2 + 1e-9
+            modulus = math.prod(stats["moduli"])
+            assert modulus**2 > 16 * h2 >= (modulus // stats["moduli"][-1]) ** 2
+
+    def test_zeta_to_the_p_minus_1_counts_one(self):
+        """l(zeta^(p-1)) = 1: the median form, not the p-1 of sum |b_i|."""
+        p = 11
+        m = cyc_matrix([[CycElt.zeta(p, p - 1)]], p)
+        assert _embedding_bound_sq(coefficients(m), 1) == 1
+
+    @pytest.mark.parametrize("p", [101, 103])
+    def test_agrees_with_all_node_oracle(self, p):
+        for family in families(p):
+            assert evalinterp(family, p)[0] == evalinterp_all_nodes(matrix(family, p))
