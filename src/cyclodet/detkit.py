@@ -3,22 +3,23 @@
 Bareiss: one fraction-free elimination serves both rings and divides each
 row's updates by the previous pivot in one call: `_divide_ints` with a
 remainder check, or `_divide_exact`, which reconstructs the row's quotients by
-CRT and re-verifies them all by one packed product.  A cyclotomic row update
-is one packed combination of two rows (`cycring.lincomb`).
+CRT and stops when one packed re-multiplication proves them; a division still
+unproven once the modulus passes a proven bound on exact quotients was not
+exact and raises.  There is no cap on the primes.  A cyclotomic row update is
+one packed combination of two rows (`cycring.lincomb`).
 
-Modular: integer matrices are CRT-lifted over word-sized primes driven by the
-Hadamard bound.  Cyclotomic matrices are evaluated at one element of order p
-in F_q per orbit of a certified Galois symmetry, for primes q = 1 (mod p),
-their determinants taken in one batched int64 elimination mod q (no floats)
-and broadcast to all p-1 nodes, and the coefficients recovered by the inverse
-transform on the same power table r^e mod q that built the evaluation
-(Vandermonde) matrix, then CRT-lifted past a proven coefficient bound.
+Modular: integer matrices are CRT-lifted over word-sized primes until the
+modulus passes twice the Hadamard bound.  Cyclotomic matrices are evaluated
+at one element of order p in F_q per orbit of a certified Galois symmetry,
+for primes q = 1 (mod p), their determinants taken in one batched int64
+elimination mod q (no floats) and broadcast to all p-1 nodes, and the
+coefficients recovered by the inverse transform on the same power table
+r^e mod q that built the evaluation (Vandermonde) matrix, then CRT-lifted
+past a proven coefficient bound.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .matrices import ExactMatrix
 from .modarith import aux_primes, primitive_root, word_primes_desc
 
 _STACK_ENTRIES = 1 << 16  # int64 entries per (nodes, n, n) block: bounds evalinterp's transients
-_MAX_MODULI = 64  # auxiliary primes the exact divider's CRT lift may try
 
 
 @dataclass
@@ -140,32 +140,22 @@ def det_int_bareiss(m: ExactMatrix, stats: dict | None = None) -> int:
     return _fraction_free(m.rows, _divide_ints)
 
 
-def _hadamard_bound(m: ExactMatrix) -> int:
-    mx = max((abs(e) for row in m.rows for e in row), default=0)
-    if mx == 0:
-        return 0
-    n = m.n
-    return math.isqrt(n**n * mx ** (2 * n)) + 1
-
-
 def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
-    """CRT over word-sized primes, sized by the Hadamard bound."""
+    """CRT over word-sized primes up to the first modulus above 2H, H^2 the
+    Hadamard bound `_embedding_bound_sq` (the l of an integer is its absolute
+    value); a zero row makes H = 0 and takes no prime."""
     if m.kind != "int":
         raise ValueError("integer matrix required")
-    bound = _hadamard_bound(m)
-    if stats is not None:
-        stats["moduli"] = []
-    if bound == 0:
-        return 0
     arr = _int_array(m.rows)
-    sym, modulus = [0], 1
+    bound_sq = 4 * _embedding_bound_sq(arr.reshape(-1, 1), m.n)
+    sym, modulus, moduli = [0], 1, []
+    if stats is not None:
+        stats["moduli"] = moduli
     for q in word_primes_desc():
-        sym, modulus, _ = _crt_lift(sym, modulus, _det_mod_stack(arr[None], q), q)
-        if stats is not None:
-            stats["moduli"].append(q)
-        if modulus > 2 * bound:
-            break
-    return sym[0]
+        if modulus * modulus > bound_sq:
+            return sym[0]
+        sym, modulus = _crt_lift(sym, modulus, _det_mod_stack(arr[None], q), q)
+        moduli.append(q)
 
 
 # -- evaluation data shared by the cyclotomic backends ---------------------
@@ -242,14 +232,13 @@ def _crt_lift(sym: list[int], modulus: int, coeffs_q, q: int):
     Start from ([0] * n, 1).  `sym` holds the lifted values in symmetric range
     mod `modulus` (odd, a product of odd primes); one conditional subtraction
     brings s + modulus * ((c - s) / modulus mod q) back into that range mod
-    modulus * q.  Returns (sym, modulus * q, changed); the first fold counts
-    as a change.
+    modulus * q.  Returns (sym, modulus * q).
     """
     inv = pow(modulus, -1, q)  # taken once per prime, not once per coefficient
     mq = modulus * q
     lifted = [s + modulus * ((c - s) * inv % q) for s, c in zip(sym, coeffs_q.tolist())]
     lifted = [t - mq if 2 * t > mq else t for t in lifted]
-    return lifted, mq, modulus == 1 or lifted != sym
+    return lifted, mq
 
 
 # -- exact division of integral cyclotomic elements ------------------------
@@ -260,16 +249,25 @@ def _divide_exact(values: list[CycElt], den: CycElt) -> list[CycElt]:
 
     Per auxiliary prime q at which den has no zero value, the whole row is
     evaluated at the order-p nodes of F_q, scaled by den's inverse values,
-    interpolated and CRT-lifted.  Once the lift is unchanged by a prime, the
-    candidates are verified by one packed re-multiplication, so a wrong
-    answer is impossible; a non-exact division raises.
+    interpolated and CRT-lifted.  Once every lifted coefficient is below a
+    quarter of the modulus, the candidates are checked by one packed
+    re-multiplication, which proves them, so a wrong answer is impossible.
+
+    The stop for a non-exact division is proven.  With l1 the sum of absolute
+    coefficients, L = max_x l1(x) * l1(den)^(p-2) bounds every embedding of an
+    exact quotient: |sigma(x)| <= l1(x), and N(den) is a nonzero integer, so
+    1/|sigma(den)| <= prod of the other p-2 |tau(den)| <= l1(den)^(p-2).  The
+    traces (`_embedding_bound_sq`) put its coefficients below 2L.  Once the
+    modulus passes 8L an exact quotient is the lift, below a quarter of the
+    modulus, and has been proven; a division still unproven there raises.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by zero")
     p = den.p
     coeffs, den_coeffs = _coefficients(values), _coefficients([den])
+    give_up = 8 * max(sum(map(abs, x.num)) for x in values) * sum(map(abs, den.num)) ** (p - 2)
     sym, modulus = [0] * (len(values) * (p - 1)), 1
-    for q in islice(aux_primes(p), _MAX_MODULI):
+    for q in aux_primes(p):
         data = _EvalData(p, q)
         den_vals = _values_at_nodes((den_coeffs % q).astype(np.int64, copy=False), data)[0]
         if np.any(den_vals == 0):
@@ -277,12 +275,13 @@ def _divide_exact(values: list[CycElt], den: CycElt) -> list[CycElt]:
         inv_vals = np.array([pow(v, -1, q) for v in den_vals.tolist()], dtype=np.int64)
         reduced = (coeffs % q).astype(np.int64, copy=False)
         qvals = _values_at_nodes(reduced, data) * inv_vals % q  # (elements, nodes)
-        sym, modulus, changed = _crt_lift(sym, modulus, data.interpolate(qvals.T).T.ravel(), q)
-        if not changed:
+        sym, modulus = _crt_lift(sym, modulus, data.interpolate(qvals.T).T.ravel(), q)
+        if 4 * max(map(abs, sym)) < modulus:
             quots = [sym[i : i + p - 1] for i in range(0, len(sym), p - 1)]
             if lincomb(p, [[den.num]], [quots]) == [coeffs.tolist()]:
                 return [CycElt._new(p, x) for x in quots]
-    raise ArithmeticError("exact division failed to stabilize (arithmetic bug)")
+        if modulus > give_up:
+            raise ArithmeticError("Bareiss division was not exact")
 
 
 # -- cyclotomic backends ----------------------------------------------------
@@ -364,7 +363,7 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         for block in (slice(start, min(start + size, f)) for start in range(0, f, size)):
             vals = _values_at_nodes(reduced, data, columns[block]).reshape(n, n, -1)
             dets[block] = _det_mod_stack(vals.transpose(2, 0, 1), q)
-        sym, modulus, _ = _crt_lift(sym, modulus, data.interpolate(dets[coset]), q)
+        sym, modulus = _crt_lift(sym, modulus, data.interpolate(dets[coset]), q)
         moduli.append(q)
         if modulus * modulus > bound_sq:
             return CycElt._new(p, sym)

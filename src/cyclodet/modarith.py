@@ -87,10 +87,9 @@ def primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found for {p}")
 
 
-def aux_primes(p: int, minimum: int = 1 << 20):
-    """Yield primes q with q ≡ 1 (mod p) and q > minimum, in increasing order."""
-    k = (minimum - 1) // p + 1
-    q = k * p + 1
+def aux_primes(p: int):
+    """Yield primes q with q ≡ 1 (mod p) and q > 2^20, in increasing order."""
+    q = ((1 << 20) // p + 1) * p + 1
     while True:
         if is_prime(q):
             yield q

@@ -209,8 +209,9 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
         data = _EvalData(p, q)
         vals = _values_at_nodes((coeffs % q).astype(np.int64), data).reshape(n, n, p - 1)
         dets = _det_mod_stack(vals.transpose(2, 0, 1), q)
-        sym, modulus, changed = _crt_lift(sym, modulus, data.interpolate(dets), q)
-        stable = 0 if changed else stable + 1
+        lifted, folded = _crt_lift(sym, modulus, data.interpolate(dets), q)
+        stable = 0 if modulus == 1 or lifted != sym else stable + 1  # the first fold is a change
+        sym, modulus = lifted, folded
         if stable >= 2:
             return CycElt._new(p, sym)
     raise ArithmeticError("CRT failed to stabilize")

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from cyclodet.matrices import (
     build_T,
     matmul,
 )
-from cyclodet.modarith import aux_primes, is_prime, word_primes_desc
+from cyclodet.modarith import aux_primes, is_prime, least_nonresidue, word_primes_desc
 from cyclodet.subfield import quad_decompose
 
 from oracles import cyc_mul_loop, det_cofactor, det_mod_prime, det_numeric, random_cyc
@@ -39,6 +40,19 @@ Q30 = next(word_primes_desc())  # just below 2^30: reduced every 8 updates
 Q_TOP = next(  # q(q-1) just below 2^63: reduced before every update
     q for q in range(math.isqrt(1 << 63), 0, -1) if q * (q - 1) < 1 << 63 and is_prime(q)
 )
+
+
+@pytest.fixture
+def lifts(monkeypatch):
+    """The (lift, modulus) pair returned by every `_crt_lift` fold, in order."""
+    real, out = detkit._crt_lift, []
+
+    def recorded(*args):
+        out.append(real(*args))
+        return out[-1]
+
+    monkeypatch.setattr(detkit, "_crt_lift", recorded)
+    return out
 
 
 def int_matrix(rows, p=5):
@@ -104,6 +118,26 @@ class TestIntBackends:
         expected = 10**42 + 21
         assert det_int_bareiss(m) == expected
         assert det_int_modular(m) == expected
+
+    def test_stop_at_twice_the_hadamard_bound(self):
+        """The CRT takes the shortest run of word primes whose product passes
+        2H, H^2 = prod_rows sum_k M_jk^2 >= det^2: S at p = 3 (mod 4), T and SD
+        at p = 1 (mod 4), up to p = 199."""
+        for p in filter(is_prime, range(5, 200)):
+            delta = least_nonresidue(p)
+            for m in [build_S(p)] if p % 4 == 3 else [build_T(p, delta), build_S_delta(p, delta)]:
+                h2 = math.prod(sum(e * e for e in row) for row in m.rows)
+                stats = {}
+                value = det_int_modular(m, stats)
+                moduli = stats["moduli"]
+                assert value * value <= h2
+                assert moduli == list(islice(word_primes_desc(), len(moduli)))
+                assert math.prod(moduli) ** 2 > 4 * h2 >= math.prod(moduli[:-1]) ** 2
+
+    def test_zero_row_takes_no_modulus(self):
+        stats = {}
+        assert det_int_modular(int_matrix([[1, 2], [0, 0]]), stats) == 0
+        assert stats["moduli"] == []
 
 
 class TestCycBackends:
@@ -192,23 +226,28 @@ class TestCycBackends:
         assert det_cyc_bareiss(m).is_zero()
         assert det_cyc_evalinterp(m).is_zero()
 
-    def test_certified_stop_and_divider_cap(self, monkeypatch):
+    def test_certified_stop_and_divider_cap(self, lifts):
         """evalinterp stops at the first modulus above 4H, with no cap on the
-        primes it may take; the exact divider raises at the `_MAX_MODULI` cap
-        (a stable pair of primes for a small quotient)."""
-        m, z = build_C(23), CycElt.zeta(7)
+        primes it may take; the exact divider gives up on a division that is
+        not exact at the first modulus above 8L, L = max l1(x) * l1(den)^(p-2)."""
+        m = build_C(23)
         h2 = detkit._embedding_bound_sq(_coefficients([e for row in m.rows for e in row]), m.n)
         expected = det_cyc_bareiss(m)
-        monkeypatch.setattr(detkit, "_MAX_MODULI", 1)
         stats = {}
         assert det_cyc_evalinterp(m, stats) == expected
         moduli = stats["moduli"]
         assert len(moduli) == 3
         assert math.prod(moduli) ** 2 > 16 * h2 >= math.prod(moduli[:-1]) ** 2
-        with pytest.raises(ArithmeticError, match="stabilize"):
-            detkit._divide_exact([(1 + z) * z], 1 + z)
-        monkeypatch.setattr(detkit, "_MAX_MODULI", 2)
-        assert detkit._divide_exact([(1 + z) * z], 1 + z) == [z]
+        rng, p = random.Random(0xCC5), 13  # a seed with a modulus in (4L, 8L]
+        den = random_cyc(rng, p, span=2**10)
+        values = [random_cyc(rng, p, span=2**60) * den + 1, den]  # the first is not a multiple
+        l1 = [sum(map(abs, x.num)) for x in values + [den]]
+        bound = max(l1[:-1]) * l1[-1] ** (p - 2)
+        lifts.clear()
+        with pytest.raises(ArithmeticError, match="not exact"):
+            detkit._divide_exact(values, den)
+        moduli = [modulus for _, modulus in lifts]
+        assert 8 * bound >= moduli[-2] > 4 * bound and moduli[-1] > 8 * bound
 
 
 class TestExactDivider:
@@ -227,7 +266,7 @@ class TestExactDivider:
 
     def test_non_exact_row_raises(self):
         z = CycElt.zeta(5)
-        with pytest.raises(ArithmeticError, match="stabilize"):
+        with pytest.raises(ArithmeticError, match="not exact"):
             detkit._divide_exact([(1 - z) * z, CycElt.one(5)], 1 - z)
 
     def test_zero_numerators(self):
@@ -246,10 +285,11 @@ class TestExactDivider:
         assert stats["moduli"] == [next(aux_primes(5))]
 
     def test_remultiplication_rejects_a_perturbed_lift(self, monkeypatch):
-        """A stabilised CRT lift with one coefficient off by one is caught by
-        the packed re-multiplication.  The lift stays wrong modulo the primes
-        already used, so it never stabilises again and the call raises: it
-        never returns the wrong quotient."""
+        """The first CRT lift below a quarter of its modulus, with one
+        coefficient off by one, is caught by the packed re-multiplication.
+        The lift stays wrong modulo the primes already used, so no later lift
+        is the quotient and the call raises at the 8L give-up: it never
+        returns the wrong quotient."""
         rng = random.Random(0xBAD)
         p = 13
         den = random_cyc(rng, p, span=2**40)
@@ -257,16 +297,54 @@ class TestExactDivider:
         real, hits = detkit._crt_lift, []
 
         def perturbed(sym, modulus, coeffs_q, q):
-            sym, modulus, changed = real(sym, modulus, coeffs_q, q)
-            if not changed and not hits:
+            sym, modulus = real(sym, modulus, coeffs_q, q)
+            if not hits and 4 * max(map(abs, sym)) < modulus:
                 hits.append(q)
                 sym = [sym[0] + 1] + sym[1:]
-            return sym, modulus, changed
+            return sym, modulus
 
         monkeypatch.setattr(detkit, "_crt_lift", perturbed)
-        with pytest.raises(ArithmeticError, match="stabilize"):
+        with pytest.raises(ArithmeticError, match="not exact"):
             detkit._divide_exact(values, den)
         assert len(hits) == 1
+
+    def test_small_quotients_take_one_prime(self, lifts):
+        """Quotients below 2^18 are below a quarter of the first auxiliary
+        prime (> 2^20), so the first lift is proven: a stability stop took two."""
+        rng = random.Random(0x18)
+        p = 13
+        den = random_cyc(rng, p, span=2**40)
+        quots = [random_cyc(rng, p, span=2**18 - 1) for _ in range(4)]
+        assert detkit._divide_exact([x * den for x in quots], den) == quots
+        assert len(lifts) == 1
+
+    def test_no_more_primes_than_a_stability_stop(self, monkeypatch, lifts):
+        """No division of C and D at p <= 31 takes more folds than a stop at
+        an unchanged lift would: the first fold whose lift is the quotient,
+        plus one."""
+        real, seen = detkit._divide_exact, []
+
+        def divide(values, den):
+            start = len(lifts)
+            quots = real(values, den)
+            folds = [sym for sym, _ in lifts[start:]]
+            seen.append((len(folds), folds.index([c for x in quots for c in x.num]) + 1))
+            return quots
+
+        monkeypatch.setattr(detkit, "_divide_exact", divide)
+        for p in filter(is_prime, range(5, 32)):
+            for m in (build_C(p), build_D(p)):
+                det_cyc_bareiss(m)
+        assert seen and all(used <= correct + 1 for used, correct in seen)
+
+    def test_scaled_entries_past_the_old_cap(self):
+        """D(13) with every entry (j, k), j + k != 0 (mod 3), times 2^300: its
+        quotients need more than 64 auxiliary primes."""
+        m = build_D(13)
+        rows = [[e * 2**300 if (j + k) % 3 else e for k, e in enumerate(row)]
+                for j, row in enumerate(m.rows)]
+        scaled = cyc_matrix(rows, 13)
+        assert det_cyc_bareiss(scaled) == det_cyc_evalinterp(scaled)
 
 
 class TestPackedRowProducts:
@@ -358,7 +436,7 @@ class TestInt64Headroom:
         # (q-1)^2 fits in int64, a sum of p-1 = 4 such products does not;
         # the evaluation data for such a q, used by evaluation and
         # interpolation alike, is refused
-        q = next(aux_primes(5, 1 << 31))
+        q = next(q for q in range(1 << 31, 1 << 32) if q % 5 == 1 and is_prime(q))
         with pytest.raises(OverflowError):
             _values_at_nodes(_coefficients([CycElt(5, [q - 1] * 4)]) % q, _EvalData(5, q))
 
