@@ -16,8 +16,6 @@ from .cycring import CycElt, make
 from .modarith import require_odd_prime
 from .subfield import QuadElt, quad_decompose
 
-_H_CAP = 400
-
 
 def h_neg(p: int) -> int:
     """Class number of Q(sqrt(-p)) by counting reduced forms of discriminant -p.
@@ -106,6 +104,10 @@ def verify_product_formula(p: int) -> ProductFormulaResult:
     p = 1 (mod 4): the least h >= 1 with P*eps^h = +/-g is reported; that h
     is the class number of Q(sqrt(p)) and the sign is recorded, and so is the
     fundamental unit (t, u), so that no caller has to search for it again.
+
+    The search stops on a proof, not a cap: under g -> +sqrt(p), eps = (t + u*sqrt(p))/2 > 1 and
+    |eps'| = 1/eps, so for P != 0, |P*eps^h| / |(P*eps^h)'| = |P/P'| * eps^(2h) grows strictly with
+    h and is 1 at +/-g; at x + y*g it exceeds 1 iff x*y > 0, and then no later h can match.
     """
     require_odd_prime(p)
     if p <= 3:
@@ -123,14 +125,12 @@ def verify_product_formula(p: int) -> ProductFormulaResult:
         )
     t, u = fundamental_unit(p)
     eps = QuadElt(p, Fraction(t, 2), Fraction(u, 2))
-    target = QuadElt(p, 0, 1)
-    acc = quad_decompose(prod)
-    for h in range(1, _H_CAP + 1):
-        acc = acc * eps
-        if acc == target:
-            return ProductFormulaResult(p, True, h, 1, f"P*eps^{h} = g (forward)", (t, u))
-        if acc == -target:
-            return ProductFormulaResult(p, True, h, -1, f"P*eps^{h} = -g (forward)", (t, u))
+    acc, h = quad_decompose(prod), 0
+    while not acc.is_zero() and acc.x * acc.y <= 0:
+        acc, h = acc * eps, h + 1
+        if acc.x == 0 and acc.y in (1, -1):  # P*eps^h = +/-g
+            detail = f"P*eps^{h} = {'g' if acc.y == 1 else '-g'} (forward)"
+            return ProductFormulaResult(p, True, h, int(acc.y), detail, (t, u))
     return ProductFormulaResult(p, False, None, None, "no unit power matched", (t, u))
 
 

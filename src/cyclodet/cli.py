@@ -8,7 +8,8 @@ package source, and a report that had to be run is written back.
 
 Exit codes: 0 when every check passed (or nothing to check), 1 on usage
 errors, 2 when at least one verification check failed (for `det`: when the
-two backends disagree; both values go to stderr).
+two backends disagree, both values go to stderr; for `classno`: when the
+product formula leaves h(p) unresolved).
 """
 from __future__ import annotations
 
@@ -196,6 +197,9 @@ def cmd_classno(args) -> int:
     data = class_data(p)
     if p % 4 == 3:
         print(f"h(-{p}) = {data.h_neg}")
+    elif data.h_pos is None:
+        print(f"error: the product formula did not resolve h({p})", file=sys.stderr)
+        return 2
     else:
         t, u = data.eps
         print(f"h({p}) = {data.h_pos}")

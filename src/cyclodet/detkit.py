@@ -16,6 +16,11 @@ elimination mod q (no floats) and broadcast to all p-1 nodes, and the
 coefficients recovered by the inverse transform on the same power table
 r^e mod q that built the evaluation (Vandermonde) matrix, then CRT-lifted
 past a proven coefficient bound.
+
+Coefficient arrays are int64 only while every entry is below AUX_PRIME_FLOOR
+in absolute value (`_int_array`), Python ints otherwise.  As every auxiliary
+prime q exceeds the floor, `_EvalData.values`, the one evaluator, takes int64
+rows unreduced: their p-1 products with residues are below (q-1)^2 each.
 """
 from __future__ import annotations
 
@@ -25,9 +30,9 @@ import numpy as np
 
 from .cycring import CycElt, lincomb
 from .matrices import ExactMatrix
-from .modarith import aux_primes, primitive_root, word_primes_desc
+from .modarith import AUX_PRIME_FLOOR, aux_primes, primitive_root, word_primes_desc
 
-_STACK_ENTRIES = 1 << 16  # int64 entries per (nodes, n, n) block: bounds evalinterp's transients
+_STACK_ENTRIES = 1 << 16  # int64 entries per (nodes, n, n) block of one elimination mod q
 
 
 @dataclass
@@ -166,8 +171,8 @@ class _EvalData:
 
     pow_r[e] = r^e mod q.  The nodes are r^t for t = 1..p-1, and the
     Vandermonde matrix vand[i, t-1] = r^(i t) is an index into the table.
-    Evaluation and interpolation both sum p-1 products of residues mod q in
-    int64, so a q for which such a sum could wrap is refused here.
+    Evaluation and interpolation both sum p-1 int64 products of a residue and
+    a number below q in absolute value; a q where such a sum could wrap is refused.
     """
 
     __slots__ = ("p", "q", "pow_r", "nodes", "vand", "inv_p")
@@ -185,6 +190,13 @@ class _EvalData:
         self.nodes = pow_r[1:]
         self.vand = self.pow_r[np.outer(np.arange(p - 1), np.arange(1, p)) % p]
         self.inv_p = pow(p, -1, q)
+
+    def values(self, coeffs: np.ndarray, nodes=slice(None)) -> np.ndarray:
+        """Rows from `_int_array` at self.nodes[nodes] (a slice or an index array), in [0, q):
+        int64 rows as they are (entries below AUX_PRIME_FLOOR < q), Python-int rows reduced."""
+        if coeffs.dtype == object:
+            coeffs = (coeffs % self.q).astype(np.int64)
+        return coeffs @ self.vand[:, nodes] % self.q
 
     def interpolate(self, vals: np.ndarray) -> np.ndarray:
         """Coefficients mod q of the element of degree < p-1 with values `vals` at the nodes.
@@ -206,11 +218,14 @@ def _order_p_element(p: int, q: int) -> int:
 
 
 def _int_array(rows) -> np.ndarray:
-    """Integer rows as int64, or as Python ints (dtype object) beyond int64."""
+    """Integer rows as int64 while every entry is below AUX_PRIME_FLOOR in absolute value,
+    as Python ints (dtype object) otherwise: the one choice of dtype in this module."""
     try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:  # reduced mod each q as Python ints
+        arr = np.array(rows, dtype=np.int64)
+    except OverflowError:
         return np.array(rows, dtype=object)
+    small = -AUX_PRIME_FLOOR < arr.min(initial=0) and arr.max(initial=0) < AUX_PRIME_FLOOR
+    return arr if small else arr.astype(object)
 
 
 def _coefficients(entries: list[CycElt]) -> np.ndarray:
@@ -218,12 +233,6 @@ def _coefficients(entries: list[CycElt]) -> np.ndarray:
     if not all(e.is_integral for e in entries):
         raise ValueError("integral cyclotomic entries required")
     return _int_array([e.num for e in entries])
-
-
-def _values_at_nodes(reduced: np.ndarray, data: _EvalData, nodes=slice(None)) -> np.ndarray:
-    """Evaluate coefficient rows reduced mod data.q (int64) at data.nodes[nodes], `nodes`
-    a slice or an index array: shape (elements, nodes)."""
-    return reduced @ data.vand[:, nodes] % data.q
 
 
 def _crt_lift(sym: list[int], modulus: int, coeffs_q, q: int):
@@ -269,12 +278,11 @@ def _divide_exact(values: list[CycElt], den: CycElt) -> list[CycElt]:
     sym, modulus = [0] * (len(values) * (p - 1)), 1
     for q in aux_primes(p):
         data = _EvalData(p, q)
-        den_vals = _values_at_nodes((den_coeffs % q).astype(np.int64, copy=False), data)[0]
+        den_vals = data.values(den_coeffs)[0]
         if np.any(den_vals == 0):
             continue  # q divides a conjugate of den; unusable
         inv_vals = np.array([pow(v, -1, q) for v in den_vals.tolist()], dtype=np.int64)
-        reduced = (coeffs % q).astype(np.int64, copy=False)
-        qvals = _values_at_nodes(reduced, data) * inv_vals % q  # (elements, nodes)
+        qvals = data.values(coeffs) * inv_vals % q  # (elements, nodes)
         sym, modulus = _crt_lift(sym, modulus, data.interpolate(qvals.T).T.ravel(), q)
         if 4 * max(map(abs, sym)) < modulus:
             quots = [sym[i : i + p - 1] for i in range(0, len(sym), p - 1)]
@@ -329,7 +337,8 @@ def _embedding_bound_sq(coeffs: np.ndarray, n: int) -> int:
 
     For x = sum b_i zeta^i (i < p-1) and c a median of the b_i, l(x) = min(sum |b_i|, sum |b_i - c|
     + |c|) bounds |sigma(x)|, as x = sum (b_i - c) zeta^i - c zeta^(p-1); Hadamard gives H.  As
-    Tr(zeta^k) = -1 for p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every |b_k| < 2H."""
+    Tr(zeta^k) = -1 for p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every |b_k| < 2H.
+    int64 rows (`_int_array`) sum p-1 terms below 2^21, far below 2^63."""
     h2, mid = 1, coeffs.shape[1] // 2
     for row in coeffs.reshape(n, n, -1):  # a row at a time: transients of n entries
         c = np.sort(row, axis=1)[:, mid : mid + 1]
@@ -346,8 +355,6 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         raise ValueError("cyclotomic matrix required")
     p, n = m.meta.p, m.n
     coeffs = _coefficients([e for row in m.rows for e in row])
-    if 2 * p * max(int(coeffs.max()), -int(coeffs.min())) >= 1 << 63:
-        coeffs = coeffs.astype(object)  # sums of p-1 coefficients stay exact
     f, g = _orbit_step(coeffs, p, n), primitive_root(p)
     bound_sq = 16 * _embedding_bound_sq(coeffs, n)
     columns = np.array([pow(g, k, p) - 1 for k in range(p - 1)])  # node r^(g^k) in data.vand
@@ -358,11 +365,8 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         stats.update(nodes=f, moduli=moduli)
     for q in aux_primes(p):
         data = _EvalData(p, q)
-        reduced = (coeffs % q).astype(np.int64, copy=False)
-        dets = np.empty(f, dtype=np.int64)
-        for block in (slice(start, min(start + size, f)) for start in range(0, f, size)):
-            vals = _values_at_nodes(reduced, data, columns[block]).reshape(n, n, -1)
-            dets[block] = _det_mod_stack(vals.transpose(2, 0, 1), q)
+        vals = data.values(coeffs, columns[:f]).reshape(n, n, f).transpose(2, 0, 1)
+        dets = np.concatenate([_det_mod_stack(vals[s : s + size], q) for s in range(0, f, size)])
         sym, modulus = _crt_lift(sym, modulus, data.interpolate(dets[coset]), q)
         moduli.append(q)
         if modulus * modulus > bound_sq:

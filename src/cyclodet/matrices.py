@@ -46,14 +46,6 @@ class ExactMatrix:
         self.rows = rows
         self.meta = meta
 
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.kind == other.kind and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.kind, self.rows))
-
     def __repr__(self):
         return f"ExactMatrix({self.meta.family}, p={self.meta.p}, n={self.n})"
 

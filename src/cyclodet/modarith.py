@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+AUX_PRIME_FLOOR = 1 << 20  # every auxiliary prime lies above it
 
 
 def is_prime(n: int) -> bool:
@@ -88,19 +89,17 @@ def primitive_root(p: int) -> int:
 
 
 def aux_primes(p: int):
-    """Yield primes q with q ≡ 1 (mod p) and q > 2^20, in increasing order."""
-    q = ((1 << 20) // p + 1) * p + 1
+    """Yield primes q with q ≡ 1 (mod p) and q > AUX_PRIME_FLOOR, in increasing order."""
+    q = (AUX_PRIME_FLOOR // p + 1) * p + 1
     while True:
         if is_prime(q):
             yield q
         q += p
 
 
-def word_primes_desc(start: int = (1 << 30) - 1):
-    """Yield primes descending from `start` (CRT moduli for integer work)."""
-    q = start
-    if q % 2 == 0:
-        q -= 1
+def word_primes_desc():
+    """Yield the primes below 2^30 in descending order (CRT moduli for integer work)."""
+    q = (1 << 30) - 1
     while q > 2:
         if is_prime(q):
             yield q

@@ -24,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 from cyclodet.cycring import CycElt, eval_complex, make
-from cyclodet.detkit import _coefficients, _crt_lift, _det_mod_stack, _EvalData, _values_at_nodes
+from cyclodet.detkit import _coefficients, _crt_lift, _det_mod_stack, _EvalData
 from cyclodet.modarith import aux_primes, is_square
 
 
@@ -207,7 +207,7 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
     sym, modulus, stable = [0] * (p - 1), 1, 0
     for q in islice(aux_primes(p), max_moduli):
         data = _EvalData(p, q)
-        vals = _values_at_nodes((coeffs % q).astype(np.int64), data).reshape(n, n, p - 1)
+        vals = data.values(coeffs).reshape(n, n, p - 1)
         dets = _det_mod_stack(vals.transpose(2, 0, 1), q)
         lifted, folded = _crt_lift(sym, modulus, data.interpolate(dets), q)
         stable = 0 if modulus == 1 or lifted != sym else stable + 1  # the first fold is a change

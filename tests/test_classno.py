@@ -106,6 +106,36 @@ class TestProductFormula:
         result = verify_product_formula(29)
         assert not result.passed and result.h is None
 
+    def test_unit_power_past_the_old_search_cap(self, monkeypatch):
+        # P = g*eps^(-450), so P*eps^h = +/-g first at h = 450
+        t, u = fundamental_unit(13)
+        eps = QuadElt(13, Fraction(t, 2), Fraction(u, 2))
+        fake = QuadElt(13, 0, 1) * eps**-450
+        monkeypatch.setattr(classno, "squares_product", lambda p: fake.embed())
+        result = verify_product_formula(13)
+        assert result.passed and result.h == 450 and result.sign == 1
+        assert result.detail == "P*eps^450 = g (forward)"
+
+    def test_search_stops_once_no_power_can_match(self, monkeypatch):
+        # 2P*eps = 2g; 2P*eps^2 = 13 + 3g has x*y > 0, so the search ends there
+        real, muls = squares_product(13), []
+        monkeypatch.setattr(classno, "squares_product", lambda p: 2 * real)
+        product = QuadElt.__mul__
+
+        def counted(a, b):
+            muls.append(b)
+            return product(a, b)
+
+        monkeypatch.setattr(QuadElt, "__mul__", counted)
+        result = verify_product_formula(13)
+        assert not result.passed and result.h is None and result.detail == "no unit power matched"
+        assert len(muls) == 2
+
+    def test_zero_product_matches_no_power(self, monkeypatch):
+        monkeypatch.setattr(classno, "squares_product", lambda p: CycElt.zero(p))
+        result = verify_product_formula(13)
+        assert not result.passed and result.detail == "no unit power matched"
+
     def test_oracle_detects_larger_class_number(self):
         # 229 is the least prime = 1 mod 4 with class number 3
         assert narrow_class_number(229) == 3

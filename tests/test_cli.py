@@ -273,6 +273,13 @@ class TestClassnoCommand:
         assert out == f"h({p}) = 1\neps_{p} = ({t} + {u}*sqrt({p}))/2\n"
         assert t * t - p * u * u == -4
 
+    def test_unresolved_product_formula_exits_2(self, capsys, monkeypatch):
+        real = classno.squares_product(13)
+        monkeypatch.setattr(classno, "squares_product", lambda p: 2 * real)
+        code, out, err = run_main(capsys, "classno", "--p", "13")
+        assert code == 2 and out == ""
+        assert err == "error: the product formula did not resolve h(13)\n"
+
     def test_composite(self, capsys):
         code, _, err = run_main(capsys, "classno", "--p", "9")
         assert code == 1

@@ -15,7 +15,7 @@ from cyclodet.cycring import (
     lincomb,
     make,
 )
-from cyclodet.detkit import _coefficients, _divide_exact, _EvalData, _values_at_nodes
+from cyclodet.detkit import _coefficients, _divide_exact, _EvalData
 from cyclodet.modarith import aux_primes
 
 from oracles import cyc_mul_loop, geometric_sum_loop, lagrange_loop, random_cyc, vandermonde_loop
@@ -165,13 +165,12 @@ class TestEvalComplex:
 
 
 def values_at_nodes(entries, data, nodes=slice(None)):
-    """`_values_at_nodes` of entries reduced mod data.q as its callers reduce them."""
-    reduced = (_coefficients(entries) % data.q).astype(np.int64, copy=False)
-    return _values_at_nodes(reduced, data, nodes)
+    """`_EvalData.values` of the entries' coefficient rows."""
+    return data.values(_coefficients(entries), nodes)
 
 
 class TestEvalMod:
-    """Evaluation mod q at the order-p nodes of F_q (`detkit._values_at_nodes`)."""
+    """Evaluation mod q at the order-p nodes of F_q (`detkit._EvalData.values`)."""
 
     @staticmethod
     def nodes_of(p):
@@ -223,9 +222,8 @@ class TestEvalMod:
                 [sum(c * pow(a, i, q) for i, c in enumerate(e.num)) % q for a in data.nodes]
                 for e in entries
             ]
-            reduced = (coeffs % q).astype(np.int64, copy=False)
-            assert _values_at_nodes(reduced, data).tolist() == expected
-            blocks = [_values_at_nodes(reduced, data, slice(s, s + 5)).tolist() for s in (0, 5, 10)]
+            assert data.values(coeffs).tolist() == expected
+            blocks = [data.values(coeffs, slice(s, s + 5)).tolist() for s in (0, 5, 10)]
             assert [sum((b[i] for b in blocks), []) for i in range(2)] == expected
 
 

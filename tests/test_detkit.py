@@ -13,7 +13,7 @@ from cyclodet.detkit import (
     _coefficients,
     _det_mod_stack,
     _EvalData,
-    _values_at_nodes,
+    _int_array,
     det,
     det_cyc_bareiss,
     det_cyc_evalinterp,
@@ -30,7 +30,13 @@ from cyclodet.matrices import (
     build_T,
     matmul,
 )
-from cyclodet.modarith import aux_primes, is_prime, least_nonresidue, word_primes_desc
+from cyclodet.modarith import (
+    AUX_PRIME_FLOOR as FLOOR,
+    aux_primes,
+    is_prime,
+    least_nonresidue,
+    word_primes_desc,
+)
 from cyclodet.subfield import quad_decompose
 
 from oracles import cyc_mul_loop, det_cofactor, det_mod_prime, det_numeric, random_cyc
@@ -438,7 +444,39 @@ class TestInt64Headroom:
         # interpolation alike, is refused
         q = next(q for q in range(1 << 31, 1 << 32) if q % 5 == 1 and is_prime(q))
         with pytest.raises(OverflowError):
-            _values_at_nodes(_coefficients([CycElt(5, [q - 1] * 4)]) % q, _EvalData(5, q))
+            _EvalData(5, q)
+
+    @pytest.mark.parametrize("value, dtype", [
+        (FLOOR - 1, np.int64), (1 - FLOOR, np.int64),
+        (FLOOR, object), (-FLOOR, object), (1 << 63, object), (-(1 << 64), object),
+    ])
+    def test_int_array_is_int64_only_below_the_floor(self, value, dtype):
+        arr = _int_array([[0, 1, value], [-1, 2, 3]])
+        assert arr.dtype == dtype and arr.tolist() == [[0, 1, value], [-1, 2, 3]]
+
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_unreduced_rows_at_the_largest_accepted_q(self, p):
+        """int64 rows of +/-(2^20 - 1) at the largest q = 1 (mod p) with (p-1)(q-1)^2 < 2^63:
+        the headroom argument of the evaluator at its extreme, against Python ints."""
+        top = math.isqrt(((1 << 63) - 1) // (p - 1)) + 1
+        q = next(q for q in range(top - top % p + 1, 0, -p) if is_prime(q)
+                 and (p - 1) * (q - 1) ** 2 < 1 << 63)
+        data = _EvalData(p, q)
+        rng = random.Random(p)
+        big = FLOOR - 1
+        rows = [[big] * (p - 1), [-big] * (p - 1), [rng.choice((big, -big)) for _ in range(p - 1)]]
+        coeffs = _int_array(rows)
+        assert coeffs.dtype == np.int64
+        expected = [[sum(c * pow(a, i, q) for i, c in enumerate(row)) % q for a in data.nodes]
+                    for row in rows]
+        assert data.values(coeffs).tolist() == expected
+
+    @pytest.mark.parametrize("scale, dtype", [(FLOOR - 1, np.int64), (FLOOR, object)])
+    def test_backends_agree_on_either_side_of_the_floor(self, scale, dtype):
+        rows = [[e * scale for e in row] for row in build_D(7).rows]
+        assert _coefficients([e for row in rows for e in row]).dtype == dtype
+        scaled = cyc_matrix(rows, 7)
+        assert det_cyc_evalinterp(scaled) == det_cyc_bareiss(scaled)
 
 
 def oracle_dets(a, q):
