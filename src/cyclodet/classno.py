@@ -21,8 +21,7 @@ def h_neg(p: int) -> int:
     """Class number of Q(sqrt(-p)) by counting reduced forms of discriminant -p.
 
     Reduced means -a < b <= a <= c with b >= 0 when a = c; forms of prime
-    discriminant are automatically primitive but the gcd filter is kept for
-    clarity.
+    discriminant are automatically primitive.
     """
     require_odd_prime(p)
     if p % 4 != 3 or p <= 3:
@@ -37,8 +36,6 @@ def h_neg(p: int) -> int:
             if c < a:
                 continue
             if a == c and b < 0:
-                continue
-            if math.gcd(math.gcd(a, abs(b)), c) != 1:
                 continue
             count += 1
     return count

@@ -113,7 +113,8 @@ def _reports(
 ) -> list[dict]:
     """The report of each prime.  With a cache dir, each is read from its
     entry `p{p}-{digest}.json` when that is a report for its own p; the rest
-    run in one sweep on up to `threads` processes and are written back."""
+    run in one sweep on up to `threads` processes and are written back.  An
+    entry that cannot be written costs a warning on stderr, not the report."""
     entry = {}
     if cache_dir:
         digest = _entry_digest(options)
@@ -122,7 +123,11 @@ def _reports(
     for report in run_primes([p for p in primes if dicts[p] is None], options, threads):
         d = dicts[report.p] = report_to_dict(report)
         if entry:
-            _write_entry(entry[report.p], json.dumps(d, sort_keys=True) + "\n")
+            try:
+                _write_entry(entry[report.p], json.dumps(d, sort_keys=True) + "\n")
+            except OSError as exc:
+                print(f"warning: cannot write cache entry {entry[report.p]}: {exc}",
+                      file=sys.stderr)
     return [dicts[p] for p in primes]
 
 

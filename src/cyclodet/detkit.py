@@ -8,19 +8,22 @@ unproven once the modulus passes a proven bound on exact quotients was not
 exact and raises.  There is no cap on the primes.  A cyclotomic row update is
 one packed combination of two rows (`cycring.lincomb`).
 
-Modular: integer matrices are CRT-lifted over word-sized primes until the
-modulus passes twice the Hadamard bound.  Cyclotomic matrices are evaluated
-at one element of order p in F_q per orbit of a certified Galois symmetry,
-for primes q = 1 (mod p), their determinants taken in one batched int64
-elimination mod q (no floats) and broadcast to all p-1 nodes, and the
-coefficients recovered by the inverse transform on the same power table
-r^e mod q that built the evaluation (Vandermonde) matrix, then CRT-lifted
-past a proven coefficient bound.
+Modular: every CRT in this module runs over one stream of primes, the
+auxiliary primes q = 1 (mod p) above AUX_PRIME_FLOOR (`aux_primes`).
+Integer matrices are lifted until the modulus passes twice the Hadamard
+bound.  Cyclotomic matrices are evaluated at one element of order p in F_q
+per orbit of a certified Galois symmetry, their determinants taken in one
+batched int64 elimination mod q (no floats) and broadcast to all p-1 nodes,
+and the coefficients recovered by the inverse transform on the same power
+table r^e mod q that built the evaluation (Vandermonde) matrix, then
+CRT-lifted past a proven coefficient bound.
 
 Coefficient arrays are int64 only while every entry is below AUX_PRIME_FLOOR
-in absolute value (`_int_array`), Python ints otherwise.  As every auxiliary
-prime q exceeds the floor, `_EvalData.values`, the one evaluator, takes int64
-rows unreduced: their p-1 products with residues are below (q-1)^2 each.
+in absolute value (`_int_array`), Python ints otherwise.  Every int64 sum
+here is of `count` products of at most (q-1)^2, refused up front when
+count (q-1)^2 >= 2^63: p-1 products per value in `_EvalData`, n-1 updates of
+an entry in [0, q) in `_det_mod_stack`.  As every auxiliary prime q exceeds
+the floor, `_EvalData.values`, the one evaluator, takes int64 rows unreduced.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from .cycring import CycElt, lincomb
 from .matrices import ExactMatrix
-from .modarith import AUX_PRIME_FLOOR, aux_primes, primitive_root, word_primes_desc
+from .modarith import AUX_PRIME_FLOOR, aux_primes, primitive_root
 
 _STACK_ENTRIES = 1 << 16  # int64 entries per (nodes, n, n) block of one elimination mod q
 
@@ -60,17 +63,17 @@ def _det_mod_stack(a: np.ndarray, q: int) -> np.ndarray:
     One Gaussian elimination over F_q runs on every matrix at once.  Each
     column takes every matrix's first nonzero pivot (a row swap flips its
     sign), and a zero column makes that matrix's determinant 0.  The trailing
-    block is reduced mod q only before an update, of at most (q-1)^2 per
-    entry, that could pass 2^63.  Entries beyond int64 may come as Python
-    ints (dtype object).  Returns the determinants in [0, q) as int64.
+    block is never reduced: an entry starts in [0, q) and takes at most n-1
+    updates of at most (q-1)^2, so a q with n (q-1)^2 >= 2^63 is refused.
+    Entries beyond int64 may come as Python ints (dtype object).  Returns
+    the determinants in [0, q) as int64.
     """
-    if q * (q - 1) >= 1 << 63:
-        raise OverflowError(f"products mod q={q} overflow int64")
-    a = (a % q).astype(np.int64, copy=False)
     stack, n = a.shape[0], a.shape[1]
+    if n * (q - 1) ** 2 >= 1 << 63:
+        raise OverflowError(f"{n - 1} updates mod q={q} can overflow int64")
+    a = (a % q).astype(np.int64, copy=False)
     each = np.arange(stack)
     det = np.ones(stack, dtype=np.int64)
-    lazy = ((1 << 63) - q) // (q - 1) ** 2  # updates an entry in [0, q) takes below 2^63
     for k in range(n - 1):
         rows = k + np.argmax(a[:, k:, k] % q != 0, axis=1)
         swap = rows != k
@@ -83,8 +86,6 @@ def _det_mod_stack(a: np.ndarray, q: int) -> np.ndarray:
         det = det * prow[:, 0] % q
         inv = np.array([pow(v, -1, q) if v else 0 for v in prow[:, 0].tolist()], dtype=np.int64)
         factors = a[:, k + 1 :, k] % q * inv[:, None] % q
-        if k and k % lazy == 0:
-            a[:, k + 1 :, k + 1 :] %= q
         a[:, k + 1 :, k + 1 :] -= factors[:, :, None] * prow[:, None, 1:]
     return det * (a[:, -1, -1] % q) % q
 
@@ -146,9 +147,9 @@ def det_int_bareiss(m: ExactMatrix, stats: dict | None = None) -> int:
 
 
 def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
-    """CRT over word-sized primes up to the first modulus above 2H, H^2 the
-    Hadamard bound `_embedding_bound_sq` (the l of an integer is its absolute
-    value); a zero row makes H = 0 and takes no prime."""
+    """CRT over `aux_primes(p)`, the stream of the cyclotomic backends, up to the
+    first modulus above 2H, H^2 the Hadamard bound `_embedding_bound_sq` (the l
+    of an integer is its absolute value); a zero row makes H = 0 and takes no prime."""
     if m.kind != "int":
         raise ValueError("integer matrix required")
     arr = _int_array(m.rows)
@@ -156,7 +157,7 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
     sym, modulus, moduli = [0], 1, []
     if stats is not None:
         stats["moduli"] = moduli
-    for q in word_primes_desc():
+    for q in aux_primes(m.meta.p):
         if modulus * modulus > bound_sq:
             return sym[0]
         sym, modulus = _crt_lift(sym, modulus, _det_mod_stack(arr[None], q), q)
@@ -338,7 +339,7 @@ def _embedding_bound_sq(coeffs: np.ndarray, n: int) -> int:
     For x = sum b_i zeta^i (i < p-1) and c a median of the b_i, l(x) = min(sum |b_i|, sum |b_i - c|
     + |c|) bounds |sigma(x)|, as x = sum (b_i - c) zeta^i - c zeta^(p-1); Hadamard gives H.  As
     Tr(zeta^k) = -1 for p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every |b_k| < 2H.
-    int64 rows (`_int_array`) sum p-1 terms below 2^21, far below 2^63."""
+    int64 rows (`_int_array`) sum p-1 terms below 2^25, far below 2^63."""
     h2, mid = 1, coeffs.shape[1] // 2
     for row in coeffs.reshape(n, n, -1):  # a row at a time: transients of n entries
         c = np.sort(row, axis=1)[:, mid : mid + 1]

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-AUX_PRIME_FLOOR = 1 << 20  # every auxiliary prime lies above it
+AUX_PRIME_FLOOR = 1 << 24  # every CRT prime lies above it, every int64 coefficient below
 
 
 def is_prime(n: int) -> bool:
@@ -95,15 +95,6 @@ def aux_primes(p: int):
         if is_prime(q):
             yield q
         q += p
-
-
-def word_primes_desc():
-    """Yield the primes below 2^30 in descending order (CRT moduli for integer work)."""
-    q = (1 << 30) - 1
-    while q > 2:
-        if is_prime(q):
-            yield q
-        q -= 2
 
 
 def is_square(n: int) -> bool:

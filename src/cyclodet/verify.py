@@ -45,8 +45,7 @@ from .subfield import (
     two_squares,
 )
 
-BAREISS_LIMIT = 60  # p-cap for the cyclotomic Bareiss cross-check
-DIRECT_IDENTITY_LIMIT = 60  # p-cap for literal matrix-product checks
+BAREISS_LIMIT = 60  # p-cap for dense Z[zeta_p] work: the Bareiss cross-check, literal matmul
 
 
 @dataclass(frozen=True)
@@ -295,7 +294,7 @@ def _legendre_identity(pv, delta: int | None) -> tuple:
     """Dtilde*D = g*E (no delta) or Dtilde*DD = g*F, literally while small."""
     ok = pv.classes_ok
     note = "residue classes (literal product skipped above size limit)"
-    if pv.p <= DIRECT_IDENTITY_LIMIT:
+    if pv.p <= BAREISS_LIMIT:
         ok = ok and matrix_identity_direct(pv.p, delta)
         note = "residue classes + literal matrix product"
     sides = ("Dtilde*D", "g*E") if delta is None else ("Dtilde*DD", "g*F")

@@ -37,7 +37,6 @@ SWEEP_OPTIONS = SweepOptions(delta="sweep:3", backend="both")
 def sweep():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "BAREISS_LIMIT", 60)
-        mp.setattr(verify, "DIRECT_IDENTITY_LIMIT", 60)
         start = time.perf_counter()
         reports = run_range(5, 100, SWEEP_OPTIONS, threads=2)
         elapsed = time.perf_counter() - start

@@ -1,6 +1,10 @@
+import errno
 import json
+import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -167,6 +171,28 @@ class TestCache:
         code, out, err = run_main(capsys, *args)
         assert code == 1 and out == ""
         assert err.startswith("error: cannot use cache dir")
+
+    @pytest.mark.parametrize("module, name", [(os, "replace"), (tempfile, "mkstemp")])
+    def test_unwritable_entry_warns_and_keeps_the_reports(
+        self, capsys, tmp_path, monkeypatch, module, name
+    ):
+        """A full disk costs one warning per entry: the output and exit code are
+        those of an uncached run, and no temp file is left behind."""
+        base = ("verify", "--pmin", "5", "--pmax", "7", "--threads", "1")
+        _, uncached, _ = run_main(capsys, *base)
+
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(module, name, full)
+        cache, out = tmp_path / "cache", tmp_path / "reports.json"
+        code, stdout, err = run_main(capsys, *base, "--cache-dir", str(cache), "--out", str(out))
+        assert code == 0 and stdout == ""
+        assert report_content(out.read_text()) == report_content(uncached)
+        pattern = rf"warning: cannot write cache entry {re.escape(str(cache))}/p(\d+)-\w+\.json: .+"
+        warned = [re.fullmatch(pattern, line) for line in err.splitlines()]
+        assert [m and m[1] for m in warned] == ["5", "7"]
+        assert list(cache.iterdir()) == []
 
     def test_cache_key_includes_delta_mode(self, capsys, tmp_path):
         cache = tmp_path / "cache"

@@ -35,16 +35,15 @@ from cyclodet.modarith import (
     aux_primes,
     is_prime,
     least_nonresidue,
-    word_primes_desc,
 )
 from cyclodet.subfield import quad_decompose
 
 from oracles import cyc_mul_loop, det_cofactor, det_mod_prime, det_numeric, random_cyc
 
-Q20 = next(aux_primes(5))  # just above 2^20: the trailing block is never reduced
-Q30 = next(word_primes_desc())  # just below 2^30: reduced every 8 updates
-Q_TOP = next(  # q(q-1) just below 2^63: reduced before every update
-    q for q in range(math.isqrt(1 << 63), 0, -1) if q * (q - 1) < 1 << 63 and is_prime(q)
+Q24 = next(aux_primes(5))  # the first auxiliary prime of p = 5, just above 2^24
+Q_EDGE = next(  # the largest q at which a 24 x 24 elimination mod q fits int64
+    q for q in range(math.isqrt((1 << 63) // 24) + 1, 0, -1)
+    if 24 * (q - 1) ** 2 < 1 << 63 and is_prime(q)
 )
 
 
@@ -126,7 +125,7 @@ class TestIntBackends:
         assert det_int_modular(m) == expected
 
     def test_stop_at_twice_the_hadamard_bound(self):
-        """The CRT takes the shortest run of word primes whose product passes
+        """The CRT takes the shortest run of auxiliary primes whose product passes
         2H, H^2 = prod_rows sum_k M_jk^2 >= det^2: S at p = 3 (mod 4), T and SD
         at p = 1 (mod 4), up to p = 199."""
         for p in filter(is_prime, range(5, 200)):
@@ -137,7 +136,7 @@ class TestIntBackends:
                 value = det_int_modular(m, stats)
                 moduli = stats["moduli"]
                 assert value * value <= h2
-                assert moduli == list(islice(word_primes_desc(), len(moduli)))
+                assert moduli == list(islice(aux_primes(p), len(moduli)))
                 assert math.prod(moduli) ** 2 > 4 * h2 >= math.prod(moduli[:-1]) ** 2
 
     def test_zero_row_takes_no_modulus(self):
@@ -244,7 +243,7 @@ class TestCycBackends:
         moduli = stats["moduli"]
         assert len(moduli) == 3
         assert math.prod(moduli) ** 2 > 16 * h2 >= math.prod(moduli[:-1]) ** 2
-        rng, p = random.Random(0xCC5), 13  # a seed with a modulus in (4L, 8L]
+        rng, p = random.Random(0xCD1), 13  # a seed with a modulus in (4L, 8L]
         den = random_cyc(rng, p, span=2**10)
         values = [random_cyc(rng, p, span=2**60) * den + 1, den]  # the first is not a multiple
         l1 = [sum(map(abs, x.num)) for x in values + [den]]
@@ -316,7 +315,7 @@ class TestExactDivider:
 
     def test_small_quotients_take_one_prime(self, lifts):
         """Quotients below 2^18 are below a quarter of the first auxiliary
-        prime (> 2^20), so the first lift is proven: a stability stop took two."""
+        prime (> 2^24), so the first lift is proven: a stability stop took two."""
         rng = random.Random(0x18)
         p = 13
         den = random_cyc(rng, p, span=2**40)
@@ -438,11 +437,22 @@ class TestInt64Headroom:
         with pytest.raises(OverflowError):
             _det_mod_stack(np.array([[[1, 2], [3, 4]]]), (1 << 32) + 15)
 
+    def test_det_mod_stack_refuses_the_next_prime_up(self):
+        """Past Q_EDGE, 24 (q-1)^2 >= 2^63: a 24 x 24 stack is refused, while a
+        23 x 23 one still fits and, as 2I - J (see below), matches the oracle."""
+        q = next(q for q in range(Q_EDGE + 1, 2 * Q_EDGE) if is_prime(q))
+        with pytest.raises(OverflowError):
+            _det_mod_stack(np.full((1, 24, 24), q - 1), q)
+        worst = np.full((1, 23, 23), q - 1) + 2 * np.eye(23, dtype=np.int64)
+        assert _det_mod_stack(worst, q).tolist() == oracle_dets(worst, q) == [2**22 * -21 % q]
+
     def test_values_at_nodes_refuses_sums_that_can_wrap(self):
         # (q-1)^2 fits in int64, a sum of p-1 = 4 such products does not;
         # the evaluation data for such a q, used by evaluation and
-        # interpolation alike, is refused
-        q = next(q for q in range(1 << 31, 1 << 32) if q % 5 == 1 and is_prime(q))
+        # interpolation alike, is refused.  This q is the first one up from
+        # the largest accepted q of the test below.
+        top = math.isqrt(((1 << 63) - 1) // 4) + 1  # 4 (q-1)^2 < 2^63 iff q <= top
+        q = next(q for q in range(top - top % 5 + 1, 1 << 63, 5) if q > top and is_prime(q))
         with pytest.raises(OverflowError):
             _EvalData(5, q)
 
@@ -456,7 +466,7 @@ class TestInt64Headroom:
 
     @pytest.mark.parametrize("p", [5, 13])
     def test_unreduced_rows_at_the_largest_accepted_q(self, p):
-        """int64 rows of +/-(2^20 - 1) at the largest q = 1 (mod p) with (p-1)(q-1)^2 < 2^63:
+        """int64 rows of +/-(2^24 - 1) at the largest q = 1 (mod p) with (p-1)(q-1)^2 < 2^63:
         the headroom argument of the evaluator at its extreme, against Python ints."""
         top = math.isqrt(((1 << 63) - 1) // (p - 1)) + 1
         q = next(q for q in range(top - top % p + 1, 0, -p) if is_prime(q)
@@ -486,7 +496,7 @@ def oracle_dets(a, q):
 class TestDetModStack:
     """The batched elimination against the one-matrix oracle `det_mod_prime`."""
 
-    @pytest.mark.parametrize("q", [Q20, Q30, Q_TOP])
+    @pytest.mark.parametrize("q", [Q24, Q_EDGE])
     def test_random_stacks(self, q):
         rng = np.random.default_rng(q % 997)
         for stack, n in [(1, 1), (1, 9), (7, 1), (5, 4), (16, 12)]:
@@ -496,9 +506,9 @@ class TestDetModStack:
     def test_all_zero(self):
         for stack, n in [(1, 1), (1, 5), (3, 4)]:
             a = np.zeros((stack, n, n), dtype=np.int64)
-            assert _det_mod_stack(a, Q20).tolist() == [0] * stack
+            assert _det_mod_stack(a, Q24).tolist() == [0] * stack
 
-    @pytest.mark.parametrize("q", [Q20, Q30])
+    @pytest.mark.parametrize("q", [Q24, Q_EDGE])
     def test_zero_column_at_every_position(self, q):
         n = 6
         a = np.random.default_rng(3).integers(1, q, size=(n + 1, n, n))
@@ -508,7 +518,7 @@ class TestDetModStack:
         assert got == oracle_dets(a, q)
         assert got[:n] == [0] * n and got[n] != 0
 
-    @pytest.mark.parametrize("q", [Q20, Q30, Q_TOP])
+    @pytest.mark.parametrize("q", [Q24, Q_EDGE])
     def test_row_swap_at_every_column(self, q):
         n = 7
         rng = np.random.default_rng(5)
@@ -523,12 +533,12 @@ class TestDetModStack:
 
     def test_repeated_rows(self):
         n = 5
-        a = np.random.default_rng(7).integers(0, Q20, size=(n, n, n))
+        a = np.random.default_rng(7).integers(0, Q24, size=(n, n, n))
         for i in range(n):
-            a[i, (i + 1) % n] = a[i, i] + Q20 * (i - 2)  # equal mod q, not as integers
-        assert _det_mod_stack(a, Q20).tolist() == oracle_dets(a, Q20) == [0] * n
+            a[i, (i + 1) % n] = a[i, i] + Q24 * (i - 2)  # equal mod q, not as integers
+        assert _det_mod_stack(a, Q24).tolist() == oracle_dets(a, Q24) == [0] * n
 
-    @pytest.mark.parametrize("q", [Q20, Q30, Q_TOP])
+    @pytest.mark.parametrize("q", [Q24, Q_EDGE])
     def test_entries_all_q_minus_1(self, q):
         # 2I - J: the first pivot is 1 and every factor and pivot-row entry q - 1,
         # the largest update there is; det(2I - J) = 2^(n-1) (2 - n)
@@ -539,7 +549,7 @@ class TestDetModStack:
         assert got == oracle_dets(full, q)
         assert got == [0, 2 ** (n - 1) * (2 - n) % q]
 
-    @pytest.mark.parametrize("q", [Q20, Q30, Q_TOP])
+    @pytest.mark.parametrize("q", [Q24, Q_EDGE])
     def test_every_update_the_largest(self, q):
         # A = L U with unit L, U and q - 1 off the diagonal: elimination without
         # swaps meets factors q - 1 and pivot rows (1, q - 1, ...) at every column,

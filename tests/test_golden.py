@@ -31,7 +31,7 @@ VERIFY_CASES = {
     "delta-3": [*SMALL, "--delta", "3"],
     "backend-bareiss": [*SMALL, "--backend", "bareiss"],
     "backend-modular": [*SMALL, "--backend", "modular"],
-    # p = 5, 3, 7, 1 (mod 8), all above BAREISS_LIMIT and DIRECT_IDENTITY_LIMIT
+    # p = 5, 3, 7, 1 (mod 8), all above BAREISS_LIMIT
     "above-limits": ["--pmin", "61", "--pmax", "73"],
 }
 STDOUT_CASES = [
