@@ -3,7 +3,6 @@
 from .cycring import (
     CycElt,
     eval_complex,
-    geometric_quotient,
     make,
 )
 from .matrices import (

@@ -298,24 +298,6 @@ def make(p: int, raw: Sequence) -> CycElt:
     return CycElt(p, [c - raw[p - 1] for c in raw[: p - 1]])
 
 
-def geometric_quotient(p: int, e: int, n: int) -> CycElt:
-    """The sum 1 + zeta^e + ... + zeta^(e(n-1)), i.e. (1-zeta^(en))/(1-zeta^e)."""
-    require_odd_prime(p)
-    if e % p == 0:
-        raise ValueError("e must be nonzero mod p")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    raw = [0] * p
-    e %= p
-    idx = 0
-    for _ in range((n - 1) % p + 1):  # a full cycle of p terms sums to 0
-        raw[idx] += 1
-        idx += e
-        if idx >= p:
-            idx -= p
-    return CycElt._from_raw(p, raw)
-
-
 def eval_complex(x: CycElt, prec: int = 30):
     """Numeric image of x under zeta -> exp(2*pi*i/p), an mpmath mpc.
 

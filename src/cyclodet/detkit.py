@@ -18,12 +18,14 @@ and the coefficients recovered by the inverse transform on the same power
 table r^e mod q that built the evaluation (Vandermonde) matrix, then
 CRT-lifted past a proven coefficient bound.
 
-Coefficient arrays are int64 only while every entry is below AUX_PRIME_FLOOR
-in absolute value (`_int_array`), Python ints otherwise.  Every int64 sum
-here is of `count` products of at most (q-1)^2, refused up front when
-count (q-1)^2 >= 2^63: p-1 products per value in `_EvalData`, n-1 updates of
-an entry in [0, q) in `_det_mod_stack`.  As every auxiliary prime q exceeds
-the floor, `_EvalData.values`, the one evaluator, takes int64 rows unreduced.
+The modular backends read `ExactMatrix.coeffs`, Bareiss its `rows`.  Every
+coefficient array has the dtype of `matrices._int_array`: int64 only while
+every entry is below AUX_PRIME_FLOOR in absolute value, Python ints
+otherwise.  Every int64 sum here is of `count` products of at most (q-1)^2,
+refused up front when count (q-1)^2 >= 2^63: p-1 products per value in
+`_EvalData`, n-1 updates of an entry in [0, q) in `_det_mod_stack`.  As every
+auxiliary prime q exceeds the floor, `_EvalData.values`, the one evaluator,
+takes int64 rows unreduced.
 """
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycring import CycElt, lincomb
-from .matrices import ExactMatrix
-from .modarith import AUX_PRIME_FLOOR, aux_primes, primitive_root
+from .matrices import ExactMatrix, _int_array
+from .modarith import aux_primes, primitive_root
 
 _STACK_ENTRIES = 1 << 16  # int64 entries per (nodes, n, n) block of one elimination mod q
 
@@ -152,15 +154,14 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
     of an integer is its absolute value); a zero row makes H = 0 and takes no prime."""
     if m.kind != "int":
         raise ValueError("integer matrix required")
-    arr = _int_array(m.rows)
-    bound_sq = 4 * _embedding_bound_sq(arr.reshape(-1, 1), m.n)
+    bound_sq = 4 * _embedding_bound_sq(m.coeffs.reshape(-1, 1), m.n)
     sym, modulus, moduli = [0], 1, []
     if stats is not None:
         stats["moduli"] = moduli
     for q in aux_primes(m.meta.p):
         if modulus * modulus > bound_sq:
             return sym[0]
-        sym, modulus = _crt_lift(sym, modulus, _det_mod_stack(arr[None], q), q)
+        sym, modulus = _crt_lift(sym, modulus, _det_mod_stack(m.coeffs[None], q), q)
         moduli.append(q)
 
 
@@ -216,17 +217,6 @@ def _order_p_element(p: int, q: int) -> int:
         if r != 1:
             return r
     raise ArithmeticError(f"no element of order {p} in F_{q}")
-
-
-def _int_array(rows) -> np.ndarray:
-    """Integer rows as int64 while every entry is below AUX_PRIME_FLOOR in absolute value,
-    as Python ints (dtype object) otherwise: the one choice of dtype in this module."""
-    try:
-        arr = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
-    small = -AUX_PRIME_FLOOR < arr.min(initial=0) and arr.max(initial=0) < AUX_PRIME_FLOOR
-    return arr if small else arr.astype(object)
 
 
 def _coefficients(entries: list[CycElt]) -> np.ndarray:
@@ -300,8 +290,6 @@ def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     """Fraction-free elimination over Z[zeta_p] with verified exact divisions."""
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
-    if not all(e.is_integral for row in m.rows for e in row):
-        raise ValueError("integral entries required")
     return _fraction_free(m.rows, _divide_exact)
 
 
@@ -355,7 +343,7 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
     p, n = m.meta.p, m.n
-    coeffs = _coefficients([e for row in m.rows for e in row])
+    coeffs = m.coeffs.reshape(n * n, p - 1)
     f, g = _orbit_step(coeffs, p, n), primitive_root(p)
     bound_sq = 16 * _embedding_bound_sq(coeffs, n)
     columns = np.array([pow(g, k, p) - 1 for k in range(p - 1)])  # node r^(g^k) in data.vand

@@ -5,15 +5,19 @@ Size conventions for an odd prime p with m = (p-1)/2:
 * C, S, SD are m x m, indexed by j, k = 1..m;
 * D, DD (the twisted D), Dtilde, E, F, T are (m+1) x (m+1), indexed from 0.
 
-All constructors are pure and return immutable matrices.
+A matrix is one read-only integer array, `coeffs`: the entries, shape (n, n),
+or their power-basis coefficients over Z[zeta_p], shape (n, n, p-1), in the
+dtype `_int_array` chooses.  Each builder fills it in numpy from its exponent
+pattern; `rows` derives ints or CycElts from it on each read.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .cycring import CycElt, geometric_quotient, lincomb
-from .modarith import legendre, require_odd_prime
+import numpy as np
+
+from .cycring import CycElt, lincomb
+from .modarith import AUX_PRIME_FLOOR, legendre, require_odd_prime
 from .subfield import gauss_sum
 
 
@@ -24,27 +28,42 @@ class MatrixMeta:
     delta: int | None = None
 
 
+def _int_array(rows) -> np.ndarray:
+    """Integer rows as int64 while every entry is below AUX_PRIME_FLOOR in absolute value,
+    as Python ints (dtype object) otherwise: the one choice of dtype for coefficient arrays."""
+    try:
+        arr = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+    small = -AUX_PRIME_FLOOR < arr.min(initial=0) and arr.max(initial=0) < AUX_PRIME_FLOOR
+    return arr if small else arr.astype(object)
+
+
 class ExactMatrix:
-    """A square matrix with exact entries: Python ints or CycElts."""
+    """A square matrix over Z or Z[zeta_p], held as one read-only integer array."""
 
-    __slots__ = ("n", "kind", "rows", "meta")
+    __slots__ = ("kind", "coeffs", "meta")
 
-    def __init__(self, kind: str, rows, meta: MatrixMeta) -> None:
+    def __init__(self, kind: str, coeffs: np.ndarray, meta: MatrixMeta) -> None:
         if kind not in ("int", "cyc"):
             raise ValueError(f"unknown matrix kind {kind!r}")
-        rows = tuple(tuple(row) for row in rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square")
-        if kind == "cyc":
-            for row in rows:
-                for e in row:
-                    if not isinstance(e, CycElt) or e.p != meta.p:
-                        raise ValueError("cyclotomic entries must share the same p")
-        self.n = n
-        self.kind = kind
-        self.rows = rows
-        self.meta = meta
+        tail = (meta.p - 1,) if kind == "cyc" else ()
+        if coeffs.ndim != 2 + len(tail) or coeffs.shape != (len(coeffs),) * 2 + tail:
+            raise ValueError(f"{kind} matrix of shape {coeffs.shape}, not (n, n) + {tail}")
+        coeffs.flags.writeable = False
+        self.kind, self.coeffs, self.meta = kind, coeffs, meta
+
+    @property
+    def n(self) -> int:
+        return len(self.coeffs)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as ints or CycElts, derived from `coeffs` on each read."""
+        if self.kind == "int":
+            return tuple(map(tuple, self.coeffs.tolist()))
+        p = self.meta.p
+        return tuple(tuple(CycElt._new(p, c) for c in row) for row in self.coeffs.tolist())
 
     def __repr__(self):
         return f"ExactMatrix({self.meta.family}, p={self.meta.p}, n={self.n})"
@@ -55,54 +74,68 @@ def _require_nonresidue(p: int, delta: int) -> None:
         raise ValueError(f"delta={delta} is not a quadratic non-residue mod {p}")
 
 
-def _legendre_rows(p: int, delta: int, start: int) -> list[list[int]]:
-    """Legendre symbols ((j^2 + delta*k^2)/p) for start <= j, k <= m."""
-    idx = range(start, (p - 1) // 2 + 1)
-    return [[legendre(j * j + delta * k * k, p) for k in idx] for j in idx]
+def _legendre_coeffs(p: int, delta: int, start: int) -> np.ndarray:
+    """Legendre symbols ((j^2 + delta*k^2)/p) for start <= j, k <= m: one table lookup."""
+    chi = np.full(p, -1, dtype=np.int64)
+    chi[np.arange(p) ** 2 % p] = 1
+    chi[0] = 0
+    sq = np.arange(start, (p + 1) // 2) ** 2 % p
+    return chi[(sq[:, None] + delta % p * sq) % p]
 
 
-def _with_corner(p: int, delta: int, corner: CycElt) -> list[list[CycElt]]:
-    """The Legendre rows from index 0 as elements, with `corner` at (0, 0);
-    the symbols -1, 0 and 1 share one immutable element each."""
-    values = {s: CycElt.rational(p, s) for s in (-1, 0, 1)}
-    rows = [[values[s] for s in row] for row in _legendre_rows(p, delta, 0)]
-    rows[0][0] = corner
-    return rows
+def _with_corner(p: int, delta: int, corner: CycElt) -> np.ndarray:
+    """The Legendre symbols from index 0 as rational elements, with `corner` at (0, 0)."""
+    out = _legendre_coeffs(p, delta, 0)[..., None] * np.eye(1, p - 1, dtype=np.int64)
+    out[0, 0] = corner.num
+    return out
 
 
-def _zeta_rows(p: int, delta: int) -> list[list[CycElt]]:
-    """Entries zeta^(delta j^2 k^2) for 0 <= j, k <= m."""
-    idx = range((p - 1) // 2 + 1)
-    return [[CycElt.zeta(p, delta * j * j * k * k) for k in idx] for j in idx]
+def _zeta_coeffs(p: int, delta: int) -> np.ndarray:
+    """Entries zeta^(delta j^2 k^2) for 0 <= j, k <= m: a one-hot at the exponent e,
+    or -1 in every coefficient for e = p-1 (zeta^(p-1) = -1 - zeta - ... - zeta^(p-2))."""
+    sq = np.arange((p + 1) // 2) ** 2 % p
+    e = delta % p * np.outer(sq, sq) % p
+    out = (e[..., None] == np.arange(p - 1)).astype(np.int64)
+    out[e == p - 1] = -1
+    return out
+
+
+def _geometric_sums(p: int, e, n) -> np.ndarray:
+    """Entry (a, b) the sum 1 + zeta^e_a + ... + zeta^(e_a (n_b - 1)), each e_a nonzero mod p.
+    As a full cycle of p powers sums to 0, zeta^t is a term iff t / e_a mod p < n_b mod p."""
+    inv = np.array([pow(int(x), -1, p) for x in e], dtype=np.int64)
+    raw = (np.outer(inv, np.arange(p)) % p)[:, None] < (np.asarray(n) % p)[:, None]
+    out = raw[..., :-1].astype(np.int64)
+    out -= raw[..., -1:]  # remove zeta^(p-1)
+    return out
 
 
 def build_C(p: int) -> ExactMatrix:
     """Entries (1 - zeta^(j^2 k^2)) / (1 - zeta^(j^2)), built as geometric sums."""
     require_odd_prime(p)
-    idx = range(1, (p - 1) // 2 + 1)
-    rows = [[geometric_quotient(p, j * j, k * k) for k in idx] for j in idx]
-    return ExactMatrix("cyc", rows, MatrixMeta(p, "C"))
+    sq = np.arange(1, (p + 1) // 2) ** 2 % p
+    return ExactMatrix("cyc", _geometric_sums(p, sq, sq), MatrixMeta(p, "C"))
 
 
 def build_D(p: int) -> ExactMatrix:
     """Entries zeta^(j^2 k^2) for 0 <= j, k <= m."""
     require_odd_prime(p)
-    return ExactMatrix("cyc", _zeta_rows(p, 1), MatrixMeta(p, "D"))
+    return ExactMatrix("cyc", _zeta_coeffs(p, 1), MatrixMeta(p, "D"))
 
 
 def build_D_delta(p: int, delta: int) -> ExactMatrix:
     """Entries zeta^(delta j^2 k^2), delta a quadratic non-residue."""
     require_odd_prime(p)
     _require_nonresidue(p, delta)
-    return ExactMatrix("cyc", _zeta_rows(p, delta), MatrixMeta(p, "DD", delta))
+    return ExactMatrix("cyc", _zeta_coeffs(p, delta), MatrixMeta(p, "DD", delta))
 
 
 def build_D_tilde(p: int) -> ExactMatrix:
     """Column 0 all ones, other entries 2*zeta^(j^2 k^2)."""
     require_odd_prime(p)
-    one = CycElt.one(p)
-    rows = [[one] + [2 * e for e in row[1:]] for row in _zeta_rows(p, 1)]
-    return ExactMatrix("cyc", rows, MatrixMeta(p, "Dtilde"))
+    coeffs = _zeta_coeffs(p, 1)
+    coeffs[:, 1:] *= 2  # column 0 is zeta^0 = 1 already
+    return ExactMatrix("cyc", coeffs, MatrixMeta(p, "Dtilde"))
 
 
 def build_E(p: int) -> ExactMatrix:
@@ -125,21 +158,21 @@ def build_F(p: int, delta: int) -> ExactMatrix:
 def build_S(p: int) -> ExactMatrix:
     """Legendre symbols ((j^2+k^2)/p) for 1 <= j, k <= m."""
     require_odd_prime(p)
-    return ExactMatrix("int", _legendre_rows(p, 1, 1), MatrixMeta(p, "S"))
+    return ExactMatrix("int", _legendre_coeffs(p, 1, 1), MatrixMeta(p, "S"))
 
 
 def build_T(p: int, delta: int) -> ExactMatrix:
     """Legendre symbols ((j^2+delta*k^2)/p) for 0 <= j, k <= m."""
     require_odd_prime(p)
     _require_nonresidue(p, delta)
-    return ExactMatrix("int", _legendre_rows(p, delta, 0), MatrixMeta(p, "T", delta))
+    return ExactMatrix("int", _legendre_coeffs(p, delta, 0), MatrixMeta(p, "T", delta))
 
 
 def build_S_delta(p: int, delta: int) -> ExactMatrix:
     """Legendre symbols ((j^2+delta*k^2)/p) for 1 <= j, k <= m."""
     require_odd_prime(p)
     _require_nonresidue(p, delta)
-    return ExactMatrix("int", _legendre_rows(p, delta, 1), MatrixMeta(p, "SD", delta))
+    return ExactMatrix("int", _legendre_coeffs(p, delta, 1), MatrixMeta(p, "SD", delta))
 
 
 def build(family: str, p: int, *delta: int) -> ExactMatrix:
@@ -156,11 +189,8 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.n != b.n or a.kind != b.kind or (a.kind == "cyc" and a.meta.p != b.meta.p):
         raise ValueError("incompatible matrices")
     if a.kind == "int":
-        rows = [[sum(x * y for x, y in zip(arow, col)) for col in zip(*b.rows)] for arow in a.rows]
+        prod = (a.coeffs.astype(object) @ b.coeffs).tolist()
     else:
-        p, den = a.meta.p, math.lcm(*(e.den for x in (a, b) for row in x.rows for e in row))
-        nums = [[[e.num if e.den == den else [c * (den // e.den) for c in e.num] for e in row]
-                 for row in x.rows] for x in (a, b)]
-        rows = [[CycElt._new(p, c, den * den) for c in row] for row in lincomb(p, *nums)]
+        prod = lincomb(a.meta.p, a.coeffs.tolist(), b.coeffs.tolist())
     meta = MatrixMeta(a.meta.p, f"{a.meta.family}*{b.meta.family}", a.meta.delta or b.meta.delta)
-    return ExactMatrix(a.kind, rows, meta)
+    return ExactMatrix(a.kind, _int_array(prod), meta)

@@ -8,7 +8,8 @@ cycles; the fundamental unit is searched for by brute force; the residue
 product is multiplied out factor by factor in the cyclotomic ring; a
 determinant mod q is one row reduction of one matrix, reduced every step;
 the evaluation and interpolation matrices at the order-p nodes of F_q are
-filled entry by entry; a geometric sum adds every one of its terms.  The
+filled entry by entry; a geometric sum adds every one of its terms; the
+reference matrices are built one entry at a time as ints or CycElts.  The
 all-node evaluation-interpolation determinant is the one exception: it reuses
 the library's per-prime steps, and stands apart from `det_cyc_evalinterp` in
 its node choice (every node) and its stop (a stable lift plus one confirming
@@ -24,8 +25,40 @@ from itertools import islice
 import numpy as np
 
 from cyclodet.cycring import CycElt, eval_complex, make
-from cyclodet.detkit import _coefficients, _crt_lift, _det_mod_stack, _EvalData
-from cyclodet.modarith import aux_primes, is_square
+from cyclodet.detkit import _crt_lift, _det_mod_stack, _EvalData
+from cyclodet.matrices import ExactMatrix, MatrixMeta, _int_array
+from cyclodet.modarith import aux_primes, is_square, legendre
+from cyclodet.subfield import gauss_sum
+
+
+def exact_matrix(rows, p: int, kind: str = "cyc") -> ExactMatrix:
+    """The matrix with these entries: integral CycElts over p, or ints for kind "int",
+    in the dtype `_int_array` chooses.  A non-integral element raises ValueError."""
+    if kind == "cyc":
+        if not all(e.is_integral for row in rows for e in row):
+            raise ValueError("integral cyclotomic entries required")
+        rows = [[e.num for e in row] for row in rows]
+    return ExactMatrix(kind, _int_array(rows), MatrixMeta(p, "test"))
+
+
+def reference_rows(family: str, p: int, *delta: int) -> list[list]:
+    """The entries of `family` (a MatrixMeta name) at p, built one at a time: ints for S, T
+    and SD, CycElts otherwise.  C's geometric sums add all k^2 of their terms."""
+    d, m = delta[0] if delta else 1, (p - 1) // 2
+    if family == "C":
+        idx = range(1, m + 1)
+        return [[geometric_sum_loop(p, j * j, k * k) for k in idx] for j in idx]
+    if family in ("D", "DD", "Dtilde"):
+        rows = [[CycElt.zeta(p, d * j * j * k * k) for k in range(m + 1)] for j in range(m + 1)]
+        if family == "Dtilde":
+            rows = [[CycElt.one(p)] + [2 * e for e in row[1:]] for row in rows]
+        return rows
+    idx = range(1 if family in ("S", "SD") else 0, m + 1)
+    rows = [[legendre(j * j + d * k * k, p) for k in idx] for j in idx]
+    if family in ("E", "F"):
+        rows = [[CycElt.rational(p, s) for s in row] for row in rows]
+        rows[0][0] = -gauss_sum(p) if family == "E" else gauss_sum(p)
+    return rows
 
 
 def det_cofactor(rows):
@@ -203,7 +236,7 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
     each auxiliary prime, CRT-lifted until the coefficients are unchanged by
     two consecutive primes: no symmetry and no coefficient bound used."""
     p, n = m.meta.p, m.n
-    coeffs = _coefficients([e for row in m.rows for e in row])
+    coeffs = m.coeffs.reshape(n * n, p - 1)
     sym, modulus, stable = [0] * (p - 1), 1, 0
     for q in islice(aux_primes(p), max_moduli):
         data = _EvalData(p, q)

@@ -16,7 +16,7 @@ import pytest
 from cyclodet.classno import h_neg, verify_product_formula
 from cyclodet.cycring import CycElt
 from cyclodet.detkit import _divide_exact, det_int_bareiss, det_int_modular
-from cyclodet.matrices import ExactMatrix, MatrixMeta, build_S, build_S_delta, build_T
+from cyclodet.matrices import build_S, build_S_delta, build_T
 from cyclodet.modarith import is_prime, primitive_root
 from cyclodet.subfield import (
     QuadElt,
@@ -28,7 +28,7 @@ from cyclodet.subfield import (
 from cyclodet import verify
 from cyclodet.verify import SweepOptions, check_perm_sign, run_prime, run_range
 
-from oracles import random_cyc
+from oracles import exact_matrix, random_cyc
 
 SWEEP_OPTIONS = SweepOptions(delta="sweep:3", backend="both")
 
@@ -182,7 +182,7 @@ def test_criterion_5_property_suites(sweep):
     for _ in range(200):
         n = rng.randint(1, 8)
         rows = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
-        mat = ExactMatrix("int", rows, MatrixMeta(5, "rand"))
+        mat = exact_matrix(rows, 5, "int")
         if det_int_bareiss(mat) != det_int_modular(mat):
             problems.append("random backend agreement")
             break

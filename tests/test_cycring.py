@@ -11,11 +11,11 @@ from cyclodet import cycring
 from cyclodet.cycring import (
     CycElt,
     eval_complex,
-    geometric_quotient,
     lincomb,
     make,
 )
 from cyclodet.detkit import _coefficients, _divide_exact, _EvalData
+from cyclodet.matrices import _geometric_sums
 from cyclodet.modarith import aux_primes
 
 from oracles import cyc_mul_loop, geometric_sum_loop, lagrange_loop, random_cyc, vandermonde_loop
@@ -117,7 +117,14 @@ class TestExactDiv:
             assert _divide_exact([x * y], y) == [x]
 
 
+def geometric_quotient(p, e, n):
+    """1 + zeta^e + ... + zeta^(e(n-1)) as one entry of `matrices._geometric_sums`."""
+    return CycElt(p, _geometric_sums(p, [e], [n])[0, 0].tolist())
+
+
 class TestGeometricQuotient:
+    """The geometric sums that fill C, one entry at a time."""
+
     def test_definition(self):
         assert geometric_quotient(7, 1, 4) == 1 + zeta(7) + zeta(7, 2) + zeta(7, 3)
 

@@ -17,16 +17,15 @@ import pytest
 
 from cyclodet.cycring import CycElt
 from cyclodet.detkit import (
-    _coefficients,
     _embedding_bound_sq,
     _orbit_step,
     det_cyc_bareiss,
     det_cyc_evalinterp,
 )
-from cyclodet.matrices import ExactMatrix, MatrixMeta, build
+from cyclodet.matrices import ExactMatrix, build
 from cyclodet.modarith import is_prime, least_nonresidue, primitive_root
 
-from oracles import evalinterp_all_nodes, random_cyc
+from oracles import evalinterp_all_nodes, exact_matrix, random_cyc
 
 PRIMES = [p for p in range(3, 104) if is_prime(p)]
 
@@ -52,12 +51,8 @@ def expected_f(family: str, p: int) -> int:
     return 2 if p % 4 == 3 or family == "F" else 4
 
 
-def cyc_matrix(rows, p: int) -> ExactMatrix:
-    return ExactMatrix("cyc", rows, MatrixMeta(p, "test"))
-
-
 def coefficients(m: ExactMatrix) -> np.ndarray:
-    return _coefficients([e for row in m.rows for e in row])
+    return m.coeffs.reshape(m.n * m.n, -1)
 
 
 def galois_sign(m: ExactMatrix, b: int):
@@ -111,7 +106,7 @@ class TestOrbitCertificate:
 def perturbed(m: ExactMatrix, j: int, k: int, delta) -> ExactMatrix:
     rows = [list(row) for row in m.rows]
     rows[j][k] = rows[j][k] + delta
-    return cyc_matrix(rows, m.meta.p)
+    return exact_matrix(rows, m.meta.p)
 
 
 class TestCertificateCannotBeFooled:
@@ -133,22 +128,22 @@ class TestCertificateCannotBeFooled:
     def test_random_matrix(self):
         rng = random.Random(0x0B17)
         p, n = 11, 5
-        self.check_all_nodes(cyc_matrix([[random_cyc(rng, p) for _ in range(n)]
-                                          for _ in range(n)], p))
+        self.check_all_nodes(exact_matrix([[random_cyc(rng, p) for _ in range(n)]
+                                            for _ in range(n)], p))
 
     def test_repeated_row(self):
         rows = [list(row) for row in matrix("D", 13).rows]
         rows[5] = rows[4]
-        assert self.check_all_nodes(cyc_matrix(rows, 13)).is_zero()
+        assert self.check_all_nodes(exact_matrix(rows, 13)).is_zero()
 
     def test_coefficients_beyond_int64(self):
         rng = random.Random(0xB16)
         p, n = 7, 3
-        m = cyc_matrix([[random_cyc(rng, p, span=2**80) for _ in range(n)] for _ in range(n)], p)
+        m = exact_matrix([[random_cyc(rng, p, span=2**80) for _ in range(n)] for _ in range(n)], p)
         assert coefficients(m).dtype == object
         self.check_all_nodes(m)
         # the symmetric D(7) scaled past int64 keeps its two orbits
-        scaled = cyc_matrix([[e * 2**70 for e in row] for row in matrix("D", 7).rows], 7)
+        scaled = exact_matrix([[e * 2**70 for e in row] for row in matrix("D", 7).rows], 7)
         assert coefficients(scaled).dtype == object
         assert _orbit_step(coefficients(scaled), 7, scaled.n) == 2
         assert det_cyc_evalinterp(scaled) == det_cyc_bareiss(scaled)
@@ -173,7 +168,7 @@ class TestCoefficientBound:
     def test_zeta_to_the_p_minus_1_counts_one(self):
         """l(zeta^(p-1)) = 1: the median form, not the p-1 of sum |b_i|."""
         p = 11
-        m = cyc_matrix([[CycElt.zeta(p, p - 1)]], p)
+        m = exact_matrix([[CycElt.zeta(p, p - 1)]], p)
         assert _embedding_bound_sq(coefficients(m), 1) == 1
 
     @pytest.mark.parametrize("p", [101, 103])

@@ -1,7 +1,13 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from cyclodet.cycring import CycElt
 from cyclodet.matrices import (
+    ExactMatrix,
+    MatrixMeta,
+    build,
     build_C,
     build_D,
     build_D_delta,
@@ -13,8 +19,16 @@ from cyclodet.matrices import (
     build_T,
     matmul,
 )
-from cyclodet.modarith import distinct_nonresidues, legendre
+from cyclodet.modarith import distinct_nonresidues, is_prime, legendre
 from cyclodet.subfield import gauss_sum
+
+from oracles import exact_matrix, reference_rows
+
+REFERENCE_PRIMES = [p for p in range(5, 62) if is_prime(p)] + [101, 103]
+REFERENCE_CASES = [
+    (family, p) for p in REFERENCE_PRIMES
+    for family in ("C", "D", "Dtilde", "S", "T", "SD", "DD", "E" if p % 4 == 3 else "F")
+]
 
 
 def zeta(p, k=1):
@@ -149,8 +163,51 @@ class TestMatmul:
         assert sq.rows[0][0] == 2
         assert sq.rows[1][1] == 1 + z * z
 
+    def test_integer_product(self):
+        s = build_S(7).rows
+        expected = tuple(tuple(sum(s[i][t] * s[t][j] for t in range(3)) for j in range(3))
+                         for i in range(3))
+        assert matmul(build_S(7), build_S(7)).rows == expected
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             matmul(build_D(5), build_D(7))
         with pytest.raises(ValueError):  # both 3 x 3, over different fields
             matmul(build_C(7), build_D(5))
+
+
+class TestExactMatrix:
+    @pytest.mark.parametrize("family, p", REFERENCE_CASES)
+    def test_coeffs_equal_the_reference(self, family, p):
+        """Each builder's array is the entries built one at a time (`oracles.reference_rows`),
+        int64 and read-only; T, SD, DD and F at each of three non-residues."""
+        deltas = distinct_nonresidues(p, 3) if family in ("T", "SD", "DD", "F") else [None]
+        for delta in deltas:
+            args = () if delta is None else (delta,)
+            m = build(family, p, *args)
+            ref = reference_rows(family, p, *args)
+            expected = ref if m.kind == "int" else [[list(e.num) for e in row] for row in ref]
+            assert m.coeffs.dtype == np.int64 and not m.coeffs.flags.writeable
+            assert m.coeffs.tolist() == expected
+            assert m.rows == tuple(map(tuple, ref))
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown matrix kind"):
+            ExactMatrix("real", np.zeros((2, 2), dtype=np.int64), MatrixMeta(5, "test"))
+
+    @pytest.mark.parametrize("kind, shape", [
+        ("int", (2, 3)), ("int", (2,)), ("int", (2, 2, 4)), ("cyc", (2, 3, 4)), ("cyc", (2, 2)),
+    ])
+    def test_rejects_non_square(self, kind, shape):
+        with pytest.raises(ValueError, match="shape"):
+            ExactMatrix(kind, np.zeros(shape, dtype=np.int64), MatrixMeta(5, "test"))
+
+    @pytest.mark.parametrize("length", [3, 5, 6])
+    def test_rejects_wrong_coefficient_count(self, length):
+        with pytest.raises(ValueError, match="shape"):
+            ExactMatrix("cyc", np.zeros((2, 2, length), dtype=np.int64), MatrixMeta(5, "test"))
+
+    def test_rejects_non_integral(self):
+        with pytest.raises(ValueError, match="integral"):
+            exact_matrix([[Fraction(1, 2) * CycElt.one(5)]], 5)
+        assert exact_matrix([[CycElt.one(5)]], 5).coeffs.tolist() == [[[1, 0, 0, 0]]]

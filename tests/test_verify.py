@@ -223,6 +223,22 @@ class TestOnePassPerDecision:
         assert {name: fams for name, fams in seen.items() if fams} == expected
 
 
+class TestEvalinterpBand:
+    def test_reads_no_cyclotomic_entries(self, monkeypatch):
+        """Above BAREISS_LIMIT every cyclotomic determinant reads the coefficient
+        array alone: a prime passes while `ExactMatrix.rows` raises for kind "cyc"."""
+        rows = matrices.ExactMatrix.rows
+
+        def int_rows_only(m):
+            if m.kind == "cyc":
+                raise AssertionError(f"{m} read entry by entry")
+            return rows.fget(m)
+
+        monkeypatch.setattr(matrices.ExactMatrix, "rows", property(int_rows_only))
+        assert verify.BAREISS_LIMIT < 61
+        assert run_prime(61).all_passed()
+
+
 class TestTimings:
     def test_every_build_and_determinant_is_timed_where_it_happens(self, monkeypatch):
         """Every determinant of a prime lands in `determinants`, also those
