@@ -1,15 +1,18 @@
 """Exact determinants with two independent backends per entry kind.
 
 Bareiss: one fraction-free elimination serves both rings and divides each
-row's updates by the previous pivot in one call: `_divide_ints` with a
-remainder check, or `_divide_exact`, which reconstructs the row's quotients by
-CRT and stops when one packed re-multiplication proves them; a division still
-unproven once the modulus passes a proven bound on exact quotients was not
-exact and raises.  There is no cap on the primes.  A cyclotomic row update is
-one packed combination of two rows (`cycring.lincomb`).
+step's updates by the previous pivot in one call: `_divide_ints` with a
+remainder check, or `_divide_exact`, which reconstructs the step's quotients
+by CRT and proves them a row at a time by one packed re-multiplication each;
+a division still unproven once the modulus passes a proven bound on exact
+quotients was not exact and raises.  There is no cap on the primes.  A
+cyclotomic row update is one packed combination of two rows
+(`cycring.lincomb`).
 
-Modular: every CRT in this module runs over one stream of primes, the
-auxiliary primes q = 1 (mod p) above AUX_PRIME_FLOOR (`aux_primes`).
+Modular: every CRT in this module is one mixed-radix conversion
+(`_MixedRadix`) over one stream of primes, the auxiliary primes q = 1 (mod p)
+above AUX_PRIME_FLOOR (`aux_primes`): residues stay int64, each prime adds a
+digit, and Python ints are built once, when the lift stops.
 Integer matrices are lifted until the modulus passes twice the Hadamard
 bound.  Cyclotomic matrices are evaluated at one element of order p in F_q
 per orbit of a certified Galois symmetry, their determinants taken in one
@@ -23,12 +26,14 @@ coefficient array has the dtype of `matrices._int_array`: int64 only while
 every entry is below AUX_PRIME_FLOOR in absolute value, Python ints
 otherwise.  Every int64 sum here is of `count` products of at most (q-1)^2,
 refused up front when count (q-1)^2 >= 2^63: p-1 products per value in
-`_EvalData`, n-1 updates of an entry in [0, q) in `_det_mod_stack`.  As every
-auxiliary prime q exceeds the floor, `_EvalData.values`, the one evaluator,
-takes int64 rows unreduced.
+`_EvalData`, n-1 updates of an entry in [0, q) in `_det_mod_stack`; the
+products of `_MixedRadix` are of two numbers below its primes, refused from
+2^31.  As every auxiliary prime q exceeds the floor, `_EvalData.values`, the
+one evaluator, takes int64 rows unreduced.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +97,59 @@ def _det_mod_stack(a: np.ndarray, q: int) -> np.ndarray:
     return det * (a[:, -1, -1] % q) % q
 
 
+# -- the one CRT ------------------------------------------------------------
+
+
+class _MixedRadix:
+    """Garner's CRT of int64 residue arrays, one mixed-radix digit per prime
+    (H. L. Garner, IRE Trans. EC-8, 1959; Knuth, TAOCP vol. 2, 4.3.2).
+
+    After the primes q_0 .. q_(k-1), M = q_0 ... q_(k-1), each value is
+    v = d_0 + d_1 q_0 + ... + d_(k-1) q_0 ... q_(k-2) with symmetric digits
+    |d_i| < q_i/2, so v is its residue of least absolute value mod M.  A fold
+    takes the next digit in numpy: the Horner sum of the earlier digits mod q
+    is v mod q, and d_k = (c - v) / M mod q.  All of it stays in int64 for
+    primes below 2^31, as every product is of two numbers below 2^31.  Python
+    ints are built once, by Horner over the digits (`ints`).
+    """
+
+    __slots__ = ("primes", "digits", "modulus")
+
+    def __init__(self) -> None:
+        self.primes, self.digits, self.modulus = [], [], 1
+
+    def fold(self, residues: np.ndarray, q: int) -> None:
+        """Add the digit of the residues mod q (int64 in [0, q), any shape)."""
+        if q >= 1 << 31:
+            raise OverflowError(f"mixed-radix digits mod q={q} can overflow int64")
+        v = np.zeros_like(residues)
+        for d, qi in zip(reversed(self.digits), reversed(self.primes)):
+            v = (v * qi + d) % q
+        d = (residues - v) % q * pow(self.modulus % q, -1, q) % q
+        self.digits.append(np.where(2 * d > q, d - q, d))
+        self.primes.append(q)
+        self.modulus *= q
+
+    def fits(self) -> np.ndarray:
+        """Per value, 4|d_top| + 2 <= q_top, which proves |v| < M/4: with
+        M' = M/q_top, v - d_top M' has the lower digits, below M'/2 in absolute
+        value, so |v| < (|d_top| + 1/2) M' <= M/4.  Every |v| < M/8 passes:
+        then |d_top| < q_top/8 + 1/2, so 4|d_top| + 2 < q_top/2 + 4 <= q_top
+        for q_top >= 8."""
+        return 4 * abs(self.digits[-1]) + 2 <= self.primes[-1]
+
+    def ints(self, index=slice(None)) -> list:
+        """The values at `index` (along the first axis) as Python ints."""
+        v = self.digits[-1][index].astype(object)
+        for d, q in zip(self.digits[-2::-1], self.primes[-2::-1]):
+            v = v * q + d[index]
+        return v.tolist()
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the values (along the first axis) where mask is False."""
+        self.digits = [d[mask] for d in self.digits]
+
+
 # -- fraction-free elimination and the integer backends ---------------------
 
 
@@ -99,9 +157,9 @@ def _fraction_free(rows, divide):
     """Bareiss elimination: first nonzero pivot per column, row swaps signed.
 
     After the first column, `divide(updates, prev)` returns the exact
-    quotients of one row's updates by the previous pivot, so the divider is
-    called once per row, as is `_update`.  Entries need truth and negation,
-    so ints and CycElts go through the same loop.
+    quotients of one step's updates, its rows concatenated, by the previous
+    pivot, so the divider is called once per step and `_update` once per row.
+    Entries need truth and negation, so ints and CycElts go through the same loop.
     """
     a = [list(row) for row in rows]
     n = len(a)
@@ -114,11 +172,16 @@ def _fraction_free(rows, divide):
                 return a[k][k]  # the pivot column is zero: so is the determinant
             a[k], a[r] = a[r], a[k]
             sign = -sign
-        piv = a[k][k]
-        row_k = a[k]
+        piv, row_k, tail = a[k][k], a[k][k + 1 :], n - k - 1
+        updates = []
         for row_i in a[k + 1 :]:
-            updates = _update(row_i[k + 1 :], piv, row_k[k + 1 :], row_i[k])
-            row_i[k + 1 :] = divide(updates, prev) if k else updates
+            updates += _update(row_i[k + 1 :], piv, row_k, row_i[k])
+            del row_i[k + 1 :]  # the old tail is read no more
+        del a[k][k + 1 :], row_k  # nor is the pivot row's
+        if k:
+            updates = divide(updates, prev)
+        for i, row_i in enumerate(a[k + 1 :]):
+            row_i[k + 1 :] = updates[i * tail : (i + 1) * tail]
         prev = piv
     return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
 
@@ -155,14 +218,13 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
     if m.kind != "int":
         raise ValueError("integer matrix required")
     bound_sq = 4 * _embedding_bound_sq(m.coeffs.reshape(-1, 1), m.n)
-    sym, modulus, moduli = [0], 1, []
+    crt = _MixedRadix()
     if stats is not None:
-        stats["moduli"] = moduli
+        stats["moduli"] = crt.primes
     for q in aux_primes(m.meta.p):
-        if modulus * modulus > bound_sq:
-            return sym[0]
-        sym, modulus = _crt_lift(sym, modulus, _det_mod_stack(m.coeffs[None], q), q)
-        moduli.append(q)
+        if crt.modulus * crt.modulus > bound_sq:
+            return crt.ints()[0] if crt.primes else 0
+        crt.fold(_det_mod_stack(m.coeffs[None], q), q)
 
 
 # -- evaluation data shared by the cyclotomic backends ---------------------
@@ -226,47 +288,37 @@ def _coefficients(entries: list[CycElt]) -> np.ndarray:
     return _int_array([e.num for e in entries])
 
 
-def _crt_lift(sym: list[int], modulus: int, coeffs_q, q: int):
-    """Fold one more prime's coefficient residues into a CRT lift.
-
-    Start from ([0] * n, 1).  `sym` holds the lifted values in symmetric range
-    mod `modulus` (odd, a product of odd primes); one conditional subtraction
-    brings s + modulus * ((c - s) / modulus mod q) back into that range mod
-    modulus * q.  Returns (sym, modulus * q).
-    """
-    inv = pow(modulus, -1, q)  # taken once per prime, not once per coefficient
-    mq = modulus * q
-    lifted = [s + modulus * ((c - s) * inv % q) for s, c in zip(sym, coeffs_q.tolist())]
-    lifted = [t - mq if 2 * t > mq else t for t in lifted]
-    return lifted, mq
-
-
 # -- exact division of integral cyclotomic elements ------------------------
 
 
 def _divide_exact(values: list[CycElt], den: CycElt) -> list[CycElt]:
     """Exact quotients of integral elements of Z[zeta_p] by a nonzero integral den.
 
-    Per auxiliary prime q at which den has no zero value, the whole row is
-    evaluated at the order-p nodes of F_q, scaled by den's inverse values,
-    interpolated and CRT-lifted.  Once every lifted coefficient is below a
-    quarter of the modulus, the candidates are checked by one packed
-    re-multiplication, which proves them, so a wrong answer is impossible.
+    Per auxiliary prime q at which den has no zero value, the elements still
+    unproven are evaluated at the order-p nodes of F_q, scaled by den's
+    inverse values, interpolated and folded into one mixed-radix CRT
+    (`_MixedRadix`).  The proof runs on slices of isqrt(len(values)) elements,
+    a row of a Bareiss step (r rows of r updates): once every top digit of a
+    slice reads a lift below a quarter of the modulus, one packed
+    re-multiplication checks the slice, which proves it, so a wrong answer is
+    impossible.  A proven slice leaves the later folds.
 
     The stop for a non-exact division is proven.  With l1 the sum of absolute
     coefficients, L = max_x l1(x) * l1(den)^(p-2) bounds every embedding of an
     exact quotient: |sigma(x)| <= l1(x), and N(den) is a nonzero integer, so
     1/|sigma(den)| <= prod of the other p-2 |tau(den)| <= l1(den)^(p-2).  The
     traces (`_embedding_bound_sq`) put its coefficients below 2L.  Once the
-    modulus passes 8L an exact quotient is the lift, below a quarter of the
-    modulus, and has been proven; a division still unproven there raises.
+    modulus M passes 16L they are below M/8, so the lift is the quotient and
+    its top digits pass (`_MixedRadix.fits`), and the slice has been proven; a
+    division still unproven there raises.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by zero")
     p = den.p
     coeffs, den_coeffs = _coefficients(values), _coefficients([den])
-    give_up = 8 * max(sum(map(abs, x.num)) for x in values) * sum(map(abs, den.num)) ** (p - 2)
-    sym, modulus = [0] * (len(values) * (p - 1)), 1
+    give_up = 16 * max(sum(map(abs, x.num)) for x in values) * sum(map(abs, den.num)) ** (p - 2)
+    width = math.isqrt(len(values))
+    quots, todo, crt = [None] * len(values), np.arange(len(values)), _MixedRadix()
     for q in aux_primes(p):
         data = _EvalData(p, q)
         den_vals = data.values(den_coeffs)[0]
@@ -274,12 +326,20 @@ def _divide_exact(values: list[CycElt], den: CycElt) -> list[CycElt]:
             continue  # q divides a conjugate of den; unusable
         inv_vals = np.array([pow(v, -1, q) for v in den_vals.tolist()], dtype=np.int64)
         qvals = data.values(coeffs) * inv_vals % q  # (elements, nodes)
-        sym, modulus = _crt_lift(sym, modulus, data.interpolate(qvals.T).T.ravel(), q)
-        if 4 * max(map(abs, sym)) < modulus:
-            quots = [sym[i : i + p - 1] for i in range(0, len(sym), p - 1)]
-            if lincomb(p, [[den.num]], [quots]) == [coeffs.tolist()]:
-                return [CycElt._new(p, x) for x in quots]
-        if modulus > give_up:
+        crt.fold(data.interpolate(qvals.T).T, q)
+        fits, done = crt.fits().all(axis=1), np.zeros(len(todo), dtype=bool)
+        for s in range(0, len(todo), width):
+            if fits[s : s + width].all():
+                cand = crt.ints(slice(s, s + width))
+                if lincomb(p, [[den.num]], [cand]) == [coeffs[s : s + width].tolist()]:
+                    for i, x in zip(todo[s : s + width].tolist(), cand):
+                        quots[i] = CycElt._new(p, x)
+                    done[s : s + width] = True
+        if done.all():
+            return quots
+        coeffs, todo = coeffs[~done], todo[~done]
+        crt.keep(~done)
+        if crt.modulus > give_up:
             raise ArithmeticError("Bareiss division was not exact")
 
 
@@ -349,17 +409,16 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     columns = np.array([pow(g, k, p) - 1 for k in range(p - 1)])  # node r^(g^k) in data.vand
     coset = np.argsort(columns) % f  # node r^t takes the value of r^(g^(k mod f)), t = g^k
     size = max(1, _STACK_ENTRIES // (n * n))  # nodes per block
-    sym, modulus, moduli = [0] * (p - 1), 1, []
+    crt = _MixedRadix()
     if stats is not None:
-        stats.update(nodes=f, moduli=moduli)
+        stats.update(nodes=f, moduli=crt.primes)
     for q in aux_primes(p):
         data = _EvalData(p, q)
         vals = data.values(coeffs, columns[:f]).reshape(n, n, f).transpose(2, 0, 1)
         dets = np.concatenate([_det_mod_stack(vals[s : s + size], q) for s in range(0, f, size)])
-        sym, modulus = _crt_lift(sym, modulus, data.interpolate(dets[coset]), q)
-        moduli.append(q)
-        if modulus * modulus > bound_sq:
-            return CycElt._new(p, sym)
+        crt.fold(data.interpolate(dets[coset]), q)
+        if crt.modulus * crt.modulus > bound_sq:
+            return CycElt._new(p, crt.ints())
 
 
 _CHOICES = {"bareiss": (0,), "modular": (1,), "both": (0, 1)}

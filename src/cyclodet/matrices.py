@@ -36,7 +36,7 @@ def _int_array(rows) -> np.ndarray:
     except OverflowError:
         return np.array(rows, dtype=object)
     small = -AUX_PRIME_FLOOR < arr.min(initial=0) and arr.max(initial=0) < AUX_PRIME_FLOOR
-    return arr if small else arr.astype(object)
+    return arr if small else np.array(rows, dtype=object)  # the given ints, not copies
 
 
 class ExactMatrix:

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .classno import ClassData, squares_product, verify_product_formula
-from .cycring import CycElt, eval_complex
+from .cycring import CycElt, eval_complex, lincomb
 from .detkit import DetResult, det
 from .matrices import build, matmul
 from .modarith import (
@@ -159,14 +159,17 @@ def legendre_sum_classes_hold(p: int) -> bool:
 
 
 def matrix_identity_direct(p: int, delta: int | None = None) -> bool:
-    """Literal product check Dtilde*D = g*E (or Dtilde*DD = g*F)."""
+    """Literal product check Dtilde*D = g*E (or Dtilde*DD = g*F), one packed
+    product of g with a row of the target per row."""
     ds = () if delta is None else (delta,)
     dt = build("Dtilde", p)
     right = build("DD" if ds else "D", p, *ds)
     target = build("F" if ds else "E", p, *ds)
     g = gauss_sum(p)
+    assert g.is_integral, "the Gauss sum is a sum of powers of zeta"
     prod = matmul(dt, right)
-    return all(x == g * y for row, trow in zip(prod.rows, target.rows) for x, y in zip(row, trow))
+    return all(lincomb(p, [[g.num]], [trow.tolist()]) == [row.tolist()]
+               for row, trow in zip(prod.coeffs, target.coeffs))
 
 
 def resolve_deltas(p: int, opt: SweepOptions) -> tuple[list[int], list[int]]:

@@ -8,12 +8,12 @@ cycles; the fundamental unit is searched for by brute force; the residue
 product is multiplied out factor by factor in the cyclotomic ring; a
 determinant mod q is one row reduction of one matrix, reduced every step;
 the evaluation and interpolation matrices at the order-p nodes of F_q are
-filled entry by entry; a geometric sum adds every one of its terms; the
-reference matrices are built one entry at a time as ints or CycElts.  The
-all-node evaluation-interpolation determinant is the one exception: it reuses
-the library's per-prime steps, and stands apart from `det_cyc_evalinterp` in
-its node choice (every node) and its stop (a stable lift plus one confirming
-prime).
+filled entry by entry; a CRT lift folds big ints one prime at a time; a
+geometric sum adds every one of its terms; the reference matrices are built
+one entry at a time as ints or CycElts.  The all-node evaluation-interpolation
+determinant is the one exception: it reuses the library's per-prime steps,
+and stands apart from `det_cyc_evalinterp` in its node choice (every node),
+its CRT (`crt_lift`) and its stop (a stable lift plus one confirming prime).
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from cyclodet.cycring import CycElt, eval_complex, make
-from cyclodet.detkit import _crt_lift, _det_mod_stack, _EvalData
+from cyclodet.detkit import _det_mod_stack, _EvalData
 from cyclodet.matrices import ExactMatrix, MatrixMeta, _int_array
 from cyclodet.modarith import aux_primes, is_square, legendre
 from cyclodet.subfield import gauss_sum
@@ -231,6 +231,22 @@ def random_cyc(rng: random.Random, p: int, span: int = 5, frac: bool = False) ->
     return CycElt(p, coeffs)
 
 
+def crt_lift(sym: list[int], modulus: int, coeffs_q, q: int):
+    """Fold one more prime's residues into a CRT lift in big ints: the reference
+    for `detkit._MixedRadix`.
+
+    Start from ([0] * n, 1).  `sym` holds the lifted values in symmetric range
+    mod `modulus` (odd, a product of odd primes); one conditional subtraction
+    brings s + modulus * ((c - s) / modulus mod q) back into that range mod
+    modulus * q.  Returns (sym, modulus * q).
+    """
+    inv = pow(modulus, -1, q)
+    mq = modulus * q
+    lifted = [s + modulus * ((c - s) * inv % q) for s, c in zip(sym, coeffs_q.tolist())]
+    lifted = [t - mq if 2 * t > mq else t for t in lifted]
+    return lifted, mq
+
+
 def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
     """Determinant of a cyclotomic matrix from its values at all p-1 nodes of
     each auxiliary prime, CRT-lifted until the coefficients are unchanged by
@@ -242,7 +258,7 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
         data = _EvalData(p, q)
         vals = data.values(coeffs).reshape(n, n, p - 1)
         dets = _det_mod_stack(vals.transpose(2, 0, 1), q)
-        lifted, folded = _crt_lift(sym, modulus, data.interpolate(dets), q)
+        lifted, folded = crt_lift(sym, modulus, data.interpolate(dets), q)
         stable = 0 if modulus == 1 or lifted != sym else stable + 1  # the first fold is a change
         sym, modulus = lifted, folded
         if stable >= 2:

@@ -36,6 +36,7 @@ from cyclodet.modarith import (
 from cyclodet.subfield import quad_decompose
 
 from oracles import (
+    crt_lift,
     cyc_mul_loop,
     det_cofactor,
     det_mod_prime,
@@ -49,18 +50,20 @@ Q_EDGE = next(  # the largest q at which a 24 x 24 elimination mod q fits int64
     q for q in range(math.isqrt((1 << 63) // 24) + 1, 0, -1)
     if 24 * (q - 1) ** 2 < 1 << 63 and is_prime(q)
 )
+SEED_16L = 0xCF1  # the first seed from 0xCD1 up whose division below has a modulus in (8L, 16L]
 
 
 @pytest.fixture
 def lifts(monkeypatch):
-    """The (lift, modulus) pair returned by every `_crt_lift` fold, in order."""
-    real, out = detkit._crt_lift, []
+    """The (lift, modulus) pair after every `_MixedRadix` fold, in order: the
+    values the CRT holds, as Python ints, and the product of its primes."""
+    real, out = detkit._MixedRadix.fold, []
 
-    def recorded(*args):
-        out.append(real(*args))
-        return out[-1]
+    def recorded(crt, residues, q):
+        real(crt, residues, q)
+        out.append((crt.ints(), crt.modulus))
 
-    monkeypatch.setattr(detkit, "_crt_lift", recorded)
+    monkeypatch.setattr(detkit._MixedRadix, "fold", recorded)
     return out
 
 
@@ -223,7 +226,7 @@ class TestCycBackends:
     def test_certified_stop_and_divider_cap(self, lifts):
         """evalinterp stops at the first modulus above 4H, with no cap on the
         primes it may take; the exact divider gives up on a division that is
-        not exact at the first modulus above 8L, L = max l1(x) * l1(den)^(p-2)."""
+        not exact at the first modulus above 16L, L = max l1(x) * l1(den)^(p-2)."""
         m = build_C(23)
         h2 = detkit._embedding_bound_sq(m.coeffs.reshape(m.n * m.n, -1), m.n)
         expected = det_cyc_bareiss(m)
@@ -232,7 +235,7 @@ class TestCycBackends:
         moduli = stats["moduli"]
         assert len(moduli) == 3
         assert math.prod(moduli) ** 2 > 16 * h2 >= math.prod(moduli[:-1]) ** 2
-        rng, p = random.Random(0xCD1), 13  # a seed with a modulus in (4L, 8L]
+        rng, p = random.Random(SEED_16L), 13  # a seed with a modulus in (8L, 16L]
         den = random_cyc(rng, p, span=2**10)
         values = [random_cyc(rng, p, span=2**60) * den + 1, den]  # the first is not a multiple
         l1 = [sum(map(abs, x.num)) for x in values + [den]]
@@ -241,17 +244,20 @@ class TestCycBackends:
         with pytest.raises(ArithmeticError, match="not exact"):
             detkit._divide_exact(values, den)
         moduli = [modulus for _, modulus in lifts]
-        assert 8 * bound >= moduli[-2] > 4 * bound and moduli[-1] > 8 * bound
+        assert 16 * bound >= moduli[-2] > 8 * bound and moduli[-1] > 16 * bound
 
 
 class TestExactDivider:
-    """Bareiss hands each row's updates to one divide call; every quotient is
+    """Bareiss hands each step's updates to one divide call; every quotient is
     verified, and a division that is not exact raises."""
 
-    def test_one_call_per_row(self, count_calls):
+    def test_one_call_per_step(self, count_calls):
         calls = count_calls(detkit._divide_exact)
         assert det_cyc_bareiss(build_D(13)) == det_cyc_evalinterp(build_D(13))
-        assert [len(row) for row in calls] == [5, 5, 5, 5, 5, 4, 4, 4, 4, 3, 3, 3, 2, 2, 1]
+        assert [len(step) for step in calls] == [25, 16, 9, 4, 1]
+        calls = count_calls(detkit._divide_ints)
+        assert det_int_bareiss(build_S(13)) == det_int_modular(build_S(13))
+        assert [len(step) for step in calls] == [16, 9, 4, 1]
 
     def test_int_row(self):
         assert detkit._divide_ints([6, -8, 0], 2) == [3, -4, 0]
@@ -279,32 +285,32 @@ class TestExactDivider:
         assert stats["moduli"] == [next(aux_primes(5))]
 
     def test_remultiplication_rejects_a_perturbed_lift(self, monkeypatch):
-        """The first CRT lift below a quarter of its modulus, with one
-        coefficient off by one, is caught by the packed re-multiplication.
-        The lift stays wrong modulo the primes already used, so no later lift
-        is the quotient and the call raises at the 8L give-up: it never
-        returns the wrong quotient."""
+        """The first CRT lift whose top digits read below a quarter of its
+        modulus, with one coefficient off by one (its lowest digit), is caught
+        by the packed re-multiplication.  The lift stays wrong modulo the
+        primes already used, so no later lift is the quotient and the call
+        raises at the 16L give-up: it never returns the wrong quotient."""
         rng = random.Random(0xBAD)
         p = 13
         den = random_cyc(rng, p, span=2**40)
         values = [random_cyc(rng, p, span=2**40) * den for _ in range(3)]
-        real, hits = detkit._crt_lift, []
+        real, hits = detkit._MixedRadix.fold, []
 
-        def perturbed(sym, modulus, coeffs_q, q):
-            sym, modulus = real(sym, modulus, coeffs_q, q)
-            if not hits and 4 * max(map(abs, sym)) < modulus:
+        def perturbed(crt, residues, q):
+            real(crt, residues, q)
+            if not hits and crt.fits().all():
                 hits.append(q)
-                sym = [sym[0] + 1] + sym[1:]
-            return sym, modulus
+                crt.digits[0][0, 0] += 1
 
-        monkeypatch.setattr(detkit, "_crt_lift", perturbed)
+        monkeypatch.setattr(detkit._MixedRadix, "fold", perturbed)
         with pytest.raises(ArithmeticError, match="not exact"):
             detkit._divide_exact(values, den)
         assert len(hits) == 1
 
     def test_small_quotients_take_one_prime(self, lifts):
-        """Quotients below 2^18 are below a quarter of the first auxiliary
-        prime (> 2^24), so the first lift is proven: a stability stop took two."""
+        """Quotients below 2^18 have a top digit below a quarter of the first
+        auxiliary prime (> 2^24), so the first lift is proven: a stability
+        stop took two."""
         rng = random.Random(0x18)
         p = 13
         den = random_cyc(rng, p, span=2**40)
@@ -315,16 +321,35 @@ class TestExactDivider:
     def test_no_more_primes_than_a_stability_stop(self, monkeypatch, lifts):
         """No division of C and D at p <= 31 takes more folds than a stop at
         an unchanged lift would: the first fold whose lift is the quotient,
-        plus one."""
-        real, seen = detkit._divide_exact, []
+        plus one.  This holds for the whole step and for each of its rows
+        (the proof slices, which leave the CRT once proven)."""
+        real_divide, real_keep = detkit._divide_exact, detkit._MixedRadix.keep
+        kept, seen = {}, []  # fold count -> mask of the values kept after it
+
+        def keep(crt, mask):
+            real_keep(crt, mask)
+            kept[len(lifts)] = mask
 
         def divide(values, den):
             start = len(lifts)
-            quots = real(values, den)
-            folds = [sym for sym, _ in lifts[start:]]
-            seen.append((len(folds), folds.index([c for x in quots for c in x.num]) + 1))
+            quots = real_divide(values, den)
+            width = math.isqrt(len(values))
+            held, used, correct = np.arange(len(values)), {}, {}
+            for j, (lift, _) in enumerate(lifts[start:], 1):
+                for i, x in zip(held.tolist(), lift):
+                    used[i // width] = j
+                    if x == list(quots[i].num):
+                        correct.setdefault(i, j)
+                held = held[kept.get(start + j, slice(None))]
+            assert len(correct) == len(values)  # every lift ends at the quotient
+            rows = {}  # per row, the fold from which its whole lift is the quotient
+            for i, j in correct.items():
+                rows[i // width] = max(rows.get(i // width, 0), j)
+            seen.append((len(lifts) - start, max(correct.values())))
+            seen.extend((used[r], rows[r]) for r in rows)
             return quots
 
+        monkeypatch.setattr(detkit._MixedRadix, "keep", keep)
         monkeypatch.setattr(detkit, "_divide_exact", divide)
         for p in filter(is_prime, range(5, 32)):
             for m in (build_C(p), build_D(p)):
@@ -339,6 +364,74 @@ class TestExactDivider:
                 for j, row in enumerate(m.rows)]
         scaled = exact_matrix(rows, 13)
         assert det_cyc_bareiss(scaled) == det_cyc_evalinterp(scaled)
+
+
+class TestMixedRadix:
+    """The one CRT of the module, `_MixedRadix`, against the big-int fold
+    `oracles.crt_lift`."""
+
+    @staticmethod
+    def folded(values, primes, shape=None):
+        crt = detkit._MixedRadix()
+        for q in primes:
+            crt.fold(np.array([v % q for v in values], dtype=np.int64).reshape(shape or -1), q)
+        return crt
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_agrees_with_the_big_int_fold(self, count):
+        """Signed values up to +-(M-1)/2, one prime and several: every fold's
+        lift and modulus equal the oracle's, and the last lift is the values."""
+        rng, primes = random.Random(0x6A2 + count), list(islice(aux_primes(13), count))
+        half = (math.prod(primes) - 1) // 2
+        values = [half, -half, half - 1, 1 - half, 0, 1, -1]
+        values += [rng.randint(-half, half) for _ in range(50)]
+        crt, sym, modulus = detkit._MixedRadix(), [0] * len(values), 1
+        for q in primes:
+            residues = np.array([v % q for v in values], dtype=np.int64)
+            crt.fold(residues, q)
+            sym, modulus = crt_lift(sym, modulus, residues, q)
+            assert crt.ints() == sym and crt.modulus == modulus
+        assert crt.primes == primes
+        assert sym == values
+
+    def test_rows_index_and_keep(self):
+        """Residues of any shape: `ints` reads rows along the first axis, and a
+        kept row goes on folding as if alone."""
+        rng, primes = random.Random(0x2D), list(islice(aux_primes(7), 3))
+        rows = [[rng.randint(-(1 << 70), 1 << 70) for _ in range(6)] for _ in range(4)]
+        crt = self.folded([v for row in rows for v in row], primes[:2], (4, 6))
+        half = crt.modulus // 2  # values above it come back as their symmetric residue
+        assert crt.ints(slice(1, 3)) == [[(v + half) % crt.modulus - half for v in row]
+                                         for row in rows[1:3]]
+        crt.keep(np.array([False, True, False, True]))
+        q = primes[2]
+        crt.fold(np.array([[v % q for v in row] for row in rows[1::2]], dtype=np.int64), q)
+        assert crt.ints() == rows[1::2] and crt.ints(slice(1, 2)) == rows[3:]
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_top_digit_reading(self, count):
+        """`fits` never accepts |v| >= M/4, and accepts every |v| < M/8 (the
+        16L give-up of `_divide_exact` rests on this).  The values sit at both
+        edges and where the reading is tight: top digits near q/4 with the
+        lower digits at their extremes."""
+        rng, primes = random.Random(0x7D + count), list(islice(aux_primes(11), count))
+        m, q = math.prod(primes), primes[-1]
+        below = m // q  # M' = M / q_top; the lower digits hold up to (M'-1)/2
+        edges = [m // 4 + d for d in range(-3, 4)] + [m // 8 + d for d in range(-3, 4)]
+        tight = [d * below + r for d in range((q - 9) // 4, (q + 9) // 4)
+                 for r in (-(below - 1) // 2, 0, (below - 1) // 2)]
+        values = [s * v for v in edges + tight for s in (1, -1)]
+        values += [rng.randint(-(m // 2), m // 2) for _ in range(200)]
+        fits = self.folded(values, primes).fits().tolist()
+        assert any(fits) and not all(fits)
+        for v, ok in zip(values, fits):
+            assert not ok or 4 * abs(v) < m
+            assert ok or 8 * abs(v) >= m
+
+    def test_refuses_a_prime_past_int64_headroom(self):
+        crt = detkit._MixedRadix()
+        with pytest.raises(OverflowError):
+            crt.fold(np.zeros(3, dtype=np.int64), (1 << 31) + 11)
 
 
 class TestPackedRowProducts:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cyclodet import classno, detkit, matrices, verify
+from cyclodet.matrices import ExactMatrix
 from cyclodet.modarith import is_prime, primitive_root
 from cyclodet.verify import (
     CheckResult,
@@ -53,6 +54,22 @@ class TestLegendreSumIdentities:
     @pytest.mark.parametrize("p,delta", [(5, 2), (5, 3), (13, 2), (17, 3)])
     def test_direct_product_1mod4(self, p, delta):
         assert matrix_identity_direct(p, delta)
+
+    @pytest.mark.parametrize("p,delta,family", [(7, None, "E"), (13, 2, "F")])
+    def test_direct_product_fails_on_one_wrong_coefficient(self, monkeypatch, p, delta, family):
+        """One coefficient of the last row of the target, off by one, fails the check."""
+        real = verify.build
+
+        def build(name, *args):
+            m = real(name, *args)
+            if name != family:
+                return m
+            coeffs = m.coeffs.copy()
+            coeffs[-1, 1, 0] += 1
+            return ExactMatrix(m.kind, coeffs, m.meta)
+
+        monkeypatch.setattr(verify, "build", build)
+        assert not matrix_identity_direct(p, delta)
 
 
 @pytest.fixture(scope="module")
