@@ -1,14 +1,15 @@
-"""Exact arithmetic in the prime cyclotomic field Q(zeta_p).
+"""Exact arithmetic in the ring of integers Z[zeta_p] of Q(zeta_p).
 
-An element is p - 1 integer coefficients over one positive denominator in
-lowest terms, (num[0] + num[1]*zeta + ... + num[p-2]*zeta^(p-2)) / den, so
-equality is plain comparison of (num, den).  The missing power zeta^(p-1)
-is always eliminated through the relation 1 + zeta + ... + zeta^(p-1) = 0.
-`Fraction` appears only at the edges: the public constructor, scalar
-operands, and the `coeffs` view.
+An element is its p - 1 integer coefficients over the power basis,
+num[0] + num[1]*zeta + ... + num[p-2]*zeta^(p-2), so equality is plain
+comparison of `num`.  The missing power zeta^(p-1) is always eliminated
+through the relation 1 + zeta + ... + zeta^(p-1) = 0.  Rational coordinates
+(the half-integers of the quadratic subfield) live in `subfield.QuadElt`;
+here every coefficient and scalar operand is an int, and arithmetic with
+any other raises TypeError.
 
-Every product of integral elements goes through `lincomb`, which packs a
-whole row of elements into one integer (Kronecker substitution on byte
+Every product of elements goes through `lincomb`, which packs a whole row of
+coefficient vectors into one integer (Kronecker substitution on byte
 boundaries) and combines rows with one big-int multiply per term: a single
 product, a Bareiss row update, a divider's check, a row of a matrix product.
 
@@ -17,9 +18,7 @@ so elements can be shared freely between concurrent workers.
 """
 from __future__ import annotations
 
-import math
 import struct
-from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
@@ -91,49 +90,38 @@ def lincomb(p: int, weights: Sequence[Sequence[Sequence[int]]],
 
 
 class CycElt:
-    """An element of Q(zeta_p): integer coefficients `num` over `den` > 0."""
+    """An element of Z[zeta_p]: its p - 1 integer power-basis coefficients `num`."""
 
-    __slots__ = ("p", "num", "den")
+    __slots__ = ("p", "num")
 
-    def __init__(self, p: int, coeffs: Sequence) -> None:
+    def __init__(self, p: int, coeffs: Sequence[int]) -> None:
         require_odd_prime(p)
         cs = tuple(coeffs)
         if len(cs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p={p}, got {len(cs)}")
-        den = 1
         for c in cs:
-            if isinstance(c, Fraction):
-                den = math.lcm(den, c.denominator)
-            elif not isinstance(c, int):
-                raise TypeError(f"exact rational coefficient required, got {type(c).__name__}")
-        # den is the lcm of reduced denominators, so the result is in lowest terms
+            if not isinstance(c, int):
+                raise TypeError(f"integer coefficient required, got {type(c).__name__}")
         self.p = p
-        self.num = tuple(int(c * den) for c in cs)
-        self.den = den
+        self.num = tuple(map(int, cs))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _new(cls, p: int, num: Sequence[int], den: int = 1) -> CycElt:
-        """Trusted constructor: p - 1 ints over den > 0, reduced by the gcd."""
-        if den != 1:
-            g = math.gcd(den, *num)
-            if g != 1:
-                num = [c // g for c in num]
-                den //= g
+    def _new(cls, p: int, num: Sequence[int]) -> CycElt:
+        """Trusted constructor: p - 1 ints."""
         x = object.__new__(cls)
         x.p = p
         x.num = tuple(num)
-        x.den = den
         return x
 
     @classmethod
-    def _from_raw(cls, p: int, raw: Sequence[int], den: int = 1) -> CycElt:
-        """Canonicalize ints of zeta^0 .. zeta^(p-1) over den."""
+    def _from_raw(cls, p: int, raw: Sequence[int]) -> CycElt:
+        """Canonicalize ints of zeta^0 .. zeta^(p-1)."""
         last = raw[p - 1]
         if last:
-            return cls._new(p, [raw[i] - last for i in range(p - 1)], den)
-        return cls._new(p, raw[: p - 1], den)
+            return cls._new(p, [raw[i] - last for i in range(p - 1)])
+        return cls._new(p, raw[: p - 1])
 
     @classmethod
     def zero(cls, p: int) -> CycElt:
@@ -144,7 +132,7 @@ class CycElt:
         return cls.rational(p, 1)
 
     @classmethod
-    def rational(cls, p: int, value) -> CycElt:
+    def rational(cls, p: int, value: int) -> CycElt:
         return cls(p, (value,) + (0,) * (p - 2))
 
     @classmethod
@@ -156,16 +144,9 @@ class CycElt:
     # -- predicates ---------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple:
-        """The power-basis coefficients as ints or (non-integral) Fractions."""
-        den = self.den
-        if den == 1:
-            return self.num
-        return tuple(c // den if c % den == 0 else Fraction(c, den) for c in self.num)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.den == 1
+    def coeffs(self) -> tuple[int, ...]:
+        """The power-basis coefficients."""
+        return self.num
 
     @property
     def is_rational(self) -> bool:
@@ -174,10 +155,10 @@ class CycElt:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def rational_value(self):
+    def rational_value(self) -> int:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return self.num[0]
 
     # -- ring operations ----------------------------------------------
 
@@ -188,33 +169,23 @@ class CycElt:
     def __add__(self, other):
         if isinstance(other, CycElt):
             self._check_same_field(other)
-        elif isinstance(other, int):
-            num = list(self.num)
-            num[0] += other * self.den
-            return CycElt._new(self.p, num, self.den)
-        elif isinstance(other, Fraction):
-            other = CycElt.rational(self.p, other)
-        else:
-            return NotImplemented
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return CycElt._new(self.p, [a + b for a, b in zip(self.num, other.num)], d1)
-        return CycElt._new(
-            self.p, [a * d2 + b * d1 for a, b in zip(self.num, other.num)], d1 * d2
-        )
+            return CycElt._new(self.p, [a + b for a, b in zip(self.num, other.num)])
+        if isinstance(other, int):
+            return CycElt._new(self.p, (self.num[0] + other,) + self.num[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElt._new(self.p, [-c for c in self.num], self.den)
+        return CycElt._new(self.p, [-c for c in self.num])
 
     def __sub__(self, other):
-        if isinstance(other, (CycElt, int, Fraction)):
+        if isinstance(other, (CycElt, int)):
             return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return (-self) + other
         return NotImplemented
 
@@ -223,31 +194,28 @@ class CycElt:
         if isinstance(other, CycElt):
             self._check_same_field(other)
             ((num,),) = lincomb(p, [[self.num]], [[other.num]])
-            return CycElt._new(p, num, self.den * other.den)
+            return CycElt._new(p, num)
         if isinstance(other, int):
-            return CycElt._new(p, [c * other for c in self.num], self.den)
-        if isinstance(other, Fraction):
-            n = other.numerator
-            return CycElt._new(p, [c * n for c in self.num], self.den * other.denominator)
+            return CycElt._new(p, [c * other for c in self.num])
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, CycElt):
-            return self.p == other.p and self.den == other.den and self.num == other.num
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational and Fraction(self.num[0], self.den) == other
+            return self.p == other.p and self.num == other.num
+        if isinstance(other, int):
+            return self.is_rational and self.num[0] == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.num, self.den))
+        return hash((self.p, self.num))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __reduce__(self):
-        return (CycElt._new, (self.p, self.num, self.den))
+        return (CycElt._new, (self.p, self.num))
 
     # -- Galois action --------------------------------------------------
 
@@ -262,7 +230,7 @@ class CycElt:
         raw = [0] * p
         for i, c in enumerate(self.num):
             raw[a * i % p] = c
-        return CycElt._from_raw(p, raw, self.den)
+        return CycElt._from_raw(p, raw)
 
     # -- display --------------------------------------------------------
 
@@ -314,4 +282,4 @@ def eval_complex(x: CycElt, prec: int = 30):
         for k, c in enumerate(x.num):
             if c:
                 total += mpmath.mpf(c) * mpmath.expjpi(mpmath.mpf(2 * k) / x.p)
-        return total / x.den
+        return total

@@ -1,13 +1,15 @@
 """Exact determinants with two independent backends per entry kind.
 
-Bareiss: one fraction-free elimination serves both rings and divides each
-step's updates by the previous pivot in one call: `_divide_ints` with a
-remainder check, or `_divide_exact`, which reconstructs the step's quotients
-by CRT and proves them a row at a time by one packed re-multiplication each;
-a division still unproven once the modulus passes a proven bound on exact
-quotients was not exact and raises.  There is no cap on the primes.  A
-cyclotomic row update is one packed combination of two rows
-(`cycring.lincomb`).
+Bareiss: one fraction-free elimination serves both rings, on nested lists of
+ints or of coefficient lists (`ExactMatrix.coeffs.tolist()`), and calls each
+ring function once per step.  The update is elementwise over Z and one packed
+combination of two rows per row over Z[zeta_p] (`cycring.lincomb`).  The
+division by the previous pivot is `_divide_ints` with a remainder check, or
+`_divide_exact`, which reconstructs the step's quotients by CRT and proves
+them a row at a time by one packed re-multiplication each; a division still
+unproven once the modulus passes a proven bound on exact quotients was not
+exact and raises.  There is no cap on the primes.  A CycElt is built only
+for a determinant returned.
 
 Modular: every CRT in this module is one mixed-radix conversion
 (`_MixedRadix`) over one stream of primes, the auxiliary primes q = 1 (mod p)
@@ -21,9 +23,8 @@ and the coefficients recovered by the inverse transform on the same power
 table r^e mod q that built the evaluation (Vandermonde) matrix, then
 CRT-lifted past a proven coefficient bound.
 
-The modular backends read `ExactMatrix.coeffs`, Bareiss its `rows`.  Every
-coefficient array has the dtype of `matrices._int_array`: int64 only while
-every entry is below AUX_PRIME_FLOOR in absolute value, Python ints
+Every coefficient array has the dtype of `matrices._int_array`: int64 only
+while every entry is below AUX_PRIME_FLOOR in absolute value, Python ints
 otherwise.  Every int64 sum here is of `count` products of at most (q-1)^2,
 refused up front when count (q-1)^2 >= 2^63: p-1 products per value in
 `_EvalData`, n-1 updates of an entry in [0, q) in `_det_mod_stack`; the
@@ -41,8 +42,6 @@ import numpy as np
 from .cycring import CycElt, lincomb
 from .matrices import ExactMatrix, _int_array
 from .modarith import aux_primes, primitive_root
-
-_STACK_ENTRIES = 1 << 16  # int64 entries per (nodes, n, n) block of one elimination mod q
 
 
 @dataclass
@@ -153,47 +152,43 @@ class _MixedRadix:
 # -- fraction-free elimination and the integer backends ---------------------
 
 
-def _fraction_free(rows, divide):
+def _fraction_free(rows: list[list], zero, update, divide) -> tuple:
     """Bareiss elimination: first nonzero pivot per column, row swaps signed.
 
-    After the first column, `divide(updates, prev)` returns the exact
-    quotients of one step's updates, its rows concatenated, by the previous
-    pivot, so the divider is called once per step and `_update` once per row.
-    Entries need truth and negation, so ints and CycElts go through the same loop.
+    Each step replaces the block by its trailing block.  `update(piv, ys, below)`
+    returns x*piv - a*y for every row [a, *xs] below the pivot row [piv, *ys], the
+    rows concatenated; after the first step `divide(updates, prev)` returns their
+    exact quotients by the previous pivot.  So each ring function is called once
+    per step, and the loop itself only compares entries with `zero`.  Returns
+    (sign of the row swaps, last pivot), or (1, zero) at a zero column.
     """
-    a = [list(row) for row in rows]
-    n = len(a)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not a[k][k]:
-            r = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if r is None:
-                return a[k][k]  # the pivot column is zero: so is the determinant
-            a[k], a[r] = a[r], a[k]
+    a, sign, prev = rows, 1, None
+    while len(a) > 1:
+        r = next((r for r, row in enumerate(a) if row[0] != zero), None)
+        if r is None:
+            return 1, zero
+        if r:
+            a[0], a[r] = a[r], a[0]
             sign = -sign
-        piv, row_k, tail = a[k][k], a[k][k + 1 :], n - k - 1
-        updates = []
-        for row_i in a[k + 1 :]:
-            updates += _update(row_i[k + 1 :], piv, row_k, row_i[k])
-            del row_i[k + 1 :]  # the old tail is read no more
-        del a[k][k + 1 :], row_k  # nor is the pivot row's
-        if k:
+        (piv, *ys), tail = a[0], len(a) - 1
+        updates = update(piv, ys, a[1:])
+        if prev is not None:
             updates = divide(updates, prev)
-        for i, row_i in enumerate(a[k + 1 :]):
-            row_i[k + 1 :] = updates[i * tail : (i + 1) * tail]
-        prev = piv
-    return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
+        a, prev = [updates[i * tail : (i + 1) * tail] for i in range(tail)], piv
+    return sign, a[0][0]
 
 
-def _update(xs: list, piv, ys: list, aik) -> list:
-    """[x*piv - aik*y] over a row's tail: elementwise for ints, one packed
-    combination of the two rows for CycElts."""
-    if isinstance(piv, int):
-        return [x * piv - aik * y for x, y in zip(xs, ys)]
-    p = piv.p
-    (out,) = lincomb(p, [[piv.num, (-aik).num]], [[x.num for x in xs], [y.num for y in ys]])
-    return [CycElt._new(p, c) for c in out]
+def _update_ints(piv: int, ys: list[int], below: list[list[int]]) -> list[int]:
+    return [x * piv - a * y for a, *xs in below for x, y in zip(xs, ys)]
+
+
+def _update_cyc(piv: list[int], ys: list, below: list[list]) -> list:
+    """The step's updates over Z[zeta_p] (entries coefficient lists): one packed
+    combination of two rows (`cycring.lincomb`) per row below."""
+    p, out = len(piv) + 1, []
+    for a, *xs in below:
+        out += lincomb(p, [[piv, [-c for c in a]]], [xs, ys])[0]
+    return out
 
 
 def _divide_ints(values: list[int], den: int) -> list[int]:
@@ -208,7 +203,8 @@ def det_int_bareiss(m: ExactMatrix, stats: dict | None = None) -> int:
     """Fraction-free elimination over Z."""
     if m.kind != "int":
         raise ValueError("integer matrix required")
-    return _fraction_free(m.rows, _divide_ints)
+    sign, last = _fraction_free(m.coeffs.tolist(), 0, _update_ints, _divide_ints)
+    return sign * last
 
 
 def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
@@ -281,18 +277,11 @@ def _order_p_element(p: int, q: int) -> int:
     raise ArithmeticError(f"no element of order {p} in F_{q}")
 
 
-def _coefficients(entries: list[CycElt]) -> np.ndarray:
-    """The coefficient rows of integral elements, shape (elements, p-1)."""
-    if not all(e.is_integral for e in entries):
-        raise ValueError("integral cyclotomic entries required")
-    return _int_array([e.num for e in entries])
+# -- exact division in Z[zeta_p] --------------------------------------------
 
 
-# -- exact division of integral cyclotomic elements ------------------------
-
-
-def _divide_exact(values: list[CycElt], den: CycElt) -> list[CycElt]:
-    """Exact quotients of integral elements of Z[zeta_p] by a nonzero integral den.
+def _divide_exact(values: list[list[int]], den: list[int]) -> list[list[int]]:
+    """Exact quotients of elements of Z[zeta_p] by a nonzero den, all coefficient lists.
 
     Per auxiliary prime q at which den has no zero value, the elements still
     unproven are evaluated at the order-p nodes of F_q, scaled by den's
@@ -312,11 +301,11 @@ def _divide_exact(values: list[CycElt], den: CycElt) -> list[CycElt]:
     its top digits pass (`_MixedRadix.fits`), and the slice has been proven; a
     division still unproven there raises.
     """
-    if den.is_zero():
+    if not any(den):
         raise ZeroDivisionError("division by zero")
-    p = den.p
-    coeffs, den_coeffs = _coefficients(values), _coefficients([den])
-    give_up = 16 * max(sum(map(abs, x.num)) for x in values) * sum(map(abs, den.num)) ** (p - 2)
+    p = len(den) + 1
+    coeffs, den_coeffs = _int_array(values), _int_array([den])
+    give_up = 16 * max(sum(map(abs, x)) for x in values) * sum(map(abs, den)) ** (p - 2)
     width = math.isqrt(len(values))
     quots, todo, crt = [None] * len(values), np.arange(len(values)), _MixedRadix()
     for q in aux_primes(p):
@@ -331,9 +320,9 @@ def _divide_exact(values: list[CycElt], den: CycElt) -> list[CycElt]:
         for s in range(0, len(todo), width):
             if fits[s : s + width].all():
                 cand = crt.ints(slice(s, s + width))
-                if lincomb(p, [[den.num]], [cand]) == [coeffs[s : s + width].tolist()]:
+                if lincomb(p, [[den]], [cand]) == [coeffs[s : s + width].tolist()]:
                     for i, x in zip(todo[s : s + width].tolist(), cand):
-                        quots[i] = CycElt._new(p, x)
+                        quots[i] = x
                     done[s : s + width] = True
         if done.all():
             return quots
@@ -350,7 +339,9 @@ def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     """Fraction-free elimination over Z[zeta_p] with verified exact divisions."""
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
-    return _fraction_free(m.rows, _divide_exact)
+    p = m.meta.p
+    sign, last = _fraction_free(m.coeffs.tolist(), [0] * (p - 1), _update_cyc, _divide_exact)
+    return CycElt._new(p, [sign * c for c in last])
 
 
 def _orbit_step(coeffs: np.ndarray, p: int, n: int) -> int:
@@ -408,15 +399,13 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     bound_sq = 16 * _embedding_bound_sq(coeffs, n)
     columns = np.array([pow(g, k, p) - 1 for k in range(p - 1)])  # node r^(g^k) in data.vand
     coset = np.argsort(columns) % f  # node r^t takes the value of r^(g^(k mod f)), t = g^k
-    size = max(1, _STACK_ENTRIES // (n * n))  # nodes per block
     crt = _MixedRadix()
     if stats is not None:
         stats.update(nodes=f, moduli=crt.primes)
     for q in aux_primes(p):
         data = _EvalData(p, q)
         vals = data.values(coeffs, columns[:f]).reshape(n, n, f).transpose(2, 0, 1)
-        dets = np.concatenate([_det_mod_stack(vals[s : s + size], q) for s in range(0, f, size)])
-        crt.fold(data.interpolate(dets[coset]), q)
+        crt.fold(data.interpolate(_det_mod_stack(vals, q)[coset]), q)
         if crt.modulus * crt.modulus > bound_sq:
             return CycElt._new(p, crt.ints())
 
@@ -440,7 +429,4 @@ def det(m: ExactMatrix, backend: str = "both") -> DetResult:
         pair = (det_int_bareiss, det_int_modular)
     else:
         pair = (det_cyc_bareiss, det_cyc_evalinterp)
-    values = tuple(pair[i](m) for i in _CHOICES[backend])
-    if m.kind == "cyc" and not all(v.is_integral for v in values):
-        raise ArithmeticError("determinant of an integral matrix must be integral")
-    return DetResult(values)
+    return DetResult(tuple(pair[i](m) for i in _CHOICES[backend]))

@@ -8,7 +8,7 @@ Size conventions for an odd prime p with m = (p-1)/2:
 A matrix is one read-only integer array, `coeffs`: the entries, shape (n, n),
 or their power-basis coefficients over Z[zeta_p], shape (n, n, p-1), in the
 dtype `_int_array` chooses.  Each builder fills it in numpy from its exponent
-pattern; `rows` derives ints or CycElts from it on each read.
+pattern, and every determinant backend reads it.
 """
 from __future__ import annotations
 
@@ -56,14 +56,6 @@ class ExactMatrix:
     @property
     def n(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def rows(self) -> tuple:
-        """The entries as ints or CycElts, derived from `coeffs` on each read."""
-        if self.kind == "int":
-            return tuple(map(tuple, self.coeffs.tolist()))
-        p = self.meta.p
-        return tuple(tuple(CycElt._new(p, c) for c in row) for row in self.coeffs.tolist())
 
     def __repr__(self):
         return f"ExactMatrix({self.meta.family}, p={self.meta.p}, n={self.n})"

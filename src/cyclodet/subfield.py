@@ -136,8 +136,14 @@ class QuadElt:
         return self.x == 0 and self.y == 0
 
     def embed(self) -> CycElt:
-        """The corresponding cyclotomic element x + y*gauss_sum(p)."""
-        return CycElt.rational(self.p, self.x) + self.y * gauss_sum(self.p)
+        """The cyclotomic element x + y*gauss_sum(p), as (d*x + d*y*g) / d for the common
+        denominator d; a coefficient not divisible by d means x + y*g is not an
+        algebraic integer, which raises ValueError."""
+        d = math.lcm(self.x.denominator, self.y.denominator)
+        z = CycElt.rational(self.p, int(self.x * d)) + int(self.y * d) * gauss_sum(self.p)
+        if any(c % d for c in z.num):
+            raise ValueError(f"{self} is not an algebraic integer")
+        return CycElt._new(self.p, [c // d for c in z.num])
 
     def __eq__(self, other):
         o = self._coerce(other) if isinstance(other, (QuadElt, int, Fraction)) else None
@@ -173,13 +179,12 @@ def quad_decompose(x: CycElt, nonresidue: int | None = None) -> QuadElt:
     if legendre(n, p) != -1:
         raise ValueError(f"{n} is not a quadratic non-residue mod {p}")
     reflected = x.galois(n)
-    even_part = (x + reflected) * Fraction(1, 2)
+    twice_u = x + reflected
     odd_part = (x - reflected) * gauss_sum(p)
-    if not (even_part.is_rational and odd_part.is_rational):
+    if not (twice_u.is_rational and odd_part.is_rational):
         raise ValueError("element does not lie in the quadratic subfield")
-    gsq = gauss_square_sign(p) * p
-    u = Fraction(even_part.coeffs[0])
-    v = Fraction(odd_part.coeffs[0]) / (2 * gsq)
+    u = Fraction(twice_u.num[0], 2)
+    v = Fraction(odd_part.num[0], 2 * gauss_square_sign(p) * p)
     result = QuadElt(p, u, v)
     if result.embed() != x:
         raise ArithmeticError("quadratic decomposition failed to reconstruct input")

@@ -166,7 +166,6 @@ def matrix_identity_direct(p: int, delta: int | None = None) -> bool:
     right = build("DD" if ds else "D", p, *ds)
     target = build("F" if ds else "E", p, *ds)
     g = gauss_sum(p)
-    assert g.is_integral, "the Gauss sum is a sum of powers of zeta"
     prod = matmul(dt, right)
     return all(lincomb(p, [[g.num]], [trow.tolist()]) == [row.tolist()]
                for row, trow in zip(prod.coeffs, target.coeffs))

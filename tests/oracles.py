@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -32,13 +31,18 @@ from cyclodet.subfield import gauss_sum
 
 
 def exact_matrix(rows, p: int, kind: str = "cyc") -> ExactMatrix:
-    """The matrix with these entries: integral CycElts over p, or ints for kind "int",
-    in the dtype `_int_array` chooses.  A non-integral element raises ValueError."""
+    """The matrix with these entries: CycElts over p, or ints for kind "int",
+    in the dtype `_int_array` chooses."""
     if kind == "cyc":
-        if not all(e.is_integral for row in rows for e in row):
-            raise ValueError("integral cyclotomic entries required")
         rows = [[e.num for e in row] for row in rows]
     return ExactMatrix(kind, _int_array(rows), MatrixMeta(p, "test"))
+
+
+def entries(m: ExactMatrix) -> tuple:
+    """The entries of m as a tuple of row tuples: ints, or CycElts for kind "cyc"."""
+    if m.kind == "int":
+        return tuple(map(tuple, m.coeffs.tolist()))
+    return tuple(tuple(CycElt(m.meta.p, c) for c in row) for row in m.coeffs.tolist())
 
 
 def reference_rows(family: str, p: int, *delta: int) -> list[list]:
@@ -80,7 +84,7 @@ def det_numeric(matrix) -> complex:
     """Floating-point determinant via the canonical complex embedding."""
     vals = [
         [complex(e) if isinstance(e, int) else complex(eval_complex(e, 30)) for e in row]
-        for row in matrix.rows
+        for row in entries(matrix)
     ]
     return complex(np.linalg.det(np.array(vals, dtype=complex)))
 
@@ -214,21 +218,15 @@ def squares_product_by_mul(p: int) -> CycElt:
 def cyc_mul_loop(x: CycElt, y: CycElt) -> CycElt:
     """x * y by the schoolbook product of the power-basis coefficients."""
     p = x.p
-    raw = [Fraction(0)] * p
+    raw = [0] * p
     for i, a in enumerate(x.coeffs):
         for j, b in enumerate(y.coeffs):
             raw[(i + j) % p] += a * b
     return make(p, raw)
 
 
-def random_cyc(rng: random.Random, p: int, span: int = 5, frac: bool = False) -> CycElt:
-    if frac:
-        coeffs = [
-            Fraction(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(p - 1)
-        ]
-    else:
-        coeffs = [rng.randint(-span, span) for _ in range(p - 1)]
-    return CycElt(p, coeffs)
+def random_cyc(rng: random.Random, p: int, span: int = 5) -> CycElt:
+    return CycElt(p, [rng.randint(-span, span) for _ in range(p - 1)])
 
 
 def crt_lift(sym: list[int], modulus: int, coeffs_q, q: int):

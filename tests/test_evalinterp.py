@@ -25,7 +25,7 @@ from cyclodet.detkit import (
 from cyclodet.matrices import ExactMatrix, build
 from cyclodet.modarith import is_prime, least_nonresidue, primitive_root
 
-from oracles import evalinterp_all_nodes, exact_matrix, random_cyc
+from oracles import entries, evalinterp_all_nodes, exact_matrix, random_cyc
 
 PRIMES = [p for p in range(3, 104) if is_prime(p)]
 
@@ -58,7 +58,7 @@ def coefficients(m: ExactMatrix) -> np.ndarray:
 def galois_sign(m: ExactMatrix, b: int):
     """The sign of the row permutation P with galois(b) of every entry of M
     equal to P*M, or None when no such P exists (rows compared as CycElts)."""
-    rows = [list(row) for row in m.rows]
+    rows = [list(row) for row in entries(m)]
     if any(rows.count(row) > 1 for row in rows):
         return None
     perm = []
@@ -104,7 +104,7 @@ class TestOrbitCertificate:
 
 
 def perturbed(m: ExactMatrix, j: int, k: int, delta) -> ExactMatrix:
-    rows = [list(row) for row in m.rows]
+    rows = [list(row) for row in entries(m)]
     rows[j][k] = rows[j][k] + delta
     return exact_matrix(rows, m.meta.p)
 
@@ -132,7 +132,7 @@ class TestCertificateCannotBeFooled:
                                             for _ in range(n)], p))
 
     def test_repeated_row(self):
-        rows = [list(row) for row in matrix("D", 13).rows]
+        rows = [list(row) for row in entries(matrix("D", 13))]
         rows[5] = rows[4]
         assert self.check_all_nodes(exact_matrix(rows, 13)).is_zero()
 
@@ -143,7 +143,7 @@ class TestCertificateCannotBeFooled:
         assert coefficients(m).dtype == object
         self.check_all_nodes(m)
         # the symmetric D(7) scaled past int64 keeps its two orbits
-        scaled = exact_matrix([[e * 2**70 for e in row] for row in matrix("D", 7).rows], 7)
+        scaled = exact_matrix([[e * 2**70 for e in row] for row in entries(matrix("D", 7))], 7)
         assert coefficients(scaled).dtype == object
         assert _orbit_step(coefficients(scaled), 7, scaled.n) == 2
         assert det_cyc_evalinterp(scaled) == det_cyc_bareiss(scaled)

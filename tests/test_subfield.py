@@ -64,9 +64,18 @@ class TestQuadElt:
             QuadElt(5, x, y)
 
     def test_embed_matches_cyclotomic_arithmetic(self):
-        x = QuadElt(7, 2, Fraction(1, 2))
+        x = QuadElt(7, Fraction(5, 2), Fraction(1, 2))
         y = QuadElt(7, -1, 3)
         assert (x * y).embed() == x.embed() * y.embed()
+
+    @pytest.mark.parametrize("p", [7, 13])
+    def test_embed_of_half_integers(self, p):
+        """(1 + g)/2 is an algebraic integer, in either residue class; 1/2 is not."""
+        half = Fraction(1, 2)
+        assert 2 * QuadElt(p, half, half).embed() == 1 + gauss_sum(p)
+        for x, y in ((half, 0), (0, half), (half, 1)):
+            with pytest.raises(ValueError, match="algebraic integer"):
+                QuadElt(p, x, y).embed()
 
 
 class TestQuadDecompose:
@@ -81,11 +90,13 @@ class TestQuadDecompose:
         assert quad_decompose(prod) == QuadElt(7, 0, -1)
 
     def test_roundtrip_random_pairs(self):
+        """Random algebraic integers (a + b*g)/2, a = b (mod 2), of Q(g)."""
         rng = random.Random(0xDADA)
         for _ in range(200):
             p = rng.choice([5, 7, 11, 13])
-            u = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
-            v = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+            a = rng.randint(-40, 40)
+            b = a + 2 * rng.randint(-20, 20)
+            u, v = Fraction(a, 2), Fraction(b, 2)
             x = QuadElt(p, u, v).embed()
             assert quad_decompose(x) == QuadElt(p, u, v)
 

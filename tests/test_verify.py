@@ -241,19 +241,14 @@ class TestOnePassPerDecision:
 
 
 class TestEvalinterpBand:
-    def test_reads_no_cyclotomic_entries(self, monkeypatch):
+    def test_reads_no_cyclotomic_entries(self, count_calls):
         """Above BAREISS_LIMIT every cyclotomic determinant reads the coefficient
-        array alone: a prime passes while `ExactMatrix.rows` raises for kind "cyc"."""
-        rows = matrices.ExactMatrix.rows
-
-        def int_rows_only(m):
-            if m.kind == "cyc":
-                raise AssertionError(f"{m} read entry by entry")
-            return rows.fget(m)
-
-        monkeypatch.setattr(matrices.ExactMatrix, "rows", property(int_rows_only))
+        array alone, by evaluation-interpolation: a prime passes with no call of
+        the cyclotomic Bareiss."""
+        calls = count_calls(detkit.det_cyc_bareiss)
         assert verify.BAREISS_LIMIT < 61
         assert run_prime(61).all_passed()
+        assert calls == []
 
 
 class TestTimings:
