@@ -14,22 +14,24 @@ for a determinant returned.
 Modular: every CRT in this module is one mixed-radix conversion
 (`_MixedRadix`) over one stream of primes, the auxiliary primes q = 1 (mod p)
 above AUX_PRIME_FLOOR (`aux_primes`): residues stay int64, each prime adds a
-digit, and Python ints are built once, when the lift stops.
-Integer matrices are lifted until the modulus passes twice the Hadamard
-bound.  Cyclotomic matrices are evaluated at one element of order p in F_q
-per orbit of a certified Galois symmetry, their determinants taken in one
-batched int64 elimination mod q (no floats) and broadcast to all p-1 nodes,
-and the coefficients recovered by the inverse transform on the same power
-table r^e mod q that built the evaluation (Vandermonde) matrix, then
+digit, and Python ints are built once, when the lift stops.  A modular
+determinant counts its primes up front (`_lift_primes`) and takes every
+scalar determinant, at every prime and node, by one int64 elimination
+(`_det_mod_stack`, no floats), each matrix mod its own prime, in runs that
+bound its memory (`_runs`).  Integer matrices are lifted past twice the
+Hadamard bound.  Cyclotomic matrices are evaluated at one element of order p
+in F_q per orbit of a Galois symmetry certified on the matrix (`_orbit_step`),
+the values broadcast to all p-1 nodes, and the coefficients recovered by the
+inverse transform on the same power table r^e mod q that evaluated them, then
 CRT-lifted past a proven coefficient bound.
 
 Every coefficient array has the dtype of `matrices._int_array`: int64 only
 while every entry is below AUX_PRIME_FLOOR in absolute value, Python ints
 otherwise.  Every int64 sum here is of `count` products of at most (q-1)^2,
 refused up front when count (q-1)^2 >= 2^63: p-1 products per value in
-`_EvalData`, n-1 updates of an entry in [0, q) in `_det_mod_stack`; the
-products of `_MixedRadix` are of two numbers below its primes, refused from
-2^31.  As every auxiliary prime q exceeds the floor, `_EvalData.values`, the
+`_EvalData`, n-1 updates of an entry in [0, q) in `_det_mod_stack` (the
+largest q of the stack); the products of `_MixedRadix` are of two numbers
+below its primes, refused from 2^31.  As every auxiliary prime q exceeds the floor, `_EvalData.values`, the
 one evaluator, takes int64 rows unreduced.
 """
 from __future__ import annotations
@@ -63,37 +65,65 @@ class DetResult:
 # -- determinants over F_q --------------------------------------------------
 
 
-def _det_mod_stack(a: np.ndarray, q: int) -> np.ndarray:
-    """Determinants mod a prime q of a stack of matrices, shape (stack, n, n).
+def _det_mod_stack(a: np.ndarray, q) -> np.ndarray:
+    """Determinants of a stack of matrices, shape (stack, n, n), each mod its own prime:
+    `q` holds one modulus per matrix (an int applies to all).
 
-    One Gaussian elimination over F_q runs on every matrix at once.  Each
-    column takes every matrix's first nonzero pivot (a row swap flips its
-    sign), and a zero column makes that matrix's determinant 0.  The trailing
-    block is never reduced: an entry starts in [0, q) and takes at most n-1
-    updates of at most (q-1)^2, so a q with n (q-1)^2 >= 2^63 is refused.
-    Entries beyond int64 may come as Python ints (dtype object).  Returns
-    the determinants in [0, q) as int64.
+    One Gaussian elimination runs on every matrix at once, each over its own
+    F_q.  Each column takes every matrix's first nonzero pivot (a row swap
+    flips its sign), and a zero column makes that matrix's determinant 0.  The
+    trailing block is never reduced: an entry starts in [0, q) and takes at
+    most n-1 updates of at most (q-1)^2, so a stack whose largest q has
+    n (q-1)^2 >= 2^63 is refused.  Entries beyond int64 may come as Python
+    ints (dtype object).  Returns the determinants in [0, q) as int64.
     """
     stack, n = a.shape[0], a.shape[1]
-    if n * (q - 1) ** 2 >= 1 << 63:
-        raise OverflowError(f"{n - 1} updates mod q={q} can overflow int64")
-    a = (a % q).astype(np.int64, copy=False)
+    top = max(np.ravel(q).tolist())
+    if n * (top - 1) ** 2 >= 1 << 63:
+        raise OverflowError(f"{n - 1} updates mod q={top} can overflow int64")
+    q = np.broadcast_to(np.asarray(q, dtype=np.int64), (stack,))
+    moduli, qc = q.tolist(), q[:, None]
+    a = (a % qc[:, :, None]).astype(np.int64, copy=False)
     each = np.arange(stack)
     det = np.ones(stack, dtype=np.int64)
     for k in range(n - 1):
-        rows = k + np.argmax(a[:, k:, k] % q != 0, axis=1)
+        rows = k + np.argmax(a[:, k:, k] % qc != 0, axis=1)
         swap = rows != k
         if swap.any():
             pivot_rows = a[each, rows, k:]
             a[each, rows, k:] = a[:, k, k:]
             a[:, k, k:] = pivot_rows
             det = np.where(swap, q - det, det)
-        prow = a[:, k, k:] % q
+        prow = a[:, k, k:] % qc
         det = det * prow[:, 0] % q
-        inv = np.array([pow(v, -1, q) if v else 0 for v in prow[:, 0].tolist()], dtype=np.int64)
-        factors = a[:, k + 1 :, k] % q * inv[:, None] % q
+        inv = np.array([pow(v, -1, m) if v else 0 for v, m in zip(prow[:, 0].tolist(), moduli)],
+                       dtype=np.int64)
+        factors = a[:, k + 1 :, k] % qc * inv[:, None] % qc
         a[:, k + 1 :, k + 1 :] -= factors[:, :, None] * prow[:, None, 1:]
     return det * (a[:, -1, -1] % q) % q
+
+
+# int64 entries of one elimination stack (512 KiB), which bound a run of primes
+# (`_runs`): 8 primes at n = 45 with f = 4 nodes, one at n = 249, where a stack
+# of every prime doubles the peak RSS of S(499); 2^17 adds 1 MiB to C(199)'s.
+_STACK_ENTRIES = 1 << 16
+
+
+def _lift_primes(p: int, bound_sq: int) -> list[int]:
+    """The shortest prefix of `aux_primes(p)` whose product M has M^2 > bound_sq."""
+    primes, modulus = [], 1
+    for q in aux_primes(p):
+        if modulus * modulus > bound_sq:
+            return primes
+        primes.append(q)
+        modulus *= q
+
+
+def _runs(primes: list[int], per_prime: int) -> list[list[int]]:
+    """The primes in runs of at least one prime whose stacks, `per_prime` entries
+    per prime, hold at most _STACK_ENTRIES entries."""
+    size = max(1, _STACK_ENTRIES // per_prime)
+    return [primes[i : i + size] for i in range(0, len(primes), size)]
 
 
 # -- the one CRT ------------------------------------------------------------
@@ -208,19 +238,25 @@ def det_int_bareiss(m: ExactMatrix, stats: dict | None = None) -> int:
 
 
 def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
-    """CRT over `aux_primes(p)`, the stream of the cyclotomic backends, up to the
-    first modulus above 2H, H^2 the Hadamard bound `_embedding_bound_sq` (the l
-    of an integer is its absolute value); a zero row makes H = 0 and takes no prime."""
+    """CRT over the shortest prefix of `aux_primes(p)`, the stream of the cyclotomic
+    backends, whose modulus passes 2H, H^2 the Hadamard bound `_embedding_bound_sq`
+    (the l of an integer is its absolute value); a zero row makes H = 0 and takes
+    no prime.  The primes are counted up front and eliminated together, in runs
+    of at most _STACK_ENTRIES entries (`_runs`)."""
     if m.kind != "int":
         raise ValueError("integer matrix required")
-    bound_sq = 4 * _embedding_bound_sq(m.coeffs.reshape(-1, 1), m.n)
-    crt = _MixedRadix()
+    n = m.n
+    primes = _lift_primes(m.meta.p, 4 * _embedding_bound_sq(m.coeffs.reshape(-1, 1), n))
     if stats is not None:
-        stats["moduli"] = crt.primes
-    for q in aux_primes(m.meta.p):
-        if crt.modulus * crt.modulus > bound_sq:
-            return crt.ints()[0] if crt.primes else 0
-        crt.fold(_det_mod_stack(m.coeffs[None], q), q)
+        stats["moduli"] = primes
+    if not primes:
+        return 0
+    crt = _MixedRadix()
+    for run in _runs(primes, n * n):
+        dets = _det_mod_stack(np.broadcast_to(m.coeffs, (len(run), n, n)), np.array(run))
+        for q, d in zip(run, dets[:, None]):
+            crt.fold(d, q)
+    return crt.ints()[0]
 
 
 # -- evaluation data shared by the cyclotomic backends ---------------------
@@ -229,13 +265,14 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
 class _EvalData:
     """The power table of an element r of order p in F_q, for a prime q = 1 (mod p).
 
-    pow_r[e] = r^e mod q.  The nodes are r^t for t = 1..p-1, and the
-    Vandermonde matrix vand[i, t-1] = r^(i t) is an index into the table.
+    pow_r[e] = r^e mod q.  The nodes are r^t for t = 1..p-1, and the Vandermonde
+    matrix vand[i, t-1] = r^(i t) is gathered from the table where it is used,
+    so that a run of primes (`_runs`) holds p entries per prime, not (p-1)^2.
     Evaluation and interpolation both sum p-1 int64 products of a residue and
     a number below q in absolute value; a q where such a sum could wrap is refused.
     """
 
-    __slots__ = ("p", "q", "pow_r", "nodes", "vand", "inv_p")
+    __slots__ = ("p", "q", "pow_r", "nodes", "inv_p")
 
     def __init__(self, p: int, q: int) -> None:
         if (p - 1) * (q - 1) ** 2 >= 1 << 63:
@@ -248,15 +285,19 @@ class _EvalData:
             pow_r.append(pow_r[-1] * r % q)
         self.pow_r = np.array(pow_r, dtype=np.int64)
         self.nodes = pow_r[1:]
-        self.vand = self.pow_r[np.outer(np.arange(p - 1), np.arange(1, p)) % p]
         self.inv_p = pow(p, -1, q)
+
+    def vand(self, nodes=slice(None)) -> np.ndarray:
+        """The columns of the Vandermonde matrix at self.nodes[nodes]."""
+        p = self.p
+        return self.pow_r[np.outer(np.arange(p - 1), np.arange(1, p)[nodes]) % p]
 
     def values(self, coeffs: np.ndarray, nodes=slice(None)) -> np.ndarray:
         """Rows from `_int_array` at self.nodes[nodes] (a slice or an index array), in [0, q):
         int64 rows as they are (entries below AUX_PRIME_FLOOR < q), Python-int rows reduced."""
         if coeffs.dtype == object:
             coeffs = (coeffs % self.q).astype(np.int64)
-        return coeffs @ self.vand[:, nodes] % self.q
+        return coeffs @ self.vand(nodes) % self.q
 
     def interpolate(self, vals: np.ndarray) -> np.ndarray:
         """Coefficients mod q of the element of degree < p-1 with values `vals` at the nodes.
@@ -266,7 +307,7 @@ class _EvalData:
         v_0 = -sum_(t>0) v_t r^t.  vand @ vals[::-1] is sum_(t>0) v_t r^(-ti).
         """
         q = self.q
-        return (self.vand @ vals[::-1] - self.pow_r[1:] @ vals) % q * self.inv_p % q
+        return (self.vand() @ vals[::-1] - self.pow_r[1:] @ vals) % q * self.inv_p % q
 
 
 def _order_p_element(p: int, q: int) -> int:
@@ -349,12 +390,17 @@ def _orbit_step(coeffs: np.ndarray, p: int, n: int) -> int:
     maps M (`coeffs`: entries row-major, (n*n, p-1)) to P*M, P a row permutation of sign +1.
 
     sigma_b moves coefficient i to power b*i mod p; zeta^(p-1) is then removed.  Rows are matched
-    by value (a hash of the tuple, then the arrays): a row met twice or not at all, or a hash
-    collision, rejects f; f = p-1 (b = 1) always holds.  As det(sigma_b M) = sigma_b(det M) and
-    det(P*M) = det M, det M is fixed by <sigma_b>: its value at the node r^t depends only on
-    the coset t<b>, so the f nodes r^(g^j), j < f, give all."""
+    by a hash of their bytes (int64) or of their tuple (Python ints), and every match is confirmed
+    by comparing the arrays: a row met twice or not at all, or a hash collision, rejects f; f = p-1
+    (b = 1) always holds.  As det(sigma_b M) = sigma_b(det M) and det(P*M) = det M, det M is fixed
+    by <sigma_b>: its value at the node r^t depends only on the coset t<b>, so the f nodes
+    r^(g^j), j < f, give all."""
+
+    def key(row: np.ndarray) -> int:  # the bytes of an object array are pointers, not values
+        return hash(tuple(row.ravel().tolist()) if row.dtype == object else row.tobytes())
+
     rows = coeffs.reshape(n, n, p - 1)
-    index = {hash(tuple(row.ravel().tolist())): j for j, row in enumerate(rows)}
+    index = {key(row): j for j, row in enumerate(rows)}
     zero, g = np.zeros((n, 1), dtype=coeffs.dtype), primitive_root(p)
     for f in (f for f in range(1, p - 1) if (p - 1) % f == 0):
         source = np.arange(p) * pow(g, -f, p) % p  # power b*i of sigma_b(x) is power i of x
@@ -362,7 +408,7 @@ def _orbit_step(coeffs: np.ndarray, p: int, n: int) -> int:
         for row in rows:  # up to the first row with no match
             image = np.hstack([row, zero])[:, source]
             image = image[:, :-1] - image[:, -1:]
-            j = index.get(hash(tuple(image.ravel().tolist())), -1)
+            j = index.get(key(image), -1)
             perm.append(j if j >= 0 and np.array_equal(rows[j], image) else -1)
             if perm[-1] < 0:
                 break
@@ -389,25 +435,31 @@ def _embedding_bound_sq(coeffs: np.ndarray, n: int) -> int:
 
 def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     """Evaluation-interpolation determinant over Z[zeta_p]: per auxiliary prime, at the
-    f nodes of `_orbit_step`, broadcast to all p-1 by coset; the CRT lift stops at the
-    first modulus above 4H, which holds coefficients below 2H exactly."""
+    f nodes of `_orbit_step`, broadcast to all p-1 by coset; the CRT lift takes the
+    shortest prefix of `aux_primes(p)` whose modulus passes 4H (at least one prime),
+    which holds coefficients below 2H exactly.  The primes are counted up front and
+    their f scalar determinants eliminated together, in runs of at most
+    _STACK_ENTRIES entries (`_runs`)."""
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
     p, n = m.meta.p, m.n
     coeffs = m.coeffs.reshape(n * n, p - 1)
     f, g = _orbit_step(coeffs, p, n), primitive_root(p)
-    bound_sq = 16 * _embedding_bound_sq(coeffs, n)
-    columns = np.array([pow(g, k, p) - 1 for k in range(p - 1)])  # node r^(g^k) in data.vand
+    primes = _lift_primes(p, 16 * _embedding_bound_sq(coeffs, n) or 1)
+    columns = np.array([pow(g, k, p) - 1 for k in range(p - 1)])  # node r^(g^k) in data.vand()
     coset = np.argsort(columns) % f  # node r^t takes the value of r^(g^(k mod f)), t = g^k
-    crt = _MixedRadix()
     if stats is not None:
-        stats.update(nodes=f, moduli=crt.primes)
-    for q in aux_primes(p):
-        data = _EvalData(p, q)
-        vals = data.values(coeffs, columns[:f]).reshape(n, n, f).transpose(2, 0, 1)
-        crt.fold(data.interpolate(_det_mod_stack(vals, q)[coset]), q)
-        if crt.modulus * crt.modulus > bound_sq:
-            return CycElt._new(p, crt.ints())
+        stats.update(nodes=f, moduli=primes)
+    crt = _MixedRadix()
+    for run in _runs(primes, f * n * n):
+        data = [_EvalData(p, q) for q in run]
+        vals = np.empty((len(run), f, n * n), dtype=np.int64)
+        for d, v in zip(data, vals):
+            v[:] = d.values(coeffs, columns[:f]).T
+        dets = _det_mod_stack(vals.reshape(-1, n, n), np.repeat(run, f)).reshape(-1, f)
+        for d, dets_q in zip(data, dets):
+            crt.fold(d.interpolate(dets_q[coset]), d.q)
+    return CycElt._new(p, crt.ints())
 
 
 _CHOICES = {"bareiss": (0,), "modular": (1,), "both": (0, 1)}

@@ -534,9 +534,14 @@ def run_primes(
 
 
 def _pool_run(primes: list[int], opt: SweepOptions, workers: int) -> list:
-    """One report per prime from a pool of `workers`; None where the pool broke."""
+    """One report per prime, in the given order, from a pool of `workers`; None
+    where the pool broke.  The largest prime, the longest job, is submitted first
+    (LPT scheduling; R. L. Graham, SIAM J. Appl. Math. 17, 1969), so that no
+    large prime starts last and leaves the other workers idle."""
+    futures = [None] * len(primes)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_prime_job, p, opt) for p in primes]
+        for i in sorted(range(len(primes)), key=primes.__getitem__, reverse=True):
+            futures[i] = pool.submit(_run_prime_job, primes[i], opt)
         return [None if isinstance(f.exception(), BrokenProcessPool) else f.result()
                 for f in futures]
 

@@ -8,7 +8,8 @@ cycles; the fundamental unit is searched for by brute force; the residue
 product is multiplied out factor by factor in the cyclotomic ring; a
 determinant mod q is one row reduction of one matrix, reduced every step;
 the evaluation and interpolation matrices at the order-p nodes of F_q are
-filled entry by entry; a CRT lift folds big ints one prime at a time; a
+filled entry by entry; a CRT lift folds big ints one prime at a time; the
+Galois-orbit certificate keys every row by the hash of a Python tuple; a
 geometric sum adds every one of its terms; the reference matrices are built
 one entry at a time as ints or CycElts.  The all-node evaluation-interpolation
 determinant is the one exception: it reuses the library's per-prime steps,
@@ -26,7 +27,7 @@ import numpy as np
 from cyclodet.cycring import CycElt, eval_complex, make
 from cyclodet.detkit import _det_mod_stack, _EvalData
 from cyclodet.matrices import ExactMatrix, MatrixMeta, _int_array
-from cyclodet.modarith import aux_primes, is_square, legendre
+from cyclodet.modarith import aux_primes, is_square, legendre, primitive_root
 from cyclodet.subfield import gauss_sum
 
 
@@ -262,3 +263,26 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
         if stable >= 2:
             return CycElt._new(p, sym)
     raise ArithmeticError("CRT failed to stabilize")
+
+
+def orbit_step_tuples(coeffs: np.ndarray, p: int, n: int) -> int:
+    """The certificate of `detkit._orbit_step` with every row, and every row image
+    under each tried sigma_b, keyed by the hash of its Python tuple: the reference
+    for the byte-keyed rows of the library."""
+    rows = coeffs.reshape(n, n, p - 1)
+    index = {hash(tuple(row.ravel().tolist())): j for j, row in enumerate(rows)}
+    zero, g = np.zeros((n, 1), dtype=coeffs.dtype), primitive_root(p)
+    for f in (f for f in range(1, p - 1) if (p - 1) % f == 0):
+        source = np.arange(p) * pow(g, -f, p) % p  # power b*i of sigma_b(x) is power i of x
+        perm = []
+        for row in rows:  # up to the first row with no match
+            image = np.hstack([row, zero])[:, source]
+            image = image[:, :-1] - image[:, -1:]
+            j = index.get(hash(tuple(image.ravel().tolist())), -1)
+            perm.append(j if j >= 0 and np.array_equal(rows[j], image) else -1)
+            if perm[-1] < 0:
+                break
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        if sorted(perm) == list(range(n)) and inversions % 2 == 0:
+            return f
+    return p - 1

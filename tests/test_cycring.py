@@ -254,7 +254,7 @@ class TestPowerTable:
         for data in (_EvalData(p, next(aux)), _EvalData(p, next(aux))):
             q = data.q
             assert data.nodes == [pow(data.nodes[0], t, q) for t in range(1, p)]
-            assert data.vand.tolist() == vandermonde_loop(data.nodes, q).tolist()
+            assert data.vand().tolist() == vandermonde_loop(data.nodes, q).tolist()
             lagrange = lagrange_loop(p, data.nodes, q)
             for _ in range(3):
                 vals = np.array([rng.randrange(q) for _ in range(p - 1)], dtype=np.int64)

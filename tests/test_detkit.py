@@ -19,6 +19,7 @@ from cyclodet.detkit import (
 )
 from cyclodet.matrices import (
     _int_array,
+    build,
     build_C,
     build_D,
     build_S,
@@ -654,3 +655,54 @@ class TestDetModStack:
         lower = np.tril(np.full((n, n), q - 1, dtype=object), -1) + np.eye(n, dtype=object)
         a = (lower @ lower.T % q).astype(np.int64)
         assert _det_mod_stack(a[None], q).tolist() == oracle_dets(a[None], q) == [1]
+
+
+class TestBatchedElimination:
+    """Every auxiliary prime of a determinant in one elimination, each matrix
+    modulo its own prime, in runs bounded by `detkit._STACK_ENTRIES`."""
+
+    def test_stack_mixes_three_primes(self):
+        rng = np.random.default_rng(19)
+        primes = list(islice(aux_primes(13), 3))
+        moduli = np.repeat(primes, 4)  # four matrices per prime, as evalinterp stacks f nodes
+        a = rng.integers(-(2**40), 2**40, size=(len(moduli), 9, 9))
+        a[1, :, 2] = 0  # one singular matrix per prime
+        a[5, 3] = a[5, 4]
+        a[10, :, 0] = 0
+        got = _det_mod_stack(a, moduli).tolist()
+        for i, q in enumerate(primes):
+            assert got[4 * i : 4 * i + 4] == oracle_dets(a[4 * i : 4 * i + 4], q)
+        assert got[1] == got[5] == got[10] == 0
+
+    def test_refusal_reads_the_largest_q(self):
+        """At n = 24 a stack with Q_EDGE and the next prime up is refused for the
+        latter, wherever it stands; Q_EDGE alone is accepted."""
+        q = next(q for q in range(Q_EDGE + 1, 2 * Q_EDGE) if is_prime(q))
+        a = np.ones((3, 24, 24), dtype=np.int64)
+        for moduli in ([Q24, Q_EDGE, q], [q, Q24, Q_EDGE]):
+            with pytest.raises(OverflowError, match=f"q={q}"):
+                _det_mod_stack(a, np.array(moduli))
+        assert _det_mod_stack(a, np.array([Q24, Q_EDGE, Q_EDGE])).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("family, p, delta", [("C", 29, ()), ("D", 13, ()), ("D", 61, ()),
+                                                  ("S", 31, ()), ("T", 29, (2,))])
+    def test_one_prime_per_run_changes_nothing(self, monkeypatch, family, p, delta):
+        """Runs cut down to one prime each (the smallest run, one matrix per
+        integer prime) give the values and the primes of the default runs."""
+        m = build(family, p, *delta)
+        backend = det_int_modular if m.kind == "int" else det_cyc_evalinterp
+        default_stats, small_stats = {}, {}
+        default = backend(m, default_stats)
+        moduli, per_prime = default_stats["moduli"], default_stats.get("nodes", 1) * m.n * m.n
+        assert len(detkit._runs(moduli, per_prime)) == 1
+        monkeypatch.setattr(detkit, "_STACK_ENTRIES", 1)
+        assert len(detkit._runs(moduli, per_prime)) == len(moduli)
+        assert backend(m, small_stats) == default
+        assert small_stats == default_stats
+
+    @pytest.mark.parametrize("rows", [[[0] * 3] * 3, [[2**70, 1], [0, 0]]])
+    def test_zero_bound_takes_no_prime(self, rows):
+        m = exact_matrix(rows, 5, "int")
+        stats = {}
+        assert det_int_modular(m, stats) == 0
+        assert stats["moduli"] == []

@@ -25,7 +25,7 @@ from cyclodet.detkit import (
 from cyclodet.matrices import ExactMatrix, build
 from cyclodet.modarith import is_prime, least_nonresidue, primitive_root
 
-from oracles import entries, evalinterp_all_nodes, exact_matrix, random_cyc
+from oracles import entries, evalinterp_all_nodes, exact_matrix, orbit_step_tuples, random_cyc
 
 PRIMES = [p for p in range(3, 104) if is_prime(p)]
 
@@ -82,11 +82,13 @@ class TestOrbitCertificate:
     @pytest.mark.parametrize("p", PRIMES)
     def test_galois_oracle_and_listed_steps(self, p):
         """For each family, galois(g^f) is a row permutation of sign +1 at the
-        f `_orbit_step` returns, and at no smaller divisor of p-1."""
+        f `_orbit_step` returns, and at no smaller divisor of p-1; the tuple-keyed
+        certificate `orbit_step_tuples` returns the same f."""
         g = primitive_root(p)
         for family in families(p):
             m = matrix(family, p)
             f = _orbit_step(coefficients(m), p, m.n)
+            assert f == orbit_step_tuples(coefficients(m), p, m.n)
             assert (p - 1) % f == 0
             assert galois_sign(m, pow(g, f, p)) == 1
             for smaller in range(1, f):
@@ -114,7 +116,7 @@ class TestCertificateCannotBeFooled:
 
     def check_all_nodes(self, m: ExactMatrix) -> CycElt:
         p = m.meta.p
-        assert _orbit_step(coefficients(m), p, m.n) == p - 1
+        assert _orbit_step(coefficients(m), p, m.n) == orbit_step_tuples(coefficients(m), p, m.n) == p - 1
         stats = {}
         value = det_cyc_evalinterp(m, stats)
         assert stats["nodes"] == p - 1
@@ -146,6 +148,7 @@ class TestCertificateCannotBeFooled:
         scaled = exact_matrix([[e * 2**70 for e in row] for row in entries(matrix("D", 7))], 7)
         assert coefficients(scaled).dtype == object
         assert _orbit_step(coefficients(scaled), 7, scaled.n) == 2
+        assert orbit_step_tuples(coefficients(scaled), 7, scaled.n) == 2
         assert det_cyc_evalinterp(scaled) == det_cyc_bareiss(scaled)
 
 

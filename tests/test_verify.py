@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import time
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,34 @@ class TestRunRange:
     def test_run_primes_keeps_the_given_order(self):
         reports = run_primes([11, 5, 7], threads=2)
         assert [r.p for r in reports] == [11, 5, 7]
+        assert all(r.all_passed() for r in reports)
+
+    @pytest.mark.parametrize("primes", [[11, 5, 7], [5, 13, 7, 11]])
+    def test_pool_submits_the_largest_prime_first(self, monkeypatch, primes):
+        """LPT order: the pool sees the primes in descending order, and the
+        reports still come back in the given one."""
+        submitted = []
+
+        class InlinePool:  # runs each job at submission
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, p, opt):
+                submitted.append(p)
+                future = Future()
+                future.set_result(fn(p, opt))
+                return future
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+        reports = run_primes(primes, threads=2)
+        assert submitted == sorted(primes, reverse=True)
+        assert [r.p for r in reports] == primes
         assert all(r.all_passed() for r in reports)
 
     def test_run_primes_reports_a_bad_prime_without_aborting(self):
