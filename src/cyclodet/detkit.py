@@ -5,11 +5,11 @@ ints or of coefficient lists (`ExactMatrix.coeffs.tolist()`), and calls each
 ring function once per step.  The update is elementwise over Z and one packed
 combination of two rows per row over Z[zeta_p] (`cycring.lincomb`).  The
 division by the previous pivot is `_divide_ints` with a remainder check, or
-`_divide_exact`, which reconstructs the step's quotients by CRT and proves
-them a row at a time by one packed re-multiplication each; a division still
-unproven once the modulus passes a proven bound on exact quotients was not
-exact and raises.  There is no cap on the primes.  A CycElt is built only
-for a determinant returned.
+`_divide_exact`, which lifts the step's quotients by one CRT and proves the
+lift by one packed re-multiplication per row; a division still unproven once
+the modulus passes a proven bound on exact quotients was not exact and
+raises.  There is no cap on the primes.  A CycElt is built only for a
+determinant returned.
 
 Modular: every CRT in this module is one mixed-radix conversion
 (`_MixedRadix`) over one stream of primes, the auxiliary primes q = 1 (mod p)
@@ -36,7 +36,6 @@ one evaluator, takes int64 rows unreduced.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,16 +166,12 @@ class _MixedRadix:
         for q_top >= 8."""
         return 4 * abs(self.digits[-1]) + 2 <= self.primes[-1]
 
-    def ints(self, index=slice(None)) -> list:
-        """The values at `index` (along the first axis) as Python ints."""
-        v = self.digits[-1][index].astype(object)
+    def ints(self) -> list:
+        """The values as Python ints, in nested lists of the residues' shape."""
+        v = self.digits[-1].astype(object)
         for d, q in zip(self.digits[-2::-1], self.primes[-2::-1]):
-            v = v * q + d[index]
+            v = v * q + d
         return v.tolist()
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the values (along the first axis) where mask is False."""
-        self.digits = [d[mask] for d in self.digits]
 
 
 # -- fraction-free elimination and the integer backends ---------------------
@@ -186,11 +181,12 @@ def _fraction_free(rows: list[list], zero, update, divide) -> tuple:
     """Bareiss elimination: first nonzero pivot per column, row swaps signed.
 
     Each step replaces the block by its trailing block.  `update(piv, ys, below)`
-    returns x*piv - a*y for every row [a, *xs] below the pivot row [piv, *ys], the
-    rows concatenated; after the first step `divide(updates, prev)` returns their
-    exact quotients by the previous pivot.  So each ring function is called once
-    per step, and the loop itself only compares entries with `zero`.  Returns
-    (sign of the row swaps, last pivot), or (1, zero) at a zero column.
+    returns the rows x*piv - a*y for every row [a, *xs] below the pivot row
+    [piv, *ys]; after the first step `divide(rows, prev)` returns their exact
+    quotients by the previous pivot, row by row.  So each ring function is
+    called once per step, and the loop itself only compares entries with
+    `zero`.  Returns (sign of the row swaps, last pivot), or (1, zero) at a
+    zero column.
     """
     a, sign, prev = rows, 1, None
     while len(a) > 1:
@@ -200,33 +196,31 @@ def _fraction_free(rows: list[list], zero, update, divide) -> tuple:
         if r:
             a[0], a[r] = a[r], a[0]
             sign = -sign
-        (piv, *ys), tail = a[0], len(a) - 1
-        updates = update(piv, ys, a[1:])
+        piv, *ys = a[0]
+        a = update(piv, ys, a[1:])
         if prev is not None:
-            updates = divide(updates, prev)
-        a, prev = [updates[i * tail : (i + 1) * tail] for i in range(tail)], piv
+            a = divide(a, prev)
+        prev = piv
     return sign, a[0][0]
 
 
-def _update_ints(piv: int, ys: list[int], below: list[list[int]]) -> list[int]:
-    return [x * piv - a * y for a, *xs in below for x, y in zip(xs, ys)]
+def _update_ints(piv: int, ys: list[int], below: list[list[int]]) -> list[list[int]]:
+    return [[x * piv - a * y for x, y in zip(xs, ys)] for a, *xs in below]
 
 
-def _update_cyc(piv: list[int], ys: list, below: list[list]) -> list:
+def _update_cyc(piv: list[int], ys: list, below: list[list]) -> list[list]:
     """The step's updates over Z[zeta_p] (entries coefficient lists): one packed
     combination of two rows (`cycring.lincomb`) per row below."""
-    p, out = len(piv) + 1, []
-    for a, *xs in below:
-        out += lincomb(p, [[piv, [-c for c in a]]], [xs, ys])[0]
-    return out
+    p = len(piv) + 1
+    return [lincomb(p, [[piv, [-c for c in a]]], [xs, ys])[0] for a, *xs in below]
 
 
-def _divide_ints(values: list[int], den: int) -> list[int]:
-    """Exact quotients of integers by den; a remainder raises."""
-    pairs = [divmod(t, den) for t in values]
-    if any(rem for _, rem in pairs):
+def _divide_ints(rows: list[list[int]], den: int) -> list[list[int]]:
+    """Exact quotients of rows of integers by den; a remainder raises."""
+    pairs = [[divmod(t, den) for t in row] for row in rows]
+    if any(rem for row in pairs for _, rem in row):
         raise ArithmeticError("Bareiss division was not exact")
-    return [quot for quot, _ in pairs]
+    return [[quot for quot, _ in row] for row in pairs]
 
 
 def det_int_bareiss(m: ExactMatrix, stats: dict | None = None) -> int:
@@ -265,14 +259,14 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
 class _EvalData:
     """The power table of an element r of order p in F_q, for a prime q = 1 (mod p).
 
-    pow_r[e] = r^e mod q.  The nodes are r^t for t = 1..p-1, and the Vandermonde
-    matrix vand[i, t-1] = r^(i t) is gathered from the table where it is used,
+    pow_r[e] = r^e mod q.  The nodes are r^t = pow_r[t] for t = 1..p-1, and the
+    Vandermonde matrix vand[i, t-1] = r^(i t) is gathered from the table where it is used,
     so that a run of primes (`_runs`) holds p entries per prime, not (p-1)^2.
     Evaluation and interpolation both sum p-1 int64 products of a residue and
     a number below q in absolute value; a q where such a sum could wrap is refused.
     """
 
-    __slots__ = ("p", "q", "pow_r", "nodes", "inv_p")
+    __slots__ = ("p", "q", "pow_r", "inv_p")
 
     def __init__(self, p: int, q: int) -> None:
         if (p - 1) * (q - 1) ** 2 >= 1 << 63:
@@ -284,16 +278,15 @@ class _EvalData:
         for _ in range(p - 1):
             pow_r.append(pow_r[-1] * r % q)
         self.pow_r = np.array(pow_r, dtype=np.int64)
-        self.nodes = pow_r[1:]
         self.inv_p = pow(p, -1, q)
 
     def vand(self, nodes=slice(None)) -> np.ndarray:
-        """The columns of the Vandermonde matrix at self.nodes[nodes]."""
+        """The columns of the Vandermonde matrix at the nodes pow_r[1:][nodes]."""
         p = self.p
         return self.pow_r[np.outer(np.arange(p - 1), np.arange(1, p)[nodes]) % p]
 
     def values(self, coeffs: np.ndarray, nodes=slice(None)) -> np.ndarray:
-        """Rows from `_int_array` at self.nodes[nodes] (a slice or an index array), in [0, q):
+        """Rows from `_int_array` at pow_r[1:][nodes] (a slice or an index array), in [0, q):
         int64 rows as they are (entries below AUX_PRIME_FLOOR < q), Python-int rows reduced."""
         if coeffs.dtype == object:
             coeffs = (coeffs % self.q).astype(np.int64)
@@ -321,17 +314,16 @@ def _order_p_element(p: int, q: int) -> int:
 # -- exact division in Z[zeta_p] --------------------------------------------
 
 
-def _divide_exact(values: list[list[int]], den: list[int]) -> list[list[int]]:
-    """Exact quotients of elements of Z[zeta_p] by a nonzero den, all coefficient lists.
+def _divide_exact(rows: list[list[list[int]]], den: list[int]) -> list[list[list[int]]]:
+    """Exact quotients of rows of elements of Z[zeta_p] by a nonzero den, all
+    coefficient lists: the rows of a Bareiss step.
 
-    Per auxiliary prime q at which den has no zero value, the elements still
-    unproven are evaluated at the order-p nodes of F_q, scaled by den's
-    inverse values, interpolated and folded into one mixed-radix CRT
-    (`_MixedRadix`).  The proof runs on slices of isqrt(len(values)) elements,
-    a row of a Bareiss step (r rows of r updates): once every top digit of a
-    slice reads a lift below a quarter of the modulus, one packed
-    re-multiplication checks the slice, which proves it, so a wrong answer is
-    impossible.  A proven slice leaves the later folds.
+    Per auxiliary prime q at which den has no zero value, every element is
+    evaluated at the order-p nodes of F_q, scaled by den's inverse values,
+    interpolated and folded into one mixed-radix CRT (`_MixedRadix`).  Once
+    every top digit reads a lift below a quarter of the modulus, one packed
+    re-multiplication per row checks the lift, which proves it, so a wrong
+    answer is impossible; a row that fails sends the lift to the next prime.
 
     The stop for a non-exact division is proven.  With l1 the sum of absolute
     coefficients, L = max_x l1(x) * l1(den)^(p-2) bounds every embedding of an
@@ -339,36 +331,29 @@ def _divide_exact(values: list[list[int]], den: list[int]) -> list[list[int]]:
     1/|sigma(den)| <= prod of the other p-2 |tau(den)| <= l1(den)^(p-2).  The
     traces (`_embedding_bound_sq`) put its coefficients below 2L.  Once the
     modulus M passes 16L they are below M/8, so the lift is the quotient and
-    its top digits pass (`_MixedRadix.fits`), and the slice has been proven; a
+    its top digits pass (`_MixedRadix.fits`), and every row has been proven; a
     division still unproven there raises.
     """
     if not any(den):
         raise ZeroDivisionError("division by zero")
     p = len(den) + 1
-    coeffs, den_coeffs = _int_array(values), _int_array([den])
-    give_up = 16 * max(sum(map(abs, x)) for x in values) * sum(map(abs, den)) ** (p - 2)
-    width = math.isqrt(len(values))
-    quots, todo, crt = [None] * len(values), np.arange(len(values)), _MixedRadix()
+    coeffs, den_coeffs = _int_array(rows), _int_array([den])  # (rows, entries, p-1)
+    flat = coeffs.reshape(-1, p - 1)
+    l1 = max(sum(map(abs, x)) for row in rows for x in row)
+    give_up = 16 * l1 * sum(map(abs, den)) ** (p - 2)
+    crt = _MixedRadix()
     for q in aux_primes(p):
         data = _EvalData(p, q)
         den_vals = data.values(den_coeffs)[0]
         if np.any(den_vals == 0):
             continue  # q divides a conjugate of den; unusable
         inv_vals = np.array([pow(v, -1, q) for v in den_vals.tolist()], dtype=np.int64)
-        qvals = data.values(coeffs) * inv_vals % q  # (elements, nodes)
-        crt.fold(data.interpolate(qvals.T).T, q)
-        fits, done = crt.fits().all(axis=1), np.zeros(len(todo), dtype=bool)
-        for s in range(0, len(todo), width):
-            if fits[s : s + width].all():
-                cand = crt.ints(slice(s, s + width))
-                if lincomb(p, [[den]], [cand]) == [coeffs[s : s + width].tolist()]:
-                    for i, x in zip(todo[s : s + width].tolist(), cand):
-                        quots[i] = x
-                    done[s : s + width] = True
-        if done.all():
-            return quots
-        coeffs, todo = coeffs[~done], todo[~done]
-        crt.keep(~done)
+        qvals = data.values(flat) * inv_vals % q  # (elements, nodes)
+        crt.fold(data.interpolate(qvals.T).T.reshape(coeffs.shape), q)
+        if crt.fits().all():
+            quots = crt.ints()
+            if all(lincomb(p, [[den]], [x]) == [row.tolist()] for x, row in zip(quots, coeffs)):
+                return quots
         if crt.modulus > give_up:
             raise ArithmeticError("Bareiss division was not exact")
 

@@ -168,7 +168,7 @@ def test_criterion_5_property_suites(sweep):
         x, y = random_cyc(rng, p), random_cyc(rng, p)
         if y.is_zero():
             continue
-        if _divide_exact([(x * y).num], y.num) != [list(x.num)]:
+        if _divide_exact([[(x * y).num]], y.num) != [[list(x.num)]]:
             problems.append("exact division round-trip")
             break
 

@@ -253,7 +253,7 @@ class TestCycBackends:
         bound = max(l1[:-1]) * l1[-1] ** (p - 2)
         lifts.clear()
         with pytest.raises(ArithmeticError, match="not exact"):
-            detkit._divide_exact([x.num for x in values], den.num)
+            detkit._divide_exact([[x.num for x in values]], den.num)
         moduli = [modulus for _, modulus in lifts]
         assert 16 * bound >= moduli[-2] > 8 * bound and moduli[-1] > 16 * bound
 
@@ -265,27 +265,27 @@ class TestExactDivider:
     def test_one_call_per_step(self, count_calls):
         calls = count_calls(detkit._divide_exact)
         assert det_cyc_bareiss(build_D(13)) == det_cyc_evalinterp(build_D(13))
-        assert [len(step) for step in calls] == [25, 16, 9, 4, 1]
+        assert [[len(row) for row in step] for step in calls] == [[k] * k for k in (5, 4, 3, 2, 1)]
         calls = count_calls(detkit._divide_ints)
         assert det_int_bareiss(build_S(13)) == det_int_modular(build_S(13))
-        assert [len(step) for step in calls] == [16, 9, 4, 1]
+        assert [[len(row) for row in step] for step in calls] == [[k] * k for k in (4, 3, 2, 1)]
 
     def test_int_row(self):
-        assert detkit._divide_ints([6, -8, 0], 2) == [3, -4, 0]
+        assert detkit._divide_ints([[6, -8], [0, 4]], 2) == [[3, -4], [0, 2]]
         with pytest.raises(ArithmeticError, match="not exact"):
-            detkit._divide_ints([6, 7], 2)
+            detkit._divide_ints([[6], [7]], 2)
 
     def test_non_exact_row_raises(self):
         z = CycElt.zeta(5)
         with pytest.raises(ArithmeticError, match="not exact"):
-            detkit._divide_exact([((1 - z) * z).num, CycElt.one(5).num], (1 - z).num)
+            detkit._divide_exact([[((1 - z) * z).num], [CycElt.one(5).num]], (1 - z).num)
 
     def test_zero_numerators(self):
         z, zero = CycElt.zeta(7), [0] * 6
-        assert detkit._divide_exact([zero] * 3, (1 + z).num) == [zero] * 3
+        assert detkit._divide_exact([[zero] * 3], (1 + z).num) == [[zero] * 3]
         x = 2 - 3 * z * z
-        quots = detkit._divide_exact([zero, (x * (1 + z)).num, zero], (1 + z).num)
-        assert quots == [zero, list(x.num), zero]
+        quots = detkit._divide_exact([[zero, (x * (1 + z)).num], [zero, zero]], (1 + z).num)
+        assert quots == [[zero, list(x.num)], [zero, zero]]
 
     def test_zero_determinant_stops_at_the_bound(self):
         """A zero determinant is accepted at the first modulus above 4H, here
@@ -296,27 +296,29 @@ class TestExactDivider:
         assert det_cyc_evalinterp(m, stats).is_zero()
         assert stats["moduli"] == [next(aux_primes(5))]
 
-    def test_remultiplication_rejects_a_perturbed_lift(self, monkeypatch):
-        """The first CRT lift whose top digits read below a quarter of its
-        modulus, with one coefficient off by one (its lowest digit), is caught
-        by the packed re-multiplication.  The lift stays wrong modulo the
-        primes already used, so no later lift is the quotient and the call
-        raises at the 16L give-up: it never returns the wrong quotient."""
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_remultiplication_rejects_a_perturbed_lift(self, monkeypatch, row):
+        """The first CRT lift of a step of three rows whose top digits read
+        below a quarter of its modulus, with one coefficient of the first or
+        the last row off by one (its lowest digit), is caught by the packed
+        re-multiplication of that row.  The lift stays wrong modulo the primes
+        already used, so no later lift is the quotient and the call raises at
+        the 16L give-up: it never returns the wrong quotient."""
         rng = random.Random(0xBAD)
         p = 13
         den = random_cyc(rng, p, span=2**40)
-        values = [random_cyc(rng, p, span=2**40) * den for _ in range(3)]
+        rows = [[(random_cyc(rng, p, span=2**40) * den).num for _ in range(3)] for _ in range(3)]
         real, hits = detkit._MixedRadix.fold, []
 
         def perturbed(crt, residues, q):
             real(crt, residues, q)
             if not hits and crt.fits().all():
                 hits.append(q)
-                crt.digits[0][0, 0] += 1
+                crt.digits[0][row, -1, 0] += 1
 
         monkeypatch.setattr(detkit._MixedRadix, "fold", perturbed)
         with pytest.raises(ArithmeticError, match="not exact"):
-            detkit._divide_exact([x.num for x in values], den.num)
+            detkit._divide_exact(rows, den.num)
         assert len(hits) == 1
 
     def test_small_quotients_take_one_prime(self, lifts):
@@ -327,42 +329,24 @@ class TestExactDivider:
         p = 13
         den = random_cyc(rng, p, span=2**40)
         quots = [random_cyc(rng, p, span=2**18 - 1) for _ in range(4)]
-        values = [(x * den).num for x in quots]
-        assert detkit._divide_exact(values, den.num) == [list(x.num) for x in quots]
+        values = [[(x * den).num for x in quots]]
+        assert detkit._divide_exact(values, den.num) == [[list(x.num) for x in quots]]
         assert len(lifts) == 1
 
     def test_no_more_primes_than_a_stability_stop(self, monkeypatch, lifts):
         """No division of C and D at p <= 31 takes more folds than a stop at
-        an unchanged lift would: the first fold whose lift is the quotient,
-        plus one.  This holds for the whole step and for each of its rows
-        (the proof slices, which leave the CRT once proven)."""
-        real_divide, real_keep = detkit._divide_exact, detkit._MixedRadix.keep
-        kept, seen = {}, []  # fold count -> mask of the values kept after it
+        an unchanged lift would: the first fold whose lift of the whole step
+        is the quotient, plus one."""
+        real_divide, seen = detkit._divide_exact, []
 
-        def keep(crt, mask):
-            real_keep(crt, mask)
-            kept[len(lifts)] = mask
-
-        def divide(values, den):
+        def divide(rows, den):
             start = len(lifts)
-            quots = real_divide(values, den)
-            width = math.isqrt(len(values))
-            held, used, correct = np.arange(len(values)), {}, {}
-            for j, (lift, _) in enumerate(lifts[start:], 1):
-                for i, x in zip(held.tolist(), lift):
-                    used[i // width] = j
-                    if x == quots[i]:
-                        correct.setdefault(i, j)
-                held = held[kept.get(start + j, slice(None))]
-            assert len(correct) == len(values)  # every lift ends at the quotient
-            rows = {}  # per row, the fold from which its whole lift is the quotient
-            for i, j in correct.items():
-                rows[i // width] = max(rows.get(i // width, 0), j)
-            seen.append((len(lifts) - start, max(correct.values())))
-            seen.extend((used[r], rows[r]) for r in rows)
+            quots = real_divide(rows, den)
+            correct = [j for j, (lift, _) in enumerate(lifts[start:], 1) if lift == quots]
+            assert correct  # the last lift is the quotient
+            seen.append((len(lifts) - start, correct[0]))
             return quots
 
-        monkeypatch.setattr(detkit._MixedRadix, "keep", keep)
         monkeypatch.setattr(detkit, "_divide_exact", divide)
         for p in filter(is_prime, range(5, 32)):
             for m in (build_C(p), build_D(p)):
@@ -407,19 +391,17 @@ class TestMixedRadix:
         assert crt.primes == primes
         assert sym == values
 
-    def test_rows_index_and_keep(self):
-        """Residues of any shape: `ints` reads rows along the first axis, and a
-        kept row goes on folding as if alone."""
+    def test_residues_of_any_shape(self):
+        """Residues of any shape: `ints` returns nested lists of that shape,
+        each value its symmetric residue until the modulus holds it."""
         rng, primes = random.Random(0x2D), list(islice(aux_primes(7), 3))
         rows = [[rng.randint(-(1 << 70), 1 << 70) for _ in range(6)] for _ in range(4)]
         crt = self.folded([v for row in rows for v in row], primes[:2], (4, 6))
         half = crt.modulus // 2  # values above it come back as their symmetric residue
-        assert crt.ints(slice(1, 3)) == [[(v + half) % crt.modulus - half for v in row]
-                                         for row in rows[1:3]]
-        crt.keep(np.array([False, True, False, True]))
+        assert crt.ints() == [[(v + half) % crt.modulus - half for v in row] for row in rows]
         q = primes[2]
-        crt.fold(np.array([[v % q for v in row] for row in rows[1::2]], dtype=np.int64), q)
-        assert crt.ints() == rows[1::2] and crt.ints(slice(1, 2)) == rows[3:]
+        crt.fold(np.array([[v % q for v in row] for row in rows], dtype=np.int64), q)
+        assert crt.ints() == rows
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_top_digit_reading(self, count):
@@ -462,8 +444,8 @@ class TestPackedRowProducts:
         for n in (1, 2, 7):
             piv, ys = self.entries(rng, 1)[0], self.entries(rng, n)
             below = [self.entries(rng, n + 1) for _ in range(n)]
-            expected = [list((cyc_mul_loop(x, piv) - cyc_mul_loop(row[0], y)).num)
-                        for row in below for x, y in zip(row[1:], ys)]
+            expected = [[list((cyc_mul_loop(x, piv) - cyc_mul_loop(row[0], y)).num)
+                         for x, y in zip(row[1:], ys)] for row in below]
             as_lists = [[list(e.num) for e in row] for row in below]
             assert detkit._update_cyc(list(piv.num), [list(y.num) for y in ys],
                                       as_lists) == expected
@@ -574,7 +556,8 @@ class TestInt64Headroom:
         rows = [[big] * (p - 1), [-big] * (p - 1), [rng.choice((big, -big)) for _ in range(p - 1)]]
         coeffs = _int_array(rows)
         assert coeffs.dtype == np.int64
-        expected = [[sum(c * pow(a, i, q) for i, c in enumerate(row)) % q for a in data.nodes]
+        nodes = data.pow_r[1:].tolist()
+        expected = [[sum(c * pow(a, i, q) for i, c in enumerate(row)) % q for a in nodes]
                     for row in rows]
         assert data.values(coeffs).tolist() == expected
 
