@@ -189,7 +189,7 @@ def cmd_det(args) -> int:
         q = quad_decompose(value)
         print(f"quad: {q.x} + {q.y}*g  (g^2 = -{p})")
     else:
-        qd = quartic_decompose(value, p)
+        qd = quartic_decompose(value)
         print(f"quartic: ({qd.alpha} + {qd.beta}*sqrt({p})) * delta, "
               f"delta_sign={qd.delta_sign}, a={qd.a}")
     return 0

@@ -1,8 +1,8 @@
 """Exact arithmetic in the ring of integers Z[zeta_p] of Q(zeta_p).
 
 An element is its p - 1 integer coefficients over the power basis,
-num[0] + num[1]*zeta + ... + num[p-2]*zeta^(p-2), so equality is plain
-comparison of `num`.  The missing power zeta^(p-1) is always eliminated
+coeffs[0] + coeffs[1]*zeta + ... + coeffs[p-2]*zeta^(p-2), so equality is plain
+comparison of `coeffs`.  The missing power zeta^(p-1) is always eliminated
 through the relation 1 + zeta + ... + zeta^(p-1) = 0.  Rational coordinates
 (the half-integers of the quadratic subfield) live in `subfield.QuadElt`;
 here every coefficient and scalar operand is an int, and arithmetic with
@@ -90,9 +90,9 @@ def lincomb(p: int, weights: Sequence[Sequence[Sequence[int]]],
 
 
 class CycElt:
-    """An element of Z[zeta_p]: its p - 1 integer power-basis coefficients `num`."""
+    """An element of Z[zeta_p]: its p - 1 integer power-basis coefficients `coeffs`."""
 
-    __slots__ = ("p", "num")
+    __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: Sequence[int]) -> None:
         require_odd_prime(p)
@@ -103,16 +103,16 @@ class CycElt:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficient required, got {type(c).__name__}")
         self.p = p
-        self.num = tuple(map(int, cs))
+        self.coeffs = tuple(map(int, cs))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _new(cls, p: int, num: Sequence[int]) -> CycElt:
+    def _new(cls, p: int, coeffs: Sequence[int]) -> CycElt:
         """Trusted constructor: p - 1 ints."""
         x = object.__new__(cls)
         x.p = p
-        x.num = tuple(num)
+        x.coeffs = tuple(coeffs)
         return x
 
     @classmethod
@@ -144,21 +144,16 @@ class CycElt:
     # -- predicates ---------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[int, ...]:
-        """The power-basis coefficients."""
-        return self.num
-
-    @property
     def is_rational(self) -> bool:
-        return not any(self.num[1:])
+        return not any(self.coeffs[1:])
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not any(self.coeffs)
 
     def rational_value(self) -> int:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.num[0]
+        return self.coeffs[0]
 
     # -- ring operations ----------------------------------------------
 
@@ -169,15 +164,15 @@ class CycElt:
     def __add__(self, other):
         if isinstance(other, CycElt):
             self._check_same_field(other)
-            return CycElt._new(self.p, [a + b for a, b in zip(self.num, other.num)])
+            return CycElt._new(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
         if isinstance(other, int):
-            return CycElt._new(self.p, (self.num[0] + other,) + self.num[1:])
+            return CycElt._new(self.p, (self.coeffs[0] + other,) + self.coeffs[1:])
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElt._new(self.p, [-c for c in self.num])
+        return CycElt._new(self.p, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, (CycElt, int)):
@@ -193,29 +188,29 @@ class CycElt:
         p = self.p
         if isinstance(other, CycElt):
             self._check_same_field(other)
-            ((num,),) = lincomb(p, [[self.num]], [[other.num]])
-            return CycElt._new(p, num)
+            ((coeffs,),) = lincomb(p, [[self.coeffs]], [[other.coeffs]])
+            return CycElt._new(p, coeffs)
         if isinstance(other, int):
-            return CycElt._new(p, [c * other for c in self.num])
+            return CycElt._new(p, [c * other for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, CycElt):
-            return self.p == other.p and self.num == other.num
+            return self.p == other.p and self.coeffs == other.coeffs
         if isinstance(other, int):
-            return self.is_rational and self.num[0] == other
+            return self.is_rational and self.coeffs[0] == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.num))
+        return hash((self.p, self.coeffs))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __reduce__(self):
-        return (CycElt._new, (self.p, self.num))
+        return (CycElt._new, (self.p, self.coeffs))
 
     # -- Galois action --------------------------------------------------
 
@@ -228,7 +223,7 @@ class CycElt:
         if a == 1:
             return self
         raw = [0] * p
-        for i, c in enumerate(self.num):
+        for i, c in enumerate(self.coeffs):
             raw[a * i % p] = c
         return CycElt._from_raw(p, raw)
 
@@ -279,7 +274,7 @@ def eval_complex(x: CycElt, prec: int = 30):
 
     with mpmath.workdps(prec + 10):
         total = mpmath.mpc(0)
-        for k, c in enumerate(x.num):
+        for k, c in enumerate(x.coeffs):
             if c:
                 total += mpmath.mpf(c) * mpmath.expjpi(mpmath.mpf(2 * k) / x.p)
         return total

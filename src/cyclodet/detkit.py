@@ -240,7 +240,7 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
     if m.kind != "int":
         raise ValueError("integer matrix required")
     n = m.n
-    primes = _lift_primes(m.meta.p, 4 * _embedding_bound_sq(m.coeffs.reshape(-1, 1), n))
+    primes = _lift_primes(m.meta.p, 4 * _embedding_bound_sq(m.coeffs[..., None]))
     if stats is not None:
         stats["moduli"] = primes
     if not primes:
@@ -318,12 +318,14 @@ def _divide_exact(rows: list[list[list[int]]], den: list[int]) -> list[list[list
     """Exact quotients of rows of elements of Z[zeta_p] by a nonzero den, all
     coefficient lists: the rows of a Bareiss step.
 
-    Per auxiliary prime q at which den has no zero value, every element is
-    evaluated at the order-p nodes of F_q, scaled by den's inverse values,
+    The step's elements and den, its last row, form one array, evaluated at
+    the order-p nodes of F_q once per auxiliary prime q.  Where den has no
+    zero value, every element's values are scaled by den's inverse values,
     interpolated and folded into one mixed-radix CRT (`_MixedRadix`).  Once
     every top digit reads a lift below a quarter of the modulus, one packed
-    re-multiplication per row checks the lift, which proves it, so a wrong
-    answer is impossible; a row that fails sends the lift to the next prime.
+    re-multiplication per row, compared with the row given, checks the lift,
+    which proves it, so a wrong answer is impossible; a row that fails sends
+    the lift to the next prime.
 
     The stop for a non-exact division is proven.  With l1 the sum of absolute
     coefficients, L = max_x l1(x) * l1(den)^(p-2) bounds every embedding of an
@@ -337,22 +339,21 @@ def _divide_exact(rows: list[list[list[int]]], den: list[int]) -> list[list[list
     if not any(den):
         raise ZeroDivisionError("division by zero")
     p = len(den) + 1
-    coeffs, den_coeffs = _int_array(rows), _int_array([den])  # (rows, entries, p-1)
-    flat = coeffs.reshape(-1, p - 1)
+    coeffs = _int_array([x for row in rows for x in row] + [den])  # (elements + 1, p-1)
     l1 = max(sum(map(abs, x)) for row in rows for x in row)
     give_up = 16 * l1 * sum(map(abs, den)) ** (p - 2)
     crt = _MixedRadix()
     for q in aux_primes(p):
         data = _EvalData(p, q)
-        den_vals = data.values(den_coeffs)[0]
-        if np.any(den_vals == 0):
+        vals = data.values(coeffs)  # (elements + 1, nodes), den's values last
+        if np.any(vals[-1] == 0):
             continue  # q divides a conjugate of den; unusable
-        inv_vals = np.array([pow(v, -1, q) for v in den_vals.tolist()], dtype=np.int64)
-        qvals = data.values(flat) * inv_vals % q  # (elements, nodes)
-        crt.fold(data.interpolate(qvals.T).T.reshape(coeffs.shape), q)
+        inv_vals = np.array([pow(v, -1, q) for v in vals[-1].tolist()], dtype=np.int64)
+        quot_vals = vals[:-1] * inv_vals % q
+        crt.fold(data.interpolate(quot_vals.T).T.reshape(len(rows), -1, p - 1), q)
         if crt.fits().all():
             quots = crt.ints()
-            if all(lincomb(p, [[den]], [x]) == [row.tolist()] for x, row in zip(quots, coeffs)):
+            if all(lincomb(p, [[den]], [x]) == [row] for x, row in zip(quots, rows)):
                 return quots
         if crt.modulus > give_up:
             raise ArithmeticError("Bareiss division was not exact")
@@ -370,9 +371,9 @@ def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     return CycElt._new(p, [sign * c for c in last])
 
 
-def _orbit_step(coeffs: np.ndarray, p: int, n: int) -> int:
+def _orbit_step(rows: np.ndarray) -> int:
     """The least f | p-1 for which sigma_b: zeta -> zeta^b, b = g^f (g = primitive_root(p)),
-    maps M (`coeffs`: entries row-major, (n*n, p-1)) to P*M, P a row permutation of sign +1.
+    maps M (`rows`: its (n, n, p-1) coefficient array) to P*M, P a row permutation of sign +1.
 
     sigma_b moves coefficient i to power b*i mod p; zeta^(p-1) is then removed.  Rows are matched
     by a hash of their bytes (int64) or of their tuple (Python ints), and every match is confirmed
@@ -384,9 +385,9 @@ def _orbit_step(coeffs: np.ndarray, p: int, n: int) -> int:
     def key(row: np.ndarray) -> int:  # the bytes of an object array are pointers, not values
         return hash(tuple(row.ravel().tolist()) if row.dtype == object else row.tobytes())
 
-    rows = coeffs.reshape(n, n, p - 1)
+    n, p = len(rows), rows.shape[2] + 1
     index = {key(row): j for j, row in enumerate(rows)}
-    zero, g = np.zeros((n, 1), dtype=coeffs.dtype), primitive_root(p)
+    zero, g = np.zeros((n, 1), dtype=rows.dtype), primitive_root(p)
     for f in (f for f in range(1, p - 1) if (p - 1) % f == 0):
         source = np.arange(p) * pow(g, -f, p) % p  # power b*i of sigma_b(x) is power i of x
         perm = []
@@ -403,15 +404,16 @@ def _orbit_step(coeffs: np.ndarray, p: int, n: int) -> int:
     return p - 1
 
 
-def _embedding_bound_sq(coeffs: np.ndarray, n: int) -> int:
+def _embedding_bound_sq(coeffs: np.ndarray) -> int:
     """H^2 = prod_rows sum_k l(M_jk)^2, so that H >= |sigma(det M)| for every embedding sigma.
 
     For x = sum b_i zeta^i (i < p-1) and c a median of the b_i, l(x) = min(sum |b_i|, sum |b_i - c|
     + |c|) bounds |sigma(x)|, as x = sum (b_i - c) zeta^i - c zeta^(p-1); Hadamard gives H.  As
     Tr(zeta^k) = -1 for p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every |b_k| < 2H.
-    int64 rows (`_int_array`) sum p-1 terms below 2^25, far below 2^63."""
-    h2, mid = 1, coeffs.shape[1] // 2
-    for row in coeffs.reshape(n, n, -1):  # a row at a time: transients of n entries
+    `coeffs` is M's (n, n, k) array, k = 1 for an integer matrix (l(x) = |x|).  int64 rows
+    (`_int_array`) sum p-1 terms below 2^25, far below 2^63."""
+    h2, mid = 1, coeffs.shape[2] // 2
+    for row in coeffs:  # a row at a time: transients of n entries
         c = np.sort(row, axis=1)[:, mid : mid + 1]
         ell = np.minimum(abs(row).sum(axis=1), abs(row - c).sum(axis=1) + abs(c[:, 0]))
         h2 *= sum(x * x for x in ell.tolist())
@@ -428,9 +430,8 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
     p, n = m.meta.p, m.n
-    coeffs = m.coeffs.reshape(n * n, p - 1)
-    f, g = _orbit_step(coeffs, p, n), primitive_root(p)
-    primes = _lift_primes(p, 16 * _embedding_bound_sq(coeffs, n) or 1)
+    f, g = _orbit_step(m.coeffs), primitive_root(p)
+    primes = _lift_primes(p, 16 * _embedding_bound_sq(m.coeffs) or 1)
     columns = np.array([pow(g, k, p) - 1 for k in range(p - 1)])  # node r^(g^k) in data.vand()
     coset = np.argsort(columns) % f  # node r^t takes the value of r^(g^(k mod f)), t = g^k
     if stats is not None:
@@ -438,9 +439,9 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     crt = _MixedRadix()
     for run in _runs(primes, f * n * n):
         data = [_EvalData(p, q) for q in run]
-        vals = np.empty((len(run), f, n * n), dtype=np.int64)
+        vals = np.empty((len(run), f, n, n), dtype=np.int64)
         for d, v in zip(data, vals):
-            v[:] = d.values(coeffs, columns[:f]).T
+            v[:] = np.moveaxis(d.values(m.coeffs, columns[:f]), 2, 0)
         dets = _det_mod_stack(vals.reshape(-1, n, n), np.repeat(run, f)).reshape(-1, f)
         for d, dets_q in zip(data, dets):
             crt.fold(d.interpolate(dets_q[coset]), d.q)

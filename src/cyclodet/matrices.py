@@ -42,16 +42,19 @@ def _int_array(rows) -> np.ndarray:
 class ExactMatrix:
     """A square matrix over Z or Z[zeta_p], held as one read-only integer array."""
 
-    __slots__ = ("kind", "coeffs", "meta")
+    __slots__ = ("coeffs", "meta")
 
-    def __init__(self, kind: str, coeffs: np.ndarray, meta: MatrixMeta) -> None:
-        if kind not in ("int", "cyc"):
-            raise ValueError(f"unknown matrix kind {kind!r}")
-        tail = (meta.p - 1,) if kind == "cyc" else ()
-        if coeffs.ndim != 2 + len(tail) or coeffs.shape != (len(coeffs),) * 2 + tail:
-            raise ValueError(f"{kind} matrix of shape {coeffs.shape}, not (n, n) + {tail}")
+    def __init__(self, coeffs: np.ndarray, meta: MatrixMeta) -> None:
+        n = len(coeffs)
+        if coeffs.shape not in ((n, n), (n, n, meta.p - 1)):
+            raise ValueError(f"shape {coeffs.shape}, not (n, n) or (n, n, {meta.p - 1})")
         coeffs.flags.writeable = False
-        self.kind, self.coeffs, self.meta = kind, coeffs, meta
+        self.coeffs, self.meta = coeffs, meta
+
+    @property
+    def kind(self) -> str:
+        """The entry kind, read off the array's rank: "int" for (n, n), "cyc" for (n, n, p-1)."""
+        return "int" if self.coeffs.ndim == 2 else "cyc"
 
     @property
     def n(self) -> int:
@@ -78,7 +81,7 @@ def _legendre_coeffs(p: int, delta: int, start: int) -> np.ndarray:
 def _with_corner(p: int, delta: int, corner: CycElt) -> np.ndarray:
     """The Legendre symbols from index 0 as rational elements, with `corner` at (0, 0)."""
     out = _legendre_coeffs(p, delta, 0)[..., None] * np.eye(1, p - 1, dtype=np.int64)
-    out[0, 0] = corner.num
+    out[0, 0] = corner.coeffs
     return out
 
 
@@ -106,20 +109,20 @@ def build_C(p: int) -> ExactMatrix:
     """Entries (1 - zeta^(j^2 k^2)) / (1 - zeta^(j^2)), built as geometric sums."""
     require_odd_prime(p)
     sq = np.arange(1, (p + 1) // 2) ** 2 % p
-    return ExactMatrix("cyc", _geometric_sums(p, sq, sq), MatrixMeta(p, "C"))
+    return ExactMatrix(_geometric_sums(p, sq, sq), MatrixMeta(p, "C"))
 
 
 def build_D(p: int) -> ExactMatrix:
     """Entries zeta^(j^2 k^2) for 0 <= j, k <= m."""
     require_odd_prime(p)
-    return ExactMatrix("cyc", _zeta_coeffs(p, 1), MatrixMeta(p, "D"))
+    return ExactMatrix(_zeta_coeffs(p, 1), MatrixMeta(p, "D"))
 
 
 def build_D_delta(p: int, delta: int) -> ExactMatrix:
     """Entries zeta^(delta j^2 k^2), delta a quadratic non-residue."""
     require_odd_prime(p)
     _require_nonresidue(p, delta)
-    return ExactMatrix("cyc", _zeta_coeffs(p, delta), MatrixMeta(p, "DD", delta))
+    return ExactMatrix(_zeta_coeffs(p, delta), MatrixMeta(p, "DD", delta))
 
 
 def build_D_tilde(p: int) -> ExactMatrix:
@@ -127,7 +130,7 @@ def build_D_tilde(p: int) -> ExactMatrix:
     require_odd_prime(p)
     coeffs = _zeta_coeffs(p, 1)
     coeffs[:, 1:] *= 2  # column 0 is zeta^0 = 1 already
-    return ExactMatrix("cyc", coeffs, MatrixMeta(p, "Dtilde"))
+    return ExactMatrix(coeffs, MatrixMeta(p, "Dtilde"))
 
 
 def build_E(p: int) -> ExactMatrix:
@@ -135,7 +138,7 @@ def build_E(p: int) -> ExactMatrix:
     require_odd_prime(p)
     if p % 4 != 3:
         raise ValueError(f"E requires p = 3 mod 4, got {p}")
-    return ExactMatrix("cyc", _with_corner(p, 1, -gauss_sum(p)), MatrixMeta(p, "E"))
+    return ExactMatrix(_with_corner(p, 1, -gauss_sum(p)), MatrixMeta(p, "E"))
 
 
 def build_F(p: int, delta: int) -> ExactMatrix:
@@ -144,27 +147,27 @@ def build_F(p: int, delta: int) -> ExactMatrix:
     if p % 4 != 1:
         raise ValueError(f"F requires p = 1 mod 4, got {p}")
     _require_nonresidue(p, delta)
-    return ExactMatrix("cyc", _with_corner(p, delta, gauss_sum(p)), MatrixMeta(p, "F", delta))
+    return ExactMatrix(_with_corner(p, delta, gauss_sum(p)), MatrixMeta(p, "F", delta))
 
 
 def build_S(p: int) -> ExactMatrix:
     """Legendre symbols ((j^2+k^2)/p) for 1 <= j, k <= m."""
     require_odd_prime(p)
-    return ExactMatrix("int", _legendre_coeffs(p, 1, 1), MatrixMeta(p, "S"))
+    return ExactMatrix(_legendre_coeffs(p, 1, 1), MatrixMeta(p, "S"))
 
 
 def build_T(p: int, delta: int) -> ExactMatrix:
     """Legendre symbols ((j^2+delta*k^2)/p) for 0 <= j, k <= m."""
     require_odd_prime(p)
     _require_nonresidue(p, delta)
-    return ExactMatrix("int", _legendre_coeffs(p, delta, 0), MatrixMeta(p, "T", delta))
+    return ExactMatrix(_legendre_coeffs(p, delta, 0), MatrixMeta(p, "T", delta))
 
 
 def build_S_delta(p: int, delta: int) -> ExactMatrix:
     """Legendre symbols ((j^2+delta*k^2)/p) for 1 <= j, k <= m."""
     require_odd_prime(p)
     _require_nonresidue(p, delta)
-    return ExactMatrix("int", _legendre_coeffs(p, delta, 1), MatrixMeta(p, "SD", delta))
+    return ExactMatrix(_legendre_coeffs(p, delta, 1), MatrixMeta(p, "SD", delta))
 
 
 def build(family: str, p: int, *delta: int) -> ExactMatrix:
@@ -185,4 +188,4 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     else:
         prod = lincomb(a.meta.p, a.coeffs.tolist(), b.coeffs.tolist())
     meta = MatrixMeta(a.meta.p, f"{a.meta.family}*{b.meta.family}", a.meta.delta or b.meta.delta)
-    return ExactMatrix(a.kind, _int_array(prod), meta)
+    return ExactMatrix(_int_array(prod), meta)

@@ -141,9 +141,9 @@ class QuadElt:
         algebraic integer, which raises ValueError."""
         d = math.lcm(self.x.denominator, self.y.denominator)
         z = CycElt.rational(self.p, int(self.x * d)) + int(self.y * d) * gauss_sum(self.p)
-        if any(c % d for c in z.num):
+        if any(c % d for c in z.coeffs):
             raise ValueError(f"{self} is not an algebraic integer")
-        return CycElt._new(self.p, [c // d for c in z.num])
+        return CycElt._new(self.p, [c // d for c in z.coeffs])
 
     def __eq__(self, other):
         o = self._coerce(other) if isinstance(other, (QuadElt, int, Fraction)) else None
@@ -164,27 +164,24 @@ class QuadElt:
         return f"QuadElt(p={self.p}, {self})"
 
 
-def quad_decompose(x: CycElt, nonresidue: int | None = None) -> QuadElt:
+def quad_decompose(x: CycElt) -> QuadElt:
     """Write a Galois-stable element as u + v*g with rational u, v.
 
-    Requires x to be fixed by every even automorphism zeta -> zeta^(a^2);
-    this is checked up front with a primitive root and the result is verified
-    by reconstruction.
+    Requires x to be fixed by every even automorphism zeta -> zeta^(a^2), checked
+    up front with a primitive root; any odd one, the least non-residue's, gives
+    u - v*g, and the result is verified by reconstruction.
     """
     p = x.p
     n0 = primitive_root(p)
     if x.galois(n0 * n0 % p) != x:
         raise ValueError("element is not stable under the even Galois subgroup")
-    n = nonresidue if nonresidue is not None else least_nonresidue(p)
-    if legendre(n, p) != -1:
-        raise ValueError(f"{n} is not a quadratic non-residue mod {p}")
-    reflected = x.galois(n)
+    reflected = x.galois(least_nonresidue(p))
     twice_u = x + reflected
     odd_part = (x - reflected) * gauss_sum(p)
     if not (twice_u.is_rational and odd_part.is_rational):
         raise ValueError("element does not lie in the quadratic subfield")
-    u = Fraction(twice_u.num[0], 2)
-    v = Fraction(odd_part.num[0], 2 * gauss_square_sign(p) * p)
+    u = Fraction(twice_u.coeffs[0], 2)
+    v = Fraction(odd_part.coeffs[0], 2 * gauss_square_sign(p) * p)
     result = QuadElt(p, u, v)
     if result.embed() != x:
         raise ArithmeticError("quadratic decomposition failed to reconstruct input")
@@ -229,8 +226,8 @@ class QuarticDecomp:
         return QuadElt(self.p, self.alpha, self.beta)
 
 
-def quartic_decompose(d: CycElt, p: int) -> QuarticDecomp:
-    """Decompose an element of the quartic subfield as (alpha + beta*sqrt(p))*delta.
+def quartic_decompose(d: CycElt) -> QuarticDecomp:
+    """Decompose d, in the quartic subfield, as (alpha + beta*sqrt(p))*delta, p = d.p.
 
     An exact division, no search: delta is g4 - g on the branch that
     `quartic_gauss_check` pins, and its image under zeta -> zeta^n (n a
@@ -241,11 +238,9 @@ def quartic_decompose(d: CycElt, p: int) -> QuarticDecomp:
     normalized to alpha > 0 (beta > 0 when alpha = 0).  An input outside
     Q(sqrt(p))*delta raises ArithmeticError.
     """
-    require_odd_prime(p)
+    p = d.p
     if p % 4 != 1:
         raise ValueError(f"p={p} is not 1 mod 4")
-    if d.p != p:
-        raise ValueError("element does not belong to Q(zeta_p)")
     ts = two_squares(p)
     chi2 = legendre(2, p)
     plus = fourth_power_sum(p) - gauss_sum(p)
@@ -264,7 +259,7 @@ def quartic_decompose(d: CycElt, p: int) -> QuarticDecomp:
     # in mpmath throughout: |d| may exceed the float range
     import mpmath
 
-    bits = max(abs(c) for c in d.num).bit_length()
+    bits = max(abs(c) for c in d.coeffs).bit_length()
     prec = max(30, bits * 3 // 10 + 26)
     approx = eval_complex(d, prec)
     with mpmath.workdps(prec):

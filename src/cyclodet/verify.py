@@ -167,7 +167,7 @@ def matrix_identity_direct(p: int, delta: int | None = None) -> bool:
     target = build("F" if ds else "E", p, *ds)
     g = gauss_sum(p)
     prod = matmul(dt, right)
-    return all(lincomb(p, [[g.num]], [trow.tolist()]) == [row.tolist()]
+    return all(lincomb(p, [[g.coeffs]], [trow.tolist()]) == [row.tolist()]
                for row, trow in zip(prod.coeffs, target.coeffs))
 
 
@@ -244,7 +244,7 @@ class _PrimeValues:
     nu = cached_property(lambda pv: [padic_val(x, pv.p) for x in (pv.a_p, pv.b_p, pv.u, pv.v)])
     # p = 1 (mod 4)
     split = cached_property(lambda pv: two_squares(pv.p))  # p = a^2 + b^2
-    qd4 = cached_property(lambda pv: quartic_decompose(pv.det_d, pv.p))
+    qd4 = cached_property(lambda pv: quartic_decompose(pv.det_d))
     checks = cached_property(lambda pv: _run_checks(pv))
 
 
@@ -304,9 +304,18 @@ def _legendre_identity(pv, delta: int | None) -> tuple:
 
 
 def _gauss_sign(pv) -> tuple:
+    """g is sqrt(p) (p = 1 mod 4) or i*sqrt(p) (p = 3 mod 4) under zeta -> exp(2*pi*i/p).
+
+    g^2 = (-1)^m p is checked exactly, so g's image is one of two points
+    2*sqrt(p) apart, and the sign of its real (or imaginary) part picks the
+    point.  The image sums p-1 terms +/-zeta^t at 50 digits (40 and ten guard
+    digits), each term and each partial sum (at most p-1 in absolute value)
+    rounded once, so its error is below p^2 * 10^-50, far below sqrt(p), and a
+    float keeps its sign: that sign cannot be wrong, and no tolerance is compared."""
     approx = complex(eval_complex(pv.g, 40))
     expected = math.sqrt(pv.p) * (1 if pv.p % 4 == 1 else 1j)
-    return (abs(approx - expected) < 1e-8 * math.sqrt(pv.p),
+    part = approx.real if pv.p % 4 == 1 else approx.imag
+    return (pv.g * pv.g == (-1) ** pv.m * pv.p and part > 0,
             f"{approx:.12g}", f"{expected:.12g}")
 
 

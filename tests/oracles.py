@@ -31,12 +31,11 @@ from cyclodet.modarith import aux_primes, is_square, legendre, primitive_root
 from cyclodet.subfield import gauss_sum
 
 
-def exact_matrix(rows, p: int, kind: str = "cyc") -> ExactMatrix:
-    """The matrix with these entries: CycElts over p, or ints for kind "int",
-    in the dtype `_int_array` chooses."""
-    if kind == "cyc":
-        rows = [[e.num for e in row] for row in rows]
-    return ExactMatrix(kind, _int_array(rows), MatrixMeta(p, "test"))
+def exact_matrix(rows, p: int) -> ExactMatrix:
+    """The matrix with these entries, CycElts over p or ints, in the dtype
+    `_int_array` chooses."""
+    rows = [[e.coeffs if isinstance(e, CycElt) else e for e in row] for row in rows]
+    return ExactMatrix(_int_array(rows), MatrixMeta(p, "test"))
 
 
 def entries(m: ExactMatrix) -> tuple:
@@ -265,13 +264,13 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
     raise ArithmeticError("CRT failed to stabilize")
 
 
-def orbit_step_tuples(coeffs: np.ndarray, p: int, n: int) -> int:
+def orbit_step_tuples(rows: np.ndarray) -> int:
     """The certificate of `detkit._orbit_step` with every row, and every row image
     under each tried sigma_b, keyed by the hash of its Python tuple: the reference
     for the byte-keyed rows of the library."""
-    rows = coeffs.reshape(n, n, p - 1)
+    n, p = len(rows), rows.shape[2] + 1
     index = {hash(tuple(row.ravel().tolist())): j for j, row in enumerate(rows)}
-    zero, g = np.zeros((n, 1), dtype=coeffs.dtype), primitive_root(p)
+    zero, g = np.zeros((n, 1), dtype=rows.dtype), primitive_root(p)
     for f in (f for f in range(1, p - 1) if (p - 1) % f == 0):
         source = np.arange(p) * pow(g, -f, p) % p  # power b*i of sigma_b(x) is power i of x
         perm = []

@@ -7,6 +7,7 @@ bound against every coefficient of the determinants of the sweep's families
 and against their complex embeddings, and the backend against the all-node
 loop with a stability stop (`oracles.evalinterp_all_nodes`) and Bareiss.
 """
+import builtins
 import cmath
 import math
 import random
@@ -15,6 +16,7 @@ from functools import cache
 import numpy as np
 import pytest
 
+from cyclodet import detkit
 from cyclodet.cycring import CycElt
 from cyclodet.detkit import (
     _embedding_bound_sq,
@@ -51,10 +53,6 @@ def expected_f(family: str, p: int) -> int:
     return 2 if p % 4 == 3 or family == "F" else 4
 
 
-def coefficients(m: ExactMatrix) -> np.ndarray:
-    return m.coeffs.reshape(m.n * m.n, -1)
-
-
 def galois_sign(m: ExactMatrix, b: int):
     """The sign of the row permutation P with galois(b) of every entry of M
     equal to P*M, or None when no such P exists (rows compared as CycElts)."""
@@ -87,8 +85,8 @@ class TestOrbitCertificate:
         g = primitive_root(p)
         for family in families(p):
             m = matrix(family, p)
-            f = _orbit_step(coefficients(m), p, m.n)
-            assert f == orbit_step_tuples(coefficients(m), p, m.n)
+            f = _orbit_step(m.coeffs)
+            assert f == orbit_step_tuples(m.coeffs)
             assert (p - 1) % f == 0
             assert galois_sign(m, pow(g, f, p)) == 1
             for smaller in range(1, f):
@@ -102,7 +100,30 @@ class TestOrbitCertificate:
         of a -> g^2 a on the squares is (g/13) = -1), so f = 2 is refused."""
         m = matrix("D", 13)
         assert galois_sign(m, pow(primitive_root(13), 2, 13)) == -1
-        assert _orbit_step(coefficients(m), 13, m.n) == 4
+        assert _orbit_step(m.coeffs) == 4
+
+    def test_colliding_keys_are_refused(self, monkeypatch):
+        """A key function under which each row's image under sigma_g collides with
+        that row's own key would certify f = 1 on D(7) without the comparison of
+        the rows; compared, every such match is refused, and f stays 2."""
+        m, p = matrix("D", 7), 7
+        g = primitive_root(p)
+        images = [np.array([e.galois(g).coeffs for e in row], dtype=np.int64).tobytes()
+                  for row in entries(m)]
+        alias = {image: m.coeffs[j].tobytes() for j, image in enumerate(images)
+                 if image != m.coeffs[j].tobytes()}  # row 0, all ones, is its own image
+        hits = []
+
+        def colliding(obj):
+            if obj in alias:
+                hits.append(obj)
+                return builtins.hash(alias[obj])
+            return builtins.hash(obj)
+
+        monkeypatch.setattr(detkit, "hash", colliding, raising=False)
+        assert _orbit_step(m.coeffs) == 2
+        assert hits  # a colliding image was looked up
+        assert det_cyc_evalinterp(m) == det_cyc_bareiss(m)
 
 
 def perturbed(m: ExactMatrix, j: int, k: int, delta) -> ExactMatrix:
@@ -116,7 +137,7 @@ class TestCertificateCannotBeFooled:
 
     def check_all_nodes(self, m: ExactMatrix) -> CycElt:
         p = m.meta.p
-        assert _orbit_step(coefficients(m), p, m.n) == orbit_step_tuples(coefficients(m), p, m.n) == p - 1
+        assert _orbit_step(m.coeffs) == orbit_step_tuples(m.coeffs) == p - 1
         stats = {}
         value = det_cyc_evalinterp(m, stats)
         assert stats["nodes"] == p - 1
@@ -142,13 +163,13 @@ class TestCertificateCannotBeFooled:
         rng = random.Random(0xB16)
         p, n = 7, 3
         m = exact_matrix([[random_cyc(rng, p, span=2**80) for _ in range(n)] for _ in range(n)], p)
-        assert coefficients(m).dtype == object
+        assert m.coeffs.dtype == object
         self.check_all_nodes(m)
         # the symmetric D(7) scaled past int64 keeps its two orbits
         scaled = exact_matrix([[e * 2**70 for e in row] for row in entries(matrix("D", 7))], 7)
-        assert coefficients(scaled).dtype == object
-        assert _orbit_step(coefficients(scaled), 7, scaled.n) == 2
-        assert orbit_step_tuples(coefficients(scaled), 7, scaled.n) == 2
+        assert scaled.coeffs.dtype == object
+        assert _orbit_step(scaled.coeffs) == 2
+        assert orbit_step_tuples(scaled.coeffs) == 2
         assert det_cyc_evalinterp(scaled) == det_cyc_bareiss(scaled)
 
 
@@ -159,11 +180,11 @@ class TestCoefficientBound:
         and the lift stops at the first modulus above 4H."""
         for family in families(p):
             m = matrix(family, p)
-            h2 = _embedding_bound_sq(coefficients(m), m.n)
+            h2 = _embedding_bound_sq(m.coeffs)
             value, stats = evalinterp(family, p)
-            assert max(c * c for c in value.num) < 4 * h2
+            assert max(c * c for c in value.coeffs) < 4 * h2
             roots = [cmath.exp(2j * math.pi * a / p) for a in range(1, p)]
-            top = max(abs(sum(c * w**i for i, c in enumerate(value.num))) for w in roots)
+            top = max(abs(sum(c * w**i for i, c in enumerate(value.coeffs))) for w in roots)
             assert top == 0 or math.log(top) <= math.log(h2) / 2 + 1e-9
             modulus = math.prod(stats["moduli"])
             assert modulus**2 > 16 * h2 >= (modulus // stats["moduli"][-1]) ** 2
@@ -172,7 +193,7 @@ class TestCoefficientBound:
         """l(zeta^(p-1)) = 1: the median form, not the p-1 of sum |b_i|."""
         p = 11
         m = exact_matrix([[CycElt.zeta(p, p - 1)]], p)
-        assert _embedding_bound_sq(coefficients(m), 1) == 1
+        assert _embedding_bound_sq(m.coeffs) == 1
 
     @pytest.mark.parametrize("p", [101, 103])
     def test_agrees_with_all_node_oracle(self, p):

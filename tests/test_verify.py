@@ -1,14 +1,17 @@
+import math
 import multiprocessing
 import os
 import time
 from concurrent.futures import Future
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from cyclodet import classno, detkit, matrices, verify
 from cyclodet.matrices import ExactMatrix
 from cyclodet.modarith import is_prime, primitive_root
+from cyclodet.subfield import gauss_sum
 from cyclodet.verify import (
     CheckResult,
     SweepOptions,
@@ -67,10 +70,48 @@ class TestLegendreSumIdentities:
                 return m
             coeffs = m.coeffs.copy()
             coeffs[-1, 1, 0] += 1
-            return ExactMatrix(m.kind, coeffs, m.meta)
+            return ExactMatrix(coeffs, m.meta)
 
         monkeypatch.setattr(verify, "build", build)
         assert not matrix_identity_direct(p, delta)
+
+
+class TestGaussSign:
+    """`gauss_sign_numeric` passes iff g^2 = (-1)^m p exactly and g's image has a
+    positive real (p = 1 mod 4) or imaginary (p = 3 mod 4) part: no tolerance."""
+
+    @staticmethod
+    def values(p: int, g=None) -> SimpleNamespace:
+        return SimpleNamespace(p=p, m=(p - 1) // 2, g=gauss_sum(p) if g is None else g)
+
+    @staticmethod
+    def shifted(monkeypatch, scale, offset):
+        real = verify.eval_complex
+        monkeypatch.setattr(verify, "eval_complex",
+                            lambda x, prec: scale * real(x, prec) + offset * math.sqrt(x.p))
+
+    @pytest.mark.parametrize("p", [13, 19])
+    def test_genuine_image_passes(self, p):
+        assert verify._gauss_sign(self.values(p))[0]
+
+    @pytest.mark.parametrize("p", [13, 19])
+    def test_negated_image_fails(self, monkeypatch, p):
+        self.shifted(monkeypatch, -1, 0)
+        assert not verify._gauss_sign(self.values(p))[0]
+
+    @pytest.mark.parametrize("p", [13, 19])
+    def test_image_off_by_a_millionth_with_the_right_sign_passes(self, monkeypatch, p):
+        """10^-6 sqrt(p) off, which a tolerance of 10^-8 sqrt(p) would fail."""
+        offset = 1e-6 * (1 if p % 4 == 1 else 1j)
+        self.shifted(monkeypatch, 1, offset)
+        ok, lhs, rhs = verify._gauss_sign(self.values(p))
+        assert abs(complex(lhs) - complex(rhs)) > 1e-8 * math.sqrt(p)
+        assert ok
+
+    @pytest.mark.parametrize("p", [13, 19])
+    def test_wrong_square_fails(self, p):
+        """2g has an image of the right sign, but (2g)^2 = 4g^2."""
+        assert not verify._gauss_sign(self.values(p, 2 * gauss_sum(p)))[0]
 
 
 @pytest.fixture(scope="module")
