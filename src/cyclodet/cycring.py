@@ -18,8 +18,7 @@ so elements can be shared freely between concurrent workers.
 """
 from __future__ import annotations
 
-import struct
-from itertools import chain
+import math
 from typing import Sequence
 
 import numpy as np
@@ -27,65 +26,91 @@ import numpy as np
 from .modarith import require_odd_prime
 
 
-_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}  # the signed digit widths numpy reads
+_TOP_BIT = {w: np.dtype(f"<i{w}").type(-(1 << (8 * w - 1))) for w in (1, 2, 4, 8)}  # H, as a digit
 
 
 def _digit_mask(digits: int, w: int) -> int:
-    """H = 2^(8w-1) in each of `digits` digits of 8w bits.  XOR with H adds H
-    to a two's-complement digit in [-H, H), which makes it nonnegative."""
+    """H = 2^(8w-1) in each of `digits` digits of 8w bits.  A digit d in [-H, H)
+    is stored biased, as d + H in [0, 2H), so that the bytes of a sum of
+    biased digits read as the digits plus this mask."""
     return int.from_bytes((bytes(w - 1) + b"\x80") * digits, "little")
 
 
-def _pack(flat: Sequence[int], m: int, slot: int, w: int) -> int:
-    """Vectors of m digits in [-H, H) as one integer in base 2^(8w), vector j
-    in the digits j*slot .. j*slot + m - 1 and zeros above it."""
-    n, pad = len(flat) // m, (slot - m) * w
+def _max_abs(a: np.ndarray) -> int:
+    """The largest absolute entry of an int64 or object array, and at least 1: by
+    Python's max below 64 entries, where numpy's fixed cost per call dominates,
+    and otherwise by numpy's max and min, which allocate no array."""
+    if a.size < 64:
+        return max([1, *map(abs, a.ravel().tolist())])
+    return max(int(a.max()), -int(a.min()), 1)
+
+
+def _pack(a: np.ndarray, slot: int, w: int, mask: int) -> list[int]:
+    """Each (n, m) block of `a` (shape (..., n, m), entries in [-H, H)) as one
+    integer in base 2^(8w): vector j in the digits j*slot .. j*slot + m - 1,
+    zeros above it; `mask` is _digit_mask(n * slot, w).  The biased digits of
+    all blocks are laid out in one buffer of bytes, by numpy for w in
+    {1, 2, 4, 8} (flipping the top bit of a two's-complement digit adds H) and
+    by `int.to_bytes` for wider digits, and each block is read from its slice."""
+    *lead, n, m = a.shape
     if w <= 8:
-        buf = struct.pack("<" + f"{m}{_STRUCT_CODES[w]}{pad}x" * n, *flat)
+        buf = np.zeros((*lead, n, slot), dtype=f"<i{w}")
+        buf[..., :m] = a
+        buf ^= _TOP_BIT[w]
+        raw = buf.tobytes()
+        del buf
     else:
-        buf = b"".join(b"".join(c.to_bytes(w, "little", signed=True) for c in flat[j : j + m])
-                       + bytes(pad) for j in range(0, len(flat), m))
-    mask = _digit_mask(n * slot, w)
-    return (int.from_bytes(buf, "little") ^ mask) - mask
+        h = 1 << (8 * w - 1)
+        pad = (bytes(w - 1) + b"\x80") * (slot - m)
+        raw = b"".join(b"".join([(c + h).to_bytes(w, "little") for c in v]) + pad
+                       for v in a.reshape(-1, m).tolist())
+    size = n * slot * w
+    return [int.from_bytes(raw[i * size : (i + 1) * size], "little") - mask
+            for i in range(math.prod(lead))]
 
 
-def lincomb(p: int, weights: Sequence[Sequence[Sequence[int]]],
-            rows: Sequence[Sequence[Sequence[int]]]) -> list[list[list[int]]]:
-    """Entry [i][j] is sum_t weights[i][t] * rows[t][j] over Z[zeta_p]; every
-    entry, given and returned, is a coefficient vector of p - 1 ints.
+def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entry [i, j] is sum_t weights[i, t] * rows[t, j] over Z[zeta_p], every
+    element a vector of p - 1 coefficients: weights of shape (k, t, p - 1) and
+    rows of shape (t, n, p - 1), int64 or Python ints (dtype object), give
+    (k, n, p - 1), int64 when the fold below fits int64 and Python ints otherwise.
 
     A row is one integer in base D = 2^(8w), element j in the 2p - 3 digits
     from digit j(2p - 3), so no product with a weight spills into the next
     slot.  Every sum's coefficients are below H = D/2 in absolute value, so
     with each digit biased by H the sum's bytes are its digits: read by numpy
-    for w in {1, 2, 4, 8}, sliced from the bytes for wider digits.
+    for w in {1, 2, 4, 8}, sliced from the bytes for wider digits.  The k sums
+    are read as one buffer and folded together.  A folded coefficient is
+    d_i - d_(p-1) + d_(p+i), where d_i and d_(p+i) take disjoint products, so it
+    is at most 2 * bound in absolute value.
     """
-    terms, n = len(rows), len(rows[0]) if rows else 0
-    if any(len(row) != n for row in rows) or any(len(ws) != terms for ws in weights):
-        raise ValueError("need one weight per row and rows of equal length")
     m, slot = p - 1, 2 * p - 3
-    flats = [list(chain.from_iterable(row)) for row in rows]
-    bound = terms * m  # products per coefficient, times the largest of each side (at least 1)
-    for vectors in (flats, chain.from_iterable(weights)):
-        bound *= max((max(max(v), -min(v), 1) for v in vectors if v), default=1)
+    k, terms, n = len(weights), len(rows), rows.shape[1] if rows.ndim == 3 else -1
+    if weights.shape[1:] != (terms, m) or rows.shape != (terms, n, m):
+        raise ValueError("need weights (k, t, p-1) and rows (t, n, p-1)")
+    bound = terms * m * _max_abs(weights) * _max_abs(rows)  # products per coefficient times the largest
     w = (bound.bit_length() + 8) // 8  # the fewest bytes with bound < 2^(8w-1)
-    w = next(v for v in (1, 2, 4, 8, w) if v >= w)  # a width numpy reads, up to 8
-    packed = [_pack(flat, m, slot, w) for flat in flats]
-    mask, out = _digit_mask(n * slot, w), []
-    for ws in weights:
-        z = sum(_pack(c, m, m, w) * x for c, x in zip(ws, packed))
-        buf = ((z + mask) ^ mask).to_bytes(n * slot * w, "little")
-        if w <= 8:
-            d = np.frombuffer(buf, f"<i{w}").astype(np.int64 if 4 * bound < 1 << 63 else object)
-        else:
-            d = np.array([int.from_bytes(buf[k : k + w], "little", signed=True)
-                          for k in range(0, len(buf), w)], dtype=object)
-        # fold zeta^(p+k) = zeta^k and remove zeta^(p-1): three digits meet in a coefficient
-        d = d.reshape(n, slot)
-        assert d.dtype == object or 4 * bound < 1 << 63, "int64 fold headroom"
-        num = d[:, :m] - d[:, m:p]
-        num[:, : p - 3] += d[:, p:]
-        out.append(num.tolist())
+    if w <= 8:
+        w = 1 << (w - 1).bit_length()  # a width numpy reads: 1, 2, 4 or 8
+    mask = _digit_mask(n * slot, w)
+    packed = _pack(rows, slot, w, mask)
+    scalars = iter(_pack(weights.reshape(-1, 1, m), m, w, _digit_mask(m, w)))
+    buf = bytearray()
+    for _ in range(k):
+        buf += (sum(x * c for x, c in zip(packed, scalars)) + mask).to_bytes(n * slot * w, "little")
+    del packed, mask  # the largest transients, before the digits are read
+    if w <= 8:
+        d = np.frombuffer(buf, f"<i{w}") ^ _TOP_BIT[w]  # flipping the top bit takes H off
+    else:
+        h = 1 << (8 * w - 1)
+        d = np.array([int.from_bytes(buf[i : i + w], "little") - h
+                      for i in range(0, len(buf), w)], dtype=object)
+    # fold zeta^(p+i) = zeta^i and remove zeta^(p-1): three digits meet in a coefficient,
+    # in int64 while 4 bound < 2^63, else in Python ints made for the output entries only
+    d = d.reshape(k, n, slot)
+    out = np.subtract(d[..., :m], d[..., m:p], dtype=np.int64 if 4 * bound < 1 << 63 else object)
+    assert out.dtype == object or 4 * bound < 1 << 63, "int64 fold headroom"
+    out[..., : p - 3] += d[..., p:]
     return out
 
 
@@ -188,8 +213,8 @@ class CycElt:
         p = self.p
         if isinstance(other, CycElt):
             self._check_same_field(other)
-            ((coeffs,),) = lincomb(p, [[self.coeffs]], [[other.coeffs]])
-            return CycElt._new(p, coeffs)
+            xy = np.array(self.coeffs + other.coeffs).reshape(2, 1, 1, p - 1)
+            return CycElt._new(p, lincomb(p, xy[0], xy[1])[0, 0].tolist())
         if isinstance(other, int):
             return CycElt._new(p, [c * other for c in self.coeffs])
         return NotImplemented

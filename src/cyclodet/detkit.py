@@ -118,9 +118,9 @@ def _lift_primes(p: int, bound_sq: int) -> list[int]:
         modulus *= q
 
 
-def _runs(primes: list[int], per_prime: int) -> list[list[int]]:
-    """The primes in runs of at least one prime whose stacks, `per_prime` entries
-    per prime, hold at most _STACK_ENTRIES entries."""
+def _runs(primes, per_prime: int) -> list:
+    """The primes (or rows) in runs of at least one whose stacks, `per_prime` entries
+    each, hold at most _STACK_ENTRIES entries."""
     size = max(1, _STACK_ENTRIES // per_prime)
     return [primes[i : i + size] for i in range(0, len(primes), size)]
 
@@ -166,68 +166,65 @@ class _MixedRadix:
         for q_top >= 8."""
         return 4 * abs(self.digits[-1]) + 2 <= self.primes[-1]
 
-    def ints(self) -> list:
-        """The values as Python ints, in nested lists of the residues' shape."""
+    def ints(self) -> np.ndarray:
+        """The values as Python ints (dtype object), in the residues' shape."""
         v = self.digits[-1].astype(object)
         for d, q in zip(self.digits[-2::-1], self.primes[-2::-1]):
             v = v * q + d
-        return v.tolist()
+        return v
 
 
 # -- fraction-free elimination and the integer backends ---------------------
 
 
-def _fraction_free(rows: list[list], zero, update, divide) -> tuple:
-    """Bareiss elimination: first nonzero pivot per column, row swaps signed.
+def _fraction_free(a: np.ndarray, update, divide) -> tuple:
+    """Bareiss elimination on one array per step: the (n, n) entries over Z, or the
+    (n, n, p-1) coefficients over Z[zeta_p].  First nonzero pivot per column, row
+    swaps signed.
 
-    Each step replaces the block by its trailing block.  `update(piv, ys, below)`
-    returns the rows x*piv - a*y for every row [a, *xs] below the pivot row
-    [piv, *ys]; after the first step `divide(rows, prev)` returns their exact
-    quotients by the previous pivot, row by row.  So each ring function is
-    called once per step, and the loop itself only compares entries with
-    `zero`.  Returns (sign of the row swaps, last pivot), or (1, zero) at a
-    zero column.
+    Each step replaces the block by its trailing block.  `update(a)` returns the
+    rows x*piv - a*y for every row [a, *xs] below the pivot row [piv, *ys]; after
+    the first step `divide(block, prev)` returns its exact quotients by the
+    previous pivot.  So each ring function is called once per step, on the
+    step's whole array.  Returns (sign of the row swaps, last pivot), or
+    (1, a zero pivot) at a zero column.
     """
-    a, sign, prev = rows, 1, None
+    sign, prev = 1, None
     while len(a) > 1:
-        r = next((r for r, row in enumerate(a) if row[0] != zero), None)
-        if r is None:
-            return 1, zero
+        nonzero = (a[:, 0] != 0).reshape(len(a), -1).any(axis=1)
+        r = int(nonzero.argmax())
+        if not nonzero[r]:
+            return 1, a[0, 0]
         if r:
-            a[0], a[r] = a[r], a[0]
-            sign = -sign
-        piv, *ys = a[0]
-        a = update(piv, ys, a[1:])
+            order = np.arange(len(a))
+            order[[0, r]] = r, 0
+            a, sign = a[order], -sign
+        piv = a[0, 0]
+        a = update(a)
         if prev is not None:
             a = divide(a, prev)
         prev = piv
-    return sign, a[0][0]
+    return sign, a[0, 0]
 
 
-def _update_ints(piv: int, ys: list[int], below: list[list[int]]) -> list[list[int]]:
-    return [[x * piv - a * y for x, y in zip(xs, ys)] for a, *xs in below]
+def _update_ints(a: np.ndarray) -> np.ndarray:
+    """The step's updates over Z (dtype object): xs*piv - outer(col, ys)."""
+    return a[1:, 1:] * a[0, 0] - np.outer(a[1:, 0], a[0, 1:])
 
 
-def _update_cyc(piv: list[int], ys: list, below: list[list]) -> list[list]:
-    """The step's updates over Z[zeta_p] (entries coefficient lists): one packed
-    combination of two rows (`cycring.lincomb`) per row below."""
-    p = len(piv) + 1
-    return [lincomb(p, [[piv, [-c for c in a]]], [xs, ys])[0] for a, *xs in below]
-
-
-def _divide_ints(rows: list[list[int]], den: int) -> list[list[int]]:
-    """Exact quotients of rows of integers by den; a remainder raises."""
-    pairs = [[divmod(t, den) for t in row] for row in rows]
-    if any(rem for row in pairs for _, rem in row):
+def _divide_ints(block: np.ndarray, den: int) -> np.ndarray:
+    """Exact quotients of a block of integers (dtype object) by den; a remainder raises."""
+    quots = block // den
+    if not np.array_equal(quots * den, block):
         raise ArithmeticError("Bareiss division was not exact")
-    return [[quot for quot, _ in row] for row in pairs]
+    return quots
 
 
 def det_int_bareiss(m: ExactMatrix, stats: dict | None = None) -> int:
-    """Fraction-free elimination over Z."""
+    """Fraction-free elimination over Z, on Python ints (dtype object)."""
     if m.kind != "int":
         raise ValueError("integer matrix required")
-    sign, last = _fraction_free(m.coeffs.tolist(), 0, _update_ints, _divide_ints)
+    sign, last = _fraction_free(m.coeffs.astype(object), _update_ints, _divide_ints)
     return sign * last
 
 
@@ -314,18 +311,19 @@ def _order_p_element(p: int, q: int) -> int:
 # -- exact division in Z[zeta_p] --------------------------------------------
 
 
-def _divide_exact(rows: list[list[list[int]]], den: list[int]) -> list[list[list[int]]]:
-    """Exact quotients of rows of elements of Z[zeta_p] by a nonzero den, all
-    coefficient lists: the rows of a Bareiss step.
+def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Exact quotients of a block of elements of Z[zeta_p], shape (..., p-1), int64
+    or Python ints, by a nonzero den, shape (p-1,): the rows of a Bareiss step.
 
-    The step's elements and den, its last row, form one array, evaluated at
-    the order-p nodes of F_q once per auxiliary prime q.  Where den has no
-    zero value, every element's values are scaled by den's inverse values,
+    The block's elements and den, its last row, form one array, reduced mod q
+    and evaluated at the order-p nodes of F_q once per auxiliary prime q, so
+    `_EvalData.values` takes int64 entries in [0, q).  Where den has no zero
+    value, every element's values are scaled by den's inverse values,
     interpolated and folded into one mixed-radix CRT (`_MixedRadix`).  Once
     every top digit reads a lift below a quarter of the modulus, one packed
-    re-multiplication per row, compared with the row given, checks the lift,
-    which proves it, so a wrong answer is impossible; a row that fails sends
-    the lift to the next prime.
+    re-multiplication of the whole lift by den (`cycring.lincomb`), compared
+    with the block, checks it, which proves it, so a wrong answer is
+    impossible; a lift that fails goes on to the next prime.
 
     The stop for a non-exact division is proven.  With l1 the sum of absolute
     coefficients, L = max_x l1(x) * l1(den)^(p-2) bounds every embedding of an
@@ -333,28 +331,31 @@ def _divide_exact(rows: list[list[list[int]]], den: list[int]) -> list[list[list
     1/|sigma(den)| <= prod of the other p-2 |tau(den)| <= l1(den)^(p-2).  The
     traces (`_embedding_bound_sq`) put its coefficients below 2L.  Once the
     modulus M passes 16L they are below M/8, so the lift is the quotient and
-    its top digits pass (`_MixedRadix.fits`), and every row has been proven; a
+    its top digits pass (`_MixedRadix.fits`), and the step has been proven; a
     division still unproven there raises.
     """
-    if not any(den):
+    if not (den != 0).any():
         raise ZeroDivisionError("division by zero")
     p = len(den) + 1
-    coeffs = _int_array([x for row in rows for x in row] + [den])  # (elements + 1, p-1)
-    l1 = max(sum(map(abs, x)) for row in rows for x in row)
-    give_up = 16 * l1 * sum(map(abs, den)) ** (p - 2)
+    coeffs = np.concatenate([block.reshape(-1, p - 1), den[None]])  # (elements + 1, p-1)
+    give_up = None  # 16L, taken once a lift goes unproven
     crt = _MixedRadix()
     for q in aux_primes(p):
         data = _EvalData(p, q)
-        vals = data.values(coeffs)  # (elements + 1, nodes), den's values last
+        vals = data.values((coeffs % q).astype(np.int64, copy=False))  # den's values last
         if np.any(vals[-1] == 0):
             continue  # q divides a conjugate of den; unusable
         inv_vals = np.array([pow(v, -1, q) for v in vals[-1].tolist()], dtype=np.int64)
         quot_vals = vals[:-1] * inv_vals % q
-        crt.fold(data.interpolate(quot_vals.T).T.reshape(len(rows), -1, p - 1), q)
+        crt.fold(data.interpolate(quot_vals.T).T.reshape(block.shape), q)
         if crt.fits().all():
             quots = crt.ints()
-            if all(lincomb(p, [[den]], [x]) == [row] for x, row in zip(quots, rows)):
+            check = lincomb(p, den[None, None], quots.reshape(1, -1, p - 1))
+            if np.array_equal(check[0], coeffs[:-1]):
                 return quots
+        if give_up is None:
+            l1 = abs(coeffs).sum(axis=1, dtype=object)
+            give_up = 16 * max(l1[:-1]) * l1[-1] ** (p - 2)
         if crt.modulus > give_up:
             raise ArithmeticError("Bareiss division was not exact")
 
@@ -362,42 +363,58 @@ def _divide_exact(rows: list[list[list[int]]], den: list[int]) -> list[list[list
 # -- cyclotomic backends ----------------------------------------------------
 
 
+def _update_cyc(a: np.ndarray) -> np.ndarray:
+    """The step's updates over Z[zeta_p], a its (r, c, p-1) array: xs*piv - outer(col, ys)
+    as two packed products (`cycring.lincomb`), the pivot times the whole block below and
+    the pivot column times the pivot row, which is packed once."""
+    p, r, c = a.shape[2] + 1, len(a) - 1, a.shape[1] - 1
+    scaled = lincomb(p, a[:1, :1], a[1:, 1:].reshape(1, r * c, p - 1)).reshape(r, c, p - 1)
+    cross = lincomb(p, a[1:, :1], a[:1, 1:])
+    # lincomb folds in int64 only while 4 bound < 2^63, its entries at most 2 bound
+    assert all(x.dtype == object or -(1 << 62) < x.min() and x.max() < 1 << 62
+               for x in (scaled, cross)), "int64 update headroom"
+    return scaled - cross
+
+
 def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     """Fraction-free elimination over Z[zeta_p] with verified exact divisions."""
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
-    p = m.meta.p
-    sign, last = _fraction_free(m.coeffs.tolist(), [0] * (p - 1), _update_cyc, _divide_exact)
-    return CycElt._new(p, [sign * c for c in last])
+    sign, last = _fraction_free(m.coeffs, _update_cyc, _divide_exact)
+    return CycElt._new(m.meta.p, [sign * c for c in last.tolist()])
 
 
 def _orbit_step(rows: np.ndarray) -> int:
     """The least f | p-1 for which sigma_b: zeta -> zeta^b, b = g^f (g = primitive_root(p)),
     maps M (`rows`: its (n, n, p-1) coefficient array) to P*M, P a row permutation of sign +1.
 
-    sigma_b moves coefficient i to power b*i mod p; zeta^(p-1) is then removed.  Rows are matched
-    by a hash of their bytes (int64) or of their tuple (Python ints), and every match is confirmed
-    by comparing the arrays: a row met twice or not at all, or a hash collision, rejects f; f = p-1
-    (b = 1) always holds.  As det(sigma_b M) = sigma_b(det M) and det(P*M) = det M, det M is fixed
-    by <sigma_b>: its value at the node r^t depends only on the coset t<b>, so the f nodes
-    r^(g^j), j < f, give all."""
+    sigma_b moves coefficient i to power b*i mod p; zeta^(p-1) is then removed.  The images of
+    the rows are taken by one fancy index per run of rows (`_runs`, which bounds the transient),
+    matched by a hash of their bytes (int64) or of their tuple (Python ints), and every match is
+    confirmed by comparing the arrays: a row met twice or not at all, or a hash collision,
+    rejects f; f = p-1 (b = 1) always holds.  int64 rows are below AUX_PRIME_FLOOR
+    (`_int_array`), so their differences are far inside int64.  As det(sigma_b M) = sigma_b(det M)
+    and det(P*M) = det M, det M is fixed by <sigma_b>: its value at the node r^t depends only on
+    the coset t<b>, so the f nodes r^(g^j), j < f, give all."""
 
     def key(row: np.ndarray) -> int:  # the bytes of an object array are pointers, not values
         return hash(tuple(row.ravel().tolist()) if row.dtype == object else row.tobytes())
 
     n, p = len(rows), rows.shape[2] + 1
     index = {key(row): j for j, row in enumerate(rows)}
-    zero, g = np.zeros((n, 1), dtype=rows.dtype), primitive_root(p)
+    g = primitive_root(p)
     for f in (f for f in range(1, p - 1) if (p - 1) % f == 0):
         source = np.arange(p) * pow(g, -f, p) % p  # power b*i of sigma_b(x) is power i of x
         perm = []
-        for row in rows:  # up to the first row with no match
-            image = np.hstack([row, zero])[:, source]
-            image = image[:, :-1] - image[:, -1:]
-            j = index.get(key(image), -1)
-            perm.append(j if j >= 0 and np.array_equal(rows[j], image) else -1)
-            if perm[-1] < 0:
+        for run in _runs(range(n), n * p):  # up to the first run with a row unmatched
+            images = rows[run[0] : run[-1] + 1, :, np.minimum(source, p - 2)]
+            images[..., source == p - 1] = 0  # power p-1 of x is 0
+            images -= images[..., -1:]
+            images = images[..., :-1]
+            found = [index.get(key(image), -1) for image in images]
+            if min(found) < 0 or not np.array_equal(rows[found], images):
                 break
+            perm += found
         inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
         if sorted(perm) == list(range(n)) and inversions % 2 == 0:
             return f

@@ -180,12 +180,13 @@ def build(family: str, p: int, *delta: int) -> ExactMatrix:
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Exact matrix product; used by the identity checks and tests.  A
-    cyclotomic product is one packed combination of b's rows per row of a."""
+    cyclotomic product is one packed combination (`cycring.lincomb`) of b's
+    rows, weighted by the rows of a, on the two coefficient arrays."""
     if a.n != b.n or a.kind != b.kind or (a.kind == "cyc" and a.meta.p != b.meta.p):
         raise ValueError("incompatible matrices")
     if a.kind == "int":
-        prod = (a.coeffs.astype(object) @ b.coeffs).tolist()
+        prod = a.coeffs.astype(object) @ b.coeffs
     else:
-        prod = lincomb(a.meta.p, a.coeffs.tolist(), b.coeffs.tolist())
+        prod = lincomb(a.meta.p, a.coeffs, b.coeffs)
     meta = MatrixMeta(a.meta.p, f"{a.meta.family}*{b.meta.family}", a.meta.delta or b.meta.delta)
     return ExactMatrix(_int_array(prod), meta)

@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .classno import ClassData, squares_product, verify_product_formula
 from .cycring import CycElt, eval_complex, lincomb
 from .detkit import DetResult, det
@@ -159,16 +161,16 @@ def legendre_sum_classes_hold(p: int) -> bool:
 
 
 def matrix_identity_direct(p: int, delta: int | None = None) -> bool:
-    """Literal product check Dtilde*D = g*E (or Dtilde*DD = g*F), one packed
-    product of g with a row of the target per row."""
+    """Literal product check Dtilde*D = g*E (or Dtilde*DD = g*F): g times every
+    entry of the target is one packed product (`lincomb`) on coefficient arrays."""
     ds = () if delta is None else (delta,)
     dt = build("Dtilde", p)
     right = build("DD" if ds else "D", p, *ds)
     target = build("F" if ds else "E", p, *ds)
     g = gauss_sum(p)
     prod = matmul(dt, right)
-    return all(lincomb(p, [[g.coeffs]], [trow.tolist()]) == [row.tolist()]
-               for row, trow in zip(prod.coeffs, target.coeffs))
+    scaled = lincomb(p, np.array([[g.coeffs]]), target.coeffs.reshape(1, -1, p - 1))
+    return np.array_equal(scaled.reshape(prod.coeffs.shape), prod.coeffs)
 
 
 def resolve_deltas(p: int, opt: SweepOptions) -> tuple[list[int], list[int]]:

@@ -94,12 +94,13 @@ class TestGalois:
 
 class TestExactDiv:
     """Exact division through the one cyclotomic divider, `detkit._divide_exact`,
-    which takes and returns coefficient lists."""
+    which takes and returns coefficient arrays."""
 
     @staticmethod
     def divide(values, den):
-        quots = _divide_exact([[list(x.coeffs) for x in values]], den.coeffs)[0]
-        return [CycElt(den.p, x) for x in quots]
+        block = np.array([[x.coeffs for x in values]], dtype=object)
+        quots = _divide_exact(block, np.array(den.coeffs, dtype=object))[0]
+        return [CycElt(den.p, x) for x in quots.tolist()]
 
     def test_geometric_sum(self):
         quot = self.divide([1 - zeta(5, 4)], 1 - zeta(5))
@@ -303,7 +304,7 @@ class TestRingAxioms:
 
 
 def lincomb_loop(p, weights, rows):
-    """`lincomb` by schoolbook products, summed term by term."""
+    """`lincomb` by schoolbook products, summed term by term, on nested lists."""
     zero = CycElt.zero(p)
     out = []
     for ws in weights:
@@ -312,6 +313,18 @@ def lincomb_loop(p, weights, rows):
             acc = [s + cyc_mul_loop(CycElt(p, c), CycElt(p, x)) for s, x in zip(acc, row)]
         out.append([list(s.coeffs) for s in acc])
     return out
+
+
+def packed(p, weights, rows, dtype=object, n=None):
+    """`lincomb` on nested lists, handed over as arrays of `dtype` (rows of n
+    elements when there are no rows to read it from), and returned as lists."""
+    k, t = len(weights), len(rows)
+    n = len(rows[0]) if rows else n or 0
+    w = np.array(weights, dtype=dtype).reshape(k, t, p - 1)
+    r = np.array(rows, dtype=dtype).reshape(t, n, p - 1)
+    out = lincomb(p, w, r)
+    assert out.shape == (k, n, p - 1)
+    return out.tolist()
 
 
 class TestKroneckerMultiplication:
@@ -331,7 +344,22 @@ class TestKroneckerMultiplication:
                 rows = [[vec() for _ in range(n)] for _ in range(terms)]
                 if rng.random() < 0.2:
                     rows[0] = [[0] * (p - 1) for _ in range(n)]  # a zero row
-                assert lincomb(p, weights, rows) == lincomb_loop(p, weights, rows)
+                assert packed(p, weights, rows) == lincomb_loop(p, weights, rows)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_every_digit_width(self, dtype):
+        """Operands sized so that the product bound needs digits of 1, 2, 4 and
+        8 bytes and wider, and int64 operands up to 2^62: int64 and Python-int
+        inputs give the schoolbook result at each width."""
+        rng = random.Random(0x1248)
+        for p, bits in itertools.product((3, 7, 13), (2, 5, 12, 26, 40, 62)):
+            for _ in range(3):
+                span = (1 << bits) - 1
+                weights = [[[rng.randint(-span, span) for _ in range(p - 1)] for _ in range(2)]
+                           for _ in range(2)]
+                rows = [[[rng.randint(-span, span) for _ in range(p - 1)] for _ in range(3)]
+                        for _ in range(2)]
+                assert packed(p, weights, rows, dtype) == lincomb_loop(p, weights, rows)
 
     def test_extreme_digits(self):
         """Product digits at 2^bits - 2 and 2^bits, either sign: on either
@@ -342,31 +370,51 @@ class TestKroneckerMultiplication:
                 half = v // 2
                 # (h + h z)(1 + z) has middle digit 2h = v, which is also the bound
                 weights, rows = [[[sign * half, sign * half]]], [[[1, 1]]]
-                assert lincomb(3, weights, rows) == lincomb_loop(3, weights, rows)
+                assert packed(3, weights, rows) == lincomb_loop(3, weights, rows)
                 # every coefficient of both factors at the value itself
                 for p in (3, 7):
                     full, row = [[[sign * v] * (p - 1)]], [[[v] * (p - 1)]]
-                    assert lincomb(p, full, row) == lincomb_loop(p, full, row)
+                    assert packed(p, full, row) == lincomb_loop(p, full, row)
+
+    def test_int64_extremes(self):
+        """int64 operands at -2^63 and 2^63 - 1 take their true absolute values."""
+        for p, v in itertools.product((3, 5), (-(1 << 63), (1 << 63) - 1)):
+            weights, rows = [[[v] * (p - 1)]], [[[v, 1 - p] + [3] * (p - 3)]]
+            assert packed(p, weights, rows, np.int64) == lincomb_loop(p, weights, rows)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 47])
     def test_zero_rows_and_term_counts(self, p):
         rng = random.Random(p)
         zero, x = [0] * (p - 1), [rng.randint(-9, 9) for _ in range(p - 1)]
-        assert lincomb(p, [[x]], [[zero, zero]]) == [[zero, zero]]
-        assert lincomb(p, [[zero, zero]], [[x], [x]]) == [[zero]]
-        assert lincomb(p, [], [[x]]) == []
-        assert lincomb(p, [[x]], [[]]) == [[]]
-        one = [1] + [0] * (p - 2)
-        assert lincomb(p, [[one]], [[x]]) == [[x]]
+        for dtype in (np.int64, object):
+            assert packed(p, [[x]], [[zero, zero]], dtype) == [[zero, zero]]
+            assert packed(p, [[zero, zero]], [[x], [x]], dtype) == [[zero]]
+            assert packed(p, [], [[x]], dtype) == []  # k = 0
+            assert packed(p, [[x]], [[]], dtype) == [[]]  # n = 0
+            assert packed(p, [[x], [x]], [[]], dtype) == [[], []]
+            assert packed(p, [[], []], [], dtype, n=2) == [[zero, zero]] * 2  # no terms
+            one = [1] + [0] * (p - 2)
+            assert packed(p, [[one]], [[x]], dtype) == [[x]]
         for terms in (1, 2, 5):
             weights = [[[rng.randint(-9, 9) for _ in range(p - 1)] for _ in range(terms)]]
             rows = [[[rng.randint(-9, 9) for _ in range(p - 1)] for _ in range(3)]
                     for _ in range(terms)]
-            assert lincomb(p, weights, rows) == lincomb_loop(p, weights, rows)
+            assert packed(p, weights, rows) == lincomb_loop(p, weights, rows)
+        arr = np.array([[x]])
         with pytest.raises(ValueError):
-            lincomb(p, [[x, x]], [[x]])
+            lincomb(p, np.array([[x, x]]), arr)  # two weights, one row
         with pytest.raises(ValueError):
-            lincomb(p, [[x, x]], [[x], [x, x]])
+            lincomb(p, arr, np.array([[x, x]])[..., :-1])  # vectors of p - 2
+        with pytest.raises(ValueError):
+            lincomb(p, arr, np.array(x))  # rows not (t, n, p - 1)
+
+    def test_array_in_array_out(self):
+        """int64 out while the int64 fold has headroom, Python ints past it."""
+        small = lincomb(7, np.ones((1, 1, 6), dtype=np.int64), np.ones((1, 2, 6), dtype=np.int64))
+        assert small.dtype == np.int64 and small.shape == (1, 2, 6)
+        big = lincomb(7, np.full((1, 1, 6), 1 << 40, dtype=np.int64),
+                      np.full((1, 1, 6), 1 << 40, dtype=np.int64))
+        assert big.dtype == object and all(type(c) is int for c in big.ravel())
 
     def test_product_is_the_one_packed_combination(self, monkeypatch):
         calls = []
@@ -375,6 +423,9 @@ class TestKroneckerMultiplication:
         x, y = random_cyc(random.Random(1), 7), random_cyc(random.Random(2), 7)
         assert x * y == cyc_mul_loop(x, y)
         assert len(calls) == 1
+        big = CycElt(7, [1 << 70] * 6)
+        assert big * y == cyc_mul_loop(big, y)
+        assert all(type(c) is int for c in (big * y).coeffs)
 
 
 class TestValueSemantics:

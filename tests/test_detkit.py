@@ -46,6 +46,13 @@ from oracles import (
     random_cyc,
 )
 
+def cyc_array(elements) -> np.ndarray:
+    """The coefficients of a CycElt, or of nested lists of them, as Python ints (dtype object)."""
+    if isinstance(elements, CycElt):
+        return np.array(elements.coeffs, dtype=object)
+    return np.array([cyc_array(x) for x in elements], dtype=object)
+
+
 Q24 = next(aux_primes(5))  # the first auxiliary prime of p = 5, just above 2^24
 Q_EDGE = next(  # the largest q at which a 24 x 24 elimination mod q fits int64
     q for q in range(math.isqrt((1 << 63) // 24) + 1, 0, -1)
@@ -62,7 +69,7 @@ def lifts(monkeypatch):
 
     def recorded(crt, residues, q):
         real(crt, residues, q)
-        out.append((crt.ints(), crt.modulus))
+        out.append((crt.ints().tolist(), crt.modulus))
 
     monkeypatch.setattr(detkit._MixedRadix, "fold", recorded)
     return out
@@ -253,7 +260,7 @@ class TestCycBackends:
         bound = max(l1[:-1]) * l1[-1] ** (p - 2)
         lifts.clear()
         with pytest.raises(ArithmeticError, match="not exact"):
-            detkit._divide_exact([[list(x.coeffs) for x in values]], den.coeffs)
+            detkit._divide_exact(cyc_array([values]), cyc_array(den))
         moduli = [modulus for _, modulus in lifts]
         assert 16 * bound >= moduli[-2] > 8 * bound and moduli[-1] > 16 * bound
 
@@ -265,29 +272,30 @@ class TestExactDivider:
     def test_one_call_per_step(self, count_calls):
         calls = count_calls(detkit._divide_exact)
         assert det_cyc_bareiss(build_D(13)) == det_cyc_evalinterp(build_D(13))
-        assert [[len(row) for row in step] for step in calls] == [[k] * k for k in (5, 4, 3, 2, 1)]
+        assert [step.shape for step in calls] == [(k, k, 12) for k in (5, 4, 3, 2, 1)]
         calls = count_calls(detkit._divide_ints)
         assert det_int_bareiss(build_S(13)) == det_int_modular(build_S(13))
-        assert [[len(row) for row in step] for step in calls] == [[k] * k for k in (4, 3, 2, 1)]
+        assert [step.shape for step in calls] == [(k, k) for k in (4, 3, 2, 1)]
 
     def test_int_row(self):
-        assert detkit._divide_ints([[6, -8], [0, 4]], 2) == [[3, -4], [0, 2]]
+        quots = detkit._divide_ints(np.array([[6, -8], [0, 4]], dtype=object), 2)
+        assert quots.dtype == object and quots.tolist() == [[3, -4], [0, 2]]
         with pytest.raises(ArithmeticError, match="not exact"):
-            detkit._divide_ints([[6], [7]], 2)
+            detkit._divide_ints(np.array([[6], [7]], dtype=object), 2)
 
     def test_non_exact_row_raises(self):
         z = CycElt.zeta(5)
         with pytest.raises(ArithmeticError, match="not exact"):
-            detkit._divide_exact([[list(((1 - z) * z).coeffs)], [list(CycElt.one(5).coeffs)]],
-                                 (1 - z).coeffs)
+            detkit._divide_exact(cyc_array([[(1 - z) * z], [CycElt.one(5)]]), cyc_array(1 - z))
 
     def test_zero_numerators(self):
-        z, zero = CycElt.zeta(7), [0] * 6
-        assert detkit._divide_exact([[zero] * 3], (1 + z).coeffs) == [[zero] * 3]
+        z, zero = CycElt.zeta(7), CycElt.zero(7)
+        quots = detkit._divide_exact(cyc_array([[zero] * 3]), cyc_array(1 + z))
+        assert quots.tolist() == [[[0] * 6] * 3]
         x = 2 - 3 * z * z
-        rows = [[zero, list((x * (1 + z)).coeffs)], [zero, zero]]
-        quots = detkit._divide_exact(rows, (1 + z).coeffs)
-        assert quots == [[zero, list(x.coeffs)], [zero, zero]]
+        rows = cyc_array([[zero, x * (1 + z)], [zero, zero]])
+        quots = detkit._divide_exact(rows, cyc_array(1 + z))
+        assert quots.tolist() == [[[0] * 6, list(x.coeffs)], [[0] * 6] * 2]
 
     def test_zero_determinant_stops_at_the_bound(self):
         """A zero determinant is accepted at the first modulus above 4H, here
@@ -309,8 +317,8 @@ class TestExactDivider:
         rng = random.Random(0xBAD)
         p = 13
         den = random_cyc(rng, p, span=2**40)
-        rows = [[list((random_cyc(rng, p, span=2**40) * den).coeffs) for _ in range(3)]
-                for _ in range(3)]
+        rows = cyc_array([[random_cyc(rng, p, span=2**40) * den for _ in range(3)]
+                          for _ in range(3)])
         real, hits = detkit._MixedRadix.fold, []
 
         def perturbed(crt, residues, q):
@@ -321,7 +329,7 @@ class TestExactDivider:
 
         monkeypatch.setattr(detkit._MixedRadix, "fold", perturbed)
         with pytest.raises(ArithmeticError, match="not exact"):
-            detkit._divide_exact(rows, den.coeffs)
+            detkit._divide_exact(rows, cyc_array(den))
         assert len(hits) == 1
 
     def test_small_quotients_take_one_prime(self, lifts):
@@ -332,8 +340,8 @@ class TestExactDivider:
         p = 13
         den = random_cyc(rng, p, span=2**40)
         quots = [random_cyc(rng, p, span=2**18 - 1) for _ in range(4)]
-        values = [[list((x * den).coeffs) for x in quots]]
-        assert detkit._divide_exact(values, den.coeffs) == [[list(x.coeffs) for x in quots]]
+        values = cyc_array([[x * den for x in quots]])
+        assert detkit._divide_exact(values, cyc_array(den)).tolist() == [[list(x.coeffs) for x in quots]]
         assert len(lifts) == 1
 
     def test_no_more_primes_than_a_stability_stop(self, monkeypatch, lifts):
@@ -345,7 +353,7 @@ class TestExactDivider:
         def divide(rows, den):
             start = len(lifts)
             quots = real_divide(rows, den)
-            correct = [j for j, (lift, _) in enumerate(lifts[start:], 1) if lift == quots]
+            correct = [j for j, (lift, _) in enumerate(lifts[start:], 1) if lift == quots.tolist()]
             assert correct  # the last lift is the quotient
             seen.append((len(lifts) - start, correct[0]))
             return quots
@@ -390,7 +398,7 @@ class TestMixedRadix:
             residues = np.array([v % q for v in values], dtype=np.int64)
             crt.fold(residues, q)
             sym, modulus = crt_lift(sym, modulus, residues, q)
-            assert crt.ints() == sym and crt.modulus == modulus
+            assert crt.ints().tolist() == sym and crt.modulus == modulus
         assert crt.primes == primes
         assert sym == values
 
@@ -401,10 +409,10 @@ class TestMixedRadix:
         rows = [[rng.randint(-(1 << 70), 1 << 70) for _ in range(6)] for _ in range(4)]
         crt = self.folded([v for row in rows for v in row], primes[:2], (4, 6))
         half = crt.modulus // 2  # values above it come back as their symmetric residue
-        assert crt.ints() == [[(v + half) % crt.modulus - half for v in row] for row in rows]
+        assert crt.ints().tolist() == [[(v + half) % crt.modulus - half for v in row] for row in rows]
         q = primes[2]
         crt.fold(np.array([[v % q for v in row] for row in rows], dtype=np.int64), q)
-        assert crt.ints() == rows
+        assert crt.ints().tolist() == rows
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_top_digit_reading(self, count):
@@ -449,9 +457,8 @@ class TestPackedRowProducts:
             below = [self.entries(rng, n + 1) for _ in range(n)]
             expected = [[list((cyc_mul_loop(x, piv) - cyc_mul_loop(row[0], y)).coeffs)
                          for x, y in zip(row[1:], ys)] for row in below]
-            as_lists = [[list(e.coeffs) for e in row] for row in below]
-            assert detkit._update_cyc(list(piv.coeffs), [list(y.coeffs) for y in ys],
-                                      as_lists) == expected
+            step = cyc_array([[piv, *ys], *below])
+            assert detkit._update_cyc(step).tolist() == expected
 
     def test_matmul(self):
         rng = random.Random(0x31)
