@@ -8,10 +8,13 @@ through the relation 1 + zeta + ... + zeta^(p-1) = 0.  Rational coordinates
 here every coefficient and scalar operand is an int, and arithmetic with
 any other raises TypeError.
 
-Every product of elements goes through `lincomb`, which packs a whole row of
-coefficient vectors into one integer (Kronecker substitution on byte
-boundaries) and combines rows with one big-int multiply per term: a single
-product, a Bareiss row update, a divider's check, a row of a matrix product.
+Every product of elements goes through `lincomb`, which takes and returns
+coefficient arrays: weights (k, t, p - 1) and rows (t, n, p - 1) give the
+(k, n, p - 1) sums.  It packs each row of elements into one integer
+(Kronecker substitution on byte boundaries) from one zero-padded numpy
+buffer, combines rows with one big-int multiply per term, and reads all k
+sums back with one `frombuffer` and one fold: a single product, a Bareiss
+step's update, a divider's check of a whole step, a matrix product.
 
 Every value is immutable and hashable; all operations are pure functions,
 so elements can be shared freely between concurrent workers.

@@ -1,13 +1,16 @@
 """Exact determinants with two independent backends per entry kind.
 
-Bareiss: one fraction-free elimination serves both rings, on nested lists of
-ints or of coefficient lists (`ExactMatrix.coeffs.tolist()`), and calls each
-ring function once per step.  The update is elementwise over Z and one packed
-combination of two rows per row over Z[zeta_p] (`cycring.lincomb`).  The
-division by the previous pivot is `_divide_ints` with a remainder check, or
-`_divide_exact`, which lifts the step's quotients by one CRT and proves the
-lift by one packed re-multiplication per row; a division still unproven once
-the modulus passes a proven bound on exact quotients was not exact and
+Bareiss: one fraction-free elimination serves both rings, on one numpy array
+per step: Python ints (dtype object) over Z, the (r, c, p-1) coefficient
+array over Z[zeta_p].  It calls each ring function once per step, with no
+list in between.  The update xs*piv - outer(col, ys) is elementwise over Z
+and two packed products over Z[zeta_p] (`cycring.lincomb`): the pivot times
+the whole block below, and the pivot column times the pivot row.  The
+division by the previous pivot is `_divide_ints`, floor division checked by
+one re-multiplication, or `_divide_exact`, which reduces the step's array mod
+each auxiliary prime, lifts its quotients by one CRT and proves the lift by
+one packed re-multiplication of the whole step; a division still unproven
+once the modulus passes a proven bound on exact quotients was not exact and
 raises.  There is no cap on the primes.  A CycElt is built only for a
 determinant returned.
 
@@ -32,7 +35,9 @@ refused up front when count (q-1)^2 >= 2^63: p-1 products per value in
 `_EvalData`, n-1 updates of an entry in [0, q) in `_det_mod_stack` (the
 largest q of the stack); the products of `_MixedRadix` are of two numbers
 below its primes, refused from 2^31.  As every auxiliary prime q exceeds the floor, `_EvalData.values`, the
-one evaluator, takes int64 rows unreduced.
+one evaluator, takes int64 rows unreduced; the exact divider hands it rows
+reduced mod q.  A Bareiss step's int64 arrays come from `lincomb`, whose
+entries are at most 2 bound < 2^62, so their difference fits int64.
 """
 from __future__ import annotations
 

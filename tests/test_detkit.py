@@ -79,6 +79,16 @@ class TestIntBackends:
     def test_one_by_one(self):
         assert det_int_bareiss(exact_matrix([[1]], 5)) == 1
 
+    def test_bareiss_returns_python_ints(self):
+        """Python ints, as the benchmark's tracer reads them (`isinstance(value, int)`,
+        `bit_length`), also for a 1 x 1 matrix and a zero column."""
+        for m in (build_S(13), exact_matrix([[1]], 5), exact_matrix([[0, 1], [0, 2]], 5)):
+            assert type(det_int_bareiss(m)) is int
+        for m in (build_C(13), build_D(13), exact_matrix([[CycElt.zeta(5)]], 5)):
+            value = det_cyc_bareiss(m)
+            assert isinstance(value, CycElt) and all(type(c) is int for c in value.coeffs)
+            assert value == det_cyc_evalinterp(m)
+
     def test_S7(self):
         s = build_S(7)
         assert det_int_bareiss(s) == -4

@@ -95,6 +95,14 @@ class TestOrbitCertificate:
             if p > 3 or family != "C":  # C(3) is the 1 x 1 matrix [1]: f = 1
                 assert f == expected_f(family, p)
 
+    @pytest.mark.parametrize("p", [q for q in range(PRIMES[-1] + 1, 114) if is_prime(q)])
+    def test_tuple_keyed_certificate_to_113(self, p):
+        """Past PRIMES, to 113, where the images of the rows take several runs:
+        every family gives the f of the tuple-keyed certificate."""
+        for family in families(p):
+            m = matrix(family, p)
+            assert _orbit_step(m.coeffs) == orbit_step_tuples(m.coeffs) == expected_f(family, p)
+
     def test_odd_symmetry_is_refused(self):
         """sigma_(g^2) maps D(13) to an odd row permutation of itself (the sign
         of a -> g^2 a on the squares is (g/13) = -1), so f = 2 is refused."""
