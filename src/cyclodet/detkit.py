@@ -28,8 +28,8 @@ the values broadcast to all p-1 nodes, and the coefficients recovered by the
 inverse transform on the same power table r^e mod q that evaluated them, then
 CRT-lifted past a proven coefficient bound.
 
-Every coefficient array has the dtype of `matrices._int_array`: int64 only
-while every entry is below AUX_PRIME_FLOOR in absolute value, Python ints
+Every matrix's coefficient array has the dtype of `matrices._int_array`: int64
+only while every entry is below AUX_PRIME_FLOOR in absolute value, Python ints
 otherwise.  Every int64 sum here is of `count` products of at most (q-1)^2,
 refused up front when count (q-1)^2 >= 2^63: p-1 products per value in
 `_EvalData`, n-1 updates of an entry in [0, q) in `_det_mod_stack` (the
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycring import CycElt, lincomb
-from .matrices import ExactMatrix, _int_array
+from .matrices import ExactMatrix
 from .modarith import aux_primes, primitive_root
 
 
@@ -320,10 +320,10 @@ def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Exact quotients of a block of elements of Z[zeta_p], shape (..., p-1), int64
     or Python ints, by a nonzero den, shape (p-1,): the rows of a Bareiss step.
 
-    The block's elements and den, its last row, form one array, reduced mod q
-    and evaluated at the order-p nodes of F_q once per auxiliary prime q, so
-    `_EvalData.values` takes int64 entries in [0, q).  Where den has no zero
-    value, every element's values are scaled by den's inverse values,
+    The block's elements and den are reduced mod q and evaluated at the
+    order-p nodes of F_q once per auxiliary prime q, so `_EvalData.values`
+    takes int64 entries in [0, q).  Where den has no zero value, every
+    element's values are scaled by den's inverse values,
     interpolated and folded into one mixed-radix CRT (`_MixedRadix`).  Once
     every top digit reads a lift below a quarter of the modulus, one packed
     re-multiplication of the whole lift by den (`cycring.lincomb`), compared
@@ -342,25 +342,24 @@ def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
     if not (den != 0).any():
         raise ZeroDivisionError("division by zero")
     p = len(den) + 1
-    coeffs = np.concatenate([block.reshape(-1, p - 1), den[None]])  # (elements + 1, p-1)
+    flat = block.reshape(-1, p - 1)  # (elements, p-1), in its own dtype
     give_up = None  # 16L, taken once a lift goes unproven
     crt = _MixedRadix()
     for q in aux_primes(p):
         data = _EvalData(p, q)
-        vals = data.values((coeffs % q).astype(np.int64, copy=False))  # den's values last
-        if np.any(vals[-1] == 0):
+        den_vals = data.values((den[None] % q).astype(np.int64))[0]
+        if np.any(den_vals == 0):
             continue  # q divides a conjugate of den; unusable
-        inv_vals = np.array([pow(v, -1, q) for v in vals[-1].tolist()], dtype=np.int64)
-        quot_vals = vals[:-1] * inv_vals % q
+        inv_vals = np.array([pow(v, -1, q) for v in den_vals.tolist()], dtype=np.int64)
+        quot_vals = data.values((flat % q).astype(np.int64, copy=False)) * inv_vals % q
         crt.fold(data.interpolate(quot_vals.T).T.reshape(block.shape), q)
         if crt.fits().all():
             quots = crt.ints()
-            check = lincomb(p, den[None, None], quots.reshape(1, -1, p - 1))
-            if np.array_equal(check[0], coeffs[:-1]):
+            if np.array_equal(lincomb(p, den[None, None], quots.reshape(1, -1, p - 1))[0], flat):
                 return quots
         if give_up is None:
-            l1 = abs(coeffs).sum(axis=1, dtype=object)
-            give_up = 16 * max(l1[:-1]) * l1[-1] ** (p - 2)
+            l1 = max(abs(flat).sum(axis=1, dtype=object))
+            give_up = 16 * l1 * sum(map(abs, den.tolist())) ** (p - 2)
         if crt.modulus > give_up:
             raise ArithmeticError("Bareiss division was not exact")
 
@@ -378,7 +377,10 @@ def _update_cyc(a: np.ndarray) -> np.ndarray:
     # lincomb folds in int64 only while 4 bound < 2^63, its entries at most 2 bound
     assert all(x.dtype == object or -(1 << 62) < x.min() and x.max() < 1 << 62
                for x in (scaled, cross)), "int64 update headroom"
-    return scaled - cross
+    if scaled.dtype != cross.dtype:
+        scaled = scaled.astype(object)
+    scaled -= cross
+    return scaled
 
 
 def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:

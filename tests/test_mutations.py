@@ -4,7 +4,8 @@ A mutant is a monkeypatch in this process: a wrapped or replaced function of
 `detkit` or `cycring`, or a perturbed value; no file under `src/` changes.
 Each one names the layer expected to catch it and the smallest prime at
 which it shows, and passes only if `run_prime` at that prime turns the named
-check to `fail`, or the call raises.
+check to `fail` or raises.  A mutant that no prime of the sweep shows runs on
+a constructed matrix, where `det(m, "both").value` raises on the disagreement.
 """
 from __future__ import annotations
 
