@@ -61,7 +61,7 @@ def _pack(a: np.ndarray, slot: int, w: int, mask: int) -> list[int]:
         buf[..., :m] = a
         buf ^= _TOP_BIT[w]
         raw = buf.tobytes()
-        del buf
+        del buf  # one copy of the digits while the integers are read
     else:
         h = 1 << (8 * w - 1)
         pad = (bytes(w - 1) + b"\x80") * (slot - m)

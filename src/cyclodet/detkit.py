@@ -377,9 +377,9 @@ def _update_cyc(a: np.ndarray) -> np.ndarray:
     # lincomb folds in int64 only while 4 bound < 2^63, its entries at most 2 bound
     assert all(x.dtype == object or -(1 << 62) < x.min() and x.max() < 1 << 62
                for x in (scaled, cross)), "int64 update headroom"
-    if scaled.dtype != cross.dtype:
-        scaled = scaled.astype(object)
-    scaled -= cross
+    if cross.dtype == object:
+        scaled = scaled.astype(object, copy=False)
+    scaled -= cross  # in place: one array of the step's size fewer
     return scaled
 
 
