@@ -110,6 +110,7 @@ def _det_mod_stack(a: np.ndarray, q) -> np.ndarray:
 # int64 entries of one elimination stack (512 KiB), which bound a run of primes
 # (`_runs`): 8 primes at n = 45 with f = 4 nodes, one at n = 249, where a stack
 # of every prime doubles the peak RSS of S(499); 2^17 adds 1 MiB to C(199)'s.
+# The same bound takes the row images of `_orbit_step` in runs.
 _STACK_ENTRIES = 1 << 16
 
 
