@@ -29,13 +29,9 @@ import numpy as np
 from .modarith import require_odd_prime
 
 
-_TOP_BIT = {w: np.dtype(f"<i{w}").type(-(1 << (8 * w - 1))) for w in (1, 2, 4, 8)}  # H, as a digit
-
-
 def _digit_mask(digits: int, w: int) -> int:
-    """H = 2^(8w-1) in each of `digits` digits of 8w bits.  A digit d in [-H, H)
-    is stored biased, as d + H in [0, 2H), so that the bytes of a sum of
-    biased digits read as the digits plus this mask."""
+    """H = 2^(8w-1) in each of `digits` digits of 8w bits.  XOR with H adds H
+    to a two's-complement digit in [-H, H), which makes it nonnegative."""
     return int.from_bytes((bytes(w - 1) + b"\x80") * digits, "little")
 
 
@@ -51,24 +47,22 @@ def _max_abs(a: np.ndarray) -> int:
 def _pack(a: np.ndarray, slot: int, w: int, mask: int) -> list[int]:
     """Each (n, m) block of `a` (shape (..., n, m), entries in [-H, H)) as one
     integer in base 2^(8w): vector j in the digits j*slot .. j*slot + m - 1,
-    zeros above it; `mask` is _digit_mask(n * slot, w).  The biased digits of
-    all blocks are laid out in one buffer of bytes, by numpy for w in
-    {1, 2, 4, 8} (flipping the top bit of a two's-complement digit adds H) and
-    by `int.to_bytes` for wider digits, and each block is read from its slice."""
+    zeros above it; `mask` is _digit_mask(n * slot, w).  The two's-complement
+    digits of all blocks are laid out in one zero-padded buffer of bytes, by
+    numpy for w in {1, 2, 4, 8} and by `int.to_bytes` for wider digits, and
+    each block is read from its slice."""
     *lead, n, m = a.shape
     if w <= 8:
         buf = np.zeros((*lead, n, slot), dtype=f"<i{w}")
         buf[..., :m] = a
-        buf ^= _TOP_BIT[w]
         raw = buf.tobytes()
         del buf  # one copy of the digits while the integers are read
     else:
-        h = 1 << (8 * w - 1)
-        pad = (bytes(w - 1) + b"\x80") * (slot - m)
-        raw = b"".join(b"".join([(c + h).to_bytes(w, "little") for c in v]) + pad
+        pad = bytes((slot - m) * w)
+        raw = b"".join(b"".join([c.to_bytes(w, "little", signed=True) for c in v]) + pad
                        for v in a.reshape(-1, m).tolist())
     size = n * slot * w
-    return [int.from_bytes(raw[i * size : (i + 1) * size], "little") - mask
+    return [(int.from_bytes(raw[i * size : (i + 1) * size], "little") ^ mask) - mask
             for i in range(math.prod(lead))]
 
 
@@ -91,7 +85,7 @@ def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     k, terms, n = len(weights), len(rows), rows.shape[1] if rows.ndim == 3 else -1
     if weights.shape[1:] != (terms, m) or rows.shape != (terms, n, m):
         raise ValueError("need weights (k, t, p-1) and rows (t, n, p-1)")
-    bound = terms * m * _max_abs(weights) * _max_abs(rows)  # products per coefficient times the largest
+    bound = terms * m * _max_abs(weights) * _max_abs(rows)  # products per coefficient, times the largest
     w = (bound.bit_length() + 8) // 8  # the fewest bytes with bound < 2^(8w-1)
     if w <= 8:
         w = 1 << (w - 1).bit_length()  # a width numpy reads: 1, 2, 4 or 8
@@ -100,19 +94,18 @@ def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     scalars = iter(_pack(weights.reshape(-1, 1, m), m, w, _digit_mask(m, w)))
     buf = bytearray()
     for _ in range(k):
-        buf += (sum(x * c for x, c in zip(packed, scalars)) + mask).to_bytes(n * slot * w, "little")
+        z = sum(x * c for x, c in zip(packed, scalars))
+        buf += ((z + mask) ^ mask).to_bytes(n * slot * w, "little")
     del packed, mask  # the largest transients, before the digits are read
     if w <= 8:
-        d = np.frombuffer(buf, f"<i{w}") ^ _TOP_BIT[w]  # flipping the top bit takes H off
+        d = np.frombuffer(buf, f"<i{w}").astype(np.int64 if 4 * bound < 1 << 63 else object)
     else:
-        h = 1 << (8 * w - 1)
-        d = np.array([int.from_bytes(buf[i : i + w], "little") - h
+        d = np.array([int.from_bytes(buf[i : i + w], "little", signed=True)
                       for i in range(0, len(buf), w)], dtype=object)
-    # fold zeta^(p+i) = zeta^i and remove zeta^(p-1): three digits meet in a coefficient,
-    # in int64 while 4 bound < 2^63, else in Python ints made for the output entries only
+    # fold zeta^(p+i) = zeta^i and remove zeta^(p-1): three digits meet in a coefficient
     d = d.reshape(k, n, slot)
-    out = np.subtract(d[..., :m], d[..., m:p], dtype=np.int64 if 4 * bound < 1 << 63 else object)
-    assert out.dtype == object or 4 * bound < 1 << 63, "int64 fold headroom"
+    assert d.dtype == object or 4 * bound < 1 << 63, "int64 fold headroom"
+    out = d[..., :m] - d[..., m:p]
     out[..., : p - 3] += d[..., p:]
     return out
 
