@@ -55,7 +55,6 @@ from .verify import (
     report_to_dict,
     run_prime,
     run_primes,
-    run_range,
 )
 
 __version__ = "0.1.0"

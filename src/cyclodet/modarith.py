@@ -48,10 +48,7 @@ def legendre(a: int, p: int) -> int:
 
 
 def least_nonresidue(p: int) -> int:
-    n = 2
-    while legendre(n, p) != -1:
-        n += 1
-    return n
+    return distinct_nonresidues(p, 1)[0]
 
 
 def distinct_nonresidues(p: int, count: int) -> list[int]:

@@ -219,11 +219,21 @@ class QuarticDecomp:
     resolved_numerically: bool
 
     def delta_squared(self) -> QuadElt:
-        chi2 = legendre(2, self.p)
-        return QuadElt(self.p, 2 * self.p * chi2, 2 * self.delta_sign * self.a)
+        return _delta_squared(self.p, self.delta_sign)
 
     def quad_part(self) -> QuadElt:
         return QuadElt(self.p, self.alpha, self.beta)
+
+
+def _delta_squared(p: int, s: int) -> QuadElt:
+    """delta^2 = (2/p)*2p + 2*s*a*sqrt(p) on branch s = +/-1, where p = a^2 + b^2, a odd."""
+    return QuadElt(p, 2 * p * legendre(2, p), 2 * s * two_squares(p).a)
+
+
+@lru_cache(maxsize=None)
+def _g4_minus_g(p: int) -> CycElt:
+    """g4 - g, the square root of delta^2 on the branch `quartic_gauss_check` returns."""
+    return fourth_power_sum(p) - gauss_sum(p)
 
 
 def quartic_decompose(d: CycElt) -> QuarticDecomp:
@@ -241,15 +251,12 @@ def quartic_decompose(d: CycElt) -> QuarticDecomp:
     p = d.p
     if p % 4 != 1:
         raise ValueError(f"p={p} is not 1 mod 4")
-    ts = two_squares(p)
-    chi2 = legendre(2, p)
-    plus = fourth_power_sum(p) - gauss_sum(p)
-    plus_sign = quartic_gauss_check(p)
+    plus, plus_sign = _g4_minus_g(p), quartic_gauss_check(p)
     roots = {plus_sign: plus, -plus_sign: plus.galois(least_nonresidue(p))}
     solutions = {}
     for s, root in roots.items():
         try:
-            y = quad_decompose(d * root) * QuadElt(p, 2 * p * chi2, 2 * s * ts.a).inverse()
+            y = quad_decompose(d * root) * _delta_squared(p, s).inverse()
         except ValueError as exc:
             raise ArithmeticError("input is not in Q(sqrt(p)) * delta") from exc
         solutions[s] = -y if y.x < 0 or (y.x == 0 and y.y < 0) else y
@@ -262,17 +269,19 @@ def quartic_decompose(d: CycElt) -> QuarticDecomp:
     bits = max(abs(c) for c in d.coeffs).bit_length()
     prec = max(30, bits * 3 // 10 + 26)
     approx = eval_complex(d, prec)
+    square = _delta_squared(p, s)
     with mpmath.workdps(prec):
         sqp = mpmath.sqrt(p)
-        delta = mpmath.sqrt(mpmath.mpc(2 * p * chi2 + 2 * s * ts.a * sqp))
+        delta = mpmath.sqrt(mpmath.mpc(int(square.x) + int(square.y) * sqp))
         yval = mpmath.mpf(alpha.numerator) / alpha.denominator
         yval += mpmath.mpf(beta.numerator) / beta.denominator * sqp
         tol = mpmath.mpf("1e-6") * (1 + abs(approx))
         resolved = bool(min(abs(approx - yval * delta), abs(approx + yval * delta)) < tol)
 
-    return QuarticDecomp(p, alpha, beta, ts.a, s, resolved)
+    return QuarticDecomp(p, alpha, beta, two_squares(p).a, s, resolved)
 
 
+@lru_cache(maxsize=None)
 def quartic_gauss_check(p: int) -> int:
     """Verify (g4 - g)^2 = (2/p)*2p + 2*a'*sqrt(p) for a' = (+/-)a; return the sign.
 
@@ -282,12 +291,10 @@ def quartic_gauss_check(p: int) -> int:
     require_odd_prime(p)
     if p % 4 != 1:
         raise ValueError(f"p={p} is not 1 mod 4")
-    diff = fourth_power_sum(p) - gauss_sum(p)
+    diff = _g4_minus_g(p)
     square = quad_decompose(diff * diff)
-    ts = two_squares(p)
-    chi2 = legendre(2, p)
     for s in (1, -1):
-        if square == QuadElt(p, 2 * p * chi2, 2 * s * ts.a):
+        if square == _delta_squared(p, s):
             return s
     raise ArithmeticError(
         f"(g4 - g)^2 = {square} matches neither branch for p={p}; arithmetic bug"

@@ -1,7 +1,7 @@
 """Per-prime verification of the determinant, subfield, and valuation identities.
 
-`run_primes` (or `run_range`, over an interval) produces one PrimeReport per
-prime, shaped only by its SweepOptions: which deltas and which backends.
+`run_primes` produces one PrimeReport per prime, shaped only by its
+SweepOptions: which deltas and which backends.
 Each report is a named map of checks; a failing check carries both sides of
 the violated identity as exact strings.  Wherever a classical statement
 involves a sign convention (which square root a symbol denotes), the
@@ -9,7 +9,10 @@ pass/fail criterion is the squared or absolute form, and the observed sign
 under the fixed embedding zeta -> exp(2*pi*i/p) is recorded separately.
 
 Every check is one row of the `CHECKS` table, over the values of one prime
-(`_PrimeValues`, each computed on first use); adding a check is adding a row.
+(`_PrimeValues`, each computed on first use), and over a multiplier a or a
+usable delta d where the row says so; adding a check is adding a row.  Every
+determinant, of any family and delta, is taken by one method
+(`_PrimeValues.det_of`) and read by one rule (`_PrimeValues.value`).
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ from .detkit import DetResult, det
 from .matrices import build, matmul
 from .modarith import (
     distinct_nonresidues,
-    is_prime,
     least_nonresidue,
     legendre,
     primitive_root,
@@ -187,58 +189,53 @@ def resolve_deltas(p: int, opt: SweepOptions) -> tuple[list[int], list[int]]:
 
 # -- per-prime values ----------------------------------------------------------
 
-# under backend "both", the families that both backends take (the rest: modular only)
-_CROSS_CHECKED = ("S", "T", "SD")
-_CROSS_CHECKED_SMALL = ("C", "D")  # while p <= BAREISS_LIMIT
-
-
-def _det_value(family: str) -> cached_property:
-    """The DetResult of `family`, taken on first use (with the view's delta, if any)."""
-    return cached_property(lambda pv: pv.det_of(family, *pv.delta))
-
-
 class _PrimeValues:
     """The values the checks of one prime share, each computed on first use."""
-
-    delta: tuple[int, ...] = ()  # the matrices' delta argument
 
     def __init__(self, p: int, opt: SweepOptions) -> None:
         self.p, self.m, self.opt = p, (p - 1) // 2, opt
         self.timings_ms = {"build": 0.0, "determinants": 0.0}  # summed over det_of
+        self._dets: dict[tuple, DetResult] = {}
+
+    def cross_checked(self, family: str) -> bool:
+        """Whether backend "both" runs Bareiss beside the modular backend on
+        `family`: S, T and SD always, C and D while p <= BAREISS_LIMIT (read
+        at each call), the other families never."""
+        return family in ("S", "T", "SD") or (family in ("C", "D") and self.p <= BAREISS_LIMIT)
 
     def det_of(self, family: str, *delta: int) -> DetResult:
-        """One determinant through `detkit.det`: the options' backend, with
-        "both" narrowed to the modular one unless the family is cross-checked.
-        The matrix is built here and dropped once its determinant is taken."""
-        t0 = time.perf_counter()
-        mat = build(family, self.p, *delta)
-        t1 = time.perf_counter()
-        cross = family in _CROSS_CHECKED or (
-            family in _CROSS_CHECKED_SMALL and self.p <= BAREISS_LIMIT)
-        backend = self.opt.backend
-        result = det(mat, "modular" if backend == "both" and not cross else backend)
-        self.timings_ms["build"] += (t1 - t0) * 1000
-        self.timings_ms["determinants"] += (time.perf_counter() - t1) * 1000
-        return result
+        """The determinant of `family` (with delta for T, SD, DD and F), taken
+        once through `detkit.det`: the options' backend, with "both" narrowed
+        to the modular one unless the family is cross-checked.  The matrix is
+        built here and dropped once its determinant is taken."""
+        key = (family, *delta)
+        if key not in self._dets:
+            t0 = time.perf_counter()
+            mat = build(family, self.p, *delta)
+            t1 = time.perf_counter()
+            backend = self.opt.backend
+            if backend == "both" and not self.cross_checked(family):
+                backend = "modular"
+            self._dets[key] = det(mat, backend)
+            self.timings_ms["build"] += (t1 - t0) * 1000
+            self.timings_ms["determinants"] += (time.perf_counter() - t1) * 1000
+        return self._dets[key]
 
-    C, D, Dtilde, E, S = (_det_value(f) for f in ("C", "D", "Dtilde", "E", "S"))
+    def value(self, family: str, *delta: int):
+        """The determinant's value: the last backend run, the modular one whenever it ran."""
+        return self.det_of(family, *delta).values[-1]
+
     deltas = cached_property(lambda pv: resolve_deltas(pv.p, pv.opt))  # (usable, rejected)
-    views = cached_property(lambda pv: [_DeltaValues(pv, d) for d in pv.deltas[0]])
     # the a of the square_perm_sign checks
     multipliers = cached_property(
         lambda pv: sorted({2 % pv.p, 3 % pv.p, primitive_root(pv.p), pv.p - 1} - {0}))
     g = cached_property(lambda pv: gauss_sum(pv.p))
-    det_c = cached_property(lambda pv: pv.C.values[-1])  # evalinterp's when both ran
-    det_d = cached_property(lambda pv: pv.D.values[-1])
-    det_dt = cached_property(lambda pv: pv.Dtilde.values[0])
-    det_e = cached_property(lambda pv: pv.E.values[0])
-    det_s = cached_property(lambda pv: pv.S.values[0])
     pf = cached_property(lambda pv: verify_product_formula(pv.p))
     classes_ok = cached_property(lambda pv: legendre_sum_classes_hold(pv.p))
     # p = 3 (mod 4): det D = u + v*g, and det C = (a + b*g) times a sign set by h
     sign_h = cached_property(lambda pv: -1 if ((pv.pf.h or 0) + 1) // 2 % 2 else 1)
-    d_quad = cached_property(lambda pv: quad_decompose(pv.det_d))
-    c_quad = cached_property(lambda pv: quad_decompose(pv.det_c))
+    d_quad = cached_property(lambda pv: quad_decompose(pv.value("D")))
+    c_quad = cached_property(lambda pv: quad_decompose(pv.value("C")))
     u = cached_property(lambda pv: pv.d_quad.x)
     v = cached_property(lambda pv: pv.d_quad.y)
     a_p = cached_property(lambda pv: pv.sign_h * pv.c_quad.x)
@@ -246,24 +243,8 @@ class _PrimeValues:
     nu = cached_property(lambda pv: [padic_val(x, pv.p) for x in (pv.a_p, pv.b_p, pv.u, pv.v)])
     # p = 1 (mod 4)
     split = cached_property(lambda pv: two_squares(pv.p))  # p = a^2 + b^2
-    qd4 = cached_property(lambda pv: quartic_decompose(pv.det_d))
+    qd4 = cached_property(lambda pv: quartic_decompose(pv.value("D")))
     checks = cached_property(lambda pv: _run_checks(pv))
-
-
-class _DeltaValues:
-    """The values of one delta: T, SD, DD and F, then the prime's values."""
-
-    def __init__(self, prime: _PrimeValues, d: int) -> None:
-        self.prime, self.d, self.delta = prime, d, (d,)
-
-    def __getattr__(self, name: str):
-        return getattr(self.prime, name)
-
-    T, SD, DD, F = (_det_value(f) for f in ("T", "SD", "DD", "F"))
-    det_t = cached_property(lambda dv: dv.T.values[0])
-    det_sd = cached_property(lambda dv: dv.SD.values[0])
-    det_dd = cached_property(lambda dv: dv.DD.values[0])
-    det_f = cached_property(lambda dv: dv.F.values[0])
 
 
 # -- the checks ----------------------------------------------------------------
@@ -275,7 +256,7 @@ class Check(NamedTuple):
     `fn(values)` returns (lhs, rhs), which pass when equal; or (ok, lhs, rhs),
     or (ok, lhs, rhs, note) to replace the row's note.  ok None is a skip.
     `over` is "" for one check, "a" for one per multiplier a (fn also takes
-    a), or "d" for one per usable delta (values are then the delta's view).
+    a), or "d" for one per usable delta (fn also takes d).
     """
 
     name: str
@@ -285,16 +266,16 @@ class Check(NamedTuple):
     fn: Callable
 
 
-def _agreement(pv, results: list[DetResult], lhs, rhs) -> tuple:
-    """Bit-exact agreement of the backends behind each result, or a skip."""
+def _agreement(pv, families: tuple[str, ...], lhs, rhs, *delta: int) -> tuple:
+    """Bit-exact agreement of the backends on each family's determinant, or a skip."""
     if pv.opt.backend != "both":
         return None, "", "", f"single backend {pv.opt.backend!r}"
-    if len(results[0].values) < 2:
+    if not all(map(pv.cross_checked, families)):
         return None, "", "", f"p > bareiss limit {BAREISS_LIMIT}"
-    return all(r.agree for r in results), lhs, rhs
+    return all(pv.det_of(f, *delta).agree for f in families), lhs, rhs
 
 
-def _legendre_identity(pv, delta: int | None) -> tuple:
+def _legendre_identity(pv, delta: int | None = None) -> tuple:
     """Dtilde*D = g*E (no delta) or Dtilde*DD = g*F, literally while small."""
     ok = pv.classes_ok
     note = "residue classes (literal product skipped above size limit)"
@@ -343,7 +324,7 @@ def _quartic_branch(pv) -> tuple:
 
 def _quartic_reconstruction(pv) -> tuple:
     qd4 = pv.qd4
-    square = quad_decompose(pv.det_d * pv.det_d)
+    square = quad_decompose(pv.value("D") * pv.value("D"))
     recon = (qd4.quad_part() * qd4.quad_part()) * qd4.delta_squared()
     return (recon == square and qd4.resolved_numerically, recon, square,
             f"(alpha + beta*sqrt(p))^2 * delta^2 = (det D)^2; "
@@ -355,13 +336,13 @@ def _unit_power(pv) -> tuple:
     if pf.h is None or pf.sign is None:
         return None, "", "", "product formula did not resolve h"
     eps_power = QuadElt(pv.p, Fraction(pf.eps[0], 2), Fraction(pf.eps[1], 2)) ** pf.h
-    return pv.det_c * pv.g, pf.sign * (pv.det_d * eps_power.embed())
+    return pv.value("C") * pv.g, pf.sign * (pv.value("D") * eps_power.embed())
 
 
-def _quartic_norm(dv) -> tuple:
-    p, m, qd4 = dv.p, dv.m, dv.qd4
-    lhs = 2 ** (m + 1) * dv.split.b * (qd4.alpha * qd4.alpha - p * qd4.beta * qd4.beta)
-    rhs = p ** (m // 2) * dv.det_t
+def _quartic_norm(pv, d: int) -> tuple:
+    p, m, qd4 = pv.p, pv.m, pv.qd4
+    lhs = 2 ** (m + 1) * pv.split.b * (qd4.alpha * qd4.alpha - p * qd4.beta * qd4.beta)
+    rhs = p ** (m // 2) * pv.value("T", d)
     return (abs(lhs) == abs(rhs), lhs, rhs,
             f"|2^(m+1) * b * (alpha^2 - p*beta^2)| = |p^(m/2) * det T|; "
             f"observed sign {'+' if lhs == rhs else '-'}")
@@ -370,7 +351,7 @@ def _quartic_norm(dv) -> tuple:
 # Every check of a prime, in report order.  A new check is one more row.
 CHECKS = (
     Check("cyc_backend_agreement", None, "", "bit-exact comparison on C and D",
-          lambda pv: _agreement(pv, [pv.C, pv.D], "bareiss(C), bareiss(D)",
+          lambda pv: _agreement(pv, ("C", "D"), "bareiss(C), bareiss(D)",
                                 "evalinterp(C), evalinterp(D)")),
     Check("gauss_square", None, "", "g^2 = (-1)^((p-1)/2) * p",
           lambda pv: (pv.g * pv.g, (-1) ** pv.m * pv.p)),
@@ -382,12 +363,12 @@ CHECKS = (
     Check("residue_product_formula", None, "", "",
           lambda pv: (pv.pf.passed, pv.pf.detail, "exact product identity")),
     Check("det_product_relation", None, "", "det D = (-1)^m * prod(1 - zeta^(k^2)) * det C",
-          lambda pv: (pv.det_d, (-1) ** pv.m * (squares_product(pv.p) * pv.det_c))),
+          lambda pv: (pv.value("D"), (-1) ** pv.m * (squares_product(pv.p) * pv.value("C")))),
     Check("dtilde_scaling", None, "", "det Dtilde = 2^m * det D",
-          lambda pv: (pv.det_dt, 2**pv.m * pv.det_d)),
+          lambda pv: (pv.value("Dtilde"), 2**pv.m * pv.value("D"))),
     # p = 3 (mod 4)
     Check("int_backend_agreement", 3, "", "bareiss vs CRT on det S",
-          lambda pv: _agreement(pv, [pv.S], pv.det_s, pv.S.values[-1])),
+          lambda pv: _agreement(pv, ("S",), pv.det_of("S").values[0], pv.value("S"))),
     Check("detC_quad_half_integers", 3, "", "all of a, b, u, v lie in (1/2)Z",
           lambda pv: (all(Fraction(2 * x).denominator == 1
                           for x in (pv.a_p, pv.b_p, pv.u, pv.v)),
@@ -399,26 +380,29 @@ CHECKS = (
     Check("ab_product_identity", 3, "",
           "2^((p+1)/2) * a * b = (-1)^((p+1)/4) * p^((p-3)/4) * det S",
           lambda pv: (2 ** ((pv.p + 1) // 2) * pv.a_p * pv.b_p,
-                      (-1) ** ((pv.p + 1) // 4) * pv.p ** ((pv.p - 3) // 4) * pv.det_s)),
+                      (-1) ** ((pv.p + 1) // 4) * pv.p ** ((pv.p - 3) // 4) * pv.value("S"))),
     Check("ab_norm_identity", 3, "",
           "2^((p-1)/2) * (a^2 - p*b^2) = ((p-1)/2) * (-p)^((p-3)/4) * det S",
           lambda pv: (2**pv.m * (pv.a_p * pv.a_p - pv.p * pv.b_p * pv.b_p),
-                      pv.m * (-pv.p) ** ((pv.p - 3) // 4) * pv.det_s)),
+                      pv.m * (-pv.p) ** ((pv.p - 3) // 4) * pv.value("S"))),
     Check("padic_valuations", 3, "",
           "valuation dichotomy by p mod 8, in both coordinate systems", _valuations),
     Check("detS_two_adic_bound", 3, "", "",
-          lambda pv: (padic_val(pv.det_s, 2) >= (pv.p - 3) // 2,
-                      f"nu_2({pv.det_s}) = {padic_val(pv.det_s, 2)}", f">= {(pv.p - 3) // 2}")),
+          lambda pv: (padic_val(pv.value("S"), 2) >= (pv.p - 3) // 2,
+                      f"nu_2({pv.value('S')}) = {padic_val(pv.value('S'), 2)}",
+                      f">= {(pv.p - 3) // 2}")),
     Check("detS_not_divisible_by_p", 3, "", "",
-          lambda pv: (pv.det_s % pv.p != 0, f"det S = {pv.det_s}", f"p = {pv.p}")),
+          lambda pv: (pv.value("S") % pv.p != 0, f"det S = {pv.value('S')}", f"p = {pv.p}")),
     Check("detD_square_identity", 3, "", "2^m * (det D)^2 = (-p)^((m+1)/2) * (m - g) * det S",
           lambda pv: (2**pv.m * (pv.d_quad * pv.d_quad),
-                      (-pv.p) ** ((pv.m + 1) // 2) * pv.det_s * QuadElt(pv.p, pv.m, -1))),
-    Check("legendre_matrix_identity", 3, "", "", lambda pv: _legendre_identity(pv, None)),
+                      (-pv.p) ** ((pv.m + 1) // 2) * pv.value("S") * QuadElt(pv.p, pv.m, -1))),
+    Check("legendre_matrix_identity", 3, "", "", _legendre_identity),
     Check("detE_column_reduction", 3, "", "det E = (m - g) * det S via zero column sums",
-          lambda pv: (quad_decompose(pv.det_e), QuadElt(pv.p, pv.m * pv.det_s, -pv.det_s))),
+          lambda pv: (quad_decompose(pv.value("E")),
+                      QuadElt(pv.p, pv.m * pv.value("S"), -pv.value("S")))),
     Check("det_multiplicativity", 3, "", "det Dtilde * det D = g^(m+1) * det E",
-          lambda pv: (pv.det_dt * pv.det_d, (-pv.p) ** ((pv.m + 1) // 2) * pv.det_e)),
+          lambda pv: (pv.value("Dtilde") * pv.value("D"),
+                      (-pv.p) ** ((pv.m + 1) // 2) * pv.value("E"))),
     # p = 1 (mod 4)
     Check("quartic_gauss_branch", 1, "", "(g4 - g)^2 = (2/p)*2p + 2a'*sqrt(p), a' = +/-a",
           _quartic_branch),
@@ -426,17 +410,21 @@ CHECKS = (
     Check("unit_power_product", 1, "", "det C * g = sign * det D * eps^h", _unit_power),
     # p = 1 (mod 4), once per usable delta
     Check("int_backend_agreement", 1, "d", "bareiss vs CRT on det T and det SD",
-          lambda dv: _agreement(dv, [dv.T, dv.SD], f"T: {dv.det_t}, SD: {dv.det_sd}",
-                                f"T: {dv.T.values[-1]}, SD: {dv.SD.values[-1]}")),
-    Check("detSD_vanishes", 1, "d", "det S(delta, p) = 0", lambda dv: (dv.det_sd, 0)),
+          lambda pv, d: _agreement(
+              pv, ("T", "SD"),
+              f"T: {pv.det_of('T', d).values[0]}, SD: {pv.det_of('SD', d).values[0]}",
+              f"T: {pv.value('T', d)}, SD: {pv.value('SD', d)}", d)),
+    Check("detSD_vanishes", 1, "d", "det S(delta, p) = 0", lambda pv, d: (pv.value("SD", d), 0)),
     Check("quartic_norm_identity", 1, "d", "", _quartic_norm),
     Check("twisted_det_galois", 1, "d", "det DD = sigma_delta(det D)",
-          lambda dv: (dv.det_dd, dv.det_d.galois(dv.d))),
+          lambda pv, d: (pv.value("DD", d), pv.value("D").galois(d))),
     Check("detF_corner_expansion", 1, "d", "det F = det T + g * det SD",
-          lambda dv: (quad_decompose(dv.det_f), QuadElt(dv.p, dv.det_t, dv.det_sd))),
+          lambda pv, d: (quad_decompose(pv.value("F", d)),
+                         QuadElt(pv.p, pv.value("T", d), pv.value("SD", d)))),
     Check("det_multiplicativity", 1, "d", "det Dtilde * det DD = g^(m+1) * det F",
-          lambda dv: (dv.det_dt * dv.det_dd, dv.p ** (dv.m // 2) * (dv.g * dv.det_f))),
-    Check("legendre_matrix_identity", 1, "d", "", lambda dv: _legendre_identity(dv, dv.d)),
+          lambda pv, d: (pv.value("Dtilde") * pv.value("DD", d),
+                         pv.p ** (pv.m // 2) * (pv.g * pv.value("F", d)))),
+    Check("legendre_matrix_identity", 1, "d", "", _legendre_identity),
 )
 
 
@@ -460,9 +448,8 @@ def _run_checks(pv: _PrimeValues) -> dict[str, CheckResult]:
         results.append(CheckResult(
             f"delta_valid[d={d}]", "fail", f"legendre({d}, {pv.p}) = {legendre(d, pv.p)}",
             "-1", "explicit delta must be a quadratic non-residue"))
-    for dv in pv.views:
-        results += [_result(f"{row.name}[d={dv.d}]", row, row.fn(dv))
-                    for row in rows if row.over == "d"]
+    results += [_result(f"{row.name}[d={d}]", row, row.fn(pv, d))
+                for d in pv.deltas[0] for row in rows if row.over == "d"]
     return {r.name: r for r in results}
 
 
@@ -476,13 +463,15 @@ def run_prime(p: int, options: SweepOptions | None = None) -> PrimeReport:
     timings = dict(pv.timings_ms)
     timings["checks"] = (time.perf_counter() - t_start) * 1000 - sum(timings.values())
 
-    pf, first = pv.pf, (pv.views or [None])[0]  # det T and det SD are the first delta's
+    pf, deltas = pv.pf, pv.deltas[0]
     report = PrimeReport(
-        p=p, residue8=p % 8, class_info=ClassData(p, h_neg=pf.h), deltas=tuple(pv.deltas[0]),
-        delta=first and first.d, det_T=first and first.det_t, det_SD=first and first.det_sd,
-        det_C=pv.det_c, det_D=pv.det_d, checks=checks)
+        p=p, residue8=p % 8, class_info=ClassData(p, h_neg=pf.h), deltas=tuple(deltas),
+        det_C=pv.value("C"), det_D=pv.value("D"), checks=checks)
+    if deltas:  # det T and det SD are the first delta's
+        report.delta = d = deltas[0]
+        report.det_T, report.det_SD = pv.value("T", d), pv.value("SD", d)
     if p % 4 == 3:
-        report.det_S = pv.det_s
+        report.det_S = pv.value("S")
         report.decomp = {"a_p": pv.a_p, "b_p": pv.b_p}
         report.nu_a, report.nu_b = (None if nu == math.inf else nu for nu in pv.nu[:2])
     else:
@@ -514,17 +503,6 @@ def _run_prime_job(p: int, opt: SweepOptions) -> PrimeReport:
         return run_prime(p, opt)
     except Exception as exc:  # single-prime failures must not abort the sweep
         return _internal_error(p, type(exc).__name__, traceback.format_exc(limit=8))
-
-
-def run_range(
-    pmin: int, pmax: int, options: SweepOptions | None = None, threads: int = 1
-) -> list[PrimeReport]:
-    """Verify every prime in [pmin, pmax]; deterministic order, never aborts."""
-    if not (isinstance(pmin, int) and isinstance(pmax, int)):
-        raise ValueError("integer bounds required")
-    if not 3 < pmin <= pmax:
-        raise ValueError(f"need 3 < pmin <= pmax, got ({pmin}, {pmax})")
-    return run_primes([p for p in range(pmin, pmax + 1) if is_prime(p)], options, threads)
 
 
 def run_primes(

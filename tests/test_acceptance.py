@@ -27,7 +27,7 @@ from cyclodet.subfield import (
     two_squares,
 )
 from cyclodet import verify
-from cyclodet.verify import SweepOptions, check_perm_sign, run_prime, run_range
+from cyclodet.verify import SweepOptions, check_perm_sign, run_prime, run_primes
 
 from oracles import exact_matrix, random_cyc
 
@@ -39,7 +39,7 @@ def sweep():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "BAREISS_LIMIT", 60)
         start = time.perf_counter()
-        reports = run_range(5, 100, SWEEP_OPTIONS, threads=2)
+        reports = run_primes([p for p in range(5, 101) if is_prime(p)], SWEEP_OPTIONS, threads=2)
         elapsed = time.perf_counter() - start
     return reports, elapsed
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclodet import subfield
 from cyclodet.cycring import CycElt, eval_complex
 from cyclodet.detkit import det_cyc_bareiss, det_cyc_evalinterp
 from cyclodet.matrices import build_D
@@ -187,6 +188,15 @@ class TestQuarticGaussCheck:
         square = quad_decompose(diff * diff)
         assert square == QuadElt(p, 2 * p * chi2, 2 * sign * ts.a)
         assert square != QuadElt(p, 2 * p * chi2, -2 * sign * ts.a)
+
+    @pytest.mark.parametrize("p", [p for p in range(5, 200, 4) if is_prime(p)])
+    def test_delta_squared_is_the_square_of_each_branch_root(self, p):
+        """The one formula for delta^2 is the square of g4 - g on the pinned
+        branch, and of its image under a non-residue on the other."""
+        plus, n = fourth_power_sum(p) - gauss_sum(p), distinct_nonresidues(p, 1)[0]
+        sign = quartic_gauss_check(p)
+        for s, root in ((sign, plus), (-sign, plus.galois(n))):
+            assert subfield._delta_squared(p, s) == quad_decompose(root * root)
 
     def test_rejects_3_mod_4(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ from cyclodet.verify import (
     resolve_deltas,
     run_prime,
     run_primes,
-    run_range,
 )
 
 
@@ -201,23 +200,20 @@ class TestRunPrime1Mod4:
 
 
 class TestRunRange:
+    """Sweeps over a list of primes, through `run_primes`."""
+
     def test_two_primes(self):
-        reports = run_range(5, 7)
+        reports = run_primes([5, 7])
         assert [r.p for r in reports] == [5, 7]
         assert all(r.all_passed() for r in reports)
 
     def test_empty_range(self):
-        assert run_range(4, 4) == []
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            run_range(10, 5)
-        with pytest.raises(ValueError):
-            run_range(2, 9)
+        assert run_primes([]) == []
+        assert run_primes([], threads=2) == []
 
     def test_parallel_matches_serial(self):
-        serial = run_range(5, 13, threads=1)
-        parallel = run_range(5, 13, threads=2)
+        serial = run_primes([5, 7, 11, 13], threads=1)
+        parallel = run_primes([5, 7, 11, 13], threads=2)
         for a, b in zip(serial, parallel):
             da, db = report_to_dict(a), report_to_dict(b)
             da.pop("timings_ms")
@@ -226,17 +222,17 @@ class TestRunRange:
 
     def test_backend_skip_status(self, monkeypatch):
         monkeypatch.setattr(verify, "BAREISS_LIMIT", 5)
-        report = run_range(7, 7)[0]
+        report = run_primes([7])[0]
         assert report.checks["cyc_backend_agreement"].status == "skipped"
         assert report.checks["cyc_backend_agreement"].note == "p > bareiss limit 5"
 
     def test_modular_only_backend(self):
-        report = run_range(7, 7, SweepOptions(backend="modular"))[0]
+        report = run_primes([7], SweepOptions(backend="modular"))[0]
         assert report.all_passed()
         assert report.checks["int_backend_agreement"].status == "skipped"
 
     def test_bareiss_only_backend(self):
-        report = run_range(5, 5, SweepOptions(backend="bareiss"))[0]
+        report = run_primes([5], SweepOptions(backend="bareiss"))[0]
         assert report.all_passed()
         assert report.checks["cyc_backend_agreement"].note == "single backend 'bareiss'"
 
