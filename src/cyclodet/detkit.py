@@ -1,18 +1,16 @@
 """Exact determinants with two independent backends per entry kind.
 
-Bareiss: one fraction-free elimination serves both rings, on one numpy array
-per step: Python ints (dtype object) over Z, the (r, c, p-1) coefficient
-array over Z[zeta_p].  It calls each ring function once per step, with no
-list in between.  The update xs*piv - outer(col, ys) is elementwise over Z
-and two packed products over Z[zeta_p] (`cycring.lincomb`): the pivot times
-the whole block below, and the pivot column times the pivot row.  The
-division by the previous pivot is `_divide_ints`, floor division checked by
-one re-multiplication, or `_divide_exact`, which reduces the step's array mod
-each auxiliary prime, lifts its quotients by one CRT and proves the lift by
-one packed re-multiplication of the whole step; a division still unproven
-once the modulus passes a proven bound on exact quotients was not exact and
-raises.  There is no cap on the primes.  A CycElt is built only for a
-determinant returned.
+Bareiss: one two-step fraction-free elimination (`_fraction_free`) serves both
+rings, on one numpy array per step: Python ints (dtype object) over Z, the
+(r, c, p-1) coefficient array over Z[zeta_p], each with its product
+(`np.matmul`, `cycring.lincomb`) and exact divider.  A double step removes two
+columns by two divisions by the pivot of two steps back, both exact by
+Sylvester's identity.  `_divide_ints` is floor division checked by one
+re-multiplication; `_divide_exact` reduces its array mod each auxiliary prime,
+lifts its quotients by one CRT and proves the lift by one packed
+re-multiplication; a division still unproven once the modulus passes a proven
+bound on exact quotients was not exact and raises.  There is no cap on the
+primes.  A CycElt is built only for a determinant returned.
 
 Modular: every CRT in this module is one mixed-radix conversion
 (`_MixedRadix`) over one stream of primes, the auxiliary primes q = 1 (mod p)
@@ -37,7 +35,9 @@ largest q of the stack); the products of `_MixedRadix` are of two numbers
 below its primes, refused from 2^31.  As every auxiliary prime q exceeds the floor, `_EvalData.values`, the
 one evaluator, takes int64 rows unreduced; the exact divider hands it rows
 reduced mod q.  A Bareiss step's int64 arrays come from `lincomb`, whose
-entries are at most 2 bound < 2^62, so their difference fits int64.
+entries are at most 2 bound < 2^62, so their difference fits int64; the
+quotients of `_divide_exact` are int64 when the proven modulus M is below
+2^63, as every |v| < M/2 <= 2^62, and Python ints otherwise.
 """
 from __future__ import annotations
 
@@ -183,39 +183,78 @@ class _MixedRadix:
 # -- fraction-free elimination and the integer backends ---------------------
 
 
-def _fraction_free(a: np.ndarray, update, divide) -> tuple:
-    """Bareiss elimination on one array per step: the (n, n) entries over Z, or the
-    (n, n, p-1) coefficients over Z[zeta_p].  First nonzero pivot per column, row
-    swaps signed.
+def _first_nonzero(col: np.ndarray) -> int:
+    """The index of the first nonzero element of `col` (ints or coefficient rows), or -1."""
+    nonzero = (col != 0).reshape(len(col), -1).any(axis=1)
+    r = int(nonzero.argmax())
+    return r if nonzero[r] else -1
 
-    Each step replaces the block by its trailing block.  `update(a)` returns the
-    rows x*piv - a*y for every row [a, *xs] below the pivot row [piv, *ys]; after
-    the first step `divide(block, prev)` returns its exact quotients by the
-    previous pivot.  So each ring function is called once per step, on the
-    step's whole array.  Returns (sign of the row swaps, last pivot), or
-    (1, a zero pivot) at a zero column.
+
+def _swap(a: np.ndarray, i: int, j: int) -> np.ndarray:
+    """A copy of `a` with its rows i < j swapped."""
+    return a[[*range(i), j, *range(i + 1, j), i, *range(j + 1, len(a))]]
+
+
+def _pivot_minors(a: np.ndarray, product) -> np.ndarray:
+    """adj(P)^T times the transposed first two columns of `a`, P = a[:2, :2]: column i
+    is the row (a_i0, a_i1) adj(P), so columns 0 and 1 are det(P) I, and row 1 holds
+    a_00 a_i1 - a_01 a_i0."""
+    adj = a[1::-1, 1::-1].copy()
+    adj[[0, 1], [1, 0]] *= -1
+    return product(adj, np.moveaxis(a[:, :2], 1, 0))
+
+
+def _fraction_free(a: np.ndarray, product, divide) -> tuple:
+    """Bareiss's two-step fraction-free elimination (Math. Comp. 22, 1968) on one array
+    per step, (n, n) entries over Z or (n, n, p-1) coefficients over Z[zeta_p], with the
+    ring's `lincomb` as `product(weights, rows)` and its exact `divide(block, d)`.
+
+    Level-k entries a_ij are the minors of the leading k rows and columns bordered by
+    row i and column j, d (the last pivot, none at k = 0) their leading minor, and a
+    t x t determinant of them is d^(t-1) times a minor (Sylvester's identity).  With
+    P = a[:2, :2], K = a[2:, :2], R = a[:2, 2:] and the rest X, det(P) and K adj(P)
+    are 2 x 2 determinants, so c0 = det(P)/d, the next pivot, and K' = K adj(P)/d
+    are exact: one division of 2s - 3 elements.  P bordered by row i and column j has
+    the determinant det(P) a_ij - K_i adj(P) R_j = d (c0 X - K' R)_ij, d^2 times a
+    level-(k+2) minor, so (c0 X - K' R)/d, the next block, is exact; c0 is its d.  An
+    even n ends with a single step, det(P)/d.  Over Z[zeta_p], c0 X and K' R are
+    `lincomb` sums, int64 only below 2^62, so their difference fits int64.  Pivot
+    rows: the first with a nonzero entry in column 0, then the first below it with a
+    nonzero level-(k+1) entry (a_00 a_i1 - a_01 a_i0)/d in column 1 (row 1 of
+    `_pivot_minors`).  Row swaps flip the sign; a zero column makes the determinant
+    0.  Returns (sign of the row swaps, last pivot), or (1, a zero).
     """
-    sign, prev = 1, None
+    sign, d = 1, None
     while len(a) > 1:
-        nonzero = (a[:, 0] != 0).reshape(len(a), -1).any(axis=1)
-        r = int(nonzero.argmax())
-        if not nonzero[r]:
+        s, elt = len(a), a.shape[2:]
+        r = _first_nonzero(a[:, 0])
+        if r < 0:
             return 1, a[0, 0]
         if r:
-            order = np.arange(len(a))
-            order[[0, r]] = r, 0
-            a, sign = a[order], -sign
-        piv = a[0, 0]
-        a = update(a)
-        if prev is not None:
-            a = divide(a, prev)
-        prev = piv
+            a, sign = _swap(a, 0, r), -sign
+        minors = _pivot_minors(a, product)
+        r = _first_nonzero(minors[1, 1:])
+        if r < 0:
+            return 1, minors[1, 1]
+        if r:
+            a, sign = _swap(a, 1, r + 1), -sign
+            minors = _pivot_minors(a, product)
+        small = np.concatenate([minors[1, 1:2], minors[:, 2:].reshape(-1, *elt)])
+        if d is not None:
+            small = divide(small, d)
+        c0, k = small[:1], small[1:].reshape(2, s - 2, *elt).swapaxes(0, 1)
+        if s == 2:
+            return sign, c0[0]
+        block = product(c0[None], a[2:, 2:].reshape(1, -1, *elt)).reshape(s - 2, s - 2, *elt)
+        cross = product(k, a[:2, 2:])
+        assert all(x.dtype == object or -(1 << 62) < x.min() and x.max() < 1 << 62
+                   for x in (block, cross)), "int64 update headroom"
+        if cross.dtype == object:
+            block = block.astype(object, copy=False)
+        block -= cross  # in place: one array of the step's size fewer
+        a = block if d is None else divide(block, d)
+        d = c0[0]
     return sign, a[0, 0]
-
-
-def _update_ints(a: np.ndarray) -> np.ndarray:
-    """The step's updates over Z (dtype object): xs*piv - outer(col, ys)."""
-    return a[1:, 1:] * a[0, 0] - np.outer(a[1:, 0], a[0, 1:])
 
 
 def _divide_ints(block: np.ndarray, den: int) -> np.ndarray:
@@ -230,7 +269,7 @@ def det_int_bareiss(m: ExactMatrix, stats: dict | None = None) -> int:
     """Fraction-free elimination over Z, on Python ints (dtype object)."""
     if m.kind != "int":
         raise ValueError("integer matrix required")
-    sign, last = _fraction_free(m.coeffs.astype(object), _update_ints, _divide_ints)
+    sign, last = _fraction_free(m.coeffs.astype(object), np.matmul, _divide_ints)
     return sign * last
 
 
@@ -319,7 +358,7 @@ def _order_p_element(p: int, q: int) -> int:
 
 def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Exact quotients of a block of elements of Z[zeta_p], shape (..., p-1), int64
-    or Python ints, by a nonzero den, shape (p-1,): the rows of a Bareiss step.
+    or Python ints, by a nonzero den, shape (p-1,): one Bareiss division.
 
     The block's elements and den are reduced mod q and evaluated at the
     order-p nodes of F_q once per auxiliary prime q, so `_EvalData.values`
@@ -337,7 +376,7 @@ def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
     1/|sigma(den)| <= prod of the other p-2 |tau(den)| <= l1(den)^(p-2).  The
     traces (`_embedding_bound_sq`) put its coefficients below 2L.  Once the
     modulus M passes 16L they are below M/8, so the lift is the quotient and
-    its top digits pass (`_MixedRadix.fits`), and the step has been proven; a
+    its top digits pass (`_MixedRadix.fits`), and the division has been proven; a
     division still unproven there raises.
     """
     if not (den != 0).any():
@@ -356,6 +395,8 @@ def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
         crt.fold(data.interpolate(quot_vals.T).T.reshape(block.shape), q)
         if crt.fits().all():
             quots = crt.ints()
+            if crt.modulus < 1 << 63:
+                quots = quots.astype(np.int64)  # every |v| < M/2 <= 2^62
             if np.array_equal(lincomb(p, den[None, None], quots.reshape(1, -1, p - 1))[0], flat):
                 return quots
         if give_up is None:
@@ -368,27 +409,11 @@ def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
 # -- cyclotomic backends ----------------------------------------------------
 
 
-def _update_cyc(a: np.ndarray) -> np.ndarray:
-    """The step's updates over Z[zeta_p], a its (r, c, p-1) array: xs*piv - outer(col, ys)
-    as two packed products (`cycring.lincomb`), the pivot times the whole block below and
-    the pivot column times the pivot row, which is packed once."""
-    p, r, c = a.shape[2] + 1, len(a) - 1, a.shape[1] - 1
-    scaled = lincomb(p, a[:1, :1], a[1:, 1:].reshape(1, r * c, p - 1)).reshape(r, c, p - 1)
-    cross = lincomb(p, a[1:, :1], a[:1, 1:])
-    # lincomb folds in int64 only while 4 bound < 2^63, its entries at most 2 bound
-    assert all(x.dtype == object or -(1 << 62) < x.min() and x.max() < 1 << 62
-               for x in (scaled, cross)), "int64 update headroom"
-    if cross.dtype == object:
-        scaled = scaled.astype(object, copy=False)
-    scaled -= cross  # in place: one array of the step's size fewer
-    return scaled
-
-
 def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     """Fraction-free elimination over Z[zeta_p] with verified exact divisions."""
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
-    sign, last = _fraction_free(m.coeffs, _update_cyc, _divide_exact)
+    sign, last = _fraction_free(m.coeffs, lambda w, r: lincomb(m.meta.p, w, r), _divide_exact)
     return CycElt._new(m.meta.p, [sign * c for c in last.tolist()])
 
 

@@ -61,6 +61,13 @@ Q_EDGE = next(  # the largest q at which a 24 x 24 elimination mod q fits int64
 SEED_16L = 0xCF1  # the first seed from 0xCD1 up whose division below has a modulus in (8L, 16L]
 
 
+def scaled_d13():
+    """D(13) with every entry (j, k), j + k != 0 (mod 3), times 2^300."""
+    rows = [[e * 2**300 if (j + k) % 3 else e for k, e in enumerate(row)]
+            for j, row in enumerate(entries(build_D(13)))]
+    return exact_matrix(rows, 13)
+
+
 @pytest.fixture
 def lifts(monkeypatch):
     """The (lift, modulus) pair after every `_MixedRadix` fold, in order: the
@@ -275,17 +282,57 @@ class TestCycBackends:
         assert 16 * bound >= moduli[-2] > 8 * bound and moduli[-1] > 16 * bound
 
 
+class TestTwoStepPivots:
+    """The pivot paths of the two-step elimination over both rings, on [[A, C], [0, B]]
+    with A k x k upper triangular of nonzero diagonal: the block of level k is det(A) B,
+    so B's first column steers the first pivot of a double step (k even) or its second
+    (k odd).  Its first z entries are zero: z = 0 keeps row 0, z = 1 or 2 takes a swap,
+    and z = n - k, a zero column, makes the determinant 0.  n = 1..7 ends the loop both
+    ways: an odd n on a 1 x 1 block, an even n on the single step."""
+
+    P = 5
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("ring", ["int", "cyc"])
+    def test_against_cofactors(self, count_calls, ring, n):
+        rng = random.Random(0x2575 + n)
+        zero = 0 if ring == "int" else CycElt.zero(self.P)
+
+        def draw(nonzero=False):
+            x = rng.randint(-3, 3) if ring == "int" else random_cyc(rng, self.P, span=2)
+            return draw(nonzero) if nonzero and not x else x
+
+        swaps = count_calls(detkit._swap)
+        bareiss = det_int_bareiss if ring == "int" else det_cyc_bareiss
+        for k in range(n):
+            for z in sorted({0, 1, 2, n - k} & set(range(n - k + 1))):
+                a = [[zero] * i + [draw(True)] + [draw() for _ in range(n - i - 1)]
+                     for i in range(k)]
+                b = [[zero if i < z else draw(i == z)] + [draw() for _ in range(n - k - 1)]
+                     for i in range(n - k)]
+                expected = math.prod(a[i][i] for i in range(k)) * (
+                    det_cofactor(b) if z < n - k else 0)
+                swaps.clear()
+                assert bareiss(exact_matrix(a + [[zero] * k + row for row in b], self.P)) == expected
+                if 0 < z < n - k:
+                    assert swaps
+
+
 class TestExactDivider:
-    """Bareiss hands each step's updates to one divide call; every quotient is
-    verified, and a division that is not exact raises."""
+    """Bareiss hands each double step's c0 and K' to one divide call and its new
+    block to another; every quotient is verified, and a division that is not
+    exact raises."""
 
     def test_one_call_per_step(self, count_calls):
+        """After the first double step, which divides by nothing, each double step on
+        an s x s block divides c0 and K' (2s - 3 elements), then the new block; an
+        even n ends with one division, det(P)/d.  D(13) is 7 x 7, S(13) 6 x 6."""
         calls = count_calls(detkit._divide_exact)
         assert det_cyc_bareiss(build_D(13)) == det_cyc_evalinterp(build_D(13))
-        assert [step.shape for step in calls] == [(k, k, 12) for k in (5, 4, 3, 2, 1)]
+        assert [step.shape for step in calls] == [(7, 12), (3, 3, 12), (3, 12), (1, 1, 12)]
         calls = count_calls(detkit._divide_ints)
         assert det_int_bareiss(build_S(13)) == det_int_modular(build_S(13))
-        assert [step.shape for step in calls] == [(k, k) for k in (4, 3, 2, 1)]
+        assert [step.shape for step in calls] == [(5,), (2, 2), (1,)]
 
     def test_int_row(self):
         quots = detkit._divide_ints(np.array([[6, -8], [0, 4]], dtype=object), 2)
@@ -377,11 +424,27 @@ class TestExactDivider:
     def test_scaled_entries_past_the_old_cap(self):
         """D(13) with every entry (j, k), j + k != 0 (mod 3), times 2^300: its
         quotients need more than 64 auxiliary primes."""
-        m = build_D(13)
-        rows = [[e * 2**300 if (j + k) % 3 else e for k, e in enumerate(row)]
-                for j, row in enumerate(entries(m))]
-        scaled = exact_matrix(rows, 13)
+        scaled = scaled_d13()
         assert det_cyc_bareiss(scaled) == det_cyc_evalinterp(scaled)
+
+    def test_quotients_are_int64_below_a_modulus_of_2_63(self, monkeypatch, lifts):
+        """The quotients come as int64 when the proven modulus M is below 2^63, as
+        every |v| < M/2 <= 2^62, and as Python ints otherwise: every division of
+        D(13) takes int64, every one of the 2^300-scaled D(13) Python ints."""
+        real, seen = detkit._divide_exact, []
+
+        def divide(block, den):
+            quots = real(block, den)
+            seen.append((quots.dtype, lifts[-1][1]))
+            return quots
+
+        monkeypatch.setattr(detkit, "_divide_exact", divide)
+        det_cyc_bareiss(build_D(13))
+        assert seen and all(dtype == np.int64 and modulus < 1 << 63 for dtype, modulus in seen)
+        seen.clear()
+        det_cyc_bareiss(scaled_d13())
+        assert all((dtype == np.int64) == (modulus < 1 << 63) for dtype, modulus in seen)
+        assert seen and {dtype for dtype, _ in seen} == {np.dtype(object)}
 
 
 class TestMixedRadix:
@@ -451,7 +514,7 @@ class TestMixedRadix:
 
 
 class TestPackedRowProducts:
-    """The packed Bareiss row update and matmul against elementwise schoolbook
+    """The packed two-step Bareiss update and matmul against elementwise schoolbook
     products, at p = 13 with entries of up to 200 bits."""
 
     P = 13
@@ -460,15 +523,22 @@ class TestPackedRowProducts:
         return [random_cyc(rng, self.P, span=rng.choice([1, 2**62, span])) for _ in range(count)]
 
     def test_row_update(self):
-        """One step's update, x*piv - a*y over every row [a, *xs] below [piv, *ys]."""
+        """The double step's update c0 X - K' R and its divisions by d: at n = 3 the
+        1 x 1 block is the determinant with no division, n = 4 ends with the single
+        step det(P)/d, and n = 5 divides a whole block; against cofactors of
+        schoolbook products."""
         rng = random.Random(0x13)
-        for n in (1, 2, 7):
-            piv, ys = self.entries(rng, 1)[0], self.entries(rng, n)
-            below = [self.entries(rng, n + 1) for _ in range(n)]
-            expected = [[list((cyc_mul_loop(x, piv) - cyc_mul_loop(row[0], y)).coeffs)
-                         for x, y in zip(row[1:], ys)] for row in below]
-            step = cyc_array([[piv, *ys], *below])
-            assert detkit._update_cyc(step).tolist() == expected
+
+        def cofactors(rows):
+            if len(rows) == 1:
+                return rows[0][0]
+            terms = [cyc_mul_loop(x, cofactors([r[:j] + r[j + 1 :] for r in rows[1:]]))
+                     for j, x in enumerate(rows[0])]
+            return sum(terms[::2], CycElt.zero(self.P)) - sum(terms[1::2], CycElt.zero(self.P))
+
+        for n in (1, 2, 3, 4, 5):
+            rows = [self.entries(rng, n) for _ in range(n)]
+            assert det_cyc_bareiss(exact_matrix(rows, self.P)) == cofactors(rows)
 
     def test_matmul(self):
         rng = random.Random(0x31)

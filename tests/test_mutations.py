@@ -1,9 +1,10 @@
-"""Mutants of the array Bareiss step, the matrix builders and the per-prime
+"""Mutants of the two-step Bareiss elimination, the matrix builders and the per-prime
 determinant dispatch, each shown to be caught.
 
 A mutant is a monkeypatch in this process: a wrapped or replaced function of
-`detkit`, `cycring`, `matrices` or `verify`, or a perturbed value; no file
-under `src/` changes.  Each one names the layer expected to catch it and the
+`detkit`, `cycring`, `matrices` or `verify`, the elimination loop compiled
+again from its source with one expression changed, or a perturbed value; no
+file under `src/` changes.  Each one names the layer expected to catch it and the
 smallest prime at which it shows, and passes only if `run_prime` at that
 prime (and those options) turns the named check to `fail` or raises.  A
 mutant that no prime of the sweep shows runs on a constructed matrix, where
@@ -16,7 +17,9 @@ does show it.
 """
 from __future__ import annotations
 
+import inspect
 import json
+import textwrap
 import types
 
 import numpy as np
@@ -31,15 +34,20 @@ from oracles import exact_matrix, reference_rows
 from test_golden import GOLDEN_PATH, report_digest
 
 
+def divider(ring: str):
+    """The exact divider `_fraction_free` is handed over one ring, "ints" or "cyc"."""
+    return getattr(detkit, "_divide_ints" if ring == "ints" else "_divide_exact")
+
+
 def sign_dropped(ring: str):
-    """`_fraction_free` loses the sign of its row swaps over one ring, "ints" or "cyc"."""
+    """`_fraction_free` loses the sign of its row swaps over one ring."""
 
     def install(monkeypatch):
-        real, update_of_ring = detkit._fraction_free, getattr(detkit, f"_update_{ring}")
+        real, divide_of_ring = detkit._fraction_free, divider(ring)
 
-        def unsigned(a, update, divide):
-            sign, last = real(a, update, divide)
-            return (1 if update is update_of_ring else sign), last
+        def unsigned(a, product, divide):
+            sign, last = real(a, product, divide)
+            return (1 if divide is divide_of_ring else sign), last
 
         monkeypatch.setattr(detkit, "_fraction_free", unsigned)
 
@@ -47,16 +55,33 @@ def sign_dropped(ring: str):
     return install
 
 
+def mutated_elimination(monkeypatch, old: str, new: str, ring: str | None = None):
+    """`_fraction_free` compiled again from its source with the one occurrence of
+    `old` replaced by `new`, over one ring or (ring None) over both."""
+    source = textwrap.dedent(inspect.getsource(detkit._fraction_free))
+    assert source.count(old) == 1, old
+    scope = {}
+    exec(compile(source.replace(old, new), detkit.__file__, "exec"), vars(detkit), scope)
+    real, mutant = detkit._fraction_free, scope["_fraction_free"]
+
+    def elimination(a, product, divide):
+        in_ring = ring is None or divide is divider(ring)
+        return (mutant if in_ring else real)(a, product, divide)
+
+    monkeypatch.setattr(detkit, "_fraction_free", elimination)
+
+
 def unproven_perturbed_lift(monkeypatch):
-    """The first CRT lift of a Bareiss step that reads as fitting is off by one in
-    one coefficient, and the re-multiplication proof of every step is skipped."""
+    """The first CRT lift of a Bareiss division that reads as fitting is off by one
+    in one coefficient, and the re-multiplication proof of every division is
+    skipped.  Only the divider folds elements (residues of two or more axes)."""
     real_fold, hits = detkit._MixedRadix.fold, []
 
     def perturbed(crt, residues, q):
         real_fold(crt, residues, q)
-        if not hits and residues.ndim == 3 and crt.fits().all():
+        if not hits and residues.ndim > 1 and crt.fits().all():
             hits.append(q)
-            crt.digits[0][0, 0, 0] += 1
+            crt.digits[0].flat[0] += 1
 
     monkeypatch.setattr(detkit._MixedRadix, "fold", perturbed)
     proofless = {name: getattr(np, name) for name in dir(np) if not name.startswith("__")}
@@ -65,22 +90,23 @@ def unproven_perturbed_lift(monkeypatch):
 
 
 def wrong_pivot_row(ring: str):
-    """The pivot column's products are taken against the row below the pivot row."""
-
-    def update_cyc(a):
-        p, r, c = a.shape[2] + 1, len(a) - 1, a.shape[1] - 1
-        scaled = cycring.lincomb(p, a[:1, :1], a[1:, 1:].reshape(1, r * c, p - 1))
-        cross = cycring.lincomb(p, a[1:, :1], a[1:2, 1:])
-        return (scaled.reshape(r, c, p - 1) - cross).astype(object)
-
-    def update_ints(a):
-        return a[1:, 1:] * a[0, 0] - np.outer(a[1:, 0], a[1, 1:])
+    """K' multiplies the two rows below the first pivot row instead of the pivot rows."""
 
     def install(monkeypatch):
-        monkeypatch.setattr(detkit, f"_update_{ring}", update_cyc if ring == "cyc" else update_ints)
+        mutated_elimination(monkeypatch, "product(k, a[:2, 2:])", "product(k, a[1:3, 2:])", ring)
 
     install.__name__ = f"wrong_pivot_row_{ring}"
     return install
+
+
+def second_swap_unsigned(monkeypatch):
+    """The swap that brings the second pivot row up keeps the sign."""
+    mutated_elimination(monkeypatch, "_swap(a, 1, r + 1), -sign", "_swap(a, 1, r + 1), sign")
+
+
+def cofactors_undivided(monkeypatch):
+    """c0 and K' are used undivided: the small division by d is skipped."""
+    mutated_elimination(monkeypatch, "small = divide(small, d)", "small = small")
 
 
 def fold_drops_high_powers(monkeypatch):
@@ -177,12 +203,17 @@ MUTANTS = [
      "int_backend_agreement[d=2]"),
     (sign_dropped("cyc"), "DetResult.value: Bareiss disagrees with evaluation-interpolation; "
      "no C or D of the sweep takes a row swap", swapped_cyc_matrix, ArithmeticError),
-    (unproven_perturbed_lift, "cyc_backend_agreement: the wrong quotient reaches det C", 5,
+    # p = 5 takes no cyclotomic division: C(5) and D(5) end after their first double step
+    (unproven_perturbed_lift, "cyc_backend_agreement: the wrong quotient reaches det D", 7,
      "cyc_backend_agreement"),
     (wrong_pivot_row("cyc"), "cyc_backend_agreement: Bareiss against evaluation-interpolation", 5,
      "cyc_backend_agreement"),
     (wrong_pivot_row("ints"), "int_backend_agreement: integer Bareiss against the CRT", 5,
      "int_backend_agreement[d=2]"),
+    (second_swap_unsigned, "int_backend_agreement: det S(7) takes a second pivot from row 2", 7,
+     "int_backend_agreement"),
+    (cofactors_undivided, "cyc_backend_agreement: D(7)'s last step is det(P), not det(P)/d", 7,
+     "cyc_backend_agreement"),
     (fold_drops_high_powers, "quad_decompose: det C no longer lies in the quadratic subfield", 5,
      ValueError),
     # builders; zeta^(j^2 k^2) is never zeta^(p-1) for p = 3 (mod 4), where -1 is no square
@@ -217,7 +248,7 @@ def test_mutant_is_caught(monkeypatch, mutant, layer, where, caught_by):
 def test_unmutated_prime_passes():
     """The primes the mutants run at pass every check as the code stands, and
     the constructed matrix has one value."""
-    for args in ((5,), (17, SWEEP)):
+    for args in ((5,), (7,), (17, SWEEP)):
         assert all(check.status == "pass" for check in run_prime(*args).checks.values())
     assert det(swapped_cyc_matrix(), "both").value == -CycElt.zeta(5)
 
