@@ -10,11 +10,15 @@ any other raises TypeError.
 
 Every product of elements goes through `lincomb`, which takes and returns
 coefficient arrays: weights (k, t, p - 1) and rows (t, n, p - 1) give the
-(k, n, p - 1) sums.  It packs each row of elements into one integer
-(Kronecker substitution on byte boundaries) from one zero-padded numpy
-buffer, combines rows with one big-int multiply per term, and reads all k
-sums back with one `frombuffer` and one fold: a single product, a Bareiss
-step's update, a divider's check of a whole step, a matrix product.
+(k, n, p - 1) sums: a single product, a Bareiss step's update, a divider's
+check of a whole step, a matrix product.  For int64 operands whose sums stay
+below 2^62 it takes, where that measured cheaper, one int64 `np.matmul` per
+term of the rows by Mul(x), the matrix of multiplication by the weight x on
+the power basis, read from a strided view of x (no float, no BLAS).
+Otherwise it packs each row of elements into one integer (Kronecker
+substitution on byte boundaries) from one zero-padded numpy buffer, combines
+rows with one big-int multiply per term, and reads all k sums back with one
+`frombuffer` and one fold.  `lincomb` states the bound and the rule.
 
 Every value is immutable and hashable; all operations are pure functions,
 so elements can be shared freely between concurrent workers.
@@ -66,11 +70,30 @@ def _pack(a: np.ndarray, slot: int, w: int, mask: int) -> list[int]:
             for i in range(math.prod(lead))]
 
 
-def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Entry [i, j] is sum_t weights[i, t] * rows[t, j] over Z[zeta_p], every
-    element a vector of p - 1 coefficients: weights of shape (k, t, p - 1) and
-    rows of shape (t, n, p - 1), int64 or Python ints (dtype object), give
-    (k, n, p - 1), int64 when the fold below fits int64 and Python ints otherwise.
+def _by_matmul(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`lincomb` of int64 operands by one int64 `np.matmul` per term.
+
+    Row b of Mul(x) is x zeta^b: Mul(x)[b, c] = x[(c - b) mod p] - x[(p-1-b) mod p],
+    x padded by x[p-1] = 0, so an element y times x is the vector y @ Mul(x).
+    Mul(x) is the first p - 1 columns of the (p-1) x p circulant C[b, c] =
+    x[(c - b) mod p] less its last column, the coefficient of zeta^(p-1) that
+    1 + zeta + ... + zeta^(p-1) = 0 removes.  C is a view: row b is the window
+    from p - b of x written twice, so each term refills one (k, 2p) buffer and
+    multiplies the term's rows by the k circulants at once.  The (k, n, p)
+    sums of rows @ C are folded once, as Mul prescribes.
+    """
+    m, k = p - 1, len(weights)
+    x2 = np.zeros((max(k, 1), 2 * p), dtype=np.int64)  # one row at k = 0 backs the empty view
+    circ = np.ndarray((k, m, p), np.int64, x2, p * 8, (x2.strides[0], -8, 8))
+    sums = np.zeros((k, rows.shape[1], p), dtype=np.int64)
+    for t, row in enumerate(rows):
+        x2[:k, :m] = x2[:k, p:-1] = weights[:, t]
+        sums += row @ circ
+    return sums[..., :m] - sums[..., m:]
+
+
+def _by_packing(p: int, weights: np.ndarray, rows: np.ndarray, bound: int, w: int) -> np.ndarray:
+    """`lincomb` by Kronecker substitution, in digits of w bytes.
 
     A row is one integer in base D = 2^(8w), element j in the 2p - 3 digits
     from digit j(2p - 3), so no product with a weight spills into the next
@@ -82,13 +105,7 @@ def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     is at most 2 * bound in absolute value.
     """
     m, slot = p - 1, 2 * p - 3
-    k, terms, n = len(weights), len(rows), rows.shape[1] if rows.ndim == 3 else -1
-    if weights.shape[1:] != (terms, m) or rows.shape != (terms, n, m):
-        raise ValueError("need weights (k, t, p-1) and rows (t, n, p-1)")
-    bound = terms * m * _max_abs(weights) * _max_abs(rows)  # products per coefficient, times the largest
-    w = (bound.bit_length() + 8) // 8  # the fewest bytes with bound < 2^(8w-1)
-    if w <= 8:
-        w = 1 << (w - 1).bit_length()  # a width numpy reads: 1, 2, 4 or 8
+    k, n = len(weights), rows.shape[1]
     mask = _digit_mask(n * slot, w)
     packed = _pack(rows, slot, w, mask)
     scalars = iter(_pack(weights.reshape(-1, 1, m), m, w, _digit_mask(m, w)))
@@ -108,6 +125,44 @@ def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     out = d[..., :m] - d[..., m:p]
     out[..., : p - 3] += d[..., p:]
     return out
+
+
+def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entry [i, j] is sum_t weights[i, t] * rows[t, j] over Z[zeta_p], every
+    element a vector of p - 1 coefficients: weights of shape (k, t, p - 1) and
+    rows of shape (t, n, p - 1), int64 or Python ints (dtype object), give
+    (k, n, p - 1), int64 when 4 * bound < 2^63 and Python ints otherwise.
+
+    A coefficient of a sum before the fold adds t (p - 1) products, so it is
+    at most bound = t (p - 1) max|weight| max|row| in absolute value, and a
+    folded one at most 2 * bound, on either path.  Every partial sum of
+    `_by_matmul` is one of the two (rows @ C, then the fold, which makes it
+    rows @ Mul(x): Mul's entries are at most 2 max|x|), so with 4 * bound < 2^63
+    each is below 2^62 and nothing wraps.
+
+    The rule: `_by_matmul` when both operands are int64, 4 * bound < 2^63 and
+    the k t n (p - 1) p multiply-adds number at most 2^(10 + 5w), w the bytes
+    of a packed digit (1, 2, 4 or 8: the fewest with bound < 2^(8w - 1));
+    `_by_packing` otherwise.  On the int64 calls of `verify` 5..47 the
+    packing's big-int multiply costs a half to a third of the matmul per
+    multiply-add at w = 1 and 2, four to ten times it at w = 4 and 8, and the
+    matmul saves about 10 us per call: it wins below about 2^15 multiply-adds
+    at w = 1 and 2^20 at w = 2, and at every measured size for wider digits.
+    The packing gains as p grows (Karatsuba): a single product at p = 499 with
+    2-byte digits takes about 220 us by the matmul against 135 us packed.
+    """
+    m = p - 1
+    k, terms, n = len(weights), len(rows), rows.shape[1] if rows.ndim == 3 else -1
+    if weights.shape[1:] != (terms, m) or rows.shape != (terms, n, m):
+        raise ValueError("need weights (k, t, p-1) and rows (t, n, p-1)")
+    bound = terms * m * _max_abs(weights) * _max_abs(rows)  # products per coefficient, times the largest
+    w = (bound.bit_length() + 8) // 8  # the fewest bytes with bound < 2^(8w-1)
+    if w <= 8:
+        w = 1 << (w - 1).bit_length()  # a width numpy reads: 1, 2, 4 or 8
+    if (weights.dtype == rows.dtype == np.int64 and 4 * bound < 1 << 63
+            and k * terms * n * m * p <= 1 << (10 + 5 * w)):
+        return _by_matmul(p, weights, rows)
+    return _by_packing(p, weights, rows, bound, w)
 
 
 class CycElt:

@@ -7,7 +7,7 @@ rings, on one numpy array per step: Python ints (dtype object) over Z, the
 columns by two divisions by the pivot of two steps back, both exact by
 Sylvester's identity.  `_divide_ints` is floor division checked by one
 re-multiplication; `_divide_exact` reduces its array mod each auxiliary prime,
-lifts its quotients by one CRT and proves the lift by one packed
+lifts its quotients by one CRT and proves the lift by one
 re-multiplication; a division still unproven once the modulus passes a proven
 bound on exact quotients was not exact and raises.  There is no cap on the
 primes.  A CycElt is built only for a determinant returned.
@@ -34,10 +34,12 @@ refused up front when count (q-1)^2 >= 2^63: p-1 products per value in
 largest q of the stack); the products of `_MixedRadix` are of two numbers
 below its primes, refused from 2^31.  As every auxiliary prime q exceeds the floor, `_EvalData.values`, the
 one evaluator, takes int64 rows unreduced; the exact divider hands it rows
-reduced mod q.  A Bareiss step's int64 arrays come from `lincomb`, whose
-entries are at most 2 bound < 2^62, so their difference fits int64; the
-quotients of `_divide_exact` are int64 when the proven modulus M is below
-2^63, as every |v| < M/2 <= 2^62, and Python ints otherwise.
+reduced mod q.  A Bareiss step's products come from `lincomb`, int64 only
+while 4 bound < 2^63 for the bound of its sums (then by one int64 matmul per
+term where that is cheaper than packing), and every int64 entry is at most
+2 bound < 2^62, so the difference of two fits int64; the quotients of
+`_divide_exact` are int64 when the proven modulus M is below 2^63, as every
+|v| < M/2 <= 2^62, and Python ints otherwise.
 """
 from __future__ import annotations
 
@@ -365,7 +367,7 @@ def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
     takes int64 entries in [0, q).  Where den has no zero value, every
     element's values are scaled by den's inverse values,
     interpolated and folded into one mixed-radix CRT (`_MixedRadix`).  Once
-    every top digit reads a lift below a quarter of the modulus, one packed
+    every top digit reads a lift below a quarter of the modulus, one
     re-multiplication of the whole lift by den (`cycring.lincomb`), compared
     with the block, checks it, which proves it, so a wrong answer is
     impossible; a lift that fails goes on to the next prime.

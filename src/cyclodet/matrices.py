@@ -180,7 +180,7 @@ def build(family: str, p: int, *delta: int) -> ExactMatrix:
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Exact matrix product; used by the identity checks and tests.  A
-    cyclotomic product is one packed combination (`cycring.lincomb`) of b's
+    cyclotomic product is one linear combination (`cycring.lincomb`) of b's
     rows, weighted by the rows of a, on the two coefficient arrays."""
     if a.n != b.n or a.kind != b.kind or (a.kind == "cyc" and a.meta.p != b.meta.p):
         raise ValueError("incompatible matrices")

@@ -164,7 +164,7 @@ def legendre_sum_classes_hold(p: int) -> bool:
 
 def matrix_identity_direct(p: int, delta: int | None = None) -> bool:
     """Literal product check Dtilde*D = g*E (or Dtilde*DD = g*F): g times every
-    entry of the target is one packed product (`lincomb`) on coefficient arrays."""
+    entry of the target is one product (`lincomb`) on coefficient arrays."""
     ds = () if delta is None else (delta,)
     dt = build("Dtilde", p)
     right = build("DD" if ds else "D", p, *ds)

@@ -5,7 +5,8 @@ paths: cofactor expansion works in any commutative ring using only +, -, *;
 the numeric determinant goes through complex floating point; the narrow
 class number enumerates reduced indefinite forms and counts reduction
 cycles; the fundamental unit is searched for by brute force; the residue
-product is multiplied out factor by factor in the cyclotomic ring; a
+product is multiplied out factor by factor in the cyclotomic ring, and a
+linear combination of elements term by term in schoolbook products; a
 determinant mod q is one row reduction of one matrix, reduced every step;
 the evaluation and interpolation matrices at the order-p nodes of F_q are
 filled entry by entry; a CRT lift folds big ints one prime at a time; the
@@ -223,6 +224,18 @@ def cyc_mul_loop(x: CycElt, y: CycElt) -> CycElt:
         for j, b in enumerate(y.coeffs):
             raw[(i + j) % p] += a * b
     return make(p, raw)
+
+
+def lincomb_loop(p: int, weights, rows) -> list:
+    """`cycring.lincomb` by schoolbook products, summed term by term, on nested lists."""
+    zero = CycElt.zero(p)
+    out = []
+    for ws in weights:
+        acc = [zero] * (len(rows[0]) if rows else 0)
+        for c, row in zip(ws, rows):
+            acc = [s + cyc_mul_loop(CycElt(p, c), CycElt(p, x)) for s, x in zip(acc, row)]
+        out.append([list(s.coeffs) for s in acc])
+    return out
 
 
 def random_cyc(rng: random.Random, p: int, span: int = 5) -> CycElt:

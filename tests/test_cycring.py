@@ -14,11 +14,18 @@ from cyclodet.cycring import (
     lincomb,
     make,
 )
-from cyclodet.detkit import _divide_exact, _EvalData
-from cyclodet.matrices import _geometric_sums, _int_array
+from cyclodet.detkit import _divide_exact, _EvalData, det_cyc_bareiss
+from cyclodet.matrices import _geometric_sums, _int_array, build_D
 from cyclodet.modarith import aux_primes
 
-from oracles import cyc_mul_loop, geometric_sum_loop, lagrange_loop, random_cyc, vandermonde_loop
+from oracles import (
+    cyc_mul_loop,
+    geometric_sum_loop,
+    lagrange_loop,
+    lincomb_loop,
+    random_cyc,
+    vandermonde_loop,
+)
 
 
 def zeta(p, k=1):
@@ -303,18 +310,6 @@ class TestRingAxioms:
             assert abs(lhs - vx * vy) < 1e-9
 
 
-def lincomb_loop(p, weights, rows):
-    """`lincomb` by schoolbook products, summed term by term, on nested lists."""
-    zero = CycElt.zero(p)
-    out = []
-    for ws in weights:
-        acc = [zero] * (len(rows[0]) if rows else 0)
-        for c, row in zip(ws, rows):
-            acc = [s + cyc_mul_loop(CycElt(p, c), CycElt(p, x)) for s, x in zip(acc, row)]
-        out.append([list(s.coeffs) for s in acc])
-    return out
-
-
 def packed(p, weights, rows, dtype=object, n=None):
     """`lincomb` on nested lists, handed over as arrays of `dtype` (rows of n
     elements when there are no rows to read it from), and returned as lists."""
@@ -426,6 +421,104 @@ class TestKroneckerMultiplication:
         big = CycElt(7, [1 << 70] * 6)
         assert big * y == cyc_mul_loop(big, y)
         assert all(type(c) is int for c in (big * y).coeffs)
+
+
+@pytest.fixture
+def paths(count_calls):
+    """The calls of each of `lincomb`'s two paths, by name."""
+    return {name: count_calls(getattr(cycring, name)) for name in ("_by_matmul", "_by_packing")}
+
+
+def path_taken(paths, p, weights, rows, dtype, n=None):
+    """`packed`'s result and the one path `lincomb` took for it."""
+    for calls in paths.values():
+        calls.clear()
+    out = packed(p, weights, rows, dtype, n)
+    (path,) = [name for name, calls in paths.items() if calls]
+    assert sum(map(len, paths.values())) == 1
+    return out, path
+
+
+def extreme_operands(rng, p, terms, k, n, a, b):
+    """Weights of absolute value a and rows of absolute value b in every
+    coefficient, with random signs, and with one sign throughout in the
+    first term, so that some sums come near the bound t (p - 1) a b."""
+    def vec(v, t):
+        return [v if t == 0 else rng.choice((v, -v)) for _ in range(p - 1)]
+
+    weights = [[vec(a, t) for t in range(terms)] for _ in range(k)]
+    rows = [[vec(b, t) for _ in range(n)] for t in range(terms)]
+    return weights, rows
+
+
+class TestTwoPaths:
+    """`lincomb`'s int64 matmul and its packing against the schoolbook oracle, on
+    both sides of each boundary of the rule that chooses between them."""
+
+    @pytest.mark.parametrize("p, terms", [(3, 1), (3, 2), (5, 1), (5, 2), (3, 4)])
+    def test_int64_headroom(self, paths, p, terms):
+        """With 4 * bound just below 2^63 the matmul returns int64; exactly at
+        2^63 the packing returns Python ints.  The same values as Python ints
+        take the packing on both sides."""
+        rng = random.Random(p * terms)
+        a = 1 << 30
+        at = (1 << 61) // (terms * (p - 1) * a)  # t (p - 1) a b = 2^61 exactly
+        for b, path, dtype in ((at - 1, "_by_matmul", np.int64), (at, "_by_packing", object)):
+            weights, rows = extreme_operands(rng, p, terms, 2, 3, a, b)
+            expected = lincomb_loop(p, weights, rows)
+            assert path_taken(paths, p, weights, rows, np.int64) == (expected, path)
+            out = lincomb(p, np.array(weights), np.array(rows))
+            assert out.dtype == dtype
+            assert path_taken(paths, p, weights, rows, object) == (expected, "_by_packing")
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 47])
+    def test_empty_shapes_on_the_matmul(self, paths, p):
+        """No terms, k = 0 and n = 0 take the matmul for int64 operands and give
+        what the oracle gives, int64 zeros or empty."""
+        rng = random.Random(p)
+        zero, x = [0] * (p - 1), [rng.randint(-9, 9) for _ in range(p - 1)]
+        cases = [([[], []], [], 2), ([], [[x, x]], None), ([[x]], [[]], None),
+                 ([[x], [x]], [[]], None), ([[x, x]], [[x], [x]], None)]
+        for weights, rows, n in cases:
+            for dtype, path in ((np.int64, "_by_matmul"), (object, "_by_packing")):
+                out, taken = path_taken(paths, p, weights, rows, dtype, n)
+                expected = lincomb_loop(p, weights, rows) if rows else [[zero] * n] * 2
+                assert (out, taken) == (expected, path)
+        empty = lincomb(p, np.zeros((3, 0, p - 1), np.int64), np.zeros((0, 4, p - 1), np.int64))
+        assert empty.dtype == np.int64 and empty.shape == (3, 4, p - 1) and not empty.any()
+
+    @pytest.mark.parametrize("p, span, terms, below, above", [
+        (7, 4, 1, (12, 65), (11, 71)),  # 1-byte digits: k t n (p - 1) p <= 2^15 takes the matmul
+        (61, 20, 1, (2, 143), (7, 41)),  # 2-byte digits: <= 2^20
+        (61, 10, 2, (11, 13), (12, 12)),
+    ])
+    def test_size_rule(self, paths, p, span, terms, below, above):
+        """One side of the size rule takes the matmul, the other the packing, and
+        both give the oracle's sums for the same int64 values."""
+        rng = random.Random(p + span)
+        for (k, n), path in ((below, "_by_matmul"), (above, "_by_packing")):
+            weights, rows = extreme_operands(rng, p, terms, k, n, span, span)
+            w = 1 if span * span * terms * (p - 1) < 1 << 7 else 2
+            assert (k * terms * n * (p - 1) * p <= 1 << (10 + 5 * w)) == (path == "_by_matmul")
+            expected = lincomb_loop(p, weights, rows)
+            assert path_taken(paths, p, weights, rows, np.int64) == (expected, path)
+
+    def test_wide_digits_take_the_matmul_at_any_size(self, paths):
+        """With 4- and 8-byte digits the rule's limits are 2^30 and 2^50 multiply-adds,
+        beyond any size tested; a product past the 2-byte limit still takes the matmul."""
+        rng = random.Random(4)
+        for span in (1 << 10, 1 << 20):
+            weights, rows = extreme_operands(rng, 61, 2, 12, 12, span, span)
+            expected = lincomb_loop(61, weights, rows)
+            assert path_taken(paths, 61, weights, rows, np.int64) == (expected, "_by_matmul")
+
+    def test_paths_of_a_bareiss_determinant(self, paths):
+        """det D(47) by Bareiss: 37 products on the matmul (8 with 2-byte digits, 10
+        with 4, 19 with 8) and 19 on the packing (14 past the int64 headroom, 5
+        past the size limit), so a change of the rule shows here."""
+        det_cyc_bareiss(build_D(47))
+        assert {name: len(calls) for name, calls in paths.items()} == {"_by_matmul": 37,
+                                                                       "_by_packing": 19}
 
 
 class TestValueSemantics:

@@ -2,9 +2,9 @@
 determinant dispatch, each shown to be caught.
 
 A mutant is a monkeypatch in this process: a wrapped or replaced function of
-`detkit`, `cycring`, `matrices` or `verify`, the elimination loop compiled
-again from its source with one expression changed, or a perturbed value; no
-file under `src/` changes.  Each one names the layer expected to catch it and the
+`detkit`, `cycring`, `matrices` or `verify`, a function compiled again from
+its source with one expression changed, or a perturbed value; no file under
+`src/` changes.  Each one names the layer expected to catch it and the
 smallest prime at which it shows, and passes only if `run_prime` at that
 prime (and those options) turns the named check to `fail` or raises.  A
 mutant that no prime of the sweep shows runs on a constructed matrix, where
@@ -30,7 +30,7 @@ from cyclodet.cycring import CycElt
 from cyclodet.detkit import det
 from cyclodet.verify import SweepOptions, report_to_dict, run_prime
 
-from oracles import exact_matrix, reference_rows
+from oracles import exact_matrix, lincomb_loop, reference_rows
 from test_golden import GOLDEN_PATH, report_digest
 
 
@@ -55,14 +55,21 @@ def sign_dropped(ring: str):
     return install
 
 
-def mutated_elimination(monkeypatch, old: str, new: str, ring: str | None = None):
-    """`_fraction_free` compiled again from its source with the one occurrence of
-    `old` replaced by `new`, over one ring or (ring None) over both."""
-    source = textwrap.dedent(inspect.getsource(detkit._fraction_free))
+def recompiled(fn, old: str, new: str):
+    """`fn` compiled again from its source in its module's namespace, with the one
+    occurrence of `old` replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(old) == 1, old
-    scope = {}
-    exec(compile(source.replace(old, new), detkit.__file__, "exec"), vars(detkit), scope)
-    real, mutant = detkit._fraction_free, scope["_fraction_free"]
+    module, scope = inspect.getmodule(fn), {}
+    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), scope)
+    return scope[fn.__name__]
+
+
+def mutated_elimination(monkeypatch, old: str, new: str, ring: str | None = None):
+    """`_fraction_free` with the one occurrence of `old` replaced by `new`, over one
+    ring or (ring None) over both."""
+    real = detkit._fraction_free
+    mutant = recompiled(real, old, new)
 
     def elimination(a, product, divide):
         in_ring = ring is None or divide is divider(ring)
@@ -123,6 +130,25 @@ def fold_drops_high_powers(monkeypatch):
 
     for module in (cycring, detkit, verify):
         monkeypatch.setattr(module, "lincomb", lincomb)
+
+
+def mul_top_power_kept(monkeypatch):
+    """`lincomb`'s matmul drops the last column of its circulant from the others:
+    Mul(x) loses its correction -x[(p-1-b) mod p], and zeta^(p-1) stays unremoved."""
+    monkeypatch.setattr(cycring, "_by_matmul", recompiled(
+        cycring._by_matmul, "sums[..., :m] - sums[..., m:]", "sums[..., :m]"))
+
+
+def lincomb_headroom(monkeypatch, new: str):
+    """`lincomb` with its int64 headroom condition for the matmul replaced by `new`."""
+    mutant = recompiled(cycring.lincomb, "4 * bound < 1 << 63", new)
+    for module in (cycring, detkit, matrices, verify):
+        monkeypatch.setattr(module, "lincomb", mutant)
+
+
+def matmul_past_its_headroom(monkeypatch):
+    """`lincomb` takes the matmul for every pair of int64 operands, however large."""
+    lincomb_headroom(monkeypatch, "True")
 
 
 def zeta_top_power_dropped(monkeypatch):
@@ -216,6 +242,11 @@ MUTANTS = [
      "cyc_backend_agreement"),
     (fold_drops_high_powers, "quad_decompose: det C no longer lies in the quadratic subfield", 5,
      ValueError),
+    (mul_top_power_kept, "quad_decompose: (x - x')*g, a product on the matmul, is not rational "
+     "for the product formula's residue product", 5, ValueError),
+    # the Bareiss products past the headroom hold far smaller values than their bound
+    (matmul_past_its_headroom, "det_multiplicativity: det Dtilde * det D, one product whose "
+     "sums pass 2^63, wraps", 31, "det_multiplicativity"),
     # builders; zeta^(j^2 k^2) is never zeta^(p-1) for p = 3 (mod 4), where -1 is no square
     (zeta_top_power_dropped, "quartic_reconstruction: quartic_decompose finds det D outside "
      "Q(sqrt(p))*delta", 5, ArithmeticError),
@@ -248,7 +279,7 @@ def test_mutant_is_caught(monkeypatch, mutant, layer, where, caught_by):
 def test_unmutated_prime_passes():
     """The primes the mutants run at pass every check as the code stands, and
     the constructed matrix has one value."""
-    for args in ((5,), (7,), (17, SWEEP)):
+    for args in ((5,), (7,), (17, SWEEP), (31,)):
         assert all(check.status == "pass" for check in run_prime(*args).checks.values())
     assert det(swapped_cyc_matrix(), "both").value == -CycElt.zeta(5)
 
@@ -295,3 +326,17 @@ def test_row_handed_another_delta_changes_no_status(monkeypatch):
     monkeypatch.setattr(verify, "CHECKS", tuple(
         row._replace(fn=next_delta(row.fn)) if row.over == "d" else row for row in verify.CHECKS))
     assert run_prime(17, SWEEP).all_passed()
+
+
+def test_matmul_to_twice_its_headroom_stays_exact(monkeypatch):
+    """The matmul taken while 4 * bound < 2^64 is still exact: its partial sums are
+    at most bound < 2^62 and its folded coefficients at most 2 * bound < 2^63.  What
+    breaks is `lincomb`'s promise of int64 entries below 2^62, on which the
+    Bareiss update's headroom rests; no check of 5..59 fails (the sweep's sums stay
+    far below their bounds), and tests/test_cycring.py's `test_int64_headroom`
+    sees the dtype at 4 * bound = 2^63."""
+    lincomb_headroom(monkeypatch, "4 * bound < 1 << 64")
+    assert run_prime(5).all_passed()
+    weights, rows = [[[1 << 30] * 2]], [[[1 << 30] * 2]]  # p = 3: 4 * bound = 2^63
+    out = cycring.lincomb(3, np.array(weights), np.array(rows))
+    assert out.dtype == np.int64 and out.tolist() == lincomb_loop(3, weights, rows)
