@@ -127,6 +127,11 @@ def _by_packing(p: int, weights: np.ndarray, rows: np.ndarray, bound: int, w: in
     return out
 
 
+# bytes of a packed digit -> (largest p, most multiply-adds) of a `lincomb` by the
+# int64 matmul: the sizes where it measured faster than the packing (see `lincomb`)
+_MATMUL_LIMITS = {1: (131, 1 << 15), 2: (131, 1 << 20), 4: (499, 1 << 24), 8: (499, 1 << 24)}
+
+
 def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Entry [i, j] is sum_t weights[i, t] * rows[t, j] over Z[zeta_p], every
     element a vector of p - 1 coefficients: weights of shape (k, t, p - 1) and
@@ -140,16 +145,22 @@ def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     rows @ Mul(x): Mul's entries are at most 2 max|x|), so with 4 * bound < 2^63
     each is below 2^62 and nothing wraps.
 
-    The rule: `_by_matmul` when both operands are int64, 4 * bound < 2^63 and
-    the k t n (p - 1) p multiply-adds number at most 2^(10 + 5w), w the bytes
-    of a packed digit (1, 2, 4 or 8: the fewest with bound < 2^(8w - 1));
-    `_by_packing` otherwise.  On the int64 calls of `verify` 5..47 the
-    packing's big-int multiply costs a half to a third of the matmul per
-    multiply-add at w = 1 and 2, four to ten times it at w = 4 and 8, and the
-    matmul saves about 10 us per call: it wins below about 2^15 multiply-adds
-    at w = 1 and 2^20 at w = 2, and at every measured size for wider digits.
-    The packing gains as p grows (Karatsuba): a single product at p = 499 with
-    2-byte digits takes about 220 us by the matmul against 135 us packed.
+    The rule: `_by_matmul` when both operands are int64, 4 * bound < 2^63 and p
+    and the k t n (p - 1) p multiply-adds are within `_MATMUL_LIMITS` for w, the
+    bytes of a packed digit (1, 2, 4 or 8: the fewest with bound < 2^(8w - 1));
+    `_by_packing` otherwise, as for every size not measured.  Both were timed on
+    every int64 call of `verify` 5..89 and `classno` 229..317 and on dense random
+    operands at p = 5..499 up to 2^24 multiply-adds, on one shared 2-vCPU machine.
+    The matmul saves about 10 us per call.  Past 2^16 multiply-adds the packing
+    took, in the median, 0.6 times the matmul's time with 1-byte digits, 1.25
+    times with 2-byte digits at p <= 131 and 0.7 times above, 4.3 and 2.0 times
+    with 4-byte digits and 12.7 and 5.7 times with 8-byte digits.  The step at
+    p = 131 is CPython's Karatsuba cutoff of 70 30-bit digits: from p = 137 a
+    packed weight of 2-byte digits passes 2100 bits.  A single product with 2-byte
+    digits takes 35 against 37 us packed at p = 151, 49 against 45 at p = 181 and
+    222 against 107 at p = 499; with 4- and 8-byte digits the matmul was faster
+    on every call measured but one within noise.  The limits 2^15 and 2^20 were
+    fitted to the calls of `verify` 5..47; 499 and 2^24 are the largest measured.
     """
     m = p - 1
     k, terms, n = len(weights), len(rows), rows.shape[1] if rows.ndim == 3 else -1
@@ -159,9 +170,10 @@ def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     w = (bound.bit_length() + 8) // 8  # the fewest bytes with bound < 2^(8w-1)
     if w <= 8:
         w = 1 << (w - 1).bit_length()  # a width numpy reads: 1, 2, 4 or 8
-    if (weights.dtype == rows.dtype == np.int64 and 4 * bound < 1 << 63
-            and k * terms * n * m * p <= 1 << (10 + 5 * w)):
-        return _by_matmul(p, weights, rows)
+    if weights.dtype == rows.dtype == np.int64 and 4 * bound < 1 << 63:  # so w <= 8
+        top_p, most = _MATMUL_LIMITS[w]
+        if p <= top_p and k * terms * n * m * p <= most:
+            return _by_matmul(p, weights, rows)
     return _by_packing(p, weights, rows, bound, w)
 
 

@@ -439,6 +439,16 @@ def path_taken(paths, p, weights, rows, dtype, n=None):
     return out, path
 
 
+def headroom_sides(p, terms):
+    """Operands of `lincomb` with 4 * bound one step below 2^63 and exactly at it,
+    each with the dtype `lincomb` returns for them as int64: int64, then Python ints."""
+    rng = random.Random(p * terms)
+    a = 1 << 30
+    at = (1 << 61) // (terms * (p - 1) * a)  # t (p - 1) a b = 2^61 exactly
+    return [(*extreme_operands(rng, p, terms, 2, 3, a, b), dtype)
+            for b, dtype in ((at - 1, np.int64), (at, object))]
+
+
 def extreme_operands(rng, p, terms, k, n, a, b):
     """Weights of absolute value a and rows of absolute value b in every
     coefficient, with random signs, and with one sign throughout in the
@@ -460,15 +470,11 @@ class TestTwoPaths:
         """With 4 * bound just below 2^63 the matmul returns int64; exactly at
         2^63 the packing returns Python ints.  The same values as Python ints
         take the packing on both sides."""
-        rng = random.Random(p * terms)
-        a = 1 << 30
-        at = (1 << 61) // (terms * (p - 1) * a)  # t (p - 1) a b = 2^61 exactly
-        for b, path, dtype in ((at - 1, "_by_matmul", np.int64), (at, "_by_packing", object)):
-            weights, rows = extreme_operands(rng, p, terms, 2, 3, a, b)
+        sides = zip(headroom_sides(p, terms), ("_by_matmul", "_by_packing"))
+        for (weights, rows, dtype), path in sides:
             expected = lincomb_loop(p, weights, rows)
             assert path_taken(paths, p, weights, rows, np.int64) == (expected, path)
-            out = lincomb(p, np.array(weights), np.array(rows))
-            assert out.dtype == dtype
+            assert lincomb(p, np.array(weights), np.array(rows)).dtype == dtype
             assert path_taken(paths, p, weights, rows, object) == (expected, "_by_packing")
 
     @pytest.mark.parametrize("p", [3, 5, 7, 47])
@@ -499,18 +505,35 @@ class TestTwoPaths:
         for (k, n), path in ((below, "_by_matmul"), (above, "_by_packing")):
             weights, rows = extreme_operands(rng, p, terms, k, n, span, span)
             w = 1 if span * span * terms * (p - 1) < 1 << 7 else 2
-            assert (k * terms * n * (p - 1) * p <= 1 << (10 + 5 * w)) == (path == "_by_matmul")
+            most = cycring._MATMUL_LIMITS[w][1]
+            assert (k * terms * n * (p - 1) * p <= most) == (path == "_by_matmul")
             expected = lincomb_loop(p, weights, rows)
             assert path_taken(paths, p, weights, rows, np.int64) == (expected, path)
 
-    def test_wide_digits_take_the_matmul_at_any_size(self, paths):
-        """With 4- and 8-byte digits the rule's limits are 2^30 and 2^50 multiply-adds,
-        beyond any size tested; a product past the 2-byte limit still takes the matmul."""
+    @pytest.mark.parametrize("span, w", [(15, 2), (1 << 10, 4), (1 << 20, 8)])
+    def test_prime_limit(self, paths, span, w):
+        """A single product with w-byte digits takes the matmul at the largest p of
+        `_MATMUL_LIMITS` for w (131 for 2-byte digits, where Karatsuba starts to
+        favour the packing, and 499, the largest measured, for 4 and 8) and the
+        packing at the next prime."""
+        top_p = cycring._MATMUL_LIMITS[w][0]
+        rng = random.Random(span)
+        for p, path in ((top_p, "_by_matmul"), ({131: 137, 499: 503}[top_p], "_by_packing")):
+            assert 1 << (4 * w - 1) <= (p - 1) * span * span < 1 << (8 * w - 1)  # w bytes, not w/2
+            weights, rows = extreme_operands(rng, p, 1, 1, 1, span, span)
+            expected = lincomb_loop(p, weights, rows)
+            assert path_taken(paths, p, weights, rows, np.int64) == (expected, path)
+
+    def test_wide_digits_up_to_the_largest_size_measured(self, paths):
+        """With 4- and 8-byte digits the matmul takes up to 2^24 multiply-adds and
+        the packing past them: at p = 499, 67 single products (2^23.99) and 68 give
+        the sums of the same values as Python ints, which take the packing."""
         rng = random.Random(4)
         for span in (1 << 10, 1 << 20):
-            weights, rows = extreme_operands(rng, 61, 2, 12, 12, span, span)
-            expected = lincomb_loop(61, weights, rows)
-            assert path_taken(paths, 61, weights, rows, np.int64) == (expected, "_by_matmul")
+            for k, path in ((67, "_by_matmul"), (68, "_by_packing")):
+                weights, rows = extreme_operands(rng, 499, 1, k, 1, span, span)
+                expected, _ = path_taken(paths, 499, weights, rows, object)
+                assert path_taken(paths, 499, weights, rows, np.int64) == (expected, path)
 
     def test_paths_of_a_bareiss_determinant(self, paths):
         """det D(47) by Bareiss: 37 products on the matmul (8 with 2-byte digits, 10

@@ -31,6 +31,7 @@ from cyclodet.detkit import det
 from cyclodet.verify import SweepOptions, report_to_dict, run_prime
 
 from oracles import exact_matrix, lincomb_loop, reference_rows
+from test_cycring import headroom_sides
 from test_golden import GOLDEN_PATH, report_digest
 
 
@@ -148,7 +149,15 @@ def lincomb_headroom(monkeypatch, new: str):
 
 def matmul_past_its_headroom(monkeypatch):
     """`lincomb` takes the matmul for every pair of int64 operands, however large."""
-    lincomb_headroom(monkeypatch, "True")
+    real = cycring.lincomb
+
+    def lincomb(p, weights, rows):
+        if weights.dtype == rows.dtype == np.int64:
+            return cycring._by_matmul(p, weights, rows)
+        return real(p, weights, rows)
+
+    for module in (cycring, detkit, matrices, verify):
+        monkeypatch.setattr(module, "lincomb", lincomb)
 
 
 def zeta_top_power_dropped(monkeypatch):
@@ -333,10 +342,13 @@ def test_matmul_to_twice_its_headroom_stays_exact(monkeypatch):
     at most bound < 2^62 and its folded coefficients at most 2 * bound < 2^63.  What
     breaks is `lincomb`'s promise of int64 entries below 2^62, on which the
     Bareiss update's headroom rests; no check of 5..59 fails (the sweep's sums stay
-    far below their bounds), and tests/test_cycring.py's `test_int64_headroom`
-    sees the dtype at 4 * bound = 2^63."""
+    far below their bounds).  tests/test_cycring.py's `test_int64_headroom` catches
+    it: on its operands at 4 * bound = 2^63 the mutant returns int64, not Python ints."""
     lincomb_headroom(monkeypatch, "4 * bound < 1 << 64")
     assert run_prime(5).all_passed()
-    weights, rows = [[[1 << 30] * 2]], [[[1 << 30] * 2]]  # p = 3: 4 * bound = 2^63
-    out = cycring.lincomb(3, np.array(weights), np.array(rows))
-    assert out.dtype == np.int64 and out.tolist() == lincomb_loop(3, weights, rows)
+    dtypes = []
+    for weights, rows, dtype in headroom_sides(3, 1):
+        out = cycring.lincomb(3, np.array(weights), np.array(rows))
+        assert out.tolist() == lincomb_loop(3, weights, rows)
+        dtypes.append((out.dtype, dtype))
+    assert dtypes == [(np.int64, np.int64), (np.int64, object)], "test_int64_headroom passes"
