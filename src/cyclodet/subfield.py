@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cycring import CycElt, eval_complex
+from .cycring import CycElt
 from .modarith import (
     is_square,
     least_nonresidue,
@@ -216,7 +216,6 @@ class QuarticDecomp:
     beta: Fraction
     a: int
     delta_sign: int
-    resolved_numerically: bool
 
     def delta_squared(self) -> QuadElt:
         return _delta_squared(self.p, self.delta_sign)
@@ -261,24 +260,7 @@ def quartic_decompose(d: CycElt) -> QuarticDecomp:
             raise ArithmeticError("input is not in Q(sqrt(p)) * delta") from exc
         solutions[s] = -y if y.x < 0 or (y.x == 0 and y.y < 0) else y
     s = next((s for s in (1, -1) if solutions[s].x * solutions[s].y == 0), 1)
-    alpha, beta = solutions[s].x, solutions[s].y
-
-    # in mpmath throughout: |d| may exceed the float range
-    import mpmath
-
-    bits = max(abs(c) for c in d.coeffs).bit_length()
-    prec = max(30, bits * 3 // 10 + 26)
-    approx = eval_complex(d, prec)
-    square = _delta_squared(p, s)
-    with mpmath.workdps(prec):
-        sqp = mpmath.sqrt(p)
-        delta = mpmath.sqrt(mpmath.mpc(int(square.x) + int(square.y) * sqp))
-        yval = mpmath.mpf(alpha.numerator) / alpha.denominator
-        yval += mpmath.mpf(beta.numerator) / beta.denominator * sqp
-        tol = mpmath.mpf("1e-6") * (1 + abs(approx))
-        resolved = bool(min(abs(approx - yval * delta), abs(approx + yval * delta)) < tol)
-
-    return QuarticDecomp(p, alpha, beta, two_squares(p).a, s, resolved)
+    return QuarticDecomp(p, solutions[s].x, solutions[s].y, two_squares(p).a, s)
 
 
 @lru_cache(maxsize=None)

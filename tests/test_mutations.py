@@ -1,5 +1,6 @@
-"""Mutants of the two-step Bareiss elimination, the matrix builders and the per-prime
-determinant dispatch, each shown to be caught.
+"""Mutants of the two-step Bareiss elimination, the modular path, the matrix builders,
+the per-prime determinant dispatch and the quartic decomposition, each shown to be
+caught.
 
 A mutant is a monkeypatch in this process: a wrapped or replaced function of
 `detkit`, `cycring`, `matrices` or `verify`, a function compiled again from
@@ -11,28 +12,31 @@ mutant that no prime of the sweep shows runs on a constructed matrix, where
 `det(m, "both").value` raises on the disagreement.
 
 A builder mutant changes the matrix that both backends read, so no
-agreement row can see it; an identity row between families catches it.  The
-mutants below `MUTANTS` are those no failing check shows, each with what
+agreement row can see it; an identity row between families catches it.  A
+mutant of the modular path runs at the smallest prime that shows it and at
+one prime above BAREISS_LIMIT, where no Bareiss runs on C and D: there an
+identity row between families, or a decomposition that raises, catches it.
+The mutants below `MUTANTS` are those no failing check shows, each with what
 does show it.
 """
 from __future__ import annotations
 
+import dataclasses
 import inspect
-import json
+import math
 import textwrap
 import types
 
 import numpy as np
 import pytest
 
-from cyclodet import cycring, detkit, matrices, verify
+from cyclodet import cycring, detkit, matrices, subfield, verify
 from cyclodet.cycring import CycElt
 from cyclodet.detkit import det
-from cyclodet.verify import SweepOptions, report_to_dict, run_prime
+from cyclodet.verify import SweepOptions, run_prime
 
 from oracles import exact_matrix, lincomb_loop, reference_rows
 from test_cycring import headroom_sides
-from test_golden import GOLDEN_PATH, report_digest
 
 
 def divider(ring: str):
@@ -206,6 +210,81 @@ def corner_misplaced(monkeypatch):
     monkeypatch.setattr(matrices, "_with_corner", with_corner)
 
 
+def stack_swap_unsigned(monkeypatch):
+    """`_det_mod_stack` keeps the determinant's sign on a row swap."""
+    monkeypatch.setattr(detkit, "_det_mod_stack", recompiled(
+        detkit._det_mod_stack, "np.where(swap, q - det, det)", "det"))
+
+
+def orbit_step_one(monkeypatch):
+    """`_orbit_step` returns f = 1: one node stands for all p-1."""
+    monkeypatch.setattr(detkit, "_orbit_step", lambda rows: 1)
+
+
+def orbit_step_halved(monkeypatch):
+    """`_orbit_step` returns half its f (at least 1): too few nodes per orbit."""
+    real = detkit._orbit_step
+    monkeypatch.setattr(detkit, "_orbit_step", lambda rows: max(1, real(rows) // 2))
+
+
+def coset_shifted(monkeypatch):
+    """Evaluation-interpolation broadcasts each node's value to the next coset."""
+    monkeypatch.setattr(detkit, "det_cyc_evalinterp", recompiled(
+        detkit.det_cyc_evalinterp, "np.argsort(columns) % f", "(np.argsort(columns) + 1) % f"))
+
+
+def digits_uncentred(monkeypatch):
+    """`_MixedRadix` keeps its digits in [0, q): every lift is read as non-negative."""
+    monkeypatch.setattr(detkit._MixedRadix, "fold", recompiled(
+        detkit._MixedRadix.fold, "np.where(2 * d > q, d - q, d)", "d"))
+
+
+def horner_skips_a_digit(monkeypatch):
+    """The Horner sum of a fold skips the oldest digit."""
+    monkeypatch.setattr(detkit._MixedRadix, "fold", recompiled(
+        detkit._MixedRadix.fold, "zip(reversed(self.digits), reversed(self.primes))",
+        "zip(reversed(self.digits[1:]), reversed(self.primes[1:]))"))
+
+
+def interpolation_without_v0(monkeypatch):
+    """`_EvalData.interpolate` drops its v_0 term, the value at 1."""
+    monkeypatch.setattr(detkit._EvalData, "interpolate", recompiled(
+        detkit._EvalData.interpolate, " - self.pow_r[1:] @ vals", ""))
+
+
+def lift_halved(monkeypatch):
+    """Every modular lift takes half its primes, rounded up."""
+    real = detkit._lift_primes
+
+    def lift_primes(p, bound_sq):
+        primes = real(p, bound_sq)
+        return primes[: (len(primes) + 1) // 2]
+
+    monkeypatch.setattr(detkit, "_lift_primes", lift_primes)
+
+
+def one_modulus_per_stack(monkeypatch):
+    """`_det_mod_stack` reduces a whole stack mod its first matrix's prime."""
+    real = detkit._det_mod_stack
+    monkeypatch.setattr(detkit, "_det_mod_stack", lambda a, q: real(a, np.ravel(q)[0]))
+
+
+def cross_checked_never_bareiss(monkeypatch):
+    """`cross_checked` never asks for Bareiss: backend "both" runs the modular backend alone."""
+    monkeypatch.setattr(verify._PrimeValues, "cross_checked", lambda pv, family: False)
+
+
+def alpha_one_too_high(monkeypatch):
+    """`quartic_decompose` returns alpha + 1."""
+    real = subfield.quartic_decompose
+
+    def quartic_decompose(d):
+        qd = real(d)
+        return dataclasses.replace(qd, alpha=qd.alpha + 1)
+
+    monkeypatch.setattr(verify, "quartic_decompose", quartic_decompose)
+
+
 def next_usable(pv, d: int) -> int:
     """The usable delta after d in the prime's sweep, cyclically."""
     usable = pv.deltas[0]
@@ -270,42 +349,93 @@ MUTANTS = [
     # the fourth powers, which fix det D, so p = 17 (deltas 3, 5 | 6) is the first
     (next_delta_determinants, "twisted_det_galois: det DD(delta') against sigma_delta(det D)",
      (17, SWEEP), "twisted_det_galois[d=5]"),
+    (cross_checked_never_bareiss, "the agreement rows: a pair that did not run fails below "
+     "BAREISS_LIMIT, the integer rows at every p", (5, SWEEP),
+     ("cyc_backend_agreement", "int_backend_agreement[d=2]")),
+    # the quartic decomposition, checked by the exact reconstruction alone
+    (alpha_one_too_high, "quartic_reconstruction: (alpha + beta*sqrt(p))^2 delta^2 against "
+     "(det D)^2", 5, "quartic_reconstruction"),
+    (alpha_one_too_high, "quartic_reconstruction", 61, "quartic_reconstruction"),
+    # the modular path, at its smallest prime and above BAREISS_LIMIT
+    (stack_swap_unsigned, "detF_corner_expansion: det F (evaluation-interpolation) against "
+     "det T and det SD (CRT)", 5, "detF_corner_expansion[d=2]"),
+    (stack_swap_unsigned, "detF_corner_expansion", 61, "detF_corner_expansion[d=2]"),
+    (orbit_step_one, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5, ArithmeticError),
+    (orbit_step_one, "det_product_relation: det D against det C", 67, "det_product_relation"),
+    (orbit_step_halved, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5,
+     ArithmeticError),
+    (orbit_step_halved, "det_product_relation", 67, "det_product_relation"),
+    (coset_shifted, "det_product_relation: det D against det C", 5, "det_product_relation"),
+    (coset_shifted, "det_product_relation", 61, "det_product_relation"),
+    (digits_uncentred, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5,
+     ArithmeticError),
+    (digits_uncentred, "twisted_det_galois: det DD against sigma_delta(det D)", 61,
+     "twisted_det_galois[d=2]"),
+    (interpolation_without_v0, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5,
+     ArithmeticError),
+    (interpolation_without_v0, "quad_decompose: det C or det D is not Galois-stable", 67,
+     ValueError),
+    # up to 13 every lift takes one prime, which halving keeps; the halved lifts of
+    # two primes at 17 and 19 still hold their coefficients (the bound's slack)
+    (lift_halved, "dtilde_scaling: det Dtilde against 2^m det D", 23, "dtilde_scaling"),
+    (lift_halved, "det_product_relation: det D against det C", 61, "det_product_relation"),
+    # both need a lift of two or more primes: up to 13 every lift takes one
+    (horner_skips_a_digit, "det_product_relation: det D against det C", 17,
+     "det_product_relation"),
+    (horner_skips_a_digit, "det_product_relation", 67, "det_product_relation"),
+    (one_modulus_per_stack, "det_product_relation: det D against det C", 17,
+     "det_product_relation"),
+    (one_modulus_per_stack, "det_product_relation", 67, "det_product_relation"),
 ]
 
 
+def row_id(mutant, layer, where, caught_by) -> str:
+    """The mutant's name, with its prime where the mutant has a row per prime."""
+    if sum(other is mutant for other, *_ in MUTANTS) == 1:
+        return mutant.__name__
+    return f"{mutant.__name__}-p{where}"
+
+
 @pytest.mark.parametrize("mutant, layer, where, caught_by", MUTANTS,
-                         ids=[mutant.__name__ for mutant, *_ in MUTANTS])
+                         ids=[row_id(*row) for row in MUTANTS])
 def test_mutant_is_caught(monkeypatch, mutant, layer, where, caught_by):
     mutant(monkeypatch)
     args = where if isinstance(where, tuple) else (where,)
-    if isinstance(caught_by, str):
-        assert run_prime(*args).checks[caught_by].status == "fail", layer
-    else:
+    if isinstance(caught_by, type):
         with pytest.raises(caught_by):
             run_prime(*args) if not callable(where) else det(where(), "both").value
+    else:
+        checks = run_prime(*args).checks
+        for name in (caught_by,) if isinstance(caught_by, str) else caught_by:
+            assert checks[name].status == "fail", layer
 
 
 def test_unmutated_prime_passes():
-    """The primes the mutants run at pass every check as the code stands, and
-    the constructed matrix has one value."""
-    for args in ((5,), (7,), (17, SWEEP), (31,)):
-        assert all(check.status == "pass" for check in run_prime(*args).checks.values())
+    """The primes the mutants run at pass every check as the code stands (above
+    BAREISS_LIMIT the cyclotomic agreement is skipped), and the constructed
+    matrix has one value."""
+    for args in ((5,), (5, SWEEP), (7,), (17,), (17, SWEEP), (23,), (31,), (61,), (67,)):
+        statuses = {name: c.status for name, c in run_prime(*args).checks.items()}
+        if args[0] > verify.BAREISS_LIMIT:
+            assert statuses.pop("cyc_backend_agreement") == "skipped"
+        assert set(statuses.values()) == {"pass"}
     assert det(swapped_cyc_matrix(), "both").value == -CycElt.zeta(5)
 
 
-def test_cross_checked_never_bareiss_is_caught_by_the_golden_reports(monkeypatch):
-    """A `cross_checked` that never asks for Bareiss fails no check: both agreement
-    rows turn `skipped`, with the limit's note below the limit.  The golden
-    digests (tests/test_golden.py) see the change."""
-    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["verify"]["delta-sweep"]
-    digest = golden["digests"]["5"]
-    assert report_digest(report_to_dict(run_prime(5, SWEEP))) == digest
-    monkeypatch.setattr(verify._PrimeValues, "cross_checked", lambda pv, family: False)
-    report = run_prime(5, SWEEP)
-    for name in ("cyc_backend_agreement", "int_backend_agreement[d=2]"):
-        assert report.checks[name].status == "skipped"
-        assert report.checks[name].note == f"p > bareiss limit {verify.BAREISS_LIMIT}"
-    assert report_digest(report_to_dict(report)) != digest
+def test_lift_one_prime_short_hides_in_the_bound_slack(monkeypatch):
+    """Every modular lift one prime short of its stop fails no check at p = 61 (nor
+    at 101 or 103): the lift stops at the first modulus past 4H, and the
+    coefficients, though below 2H, are far enough below it that the shorter
+    modulus still holds them.  No check can see slack.  Where a coefficient needs
+    the last prime, a check fails (det_product_relation at 67).
+    tests/test_evalinterp.py's `TestCoefficientBound::test_bound_holds_and_stops_the_lift`
+    catches it at every prime, as here on D(61): the modulus no longer passes 4H."""
+    real = detkit._lift_primes
+    monkeypatch.setattr(detkit, "_lift_primes", lambda p, bound_sq: real(p, bound_sq)[:-1])
+    assert run_prime(61).all_passed()
+    m, stats = matrices.build("D", 61), {}
+    detkit.det_cyc_evalinterp(m, stats)
+    assert math.prod(stats["moduli"]) ** 2 <= 16 * detkit._embedding_bound_sq(m.coeffs)
 
 
 def test_chi_of_zero_one_changes_no_determinant(monkeypatch):

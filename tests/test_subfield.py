@@ -137,6 +137,11 @@ class TestTwoSquares:
         assert ts.b % 2 == 0 and ts.b > 0
 
 
+def reconstructs(qd, d: CycElt) -> bool:
+    """(alpha + beta*sqrt(p))^2 * delta^2 = d^2, exactly."""
+    return (qd.quad_part() * qd.quad_part()) * qd.delta_squared() == quad_decompose(d * d)
+
+
 class TestQuarticDecompose:
     def test_p5_determinant(self):
         d = det_cyc_bareiss(build_D(5))
@@ -144,15 +149,12 @@ class TestQuarticDecompose:
         assert qd.alpha == 0
         assert abs(qd.beta) == Fraction(1, 2)
         assert qd.a == 1
-        assert qd.resolved_numerically
+        assert reconstructs(qd, d)
 
     def test_reconstruction_invariant(self):
         for p in (5, 13, 17):
             d = det_cyc_bareiss(build_D(p))
-            qd = quartic_decompose(d)
-            lhs = (qd.quad_part() * qd.quad_part()) * qd.delta_squared()
-            assert lhs == quad_decompose(d * d)
-            assert qd.resolved_numerically
+            assert reconstructs(quartic_decompose(d), d)
 
     @pytest.mark.parametrize("p", [13, 17, 29])
     def test_beyond_float_range(self, p):
@@ -160,7 +162,7 @@ class TestQuarticDecompose:
         d = det_cyc_evalinterp(build_D(p))
         small = quartic_decompose(d)
         big = quartic_decompose(10**400 * d)
-        assert big.resolved_numerically
+        assert reconstructs(big, 10**400 * d)
         assert (big.alpha, big.beta) == (10**400 * small.alpha, 10**400 * small.beta)
         assert big.delta_sign == small.delta_sign
 

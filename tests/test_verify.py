@@ -226,6 +226,21 @@ class TestRunRange:
         assert report.checks["cyc_backend_agreement"].status == "skipped"
         assert report.checks["cyc_backend_agreement"].note == "p > bareiss limit 5"
 
+    def test_a_pair_that_did_not_run_fails_unless_its_limit_excuses_it(self, monkeypatch):
+        """The agreement rows read which backends ran from the determinants: with
+        Bareiss never run, the integer row fails at every p, the cyclotomic row
+        below BAREISS_LIMIT, and above it the cyclotomic row alone is excused."""
+        monkeypatch.setattr(verify._PrimeValues, "cross_checked", lambda pv, family: False)
+        monkeypatch.setattr(verify, "BAREISS_LIMIT", 5)
+        five, seven = (r.checks for r in run_primes([5, 7]))
+        assert five["cyc_backend_agreement"].status == "fail"
+        assert five["cyc_backend_agreement"].note == "the backend pair did not run on C, D"
+        assert five["int_backend_agreement[d=2]"].note == "the backend pair did not run on T, SD"
+        assert seven["cyc_backend_agreement"].status == "skipped"
+        assert seven["cyc_backend_agreement"].note == "p > bareiss limit 5"
+        assert seven["int_backend_agreement"].status == "fail"
+        assert seven["int_backend_agreement"].note == "the backend pair did not run on S"
+
     def test_modular_only_backend(self):
         report = run_primes([7], SweepOptions(backend="modular"))[0]
         assert report.all_passed()
