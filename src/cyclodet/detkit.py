@@ -21,10 +21,13 @@ scalar determinant, at every prime and node, by one int64 elimination
 (`_det_mod_stack`, no floats), each matrix mod its own prime, in runs that
 bound its memory (`_runs`).  Integer matrices are lifted past twice the
 Hadamard bound.  Cyclotomic matrices are evaluated at one element of order p
-in F_q per orbit of a Galois symmetry certified on the matrix (`_orbit_step`),
-the values broadcast to all p-1 nodes, and the coefficients recovered by the
-inverse transform on the same power table r^e mod q that evaluated them, then
-CRT-lifted past a proven coefficient bound.
+in F_q per coset of a Galois symmetry certified on the matrix (`_orbit_step`:
+sigma_b M = P M for a row permutation P of either sign), the values broadcast
+to all p-1 nodes, each step along a coset times sign(P), and the coefficients
+recovered by the inverse transform on the same power table r^e mod q that
+evaluated them, then CRT-lifted past twice a Hadamard bound on the f coset
+embeddings (`_embedding_bound_sq`, the one float64 computation here, under a
+proven margin).
 
 Every matrix's coefficient array has the dtype of `matrices._int_array`: int64
 only while every entry is below AUX_PRIME_FLOOR in absolute value, Python ints
@@ -43,6 +46,7 @@ term where that is cheaper than packing), and every int64 entry is at most
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +114,10 @@ def _det_mod_stack(a: np.ndarray, q) -> np.ndarray:
 
 
 # int64 entries of one elimination stack (512 KiB), which bound a run of primes
-# (`_runs`): 8 primes at n = 45 with f = 4 nodes, one at n = 249, where a stack
+# (`_runs`): 16 primes at n = 45 with f = 2 nodes, one at n = 249, where a stack
 # of every prime doubles the peak RSS of S(499); 2^17 adds 1 MiB to C(199)'s.
-# The same bound takes the row images of `_orbit_step` in runs.
+# The same bound takes the row images of `_orbit_step` and the float rows of
+# `_embedding_bound_sq` in runs.
 _STACK_ENTRIES = 1 << 16
 
 
@@ -284,7 +289,7 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
     if m.kind != "int":
         raise ValueError("integer matrix required")
     n = m.n
-    primes = _lift_primes(m.meta.p, 4 * _embedding_bound_sq(m.coeffs[..., None]))
+    primes = _lift_primes(m.meta.p, 4 * _embedding_bound_sq(m.coeffs[..., None], 1))
     if stats is not None:
         stats["moduli"] = primes
     if not primes:
@@ -419,18 +424,21 @@ def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     return CycElt._new(m.meta.p, [sign * c for c in last.tolist()])
 
 
-def _orbit_step(rows: np.ndarray) -> int:
-    """The least f | p-1 for which sigma_b: zeta -> zeta^b, b = g^f (g = primitive_root(p)),
-    maps M (`rows`: its (n, n, p-1) coefficient array) to P*M, P a row permutation of sign +1.
+def _orbit_step(rows: np.ndarray) -> tuple[int, int]:
+    """(f, s): the least f | p-1 for which sigma_b: zeta -> zeta^b, b = g^f (g = primitive_root(p)),
+    maps M (`rows`: its (n, n, p-1) coefficient array) to P*M, P a row permutation, and s = sign(P).
 
     sigma_b moves coefficient i to power b*i mod p; zeta^(p-1) is then removed.  The images of
     the rows are taken by one fancy index per run of rows (`_runs`, which bounds the transient),
     matched by a hash of their bytes (int64) or of their tuple (Python ints), and every match is
     confirmed by comparing the arrays: a row met twice or not at all, or a hash collision,
-    rejects f; f = p-1 (b = 1) always holds.  int64 rows are below AUX_PRIME_FLOOR
+    rejects f; f = p-1 (b = 1, s = 1) always holds.  int64 rows are below AUX_PRIME_FLOOR
     (`_int_array`), so their differences are far inside int64.  As det(sigma_b M) = sigma_b(det M)
-    and det(P*M) = det M, det M is fixed by <sigma_b>: its value at the node r^t depends only on
-    the coset t<b>, so the f nodes r^(g^j), j < f, give all."""
+    and det(P*M) = s det M, sigma_(b^j)(det M) = s^j det M.  The value of det M at the node
+    r^(g^(i+fj)) is that of sigma_(b^j)(det M) at r^(g^i), s^j times the value of det M there:
+    the f nodes r^(g^i), i < f, give all p-1.  b has order e = (p-1)/f, so det M = s^e det M; with
+    s = -1 and e odd that proves det M = 0, and the broadcast, 0 at every node, stays right.
+    The paper's square_perm_sign is this sign: x -> a^2 x on the squares has sign (a/p)."""
 
     def key(row: np.ndarray) -> int:  # the bytes of an object array are pointers, not values
         return hash(tuple(row.ravel().tolist()) if row.dtype == object else row.tobytes())
@@ -450,42 +458,87 @@ def _orbit_step(rows: np.ndarray) -> int:
             if min(found) < 0 or not np.array_equal(rows[found], images):
                 break
             perm += found
-        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
-        if sorted(perm) == list(range(n)) and inversions % 2 == 0:
-            return f
-    return p - 1
+        if sorted(perm) == list(range(n)):
+            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+            return f, (-1) ** inversions
+    return p - 1, 1
 
 
-def _embedding_bound_sq(coeffs: np.ndarray) -> int:
-    """H^2 = prod_rows sum_k l(M_jk)^2, so that H >= |sigma(det M)| for every embedding sigma.
+_EPS = 2.0**-30  # the float64 margin of `_embedding_bound_sq`, absolute per l and relative
 
-    For x = sum b_i zeta^i (i < p-1) and c a median of the b_i, l(x) = min(sum |b_i|, sum |b_i - c|
-    + |c|) bounds |sigma(x)|, as x = sum (b_i - c) zeta^i - c zeta^(p-1); Hadamard gives H.  As
-    Tr(zeta^k) = -1 for p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every |b_k| < 2H.
-    `coeffs` is M's (n, n, k) array, k = 1 for an integer matrix (l(x) = |x|).  int64 rows
-    (`_int_array`) sum p-1 terms below 2^25, far below 2^63."""
-    h2, mid = 1, coeffs.shape[2] // 2
-    for row in coeffs:  # a row at a time: transients of n entries
-        c = np.sort(row, axis=1)[:, mid : mid + 1]
-        ell = np.minimum(abs(row).sum(axis=1), abs(row - c).sum(axis=1) + abs(c[:, 0]))
-        h2 *= sum(x * x for x in ell.tolist())
-    return h2
+
+def _embedding_bound_sq(coeffs: np.ndarray, f: int) -> int:
+    """An integer H^2 >= max_a prod_rows sum_k |sigma_a(M_jk)|^2 over the coset embeddings
+    sigma_a: zeta -> exp(2 pi i a/p), a = g^i for i < f (g = primitive_root(p)), so that
+    H >= |sigma(det M)| for every embedding sigma when f is the f of `_orbit_step` (or p-1).
+
+    Hadamard bounds |sigma_a(det M)| = |det sigma_a(M)| by the product of the row norms, and
+    sigma_(a g^f)(M) = P sigma_a(M) permutes the rows, so the f cosets give every embedding.  As
+    Tr(zeta^k) = -1 for p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every coefficient
+    |b_k| < 2H.  `coeffs` is M's (n, n, k) array; k = 1 is an integer matrix, whose bound is the
+    exact integer Hadamard product.
+
+    The rest is float64, a run of rows at a time (`_runs`), u = 2^-53; the dot products
+    go through einsum, not BLAS, whose buffers the rest of a sweep never pays for.  For
+    x = sum c_i zeta^i (i < p-1), l = sum |c_i| is exact.  Each c_i converts to float within
+    u|c_i| (Python ints round correctly); the angle 2 pi j/p is within 3.1u 2 pi < 2^-48 of its
+    value, and its cos or sin (`math`) within 2^-40 of its own (any libm within 2^11 ulp); a dot
+    product of m = p-1 terms, in any order, errs by at most gamma_m sum |c_i w_i|,
+    gamma_m = mu/(1 - mu) (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).  As
+    p < 2^15 (`_EvalData` refuses larger p), gamma_m < 2^-37.9, and each of Re, Im is within
+    l (2^-40 (1+u) + u + 2^-37.9 (1+u)(1+2^-40)) < 2^-37 l of its value, so |sigma_a(x)| <=
+    |v| + 2^-36.5 l for the computed v, and e = _EPS l leaves over 2^-31 l >= 2^-31 of slack
+    for any nonzero x, far above what underflow can take.  With |v| <= |Re| + |Im|,
+    t^2 = Re^2 + Im^2 + 2e (|Re| + |Im|) + e^2 >= (|v| + e)^2.  From Re, Im and l on, every
+    operation is a sum or a product of non-negative numbers, and each rounding loses at most a
+    factor 1 - u; a row sum sum_k t^2 passes through at most n + 8 of them, so for n < 2^20
+    (past that no (n, n, p-1) array fits in memory) the computed sum times fl(1 + _EPS) is at
+    least the true one.  np.frexp makes each row sum an exact integer
+    times a power of two, and their product and its ceiling are exact.  A row with an l of 2^500
+    or more (its sum of squares could leave float64) takes the exact l bound sum_k l^2."""
+    k = coeffs.shape[2]
+    if k == 1:
+        return math.prod(sum(x * x for x in row.ravel().tolist()) for row in coeffs)
+    n, p = len(coeffs), k + 1
+    g = primitive_root(p)
+    a = [pow(g, i, p) for i in range(f)]
+    table = np.array([(math.cos(2 * math.pi * j / p), math.sin(2 * math.pi * j / p))
+                      for j in range(p)])
+    w = table[np.outer(np.arange(p - 1), a) % p].reshape(p - 1, 2 * f)  # Re, Im of each a
+    num, shift = np.ones(f, dtype=object), np.zeros(f, dtype=np.int64)
+    for run in _runs(range(n), n * k):
+        rows = coeffs[run[0] : run[-1] + 1]
+        ell = abs(rows).sum(axis=2)  # exact, in the rows' dtype
+        if ell.dtype == object and max(ell.ravel().tolist()) >= 1 << 500:
+            num *= math.prod(sum(x * x for x in row) for row in ell.tolist())
+            continue
+        v = abs(np.einsum("jk,kl->jl", rows.reshape(-1, k).astype(np.float64), w))
+        v = v.reshape(len(run), n, f, 2)
+        e = _EPS * ell.astype(np.float64)[..., None]
+        t2 = (v * v).sum(axis=3) + 2 * e * v.sum(axis=3) + e * e
+        mant, expo = np.frexp(t2.sum(axis=1) * (1 + _EPS))  # (rows, f)
+        num *= np.prod(np.ldexp(mant, 53).astype(np.int64).astype(object), axis=0)
+        shift += (expo - 53).sum(axis=0)
+    return max(x << s if s >= 0 else -(-x >> -s) for x, s in zip(num.tolist(), shift.tolist()))
 
 
 def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     """Evaluation-interpolation determinant over Z[zeta_p]: per auxiliary prime, at the
-    f nodes of `_orbit_step`, broadcast to all p-1 by coset; the CRT lift takes the
-    shortest prefix of `aux_primes(p)` whose modulus passes 4H (at least one prime),
-    which holds coefficients below 2H exactly.  The primes are counted up front and
-    their f scalar determinants eliminated together, in runs of at most
-    _STACK_ENTRIES entries (`_runs`)."""
+    f nodes r^(g^i), i < f, of `_orbit_step`, broadcast to all p-1: node r^(g^k) takes
+    s^(k // f) times the value at r^(g^(k mod f)).  The CRT lift takes the shortest
+    prefix of `aux_primes(p)` whose modulus passes 4H (at least one prime), H^2 the
+    bound of `_embedding_bound_sq` over the f coset embeddings, which holds
+    coefficients below 2H exactly.  The primes are counted up front and their f
+    scalar determinants eliminated together, in runs of at most _STACK_ENTRIES
+    entries (`_runs`)."""
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
     p, n = m.meta.p, m.n
-    f, g = _orbit_step(m.coeffs), primitive_root(p)
-    primes = _lift_primes(p, 16 * _embedding_bound_sq(m.coeffs) or 1)
+    (f, s), g = _orbit_step(m.coeffs), primitive_root(p)
+    primes = _lift_primes(p, 16 * _embedding_bound_sq(m.coeffs, f) or 1)
     columns = np.array([pow(g, k, p) - 1 for k in range(p - 1)])  # node r^(g^k) in data.vand()
-    coset = np.argsort(columns) % f  # node r^t takes the value of r^(g^(k mod f)), t = g^k
+    k = np.argsort(columns)  # node r^t is r^(g^k)
+    coset, sign = k % f, np.where(k // f % 2, s, 1)
     if stats is not None:
         stats.update(nodes=f, moduli=primes)
     crt = _MixedRadix()
@@ -496,7 +549,7 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
             v[:] = np.moveaxis(d.values(m.coeffs, columns[:f]), 2, 0)
         dets = _det_mod_stack(vals.reshape(-1, n, n), np.repeat(run, f)).reshape(-1, f)
         for d, dets_q in zip(data, dets):
-            crt.fold(d.interpolate(dets_q[coset]), d.q)
+            crt.fold(d.interpolate(dets_q[coset] * sign % d.q), d.q)
     return CycElt._new(p, crt.ints())
 
 

@@ -10,19 +10,23 @@ linear combination of elements term by term in schoolbook products; a
 determinant mod q is one row reduction of one matrix, reduced every step;
 the evaluation and interpolation matrices at the order-p nodes of F_q are
 filled entry by entry; a CRT lift folds big ints one prime at a time; the
-Galois-orbit certificate keys every row by the hash of a Python tuple; a
-geometric sum adds every one of its terms; the reference matrices are built
-one entry at a time as ints or CycElts.  The all-node evaluation-interpolation
-determinant is the one exception: it reuses the library's per-prime steps,
-and stands apart from `det_cyc_evalinterp` in its node choice (every node),
-its CRT (`crt_lift`) and its stop (a stable lift plus one confirming prime).
+Galois-orbit certificate keys every row by the hash of a Python tuple; the
+coefficient-size (l) bound and the images under all p-1 embeddings (from
+mpmath tables) bound and check the determinant's size; a geometric sum adds
+every one of its terms; the reference matrices are built one entry at a time
+as ints or CycElts.  The all-node evaluation-interpolation determinant is
+the one exception: it reuses the library's per-prime steps, and stands apart
+from `det_cyc_evalinterp` in its node choice (every node), its CRT
+(`crt_lift`) and its stop (a stable lift plus one confirming prime).
 """
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import islice
 
+import mpmath
 import numpy as np
 
 from cyclodet.cycring import CycElt, eval_complex, make
@@ -277,7 +281,7 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
     raise ArithmeticError("CRT failed to stabilize")
 
 
-def orbit_step_tuples(rows: np.ndarray) -> int:
+def orbit_step_tuples(rows: np.ndarray) -> tuple[int, int]:
     """The certificate of `detkit._orbit_step` with every row, and every row image
     under each tried sigma_b, keyed by the hash of its Python tuple: the reference
     for the byte-keyed rows of the library."""
@@ -294,7 +298,36 @@ def orbit_step_tuples(rows: np.ndarray) -> int:
             perm.append(j if j >= 0 and np.array_equal(rows[j], image) else -1)
             if perm[-1] < 0:
                 break
-        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
-        if sorted(perm) == list(range(n)) and inversions % 2 == 0:
-            return f
-    return p - 1
+        if sorted(perm) == list(range(n)):
+            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+            return f, (-1) ** inversions
+    return p - 1, 1
+
+
+def ell_bound_sq(coeffs: np.ndarray) -> int:
+    """prod_rows sum_k l(M_jk)^2, the Hadamard bound from coefficient sizes alone: for
+    x = sum b_i zeta^i (i < p-1) and c a median of the b_i, l(x) = min(sum |b_i|,
+    sum |b_i - c| + |c|) bounds every |sigma(x)|, as x = sum (b_i - c) zeta^i - c zeta^(p-1)."""
+    h2, mid = 1, coeffs.shape[2] // 2
+    for row in coeffs:
+        c = np.sort(row, axis=1)[:, mid : mid + 1]
+        ell = np.minimum(abs(row).sum(axis=1), abs(row - c).sum(axis=1) + abs(c[:, 0]))
+        h2 *= sum(x * x for x in ell.tolist())
+    return h2
+
+
+def embeddings_abs_sq(x: CycElt) -> list[Fraction]:
+    """|sigma_a(x)|^2 for a = 1 .. p-1, sigma_a: zeta -> exp(2 pi i a/p): cos and sin of
+    2 pi k/p from mpmath at 50 digits, rounded to multiples of 2^-170, and the sums
+    over the coefficients taken exactly in integers."""
+    p, scale = x.p, 1 << 170
+    with mpmath.workdps(50):
+        cos = [int(mpmath.nint(mpmath.cospi(mpmath.mpf(2 * k) / p) * scale)) for k in range(p)]
+        sin = [int(mpmath.nint(mpmath.sinpi(mpmath.mpf(2 * k) / p) * scale)) for k in range(p)]
+    terms = [(i, c) for i, c in enumerate(x.coeffs) if c]
+    out = []
+    for a in range(1, p):
+        re = sum(c * cos[a * i % p] for i, c in terms)
+        im = sum(c * sin[a * i % p] for i, c in terms)
+        out.append(Fraction(re * re + im * im, scale * scale))
+    return out

@@ -263,12 +263,12 @@ class TestCycBackends:
         primes it may take; the exact divider gives up on a division that is
         not exact at the first modulus above 16L, L = max l1(x) * l1(den)^(p-2)."""
         m = build_C(23)
-        h2 = detkit._embedding_bound_sq(m.coeffs)
+        h2 = detkit._embedding_bound_sq(m.coeffs, detkit._orbit_step(m.coeffs)[0])
         expected = det_cyc_bareiss(m)
         stats = {}
         assert det_cyc_evalinterp(m, stats) == expected
         moduli = stats["moduli"]
-        assert len(moduli) == 3
+        assert len(moduli) == 2
         assert math.prod(moduli) ** 2 > 16 * h2 >= math.prod(moduli[:-1]) ** 2
         rng, p = random.Random(SEED_16L), 13  # a seed with a modulus in (8L, 16L]
         den = random_cyc(rng, p, span=2**10)
@@ -356,10 +356,11 @@ class TestExactDivider:
 
     def test_zero_determinant_stops_at_the_bound(self):
         """A zero determinant is accepted at the first modulus above 4H, here
-        H = 2 (rows of two entries zeta): one auxiliary prime."""
+        H = 2 (rows of two entries zeta; H^2 = 5, the ceiling of 4 and its float64
+        margin): one auxiliary prime."""
         z = CycElt.zeta(5)
         m, stats = exact_matrix([[z, z], [z, z]], 5), {}
-        assert detkit._embedding_bound_sq(m.coeffs) == 4
+        assert detkit._embedding_bound_sq(m.coeffs, 4) == 5
         assert det_cyc_evalinterp(m, stats).is_zero()
         assert stats["moduli"] == [next(aux_primes(5))]
 

@@ -1,14 +1,17 @@
-"""The evaluation-interpolation backend's two proofs: the Galois-orbit
+"""The evaluation-interpolation backend's two proofs: the signed Galois-orbit
 certificate that lets one node per coset stand for all p-1, and the
-coefficient bound that stops the CRT lift.
+coefficient bound from the coset embeddings that stops the CRT lift.
 
 The certificate is checked against `CycElt.galois` on the dense entries, the
-bound against every coefficient of the determinants of the sweep's families
-and against their complex embeddings, and the backend against the all-node
-loop with a stability stop (`oracles.evalinterp_all_nodes`) and Bareiss.
+bound against every coefficient of the determinants of the sweep's families,
+against their images under all p-1 embeddings (`oracles.embeddings_abs_sq`)
+and against the coefficient-size bound (`oracles.ell_bound_sq`), and the
+backend against the all-node loop with a stability stop
+(`oracles.evalinterp_all_nodes`) and Bareiss.  The bound and the certificate
+are read through `detkit` on every call, so that a mutant installed there is
+the one tested.
 """
 import builtins
-import cmath
 import math
 import random
 from functools import cache
@@ -18,16 +21,19 @@ import pytest
 
 from cyclodet import detkit
 from cyclodet.cycring import CycElt
-from cyclodet.detkit import (
-    _embedding_bound_sq,
-    _orbit_step,
-    det_cyc_bareiss,
-    det_cyc_evalinterp,
-)
+from cyclodet.detkit import det_cyc_bareiss, det_cyc_evalinterp
 from cyclodet.matrices import ExactMatrix, build
-from cyclodet.modarith import is_prime, least_nonresidue, primitive_root
+from cyclodet.modarith import AUX_PRIME_FLOOR, is_prime, least_nonresidue, primitive_root
 
-from oracles import entries, evalinterp_all_nodes, exact_matrix, orbit_step_tuples, random_cyc
+from oracles import (
+    ell_bound_sq,
+    embeddings_abs_sq,
+    entries,
+    evalinterp_all_nodes,
+    exact_matrix,
+    orbit_step_tuples,
+    random_cyc,
+)
 
 PRIMES = [p for p in range(3, 104) if is_prime(p)]
 
@@ -42,15 +48,20 @@ def matrix(family: str, p: int) -> ExactMatrix:
     return build(family, p, *delta)
 
 
-@cache
 def evalinterp(family: str, p: int):
+    """The determinant and its stats, taken afresh: a cache would hand a test that
+    mutates `detkit` a value of the unmutated code, or later tests a mutated one."""
     stats = {}
-    return det_cyc_evalinterp(matrix(family, p), stats), stats
+    return detkit.det_cyc_evalinterp(matrix(family, p), stats), stats
 
 
-def expected_f(family: str, p: int) -> int:
-    """2 for p = 3 (mod 4) and for F; 4 for C, D, DD and Dtilde when p = 1 (mod 4)."""
-    return 2 if p % 4 == 3 or family == "F" else 4
+def orbit_step(m: ExactMatrix) -> tuple[int, int]:
+    return detkit._orbit_step(m.coeffs)
+
+
+def bound_sq(m: ExactMatrix) -> int:
+    """H^2 over the coset embeddings of the certificate, as the backend takes it."""
+    return detkit._embedding_bound_sq(m.coeffs, orbit_step(m)[0])
 
 
 def galois_sign(m: ExactMatrix, b: int):
@@ -79,36 +90,45 @@ def galois_sign(m: ExactMatrix, b: int):
 class TestOrbitCertificate:
     @pytest.mark.parametrize("p", PRIMES)
     def test_galois_oracle_and_listed_steps(self, p):
-        """For each family, galois(g^f) is a row permutation of sign +1 at the
-        f `_orbit_step` returns, and at no smaller divisor of p-1; the tuple-keyed
-        certificate `orbit_step_tuples` returns the same f."""
+        """For each family, galois(g^f) is a row permutation of the sign s at the
+        (f, s) `_orbit_step` returns, and of no sign at a smaller divisor of p-1;
+        the tuple-keyed certificate `orbit_step_tuples` returns the same pair.
+        Every family takes f = 2: sigma_(g^2) permutes the rows, with the sign
+        (g/p) = -1 of x -> g^2 x on the squares for C, D, DD and Dtilde at
+        p = 1 (mod 4), and s = 1 otherwise."""
         g = primitive_root(p)
         for family in families(p):
             m = matrix(family, p)
-            f = _orbit_step(m.coeffs)
-            assert f == orbit_step_tuples(m.coeffs)
+            f, s = orbit_step(m)
+            assert (f, s) == orbit_step_tuples(m.coeffs)
             assert (p - 1) % f == 0
-            assert galois_sign(m, pow(g, f, p)) == 1
+            assert galois_sign(m, pow(g, f, p)) == s
             for smaller in range(1, f):
                 if (p - 1) % smaller == 0:
-                    assert galois_sign(m, pow(g, smaller, p)) != 1
+                    assert galois_sign(m, pow(g, smaller, p)) is None
             if p > 3 or family != "C":  # C(3) is the 1 x 1 matrix [1]: f = 1
-                assert f == expected_f(family, p)
+                assert f == 2
+                assert s == (-1 if p % 4 == 1 and family != "F" else 1)
 
     @pytest.mark.parametrize("p", [q for q in range(PRIMES[-1] + 1, 114) if is_prime(q)])
     def test_tuple_keyed_certificate_to_113(self, p):
         """Past PRIMES, to 113, where the images of the rows take several runs:
-        every family gives the f of the tuple-keyed certificate."""
+        every family gives the (f, s) of the tuple-keyed certificate, f = 2."""
         for family in families(p):
             m = matrix(family, p)
-            assert _orbit_step(m.coeffs) == orbit_step_tuples(m.coeffs) == expected_f(family, p)
+            assert orbit_step(m) == orbit_step_tuples(m.coeffs)
+            assert orbit_step(m)[0] == 2
 
-    def test_odd_symmetry_is_refused(self):
+    def test_odd_symmetry_takes_two_nodes(self):
         """sigma_(g^2) maps D(13) to an odd row permutation of itself (the sign
-        of a -> g^2 a on the squares is (g/13) = -1), so f = 2 is refused."""
+        of a -> g^2 a on the squares is (g/13) = -1): f = 2 with s = -1, and the
+        value at r^(g^(i+2j)) is (-1)^j times the value at r^(g^i)."""
         m = matrix("D", 13)
         assert galois_sign(m, pow(primitive_root(13), 2, 13)) == -1
-        assert _orbit_step(m.coeffs) == 4
+        assert orbit_step(m) == (2, -1)
+        value, stats = evalinterp("D", 13)
+        assert stats["nodes"] == 2
+        assert value == det_cyc_bareiss(m) == evalinterp_all_nodes(m)
 
     def test_colliding_keys_are_refused(self, monkeypatch):
         """A key function under which each row's image under sigma_g collides with
@@ -129,7 +149,7 @@ class TestOrbitCertificate:
             return builtins.hash(obj)
 
         monkeypatch.setattr(detkit, "hash", colliding, raising=False)
-        assert _orbit_step(m.coeffs) == 2
+        assert orbit_step(m) == (2, 1)
         assert hits  # a colliding image was looked up
         assert det_cyc_evalinterp(m) == det_cyc_bareiss(m)
 
@@ -145,7 +165,7 @@ class TestCertificateCannotBeFooled:
 
     def check_all_nodes(self, m: ExactMatrix) -> CycElt:
         p = m.meta.p
-        assert _orbit_step(m.coeffs) == orbit_step_tuples(m.coeffs) == p - 1
+        assert orbit_step(m) == orbit_step_tuples(m.coeffs) == (p - 1, 1)
         stats = {}
         value = det_cyc_evalinterp(m, stats)
         assert stats["nodes"] == p - 1
@@ -176,32 +196,100 @@ class TestCertificateCannotBeFooled:
         # the symmetric D(7) scaled past int64 keeps its two orbits
         scaled = exact_matrix([[e * 2**70 for e in row] for row in entries(matrix("D", 7))], 7)
         assert scaled.coeffs.dtype == object
-        assert _orbit_step(scaled.coeffs) == 2
-        assert orbit_step_tuples(scaled.coeffs) == 2
+        assert orbit_step(scaled) == orbit_step_tuples(scaled.coeffs) == (2, 1)
         assert det_cyc_evalinterp(scaled) == det_cyc_bareiss(scaled)
 
 
 class TestCoefficientBound:
+    """H^2 of `_embedding_bound_sq` is at least |sigma_a(det M)|^2 at every one of the
+    p-1 embeddings (`embeddings_abs_sq`), whichever f cosets it reads, and at most
+    the coefficient-size bound `ell_bound_sq` but for its float64 margin: every
+    |sigma_a(x)| <= l(x) <= l1(x) <= (p-1) l(x), the margin adds at most 2^-29 l1(x)
+    to each and a factor 1 + 2^-30 to each row, and H^2 is a ceiling, so
+    H^2 <= l-bound ((1 + 2^-29 (p-1))^2 (1 + 2^-30))^n + 1 < l-bound (1 + 2^-15) + 1
+    for n <= 52 and p <= 103, the sizes tested."""
+
+    def check(self, m: ExactMatrix, value: CycElt, ell: bool = True) -> int:
+        h2 = bound_sq(m)
+        assert max(embeddings_abs_sq(value)) <= h2
+        if ell:
+            ell = ell_bound_sq(m.coeffs)
+            assert h2 <= ell + (ell >> 14) + 1
+        return h2
+
     @pytest.mark.parametrize("p", PRIMES)
     def test_bound_holds_and_stops_the_lift(self, p):
         """Every coefficient of det is below 2H, every embedding at most H,
         and the lift stops at the first modulus above 4H."""
         for family in families(p):
             m = matrix(family, p)
-            h2 = _embedding_bound_sq(m.coeffs)
             value, stats = evalinterp(family, p)
+            h2 = self.check(m, value)
             assert max(c * c for c in value.coeffs) < 4 * h2
-            roots = [cmath.exp(2j * math.pi * a / p) for a in range(1, p)]
-            top = max(abs(sum(c * w**i for i, c in enumerate(value.coeffs))) for w in roots)
-            assert top == 0 or math.log(top) <= math.log(h2) / 2 + 1e-9
             modulus = math.prod(stats["moduli"])
             assert modulus**2 > 16 * h2 >= (modulus // stats["moduli"][-1]) ** 2
 
+    def test_c_takes_about_the_primes_of_d(self):
+        """At p = 199 det C and det D both have about 283 bits; C's lift takes at
+        most 1.2 times D's primes (the coefficient-size bound took 38 against 14)."""
+        primes = {family: len(evalinterp(family, 199)[1]["moduli"]) for family in "CD"}
+        assert primes["C"] <= 1.2 * primes["D"]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int64_edge_entries(self, sign):
+        """Coefficients of +-(2^24 - 1), the largest that stay int64."""
+        rng, p = random.Random(0xED6E + sign), 11
+        top = AUX_PRIME_FLOOR - 1
+        m = exact_matrix([[CycElt(p, [sign * rng.choice([top, -top, 0]) for _ in range(p - 1)])
+                           for _ in range(3)] for _ in range(3)], p)
+        assert m.coeffs.dtype == np.int64 and abs(m.coeffs).max() == top
+        value = det_cyc_evalinterp(m)
+        assert value == det_cyc_bareiss(m)
+        self.check(m, value)
+
+    def test_object_entries_past_2_to_the_53(self):
+        """Python-int coefficients that float64 rounds, and a row past 2^500, where
+        the l1 of an entry is too large for a sum of squares in float64: that row's
+        factor is the exact sum_k l1(M_jk)^2, which the coefficient-size bound
+        undercuts by its median form."""
+        rng, p = random.Random(0xB1653), 7
+        rows = [[random_cyc(rng, p, span=2**60) for _ in range(3)] for _ in range(3)]
+        m = exact_matrix(rows, p)
+        assert m.coeffs.dtype == object
+        value = det_cyc_evalinterp(m)
+        assert value == det_cyc_bareiss(m)
+        self.check(m, value)
+        huge = exact_matrix([[x * 2**600 for x in rows[0]]] + rows[1:], p)
+        value = det_cyc_evalinterp(huge)
+        assert value == det_cyc_bareiss(huge) == det_cyc_bareiss(m) * 2**600
+        self.check(huge, value, ell=False)
+        x = rows[0][0] * 2**600
+        assert bound_sq(exact_matrix([[x]], p)) == sum(map(abs, x.coeffs)) ** 2
+
+    def test_zero_row(self):
+        """A zero row makes H = 0, and the lift takes one prime."""
+        rows = [list(row) for row in entries(matrix("D", 13))]
+        rows[3] = [CycElt.zero(13)] * len(rows)
+        m, stats = exact_matrix(rows, 13), {}
+        assert bound_sq(m) == 0
+        assert det_cyc_evalinterp(m, stats).is_zero()
+        assert len(stats["moduli"]) == 1
+
     def test_zeta_to_the_p_minus_1_counts_one(self):
-        """l(zeta^(p-1)) = 1: the median form, not the p-1 of sum |b_i|."""
+        """|sigma(zeta^(p-1))| = 1, though its coefficients, all -1, sum to p-1 in
+        absolute value: H^2 of [[zeta^(p-1)]] is the ceiling of 1 and its margin."""
         p = 11
         m = exact_matrix([[CycElt.zeta(p, p - 1)]], p)
-        assert _embedding_bound_sq(m.coeffs) == 1
+        assert ell_bound_sq(m.coeffs) == 1 and bound_sq(m) == 2
+
+    def test_every_coset_is_read(self):
+        """1 + zeta^((p-1)/2) is small at a = 1 and near 2 at a = 2: a 1 x 1 matrix,
+        which no sigma_b other than the identity maps to a row permutation of itself."""
+        p = 13
+        x = CycElt.one(p) + CycElt.zeta(p, (p - 1) // 2)
+        m = exact_matrix([[x]], p)
+        assert orbit_step(m) == (p - 1, 1)
+        self.check(m, x)
 
     @pytest.mark.parametrize("p", [101, 103])
     def test_agrees_with_all_node_oracle(self, p):

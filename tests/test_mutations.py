@@ -37,6 +37,7 @@ from cyclodet.verify import SweepOptions, run_prime
 
 from oracles import exact_matrix, lincomb_loop, reference_rows
 from test_cycring import headroom_sides
+from test_evalinterp import TestCoefficientBound
 
 
 def divider(ring: str):
@@ -217,20 +218,32 @@ def stack_swap_unsigned(monkeypatch):
 
 
 def orbit_step_one(monkeypatch):
-    """`_orbit_step` returns f = 1: one node stands for all p-1."""
-    monkeypatch.setattr(detkit, "_orbit_step", lambda rows: 1)
+    """`_orbit_step` returns f = 1 with s = 1: one node stands for all p-1."""
+    monkeypatch.setattr(detkit, "_orbit_step", lambda rows: (1, 1))
 
 
 def orbit_step_halved(monkeypatch):
-    """`_orbit_step` returns half its f (at least 1): too few nodes per orbit."""
+    """`_orbit_step` returns half its f (at least 1) and its s: too few nodes per orbit."""
     real = detkit._orbit_step
-    monkeypatch.setattr(detkit, "_orbit_step", lambda rows: max(1, real(rows) // 2))
+
+    def orbit_step(rows):
+        f, s = real(rows)
+        return max(1, f // 2), s
+
+    monkeypatch.setattr(detkit, "_orbit_step", orbit_step)
 
 
 def coset_shifted(monkeypatch):
     """Evaluation-interpolation broadcasts each node's value to the next coset."""
     monkeypatch.setattr(detkit, "det_cyc_evalinterp", recompiled(
-        detkit.det_cyc_evalinterp, "np.argsort(columns) % f", "(np.argsort(columns) + 1) % f"))
+        detkit.det_cyc_evalinterp, "k % f", "(k + 1) % f"))
+
+
+def broadcast_sign_dropped(monkeypatch):
+    """Evaluation-interpolation broadcasts every node's value unsigned: the certificate's
+    s = -1, which C, D, DD and Dtilde take at every p = 1 (mod 4), is lost."""
+    monkeypatch.setattr(detkit, "det_cyc_evalinterp", recompiled(
+        detkit.det_cyc_evalinterp, "np.where(k // f % 2, s, 1)", "np.where(k // f % 2, 1, 1)"))
 
 
 def digits_uncentred(monkeypatch):
@@ -366,7 +379,11 @@ MUTANTS = [
      ArithmeticError),
     (orbit_step_halved, "det_product_relation", 67, "det_product_relation"),
     (coset_shifted, "det_product_relation: det D against det C", 5, "det_product_relation"),
-    (coset_shifted, "det_product_relation", 61, "det_product_relation"),
+    (coset_shifted, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 61, ArithmeticError),
+    # s = -1 at p = 1 (mod 4) only; 5 is the first
+    (broadcast_sign_dropped, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5,
+     ArithmeticError),
+    (broadcast_sign_dropped, "quartic_decompose", 61, ArithmeticError),
     (digits_uncentred, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5,
      ArithmeticError),
     (digits_uncentred, "twisted_det_galois: det DD against sigma_delta(det D)", 61,
@@ -379,12 +396,14 @@ MUTANTS = [
     # two primes at 17 and 19 still hold their coefficients (the bound's slack)
     (lift_halved, "dtilde_scaling: det Dtilde against 2^m det D", 23, "dtilde_scaling"),
     (lift_halved, "det_product_relation: det D against det C", 61, "det_product_relation"),
-    # both need a lift of two or more primes: up to 13 every lift takes one
-    (horner_skips_a_digit, "det_product_relation: det D against det C", 17,
+    # both need a lift of two or more primes: up to 13 every lift takes one, and
+    # at 17 only Dtilde's takes two
+    (horner_skips_a_digit, "dtilde_scaling: det Dtilde against 2^m det D", 17,
+     "dtilde_scaling"),
+    (horner_skips_a_digit, "det_product_relation: det D against det C", 67,
      "det_product_relation"),
-    (horner_skips_a_digit, "det_product_relation", 67, "det_product_relation"),
-    (one_modulus_per_stack, "det_product_relation: det D against det C", 17,
-     "det_product_relation"),
+    (one_modulus_per_stack, "dtilde_scaling: det Dtilde against 2^m det D", 17,
+     "dtilde_scaling"),
     (one_modulus_per_stack, "det_product_relation", 67, "det_product_relation"),
 ]
 
@@ -426,8 +445,11 @@ def test_lift_one_prime_short_hides_in_the_bound_slack(monkeypatch):
     """Every modular lift one prime short of its stop fails no check at p = 61 (nor
     at 101 or 103): the lift stops at the first modulus past 4H, and the
     coefficients, though below 2H, are far enough below it that the shorter
-    modulus still holds them.  No check can see slack.  Where a coefficient needs
-    the last prime, a check fails (det_product_relation at 67).
+    modulus still holds them.  The bound from the coset embeddings leaves less
+    slack than the coefficient-size one did, but Hadamard's own remains: at 61,
+    det C has coefficients of 65 bits under 2H of 2^89 (2^194 before), and the
+    lift one prime short still holds 71 bits.  No check can see slack.  Where a
+    coefficient needs the last prime, a check fails (det_product_relation at 67).
     tests/test_evalinterp.py's `TestCoefficientBound::test_bound_holds_and_stops_the_lift`
     catches it at every prime, as here on D(61): the modulus no longer passes 4H."""
     real = detkit._lift_primes
@@ -435,7 +457,28 @@ def test_lift_one_prime_short_hides_in_the_bound_slack(monkeypatch):
     assert run_prime(61).all_passed()
     m, stats = matrices.build("D", 61), {}
     detkit.det_cyc_evalinterp(m, stats)
-    assert math.prod(stats["moduli"]) ** 2 <= 16 * detkit._embedding_bound_sq(m.coeffs)
+    f = detkit._orbit_step(m.coeffs)[0]
+    assert math.prod(stats["moduli"]) ** 2 <= 16 * detkit._embedding_bound_sq(m.coeffs, f)
+
+
+def bound_one_embedding(monkeypatch):
+    """`_embedding_bound_sq` reads the embedding a = 1 alone, not the f cosets."""
+    real = detkit._embedding_bound_sq
+    monkeypatch.setattr(detkit, "_embedding_bound_sq", lambda coeffs, f: real(coeffs, 1))
+
+
+def test_bound_one_embedding_is_caught(monkeypatch):
+    """H^2 from the embedding a = 1 alone passes every check at 5, 61 and 67: a = 1
+    gives the largest H of the f cosets for every family of the sweep (to 0.1 bit
+    at 13..101), so neither a check nor the families of
+    `TestCoefficientBound::test_bound_holds_and_stops_the_lift` see it.
+    `TestCoefficientBound::test_every_coset_is_read` catches it: 1 + zeta^6 over
+    Z[zeta_13] has |sigma_1|^2 < 0.2 and |sigma_2|^2 > 3."""
+    bound_one_embedding(monkeypatch)
+    for p in (5, 61, 67):
+        assert run_prime(p).all_passed()
+    with pytest.raises(AssertionError):
+        TestCoefficientBound().test_every_coset_is_read()
 
 
 def test_chi_of_zero_one_changes_no_determinant(monkeypatch):
