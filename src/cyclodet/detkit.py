@@ -20,29 +20,31 @@ determinant counts its primes up front (`_lift_primes`) and takes every
 scalar determinant, at every prime and node, by one int64 elimination
 (`_det_mod_stack`, no floats), each matrix mod its own prime, in runs that
 bound its memory (`_runs`).  Integer matrices are lifted past twice the
-Hadamard bound.  Cyclotomic matrices are evaluated at one element of order p
-in F_q per coset of a Galois symmetry certified on the matrix (`_orbit_step`:
-sigma_b M = P M for a row permutation P of either sign), the values broadcast
-to all p-1 nodes, each step along a coset times sign(P), and the coefficients
+Hadamard bound, taken exactly.  Cyclotomic matrices are evaluated at two
+elements of order p in F_q, one per coset of the squares, when sigma_(g^2)
+is certified on the matrix as a row permutation P of either sign
+(`_orbit_step`), the values broadcast to all p-1 nodes, each step along a
+coset times sign(P), and at all p-1 nodes otherwise; the coefficients are
 recovered by the inverse transform on the same power table r^e mod q that
 evaluated them, then CRT-lifted past twice a Hadamard bound on the f coset
 embeddings (`_embedding_bound_sq`, the one float64 computation here, under a
 proven margin).
 
-Every matrix's coefficient array has the dtype of `matrices._int_array`: int64
-only while every entry is below AUX_PRIME_FLOOR in absolute value, Python ints
-otherwise.  Every int64 sum here is of `count` products of at most (q-1)^2,
-refused up front when count (q-1)^2 >= 2^63: p-1 products per value in
-`_EvalData`, n-1 updates of an entry in [0, q) in `_det_mod_stack` (the
-largest q of the stack); the products of `_MixedRadix` are of two numbers
-below its primes, refused from 2^31.  As every auxiliary prime q exceeds the floor, `_EvalData.values`, the
-one evaluator, takes int64 rows unreduced; the exact divider hands it rows
-reduced mod q.  A Bareiss step's products come from `lincomb`, int64 only
-while 4 bound < 2^63 for the bound of its sums (then by one int64 matmul per
-term where that is cheaper than packing), and every int64 entry is at most
-2 bound < 2^62, so the difference of two fits int64; the quotients of
-`_divide_exact` are int64 when the proven modulus M is below 2^63, as every
-|v| < M/2 <= 2^62, and Python ints otherwise.
+Every matrix's coefficient array has the dtype of the one rule that
+`ExactMatrix` applies to every array it is given: int64 only while every
+entry is below AUX_PRIME_FLOOR in absolute value, Python ints otherwise.
+Every int64 sum here is of `count` products of at most (q-1)^2, refused up
+front when count (q-1)^2 >= 2^63: p-1 products per value in `_EvalData`,
+n-1 updates of an entry in [0, q) in `_det_mod_stack` (the largest q of the
+stack); the products of `_MixedRadix` are of two numbers below its primes,
+refused from 2^31.  As every auxiliary prime q exceeds the floor,
+`_EvalData.values`, the one evaluator, takes int64 rows unreduced; the exact
+divider hands it rows reduced mod q.  A Bareiss step's products come from
+`lincomb`, int64 only while 4 bound < 2^63 for the bound of its sums (then by
+one int64 matmul per term where that is cheaper than packing), and every int64
+entry is at most 2 bound < 2^62, so the difference of two fits int64; the
+quotients of `_divide_exact` are int64 when the proven modulus M is below
+2^63, as every |v| < M/2 <= 2^62, and Python ints otherwise.
 """
 from __future__ import annotations
 
@@ -282,14 +284,15 @@ def det_int_bareiss(m: ExactMatrix, stats: dict | None = None) -> int:
 
 def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
     """CRT over the shortest prefix of `aux_primes(p)`, the stream of the cyclotomic
-    backends, whose modulus passes 2H, H^2 the Hadamard bound `_embedding_bound_sq`
-    (the l of an integer is its absolute value); a zero row makes H = 0 and takes
-    no prime.  The primes are counted up front and eliminated together, in runs
-    of at most _STACK_ENTRIES entries (`_runs`)."""
+    backends, whose modulus passes 2H, H^2 = prod_rows sum_k M_jk^2 the Hadamard
+    bound, taken exactly in Python ints; a zero row makes H = 0 and takes no prime.
+    The primes are counted up front and eliminated together, in runs of at most
+    _STACK_ENTRIES entries (`_runs`)."""
     if m.kind != "int":
         raise ValueError("integer matrix required")
     n = m.n
-    primes = _lift_primes(m.meta.p, 4 * _embedding_bound_sq(m.coeffs[..., None], 1))
+    h2 = math.prod(sum(x * x for x in row.tolist()) for row in m.coeffs)
+    primes = _lift_primes(m.meta.p, 4 * h2)
     if stats is not None:
         stats["moduli"] = primes
     if not primes:
@@ -335,7 +338,7 @@ class _EvalData:
         return self.pow_r[np.outer(np.arange(p - 1), np.arange(1, p)[nodes]) % p]
 
     def values(self, coeffs: np.ndarray, nodes=slice(None)) -> np.ndarray:
-        """Rows from `_int_array` at pow_r[1:][nodes] (a slice or an index array), in [0, q):
+        """Rows of an `ExactMatrix` at pow_r[1:][nodes] (a slice or an index array), in [0, q):
         int64 rows as they are (entries below AUX_PRIME_FLOOR < q), Python-int rows reduced."""
         if coeffs.dtype == object:
             coeffs = (coeffs % self.q).astype(np.int64)
@@ -425,43 +428,44 @@ def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
 
 
 def _orbit_step(rows: np.ndarray) -> tuple[int, int]:
-    """(f, s): the least f | p-1 for which sigma_b: zeta -> zeta^b, b = g^f (g = primitive_root(p)),
-    maps M (`rows`: its (n, n, p-1) coefficient array) to P*M, P a row permutation, and s = sign(P).
+    """(f, s) = (2, s) when sigma_b: zeta -> zeta^b, b = g^2 (g = primitive_root(p)), maps M
+    (`rows`: its (n, n, p-1) coefficient array) to P*M, P a row permutation of sign s; (p-1, 1)
+    otherwise.  Every family of `matrices` is a function of j^2 and k^2, so sigma_b permutes
+    its rows, and b = g^2 is the one step tried.
 
     sigma_b moves coefficient i to power b*i mod p; zeta^(p-1) is then removed.  The images of
     the rows are taken by one fancy index per run of rows (`_runs`, which bounds the transient),
     matched by a hash of their bytes (int64) or of their tuple (Python ints), and every match is
     confirmed by comparing the arrays: a row met twice or not at all, or a hash collision,
-    rejects f; f = p-1 (b = 1, s = 1) always holds.  int64 rows are below AUX_PRIME_FLOOR
-    (`_int_array`), so their differences are far inside int64.  As det(sigma_b M) = sigma_b(det M)
-    and det(P*M) = s det M, sigma_(b^j)(det M) = s^j det M.  The value of det M at the node
-    r^(g^(i+fj)) is that of sigma_(b^j)(det M) at r^(g^i), s^j times the value of det M there:
-    the f nodes r^(g^i), i < f, give all p-1.  b has order e = (p-1)/f, so det M = s^e det M; with
-    s = -1 and e odd that proves det M = 0, and the broadcast, 0 at every node, stays right.
-    The paper's square_perm_sign is this sign: x -> a^2 x on the squares has sign (a/p)."""
+    rejects b, and the p-1 nodes (b = 1, s = 1) always hold.  int64 rows are below
+    AUX_PRIME_FLOOR (`ExactMatrix`), so their differences are far inside int64.  As
+    det(sigma_b M) = sigma_b(det M) and det(P*M) = s det M, sigma_(b^j)(det M) = s^j det M.
+    The value of det M at the node r^(g^(i+2j)) is that of sigma_(b^j)(det M) at r^(g^i), s^j
+    times the value of det M there: the nodes r and r^g, one per coset of the squares, give
+    all p-1.  b has order
+    e = (p-1)/2, so det M = s^e det M; with s = -1 and e odd that proves det M = 0, and the
+    broadcast, 0 at every node, stays right.  The paper's square_perm_sign is this sign:
+    x -> a^2 x on the squares has sign (a/p)."""
 
     def key(row: np.ndarray) -> int:  # the bytes of an object array are pointers, not values
         return hash(tuple(row.ravel().tolist()) if row.dtype == object else row.tobytes())
 
     n, p = len(rows), rows.shape[2] + 1
     index = {key(row): j for j, row in enumerate(rows)}
-    g = primitive_root(p)
-    for f in (f for f in range(1, p - 1) if (p - 1) % f == 0):
-        source = np.arange(p) * pow(g, -f, p) % p  # power b*i of sigma_b(x) is power i of x
-        perm = []
-        for run in _runs(range(n), n * p):  # up to the first run with a row unmatched
-            images = rows[run[0] : run[-1] + 1, :, np.minimum(source, p - 2)]
-            images[..., source == p - 1] = 0  # power p-1 of x is 0
-            images -= images[..., -1:]
-            images = images[..., :-1]
-            found = [index.get(key(image), -1) for image in images]
-            if min(found) < 0 or not np.array_equal(rows[found], images):
-                break
-            perm += found
-        if sorted(perm) == list(range(n)):
-            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
-            return f, (-1) ** inversions
-    return p - 1, 1
+    source = np.arange(p) * pow(primitive_root(p), -2, p) % p  # power b*i of sigma_b(x) is i of x
+    perm = []
+    for run in _runs(range(n), n * p):  # up to the first run with a row unmatched
+        images = rows[run[0] : run[-1] + 1, :, np.minimum(source, p - 2)]
+        images[..., source == p - 1] = 0  # power p-1 of x is 0
+        images -= images[..., -1:]
+        images = images[..., :-1]
+        found = [index.get(key(image), -1) for image in images]
+        if min(found) < 0 or not np.array_equal(rows[found], images):
+            return p - 1, 1
+        perm += found
+    if sorted(perm) != list(range(n)):
+        return p - 1, 1
+    return 2, (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
 
 
 _EPS = 2.0**-30  # the float64 margin of `_embedding_bound_sq`, absolute per l and relative
@@ -475,8 +479,7 @@ def _embedding_bound_sq(coeffs: np.ndarray, f: int) -> int:
     Hadamard bounds |sigma_a(det M)| = |det sigma_a(M)| by the product of the row norms, and
     sigma_(a g^f)(M) = P sigma_a(M) permutes the rows, so the f cosets give every embedding.  As
     Tr(zeta^k) = -1 for p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every coefficient
-    |b_k| < 2H.  `coeffs` is M's (n, n, k) array; k = 1 is an integer matrix, whose bound is the
-    exact integer Hadamard product.
+    |b_k| < 2H.  `coeffs` is M's (n, n, p-1) array.
 
     The rest is float64, a run of rows at a time (`_runs`), u = 2^-53; the dot products
     go through einsum, not BLAS, whose buffers the rest of a sweep never pays for.  For
@@ -497,8 +500,6 @@ def _embedding_bound_sq(coeffs: np.ndarray, f: int) -> int:
     times a power of two, and their product and its ceiling are exact.  A row with an l of 2^500
     or more (its sum of squares could leave float64) takes the exact l bound sum_k l^2."""
     k = coeffs.shape[2]
-    if k == 1:
-        return math.prod(sum(x * x for x in row.ravel().tolist()) for row in coeffs)
     n, p = len(coeffs), k + 1
     g = primitive_root(p)
     a = [pow(g, i, p) for i in range(f)]
@@ -524,9 +525,9 @@ def _embedding_bound_sq(coeffs: np.ndarray, f: int) -> int:
 
 def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     """Evaluation-interpolation determinant over Z[zeta_p]: per auxiliary prime, at the
-    f nodes r^(g^i), i < f, of `_orbit_step`, broadcast to all p-1: node r^(g^k) takes
-    s^(k // f) times the value at r^(g^(k mod f)).  The CRT lift takes the shortest
-    prefix of `aux_primes(p)` whose modulus passes 4H (at least one prime), H^2 the
+    f nodes r^(g^i), i < f, of `_orbit_step` (f = 2 or p-1), broadcast to all p-1: node
+    r^(g^k) takes s^(k // f) times the value at r^(g^(k mod f)).  The CRT lift takes the
+    shortest prefix of `aux_primes(p)` whose modulus passes 4H (at least one prime), H^2 the
     bound of `_embedding_bound_sq` over the f coset embeddings, which holds
     coefficients below 2H exactly.  The primes are counted up front and their f
     scalar determinants eliminated together, in runs of at most _STACK_ENTRIES

@@ -6,9 +6,12 @@ Size conventions for an odd prime p with m = (p-1)/2:
 * D, DD (the twisted D), Dtilde, E, F, T are (m+1) x (m+1), indexed from 0.
 
 A matrix is one read-only integer array, `coeffs`: the entries, shape (n, n),
-or their power-basis coefficients over Z[zeta_p], shape (n, n, p-1), in the
-dtype `_int_array` chooses.  Each builder fills it in numpy from its exponent
-pattern, and every determinant backend reads it.
+or their power-basis coefficients over Z[zeta_p], shape (n, n, p-1).  Each
+`build_*` fills it in numpy from its exponent pattern, and every determinant
+backend reads it.  `ExactMatrix` applies the one dtype rule to whatever it is
+given: int64 while every entry is below AUX_PRIME_FLOOR in absolute value,
+Python ints (dtype object) otherwise.  The int64 headroom of `detkit` rests on
+this rule.
 """
 from __future__ import annotations
 
@@ -28,26 +31,31 @@ class MatrixMeta:
     delta: int | None = None
 
 
-def _int_array(rows) -> np.ndarray:
-    """Integer rows as int64 while every entry is below AUX_PRIME_FLOOR in absolute value,
-    as Python ints (dtype object) otherwise: the one choice of dtype for coefficient arrays."""
-    try:
-        arr = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
-    small = -AUX_PRIME_FLOOR < arr.min(initial=0) and arr.max(initial=0) < AUX_PRIME_FLOOR
-    return arr if small else np.array(rows, dtype=object)  # the given ints, not copies
-
-
 class ExactMatrix:
     """A square matrix over Z or Z[zeta_p], held as one read-only integer array."""
 
     __slots__ = ("coeffs", "meta")
 
-    def __init__(self, coeffs: np.ndarray, meta: MatrixMeta) -> None:
+    def __init__(self, coeffs: np.ndarray | list, meta: MatrixMeta) -> None:
+        """`coeffs`: a numpy integer array, an object array of ints, or nested lists of
+        ints.  An int64 array whose entries are all below AUX_PRIME_FLOOR in absolute
+        value is kept as it is, not copied; any other becomes int64 when its entries
+        are, and Python ints (dtype object) when they are not.  Float, complex and
+        bool arrays, and entries that are not ints, raise TypeError."""
+        if not isinstance(coeffs, np.ndarray):
+            coeffs = np.array(coeffs, dtype=object)  # no float or uint64 guessed from ints
         n = len(coeffs)
         if coeffs.shape not in ((n, n), (n, n, meta.p - 1)):
             raise ValueError(f"shape {coeffs.shape}, not (n, n) or (n, n, {meta.p - 1})")
+        if coeffs.dtype.kind not in "iuO":
+            raise TypeError(f"integer entries required, got dtype {coeffs.dtype}")
+        lo, hi = -AUX_PRIME_FLOOR, AUX_PRIME_FLOOR
+        if coeffs.dtype != np.int64 or not lo < coeffs.min(initial=0) <= coeffs.max(initial=0) < hi:
+            ints = coeffs.ravel().tolist()  # Python ints from any integer dtype
+            if not all(isinstance(x, int) for x in ints):
+                raise TypeError("integer entries required")
+            small = lo < min(ints, default=0) and max(ints, default=0) < hi
+            coeffs = np.array(ints, dtype=np.int64 if small else object).reshape(coeffs.shape)
         coeffs.flags.writeable = False
         self.coeffs, self.meta = coeffs, meta
 
@@ -189,4 +197,4 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     else:
         prod = lincomb(a.meta.p, a.coeffs, b.coeffs)
     meta = MatrixMeta(a.meta.p, f"{a.meta.family}*{b.meta.family}", a.meta.delta or b.meta.delta)
-    return ExactMatrix(_int_array(prod), meta)
+    return ExactMatrix(prod, meta)

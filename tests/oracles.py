@@ -14,10 +14,12 @@ Galois-orbit certificate keys every row by the hash of a Python tuple; the
 coefficient-size (l) bound and the images under all p-1 embeddings (from
 mpmath tables) bound and check the determinant's size; a geometric sum adds
 every one of its terms; the reference matrices are built one entry at a time
-as ints or CycElts.  The all-node evaluation-interpolation determinant is
-the one exception: it reuses the library's per-prime steps, and stands apart
-from `det_cyc_evalinterp` in its node choice (every node), its CRT
-(`crt_lift`) and its stop (a stable lift plus one confirming prime).
+as ints or CycElts; bare coefficient rows take the dtype rule of
+`ExactMatrix` from a comparison of every entry with the floor.  The all-node
+evaluation-interpolation determinant is the one exception: it reuses the
+library's per-prime steps, and stands apart from `det_cyc_evalinterp` in its
+node choice (every node), its CRT (`crt_lift`) and its stop (a stable lift
+plus one confirming prime).
 """
 from __future__ import annotations
 
@@ -31,16 +33,23 @@ import numpy as np
 
 from cyclodet.cycring import CycElt, eval_complex, make
 from cyclodet.detkit import _det_mod_stack, _EvalData
-from cyclodet.matrices import ExactMatrix, MatrixMeta, _int_array
-from cyclodet.modarith import aux_primes, is_square, legendre, primitive_root
+from cyclodet.matrices import ExactMatrix, MatrixMeta
+from cyclodet.modarith import AUX_PRIME_FLOOR, aux_primes, is_square, legendre, primitive_root
 from cyclodet.subfield import gauss_sum
 
 
 def exact_matrix(rows, p: int) -> ExactMatrix:
     """The matrix with these entries, CycElts over p or ints, in the dtype
-    `_int_array` chooses."""
+    `ExactMatrix` chooses."""
     rows = [[e.coeffs if isinstance(e, CycElt) else e for e in row] for row in rows]
-    return ExactMatrix(_int_array(rows), MatrixMeta(p, "test"))
+    return ExactMatrix(rows, MatrixMeta(p, "test"))
+
+
+def coeff_rows(rows) -> np.ndarray:
+    """Rows of ints as `ExactMatrix` would hold them, of any shape: int64 while every
+    entry is below AUX_PRIME_FLOOR in absolute value, Python ints (dtype object) otherwise."""
+    rows = np.array(rows, dtype=object)
+    return rows.astype(np.int64) if (abs(rows) < AUX_PRIME_FLOOR).all() else rows
 
 
 def entries(m: ExactMatrix) -> tuple:
@@ -283,25 +292,23 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
 
 def orbit_step_tuples(rows: np.ndarray) -> tuple[int, int]:
     """The certificate of `detkit._orbit_step` with every row, and every row image
-    under each tried sigma_b, keyed by the hash of its Python tuple: the reference
+    under sigma_b, b = g^2, keyed by the hash of its Python tuple: the reference
     for the byte-keyed rows of the library."""
     n, p = len(rows), rows.shape[2] + 1
     index = {hash(tuple(row.ravel().tolist())): j for j, row in enumerate(rows)}
-    zero, g = np.zeros((n, 1), dtype=rows.dtype), primitive_root(p)
-    for f in (f for f in range(1, p - 1) if (p - 1) % f == 0):
-        source = np.arange(p) * pow(g, -f, p) % p  # power b*i of sigma_b(x) is power i of x
-        perm = []
-        for row in rows:  # up to the first row with no match
-            image = np.hstack([row, zero])[:, source]
-            image = image[:, :-1] - image[:, -1:]
-            j = index.get(hash(tuple(image.ravel().tolist())), -1)
-            perm.append(j if j >= 0 and np.array_equal(rows[j], image) else -1)
-            if perm[-1] < 0:
-                break
-        if sorted(perm) == list(range(n)):
-            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
-            return f, (-1) ** inversions
-    return p - 1, 1
+    zero = np.zeros((n, 1), dtype=rows.dtype)
+    source = np.arange(p) * pow(primitive_root(p), -2, p) % p  # power b*i of sigma_b(x) is i of x
+    perm = []
+    for row in rows:  # up to the first row with no match
+        image = np.hstack([row, zero])[:, source]
+        image = image[:, :-1] - image[:, -1:]
+        j = index.get(hash(tuple(image.ravel().tolist())), -1)
+        perm.append(j if j >= 0 and np.array_equal(rows[j], image) else -1)
+        if perm[-1] < 0:
+            break
+    if sorted(perm) != list(range(n)):
+        return p - 1, 1
+    return 2, (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
 
 
 def ell_bound_sq(coeffs: np.ndarray) -> int:

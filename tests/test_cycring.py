@@ -15,10 +15,11 @@ from cyclodet.cycring import (
     make,
 )
 from cyclodet.detkit import _divide_exact, _EvalData, det_cyc_bareiss
-from cyclodet.matrices import _geometric_sums, _int_array, build_D
+from cyclodet.matrices import _geometric_sums, build_D
 from cyclodet.modarith import aux_primes
 
 from oracles import (
+    coeff_rows,
     cyc_mul_loop,
     geometric_sum_loop,
     lagrange_loop,
@@ -191,7 +192,7 @@ class TestEvalComplex:
 
 def values_at_nodes(entries, data, nodes=slice(None)):
     """`_EvalData.values` of the entries' coefficient rows."""
-    return data.values(_int_array([e.coeffs for e in entries]), nodes)
+    return data.values(coeff_rows([e.coeffs for e in entries]), nodes)
 
 
 class TestEvalMod:
@@ -239,7 +240,7 @@ class TestEvalMod:
         # one conversion serves every modulus in turn and every block of nodes
         rng = random.Random(11)
         entries = [random_cyc(rng, 13, span=span) for span in (5, 10**30)]
-        coeffs = _int_array([e.coeffs for e in entries])
+        coeffs = coeff_rows([e.coeffs for e in entries])
         aux = aux_primes(13)
         first, second = _EvalData(13, next(aux)), _EvalData(13, next(aux))
         for data in (first, second, first):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -18,7 +19,8 @@ from cyclodet.detkit import (
     det_int_modular,
 )
 from cyclodet.matrices import (
-    _int_array,
+    ExactMatrix,
+    MatrixMeta,
     build,
     build_C,
     build_D,
@@ -36,6 +38,7 @@ from cyclodet.modarith import (
 from cyclodet.subfield import quad_decompose
 
 from oracles import (
+    coeff_rows,
     crt_lift,
     cyc_mul_loop,
     det_cofactor,
@@ -631,8 +634,56 @@ class TestInt64Headroom:
         (FLOOR, object), (-FLOOR, object), (1 << 63, object), (-(1 << 64), object),
     ])
     def test_int_array_is_int64_only_below_the_floor(self, value, dtype):
-        arr = _int_array([[0, 1, value], [-1, 2, 3]])
-        assert arr.dtype == dtype and arr.tolist() == [[0, 1, value], [-1, 2, 3]]
+        """The one dtype rule on each side of +-2^24, from nested lists, from an object
+        array, and from every numpy integer dtype that holds the entries; a conforming
+        int64 array is kept, not copied."""
+        rows = [[0, 1, value], [-1, 2, 3], [4, 5, 6]]
+        given = [rows, np.array(rows, dtype=object)]
+        given += [np.array(rows, dtype=t) for t in (np.int32, np.int64)
+                  if np.iinfo(t).min <= value <= np.iinfo(t).max]
+        for coeffs in given:
+            m = ExactMatrix(coeffs, MatrixMeta(5, "test"))
+            assert m.coeffs.dtype == dtype and m.coeffs.tolist() == rows
+            assert not m.coeffs.flags.writeable
+        if dtype == np.int64:
+            assert ExactMatrix(given[-1], MatrixMeta(5, "test")).coeffs is given[-1]
+
+    def test_int64_past_the_floor_is_held_as_python_ints(self):
+        """int64 coefficients of up to 2^40 handed to `ExactMatrix` become Python ints, so
+        the evaluator's unreduced int64 sums never see them, and evaluation-interpolation
+        agrees with Bareiss and with the same matrix built from Python ints."""
+        meta = MatrixMeta(7, "test")
+        rng = np.random.default_rng(0x2540)
+        for coeffs in (rng.integers(-(1 << 40), 1 << 40, size=(3, 3, 6)),
+                       build_D(7).coeffs * 2**40):
+            m = ExactMatrix(coeffs, meta)
+            assert m.coeffs.dtype == object
+            value = det(m, "modular").value
+            assert value == det(m, "both").value
+            assert value == det_cyc_bareiss(ExactMatrix(coeffs.astype(object), meta))
+
+    @pytest.mark.parametrize("rows, value", [
+        ([[(1 << 63) + 5, 1], [1, 1]], (1 << 63) + 4),
+        ([[(1 << 64) - 1, 0], [0, 1]], (1 << 64) - 1),
+    ])
+    def test_uint64_entries_are_held_as_python_ints(self, rows, value):
+        """uint64 entries past int64 keep their values, and the integer CRT agrees
+        with Bareiss on them."""
+        m = ExactMatrix(np.array(rows, dtype=np.uint64), MatrixMeta(5, "test"))
+        assert m.coeffs.dtype == object and m.coeffs.tolist() == rows
+        assert det_int_modular(m) == det_int_bareiss(m) == value
+
+    @pytest.mark.parametrize("coeffs", [
+        np.array([[1.5, 2.0], [3.0, 4.0]]),
+        np.array([[1, 2], [3, 4]], dtype=complex),
+        np.array([[True, False], [False, True]]),
+        np.array([[1, Fraction(1, 2)], [3, 4]], dtype=object),
+        [[1.5, True], [1, 2]],
+        [[CycElt.one(5)]],
+    ], ids=["float", "complex", "bool", "fraction", "float-in-list", "cycelt"])
+    def test_non_integer_entries_are_refused(self, coeffs):
+        with pytest.raises(TypeError):
+            ExactMatrix(coeffs, MatrixMeta(5, "test"))
 
     @pytest.mark.parametrize("p", [5, 13])
     def test_unreduced_rows_at_the_largest_accepted_q(self, p):
@@ -645,7 +696,7 @@ class TestInt64Headroom:
         rng = random.Random(p)
         big = FLOOR - 1
         rows = [[big] * (p - 1), [-big] * (p - 1), [rng.choice((big, -big)) for _ in range(p - 1)]]
-        coeffs = _int_array(rows)
+        coeffs = coeff_rows(rows)
         assert coeffs.dtype == np.int64
         nodes = data.pow_r[1:].tolist()
         expected = [[sum(c * pow(a, i, q) for i, c in enumerate(row)) % q for a in nodes]

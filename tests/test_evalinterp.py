@@ -24,6 +24,7 @@ from cyclodet.cycring import CycElt
 from cyclodet.detkit import det_cyc_bareiss, det_cyc_evalinterp
 from cyclodet.matrices import ExactMatrix, build
 from cyclodet.modarith import AUX_PRIME_FLOOR, is_prime, least_nonresidue, primitive_root
+from cyclodet.subfield import fourth_power_sum
 
 from oracles import (
     ell_bound_sq,
@@ -90,25 +91,22 @@ def galois_sign(m: ExactMatrix, b: int):
 class TestOrbitCertificate:
     @pytest.mark.parametrize("p", PRIMES)
     def test_galois_oracle_and_listed_steps(self, p):
-        """For each family, galois(g^f) is a row permutation of the sign s at the
-        (f, s) `_orbit_step` returns, and of no sign at a smaller divisor of p-1;
-        the tuple-keyed certificate `orbit_step_tuples` returns the same pair.
-        Every family takes f = 2: sigma_(g^2) permutes the rows, with the sign
-        (g/p) = -1 of x -> g^2 x on the squares for C, D, DD and Dtilde at
-        p = 1 (mod 4), and s = 1 otherwise."""
+        """Every family takes f = 2: galois(g^2) is a row permutation of the sign s
+        `_orbit_step` returns, the sign (g/p) = -1 of x -> g^2 x on the squares for C,
+        D, DD and Dtilde at p = 1 (mod 4), and s = 1 otherwise; the tuple-keyed
+        certificate `orbit_step_tuples` returns the same pair.  galois(g) permutes
+        no family's rows, so 2 is the least step, but at p = 3, where 2 = p-1 and
+        C(3) is the 1 x 1 matrix [1]."""
         g = primitive_root(p)
         for family in families(p):
             m = matrix(family, p)
             f, s = orbit_step(m)
             assert (f, s) == orbit_step_tuples(m.coeffs)
-            assert (p - 1) % f == 0
-            assert galois_sign(m, pow(g, f, p)) == s
-            for smaller in range(1, f):
-                if (p - 1) % smaller == 0:
-                    assert galois_sign(m, pow(g, smaller, p)) is None
-            if p > 3 or family != "C":  # C(3) is the 1 x 1 matrix [1]: f = 1
-                assert f == 2
-                assert s == (-1 if p % 4 == 1 and family != "F" else 1)
+            assert f == 2
+            assert galois_sign(m, pow(g, 2, p)) == s
+            assert s == (-1 if p % 4 == 1 and family != "F" else 1)
+            if p > 3 or family != "C":
+                assert galois_sign(m, g) is None
 
     @pytest.mark.parametrize("p", [q for q in range(PRIMES[-1] + 1, 114) if is_prime(q)])
     def test_tuple_keyed_certificate_to_113(self, p):
@@ -131,27 +129,37 @@ class TestOrbitCertificate:
         assert value == det_cyc_bareiss(m) == evalinterp_all_nodes(m)
 
     def test_colliding_keys_are_refused(self, monkeypatch):
-        """A key function under which each row's image under sigma_g collides with
-        that row's own key would certify f = 1 on D(7) without the comparison of
-        the rows; compared, every such match is refused, and f stays 2."""
+        """A key function under which the image of each row of D(7) under sigma_(g^2),
+        itself a row, is looked up under the key of the next row would certify f = 2
+        with a wrong permutation without the comparison of the rows; compared, every
+        such match is refused, the certificate falls back to all p-1 nodes, and the
+        value equals Bareiss's."""
         m, p = matrix("D", 7), 7
-        g = primitive_root(p)
-        images = [np.array([e.galois(g).coeffs for e in row], dtype=np.int64).tobytes()
-                  for row in entries(m)]
-        alias = {image: m.coeffs[j].tobytes() for j, image in enumerate(images)
-                 if image != m.coeffs[j].tobytes()}  # row 0, all ones, is its own image
-        hits = []
+        rows = [row.tobytes() for row in m.coeffs]
+        calls = []
 
-        def colliding(obj):
-            if obj in alias:
-                hits.append(obj)
-                return builtins.hash(alias[obj])
+        def colliding(obj):  # the first n calls key the rows, the later ones their images
+            calls.append(obj)
+            if len(calls) > len(rows) and obj in rows:
+                return builtins.hash(rows[(rows.index(obj) + 1) % len(rows)])
             return builtins.hash(obj)
 
         monkeypatch.setattr(detkit, "hash", colliding, raising=False)
-        assert orbit_step(m) == (2, 1)
-        assert hits  # a colliding image was looked up
-        assert det_cyc_evalinterp(m) == det_cyc_bareiss(m)
+        assert orbit_step(m) == (p - 1, 1)
+        assert len(calls) > len(rows)  # an image was looked up
+        calls.clear()
+        stats = {}
+        assert det_cyc_evalinterp(m, stats) == det_cyc_bareiss(m)
+        assert stats["nodes"] == p - 1
+
+    def test_rational_matrix_takes_two_nodes(self):
+        """Every sigma_b fixes a rational entry, so sigma_(g^2) maps every row to itself."""
+        p, rows = 13, [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+        m = exact_matrix([[CycElt.rational(p, a) for a in row] for row in rows], p)
+        assert orbit_step(m) == orbit_step_tuples(m.coeffs) == (2, 1)
+        stats = {}
+        assert det_cyc_evalinterp(m, stats) == det_cyc_bareiss(m) == CycElt.rational(p, 18)
+        assert stats["nodes"] == 2
 
 
 def perturbed(m: ExactMatrix, j: int, k: int, delta) -> ExactMatrix:
@@ -171,6 +179,14 @@ class TestCertificateCannotBeFooled:
         assert stats["nodes"] == p - 1
         assert value == det_cyc_bareiss(m)
         return value
+
+    def test_fixed_by_sigma_g4_not_by_sigma_g2(self):
+        """[sum_t zeta^(t^4)] over Z[zeta_13] is fixed by sigma_(g^4), not by sigma_(g^2),
+        the one step the certificate tries."""
+        p = 13
+        x, b = fourth_power_sum(p), pow(primitive_root(p), 2, p)
+        assert x.galois(b * b % p) == x != x.galois(b)
+        assert self.check_all_nodes(exact_matrix([[x]], p)) == x
 
     def test_one_entry_perturbed(self):
         self.check_all_nodes(perturbed(matrix("D", 13), 2, 3, 1))

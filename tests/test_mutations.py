@@ -35,9 +35,10 @@ from cyclodet.cycring import CycElt
 from cyclodet.detkit import det
 from cyclodet.verify import SweepOptions, run_prime
 
+import test_detkit
+import test_evalinterp
 from oracles import exact_matrix, lincomb_loop, reference_rows
 from test_cycring import headroom_sides
-from test_evalinterp import TestCoefficientBound
 
 
 def divider(ring: str):
@@ -478,7 +479,33 @@ def test_bound_one_embedding_is_caught(monkeypatch):
     for p in (5, 61, 67):
         assert run_prime(p).all_passed()
     with pytest.raises(AssertionError):
-        TestCoefficientBound().test_every_coset_is_read()
+        test_evalinterp.TestCoefficientBound().test_every_coset_is_read()
+
+
+def constructor_without_the_rule(monkeypatch):
+    """`ExactMatrix` keeps the array it is given as it is, whatever its dtype and entries."""
+
+    def init(self, coeffs, meta):
+        coeffs = np.asarray(coeffs)
+        coeffs.flags.writeable = False
+        self.coeffs, self.meta = coeffs, meta
+
+    monkeypatch.setattr(matrices.ExactMatrix, "__init__", init)
+
+
+def test_constructor_without_the_rule_is_caught(monkeypatch):
+    """A constructor without the dtype rule passes every check at 5 and 61: every `build_*`
+    fills an int64 array far below AUX_PRIME_FLOOR, and so do the literal products of
+    `matmul`.  On a matrix built by hand from int64 coefficients of 2^40 it gives a wrong
+    determinant with no error, as the evaluator's unreduced int64 sums wrap.
+    tests/test_detkit.py's `test_int64_past_the_floor_is_held_as_python_ints` catches it."""
+    constructor_without_the_rule(monkeypatch)
+    for p in (5, 61):
+        assert run_prime(p).all_passed()
+    m = matrices.ExactMatrix(matrices.build_D(7).coeffs * 2**40, matrices.MatrixMeta(7, "test"))
+    assert m.coeffs.dtype == np.int64 and not det(m, "both").agree
+    with pytest.raises(AssertionError):
+        test_detkit.TestInt64Headroom().test_int64_past_the_floor_is_held_as_python_ints()
 
 
 def test_chi_of_zero_one_changes_no_determinant(monkeypatch):
