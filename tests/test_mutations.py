@@ -36,9 +36,9 @@ from cyclodet.detkit import det
 from cyclodet.verify import SweepOptions, run_prime
 
 import test_detkit
-import test_evalinterp
 from oracles import exact_matrix, lincomb_loop, reference_rows
 from test_cycring import headroom_sides
+from test_evalinterp import TestCoefficientBound
 
 
 def divider(ring: str):
@@ -479,7 +479,7 @@ def test_bound_one_embedding_is_caught(monkeypatch):
     for p in (5, 61, 67):
         assert run_prime(p).all_passed()
     with pytest.raises(AssertionError):
-        test_evalinterp.TestCoefficientBound().test_every_coset_is_read()
+        TestCoefficientBound().test_every_coset_is_read()
 
 
 def constructor_without_the_rule(monkeypatch):
