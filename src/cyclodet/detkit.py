@@ -16,19 +16,25 @@ Modular: every CRT in this module is one mixed-radix conversion
 (`_MixedRadix`) over one stream of primes, the auxiliary primes q = 1 (mod p)
 above AUX_PRIME_FLOOR (`aux_primes`): residues stay int64, each prime adds a
 digit, and Python ints are built once, when the lift stops.  A modular
-determinant counts its primes up front (`_lift_primes`) and takes every
-scalar determinant, at every prime and node, by one int64 elimination
-(`_det_mod_stack`, no floats), each matrix mod its own prime, in runs that
-bound its memory (`_runs`).  Integer matrices are lifted past twice the
-Hadamard bound, taken exactly.  Cyclotomic matrices are evaluated at two
-elements of order p in F_q, one per coset of the squares, when sigma_(g^2)
-is certified on the matrix as a row permutation P of either sign
-(`_orbit_step`), the values broadcast to all p-1 nodes, each step along a
-coset times sign(P), and at all p-1 nodes otherwise; the coefficients are
-recovered by the inverse transform on the same power table r^e mod q that
-evaluated them, then CRT-lifted past twice a Hadamard bound on the f coset
-embeddings (`_embedding_bound_sq`, the one float64 computation here, under a
-proven margin).
+determinant counts its primes up front (`_lift_primes`) and takes them in
+runs that bound its memory (`_runs`).  Integer matrices are lifted past twice
+the Hadamard bound, taken exactly, each scalar determinant by one int64
+elimination (`_det_mod_stack`, no floats), each matrix mod its own prime.
+A cyclotomic family built by `matrices` carries a `Circulant` declaration: a
+bordered Hankel or circulant block over the squares.  Certified on the
+coefficients (`_certified`), it gives the values at two elements of order p
+in F_q, one per coset of the squares, each from one resultant of its first
+row (`_declared_values`, by one lockstep int64 Euclid over every prime and
+node, `_resultants`), and a Hadamard bound from its two distinct rows
+(`_declared_bound_sq`).  Any other cyclotomic matrix is evaluated at two such
+nodes when sigma_(g^2) is certified on it as a row permutation P of either
+sign (`_orbit_step`), at all p-1 otherwise, each value by `_det_mod_stack`,
+under a Hadamard bound on its dense rows (`_embedding_bound_sq`).  Either way
+the values are broadcast to all p-1 nodes, each step along a coset times the
+sign of sigma_(g^2), the coefficients are recovered by the inverse transform
+on the same power table r^e mod q that evaluated them, and CRT-lifted past
+twice the bound, whose complex embeddings are the one float64 computation
+here, under a proven margin (`_coset_bounds_sq`).
 
 Every matrix's coefficient array has the dtype of the one rule that
 `ExactMatrix` applies to every array it is given: int64 only while every
@@ -36,8 +42,8 @@ entry is below AUX_PRIME_FLOOR in absolute value, Python ints otherwise.
 Every int64 sum here is of `count` products of at most (q-1)^2, refused up
 front when count (q-1)^2 >= 2^63: p-1 products per value in `_EvalData`,
 n-1 updates of an entry in [0, q) in `_det_mod_stack` (the largest q of the
-stack); the products of `_MixedRadix` are of two numbers below its primes,
-refused from 2^31.  As every auxiliary prime q exceeds the floor,
+stack); the products of `_MixedRadix` and of the Euclid of `_resultants` are
+of two numbers below their primes, refused from 2^31.  As every auxiliary prime q exceeds the floor,
 `_EvalData.values`, the one evaluator, takes int64 rows unreduced; the exact
 divider hands it rows reduced mod q.  A Bareiss step's products come from
 `lincomb`, int64 only while 4 bound < 2^63 for the bound of its sums (then by
@@ -427,19 +433,38 @@ def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     return CycElt._new(m.meta.p, [sign * c for c in last.tolist()])
 
 
+def _galois(x: np.ndarray, b: int) -> np.ndarray:
+    """sigma_b: zeta -> zeta^b on coefficient arrays (..., p-1): power b*i of the result is
+    power i of x (power p-1 of x is 0), and zeta^(p-1) is then removed."""
+    p = x.shape[-1] + 1
+    padded = np.concatenate([x, np.zeros_like(x[..., :1])], axis=-1)
+    out = padded[..., np.arange(p) * pow(b, -1, p) % p]
+    return out[..., :-1] - out[..., -1:]
+
+
+def _times_zeta(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """zeta^(e_i) x_i for the rows x_i of a coefficient array (rows, n, p-1), 0 < e_i < p: a
+    rotation of the p powers (power p-1 of x is 0), read from the window at p - e_i of the
+    powers written twice, and zeta^(p-1) then removed."""
+    padded = np.concatenate([x, np.zeros_like(x[..., :1])], axis=-1)
+    p = padded.shape[-1]
+    twice = np.concatenate([padded, padded], axis=-1)
+    out = np.lib.stride_tricks.sliding_window_view(twice, p, axis=-1)[np.arange(len(x)), :, p - e]
+    return out[..., :-1] - out[..., -1:]
+
+
 def _orbit_step(rows: np.ndarray) -> tuple[int, int]:
     """(f, s) = (2, s) when sigma_b: zeta -> zeta^b, b = g^2 (g = primitive_root(p)), maps M
     (`rows`: its (n, n, p-1) coefficient array) to P*M, P a row permutation of sign s; (p-1, 1)
     otherwise.  Every family of `matrices` is a function of j^2 and k^2, so sigma_b permutes
     its rows, and b = g^2 is the one step tried.
 
-    sigma_b moves coefficient i to power b*i mod p; zeta^(p-1) is then removed.  The images of
-    the rows are taken by one fancy index per run of rows (`_runs`, which bounds the transient),
-    matched by a hash of their bytes (int64) or of their tuple (Python ints), and every match is
-    confirmed by comparing the arrays: a row met twice or not at all, or a hash collision,
-    rejects b, and the p-1 nodes (b = 1, s = 1) always hold.  int64 rows are below
-    AUX_PRIME_FLOOR (`ExactMatrix`), so their differences are far inside int64.  As
-    det(sigma_b M) = sigma_b(det M) and det(P*M) = s det M, sigma_(b^j)(det M) = s^j det M.
+    The images of the rows (`_galois`) are taken a run of rows at a time (`_runs`, which
+    bounds the transient), matched by a hash of their bytes (int64) or of their tuple (Python
+    ints), and every match is confirmed by comparing the arrays: a row met twice or not at
+    all, or a hash collision, rejects b, and the p-1 nodes (b = 1, s = 1) always hold.  int64
+    rows are below AUX_PRIME_FLOOR (`ExactMatrix`), so their differences are far inside int64.
+    As det(sigma_b M) = sigma_b(det M) and det(P*M) = s det M, sigma_(b^j)(det M) = s^j det M.
     The value of det M at the node r^(g^(i+2j)) is that of sigma_(b^j)(det M) at r^(g^i), s^j
     times the value of det M there: the nodes r and r^g, one per coset of the squares, give
     all p-1.  b has order
@@ -452,13 +477,10 @@ def _orbit_step(rows: np.ndarray) -> tuple[int, int]:
 
     n, p = len(rows), rows.shape[2] + 1
     index = {key(row): j for j, row in enumerate(rows)}
-    source = np.arange(p) * pow(primitive_root(p), -2, p) % p  # power b*i of sigma_b(x) is i of x
+    b = pow(primitive_root(p), 2, p)
     perm = []
     for run in _runs(range(n), n * p):  # up to the first run with a row unmatched
-        images = rows[run[0] : run[-1] + 1, :, np.minimum(source, p - 2)]
-        images[..., source == p - 1] = 0  # power p-1 of x is 0
-        images -= images[..., -1:]
-        images = images[..., :-1]
+        images = _galois(rows[run[0] : run[-1] + 1], b)
         found = [index.get(key(image), -1) for image in images]
         if min(found) < 0 or not np.array_equal(rows[found], images):
             return p - 1, 1
@@ -468,20 +490,15 @@ def _orbit_step(rows: np.ndarray) -> tuple[int, int]:
     return 2, (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
 
 
-_EPS = 2.0**-30  # the float64 margin of `_embedding_bound_sq`, absolute per l and relative
+_EPS = 2.0**-30  # the float64 margin of `_coset_bounds_sq`, absolute per l and relative
 
 
-def _embedding_bound_sq(coeffs: np.ndarray, f: int) -> int:
-    """An integer H^2 >= max_a prod_rows sum_k |sigma_a(M_jk)|^2 over the coset embeddings
-    sigma_a: zeta -> exp(2 pi i a/p), a = g^i for i < f (g = primitive_root(p)), so that
-    H >= |sigma(det M)| for every embedding sigma when f is the f of `_orbit_step` (or p-1).
+def _coset_bounds_sq(rows: np.ndarray, f: int, powers=None) -> list[int]:
+    """Per coset embedding sigma_a: zeta -> exp(2 pi i a/p), a = g^i for i < f
+    (g = primitive_root(p)), an integer >= prod_j (sum_k |sigma_a(x_jk)|^2)^(powers_j) over
+    the rows x_j of `rows`, shape (r, k, p-1), each to its power (default 1).
 
-    Hadamard bounds |sigma_a(det M)| = |det sigma_a(M)| by the product of the row norms, and
-    sigma_(a g^f)(M) = P sigma_a(M) permutes the rows, so the f cosets give every embedding.  As
-    Tr(zeta^k) = -1 for p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every coefficient
-    |b_k| < 2H.  `coeffs` is M's (n, n, p-1) array.
-
-    The rest is float64, a run of rows at a time (`_runs`), u = 2^-53; the dot products
+    The sums are float64, a run of rows at a time (`_runs`), u = 2^-53; the dot products
     go through einsum, not BLAS, whose buffers the rest of a sweep never pays for.  For
     x = sum c_i zeta^i (i < p-1), l = sum |c_i| is exact.  Each c_i converts to float within
     u|c_i| (Python ints round correctly); the angle 2 pi j/p is within 3.1u 2 pi < 2^-48 of its
@@ -494,61 +511,280 @@ def _embedding_bound_sq(coeffs: np.ndarray, f: int) -> int:
     for any nonzero x, far above what underflow can take.  With |v| <= |Re| + |Im|,
     t^2 = Re^2 + Im^2 + 2e (|Re| + |Im|) + e^2 >= (|v| + e)^2.  From Re, Im and l on, every
     operation is a sum or a product of non-negative numbers, and each rounding loses at most a
-    factor 1 - u; a row sum sum_k t^2 passes through at most n + 8 of them, so for n < 2^20
+    factor 1 - u; a row sum sum_k t^2 passes through at most k + 8 of them, so for k < 2^20
     (past that no (n, n, p-1) array fits in memory) the computed sum times fl(1 + _EPS) is at
-    least the true one.  np.frexp makes each row sum an exact integer
-    times a power of two, and their product and its ceiling are exact.  A row with an l of 2^500
-    or more (its sum of squares could leave float64) takes the exact l bound sum_k l^2."""
-    k = coeffs.shape[2]
-    n, p = len(coeffs), k + 1
+    least the true one.  np.frexp makes each row sum an exact integer times a power of two,
+    and their powers, product and ceiling are exact.  A run with a row whose l is 2^500 or
+    more (its sum of squares could leave float64) takes the exact l bound sum_k l^2."""
+    k = rows.shape[2]
+    p = k + 1
+    powers = np.ones(len(rows), dtype=np.int64) if powers is None else np.asarray(powers)
     g = primitive_root(p)
     a = [pow(g, i, p) for i in range(f)]
     table = np.array([(math.cos(2 * math.pi * j / p), math.sin(2 * math.pi * j / p))
                       for j in range(p)])
     w = table[np.outer(np.arange(p - 1), a) % p].reshape(p - 1, 2 * f)  # Re, Im of each a
     num, shift = np.ones(f, dtype=object), np.zeros(f, dtype=np.int64)
-    for run in _runs(range(n), n * k):
-        rows = coeffs[run[0] : run[-1] + 1]
-        ell = abs(rows).sum(axis=2)  # exact, in the rows' dtype
+    for run in _runs(range(len(rows)), rows.shape[1] * k):
+        x, power = rows[run[0] : run[-1] + 1], powers[run[0] : run[-1] + 1]
+        ell = abs(x).sum(axis=2)  # exact, in the rows' dtype
         if ell.dtype == object and max(ell.ravel().tolist()) >= 1 << 500:
-            num *= math.prod(sum(x * x for x in row) for row in ell.tolist())
+            sums = (sum(y * y for y in row) for row in ell.tolist())
+            num *= math.prod(x ** e for x, e in zip(sums, power.tolist()))
             continue
-        v = abs(np.einsum("jk,kl->jl", rows.reshape(-1, k).astype(np.float64), w))
-        v = v.reshape(len(run), n, f, 2)
+        v = abs(np.einsum("jk,kl->jl", x.reshape(-1, k).astype(np.float64), w))
+        v = v.reshape(*x.shape[:2], f, 2)
         e = _EPS * ell.astype(np.float64)[..., None]
         t2 = (v * v).sum(axis=3) + 2 * e * v.sum(axis=3) + e * e
         mant, expo = np.frexp(t2.sum(axis=1) * (1 + _EPS))  # (rows, f)
-        num *= np.prod(np.ldexp(mant, 53).astype(np.int64).astype(object), axis=0)
-        shift += (expo - 53).sum(axis=0)
-    return max(x << s if s >= 0 else -(-x >> -s) for x, s in zip(num.tolist(), shift.tolist()))
+        ints = np.ldexp(mant, 53).astype(np.int64).astype(object)
+        num *= np.prod(ints ** power[:, None].astype(object), axis=0)
+        shift += ((expo - 53) * power[:, None]).sum(axis=0)
+    return [x << s if s >= 0 else -(-x >> -s) for x, s in zip(num.tolist(), shift.tolist())]
+
+
+def _embedding_bound_sq(coeffs: np.ndarray, f: int) -> int:
+    """An integer H^2 >= max_a prod_rows sum_k |sigma_a(M_jk)|^2 over the coset embeddings
+    sigma_a, a = g^i for i < f (`_coset_bounds_sq`), so that H >= |sigma(det M)| for every
+    embedding sigma when f is the f of `_orbit_step` (or p-1).
+
+    Hadamard bounds |sigma_a(det M)| = |det sigma_a(M)| by the product of the row norms, and
+    sigma_(a g^f)(M) = P sigma_a(M) permutes the rows, so the f cosets give every embedding.  As
+    Tr(zeta^k) = -1 for p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every coefficient
+    |b_k| < 2H.  `coeffs` is M's (n, n, p-1) array."""
+    return max(_coset_bounds_sq(coeffs, f))
+
+
+# -- the circulant declarations of the cyclotomic families -------------------
+
+
+def _certified(m: ExactMatrix) -> bool:
+    """Whether m's `Circulant` declaration holds, exactly: on the declaration, sigma_(g^2)
+    fixes the corner and maps first[w] to first[w+1] (`shift`) or to itself; on m.coeffs,
+    the border is (corner, x, y), and every block row, times 1 - zeta^(j^2) when `scaled`
+    (`_times_zeta`), equals its row of first[(u + v) % m] or first[(v - u) % m], compared
+    a run of rows at a time (`_runs`).  A matrix without a declaration is not certified."""
+    decl, p = m.circulant, m.meta.p
+    half = (p - 1) // 2
+    if decl is None or decl.first.shape != (half, p - 1) or m.n != half + (decl.border is not None):
+        return False
+    g = primitive_root(p)
+    moved = np.roll(decl.first, -1, axis=0) if decl.shift else decl.first
+    if not np.array_equal(_galois(decl.first, g * g), moved):
+        return False
+    block = m.coeffs
+    if decl.border is not None:
+        (corner, x, y), one = decl.border, np.eye(1, p - 1, dtype=np.int64)[0]
+        if not (np.array_equal(_galois(corner, g * g), corner)
+                and np.array_equal(block[0, 0], corner)
+                and (block[0, 1:] == x * one).all() and (block[1:, 0] == y * one).all()):
+            return False
+        block = block[1:, 1:]
+    log = np.zeros(p, dtype=np.int64)
+    log[[pow(g, k, p) for k in range(p - 1)]] = np.arange(p - 1)
+    u = log[1 : half + 1] % half  # j^2 = g^(2u) for j = 1 .. m
+    w = (u[:, None] + u) % half if decl.hankel else (u - u[:, None]) % half
+    squares = np.arange(1, half + 1) ** 2 % p
+    for run in _runs(range(half), half * p):
+        rows = slice(run[0], run[-1] + 1)
+        x = block[rows]
+        if decl.scaled:
+            x = x - _times_zeta(x, squares[rows])
+        if not np.array_equal(x, decl.first[w[rows]]):
+            return False
+    return True
+
+
+def _declared_bound_sq(decl, p: int) -> int:
+    """The H^2 of `_embedding_bound_sq` for a certified declaration, from its distinct rows.
+
+    At any embedding sigma_a, every block row holds the first row's entries, permuted, and
+    y, and row 0 holds the corner and m copies of x, so Hadamard's product is
+    (|sigma_a(corner)|^2 + m x^2) (y^2 + sum_w |sigma_a(first_w)|^2)^m, or
+    (sum_w |sigma_a(first_w)|^2)^m without a border.  Row scaling multiplies it by
+    1/|sigma_a(N)|^2, N = prod_s (1 - zeta^s) over the squares s; as
+    N sigma_g(N) = prod_(k=1..p-1) (1 - zeta^k) = p, that is |sigma_(a g)(N)|^2 / p^2, and
+    |sigma_(a g)(N)|^2 is at most the product of the bounds on |sigma_b(1 - zeta)|^2 over the
+    b of the other coset, each read on 2^32 (1 - zeta), so that its ceiling adds little.
+    Each factor is a bound of `_coset_bounds_sq`, under its float64 margin, and the f = 2
+    cosets give every embedding as in `_embedding_bound_sq`."""
+    half = (p - 1) // 2
+    one = np.eye(1, p - 1, dtype=np.int64)
+    if decl.border is None:
+        bounds = _coset_bounds_sq(decl.first[None], 2, [half])
+    else:
+        corner, x, y = decl.border
+        rows = [np.concatenate([corner[None], np.repeat(x * one, half, axis=0)]),
+                np.concatenate([y * one, decl.first])]
+        bounds = _coset_bounds_sq(np.stack(rows), 2, [1, half])
+    if decl.scaled:
+        unit = _coset_bounds_sq((one - np.roll(one, 1))[None] << 32, p - 1)  # 2^32 (1 - zeta)
+        bounds = [-(-bounds[i] * math.prod(unit[1 - i :: 2]) // (p * p << 64 * half))
+                  for i in range(2)]
+    return max(bounds)
+
+
+def _resultant(a: list, b: list, q: int) -> int:
+    """Res(a, b) mod q by Euclid's algorithm on Python ints, for coefficient lists (lowest
+    first), a's leading coefficient a unit: the fallback of `_resultants`, over exact degrees.
+
+    With Res(a, b) = lc(a)^deg(b) prod_(a(x)=0) b(x): Res(a, b) = (-1)^(deg a deg b) Res(b, a),
+    Res(b, a) = lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, Res(a, c) = c^(deg a) for a
+    constant c, and 0 once b = 0 (a and b share a root)."""
+    res = 1
+    while True:
+        while b and b[-1] % q == 0:
+            b = b[:-1]
+        if not b:
+            return 0
+        da, db = len(a) - 1, len(b) - 1
+        if db == 0:
+            return res * pow(b[0], da, q) % q
+        r, inv = list(a), pow(b[-1], -1, q)
+        for i in range(da - db, -1, -1):
+            t = r[i + db] * inv % q
+            r[i : i + db + 1] = [(x - t * y) % q for x, y in zip(r[i : i + db + 1], b)]
+        r = r[:db]
+        while r and r[-1] == 0:
+            r.pop()
+        res = res * (-1) ** (da * db) * pow(b[-1], da - len(r) + 1, q) % q
+        a, b = b, r
+
+
+def _times_power(res: np.ndarray, v: np.ndarray, k: int, q: np.ndarray) -> np.ndarray:
+    """res v^k mod q per row, for one k >= 0, by k products."""
+    for _ in range(k):
+        res = res * v % q
+    return res
+
+
+def _resultants(h: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """R' = Res(1 + x + ... + x^(m-1), H) mod q for each row h of `h`, H = sum_w h_w x^w:
+    the product of H(w) over the m-th roots of unity w other than 1 (in an extension of F_q).
+    `h` is (stack, m) int64 in [0, q), `q` one prime per row.
+
+    One Euclid runs on every row at once, in int64, each row mod its own q: every product
+    is of two residues below q, refused from q = 2^31.  A = 1 + ... + x^(m-1) is monic, so
+    Res(A, H) = Res(A, B) for B = H mod A.  With Res(A, B) = lc(A)^deg(B) prod_(A(x)=0) B(x),
+    deg A = d and deg B = e (exact), Res(A, B) = (-1)^(d e) lc(B)^(d - r) Res(B, A mod B) for
+    r = deg(A mod B), Res(A, B) = B^d for a constant B, and 0 for B = 0.  Each step takes
+    the remainder's degree as e - 1, and the next step, once it reads r, corrects the power
+    of lc(B).  The rows share each step's degrees: E's and F's rows, Legendre symbols alike
+    at every node and prime, lose two degrees at the same early steps, and the others one at
+    every step.  A row whose B has a degree other than the stack's largest (a leading
+    coefficient that vanishes mod q alone) is taken again by `_resultant`."""
+    if q.max() >= 1 << 31:
+        raise OverflowError(f"Euclid's products mod q={q.max()} can overflow int64")
+    stack, m = h.shape
+    qc, moduli = q[:, None], q.tolist()
+    res = np.ones(stack, dtype=np.int64)
+    if m == 1:
+        return res
+    a, b = res[:, None].repeat(m, axis=1), (h[:, :-1] - h[:, -1:]) % qc
+    apart = np.zeros(stack, dtype=bool)
+    while True:  # deg a = d >= 1, exact; b of degree below d
+        d = e = a.shape[1] - 1
+        e -= 1
+        if not (apart | (b[:, -1] != 0)).all():  # a remainder lost more than one degree
+            nonzero = (b != 0)[:, ::-1]
+            deg = np.where(nonzero.any(axis=1), e - nonzero.argmax(axis=1), -1)
+            e = deg[~apart].max(initial=-1)
+            apart |= deg != e
+            res = _times_power(res, a[:, -1], d - 1 - e, q)  # lc(a)^(d_prev - r) in all
+            b = b[:, : e + 1]
+        if e <= 0:
+            res = _times_power(res, b[:, 0], d, q) if e == 0 else 0 * res
+            break
+        lead = b[:, -1]
+        inv = np.array([pow(v, -1, r) if v else 0 for v, r in zip(lead.tolist(), moduli)],
+                       dtype=np.int64)
+        res = _times_power((-1) ** (d * e) * res, lead, d - e + 1, q)
+        for i in range(d - e, -1, -1):  # a mod b: the top power of a drops at each i
+            t = a[:, i + e] * inv % q
+            a[:, i : i + e + 1] = (a[:, i : i + e + 1] - t[:, None] * b) % qc
+        a, b = b, a[:, :e]
+    for i in np.flatnonzero(apart):
+        res[i] = _resultant([1] * m, ((h[i, :-1] - h[i, -1]) % moduli[i]).tolist(), moduli[i])
+    return res
+
+
+def _declared_values(decl, data: list, nodes: np.ndarray) -> np.ndarray:
+    """det M mod each q of `data` (the `_EvalData` of a run of primes) at the nodes
+    pow_r[1:][nodes], shape (primes, f), for a certified declaration `decl`.
+
+    Order rows and columns alike by u (which leaves det M as it is).  A circulant block
+    Z_(u,v) = h_((v-u) mod m) has det Z = prod_(w^m = 1) H(w) = H(1) R', R' of `_resultants`
+    (P. J. Davis, Circulant Matrices, 1979); a Hankel block is R Z, R: u -> -u mod m, of sign
+    (-1)^floor((m-1)/2).  Expanding along row 0 and column 0, det M = c det B - x y 1^T adj(B) 1
+    for the block B and border (c, x, y).  adj(R Z) 1 = adj(Z) adj(R) 1 = det(R) adj(Z) 1, and
+    Z = F^-1 diag(H(w)) F over the m-th roots of unity (F their Fourier matrix), so adj(Z) is
+    F^-1 diag(prod_(w' != w) H(w')) F, and the constant vector, Z's eigenvector at w = 1,
+    gives 1^T adj(Z) 1 = m R'.  So det M = +-R' (c H(1) - x y m), and +-R' H(1) without a
+    border, an identity of polynomials in h, c, x, y that holds mod q.  Row scaling makes it
+    det(B)/N for N = prod_s (1 - zeta^s) over the squares s, and 1/N = sigma_g(N)/p
+    (N sigma_g(N) = p), at the node r^t prod_s (1 - r^(t g s)) / p."""
+    p, f = data[0].p, len(nodes)
+    half = (p - 1) // 2
+    q = np.repeat([d.q for d in data], f)
+    h = np.concatenate([d.values(decl.first, nodes).T for d in data])  # (primes f, m)
+    dets, h1 = _resultants(h, q), h.sum(axis=1) % q
+    if decl.border is None:
+        dets = dets * h1 % q
+    else:
+        corner, x, y = decl.border
+        c = np.concatenate([d.values(corner[None], nodes)[0] for d in data])
+        dets = dets * ((c * h1 - x * y * half) % q) % q
+    if decl.hankel:
+        dets = dets * (-1) ** ((half - 1) // 2) % q
+    if decl.scaled:
+        other = np.outer((nodes + 1) * primitive_root(p), np.arange(1, half + 1) ** 2) % p
+        for column in np.concatenate([1 - d.pow_r[other] for d in data]).T % q:
+            dets = dets * column % q
+        dets = dets * np.repeat([d.inv_p for d in data], f) % q
+    return dets.reshape(len(data), f)
 
 
 def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     """Evaluation-interpolation determinant over Z[zeta_p]: per auxiliary prime, at the
-    f nodes r^(g^i), i < f, of `_orbit_step` (f = 2 or p-1), broadcast to all p-1: node
-    r^(g^k) takes s^(k // f) times the value at r^(g^(k mod f)).  The CRT lift takes the
-    shortest prefix of `aux_primes(p)` whose modulus passes 4H (at least one prime), H^2 the
-    bound of `_embedding_bound_sq` over the f coset embeddings, which holds
-    coefficients below 2H exactly.  The primes are counted up front and their f
-    scalar determinants eliminated together, in runs of at most _STACK_ENTRIES
-    entries (`_runs`)."""
+    f nodes r^(g^i), i < f, broadcast to all p-1: node r^(g^k) takes s^(k // f) times the
+    value at r^(g^(k mod f)).  The CRT lift takes the shortest prefix of `aux_primes(p)`
+    whose modulus passes 4H (at least one prime), H^2 a bound on every embedding of det M,
+    which holds coefficients below 2H exactly (`_embedding_bound_sq`).  The primes are
+    counted up front and taken together, in runs of at most _STACK_ENTRIES entries (`_runs`).
+
+    A matrix whose `Circulant` declaration is certified on its coefficients (`_certified`)
+    takes f = 2, its H^2 from the declaration (`_declared_bound_sq`), and each value from one
+    resultant of its first row (`_declared_values`).  sigma_(g^2) maps M to P M for P an
+    m-cycle of the block rows when it shifts the first row, and to M otherwise, so
+    sigma_(g^2)(det M) = s det M with s = (-1)^(m-1) or 1.  Any other cyclotomic matrix
+    takes the (f, s) of `_orbit_step` (f = 2 or p-1), H^2 from its dense rows, and each value
+    from one elimination (`_det_mod_stack`) of its values at the node."""
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
     p, n = m.meta.p, m.n
-    (f, s), g = _orbit_step(m.coeffs), primitive_root(p)
-    primes = _lift_primes(p, 16 * _embedding_bound_sq(m.coeffs, f) or 1)
+    g, declared = primitive_root(p), _certified(m)
+    if declared:
+        f, s = 2, (-1) ** ((p - 3) // 2) if m.circulant.shift else 1
+        h2, per_prime = _declared_bound_sq(m.circulant, p), 2 * n
+    else:
+        f, s = _orbit_step(m.coeffs)
+        h2, per_prime = _embedding_bound_sq(m.coeffs, f), f * n * n
+    primes = _lift_primes(p, 16 * h2 or 1)
     columns = np.array([pow(g, k, p) - 1 for k in range(p - 1)])  # node r^(g^k) in data.vand()
     k = np.argsort(columns)  # node r^t is r^(g^k)
     coset, sign = k % f, np.where(k // f % 2, s, 1)
     if stats is not None:
         stats.update(nodes=f, moduli=primes)
     crt = _MixedRadix()
-    for run in _runs(primes, f * n * n):
+    for run in _runs(primes, per_prime):
         data = [_EvalData(p, q) for q in run]
-        vals = np.empty((len(run), f, n, n), dtype=np.int64)
-        for d, v in zip(data, vals):
-            v[:] = np.moveaxis(d.values(m.coeffs, columns[:f]), 2, 0)
-        dets = _det_mod_stack(vals.reshape(-1, n, n), np.repeat(run, f)).reshape(-1, f)
+        if declared:
+            dets = _declared_values(m.circulant, data, columns[:f])
+        else:
+            vals = np.empty((len(run), f, n, n), dtype=np.int64)
+            for d, v in zip(data, vals):
+                v[:] = np.moveaxis(d.values(m.coeffs, columns[:f]), 2, 0)
+            dets = _det_mod_stack(vals.reshape(-1, n, n), np.repeat(run, f)).reshape(-1, f)
         for d, dets_q in zip(data, dets):
             crt.fold(d.interpolate(dets_q[coset] * sign % d.q), d.q)
     return CycElt._new(p, crt.ints())

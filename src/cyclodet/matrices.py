@@ -11,7 +11,9 @@ or their power-basis coefficients over Z[zeta_p], shape (n, n, p-1).  Each
 backend reads it.  `ExactMatrix` applies the one dtype rule to whatever it is
 given: int64 while every entry is below AUX_PRIME_FLOOR in absolute value,
 Python ints (dtype object) otherwise.  The int64 headroom of `detkit` rests on
-this rule.
+this rule.  Each cyclotomic builder also attaches a `Circulant` declaration of
+its matrix's structure, from the family's formula, which `detkit` certifies on
+`coeffs` before it reads a determinant from it.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycring import CycElt, lincomb
-from .modarith import AUX_PRIME_FLOOR, legendre, require_odd_prime
+from .modarith import AUX_PRIME_FLOOR, legendre, primitive_root, require_odd_prime
 from .subfield import gauss_sum
 
 
@@ -31,33 +33,70 @@ class MatrixMeta:
     delta: int | None = None
 
 
+def _held(coeffs: np.ndarray) -> np.ndarray:
+    """A read-only array of the entries under the one dtype rule: a numpy integer array
+    or an object array of ints whose entries are all below AUX_PRIME_FLOOR in absolute
+    value is int64 (a conforming int64 array is kept as it is, not copied), any other
+    holds Python ints (dtype object).  Float, complex and bool arrays, and entries that
+    are not ints, raise TypeError."""
+    if coeffs.dtype.kind not in "iuO":
+        raise TypeError(f"integer entries required, got dtype {coeffs.dtype}")
+    lo, hi = -AUX_PRIME_FLOOR, AUX_PRIME_FLOOR
+    if coeffs.dtype != np.int64 or not lo < coeffs.min(initial=0) <= coeffs.max(initial=0) < hi:
+        ints = coeffs.ravel().tolist()  # Python ints from any integer dtype
+        if not all(isinstance(x, int) for x in ints):
+            raise TypeError("integer entries required")
+        small = lo < min(ints, default=0) and max(ints, default=0) < hi
+        coeffs = np.array(ints, dtype=np.int64 if small else object).reshape(coeffs.shape)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+@dataclass(frozen=True, eq=False)
+class Circulant:
+    """The declared structure of a cyclotomic family: a Hankel or circulant block over the
+    squares, with a border.
+
+    Index the block by u = 0 .. m-1, m = (p-1)/2, where row and column j (1 <= j <= m) take
+    the u with j^2 = g^(2u) mod p, g = primitive_root(p).  Block entry (u, v) is
+    scale_u * first[(u + v) % m] when `hankel`, and scale_u * first[(v - u) % m] otherwise,
+    with scale_u = 1/(1 - zeta^(j^2)) when `scaled` and 1 otherwise.  `border` is None for
+    an m x m matrix, whose row and column j are its index j-1, or (corner, x, y) for the
+    (m+1) x (m+1) matrix with `corner` at (0, 0), the integer x in the rest of row 0 and
+    the integer y in the rest of column 0, row and column j its index j.  sigma_(g^2) maps
+    first[w] to first[w+1] (w + 1 mod m) when `shift`, fixes it otherwise, and fixes the
+    corner.  `first` (shape (m, p-1)) and the corner (shape (p-1,)) are power-basis
+    coefficients under the dtype rule of `ExactMatrix`."""
+
+    first: np.ndarray
+    hankel: bool
+    shift: bool
+    border: tuple | None = None
+    scaled: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "first", _held(np.asarray(self.first)))
+        if self.border is not None:
+            corner, x, y = self.border
+            object.__setattr__(self, "border", (_held(np.asarray(corner)), x, y))
+
+
 class ExactMatrix:
-    """A square matrix over Z or Z[zeta_p], held as one read-only integer array."""
+    """A square matrix over Z or Z[zeta_p], held as one read-only integer array, with
+    the `Circulant` declaration of its builder (None for a matrix built by hand)."""
 
-    __slots__ = ("coeffs", "meta")
+    __slots__ = ("coeffs", "meta", "circulant")
 
-    def __init__(self, coeffs: np.ndarray | list, meta: MatrixMeta) -> None:
+    def __init__(self, coeffs: np.ndarray | list, meta: MatrixMeta,
+                 circulant: Circulant | None = None) -> None:
         """`coeffs`: a numpy integer array, an object array of ints, or nested lists of
-        ints.  An int64 array whose entries are all below AUX_PRIME_FLOOR in absolute
-        value is kept as it is, not copied; any other becomes int64 when its entries
-        are, and Python ints (dtype object) when they are not.  Float, complex and
-        bool arrays, and entries that are not ints, raise TypeError."""
+        ints, held under the dtype rule of `_held`."""
         if not isinstance(coeffs, np.ndarray):
             coeffs = np.array(coeffs, dtype=object)  # no float or uint64 guessed from ints
         n = len(coeffs)
         if coeffs.shape not in ((n, n), (n, n, meta.p - 1)):
             raise ValueError(f"shape {coeffs.shape}, not (n, n) or (n, n, {meta.p - 1})")
-        if coeffs.dtype.kind not in "iuO":
-            raise TypeError(f"integer entries required, got dtype {coeffs.dtype}")
-        lo, hi = -AUX_PRIME_FLOOR, AUX_PRIME_FLOOR
-        if coeffs.dtype != np.int64 or not lo < coeffs.min(initial=0) <= coeffs.max(initial=0) < hi:
-            ints = coeffs.ravel().tolist()  # Python ints from any integer dtype
-            if not all(isinstance(x, int) for x in ints):
-                raise TypeError("integer entries required")
-            small = lo < min(ints, default=0) and max(ints, default=0) < hi
-            coeffs = np.array(ints, dtype=np.int64 if small else object).reshape(coeffs.shape)
-        coeffs.flags.writeable = False
-        self.coeffs, self.meta = coeffs, meta
+        self.coeffs, self.meta, self.circulant = _held(coeffs), meta, circulant
 
     @property
     def kind(self) -> str:
@@ -77,30 +116,43 @@ def _require_nonresidue(p: int, delta: int) -> None:
         raise ValueError(f"delta={delta} is not a quadratic non-residue mod {p}")
 
 
-def _legendre_coeffs(p: int, delta: int, start: int) -> np.ndarray:
-    """Legendre symbols ((j^2 + delta*k^2)/p) for start <= j, k <= m: one table lookup."""
+def _chi(p: int) -> np.ndarray:
+    """The Legendre symbols (t/p) for t = 0 .. p-1."""
     chi = np.full(p, -1, dtype=np.int64)
     chi[np.arange(p) ** 2 % p] = 1
     chi[0] = 0
+    return chi
+
+
+def _legendre_coeffs(p: int, delta: int, start: int) -> np.ndarray:
+    """Legendre symbols ((j^2 + delta*k^2)/p) for start <= j, k <= m: one table lookup."""
     sq = np.arange(start, (p + 1) // 2) ** 2 % p
-    return chi[(sq[:, None] + delta % p * sq) % p]
+    return _chi(p)[(sq[:, None] + delta % p * sq) % p]
+
+
+def _one(p: int) -> np.ndarray:
+    return np.eye(1, p - 1, dtype=np.int64)[0]
 
 
 def _with_corner(p: int, delta: int, corner: CycElt) -> np.ndarray:
     """The Legendre symbols from index 0 as rational elements, with `corner` at (0, 0)."""
-    out = _legendre_coeffs(p, delta, 0)[..., None] * np.eye(1, p - 1, dtype=np.int64)
+    out = _legendre_coeffs(p, delta, 0)[..., None] * _one(p)
     out[0, 0] = corner.coeffs
     return out
 
 
-def _zeta_coeffs(p: int, delta: int) -> np.ndarray:
-    """Entries zeta^(delta j^2 k^2) for 0 <= j, k <= m: a one-hot at the exponent e,
-    or -1 in every coefficient for e = p-1 (zeta^(p-1) = -1 - zeta - ... - zeta^(p-2))."""
-    sq = np.arange((p + 1) // 2) ** 2 % p
-    e = delta % p * np.outer(sq, sq) % p
+def _zeta_powers(p: int, e: np.ndarray) -> np.ndarray:
+    """zeta^e for exponents 0 <= e < p: a one-hot at e, or -1 in every coefficient for
+    e = p-1 (zeta^(p-1) = -1 - zeta - ... - zeta^(p-2))."""
     out = (e[..., None] == np.arange(p - 1)).astype(np.int64)
     out[e == p - 1] = -1
     return out
+
+
+def _zeta_coeffs(p: int, delta: int) -> np.ndarray:
+    """Entries zeta^(delta j^2 k^2) for 0 <= j, k <= m."""
+    sq = np.arange((p + 1) // 2) ** 2 % p
+    return _zeta_powers(p, delta % p * np.outer(sq, sq) % p)
 
 
 def _geometric_sums(p: int, e, n) -> np.ndarray:
@@ -113,24 +165,51 @@ def _geometric_sums(p: int, e, n) -> np.ndarray:
     return out
 
 
+# -- the declarations, from each family's formula, not from its coeffs --------
+
+
+def _square_powers(p: int) -> np.ndarray:
+    """g^(2w) mod p for w = 0 .. m-1: the squares in the order of `Circulant`."""
+    b = pow(primitive_root(p), 2, p)
+    return np.array([pow(b, w, p) for w in range((p - 1) // 2)], dtype=np.int64)
+
+
+def _zeta_block(p: int, delta: int, x: int = 1) -> Circulant:
+    """D (delta 1), DD and Dtilde (x 2): x zeta^(delta j^2 k^2) = x zeta^(delta g^(2(u+v))),
+    a Hankel block, with 1 at the corner and in column 0 and x in row 0."""
+    first = x * _zeta_powers(p, delta * _square_powers(p) % p)
+    return Circulant(first, hankel=True, shift=True, border=(_one(p), x, 1))
+
+
+def _legendre_block(p: int, delta: int, corner: CycElt) -> Circulant:
+    """E (delta 1) and F: ((j^2 + delta k^2)/p) = ((1 + delta g^(2(v-u)))/p), a circulant
+    block, with (delta/p) in row 0 and 1 in column 0."""
+    first = _chi(p)[(1 + delta * _square_powers(p)) % p, None] * _one(p)
+    return Circulant(first, hankel=False, shift=False,
+                     border=(corner.coeffs, legendre(delta, p), 1))
+
+
 def build_C(p: int) -> ExactMatrix:
-    """Entries (1 - zeta^(j^2 k^2)) / (1 - zeta^(j^2)), built as geometric sums."""
+    """Entries (1 - zeta^(j^2 k^2)) / (1 - zeta^(j^2)), built as geometric sums: the Hankel
+    block 1 - zeta^(g^(2(u+v))) with row u scaled."""
     require_odd_prime(p)
     sq = np.arange(1, (p + 1) // 2) ** 2 % p
-    return ExactMatrix(_geometric_sums(p, sq, sq), MatrixMeta(p, "C"))
+    first = _one(p) - _zeta_powers(p, _square_powers(p))
+    return ExactMatrix(_geometric_sums(p, sq, sq), MatrixMeta(p, "C"),
+                       Circulant(first, hankel=True, shift=True, scaled=True))
 
 
 def build_D(p: int) -> ExactMatrix:
     """Entries zeta^(j^2 k^2) for 0 <= j, k <= m."""
     require_odd_prime(p)
-    return ExactMatrix(_zeta_coeffs(p, 1), MatrixMeta(p, "D"))
+    return ExactMatrix(_zeta_coeffs(p, 1), MatrixMeta(p, "D"), _zeta_block(p, 1))
 
 
 def build_D_delta(p: int, delta: int) -> ExactMatrix:
     """Entries zeta^(delta j^2 k^2), delta a quadratic non-residue."""
     require_odd_prime(p)
     _require_nonresidue(p, delta)
-    return ExactMatrix(_zeta_coeffs(p, delta), MatrixMeta(p, "DD", delta))
+    return ExactMatrix(_zeta_coeffs(p, delta), MatrixMeta(p, "DD", delta), _zeta_block(p, delta))
 
 
 def build_D_tilde(p: int) -> ExactMatrix:
@@ -138,7 +217,7 @@ def build_D_tilde(p: int) -> ExactMatrix:
     require_odd_prime(p)
     coeffs = _zeta_coeffs(p, 1)
     coeffs[:, 1:] *= 2  # column 0 is zeta^0 = 1 already
-    return ExactMatrix(coeffs, MatrixMeta(p, "Dtilde"))
+    return ExactMatrix(coeffs, MatrixMeta(p, "Dtilde"), _zeta_block(p, 1, 2))
 
 
 def build_E(p: int) -> ExactMatrix:
@@ -146,7 +225,8 @@ def build_E(p: int) -> ExactMatrix:
     require_odd_prime(p)
     if p % 4 != 3:
         raise ValueError(f"E requires p = 3 mod 4, got {p}")
-    return ExactMatrix(_with_corner(p, 1, -gauss_sum(p)), MatrixMeta(p, "E"))
+    g = gauss_sum(p)
+    return ExactMatrix(_with_corner(p, 1, -g), MatrixMeta(p, "E"), _legendre_block(p, 1, -g))
 
 
 def build_F(p: int, delta: int) -> ExactMatrix:
@@ -155,7 +235,9 @@ def build_F(p: int, delta: int) -> ExactMatrix:
     if p % 4 != 1:
         raise ValueError(f"F requires p = 1 mod 4, got {p}")
     _require_nonresidue(p, delta)
-    return ExactMatrix(_with_corner(p, delta, gauss_sum(p)), MatrixMeta(p, "F", delta))
+    g = gauss_sum(p)
+    return ExactMatrix(_with_corner(p, delta, g), MatrixMeta(p, "F", delta),
+                       _legendre_block(p, delta, g))
 
 
 def build_S(p: int) -> ExactMatrix:

@@ -1,13 +1,18 @@
-"""The evaluation-interpolation backend's two proofs: the signed Galois-orbit
-certificate that lets one node per coset stand for all p-1, and the
-coefficient bound from the coset embeddings that stops the CRT lift.
+"""The evaluation-interpolation backend's proofs: the circulant declarations of
+the built families, certified on their coefficients, the signed Galois-orbit
+certificate that lets one node per coset stand for all p-1 on any other
+matrix, and the coefficient bounds, from a declaration or from the coset
+embeddings of the dense rows, that stop the CRT lift.
 
-The certificate is checked against `CycElt.galois` on the dense entries, the
-bound against every coefficient of the determinants of the sweep's families,
+Every built family certifies its declaration, and its value, taken from one
+resultant of its first row per node, equals the dense path's on a hand-built
+copy of its coefficients (`hand_built`, which carries no declaration).  The
+orbit certificate is checked against `CycElt.galois` on the dense entries, the
+bounds against every coefficient of the determinants of the sweep's families,
 against their images under all p-1 embeddings (`oracles.embeddings_abs_sq`)
 and against the coefficient-size bound (`oracles.ell_bound_sq`), and the
 backend against the all-node loop with a stability stop
-(`oracles.evalinterp_all_nodes`) and Bareiss.  The bound and the certificate
+(`oracles.evalinterp_all_nodes`) and Bareiss.  The bounds and the certificates
 are read through `detkit` on every call, so that a mutant installed there is
 the one tested.
 """
@@ -22,8 +27,15 @@ import pytest
 from cyclodet import detkit
 from cyclodet.cycring import CycElt
 from cyclodet.detkit import det_cyc_bareiss, det_cyc_evalinterp
-from cyclodet.matrices import ExactMatrix, build
-from cyclodet.modarith import AUX_PRIME_FLOOR, is_prime, least_nonresidue, primitive_root
+from cyclodet.matrices import ExactMatrix, MatrixMeta, build, build_D
+from cyclodet.modarith import (
+    AUX_PRIME_FLOOR,
+    aux_primes,
+    distinct_nonresidues,
+    is_prime,
+    least_nonresidue,
+    primitive_root,
+)
 from cyclodet.subfield import fourth_power_sum
 
 from oracles import (
@@ -56,12 +68,20 @@ def evalinterp(family: str, p: int):
     return detkit.det_cyc_evalinterp(matrix(family, p), stats), stats
 
 
+def hand_built(m: ExactMatrix) -> ExactMatrix:
+    """A copy of m's coefficients with no declaration: it takes the dense path."""
+    return ExactMatrix(m.coeffs, m.meta)
+
+
 def orbit_step(m: ExactMatrix) -> tuple[int, int]:
     return detkit._orbit_step(m.coeffs)
 
 
 def bound_sq(m: ExactMatrix) -> int:
-    """H^2 over the coset embeddings of the certificate, as the backend takes it."""
+    """H^2 as the backend takes it: from m's declaration when it is certified, else over
+    the coset embeddings of the orbit certificate."""
+    if detkit._certified(m):
+        return detkit._declared_bound_sq(m.circulant, m.meta.p)
     return detkit._embedding_bound_sq(m.coeffs, orbit_step(m)[0])
 
 
@@ -86,6 +106,99 @@ def galois_sign(m: ExactMatrix, b: int):
                 seen.add(i)
                 i = perm[i]
     return (-1) ** (len(perm) - cycles)
+
+
+ALL_PRIMES = [p for p in range(3, 114) if is_prime(p)]
+
+
+def built(p: int):
+    """Every cyclotomic family of p, with each delta of `distinct_nonresidues(p, 3)`."""
+    for family in families(p):
+        for delta in distinct_nonresidues(p, 3) if family in ("DD", "F") else [None]:
+            yield build(family, p, *([] if delta is None else [delta]))
+
+
+class TestDeclarations:
+    """The `Circulant` declaration each builder attaches, certified on its coefficients."""
+
+    @pytest.mark.parametrize("p", ALL_PRIMES)
+    def test_every_built_family_certifies(self, p):
+        for m in built(p):
+            assert detkit._certified(m), m
+
+    @pytest.mark.parametrize("p", ALL_PRIMES)
+    def test_certified_value_equals_the_dense_path(self, p):
+        """One resultant per node against one elimination per node of a hand-built copy
+        of the same coefficients: the same value, nodes and primes."""
+        for m in built(p):
+            stats, dense_stats = {}, {}
+            assert (detkit.det_cyc_evalinterp(m, stats)
+                    == detkit.det_cyc_evalinterp(hand_built(m), dense_stats)), m
+            assert stats == dense_stats
+
+    def test_hand_built_matrix_carries_no_declaration(self):
+        """D(7) scaled past the floor, built by hand: it takes the dense path and gets
+        its own determinant, 2^(40 n) det D(7)."""
+        m = ExactMatrix(build_D(7).coeffs * 2**40, MatrixMeta(7, "D"))
+        assert m.circulant is None and not detkit._certified(m)
+        value = det_cyc_evalinterp(m)
+        assert value == det_cyc_bareiss(m) == det_cyc_evalinterp(build_D(7)) * 2 ** (40 * m.n)
+
+    def test_a_declaration_of_the_wrong_size_is_refused(self):
+        d7 = build_D(7)
+        assert not detkit._certified(ExactMatrix(d7.coeffs[1:, 1:], d7.meta, d7.circulant))
+
+
+def circulant(row) -> np.ndarray:
+    """The circulant Z_(u,v) = row[(v - u) mod m]."""
+    m = len(row)
+    return np.array([[row[(v - u) % m] for v in range(m)] for u in range(m)], dtype=np.int64)
+
+
+class TestEuclid:
+    """The lockstep Euclid of `_resultants` against `_det_mod_stack` on the expanded
+    circulant, whose determinant is H(1) R'."""
+
+    def check(self, h, q):
+        got = detkit._resultants(np.array(h, dtype=np.int64), np.array([q] * len(h)))
+        for row, r in zip(h, got.tolist()):
+            assert sum(row) * r % q == detkit._det_mod_stack(circulant(row)[None], q)[0]
+        return got
+
+    def test_random_rows(self):
+        rng, q = random.Random(0xE0C1), next(aux_primes(23))
+        for m in (1, 2, 3, 8, 11):
+            self.check([[rng.randrange(q) for _ in range(m)] for _ in range(4)], q)
+
+    def test_degenerate_row_takes_the_fallback(self, monkeypatch):
+        """B = H mod (1 + ... + x^8) of degree 7 with A = (x + t) B + R, R of degree 5:
+        the remainder after the first step loses two degrees (its leading coefficient
+        vanishes mod q), and the step after, from degrees 7 and 5, has the sign
+        (-1)^35.  Stacked with a random row, whose remainders lose one degree at each
+        step, the row takes `_resultant`; alone, it takes the lockstep's own steps."""
+        rng, q, m = random.Random(0xDE6E), next(aux_primes(19)), 9
+        t = rng.randrange(q)
+        b = [rng.randrange(q) for _ in range(m - 4)] + [(1 - t * (1 - t)) % q, (1 - t) % q, 1]
+        degenerate, normal = b + [0], [rng.randrange(q) for _ in range(m)]
+        calls, real = [], detkit._resultant
+        monkeypatch.setattr(detkit, "_resultant", lambda a, b, q: calls.append(b) or real(a, b, q))
+        both = self.check([normal, degenerate], q)
+        assert calls == [b]
+        calls.clear()
+        assert self.check([degenerate], q).tolist() == both[1:].tolist() and not calls
+
+    def test_shared_root_is_zero(self):
+        """H = 1 + x vanishes at -1, a root of 1 + x + ... + x^5: R' is 0, in a stack
+        with another row and alone."""
+        q = next(aux_primes(13))
+        shared = [1, 1, 0, 0, 0, 0]
+        assert self.check([shared, [1, 2, 3, 4, 5, 7]], q)[0] == 0
+        assert self.check([shared], q)[0] == 0
+
+    def test_refuses_a_prime_past_int64_headroom(self):
+        q = next(q for q in range((1 << 31) + 1, 1 << 32, 2) if is_prime(q))
+        with pytest.raises(OverflowError):
+            detkit._resultants(np.ones((1, 3), dtype=np.int64), np.array([q]))
 
 
 class TestOrbitCertificate:
@@ -133,8 +246,8 @@ class TestOrbitCertificate:
         itself a row, is looked up under the key of the next row would certify f = 2
         with a wrong permutation without the comparison of the rows; compared, every
         such match is refused, the certificate falls back to all p-1 nodes, and the
-        value equals Bareiss's."""
-        m, p = matrix("D", 7), 7
+        value of a hand-built copy equals Bareiss's."""
+        m, p = hand_built(matrix("D", 7)), 7
         rows = [row.tobytes() for row in m.coeffs]
         calls = []
 
@@ -217,7 +330,9 @@ class TestCertificateCannotBeFooled:
 
 
 class TestCoefficientBound:
-    """H^2 of `_embedding_bound_sq` is at least |sigma_a(det M)|^2 at every one of the
+    """H^2 as the backend takes it (`bound_sq`: from a built family's declaration,
+    `_declared_bound_sq`, else `_embedding_bound_sq` on the dense rows) is at least
+    |sigma_a(det M)|^2 at every one of the
     p-1 embeddings (`embeddings_abs_sq`), whichever f cosets it reads, and at most
     the coefficient-size bound `ell_bound_sq` but for its float64 margin: every
     |sigma_a(x)| <= l(x) <= l1(x) <= (p-1) l(x), the margin adds at most 2^-29 l1(x)
@@ -235,15 +350,19 @@ class TestCoefficientBound:
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_bound_holds_and_stops_the_lift(self, p):
-        """Every coefficient of det is below 2H, every embedding at most H,
-        and the lift stops at the first modulus above 4H."""
+        """Every coefficient of det is below 2H, every embedding at most H, with H^2
+        from the family's declaration, and the lift stops at the first modulus above
+        4H, where the bound from the dense rows stops it too."""
         for family in families(p):
             m = matrix(family, p)
+            assert detkit._certified(m)
             value, stats = evalinterp(family, p)
             h2 = self.check(m, value)
             assert max(c * c for c in value.coeffs) < 4 * h2
             modulus = math.prod(stats["moduli"])
             assert modulus**2 > 16 * h2 >= (modulus // stats["moduli"][-1]) ** 2
+            dense = detkit._embedding_bound_sq(m.coeffs, 2)
+            assert detkit._lift_primes(p, 16 * dense) == stats["moduli"]
 
     def test_c_takes_about_the_primes_of_d(self):
         """At p = 199 det C and det D both have about 283 bits; C's lift takes at

@@ -36,6 +36,7 @@ from cyclodet.detkit import det
 from cyclodet.verify import SweepOptions, run_prime
 
 import test_detkit
+import test_evalinterp
 from oracles import exact_matrix, lincomb_loop, reference_rows
 from test_cycring import headroom_sides
 from test_evalinterp import TestCoefficientBound
@@ -234,6 +235,54 @@ def orbit_step_halved(monkeypatch):
     monkeypatch.setattr(detkit, "_orbit_step", orbit_step)
 
 
+def hand_built(family: str, p: int, *delta: int):
+    """The matrix of `det(m, "both")`: a copy of a built family's coefficients with no
+    declaration, which takes the dense path."""
+
+    def where():
+        m = matrices.build(family, p, *delta)
+        return matrices.ExactMatrix(m.coeffs, m.meta)
+
+    where.p = p
+    return where
+
+
+def built(family: str, p: int):
+    """The matrix of `det(m, "both")`: a built family, which takes its declaration."""
+
+    def where():
+        return matrices.build(family, p)
+
+    where.p = p
+    return where
+
+
+def reversal_sign_dropped(monkeypatch):
+    """A certified Hankel block loses the sign (-1)^floor((m-1)/2) of its reversal."""
+    monkeypatch.setattr(detkit, "_declared_values", recompiled(
+        detkit._declared_values, "dets * (-1) ** ((half - 1) // 2) % q", "dets"))
+
+
+def shift_sign_dropped(monkeypatch):
+    """A certified declaration whose sigma_(g^2) shifts its first row broadcasts unsigned:
+    s = (-1)^(m-1), -1 at p = 1 (mod 4), is lost."""
+    monkeypatch.setattr(detkit, "det_cyc_evalinterp", recompiled(
+        detkit.det_cyc_evalinterp, "(-1) ** ((p - 3) // 2) if m.circulant.shift else 1", "1"))
+
+
+def euclid_sign_dropped(monkeypatch):
+    """The lockstep Euclid drops (-1)^(deg A deg B), which is -1 only where a step loses
+    two degrees from odd degrees: E's and F's rows, Legendre symbols, do at some primes."""
+    monkeypatch.setattr(detkit, "_resultants", recompiled(
+        detkit._resultants, "(-1) ** (d * e) * res", "res"))
+
+
+def row_scaling_dropped(monkeypatch):
+    """C's certified value drops its row scaling 1/(1 - zeta^(j^2))."""
+    monkeypatch.setattr(detkit, "_declared_values", recompiled(
+        detkit._declared_values, "if decl.scaled:", "if False:"))
+
+
 def coset_shifted(monkeypatch):
     """Evaluation-interpolation broadcasts each node's value to the next coset."""
     monkeypatch.setattr(detkit, "det_cyc_evalinterp", recompiled(
@@ -374,11 +423,13 @@ MUTANTS = [
     (stack_swap_unsigned, "detF_corner_expansion: det F (evaluation-interpolation) against "
      "det T and det SD (CRT)", 5, "detF_corner_expansion[d=2]"),
     (stack_swap_unsigned, "detF_corner_expansion", 61, "detF_corner_expansion[d=2]"),
-    (orbit_step_one, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5, ArithmeticError),
-    (orbit_step_one, "det_product_relation: det D against det C", 67, "det_product_relation"),
-    (orbit_step_halved, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5,
+    # the dense path, on hand-built copies of D
+    (orbit_step_one, "DetResult.value: Bareiss disagrees with the dense path", hand_built("D", 5),
      ArithmeticError),
-    (orbit_step_halved, "det_product_relation", 67, "det_product_relation"),
+    (orbit_step_one, "DetResult.value", hand_built("D", 67), ArithmeticError),
+    (orbit_step_halved, "DetResult.value: Bareiss disagrees with the dense path",
+     hand_built("D", 5), ArithmeticError),
+    (orbit_step_halved, "DetResult.value", hand_built("D", 67), ArithmeticError),
     (coset_shifted, "det_product_relation: det D against det C", 5, "det_product_relation"),
     (coset_shifted, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 61, ArithmeticError),
     # s = -1 at p = 1 (mod 4) only; 5 is the first
@@ -403,9 +454,28 @@ MUTANTS = [
      "dtilde_scaling"),
     (horner_skips_a_digit, "det_product_relation: det D against det C", 67,
      "det_product_relation"),
-    (one_modulus_per_stack, "dtilde_scaling: det Dtilde against 2^m det D", 17,
-     "dtilde_scaling"),
-    (one_modulus_per_stack, "det_product_relation", 67, "det_product_relation"),
+    # the integer CRT and the dense path are its only stacks; at 17 the dense lift of
+    # Dtilde takes two primes, and the integer lifts one run of one
+    (one_modulus_per_stack, "DetResult.value: Bareiss disagrees with the dense path",
+     hand_built("Dtilde", 17), ArithmeticError),
+    (one_modulus_per_stack, "int_backend_agreement: integer Bareiss against the CRT", 67,
+     "int_backend_agreement"),
+    # the certified path: each sign and the row scaling of `_declared_values`
+    (reversal_sign_dropped, "cyc_backend_agreement: m = 3 has floor((m-1)/2) = 1", 7,
+     "cyc_backend_agreement"),
+    # every check pairs Hankel families with each other or squares them, so above
+    # BAREISS_LIMIT only Bareiss sees the sign (and the report's det C and det D)
+    (reversal_sign_dropped, "DetResult.value: Bareiss disagrees with det D(71) (m = 35)",
+     built("D", 71), ArithmeticError),
+    (shift_sign_dropped, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5,
+     ArithmeticError),
+    (shift_sign_dropped, "quartic_decompose", 61, ArithmeticError),
+    (euclid_sign_dropped, "detF_corner_expansion: det F against det T and det SD", 13,
+     "detF_corner_expansion[d=2]"),
+    (euclid_sign_dropped, "detE_column_reduction: det E against det S", 67,
+     "detE_column_reduction"),
+    (row_scaling_dropped, "det_product_relation: det C against det D", 5, "det_product_relation"),
+    (row_scaling_dropped, "det_product_relation", 61, "det_product_relation"),
 ]
 
 
@@ -413,7 +483,7 @@ def row_id(mutant, layer, where, caught_by) -> str:
     """The mutant's name, with its prime where the mutant has a row per prime."""
     if sum(other is mutant for other, *_ in MUTANTS) == 1:
         return mutant.__name__
-    return f"{mutant.__name__}-p{where}"
+    return f"{mutant.__name__}-p{getattr(where, 'p', where)}"
 
 
 @pytest.mark.parametrize("mutant, layer, where, caught_by", MUTANTS,
@@ -432,14 +502,16 @@ def test_mutant_is_caught(monkeypatch, mutant, layer, where, caught_by):
 
 def test_unmutated_prime_passes():
     """The primes the mutants run at pass every check as the code stands (above
-    BAREISS_LIMIT the cyclotomic agreement is skipped), and the constructed
-    matrix has one value."""
-    for args in ((5,), (5, SWEEP), (7,), (17,), (17, SWEEP), (23,), (31,), (61,), (67,)):
+    BAREISS_LIMIT the cyclotomic agreement is skipped), and the matrices they take
+    have one value."""
+    for args in ((5,), (5, SWEEP), (7,), (13,), (17,), (17, SWEEP), (23,), (31,), (61,), (67,)):
         statuses = {name: c.status for name, c in run_prime(*args).checks.items()}
         if args[0] > verify.BAREISS_LIMIT:
             assert statuses.pop("cyc_backend_agreement") == "skipped"
         assert set(statuses.values()) == {"pass"}
     assert det(swapped_cyc_matrix(), "both").value == -CycElt.zeta(5)
+    for where in {row[2] for row in MUTANTS if callable(row[2]) and hasattr(row[2], "p")}:
+        assert det(where(), "both").agree
 
 
 def test_lift_one_prime_short_hides_in_the_bound_slack(monkeypatch):
@@ -452,14 +524,14 @@ def test_lift_one_prime_short_hides_in_the_bound_slack(monkeypatch):
     lift one prime short still holds 71 bits.  No check can see slack.  Where a
     coefficient needs the last prime, a check fails (det_product_relation at 67).
     tests/test_evalinterp.py's `TestCoefficientBound::test_bound_holds_and_stops_the_lift`
-    catches it at every prime, as here on D(61): the modulus no longer passes 4H."""
+    catches it at every prime, as here on D(61): the modulus no longer passes 4H, H^2
+    from D's declaration."""
     real = detkit._lift_primes
     monkeypatch.setattr(detkit, "_lift_primes", lambda p, bound_sq: real(p, bound_sq)[:-1])
     assert run_prime(61).all_passed()
     m, stats = matrices.build("D", 61), {}
     detkit.det_cyc_evalinterp(m, stats)
-    f = detkit._orbit_step(m.coeffs)[0]
-    assert math.prod(stats["moduli"]) ** 2 <= 16 * detkit._embedding_bound_sq(m.coeffs, f)
+    assert math.prod(stats["moduli"]) ** 2 <= 16 * detkit._declared_bound_sq(m.circulant, 61)
 
 
 def bound_one_embedding(monkeypatch):
@@ -469,9 +541,10 @@ def bound_one_embedding(monkeypatch):
 
 
 def test_bound_one_embedding_is_caught(monkeypatch):
-    """H^2 from the embedding a = 1 alone passes every check at 5, 61 and 67: a = 1
-    gives the largest H of the f cosets for every family of the sweep (to 0.1 bit
-    at 13..101), so neither a check nor the families of
+    """H^2 from the embedding a = 1 alone passes every check at 5, 61 and 67: the
+    built families take their bound from their declarations, and on their dense
+    rows a = 1 gives the largest H of the f cosets (to 0.1 bit at 13..101), so
+    neither a check nor the families of
     `TestCoefficientBound::test_bound_holds_and_stops_the_lift` see it.
     `TestCoefficientBound::test_every_coset_is_read` catches it: 1 + zeta^6 over
     Z[zeta_13] has |sigma_1|^2 < 0.2 and |sigma_2|^2 > 3."""
@@ -482,13 +555,28 @@ def test_bound_one_embedding_is_caught(monkeypatch):
         TestCoefficientBound().test_every_coset_is_read()
 
 
+def test_fallback_euclid_sign_dropped_is_caught(monkeypatch):
+    """`_resultant`, the Euclid over exact degrees that takes a row whose remainder loses
+    more degrees than the rest of its stack, without its sign (-1)^(deg a deg b): no
+    prime of the sweep sends a row there, so every check passes at 13 and 67, where
+    the lockstep's own sign shows.  tests/test_evalinterp.py's
+    `TestEuclid::test_degenerate_row_takes_the_fallback` catches it: its row steps from
+    degrees 7 and 5."""
+    monkeypatch.setattr(detkit, "_resultant", recompiled(
+        detkit._resultant, "res * (-1) ** (da * db) *", "res *"))
+    for p in (13, 67):
+        assert run_prime(p).all_passed()
+    with pytest.raises(AssertionError):
+        test_evalinterp.TestEuclid().test_degenerate_row_takes_the_fallback(monkeypatch)
+
+
 def constructor_without_the_rule(monkeypatch):
     """`ExactMatrix` keeps the array it is given as it is, whatever its dtype and entries."""
 
-    def init(self, coeffs, meta):
+    def init(self, coeffs, meta, circulant=None):
         coeffs = np.asarray(coeffs)
         coeffs.flags.writeable = False
-        self.coeffs, self.meta = coeffs, meta
+        self.coeffs, self.meta, self.circulant = coeffs, meta, circulant
 
     monkeypatch.setattr(matrices.ExactMatrix, "__init__", init)
 
@@ -506,6 +594,42 @@ def test_constructor_without_the_rule_is_caught(monkeypatch):
     assert m.coeffs.dtype == np.int64 and not det(m, "both").agree
     with pytest.raises(AssertionError):
         test_detkit.TestInt64Headroom().test_int64_past_the_floor_is_held_as_python_ints()
+
+
+def declaration_corrupted(family: str):
+    """`build(family, ...)` attaches its declaration with first[0] plus 1 at one coefficient."""
+    name = {"Dtilde": "D_tilde", "DD": "D_delta"}.get(family, family)
+
+    def install(monkeypatch):
+        real = getattr(matrices, f"build_{name}")
+
+        def corrupted(p, *delta):
+            m = real(p, *delta)
+            first = m.circulant.first.copy()
+            first[0, 0] += 1
+            decl = dataclasses.replace(m.circulant, first=first)
+            return matrices.ExactMatrix(m.coeffs, m.meta, decl)
+
+        monkeypatch.setattr(matrices, f"build_{name}", corrupted)
+
+    return install
+
+
+@pytest.mark.parametrize("family", ["C", "D", "Dtilde", "E", "DD", "F"])
+def test_corrupted_declaration_is_caught(monkeypatch, family):
+    """A declaration with one entry of its first row corrupted fails its certificate, and
+    the matrix takes the dense path: every check passes at the smallest prime of the
+    family's run (7 for E, 5 for the others, where run_prime starts), with the same
+    report.  tests/test_evalinterp.py's
+    `TestDeclarations::test_every_built_family_certifies` catches it."""
+    p = 7 if family == "E" else 5
+    expected = run_prime(p)
+    declaration_corrupted(family)(monkeypatch)
+    report = run_prime(p)
+    assert report.all_passed()
+    assert (report.det_C, report.det_D) == (expected.det_C, expected.det_D)
+    with pytest.raises(AssertionError):
+        test_evalinterp.TestDeclarations().test_every_built_family_certifies(p)
 
 
 def test_chi_of_zero_one_changes_no_determinant(monkeypatch):
