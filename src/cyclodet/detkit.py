@@ -558,27 +558,34 @@ def _embedding_bound_sq(coeffs: np.ndarray, f: int) -> int:
 # -- the circulant declarations of the cyclotomic families -------------------
 
 
-def _certified(m: ExactMatrix) -> bool:
-    """Whether m's `Circulant` declaration holds, exactly: on the declaration, sigma_(g^2)
-    fixes the corner and maps first[w] to first[w+1] (`shift`) or to itself; on m.coeffs,
-    the border is (corner, x, y), and every block row, times 1 - zeta^(j^2) when `scaled`
-    (`_times_zeta`), equals its row of first[(u + v) % m] or first[(v - u) % m], compared
-    a run of rows at a time (`_runs`).  A matrix without a declaration is not certified."""
+def _certified(m: ExactMatrix) -> int | None:
+    """The sign s with sigma_(g^2)(det M) = s det M when m's `Circulant` declaration holds,
+    exactly, and None otherwise (or without a declaration).  On the declaration, sigma_(g^2)
+    fixes the corner and maps first[w] to first[w+1] (w + 1 mod m), so M to P M for P an
+    m-cycle of the block rows and s = (-1)^(m-1), or fixes first, so M, and s = 1.  On
+    m.coeffs, the border is (corner, x, y), and every block row, times 1 - zeta^(j^2) when
+    `scaled` (`_times_zeta`), equals its row of first[(u + v) % m] or first[(v - u) % m],
+    compared a run of rows at a time (`_runs`)."""
     decl, p = m.circulant, m.meta.p
     half = (p - 1) // 2
     if decl is None or decl.first.shape != (half, p - 1) or m.n != half + (decl.border is not None):
-        return False
+        return None
     g = primitive_root(p)
-    moved = np.roll(decl.first, -1, axis=0) if decl.shift else decl.first
-    if not np.array_equal(_galois(decl.first, g * g), moved):
-        return False
+    image = _galois(decl.first, g * g)
+    if np.array_equal(image, np.roll(decl.first, -1, axis=0)):
+        s = (-1) ** (half - 1)
+    elif np.array_equal(image, decl.first):
+        s = 1
+    else:
+        return None
     block = m.coeffs
     if decl.border is not None:
-        (corner, x, y), one = decl.border, np.eye(1, p - 1, dtype=np.int64)[0]
+        corner, x, y = decl.border
         if not (np.array_equal(_galois(corner, g * g), corner)
                 and np.array_equal(block[0, 0], corner)
-                and (block[0, 1:] == x * one).all() and (block[1:, 0] == y * one).all()):
-            return False
+                and (block[0, 1:, 0] == x).all() and not block[0, 1:, 1:].any()
+                and (block[1:, 0, 0] == y).all() and not block[1:, 0, 1:].any()):
+            return None
         block = block[1:, 1:]
     log = np.zeros(p, dtype=np.int64)
     log[[pow(g, k, p) for k in range(p - 1)]] = np.arange(p - 1)
@@ -591,8 +598,8 @@ def _certified(m: ExactMatrix) -> bool:
         if decl.scaled:
             x = x - _times_zeta(x, squares[rows])
         if not np.array_equal(x, decl.first[w[rows]]):
-            return False
-    return True
+            return None
+    return s
 
 
 def _declared_bound_sq(decl, p: int) -> int:
@@ -614,41 +621,15 @@ def _declared_bound_sq(decl, p: int) -> int:
         bounds = _coset_bounds_sq(decl.first[None], 2, [half])
     else:
         corner, x, y = decl.border
-        rows = [np.concatenate([corner[None], np.repeat(x * one, half, axis=0)]),
-                np.concatenate([y * one, decl.first])]
+        wide = one.astype(object) if max(abs(x), abs(y)) >= 1 << 62 else one  # x, y exact
+        rows = [np.concatenate([corner[None], np.repeat(x * wide, half, axis=0)]),
+                np.concatenate([y * wide, decl.first])]
         bounds = _coset_bounds_sq(np.stack(rows), 2, [1, half])
     if decl.scaled:
         unit = _coset_bounds_sq((one - np.roll(one, 1))[None] << 32, p - 1)  # 2^32 (1 - zeta)
         bounds = [-(-bounds[i] * math.prod(unit[1 - i :: 2]) // (p * p << 64 * half))
                   for i in range(2)]
     return max(bounds)
-
-
-def _resultant(a: list, b: list, q: int) -> int:
-    """Res(a, b) mod q by Euclid's algorithm on Python ints, for coefficient lists (lowest
-    first), a's leading coefficient a unit: the fallback of `_resultants`, over exact degrees.
-
-    With Res(a, b) = lc(a)^deg(b) prod_(a(x)=0) b(x): Res(a, b) = (-1)^(deg a deg b) Res(b, a),
-    Res(b, a) = lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, Res(a, c) = c^(deg a) for a
-    constant c, and 0 once b = 0 (a and b share a root)."""
-    res = 1
-    while True:
-        while b and b[-1] % q == 0:
-            b = b[:-1]
-        if not b:
-            return 0
-        da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            return res * pow(b[0], da, q) % q
-        r, inv = list(a), pow(b[-1], -1, q)
-        for i in range(da - db, -1, -1):
-            t = r[i + db] * inv % q
-            r[i : i + db + 1] = [(x - t * y) % q for x, y in zip(r[i : i + db + 1], b)]
-        r = r[:db]
-        while r and r[-1] == 0:
-            r.pop()
-        res = res * (-1) ** (da * db) * pow(b[-1], da - len(r) + 1, q) % q
-        a, b = b, r
 
 
 def _times_power(res: np.ndarray, v: np.ndarray, k: int, q: np.ndarray) -> np.ndarray:
@@ -671,8 +652,9 @@ def _resultants(h: np.ndarray, q: np.ndarray) -> np.ndarray:
     the remainder's degree as e - 1, and the next step, once it reads r, corrects the power
     of lc(B).  The rows share each step's degrees: E's and F's rows, Legendre symbols alike
     at every node and prime, lose two degrees at the same early steps, and the others one at
-    every step.  A row whose B has a degree other than the stack's largest (a leading
-    coefficient that vanishes mod q alone) is taken again by `_resultant`."""
+    every step.  The rows whose B has a degree other than the stack's largest (a leading
+    coefficient that vanishes mod q alone) are taken again, in a stack of their own; as a
+    row of the largest degree is never among them, each such stack is smaller."""
     if q.max() >= 1 << 31:
         raise OverflowError(f"Euclid's products mod q={q.max()} can overflow int64")
     stack, m = h.shape
@@ -703,8 +685,8 @@ def _resultants(h: np.ndarray, q: np.ndarray) -> np.ndarray:
             t = a[:, i + e] * inv % q
             a[:, i : i + e + 1] = (a[:, i : i + e + 1] - t[:, None] * b) % qc
         a, b = b, a[:, :e]
-    for i in np.flatnonzero(apart):
-        res[i] = _resultant([1] * m, ((h[i, :-1] - h[i, -1]) % moduli[i]).tolist(), moduli[i])
+    if apart.any():
+        res[apart] = _resultants(h[apart], q[apart])
     return res
 
 
@@ -733,7 +715,8 @@ def _declared_values(decl, data: list, nodes: np.ndarray) -> np.ndarray:
     else:
         corner, x, y = decl.border
         c = np.concatenate([d.values(corner[None], nodes)[0] for d in data])
-        dets = dets * ((c * h1 - x * y * half) % q) % q
+        xym = np.repeat([x * y * half % d.q for d in data], f)  # Python ints: x, y any size
+        dets = dets * ((c * h1 - xym) % q) % q
     if decl.hankel:
         dets = dets * (-1) ** ((half - 1) // 2) % q
     if decl.scaled:
@@ -752,20 +735,19 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     which holds coefficients below 2H exactly (`_embedding_bound_sq`).  The primes are
     counted up front and taken together, in runs of at most _STACK_ENTRIES entries (`_runs`).
 
-    A matrix whose `Circulant` declaration is certified on its coefficients (`_certified`)
-    takes f = 2, its H^2 from the declaration (`_declared_bound_sq`), and each value from one
-    resultant of its first row (`_declared_values`).  sigma_(g^2) maps M to P M for P an
-    m-cycle of the block rows when it shifts the first row, and to M otherwise, so
-    sigma_(g^2)(det M) = s det M with s = (-1)^(m-1) or 1.  Any other cyclotomic matrix
+    A matrix whose `Circulant` declaration is certified on its coefficients (`_certified`,
+    which gives s = (-1)^(m-1) or 1) takes f = 2, its H^2 from the declaration
+    (`_declared_bound_sq`), and each value from one resultant of its first row
+    (`_declared_values`).  Any other cyclotomic matrix
     takes the (f, s) of `_orbit_step` (f = 2 or p-1), H^2 from its dense rows, and each value
     from one elimination (`_det_mod_stack`) of its values at the node."""
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
     p, n = m.meta.p, m.n
-    g, declared = primitive_root(p), _certified(m)
+    g, s = primitive_root(p), _certified(m)
+    declared = s is not None
     if declared:
-        f, s = 2, (-1) ** ((p - 3) // 2) if m.circulant.shift else 1
-        h2, per_prime = _declared_bound_sq(m.circulant, p), 2 * n
+        f, h2, per_prime = 2, _declared_bound_sq(m.circulant, p), 2 * n
     else:
         f, s = _orbit_step(m.coeffs)
         h2, per_prime = _embedding_bound_sq(m.coeffs, f), f * n * n

@@ -17,6 +17,7 @@ are read through `detkit` on every call, so that a mutant installed there is
 the one tested.
 """
 import builtins
+import dataclasses
 import math
 import random
 from functools import cache
@@ -80,7 +81,7 @@ def orbit_step(m: ExactMatrix) -> tuple[int, int]:
 def bound_sq(m: ExactMatrix) -> int:
     """H^2 as the backend takes it: from m's declaration when it is certified, else over
     the coset embeddings of the orbit certificate."""
-    if detkit._certified(m):
+    if detkit._certified(m) is not None:
         return detkit._declared_bound_sq(m.circulant, m.meta.p)
     return detkit._embedding_bound_sq(m.coeffs, orbit_step(m)[0])
 
@@ -124,7 +125,7 @@ class TestDeclarations:
     @pytest.mark.parametrize("p", ALL_PRIMES)
     def test_every_built_family_certifies(self, p):
         for m in built(p):
-            assert detkit._certified(m), m
+            assert detkit._certified(m) is not None, m
 
     @pytest.mark.parametrize("p", ALL_PRIMES)
     def test_certified_value_equals_the_dense_path(self, p):
@@ -140,13 +141,36 @@ class TestDeclarations:
         """D(7) scaled past the floor, built by hand: it takes the dense path and gets
         its own determinant, 2^(40 n) det D(7)."""
         m = ExactMatrix(build_D(7).coeffs * 2**40, MatrixMeta(7, "D"))
-        assert m.circulant is None and not detkit._certified(m)
+        assert m.circulant is None and detkit._certified(m) is None
         value = det_cyc_evalinterp(m)
         assert value == det_cyc_bareiss(m) == det_cyc_evalinterp(build_D(7)) * 2 ** (40 * m.n)
 
     def test_a_declaration_of_the_wrong_size_is_refused(self):
         d7 = build_D(7)
-        assert not detkit._certified(ExactMatrix(d7.coeffs[1:, 1:], d7.meta, d7.circulant))
+        assert detkit._certified(ExactMatrix(d7.coeffs[1:, 1:], d7.meta, d7.circulant)) is None
+
+    @pytest.mark.parametrize("x", [-(2**63 // 3), 2**62, 3**50])
+    def test_a_large_border_is_reduced_exactly(self, x):
+        """D(7) with x in row 0 past int64's headroom, declared by hand: x y m just above
+        -2^63 (where c H(1) - x y m would wrap in int64), past 2^63, and x itself past
+        2^63.  It certifies, and its value and primes are those of the dense path on the
+        same coefficients."""
+        d7 = build_D(7)
+        coeffs = d7.coeffs.astype(object)
+        coeffs[0, 1:] *= x
+        decl = dataclasses.replace(d7.circulant, border=(d7.circulant.border[0], x, 1))
+        m = ExactMatrix(coeffs, d7.meta, decl)
+        assert detkit._certified(m) == 1  # sigma_(g^2) shifts the first row: a 3-cycle
+        stats, dense_stats = {}, {}
+        value = det_cyc_evalinterp(m, stats)
+        assert value == det_cyc_evalinterp(hand_built(m), dense_stats) == det_cyc_bareiss(m)
+        assert stats == dense_stats
+
+    @pytest.mark.parametrize("x", [np.array([1, 0, 0, 0, 0, 0]), 1.0])
+    def test_a_border_that_is_not_an_int_is_refused(self, x):
+        decl = build_D(7).circulant
+        with pytest.raises(TypeError):
+            dataclasses.replace(decl, border=(decl.border[0], x, 1))
 
 
 def circulant(row) -> np.ndarray:
@@ -170,22 +194,24 @@ class TestEuclid:
         for m in (1, 2, 3, 8, 11):
             self.check([[rng.randrange(q) for _ in range(m)] for _ in range(4)], q)
 
-    def test_degenerate_row_takes_the_fallback(self, monkeypatch):
+    def test_degenerate_row_takes_a_stack_of_its_own(self, monkeypatch):
         """B = H mod (1 + ... + x^8) of degree 7 with A = (x + t) B + R, R of degree 5:
         the remainder after the first step loses two degrees (its leading coefficient
         vanishes mod q), and the step after, from degrees 7 and 5, has the sign
         (-1)^35.  Stacked with a random row, whose remainders lose one degree at each
-        step, the row takes `_resultant`; alone, it takes the lockstep's own steps."""
+        step, the row is taken again alone; alone, it takes the lockstep's own steps."""
         rng, q, m = random.Random(0xDE6E), next(aux_primes(19)), 9
         t = rng.randrange(q)
         b = [rng.randrange(q) for _ in range(m - 4)] + [(1 - t * (1 - t)) % q, (1 - t) % q, 1]
         degenerate, normal = b + [0], [rng.randrange(q) for _ in range(m)]
-        calls, real = [], detkit._resultant
-        monkeypatch.setattr(detkit, "_resultant", lambda a, b, q: calls.append(b) or real(a, b, q))
+        stacks, real = [], detkit._resultants
+        monkeypatch.setattr(detkit, "_resultants",
+                            lambda h, q: stacks.append(h.tolist()) or real(h, q))
         both = self.check([normal, degenerate], q)
-        assert calls == [b]
-        calls.clear()
-        assert self.check([degenerate], q).tolist() == both[1:].tolist() and not calls
+        assert stacks == [[normal, degenerate], [degenerate]]
+        stacks.clear()
+        assert self.check([degenerate], q).tolist() == both[1:].tolist()
+        assert stacks == [[degenerate]]
 
     def test_shared_root_is_zero(self):
         """H = 1 + x vanishes at -1, a root of 1 + x + ... + x^5: R' is 0, in a stack
@@ -355,7 +381,7 @@ class TestCoefficientBound:
         4H, where the bound from the dense rows stops it too."""
         for family in families(p):
             m = matrix(family, p)
-            assert detkit._certified(m)
+            assert detkit._certified(m) is not None
             value, stats = evalinterp(family, p)
             h2 = self.check(m, value)
             assert max(c * c for c in value.coeffs) < 4 * h2

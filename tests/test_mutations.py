@@ -266,8 +266,8 @@ def reversal_sign_dropped(monkeypatch):
 def shift_sign_dropped(monkeypatch):
     """A certified declaration whose sigma_(g^2) shifts its first row broadcasts unsigned:
     s = (-1)^(m-1), -1 at p = 1 (mod 4), is lost."""
-    monkeypatch.setattr(detkit, "det_cyc_evalinterp", recompiled(
-        detkit.det_cyc_evalinterp, "(-1) ** ((p - 3) // 2) if m.circulant.shift else 1", "1"))
+    monkeypatch.setattr(detkit, "_certified", recompiled(
+        detkit._certified, "s = (-1) ** (half - 1)", "s = 1"))
 
 
 def euclid_sign_dropped(monkeypatch):
@@ -553,21 +553,6 @@ def test_bound_one_embedding_is_caught(monkeypatch):
         assert run_prime(p).all_passed()
     with pytest.raises(AssertionError):
         TestCoefficientBound().test_every_coset_is_read()
-
-
-def test_fallback_euclid_sign_dropped_is_caught(monkeypatch):
-    """`_resultant`, the Euclid over exact degrees that takes a row whose remainder loses
-    more degrees than the rest of its stack, without its sign (-1)^(deg a deg b): no
-    prime of the sweep sends a row there, so every check passes at 13 and 67, where
-    the lockstep's own sign shows.  tests/test_evalinterp.py's
-    `TestEuclid::test_degenerate_row_takes_the_fallback` catches it: its row steps from
-    degrees 7 and 5."""
-    monkeypatch.setattr(detkit, "_resultant", recompiled(
-        detkit._resultant, "res * (-1) ** (da * db) *", "res *"))
-    for p in (13, 67):
-        assert run_prime(p).all_passed()
-    with pytest.raises(AssertionError):
-        test_evalinterp.TestEuclid().test_degenerate_row_takes_the_fallback(monkeypatch)
 
 
 def constructor_without_the_rule(monkeypatch):
