@@ -15,7 +15,10 @@ primes.  A CycElt is built only for a determinant returned.
 Modular: every CRT in this module is one mixed-radix conversion
 (`_MixedRadix`) over one stream of primes, the auxiliary primes q = 1 (mod p)
 above AUX_PRIME_FLOOR (`aux_primes`): residues stay int64, each prime adds a
-digit, and Python ints are built once, when the lift stops.  A modular
+digit, and Python ints are built once, when the lift stops.  The primes of
+one p and the power table of each (`_EvalData`) are found and built once, and
+kept while p stays the same (`_tables`): every lift, the exact divider and the
+identity check read them there.  A modular
 determinant counts its primes up front (`_lift_primes`) and takes them in
 runs that bound its memory (`_runs`).  Integer matrices are lifted past twice
 the Hadamard bound, taken exactly, each scalar determinant by one int64
@@ -34,7 +37,9 @@ the values are broadcast to all p-1 nodes, each step along a coset times the
 sign of sigma_(g^2), the coefficients are recovered by the inverse transform
 on the same power table r^e mod q that evaluated them, and CRT-lifted past
 twice the bound, whose complex embeddings are the one float64 computation
-here, under a proven margin (`_coset_bounds_sq`).
+here, under a proven margin (`_coset_bounds_sq`).  One matrix identity is
+checked the same way, A B = g C on the matrices' values at all p-1 nodes,
+exact past twice a bound on every coefficient of A B - g C (`identity_holds`).
 
 Every matrix's coefficient array has the dtype of the one rule that
 `ExactMatrix` applies to every array it is given: int64 only while every
@@ -42,8 +47,9 @@ entry is below AUX_PRIME_FLOOR in absolute value, Python ints otherwise.
 Every int64 sum here is of `count` products of at most (q-1)^2, refused up
 front when count (q-1)^2 >= 2^63: p-1 products per value in `_EvalData`,
 n-1 updates of an entry in [0, q) in `_det_mod_stack` (the largest q of the
-stack); the products of `_MixedRadix` and of the Euclid of `_resultants` are
-of two numbers below their primes, refused from 2^31.  As every auxiliary prime q exceeds the floor,
+stack), n products of values per entry in `identity_holds`; the products of
+`_MixedRadix` and of the Euclid of `_resultants` are of two numbers below
+their primes, refused from 2^31.  As every auxiliary prime q exceeds the floor,
 `_EvalData.values`, the one evaluator, takes int64 rows unreduced; the exact
 divider hands it rows reduced mod q.  A Bareiss step's products come from
 `lincomb`, int64 only while 4 bound < 2^63 for the bound of its sums (then by
@@ -54,6 +60,8 @@ quotients of `_divide_exact` are int64 when the proven modulus M is below
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -130,9 +138,10 @@ _STACK_ENTRIES = 1 << 16
 
 
 def _lift_primes(p: int, bound_sq: int) -> list[int]:
-    """The shortest prefix of `aux_primes(p)` whose product M has M^2 > bound_sq."""
+    """The shortest prefix of `aux_primes(p)` (read from `_tables`) whose product M has
+    M^2 > bound_sq."""
     primes, modulus = [], 1
-    for q in aux_primes(p):
+    for q in _tables(p):
         if modulus * modulus > bound_sq:
             return primes
         primes.append(q)
@@ -322,6 +331,7 @@ class _EvalData:
     so that a run of primes (`_runs`) holds p entries per prime, not (p-1)^2.
     Evaluation and interpolation both sum p-1 int64 products of a residue and
     a number below q in absolute value; a q where such a sum could wrap is refused.
+    Each is built once per (p, q) (`_tables`) and shared, so its table is read-only.
     """
 
     __slots__ = ("p", "q", "pow_r", "inv_p")
@@ -336,6 +346,7 @@ class _EvalData:
         for _ in range(p - 1):
             pow_r.append(pow_r[-1] * r % q)
         self.pow_r = np.array(pow_r, dtype=np.int64)
+        self.pow_r.flags.writeable = False  # shared by every caller of `_tables`
         self.inv_p = pow(p, -1, q)
 
     def vand(self, nodes=slice(None)) -> np.ndarray:
@@ -369,6 +380,39 @@ def _order_p_element(p: int, q: int) -> int:
     raise ArithmeticError(f"no element of order {p} in F_{q}")
 
 
+class _PrimeTables:
+    """The auxiliary primes of one p found so far, in the order of `aux_primes(p)`, and the
+    `_EvalData` of each, each found or built once, on first use.
+
+    Iterating yields the primes from the first; every iterator reads the one list, and the
+    stream is scanned only past its end, so interleaved iterators yield the same sequence.
+    An iterator keeps the tables it started on, whatever `_tables` holds later."""
+
+    __slots__ = ("p", "_primes", "_stream", "_data")
+
+    def __init__(self, p: int) -> None:
+        self.p, self._primes, self._stream, self._data = p, [], aux_primes(p), {}
+
+    def __iter__(self):
+        for i in itertools.count():
+            if i == len(self._primes):
+                self._primes.append(next(self._stream))
+            yield self._primes[i]
+
+    def data(self, q: int) -> _EvalData:
+        """The `_EvalData` of q, read-only and shared by every caller."""
+        if q not in self._data:
+            self._data[q] = _EvalData(self.p, q)
+        return self._data[q]
+
+
+@functools.lru_cache(maxsize=1)
+def _tables(p: int) -> _PrimeTables:
+    """The tables of the current p: a sweep takes every determinant and check of a prime
+    before the next, so one p is kept."""
+    return _PrimeTables(p)
+
+
 # -- exact division in Z[zeta_p] --------------------------------------------
 
 
@@ -400,9 +444,9 @@ def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
     p = len(den) + 1
     flat = block.reshape(-1, p - 1)  # (elements, p-1), in its own dtype
     give_up = None  # 16L, taken once a lift goes unproven
-    crt = _MixedRadix()
-    for q in aux_primes(p):
-        data = _EvalData(p, q)
+    crt, tables = _MixedRadix(), _tables(p)
+    for q in tables:
+        data = tables.data(q)
         den_vals = data.values((den[None] % q).astype(np.int64))[0]
         if np.any(den_vals == 0):
             continue  # q divides a conjugate of den; unusable
@@ -757,9 +801,9 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     coset, sign = k % f, np.where(k // f % 2, s, 1)
     if stats is not None:
         stats.update(nodes=f, moduli=primes)
-    crt = _MixedRadix()
+    crt, tables = _MixedRadix(), _tables(p)
     for run in _runs(primes, per_prime):
-        data = [_EvalData(p, q) for q in run]
+        data = [tables.data(q) for q in run]
         if declared:
             dets = _declared_values(m.circulant, data, columns[:f])
         else:
@@ -770,6 +814,62 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         for d, dets_q in zip(data, dets):
             crt.fold(d.interpolate(dets_q[coset] * sign % d.q), d.q)
     return CycElt._new(p, crt.ints())
+
+
+# -- exact matrix identities at the nodes --------------------------------------
+
+
+def identity_holds(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix, g: CycElt,
+                   stats: dict | None = None) -> bool:
+    """Whether A B = g C exactly, for n x n matrices A, B, C over Z[zeta_p] and g in Z[zeta_p],
+    from the matrices' values at the p-1 nodes mod the auxiliary primes; no product of
+    elements is formed.
+
+    The bound.  For x, y in Z[zeta_p] with l1 the sum of absolute coefficients, every
+    coefficient of xy is at most l1(x) l1(y): the product of the two polynomials has l1 at
+    most l1(x) l1(y), folding x^p = 1 adds its coefficients in pairs, and removing x^(p-1)
+    by 1 + x + ... + x^(p-1) = 0 makes coefficient i the folded c_i - c_(p-1), at most
+    |c_i| + |c_(p-1)| <= l1(folded).  So every coefficient of X = A B - g C is at most
+    B = max_jl (sum_k l1(A_jk) l1(B_kl) + l1(g) l1(C_jl)), taken exactly: in int64 when a
+    sum of the largest terms is below 2^63, in Python ints otherwise.
+
+    Exactness.  For a prime q = 1 (mod p), 1 + x + ... + x^(p-1) is the product of the
+    x - r^t over F_q, t = 1..p-1, r of order p (`_EvalData`), so evaluation at the p-1
+    nodes is an isomorphism F_q[x]/(1 + ... + x^(p-1)) -> F_q^(p-1) (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 5 and 10), and a ring homomorphism: X = 0 mod q
+    exactly when A_t B_t - g_t C_t = 0 mod q at every node t, for the matrices of values
+    A_t, B_t, C_t and g's value g_t.  Over the shortest prefix of `aux_primes(p)` whose
+    product M passes 2B (`_lift_primes` of 4B^2), a coefficient of X that vanishes mod
+    every prime is a multiple of M of absolute value at most B < M, so 0.
+
+    Headroom.  The values are in [0, q), so an entry of A_t B_t sums n products of at
+    most (q-1)^2, and a q with n (q-1)^2 >= 2^63 is refused; g_t C_t is below q^2.  The
+    nodes are taken a run at a time (`_runs`), which bounds the transient arrays.  With
+    `stats`, records the `bound` B and the `moduli`."""
+    p, n = a.meta.p, a.n
+    if not (a.kind == "cyc" and a.coeffs.shape == b.coeffs.shape == c.coeffs.shape and g.p == p):
+        raise ValueError("three n x n cyclotomic matrices and g over one p required")
+    la, lb, lc = (abs(m.coeffs).sum(axis=2) for m in (a, b, c))  # int64: p-1 terms below 2^24
+    lg = sum(map(abs, g.coeffs))
+    if n * int(la.max()) * int(lb.max()) + lg * int(lc.max()) >= 1 << 63:
+        la, lb, lc = (x.astype(object) for x in (la, lb, lc))
+    bound = int((la @ lb + lg * lc).max())
+    primes = _lift_primes(p, 4 * bound * bound)
+    assert math.prod(primes) > 2 * bound, "the lift passes 2B"
+    if stats is not None:
+        stats.update(bound=bound, moduli=primes)
+    tables, g_row = _tables(p), np.array(g.coeffs, dtype=object)[None]
+    for q in primes:
+        if n * (q - 1) ** 2 >= 1 << 63:
+            raise OverflowError(f"sums of {n} products mod q={q} can overflow int64")
+        data = tables.data(q)
+        g_vals = data.values(g_row)[0]
+        for run in _runs(range(p - 1), 3 * n * n):
+            nodes = slice(run[0], run[-1] + 1)
+            av, bv, cv = (np.moveaxis(data.values(m.coeffs, nodes), 2, 0) for m in (a, b, c))
+            if ((av @ bv - g_vals[nodes, None, None] * cv) % q).any():
+                return False
+    return True
 
 
 _CHOICES = {"bareiss": (0,), "modular": (1,), "both": (0, 1)}

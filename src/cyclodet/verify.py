@@ -26,12 +26,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .classno import ClassData, squares_product, verify_product_formula
-from .cycring import CycElt, eval_complex, lincomb
-from .detkit import DetResult, det
-from .matrices import build, matmul
+from .cycring import CycElt, eval_complex
+from .detkit import DetResult, det, identity_holds
+from .matrices import build
 from .modarith import (
     distinct_nonresidues,
     least_nonresidue,
@@ -49,7 +47,9 @@ from .subfield import (
     two_squares,
 )
 
-BAREISS_LIMIT = 60  # p-cap for dense Z[zeta_p] work: the Bareiss cross-check, literal matmul
+# p-cap for dense Z[zeta_p] work: the Bareiss cross-check, and the literal identity, the built
+# matrices multiplied node by node (`matrix_identity_direct`)
+BAREISS_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -163,16 +163,13 @@ def legendre_sum_classes_hold(p: int) -> bool:
 
 
 def matrix_identity_direct(p: int, delta: int | None = None) -> bool:
-    """Literal product check Dtilde*D = g*E (or Dtilde*DD = g*F): g times every
-    entry of the target is one product (`lincomb`) on coefficient arrays."""
+    """The literal identity Dtilde*D = g*E (or Dtilde*DD = g*F) on the built matrices
+    themselves, multiplied node by node: their values and g's at all p-1 nodes mod
+    auxiliary primes whose product passes twice a proven bound on every coefficient
+    of Dtilde*D - g*E (`detkit.identity_holds`), so the check is exact."""
     ds = () if delta is None else (delta,)
-    dt = build("Dtilde", p)
-    right = build("DD" if ds else "D", p, *ds)
-    target = build("F" if ds else "E", p, *ds)
-    g = gauss_sum(p)
-    prod = matmul(dt, right)
-    scaled = lincomb(p, np.array([[g.coeffs]]), target.coeffs.reshape(1, -1, p - 1))
-    return np.array_equal(scaled.reshape(prod.coeffs.shape), prod.coeffs)
+    return identity_holds(build("Dtilde", p), build("DD" if ds else "D", p, *ds),
+                          build("F" if ds else "E", p, *ds), gauss_sum(p))
 
 
 def resolve_deltas(p: int, opt: SweepOptions) -> tuple[list[int], list[int]]:

@@ -3,7 +3,19 @@ from pathlib import Path
 
 import pytest
 
+from cyclodet import detkit
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+
+@pytest.fixture(autouse=True)
+def fresh_prime_tables():
+    """Each test starts and ends with no auxiliary-prime tables held (`detkit._tables`), so
+    a test that mutates how they are built sees its own tables, in any order, and leaves
+    none to the next test or to a fixture of wider scope."""
+    detkit._tables.cache_clear()
+    yield
+    detkit._tables.cache_clear()
 
 
 @pytest.fixture

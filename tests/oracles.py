@@ -19,7 +19,9 @@ as ints or CycElts; bare coefficient rows take the dtype rule of
 evaluation-interpolation determinant is the one exception: it reuses the
 library's per-prime steps, and stands apart from `det_cyc_evalinterp` in its
 node choice (every node), its CRT (`crt_lift`) and its stop (a stable lift
-plus one confirming prime).
+plus one confirming prime).  The literal identity A B - g C is the other: the
+product the verifier took before it multiplied node values, `matrices.matmul`
+and one `lincomb` per entry on the coefficient arrays.
 """
 from __future__ import annotations
 
@@ -31,9 +33,9 @@ from itertools import islice
 import mpmath
 import numpy as np
 
-from cyclodet.cycring import CycElt, eval_complex, make
+from cyclodet.cycring import CycElt, eval_complex, lincomb, make
 from cyclodet.detkit import _det_mod_stack, _EvalData
-from cyclodet.matrices import ExactMatrix, MatrixMeta
+from cyclodet.matrices import ExactMatrix, MatrixMeta, matmul
 from cyclodet.modarith import AUX_PRIME_FLOOR, aux_primes, is_square, legendre, primitive_root
 from cyclodet.subfield import gauss_sum
 
@@ -249,6 +251,14 @@ def lincomb_loop(p: int, weights, rows) -> list:
             acc = [s + cyc_mul_loop(CycElt(p, c), CycElt(p, x)) for s, x in zip(acc, row)]
         out.append([list(s.coeffs) for s in acc])
     return out
+
+
+def literal_identity(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix, g: CycElt) -> tuple:
+    """(A B, g C) as coefficient arrays (n, n, p-1), by `matmul` and `lincomb`: A B = g C
+    holds exactly when the two are equal."""
+    p = a.meta.p
+    scaled = lincomb(p, np.array([[g.coeffs]]), c.coeffs.reshape(1, -1, p - 1))
+    return matmul(a, b).coeffs, scaled.reshape(c.coeffs.shape)
 
 
 def random_cyc(rng: random.Random, p: int, span: int = 5) -> CycElt:

@@ -517,6 +517,48 @@ class TestMixedRadix:
             crt.fold(np.zeros(3, dtype=np.int64), (1 << 31) + 11)
 
 
+class TestPrimeTables:
+    """`detkit._tables`: the auxiliary primes of the current p, each with its `_EvalData`,
+    found or built once and shared by every modular consumer."""
+
+    def test_primes_are_a_fresh_scan(self):
+        """After the lifts and dividers of a prime have read them, in turn over p = 5, 7, 5
+        and 61, the memo's primes and tables are a fresh scan's."""
+        for p, backend in ((5, "both"), (7, "both"), (5, "both"), (61, "modular")):
+            det(build("C", p), backend)
+            det(build("S", p) if p % 4 == 3 else build("T", p, least_nonresidue(p)), backend)
+            tables = detkit._tables(p)
+            count = max(len(tables._primes), 3)
+            primes = list(islice(aux_primes(p), count))
+            assert list(islice(tables, count)) == primes
+            for q in primes:
+                data = tables.data(q)
+                assert (data.p, data.q) == (p, q) and data is tables.data(q)
+                r = int(data.pow_r[1])
+                assert r != 1 and pow(r, p, q) == 1
+
+    def test_interleaved_streams(self):
+        """Two streams of one p, read in turn at different paces, give the scan's sequence,
+        and so does one read on after the memo has moved to another p and back."""
+        expected = list(islice(aux_primes(13), 8))
+        first, second = iter(detkit._tables(13)), iter(detkit._tables(13))
+        got_first, got_second = [], []
+        for _ in range(4):
+            got_first.append(next(first))
+            got_second += [next(second), next(second)]
+        assert list(islice(detkit._tables(17), 2)) == list(islice(aux_primes(17), 2))
+        got_first += [next(first) for _ in range(4)]  # on the tables it started on
+        assert got_first == got_second == list(islice(detkit._tables(13), 8)) == expected
+
+    def test_cached_arrays_are_read_only(self):
+        tables = detkit._tables(7)
+        data = tables.data(next(iter(tables)))
+        with pytest.raises(ValueError):
+            data.pow_r[1] = 1
+        with pytest.raises(ValueError):
+            data.pow_r[:] += 1
+
+
 class TestPackedRowProducts:
     """The packed two-step Bareiss update and matmul against elementwise schoolbook
     products, at p = 13 with entries of up to 200 bits."""

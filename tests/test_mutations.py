@@ -37,6 +37,7 @@ from cyclodet.verify import SweepOptions, run_prime
 
 import test_detkit
 import test_evalinterp
+import test_verify
 from oracles import exact_matrix, lincomb_loop, reference_rows
 from test_cycring import headroom_sides
 from test_evalinterp import TestCoefficientBound
@@ -136,7 +137,7 @@ def fold_drops_high_powers(monkeypatch):
             out[i, j, : p - 3] -= raw[p:]
         return out
 
-    for module in (cycring, detkit, verify):
+    for module in (cycring, detkit):
         monkeypatch.setattr(module, "lincomb", lincomb)
 
 
@@ -150,7 +151,7 @@ def mul_top_power_kept(monkeypatch):
 def lincomb_headroom(monkeypatch, new: str):
     """`lincomb` with its int64 headroom condition for the matmul replaced by `new`."""
     mutant = recompiled(cycring.lincomb, "4 * bound < 1 << 63", new)
-    for module in (cycring, detkit, matrices, verify):
+    for module in (cycring, detkit, matrices):
         monkeypatch.setattr(module, "lincomb", mutant)
 
 
@@ -163,7 +164,7 @@ def matmul_past_its_headroom(monkeypatch):
             return cycring._by_matmul(p, weights, rows)
         return real(p, weights, rows)
 
-    for module in (cycring, detkit, matrices, verify):
+    for module in (cycring, detkit, matrices):
         monkeypatch.setattr(module, "lincomb", lincomb)
 
 
@@ -403,7 +404,7 @@ MUTANTS = [
      "Q(sqrt(p))*delta", 5, ArithmeticError),
     (geometric_top_power_kept, "det_product_relation: det C against det D", 5,
      "det_product_relation"),
-    (dtilde_doubled_by_row, "legendre_matrix_identity: the literal product Dtilde*DD = g*F; "
+    (dtilde_doubled_by_row, "legendre_matrix_identity: the literal Dtilde*DD = g*F at every node; "
      "dtilde_scaling holds, as 2^m det D is also the row-doubled determinant", 5,
      "legendre_matrix_identity[d=2]"),
     (corner_misplaced, "detF_corner_expansion: det F against det T and det SD", 5,
@@ -555,6 +556,81 @@ def test_bound_one_embedding_is_caught(monkeypatch):
         TestCoefficientBound().test_every_coset_is_read()
 
 
+def identity_mutant(monkeypatch, old: str, new: str):
+    """`identity_holds` with the one occurrence of `old` replaced by `new`, as `detkit` and
+    `matrix_identity_direct` see it."""
+    mutant = recompiled(detkit.identity_holds, old, new)
+    for module in (detkit, verify):
+        monkeypatch.setattr(module, "identity_holds", mutant)
+
+
+def identity_at_one_node(monkeypatch):
+    """The literal identity multiplies the values at one node, r mod each prime, alone."""
+    identity_mutant(monkeypatch, "nodes = slice(run[0], run[-1] + 1)", "nodes = slice(0, 1)")
+
+
+def test_identity_at_one_node_is_caught(monkeypatch):
+    """The identity checked at one node passes every check at 5 and 7: the built matrices
+    satisfy it at every node.  A one-coefficient fault of a matrix shows at that node too,
+    as `dtilde_doubled_by_row` does at 5.  tests/test_verify.py's
+    `TestIdentityAtNodes::test_an_entry_off_at_every_node_but_one_fails` catches it: an entry
+    of E off by a small element that vanishes at r mod the one prime of the lift, and at no
+    other node, passes."""
+    identity_at_one_node(monkeypatch)
+    for p in (5, 7):
+        assert run_prime(p).all_passed()
+    with pytest.raises(AssertionError):
+        test_verify.TestIdentityAtNodes().test_an_entry_off_at_every_node_but_one_fails(7)
+
+
+def identity_lift_to_the_bound(monkeypatch):
+    """The literal identity's lift stops at the first modulus past B, not past 2B."""
+    identity_mutant(monkeypatch, "_lift_primes(p, 4 * bound * bound)",
+                    "_lift_primes(p, bound * bound)")
+
+
+def test_identity_lift_to_the_bound_is_caught(monkeypatch):
+    """A lift past B alone passes every check at 5 and 7, and changes no prime taken at any
+    p <= 60: B is at most 3,540 (at 59), and the first auxiliary prime, above 2^24, passes
+    2B.  No check could see it: past B the check is still exact, as a nonzero multiple of
+    the modulus exceeds B; 2B is the margin the docstring states.  tests/test_verify.py's
+    `TestIdentityAtNodes::test_the_lift_passes_twice_the_bound` catches it: with B between
+    q/2 and q, `identity_holds`'s own assertion that the modulus passes 2B raises."""
+    identity_lift_to_the_bound(monkeypatch)
+    for p in (5, 7):
+        assert run_prime(p).all_passed()
+    with pytest.raises(AssertionError, match="the lift passes 2B"):
+        test_verify.TestIdentityAtNodes().test_the_lift_passes_twice_the_bound()
+
+
+def tables_of_the_first_p(monkeypatch):
+    """`detkit._tables` keeps the tables of the first p it is asked for, and returns them,
+    the previous p's, for every p after it."""
+    held = []
+
+    def tables(p):
+        if not held:
+            held.append(detkit._PrimeTables(p))
+        return held[0]
+
+    monkeypatch.setattr(detkit, "_tables", tables)
+
+
+def test_tables_of_the_previous_p_are_caught(monkeypatch):
+    """Tables kept from the previous p pass every check of the first prime a process
+    verifies, and raise at the next: at p = 7 after 5, D(7)'s six coefficients meet a
+    power table of order 5 (ValueError).  tests/test_detkit.py's
+    `TestPrimeTables::test_interleaved_streams` catches it too: p = 17 reads the primes of 13."""
+    tables_of_the_first_p(monkeypatch)
+    assert run_prime(5).all_passed()
+    with pytest.raises(ValueError):
+        run_prime(7)
+    monkeypatch.undo()
+    tables_of_the_first_p(monkeypatch)
+    with pytest.raises(AssertionError):
+        test_detkit.TestPrimeTables().test_interleaved_streams()
+
+
 def constructor_without_the_rule(monkeypatch):
     """`ExactMatrix` keeps the array it is given as it is, whatever its dtype and entries."""
 
@@ -568,9 +644,9 @@ def constructor_without_the_rule(monkeypatch):
 
 def test_constructor_without_the_rule_is_caught(monkeypatch):
     """A constructor without the dtype rule passes every check at 5 and 61: every `build_*`
-    fills an int64 array far below AUX_PRIME_FLOOR, and so do the literal products of
-    `matmul`.  On a matrix built by hand from int64 coefficients of 2^40 it gives a wrong
-    determinant with no error, as the evaluator's unreduced int64 sums wrap.
+    fills an int64 array far below AUX_PRIME_FLOOR.  On a matrix built by hand from int64
+    coefficients of 2^40 it gives a wrong determinant with no error, as the evaluator's
+    unreduced int64 sums wrap.
     tests/test_detkit.py's `test_int64_past_the_floor_is_held_as_python_ints` catches it."""
     constructor_without_the_rule(monkeypatch)
     for p in (5, 61):

@@ -1,16 +1,19 @@
+import itertools
 import math
 import multiprocessing
 import os
 import time
 from concurrent.futures import Future
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from cyclodet import classno, detkit, matrices, verify
+from cyclodet import classno, cycring, detkit, matrices, verify
 from cyclodet.matrices import ExactMatrix
-from cyclodet.modarith import is_prime, primitive_root
+from cyclodet.modarith import aux_primes, distinct_nonresidues, is_prime, primitive_root
 from cyclodet.subfield import gauss_sum
 from cyclodet.verify import (
     CheckResult,
@@ -23,6 +26,8 @@ from cyclodet.verify import (
     run_prime,
     run_primes,
 )
+
+from oracles import literal_identity
 
 
 class TestPermSign:
@@ -73,6 +78,132 @@ class TestLegendreSumIdentities:
 
         monkeypatch.setattr(verify, "build", build)
         assert not matrix_identity_direct(p, delta)
+
+
+def identity_matrices(p: int, delta: int | None = None) -> tuple:
+    """(Dtilde, D or DD, E or F, g) as `matrix_identity_direct` takes them, through the
+    rebindable `verify.build`."""
+    ds = () if delta is None else (delta,)
+    return (verify.build("Dtilde", p), verify.build("DD" if ds else "D", p, *ds),
+            verify.build("F" if ds else "E", p, *ds), gauss_sum(p))
+
+
+def identities(p: int) -> list:
+    """The deltas of the identities at p: None (E) at p = 3 (mod 4), else each of
+    `distinct_nonresidues(p, 3)` (F)."""
+    return [None] if p % 4 == 3 else distinct_nonresidues(p, 3)
+
+
+def vanishing_at(p: int, w: int, q: int) -> np.ndarray:
+    """A nonzero element of Z[zeta_p] with small coefficients whose value at the node w
+    mod q is 0, found by meeting in the middle over its two halves of coefficients: about
+    64 q sums of a low and a high half make a match all but certain."""
+    half = (p - 1) // 2
+    span = math.ceil((64 * q) ** (1 / (p - 1)) / 2)
+    grid = np.array(list(itertools.product(range(-span, span + 1), repeat=half)), dtype=np.int64)
+    low = grid @ np.array([pow(w, i, q) for i in range(half)]) % q
+    high = -(grid @ np.array([pow(w, half + i, q) for i in range(half)])) % q
+    order = np.argsort(low)
+    i = order[np.searchsorted(low, high, sorter=order).clip(max=len(low) - 1)]
+    match = (low[i] == high) & (grid[i].any(axis=1) | grid.any(axis=1))
+    j = int(np.argmax(match))
+    assert match[j]
+    return np.concatenate([grid[i[j]], grid[j]])
+
+
+class TestIdentityAtNodes:
+    """`detkit.identity_holds`, which `matrix_identity_direct` takes, against the literal
+    product of `matmul` (`oracles.literal_identity`)."""
+
+    @pytest.mark.parametrize("p", [p for p in range(5, 61) if is_prime(p)])
+    def test_equals_the_literal_product(self, p):
+        for delta in identities(p):
+            product, scaled = literal_identity(*identity_matrices(p, delta))
+            assert matrix_identity_direct(p, delta) and np.array_equal(product, scaled)
+
+    @pytest.mark.parametrize("p", [5, 7, 59])
+    def test_one_corrupted_entry_fails(self, monkeypatch, p):
+        """One coefficient off by one, at a corner (E's and F's Gauss sum), a border or an
+        inner entry of any of the three matrices, fails the check and the literal one."""
+        delta = identities(p)[0]
+        real, n = verify.build, (p + 1) // 2
+        for family in ("Dtilde", "D" if delta is None else "DD", "E" if delta is None else "F"):
+            for j, k in ((0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), (1, 2)):
+
+                def build(name, *args, family=family, j=j, k=k):
+                    m = real(name, *args)
+                    if name != family:
+                        return m
+                    coeffs = m.coeffs.copy()
+                    coeffs[j, k, (j + k) % (p - 1)] += 1
+                    return ExactMatrix(coeffs, m.meta)
+
+                monkeypatch.setattr(verify, "build", build)
+                assert not matrix_identity_direct(p, delta), (family, j, k)
+                assert not np.array_equal(*literal_identity(*identity_matrices(p, delta)))
+
+    @pytest.mark.parametrize("p", [p for p in range(5, 61) if is_prime(p)])
+    def test_bound_holds(self, p):
+        """B bounds every coefficient of the literal A B and g C, and of A B - g C for a
+        corrupted C."""
+        for delta in identities(p):
+            a, b, c, g = identity_matrices(p, delta)
+            stats = {}
+            assert detkit.identity_holds(a, b, c, g, stats)
+            product, scaled = literal_identity(a, b, c, g)
+            assert stats["bound"] >= max(abs(product).max(), abs(scaled).max())
+            coeffs = c.coeffs.copy()
+            coeffs[1:, 1:] *= -1
+            c = ExactMatrix(coeffs, c.meta)
+            product, scaled = literal_identity(a, b, c, g)
+            assert not detkit.identity_holds(a, b, c, g, stats)
+            assert stats["bound"] >= abs(product - scaled).max() > 0
+
+    def test_the_lift_passes_twice_the_bound(self):
+        """Dtilde and E at p = 7 times s, B = 56 s just above q/2 for the first auxiliary
+        prime q: the lift takes two primes, whose product passes 2B."""
+        a, b, c, g = identity_matrices(7)
+        q = next(aux_primes(7))
+        s = q // 112 + 1
+        a, c = (ExactMatrix(s * m.coeffs, m.meta) for m in (a, c))
+        stats = {}
+        assert detkit.identity_holds(a, b, c, g, stats)
+        assert q < 2 * stats["bound"] < 2 * q
+        assert stats["moduli"] == list(islice(aux_primes(7), 2))
+        coeffs = c.coeffs.copy()
+        coeffs[2, 2, 0] += 1
+        assert not detkit.identity_holds(a, b, ExactMatrix(coeffs, c.meta), g)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_an_entry_off_at_every_node_but_one_fails(self, p):
+        """For each node r^t of the first prime q, E's or F's entry (1, 1) off by a small
+        element that vanishes at r^t mod q, and so at no other node: the check reads every
+        node, so it fails."""
+        a, b, c, g = identity_matrices(p, identities(p)[0])
+        q = next(aux_primes(p))
+        data = detkit._tables(p).data(q)
+        for t in range(1, p):
+            off = vanishing_at(p, int(data.pow_r[t]), q)
+            assert data.values(off[None])[0].tolist().count(0) == 1
+            coeffs = c.coeffs.copy()
+            coeffs[1, 1] += off
+            stats = {}
+            assert not detkit.identity_holds(a, b, ExactMatrix(coeffs, c.meta), g, stats), t
+            assert stats["moduli"] == [q]
+
+    def test_mismatched_inputs_are_refused(self):
+        a, b, c, g = identity_matrices(7)
+        for args in ((a, b, matrices.build("S", 7), g), (a, b, identity_matrices(11)[2], g),
+                     (a, b, c, gauss_sum(11))):
+            with pytest.raises(ValueError):
+                detkit.identity_holds(*args)
+
+    def test_no_lincomb(self, count_calls):
+        calls = count_calls(cycring.lincomb)
+        for p in (7, 13, 59):
+            for delta in identities(p):
+                assert matrix_identity_direct(p, delta)
+        assert calls == []
 
 
 class TestGaussSign:
