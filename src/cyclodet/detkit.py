@@ -16,9 +16,10 @@ Modular: every CRT in this module is one mixed-radix conversion
 (`_MixedRadix`) over one stream of primes, the auxiliary primes q = 1 (mod p)
 above AUX_PRIME_FLOOR (`aux_primes`): residues stay int64, each prime adds a
 digit, and Python ints are built once, when the lift stops.  The primes of
-one p and the power table of each (`_EvalData`) are found and built once, and
-kept while p stays the same (`_tables`): every lift, the exact divider and the
-identity check read them there.  A modular
+one p and the power table of each (`_EvalData`), and g = primitive_root(p)
+with its powers and logs, are found and built once, and kept while p stays
+the same (`_tables`): every lift, the exact divider, the identity check, the
+certificate, the node order and the bounds read them there.  A modular
 determinant counts its primes up front (`_lift_primes`) and takes them in
 runs that bound its memory (`_runs`).  Integer matrices are lifted past twice
 the Hadamard bound, taken exactly, each scalar determinant by one int64
@@ -30,9 +31,10 @@ in F_q, one per coset of the squares, each from one resultant of its first
 row (`_declared_values`, by one lockstep int64 Euclid over every prime and
 node, `_resultants`), and a Hadamard bound from its two distinct rows
 (`_declared_bound_sq`).  Any other cyclotomic matrix is evaluated at two such
-nodes when sigma_(g^2) is certified on it as a row permutation P of either
-sign (`_orbit_step`), at all p-1 otherwise, each value by `_det_mod_stack`,
-under a Hadamard bound on its dense rows (`_embedding_bound_sq`).  Either way
+nodes when sigma_(g^2) shifts its rows along the squares or fixes them
+(`_orbit_step`), at all p-1 otherwise, each value by `_det_mod_stack`, under a
+Hadamard bound on its dense rows (`_coset_bounds_sq`).  Both paths take the
+sign of sigma_(g^2) from one certificate (`_galois_sign`).  Either way
 the values are broadcast to all p-1 nodes, each step along a coset times the
 sign of sigma_(g^2), the coefficients are recovered by the inverse transform
 on the same power table r^e mod q that evaluated them, and CRT-lifted past
@@ -132,8 +134,8 @@ def _det_mod_stack(a: np.ndarray, q) -> np.ndarray:
 # int64 entries of one elimination stack (512 KiB), which bound a run of primes
 # (`_runs`): 16 primes at n = 45 with f = 2 nodes, one at n = 249, where a stack
 # of every prime doubles the peak RSS of S(499); 2^17 adds 1 MiB to C(199)'s.
-# The same bound takes the row images of `_orbit_step` and the float rows of
-# `_embedding_bound_sq` in runs.
+# The same bound takes the row images of `_galois_sign` and the float rows of
+# `_coset_bounds_sq` in runs.
 _STACK_ENTRIES = 1 << 16
 
 
@@ -382,16 +384,21 @@ def _order_p_element(p: int, q: int) -> int:
 
 class _PrimeTables:
     """The auxiliary primes of one p found so far, in the order of `aux_primes(p)`, and the
-    `_EvalData` of each, each found or built once, on first use.
+    `_EvalData` of each, each found or built once, on first use; and g = primitive_root(p)
+    with, read-only, pow_g[k] = g^k mod p (k < p-1) and log_g[g^k mod p] = k (log_g[0] = 0).
 
     Iterating yields the primes from the first; every iterator reads the one list, and the
     stream is scanned only past its end, so interleaved iterators yield the same sequence.
     An iterator keeps the tables it started on, whatever `_tables` holds later."""
 
-    __slots__ = ("p", "_primes", "_stream", "_data")
+    __slots__ = ("p", "g", "pow_g", "log_g", "_primes", "_stream", "_data")
 
     def __init__(self, p: int) -> None:
         self.p, self._primes, self._stream, self._data = p, [], aux_primes(p), {}
+        self.g = primitive_root(p)
+        self.pow_g = np.array([pow(self.g, k, p) for k in range(p - 1)], dtype=np.int64)
+        self.log_g = np.append(0, np.argsort(self.pow_g))  # pow_g permutes 1 .. p-1
+        self.pow_g.flags.writeable = self.log_g.flags.writeable = False
 
     def __iter__(self):
         for i in itertools.count():
@@ -434,7 +441,7 @@ def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
     coefficients, L = max_x l1(x) * l1(den)^(p-2) bounds every embedding of an
     exact quotient: |sigma(x)| <= l1(x), and N(den) is a nonzero integer, so
     1/|sigma(den)| <= prod of the other p-2 |tau(den)| <= l1(den)^(p-2).  The
-    traces (`_embedding_bound_sq`) put its coefficients below 2L.  Once the
+    traces (`_coset_bounds_sq`) put its coefficients below 2L.  Once the
     modulus M passes 16L they are below M/8, so the lift is the quotient and
     its top digits pass (`_MixedRadix.fits`), and the division has been proven; a
     division still unproven there raises.
@@ -497,41 +504,51 @@ def _times_zeta(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out[..., :-1] - out[..., -1:]
 
 
-def _orbit_step(rows: np.ndarray) -> tuple[int, int]:
-    """(f, s) = (2, s) when sigma_b: zeta -> zeta^b, b = g^2 (g = primitive_root(p)), maps M
-    (`rows`: its (n, n, p-1) coefficient array) to P*M, P a row permutation of sign s; (p-1, 1)
-    otherwise.  Every family of `matrices` is a function of j^2 and k^2, so sigma_b permutes
-    its rows, and b = g^2 is the one step tried.
+def _galois_sign(block: np.ndarray, p: int, order=None) -> int | None:
+    """(-1)^(m-1) when sigma_b: zeta -> zeta^b, b = g^2, maps each of the m rows of `block`,
+    a coefficient array (rows, ..., p-1), taken in `order` (index array, default as they
+    stand) to the next, the last to the first: an m-cycle P of sign (-1)^(m-1), and
+    sigma_b(M) = P M for the matrix M of those rows.  1 when it fixes each row (P = 1; a shift
+    of equal rows reads as the shift), and None otherwise: the rows are compared exactly, so
+    the answer holds for any input.  The images (`_galois`; int64 rows are below
+    AUX_PRIME_FLOOR, so its differences fit) are taken a run of rows at a time (`_runs`,
+    which bounds the transient) up to the first run that neither holds for."""
+    order = np.arange(len(block)) if order is None else order
+    b, size = _tables(p).g ** 2 % p, block[0].size
+    shift = fixed = True
+    for run, after in zip(_runs(order, size), _runs(np.roll(order, -1), size)):
+        x = block[run]
+        image = _galois(x, b)
+        shift = shift and np.array_equal(image, block[after])
+        fixed = fixed and np.array_equal(image, x)
+        if not (shift or fixed):
+            return None
+    return (-1) ** (len(order) - 1) if shift else 1
 
-    The images of the rows (`_galois`) are taken a run of rows at a time (`_runs`, which
-    bounds the transient), matched by a hash of their bytes (int64) or of their tuple (Python
-    ints), and every match is confirmed by comparing the arrays: a row met twice or not at
-    all, or a hash collision, rejects b, and the p-1 nodes (b = 1, s = 1) always hold.  int64
-    rows are below AUX_PRIME_FLOOR (`ExactMatrix`), so their differences are far inside int64.
+
+def _orbit_step(rows: np.ndarray) -> tuple[int, int]:
+    """(f, s) = (2, s) when `_galois_sign` certifies sigma_b(M) = P M, b = g^2, for M (`rows`:
+    its (n, n, p-1) coefficient array) and P of sign s, and (p-1, 1) otherwise.  Every family
+    of `matrices` is a function of j^2 and k^2, so sigma_b fixes each row or maps row
+    j = +-g^u (1 <= j <= m) to row +-g^(u+1), the next in the order of the squares
+    j^2 = g^(2u), u < m, and the last to the first (g^m = -1).  So an m x m matrix, and an
+    (m+1) x (m+1) one past its row 0, which sigma_b must fix, take their rows in that order,
+    and any other n as they stand; rows that sigma_b permutes some other way take p-1 nodes.
+
     As det(sigma_b M) = sigma_b(det M) and det(P*M) = s det M, sigma_(b^j)(det M) = s^j det M.
     The value of det M at the node r^(g^(i+2j)) is that of sigma_(b^j)(det M) at r^(g^i), s^j
     times the value of det M there: the nodes r and r^g, one per coset of the squares, give
-    all p-1.  b has order
-    e = (p-1)/2, so det M = s^e det M; with s = -1 and e odd that proves det M = 0, and the
-    broadcast, 0 at every node, stays right.  The paper's square_perm_sign is this sign:
-    x -> a^2 x on the squares has sign (a/p)."""
-
-    def key(row: np.ndarray) -> int:  # the bytes of an object array are pointers, not values
-        return hash(tuple(row.ravel().tolist()) if row.dtype == object else row.tobytes())
-
+    all p-1.  b has order e = (p-1)/2, so det M = s^e det M; with s = -1 and e odd that proves
+    det M = 0, and the broadcast, 0 at every node, stays right.  The paper's square_perm_sign
+    is this sign: x -> a^2 x on the squares has sign (a/p)."""
     n, p = len(rows), rows.shape[2] + 1
-    index = {key(row): j for j, row in enumerate(rows)}
-    b = pow(primitive_root(p), 2, p)
-    perm = []
-    for run in _runs(range(n), n * p):  # up to the first run with a row unmatched
-        images = _galois(rows[run[0] : run[-1] + 1], b)
-        found = [index.get(key(image), -1) for image in images]
-        if min(found) < 0 or not np.array_equal(rows[found], images):
-            return p - 1, 1
-        perm += found
-    if sorted(perm) != list(range(n)):
-        return p - 1, 1
-    return 2, (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+    half = (p - 1) // 2
+    order = np.argsort(_tables(p).log_g[1 : half + 1] % half)  # j - 1 for u = 0 .. m-1
+    if n == half + 1:
+        s = _galois_sign(rows, p, order + 1) if _galois_sign(rows[:1], p) == 1 else None
+    else:
+        s = _galois_sign(rows, p, order if n == half else None)
+    return (p - 1, 1) if s is None else (2, s)
 
 
 _EPS = 2.0**-30  # the float64 margin of `_coset_bounds_sq`, absolute per l and relative
@@ -539,8 +556,12 @@ _EPS = 2.0**-30  # the float64 margin of `_coset_bounds_sq`, absolute per l and 
 
 def _coset_bounds_sq(rows: np.ndarray, f: int, powers=None) -> list[int]:
     """Per coset embedding sigma_a: zeta -> exp(2 pi i a/p), a = g^i for i < f
-    (g = primitive_root(p)), an integer >= prod_j (sum_k |sigma_a(x_jk)|^2)^(powers_j) over
-    the rows x_j of `rows`, shape (r, k, p-1), each to its power (default 1).
+    (g = primitive_root(p), from `_tables`), an integer >= prod_j (sum_k |sigma_a(x_jk)|^2)^
+    (powers_j) over the rows x_j of `rows`, shape (r, k, p-1), each to its power (default 1).
+    For M's (n, n, p-1) array and the f of `_orbit_step` (or p-1), the largest is an
+    H^2 >= |sigma(det M)|^2 at every embedding: Hadamard bounds |det sigma_a(M)| by the row
+    norms, and sigma_(a g^f)(M) = P sigma_a(M) permutes the rows.  As Tr(zeta^k) = -1 for
+    p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every coefficient |b_k| < 2H.
 
     The sums are float64, a run of rows at a time (`_runs`), u = 2^-53; the dot products
     go through einsum, not BLAS, whose buffers the rest of a sweep never pays for.  For
@@ -563,8 +584,7 @@ def _coset_bounds_sq(rows: np.ndarray, f: int, powers=None) -> list[int]:
     k = rows.shape[2]
     p = k + 1
     powers = np.ones(len(rows), dtype=np.int64) if powers is None else np.asarray(powers)
-    g = primitive_root(p)
-    a = [pow(g, i, p) for i in range(f)]
+    a = _tables(p).pow_g[:f]
     table = np.array([(math.cos(2 * math.pi * j / p), math.sin(2 * math.pi * j / p))
                       for j in range(p)])
     w = table[np.outer(np.arange(p - 1), a) % p].reshape(p - 1, 2 * f)  # Re, Im of each a
@@ -587,18 +607,6 @@ def _coset_bounds_sq(rows: np.ndarray, f: int, powers=None) -> list[int]:
     return [x << s if s >= 0 else -(-x >> -s) for x, s in zip(num.tolist(), shift.tolist())]
 
 
-def _embedding_bound_sq(coeffs: np.ndarray, f: int) -> int:
-    """An integer H^2 >= max_a prod_rows sum_k |sigma_a(M_jk)|^2 over the coset embeddings
-    sigma_a, a = g^i for i < f (`_coset_bounds_sq`), so that H >= |sigma(det M)| for every
-    embedding sigma when f is the f of `_orbit_step` (or p-1).
-
-    Hadamard bounds |sigma_a(det M)| = |det sigma_a(M)| by the product of the row norms, and
-    sigma_(a g^f)(M) = P sigma_a(M) permutes the rows, so the f cosets give every embedding.  As
-    Tr(zeta^k) = -1 for p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every coefficient
-    |b_k| < 2H.  `coeffs` is M's (n, n, p-1) array."""
-    return max(_coset_bounds_sq(coeffs, f))
-
-
 # -- the circulant declarations of the cyclotomic families -------------------
 
 
@@ -606,34 +614,27 @@ def _certified(m: ExactMatrix) -> int | None:
     """The sign s with sigma_(g^2)(det M) = s det M when m's `Circulant` declaration holds,
     exactly, and None otherwise (or without a declaration).  On the declaration, sigma_(g^2)
     fixes the corner and maps first[w] to first[w+1] (w + 1 mod m), so M to P M for P an
-    m-cycle of the block rows and s = (-1)^(m-1), or fixes first, so M, and s = 1.  On
-    m.coeffs, the border is (corner, x, y), and every block row, times 1 - zeta^(j^2) when
-    `scaled` (`_times_zeta`), equals its row of first[(u + v) % m] or first[(v - u) % m],
-    compared a run of rows at a time (`_runs`)."""
+    m-cycle of the block rows and s = (-1)^(m-1), or fixes first, so M, and s = 1
+    (`_galois_sign`).  On m.coeffs, the border is (corner, x) with 1 in column 0, and every
+    block row, times 1 - zeta^(j^2) when `scaled` (`_times_zeta`), equals its row of
+    first[(u + v) % m] or first[(v - u) % m], compared a run of rows at a time (`_runs`)."""
     decl, p = m.circulant, m.meta.p
     half = (p - 1) // 2
     if decl is None or decl.first.shape != (half, p - 1) or m.n != half + (decl.border is not None):
         return None
-    g = primitive_root(p)
-    image = _galois(decl.first, g * g)
-    if np.array_equal(image, np.roll(decl.first, -1, axis=0)):
-        s = (-1) ** (half - 1)
-    elif np.array_equal(image, decl.first):
-        s = 1
-    else:
+    s = _galois_sign(decl.first, p)
+    if s is None:
         return None
     block = m.coeffs
     if decl.border is not None:
-        corner, x, y = decl.border
-        if not (np.array_equal(_galois(corner, g * g), corner)
+        corner, x = decl.border
+        if not (_galois_sign(corner[None], p) == 1
                 and np.array_equal(block[0, 0], corner)
                 and (block[0, 1:, 0] == x).all() and not block[0, 1:, 1:].any()
-                and (block[1:, 0, 0] == y).all() and not block[1:, 0, 1:].any()):
+                and (block[1:, 0, 0] == 1).all() and not block[1:, 0, 1:].any()):
             return None
         block = block[1:, 1:]
-    log = np.zeros(p, dtype=np.int64)
-    log[[pow(g, k, p) for k in range(p - 1)]] = np.arange(p - 1)
-    u = log[1 : half + 1] % half  # j^2 = g^(2u) for j = 1 .. m
+    u = _tables(p).log_g[1 : half + 1] % half  # j^2 = g^(2u) for j = 1 .. m
     w = (u[:, None] + u) % half if decl.hankel else (u - u[:, None]) % half
     squares = np.arange(1, half + 1) ** 2 % p
     for run in _runs(range(half), half * p):
@@ -647,27 +648,27 @@ def _certified(m: ExactMatrix) -> int | None:
 
 
 def _declared_bound_sq(decl, p: int) -> int:
-    """The H^2 of `_embedding_bound_sq` for a certified declaration, from its distinct rows.
+    """H^2 as `_coset_bounds_sq` bounds M, for a certified declaration, from its distinct rows.
 
     At any embedding sigma_a, every block row holds the first row's entries, permuted, and
-    y, and row 0 holds the corner and m copies of x, so Hadamard's product is
-    (|sigma_a(corner)|^2 + m x^2) (y^2 + sum_w |sigma_a(first_w)|^2)^m, or
+    1, and row 0 holds the corner and m copies of x, so Hadamard's product is
+    (|sigma_a(corner)|^2 + m x^2) (1 + sum_w |sigma_a(first_w)|^2)^m, or
     (sum_w |sigma_a(first_w)|^2)^m without a border.  Row scaling multiplies it by
     1/|sigma_a(N)|^2, N = prod_s (1 - zeta^s) over the squares s; as
     N sigma_g(N) = prod_(k=1..p-1) (1 - zeta^k) = p, that is |sigma_(a g)(N)|^2 / p^2, and
     |sigma_(a g)(N)|^2 is at most the product of the bounds on |sigma_b(1 - zeta)|^2 over the
     b of the other coset, each read on 2^32 (1 - zeta), so that its ceiling adds little.
     Each factor is a bound of `_coset_bounds_sq`, under its float64 margin, and the f = 2
-    cosets give every embedding as in `_embedding_bound_sq`."""
+    cosets give every embedding as in `_coset_bounds_sq`."""
     half = (p - 1) // 2
     one = np.eye(1, p - 1, dtype=np.int64)
     if decl.border is None:
         bounds = _coset_bounds_sq(decl.first[None], 2, [half])
     else:
-        corner, x, y = decl.border
-        wide = one.astype(object) if max(abs(x), abs(y)) >= 1 << 62 else one  # x, y exact
+        corner, x = decl.border
+        wide = one.astype(object) if abs(x) >= 1 << 62 else one  # x exact
         rows = [np.concatenate([corner[None], np.repeat(x * wide, half, axis=0)]),
-                np.concatenate([y * wide, decl.first])]
+                np.concatenate([one, decl.first])]
         bounds = _coset_bounds_sq(np.stack(rows), 2, [1, half])
     if decl.scaled:
         unit = _coset_bounds_sq((one - np.roll(one, 1))[None] << 32, p - 1)  # 2^32 (1 - zeta)
@@ -741,14 +742,14 @@ def _declared_values(decl, data: list, nodes: np.ndarray) -> np.ndarray:
     Order rows and columns alike by u (which leaves det M as it is).  A circulant block
     Z_(u,v) = h_((v-u) mod m) has det Z = prod_(w^m = 1) H(w) = H(1) R', R' of `_resultants`
     (P. J. Davis, Circulant Matrices, 1979); a Hankel block is R Z, R: u -> -u mod m, of sign
-    (-1)^floor((m-1)/2).  Expanding along row 0 and column 0, det M = c det B - x y 1^T adj(B) 1
-    for the block B and border (c, x, y).  adj(R Z) 1 = adj(Z) adj(R) 1 = det(R) adj(Z) 1, and
-    Z = F^-1 diag(H(w)) F over the m-th roots of unity (F their Fourier matrix), so adj(Z) is
-    F^-1 diag(prod_(w' != w) H(w')) F, and the constant vector, Z's eigenvector at w = 1,
-    gives 1^T adj(Z) 1 = m R'.  So det M = +-R' (c H(1) - x y m), and +-R' H(1) without a
-    border, an identity of polynomials in h, c, x, y that holds mod q.  Row scaling makes it
-    det(B)/N for N = prod_s (1 - zeta^s) over the squares s, and 1/N = sigma_g(N)/p
-    (N sigma_g(N) = p), at the node r^t prod_s (1 - r^(t g s)) / p."""
+    (-1)^floor((m-1)/2).  Expanding along row 0 and column 0, det M = c det B - x 1^T adj(B) 1
+    for the block B and border (c, x), 1 in column 0.  adj(R Z) 1 = adj(Z) adj(R) 1 =
+    det(R) adj(Z) 1, and Z = F^-1 diag(H(w)) F over the m-th roots of unity (F their Fourier
+    matrix), so adj(Z) is F^-1 diag(prod_(w' != w) H(w')) F, and the constant vector, Z's
+    eigenvector at w = 1, gives 1^T adj(Z) 1 = m R'.  So det M = +-R' (c H(1) - x m), and
+    +-R' H(1) without a border, an identity of polynomials in h, c, x that holds mod q.  Row
+    scaling makes it det(B)/N for N = prod_s (1 - zeta^s) over the squares s, and
+    1/N = sigma_g(N)/p (N sigma_g(N) = p), at the node r^t prod_s (1 - r^(t g s)) / p."""
     p, f = data[0].p, len(nodes)
     half = (p - 1) // 2
     q = np.repeat([d.q for d in data], f)
@@ -757,14 +758,14 @@ def _declared_values(decl, data: list, nodes: np.ndarray) -> np.ndarray:
     if decl.border is None:
         dets = dets * h1 % q
     else:
-        corner, x, y = decl.border
+        corner, x = decl.border
         c = np.concatenate([d.values(corner[None], nodes)[0] for d in data])
-        xym = np.repeat([x * y * half % d.q for d in data], f)  # Python ints: x, y any size
-        dets = dets * ((c * h1 - xym) % q) % q
+        xm = np.repeat([x * half % d.q for d in data], f)  # Python ints: x any size
+        dets = dets * ((c * h1 - xm) % q) % q
     if decl.hankel:
         dets = dets * (-1) ** ((half - 1) // 2) % q
     if decl.scaled:
-        other = np.outer((nodes + 1) * primitive_root(p), np.arange(1, half + 1) ** 2) % p
+        other = np.outer((nodes + 1) * _tables(p).g, np.arange(1, half + 1) ** 2) % p
         for column in np.concatenate([1 - d.pow_r[other] for d in data]).T % q:
             dets = dets * column % q
         dets = dets * np.repeat([d.inv_p for d in data], f) % q
@@ -776,7 +777,7 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     f nodes r^(g^i), i < f, broadcast to all p-1: node r^(g^k) takes s^(k // f) times the
     value at r^(g^(k mod f)).  The CRT lift takes the shortest prefix of `aux_primes(p)`
     whose modulus passes 4H (at least one prime), H^2 a bound on every embedding of det M,
-    which holds coefficients below 2H exactly (`_embedding_bound_sq`).  The primes are
+    which holds coefficients below 2H exactly (`_coset_bounds_sq`).  The primes are
     counted up front and taken together, in runs of at most _STACK_ENTRIES entries (`_runs`).
 
     A matrix whose `Circulant` declaration is certified on its coefficients (`_certified`,
@@ -788,20 +789,20 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
     p, n = m.meta.p, m.n
-    g, s = primitive_root(p), _certified(m)
+    s, tables = _certified(m), _tables(p)
     declared = s is not None
     if declared:
         f, h2, per_prime = 2, _declared_bound_sq(m.circulant, p), 2 * n
     else:
         f, s = _orbit_step(m.coeffs)
-        h2, per_prime = _embedding_bound_sq(m.coeffs, f), f * n * n
+        h2, per_prime = max(_coset_bounds_sq(m.coeffs, f)), f * n * n
     primes = _lift_primes(p, 16 * h2 or 1)
-    columns = np.array([pow(g, k, p) - 1 for k in range(p - 1)])  # node r^(g^k) in data.vand()
-    k = np.argsort(columns)  # node r^t is r^(g^k)
+    columns = tables.pow_g - 1  # node r^(g^k) in data.vand()
+    k = tables.log_g[1:]  # node r^t is r^(g^k)
     coset, sign = k % f, np.where(k // f % 2, s, 1)
     if stats is not None:
         stats.update(nodes=f, moduli=primes)
-    crt, tables = _MixedRadix(), _tables(p)
+    crt = _MixedRadix()
     for run in _runs(primes, per_prime):
         data = [tables.data(q) for q in run]
         if declared:

@@ -62,12 +62,12 @@ class Circulant:
     the u with j^2 = g^(2u) mod p, g = primitive_root(p).  Block entry (u, v) is
     scale_u * first[(u + v) % m] when `hankel`, and scale_u * first[(v - u) % m] otherwise,
     with scale_u = 1/(1 - zeta^(j^2)) when `scaled` and 1 otherwise.  `border` is None for
-    an m x m matrix, whose row and column j are its index j-1, or (corner, x, y) for the
-    (m+1) x (m+1) matrix with `corner` at (0, 0), the integer x in the rest of row 0 and
-    the integer y in the rest of column 0, row and column j its index j.  `first` (shape
-    (m, p-1)) and the corner (shape (p-1,)) are power-basis coefficients under the dtype
-    rule of `ExactMatrix`; x and y are held as Python ints (`operator.index`), so an array
-    or a float is refused."""
+    an m x m matrix, whose row and column j are its index j-1, or (corner, x) for the
+    (m+1) x (m+1) matrix with `corner` at (0, 0), the integer x in the rest of row 0 and 1
+    in the rest of column 0 (zeta^0 for D, DD and Dtilde, (j^2/p) for E and F), row and
+    column j its index j.  `first` (shape (m, p-1)) and the corner (shape (p-1,)) are
+    power-basis coefficients under the dtype rule of `ExactMatrix`; x is held as a Python
+    int (`operator.index`), so an array or a float is refused."""
 
     first: np.ndarray
     hankel: bool
@@ -77,9 +77,8 @@ class Circulant:
     def __post_init__(self) -> None:
         object.__setattr__(self, "first", _held(np.asarray(self.first)))
         if self.border is not None:
-            corner, x, y = self.border
-            object.__setattr__(self, "border", (_held(np.asarray(corner)), operator.index(x),
-                                                operator.index(y)))
+            corner, x = self.border
+            object.__setattr__(self, "border", (_held(np.asarray(corner)), operator.index(x)))
 
 
 class ExactMatrix:
@@ -179,14 +178,14 @@ def _zeta_block(p: int, delta: int, x: int = 1) -> Circulant:
     """D (delta 1), DD and Dtilde (x 2): x zeta^(delta j^2 k^2) = x zeta^(delta g^(2(u+v))),
     a Hankel block, with 1 at the corner and in column 0 and x in row 0."""
     first = x * _zeta_powers(p, delta * _square_powers(p) % p)
-    return Circulant(first, hankel=True, border=(_one(p), x, 1))
+    return Circulant(first, hankel=True, border=(_one(p), x))
 
 
 def _legendre_block(p: int, delta: int, corner: CycElt) -> Circulant:
     """E (delta 1) and F: ((j^2 + delta k^2)/p) = ((1 + delta g^(2(v-u)))/p), a circulant
     block, with (delta/p) in row 0 and 1 in column 0."""
     first = _chi(p)[(1 + delta * _square_powers(p)) % p, None] * _one(p)
-    return Circulant(first, hankel=False, border=(corner.coeffs, legendre(delta, p), 1))
+    return Circulant(first, hankel=False, border=(corner.coeffs, legendre(delta, p)))
 
 
 def build_C(p: int) -> ExactMatrix:

@@ -301,9 +301,11 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
 
 
 def orbit_step_tuples(rows: np.ndarray) -> tuple[int, int]:
-    """The certificate of `detkit._orbit_step` with every row, and every row image
-    under sigma_b, b = g^2, keyed by the hash of its Python tuple: the reference
-    for the byte-keyed rows of the library."""
+    """(2, s) when sigma_b, b = g^2, maps M (`rows`) to P*M for any row permutation P, of
+    sign s, found with every row, and every row image, keyed by the hash of its Python
+    tuple; (p-1, 1) otherwise.  `detkit._orbit_step` accepts only the shift of the rows
+    along the squares and the identity, which is what sigma_b makes of every built family,
+    so the two agree there; on rows that sigma_b permutes some other way this one finds P."""
     n, p = len(rows), rows.shape[2] + 1
     index = {hash(tuple(row.ravel().tolist())): j for j, row in enumerate(rows)}
     zero = np.zeros((n, 1), dtype=rows.dtype)

@@ -34,6 +34,7 @@ from cyclodet.modarith import (
     aux_primes,
     is_prime,
     least_nonresidue,
+    primitive_root,
 )
 from cyclodet.subfield import quad_decompose
 
@@ -266,7 +267,7 @@ class TestCycBackends:
         primes it may take; the exact divider gives up on a division that is
         not exact at the first modulus above 16L, L = max l1(x) * l1(den)^(p-2)."""
         m = build_C(23)
-        h2 = detkit._embedding_bound_sq(m.coeffs, detkit._orbit_step(m.coeffs)[0])
+        h2 = max(detkit._coset_bounds_sq(m.coeffs, detkit._orbit_step(m.coeffs)[0]))
         expected = det_cyc_bareiss(m)
         stats = {}
         assert det_cyc_evalinterp(m, stats) == expected
@@ -363,7 +364,7 @@ class TestExactDivider:
         margin): one auxiliary prime."""
         z = CycElt.zeta(5)
         m, stats = exact_matrix([[z, z], [z, z]], 5), {}
-        assert detkit._embedding_bound_sq(m.coeffs, 4) == 5
+        assert max(detkit._coset_bounds_sq(m.coeffs, 4)) == 5
         assert det_cyc_evalinterp(m, stats).is_zero()
         assert stats["moduli"] == [next(aux_primes(5))]
 
@@ -557,6 +558,19 @@ class TestPrimeTables:
             data.pow_r[1] = 1
         with pytest.raises(ValueError):
             data.pow_r[:] += 1
+
+    def test_generator_powers_and_logs(self):
+        """g, its powers and its logs equal a fresh computation from `primitive_root`, are
+        read-only, and are rebuilt for a new p, here in turn over 3, 13, 17 and 13."""
+        for p in (3, 13, 17, 13):
+            tables = detkit._tables(p)
+            g = primitive_root(p)
+            assert tables.g == g
+            assert tables.pow_g.tolist() == [pow(g, k, p) for k in range(p - 1)]
+            assert all(pow(g, int(tables.log_g[t]), p) == t for t in range(1, p))
+            for table in (tables.pow_g, tables.log_g):
+                with pytest.raises(ValueError):
+                    table[0] = 2
 
 
 class TestPackedRowProducts:

@@ -16,7 +16,6 @@ backend against the all-node loop with a stability stop
 are read through `detkit` on every call, so that a mutant installed there is
 the one tested.
 """
-import builtins
 import dataclasses
 import math
 import random
@@ -83,7 +82,7 @@ def bound_sq(m: ExactMatrix) -> int:
     the coset embeddings of the orbit certificate."""
     if detkit._certified(m) is not None:
         return detkit._declared_bound_sq(m.circulant, m.meta.p)
-    return detkit._embedding_bound_sq(m.coeffs, orbit_step(m)[0])
+    return max(detkit._coset_bounds_sq(m.coeffs, orbit_step(m)[0]))
 
 
 def galois_sign(m: ExactMatrix, b: int):
@@ -151,14 +150,14 @@ class TestDeclarations:
 
     @pytest.mark.parametrize("x", [-(2**63 // 3), 2**62, 3**50])
     def test_a_large_border_is_reduced_exactly(self, x):
-        """D(7) with x in row 0 past int64's headroom, declared by hand: x y m just above
-        -2^63 (where c H(1) - x y m would wrap in int64), past 2^63, and x itself past
+        """D(7) with x in row 0 past int64's headroom, declared by hand: x m just above
+        -2^63 (where c H(1) - x m would wrap in int64), past 2^63, and x itself past
         2^63.  It certifies, and its value and primes are those of the dense path on the
         same coefficients."""
         d7 = build_D(7)
         coeffs = d7.coeffs.astype(object)
         coeffs[0, 1:] *= x
-        decl = dataclasses.replace(d7.circulant, border=(d7.circulant.border[0], x, 1))
+        decl = dataclasses.replace(d7.circulant, border=(d7.circulant.border[0], x))
         m = ExactMatrix(coeffs, d7.meta, decl)
         assert detkit._certified(m) == 1  # sigma_(g^2) shifts the first row: a 3-cycle
         stats, dense_stats = {}, {}
@@ -170,7 +169,7 @@ class TestDeclarations:
     def test_a_border_that_is_not_an_int_is_refused(self, x):
         decl = build_D(7).circulant
         with pytest.raises(TypeError):
-            dataclasses.replace(decl, border=(decl.border[0], x, 1))
+            dataclasses.replace(decl, border=(decl.border[0], x))
 
 
 def circulant(row) -> np.ndarray:
@@ -247,12 +246,12 @@ class TestOrbitCertificate:
             if p > 3 or family != "C":
                 assert galois_sign(m, g) is None
 
-    @pytest.mark.parametrize("p", [q for q in range(PRIMES[-1] + 1, 114) if is_prime(q)])
+    @pytest.mark.parametrize("p", ALL_PRIMES)
     def test_tuple_keyed_certificate_to_113(self, p):
-        """Past PRIMES, to 113, where the images of the rows take several runs:
-        every family gives the (f, s) of the tuple-keyed certificate, f = 2."""
-        for family in families(p):
-            m = matrix(family, p)
+        """At every prime to 113, where the images of the rows take several runs, every
+        family, with each delta of `distinct_nonresidues(p, 3)`, gives the (f, s) of the
+        tuple-keyed certificate, which accepts any row permutation, and f = 2."""
+        for m in built(p):
             assert orbit_step(m) == orbit_step_tuples(m.coeffs)
             assert orbit_step(m)[0] == 2
 
@@ -267,29 +266,20 @@ class TestOrbitCertificate:
         assert stats["nodes"] == 2
         assert value == det_cyc_bareiss(m) == evalinterp_all_nodes(m)
 
-    def test_colliding_keys_are_refused(self, monkeypatch):
-        """A key function under which the image of each row of D(7) under sigma_(g^2),
-        itself a row, is looked up under the key of the next row would certify f = 2
-        with a wrong permutation without the comparison of the rows; compared, every
-        such match is refused, the certificate falls back to all p-1 nodes, and the
-        value of a hand-built copy equals Bareiss's."""
-        m, p = hand_built(matrix("D", 7)), 7
-        rows = [row.tobytes() for row in m.coeffs]
-        calls = []
-
-        def colliding(obj):  # the first n calls key the rows, the later ones their images
-            calls.append(obj)
-            if len(calls) > len(rows) and obj in rows:
-                return builtins.hash(rows[(rows.index(obj) + 1) % len(rows)])
-            return builtins.hash(obj)
-
-        monkeypatch.setattr(detkit, "hash", colliding, raising=False)
-        assert orbit_step(m) == (p - 1, 1)
-        assert len(calls) > len(rows)  # an image was looked up
-        calls.clear()
+    @pytest.mark.parametrize("family", ["C", "D"])
+    def test_rows_permuted_another_way_take_every_node(self, family):
+        """D(13) and C(13) with their last two rows swapped: sigma_(g^2) still permutes
+        the rows, so the certificate that takes any row permutation (`orbit_step_tuples`)
+        finds one of sign -1, but no longer the shift along the squares that `_orbit_step`
+        reads.  The matrix takes all p-1 nodes, and its value is Bareiss's."""
+        m = matrix(family, 13)
+        order = [*range(m.n - 2), m.n - 1, m.n - 2]
+        swapped = ExactMatrix(m.coeffs[order], m.meta)
+        assert orbit_step_tuples(swapped.coeffs) == (2, -1)
+        assert orbit_step(swapped) == (12, 1)
         stats = {}
-        assert det_cyc_evalinterp(m, stats) == det_cyc_bareiss(m)
-        assert stats["nodes"] == p - 1
+        assert det_cyc_evalinterp(swapped, stats) == det_cyc_bareiss(swapped)
+        assert stats["nodes"] == 12
 
     def test_rational_matrix_takes_two_nodes(self):
         """Every sigma_b fixes a rational entry, so sigma_(g^2) maps every row to itself."""
@@ -357,7 +347,7 @@ class TestCertificateCannotBeFooled:
 
 class TestCoefficientBound:
     """H^2 as the backend takes it (`bound_sq`: from a built family's declaration,
-    `_declared_bound_sq`, else `_embedding_bound_sq` on the dense rows) is at least
+    `_declared_bound_sq`, else `_coset_bounds_sq` on the dense rows) is at least
     |sigma_a(det M)|^2 at every one of the
     p-1 embeddings (`embeddings_abs_sq`), whichever f cosets it reads, and at most
     the coefficient-size bound `ell_bound_sq` but for its float64 margin: every
@@ -387,7 +377,7 @@ class TestCoefficientBound:
             assert max(c * c for c in value.coeffs) < 4 * h2
             modulus = math.prod(stats["moduli"])
             assert modulus**2 > 16 * h2 >= (modulus // stats["moduli"][-1]) ** 2
-            dense = detkit._embedding_bound_sq(m.coeffs, 2)
+            dense = max(detkit._coset_bounds_sq(m.coeffs, 2))
             assert detkit._lift_primes(p, 16 * dense) == stats["moduli"]
 
     def test_c_takes_about_the_primes_of_d(self):
@@ -451,6 +441,24 @@ class TestCoefficientBound:
         m = exact_matrix([[x]], p)
         assert orbit_step(m) == (p - 1, 1)
         self.check(m, x)
+
+    def test_the_dense_lift_reads_every_coset(self):
+        """The diagonal matrix of 30 copies of x = 1 + zeta^6 over Z[zeta_13]: |sigma_1(x)|^2
+        < 0.06, so the embedding a = 1 alone bounds det M = x^30 by H^2 < 2^-120 and one
+        prime, but x^30 has coefficients past 2^26, beyond the symmetric residues of one
+        auxiliary prime.  The dense path reads the 12 cosets of its f = p-1 and takes two
+        primes."""
+        p, n = 13, 30
+        x = CycElt.one(p) + CycElt.zeta(p, (p - 1) // 2)
+        zero = CycElt.zero(p)
+        m = exact_matrix([[x if j == k else zero for k in range(n)] for j in range(n)], p)
+        power = CycElt.one(p)
+        for _ in range(n):
+            power = power * x
+        assert max(map(abs, power.coeffs)) > 1 << 26
+        stats = {}
+        assert detkit.det_cyc_evalinterp(m, stats) == power
+        assert (stats["nodes"], len(stats["moduli"])) == (p - 1, 2)
 
     @pytest.mark.parametrize("p", [101, 103])
     def test_agrees_with_all_node_oracle(self, p):

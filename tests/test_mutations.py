@@ -265,10 +265,18 @@ def reversal_sign_dropped(monkeypatch):
 
 
 def shift_sign_dropped(monkeypatch):
-    """A certified declaration whose sigma_(g^2) shifts its first row broadcasts unsigned:
-    s = (-1)^(m-1), -1 at p = 1 (mod 4), is lost."""
-    monkeypatch.setattr(detkit, "_certified", recompiled(
-        detkit._certified, "s = (-1) ** (half - 1)", "s = 1"))
+    """The Galois certificate of both paths reads a shift of its rows as unsigned: a matrix
+    whose sigma_(g^2) shifts its rows along the squares broadcasts with s = 1, not
+    (-1)^(m-1), -1 at p = 1 (mod 4)."""
+    monkeypatch.setattr(detkit, "_galois_sign", recompiled(
+        detkit._galois_sign, "(-1) ** (len(order) - 1) if shift else 1", "1"))
+
+
+def certificate_two_ahead(monkeypatch):
+    """The Galois certificate compares the image of each row with the row two ahead, and
+    still reads a match as an m-cycle of sign (-1)^(m-1)."""
+    monkeypatch.setattr(detkit, "_galois_sign", recompiled(
+        detkit._galois_sign, "np.roll(order, -1)", "np.roll(order, -2)"))
 
 
 def euclid_sign_dropped(monkeypatch):
@@ -471,6 +479,10 @@ MUTANTS = [
     (shift_sign_dropped, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5,
      ArithmeticError),
     (shift_sign_dropped, "quartic_decompose", 61, ArithmeticError),
+    # at 5, m = 2 and the row two ahead is the row itself, so F(5)'s two fixed rows read as
+    # a shift of sign -1; above 5 see test_certificate_two_ahead_above_5_is_caught
+    (certificate_two_ahead, "detF_corner_expansion: quad_decompose finds det F outside the "
+     "quadratic subfield", 5, ValueError),
     (euclid_sign_dropped, "detF_corner_expansion: det F against det T and det SD", 13,
      "detF_corner_expansion[d=2]"),
     (euclid_sign_dropped, "detE_column_reduction: det E against det S", 67,
@@ -536,24 +548,57 @@ def test_lift_one_prime_short_hides_in_the_bound_slack(monkeypatch):
 
 
 def bound_one_embedding(monkeypatch):
-    """`_embedding_bound_sq` reads the embedding a = 1 alone, not the f cosets."""
-    real = detkit._embedding_bound_sq
-    monkeypatch.setattr(detkit, "_embedding_bound_sq", lambda coeffs, f: real(coeffs, 1))
+    """The dense path bounds det M by the embedding a = 1 alone, not by its f cosets."""
+    monkeypatch.setattr(detkit, "det_cyc_evalinterp", recompiled(
+        detkit.det_cyc_evalinterp, "max(_coset_bounds_sq(m.coeffs, f))",
+        "max(_coset_bounds_sq(m.coeffs, 1))"))
 
 
 def test_bound_one_embedding_is_caught(monkeypatch):
     """H^2 from the embedding a = 1 alone passes every check at 5, 61 and 67: the
     built families take their bound from their declarations, and on their dense
-    rows a = 1 gives the largest H of the f cosets (to 0.1 bit at 13..101), so
-    neither a check nor the families of
-    `TestCoefficientBound::test_bound_holds_and_stops_the_lift` see it.
-    `TestCoefficientBound::test_every_coset_is_read` catches it: 1 + zeta^6 over
-    Z[zeta_13] has |sigma_1|^2 < 0.2 and |sigma_2|^2 > 3."""
+    rows a = 1 gives the largest H of the f cosets (to 0.1 bit at 13..101).
+    `TestCoefficientBound::test_the_dense_lift_reads_every_coset` catches it: on 30
+    copies of 1 + zeta^6 over Z[zeta_13], |sigma_1|^2 < 0.06 stops the lift at one prime,
+    which cannot hold det M's coefficients past 2^26."""
     bound_one_embedding(monkeypatch)
     for p in (5, 61, 67):
         assert run_prime(p).all_passed()
     with pytest.raises(AssertionError):
-        TestCoefficientBound().test_every_coset_is_read()
+        TestCoefficientBound().test_the_dense_lift_reads_every_coset()
+
+
+def test_certificate_two_ahead_above_5_is_caught(monkeypatch):
+    """Above 5, where the mutant's MUTANTS row catches it, a certificate that looks two
+    rows ahead is wrong only where sigma_(g^2) maps each row to the row two ahead, and no
+    family's rows but F(5)'s do: C, D, DD and Dtilde, whose rows it shifts by one, fail the
+    declared and the dense certificate alike and take all p-1 nodes with their right
+    values, and every check passes at 61.  tests/test_evalinterp.py's
+    `TestDeclarations::test_every_built_family_certifies` catches it at 7."""
+    certificate_two_ahead(monkeypatch)
+    assert run_prime(61).all_passed()
+    with pytest.raises(AssertionError):
+        test_evalinterp.TestDeclarations().test_every_built_family_certifies(7)
+
+
+def order_log_one_off(monkeypatch):
+    """`_orbit_step` orders the rows by the logs of j - 1, not of j: one step off."""
+    monkeypatch.setattr(detkit, "_orbit_step", recompiled(
+        detkit._orbit_step, "_tables(p).log_g[1 : half + 1]", "_tables(p).log_g[:half]"))
+
+
+def test_order_log_one_off_is_caught(monkeypatch):
+    """Rows out of the order of the squares fail the certificate, which stays exact: a
+    hand-built copy of a family takes all p-1 nodes and its right value.  No built family
+    reaches `_orbit_step` (each certifies its declaration), so every check passes at 5 and
+    61.  At 5 the order is unchanged (m = 2, and any order of two rows shifts).
+    tests/test_evalinterp.py's `TestDeclarations::test_certified_value_equals_the_dense_path`
+    catches it at 7: the hand-built copy of D takes 6 nodes, the declaration 2."""
+    order_log_one_off(monkeypatch)
+    for p in (5, 61):
+        assert run_prime(p).all_passed()
+    with pytest.raises(AssertionError):
+        test_evalinterp.TestDeclarations().test_certified_value_equals_the_dense_path(7)
 
 
 def identity_mutant(monkeypatch, old: str, new: str):
