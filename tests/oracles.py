@@ -10,8 +10,8 @@ linear combination of elements term by term in schoolbook products; a
 determinant mod q is one row reduction of one matrix, reduced every step;
 the evaluation and interpolation matrices at the order-p nodes of F_q are
 filled entry by entry; a CRT lift folds big ints one prime at a time; the
-Galois-orbit certificate keys every row by the hash of a Python tuple; the
-coefficient-size (l) bound and the images under all p-1 embeddings (from
+Galois-orbit certificate keys every row by the hash of a Python tuple and
+accepts any row permutation; the coefficient-size (l) bound and the images under all p-1 embeddings (from
 mpmath tables) bound and check the determinant's size; a geometric sum adds
 every one of its terms; the reference matrices are built one entry at a time
 as ints or CycElts; bare coefficient rows take the dtype rule of
