@@ -6,17 +6,21 @@ rings, on one numpy array per step: Python ints (dtype object) over Z, the
 (`np.matmul`, `cycring.lincomb`) and exact divider.  A double step removes two
 columns by two divisions by the pivot of two steps back, both exact by
 Sylvester's identity.  `_divide_ints` is floor division checked by one
-re-multiplication; `_divide_exact` reduces its array mod each auxiliary prime,
-lifts its quotients by one CRT and proves the lift by one
-re-multiplication; a division still unproven once the modulus passes a proven
-bound on exact quotients was not exact and raises.  There is no cap on the
-primes.  A CycElt is built only for a determinant returned.
+re-multiplication; `_divide_exact` takes its quotients mod each auxiliary
+prime q by one int64 product, its array mod q times Mul(d^-1 mod q), the
+matrix of multiplication by the pivot's inverse, lifts them by one CRT and
+proves the lift by one re-multiplication; a division still unproven once the
+modulus passes a proven bound on exact quotients was not exact and raises.
+There is no cap on the primes.  `_fraction_free` makes a divider of each pivot
+(`_Pivot`), which builds Mul(d^-1 mod q) once per prime for both divisions by
+d.  A CycElt is built only for a determinant returned.
 
 Modular: every CRT in this module is one mixed-radix conversion
 (`_MixedRadix`) over one stream of primes, the auxiliary primes q = 1 (mod p)
 above AUX_PRIME_FLOOR (`aux_primes`): residues stay int64, each prime adds a
-digit, and Python ints are built once, when the lift stops.  The primes of
-one p and the power table of each (`_EvalData`), and g = primitive_root(p)
+digit, and the values are built once, when the lift stops: Python ints, or
+int64 for the divider's quotients while the modulus is below 2^63.  The
+primes of one p and the power table of each (`_EvalData`), and g = primitive_root(p)
 with its powers and logs, are found and built once, and kept while p stays
 the same (`_tables`): every lift, the exact divider, the identity check, the
 certificate, the node order and the bounds read them there.  A modular
@@ -47,18 +51,20 @@ Every matrix's coefficient array has the dtype of the one rule that
 `ExactMatrix` applies to every array it is given: int64 only while every
 entry is below AUX_PRIME_FLOOR in absolute value, Python ints otherwise.
 Every int64 sum here is of `count` products of at most (q-1)^2, refused up
-front when count (q-1)^2 >= 2^63: p-1 products per value in `_EvalData`,
+front when count (q-1)^2 >= 2^63: p-1 products per value in `_EvalData`
+and per coefficient of the divider's inverse product (`_Pivot.residues`),
 n-1 updates of an entry in [0, q) in `_det_mod_stack` (the largest q of the
 stack), n products of values per entry in `identity_holds`; the products of
 `_MixedRadix` and of the Euclid of `_resultants` are of two numbers below
 their primes, refused from 2^31.  As every auxiliary prime q exceeds the floor,
 `_EvalData.values`, the one evaluator, takes int64 rows unreduced; the exact
-divider hands it rows reduced mod q.  A Bareiss step's products come from
+divider hands it its pivot reduced mod q.  A Bareiss step's products come from
 `lincomb`, int64 only while 4 bound < 2^63 for the bound of its sums (then by
 one int64 matmul per term where that is cheaper than packing), and every int64
 entry is at most 2 bound < 2^62, so the difference of two fits int64; the
 quotients of `_divide_exact` are int64 when the proven modulus M is below
-2^63, as every |v| < M/2 <= 2^62, and Python ints otherwise.
+2^63, as every |v| < M/2 <= 2^62, lifted in int64 (`_MixedRadix.lift`), and
+Python ints otherwise.
 """
 from __future__ import annotations
 
@@ -169,8 +175,9 @@ class _MixedRadix:
     |d_i| < q_i/2, so v is its residue of least absolute value mod M.  A fold
     takes the next digit in numpy: the Horner sum of the earlier digits mod q
     is v mod q, and d_k = (c - v) / M mod q.  All of it stays in int64 for
-    primes below 2^31, as every product is of two numbers below 2^31.  Python
-    ints are built once, by Horner over the digits (`ints`).
+    primes below 2^31, as every product is of two numbers below 2^31.  The
+    values are built once, by Horner over the digits: in Python ints (`ints`),
+    or in int64 while M < 2^63 (`lift`).
     """
 
     __slots__ = ("primes", "digits", "modulus")
@@ -200,7 +207,14 @@ class _MixedRadix:
 
     def ints(self) -> np.ndarray:
         """The values as Python ints (dtype object), in the residues' shape."""
-        v = self.digits[-1].astype(object)
+        return self.lift().astype(object)
+
+    def lift(self) -> np.ndarray:
+        """The values, int64 while M < 2^63, Python ints otherwise.  The Horner
+        sum from the top digit down to digit i is the value of digits i .. k-1, a
+        mixed-radix number below q_i ... q_(k-1) / 2 <= M/2 < 2^62 in absolute value, and
+        so is the product of the sum from i+1 by q_i, with |d_i| < q_i/2 added later."""
+        v = self.digits[-1] if self.modulus < 1 << 63 else self.digits[-1].astype(object)
         for d, q in zip(self.digits[-2::-1], self.primes[-2::-1]):
             v = v * q + d
         return v
@@ -230,10 +244,11 @@ def _pivot_minors(a: np.ndarray, product) -> np.ndarray:
     return product(adj, np.moveaxis(a[:, :2], 1, 0))
 
 
-def _fraction_free(a: np.ndarray, product, divide) -> tuple:
+def _fraction_free(a: np.ndarray, product, divide, pivot) -> tuple:
     """Bareiss's two-step fraction-free elimination (Math. Comp. 22, 1968) on one array
     per step, (n, n) entries over Z or (n, n, p-1) coefficients over Z[zeta_p], with the
-    ring's `lincomb` as `product(weights, rows)` and its exact `divide(block, d)`.
+    ring's `lincomb` as `product(weights, rows)` and its exact `divide(block, d)`, d the
+    divider that `pivot` makes of each pivot, once, for both divisions by it.
 
     Level-k entries a_ij are the minors of the leading k rows and columns bordered by
     row i and column j, d (the last pivot, none at k = 0) their leading minor, and a
@@ -279,7 +294,7 @@ def _fraction_free(a: np.ndarray, product, divide) -> tuple:
             block = block.astype(object, copy=False)
         block -= cross  # in place: one array of the step's size fewer
         a = block if d is None else divide(block, d)
-        d = c0[0]
+        d = pivot(c0[0])
     return sign, a[0, 0]
 
 
@@ -295,7 +310,7 @@ def det_int_bareiss(m: ExactMatrix, stats: dict | None = None) -> int:
     """Fraction-free elimination over Z, on Python ints (dtype object)."""
     if m.kind != "int":
         raise ValueError("integer matrix required")
-    sign, last = _fraction_free(m.coeffs.astype(object), np.matmul, _divide_ints)
+    sign, last = _fraction_free(m.coeffs.astype(object), np.matmul, _divide_ints, int)
     return sign * last
 
 
@@ -423,19 +438,71 @@ def _tables(p: int) -> _PrimeTables:
 # -- exact division in Z[zeta_p] --------------------------------------------
 
 
-def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Exact quotients of a block of elements of Z[zeta_p], shape (..., p-1), int64
-    or Python ints, by a nonzero den, shape (p-1,): one Bareiss division.
+def _mul_matrix(x: np.ndarray) -> np.ndarray:
+    """Mul(x), the (p-1, p-1) matrix of multiplication by x (shape (p-1,)) on the power
+    basis, which `cycring._by_matmul` reads from a view: row b is x zeta^b, so y @ Mul(x)
+    is y x.  It is the first p-1 columns of the circulant C[b, c] = x[(c - b) mod p], x
+    padded by x[p-1] = 0, less its last column, the coefficient of zeta^(p-1) that
+    1 + zeta + ... + zeta^(p-1) = 0 removes."""
+    p = len(x) + 1
+    circ = np.append(x, 0)[(np.arange(p) - np.arange(p - 1)[:, None]) % p]
+    return circ[:, :-1] - circ[:, -1:]
 
-    The block's elements and den are reduced mod q and evaluated at the
-    order-p nodes of F_q once per auxiliary prime q, so `_EvalData.values`
-    takes int64 entries in [0, q).  Where den has no zero value, every
-    element's values are scaled by den's inverse values,
-    interpolated and folded into one mixed-radix CRT (`_MixedRadix`).  Once
-    every top digit reads a lift below a quarter of the modulus, one
+
+class _Pivot:
+    """A Bareiss pivot den (`coeffs`, shape (p-1,)) and, per auxiliary prime q, built when
+    a division first reads it, Mul(den^-1 mod q) in [0, q), or None where den has a zero
+    value mod q.  `_fraction_free` makes one of each pivot, so both divisions by it in a
+    double step read one matrix per prime, and no matrix outlives its pivot."""
+
+    __slots__ = ("coeffs", "_muls")
+
+    def __init__(self, coeffs: np.ndarray) -> None:
+        self.coeffs, self._muls = coeffs, {}
+
+    def residues(self, flat: np.ndarray, data: _EvalData) -> np.ndarray | None:
+        """The rows `flat` (elements, p-1), int64 or Python ints, times den^-1 mod q,
+        q = data.q: (flat mod q) @ Mul(den^-1 mod q) mod q, or None when q divides a
+        conjugate of den.  den^-1's coefficients mod q interpolate its inverse values."""
+        q = data.q
+        if q not in self._muls:
+            vals = data.values((self.coeffs[None] % q).astype(np.int64))[0]
+            mul = None
+            if vals.all():
+                inv_vals = np.array([pow(v, -1, q) for v in vals.tolist()], dtype=np.int64)
+                mul = _mul_matrix(data.interpolate(inv_vals)) % q
+            self._muls[q] = mul
+        mul = self._muls[q]
+        return None if mul is None else (flat % q).astype(np.int64, copy=False) @ mul % q
+
+
+def _divide_exact(block: np.ndarray, pivot: _Pivot) -> np.ndarray:
+    """Exact quotients of a block of elements of Z[zeta_p], shape (..., p-1), int64
+    or Python ints, by a nonzero pivot den (`pivot.coeffs`, shape (p-1,)): one
+    Bareiss division.
+
+    Per auxiliary prime q, the quotients' residues are one int64 product, the
+    block's rows mod q times Mul(den^-1 mod q) (`_Pivot.residues`), folded into
+    one mixed-radix CRT (`_MixedRadix`); a q where den has a zero value is
+    skipped.  Once every top digit reads a lift below a quarter of the modulus,
+    the lift (int64 while M < 2^63, `_MixedRadix.lift`) is checked by one
     re-multiplication of the whole lift by den (`cycring.lincomb`), compared
-    with the block, checks it, which proves it, so a wrong answer is
-    impossible; a lift that fails goes on to the next prime.
+    with the block, which proves it, so a wrong answer is impossible; a lift
+    that fails goes on to the next prime.
+
+    The product is the quotient's residue.  For q = 1 (mod p), 1 + x + ... +
+    x^(p-1) is the product of the x - r^t over F_q, so evaluation at the nodes
+    r^t is a ring isomorphism F_q[x]/(1 + ... + x^(p-1)) -> F_q^(p-1), and
+    reduction mod q a ring map from Z[zeta_p] onto the left side (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 5 and 10).  With no zero
+    value, den mod q is a unit there, and its inverse e has the values
+    1/den(r^t), which interpolate to e's coefficients mod q.  A block element
+    y = x den, x in Z[zeta_p], is x den mod q, so x = y e mod q, and the
+    coefficients of y e are y @ Mul(e) (`_mul_matrix`: row b of Mul(e) is
+    e zeta^b): p-1 products of two residues below q per entry, the sum
+    `_EvalData` refuses to let wrap.  They are the residues that scaling y's
+    values by den's inverse values and interpolating gives, as y e has the
+    values y(r^t)/den(r^t).
 
     The stop for a non-exact division is proven.  With l1 the sum of absolute
     coefficients, L = max_x l1(x) * l1(den)^(p-2) bounds every embedding of an
@@ -446,6 +513,7 @@ def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
     its top digits pass (`_MixedRadix.fits`), and the division has been proven; a
     division still unproven there raises.
     """
+    den = pivot.coeffs
     if not (den != 0).any():
         raise ZeroDivisionError("division by zero")
     p = len(den) + 1
@@ -453,17 +521,12 @@ def _divide_exact(block: np.ndarray, den: np.ndarray) -> np.ndarray:
     give_up = None  # 16L, taken once a lift goes unproven
     crt, tables = _MixedRadix(), _tables(p)
     for q in tables:
-        data = tables.data(q)
-        den_vals = data.values((den[None] % q).astype(np.int64))[0]
-        if np.any(den_vals == 0):
+        residues = pivot.residues(flat, tables.data(q))
+        if residues is None:
             continue  # q divides a conjugate of den; unusable
-        inv_vals = np.array([pow(v, -1, q) for v in den_vals.tolist()], dtype=np.int64)
-        quot_vals = data.values((flat % q).astype(np.int64, copy=False)) * inv_vals % q
-        crt.fold(data.interpolate(quot_vals.T).T.reshape(block.shape), q)
+        crt.fold(residues.reshape(block.shape), q)
         if crt.fits().all():
-            quots = crt.ints()
-            if crt.modulus < 1 << 63:
-                quots = quots.astype(np.int64)  # every |v| < M/2 <= 2^62
+            quots = crt.lift()
             if np.array_equal(lincomb(p, den[None, None], quots.reshape(1, -1, p - 1))[0], flat):
                 return quots
         if give_up is None:
@@ -480,7 +543,8 @@ def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     """Fraction-free elimination over Z[zeta_p] with verified exact divisions."""
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
-    sign, last = _fraction_free(m.coeffs, lambda w, r: lincomb(m.meta.p, w, r), _divide_exact)
+    sign, last = _fraction_free(m.coeffs, lambda w, r: lincomb(m.meta.p, w, r), _divide_exact,
+                                _Pivot)
     return CycElt._new(m.meta.p, [sign * c for c in last.tolist()])
 
 

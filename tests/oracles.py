@@ -21,7 +21,11 @@ library's per-prime steps, and stands apart from `det_cyc_evalinterp` in its
 node choice (every node), its CRT (`crt_lift`) and its stop (a stable lift
 plus one confirming prime).  The literal identity A B - g C is the other: the
 product the verifier took before it multiplied node values, `matrices.matmul`
-and one `lincomb` per entry on the coefficient arrays.
+and one `lincomb` per entry on the coefficient arrays.  The exact divider by
+values is a third: the Bareiss division as it was before its inverse product,
+den's values at the nodes, every element's values scaled by den's inverse
+values and interpolated back per prime, on the library's CRT, proof and
+give-up.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ import mpmath
 import numpy as np
 
 from cyclodet.cycring import CycElt, eval_complex, lincomb, make
-from cyclodet.detkit import _det_mod_stack, _EvalData
+from cyclodet.detkit import _det_mod_stack, _EvalData, _MixedRadix, _tables
 from cyclodet.matrices import ExactMatrix, MatrixMeta, matmul
 from cyclodet.modarith import AUX_PRIME_FLOOR, aux_primes, is_square, legendre, primitive_root
 from cyclodet.subfield import gauss_sum
@@ -298,6 +302,46 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
         if stable >= 2:
             return CycElt._new(p, sym)
     raise ArithmeticError("CRT failed to stabilize")
+
+
+def quotient_residues_by_values(flat: np.ndarray, den: np.ndarray, data: _EvalData):
+    """The residues mod q = data.q of the quotients of the rows `flat` (elements, p-1) by
+    den, by values: den's values at the nodes, each element's values times den's inverse
+    values, interpolated; None where den has a zero value mod q.  The reference for
+    `detkit._Pivot.residues`."""
+    q = data.q
+    den_vals = data.values((den[None] % q).astype(np.int64))[0]
+    if np.any(den_vals == 0):
+        return None
+    inv_vals = np.array([pow(v, -1, q) for v in den_vals.tolist()], dtype=np.int64)
+    quot_vals = data.values((flat % q).astype(np.int64, copy=False)) * inv_vals % q
+    return data.interpolate(quot_vals.T).T
+
+
+def divide_by_values(block: np.ndarray, den: np.ndarray) -> tuple:
+    """(quotients, primes folded) of the exact division of `block` by den, as
+    `detkit._divide_exact` took it before its inverse product: the residues of
+    `quotient_residues_by_values`, one `_MixedRadix` lift cast from Python ints to int64
+    below a modulus of 2^63, the same re-multiplication proof and the same 16L give-up."""
+    p = len(den) + 1
+    flat = block.reshape(-1, p - 1)
+    give_up, crt, tables = None, _MixedRadix(), _tables(p)
+    for q in tables:
+        residues = quotient_residues_by_values(flat, den, tables.data(q))
+        if residues is None:
+            continue
+        crt.fold(residues.reshape(block.shape), q)
+        if crt.fits().all():
+            quots = crt.ints()
+            if crt.modulus < 1 << 63:
+                quots = quots.astype(np.int64)
+            if np.array_equal(lincomb(p, den[None, None], quots.reshape(1, -1, p - 1))[0], flat):
+                return quots, crt.primes
+        if give_up is None:
+            l1 = max(abs(flat).sum(axis=1, dtype=object))
+            give_up = 16 * l1 * sum(map(abs, den.tolist())) ** (p - 2)
+        if crt.modulus > give_up:
+            raise ArithmeticError("Bareiss division was not exact")
 
 
 def orbit_step_tuples(rows: np.ndarray) -> tuple[int, int]:

@@ -14,7 +14,7 @@ from cyclodet.cycring import (
     lincomb,
     make,
 )
-from cyclodet.detkit import _divide_exact, _EvalData, det_cyc_bareiss
+from cyclodet.detkit import _divide_exact, _EvalData, _Pivot, det_cyc_bareiss
 from cyclodet.matrices import _geometric_sums, build_D
 from cyclodet.modarith import aux_primes
 
@@ -102,12 +102,13 @@ class TestGalois:
 
 class TestExactDiv:
     """Exact division through the one cyclotomic divider, `detkit._divide_exact`,
-    which takes and returns coefficient arrays."""
+    which takes coefficient arrays and a pivot (`detkit._Pivot`) and returns
+    coefficient arrays."""
 
     @staticmethod
     def divide(values, den):
         block = np.array([[x.coeffs for x in values]], dtype=object)
-        quots = _divide_exact(block, np.array(den.coeffs, dtype=object))[0]
+        quots = _divide_exact(block, _Pivot(np.array(den.coeffs, dtype=object)))[0]
         return [CycElt(den.p, x) for x in quots.tolist()]
 
     def test_geometric_sum(self):

@@ -45,8 +45,10 @@ from oracles import (
     det_cofactor,
     det_mod_prime,
     det_numeric,
+    divide_by_values,
     entries,
     exact_matrix,
+    quotient_residues_by_values,
     random_cyc,
 )
 
@@ -63,6 +65,19 @@ Q_EDGE = next(  # the largest q at which a 24 x 24 elimination mod q fits int64
     if 24 * (q - 1) ** 2 < 1 << 63 and is_prime(q)
 )
 SEED_16L = 0xCF1  # the first seed from 0xCD1 up whose division below has a modulus in (8L, 16L]
+TOP_PRIMES = [q for q in range((1 << 31) - 1, (1 << 31) - 200, -2) if is_prime(q)][:3]  # < 2^31
+
+
+def conjugate_division(p: int) -> tuple:
+    """(block, den, quotients) of a division whose den = zeta - r, r the element of order p
+    of the first auxiliary prime q0, vanishes at the node r mod q0, so q0 divides a
+    conjugate of den: three quotients of 30 bits, and their products with den."""
+    tables = detkit._tables(p)
+    r = int(tables.data(next(iter(tables))).pow_r[1])
+    den = CycElt.zeta(p) - r
+    rng = random.Random(0x5C1 + p)
+    quots = [random_cyc(rng, p, span=2**30) for _ in range(3)]
+    return cyc_array([[x * den for x in quots]]), cyc_array(den), quots
 
 
 def scaled_d13():
@@ -281,7 +296,7 @@ class TestCycBackends:
         bound = max(l1[:-1]) * l1[-1] ** (p - 2)
         lifts.clear()
         with pytest.raises(ArithmeticError, match="not exact"):
-            detkit._divide_exact(cyc_array([values]), cyc_array(den))
+            detkit._divide_exact(cyc_array([values]), detkit._Pivot(cyc_array(den)))
         moduli = [modulus for _, modulus in lifts]
         assert 16 * bound >= moduli[-2] > 8 * bound and moduli[-1] > 16 * bound
 
@@ -347,15 +362,16 @@ class TestExactDivider:
     def test_non_exact_row_raises(self):
         z = CycElt.zeta(5)
         with pytest.raises(ArithmeticError, match="not exact"):
-            detkit._divide_exact(cyc_array([[(1 - z) * z], [CycElt.one(5)]]), cyc_array(1 - z))
+            detkit._divide_exact(cyc_array([[(1 - z) * z], [CycElt.one(5)]]),
+                                 detkit._Pivot(cyc_array(1 - z)))
 
     def test_zero_numerators(self):
         z, zero = CycElt.zeta(7), CycElt.zero(7)
-        quots = detkit._divide_exact(cyc_array([[zero] * 3]), cyc_array(1 + z))
+        quots = detkit._divide_exact(cyc_array([[zero] * 3]), detkit._Pivot(cyc_array(1 + z)))
         assert quots.tolist() == [[[0] * 6] * 3]
         x = 2 - 3 * z * z
         rows = cyc_array([[zero, x * (1 + z)], [zero, zero]])
-        quots = detkit._divide_exact(rows, cyc_array(1 + z))
+        quots = detkit._divide_exact(rows, detkit._Pivot(cyc_array(1 + z)))
         assert quots.tolist() == [[[0] * 6, list(x.coeffs)], [[0] * 6] * 2]
 
     def test_zero_determinant_stops_at_the_bound(self):
@@ -391,7 +407,7 @@ class TestExactDivider:
 
         monkeypatch.setattr(detkit._MixedRadix, "fold", perturbed)
         with pytest.raises(ArithmeticError, match="not exact"):
-            detkit._divide_exact(rows, cyc_array(den))
+            detkit._divide_exact(rows, detkit._Pivot(cyc_array(den)))
         assert len(hits) == 1
 
     def test_small_quotients_take_one_prime(self, lifts):
@@ -403,7 +419,8 @@ class TestExactDivider:
         den = random_cyc(rng, p, span=2**40)
         quots = [random_cyc(rng, p, span=2**18 - 1) for _ in range(4)]
         values = cyc_array([[x * den for x in quots]])
-        assert detkit._divide_exact(values, cyc_array(den)).tolist() == [[list(x.coeffs) for x in quots]]
+        quotients = detkit._divide_exact(values, detkit._Pivot(cyc_array(den)))
+        assert quotients.tolist() == [[list(x.coeffs) for x in quots]]
         assert len(lifts) == 1
 
     def test_no_more_primes_than_a_stability_stop(self, monkeypatch, lifts):
@@ -450,6 +467,86 @@ class TestExactDivider:
         det_cyc_bareiss(scaled_d13())
         assert all((dtype == np.int64) == (modulus < 1 << 63) for dtype, modulus in seen)
         assert seen and {dtype for dtype, _ in seen} == {np.dtype(object)}
+        # the lift: Horner in int64 over two digits, the auxiliary primes of 13 (M near
+        # 2^49) and the two primes below 2^31 (M near 2^62); three digits pass 2^63
+        for primes in (list(islice(aux_primes(13), 2)), TOP_PRIMES[:2],
+                       list(islice(aux_primes(13), 3)), TOP_PRIMES):
+            modulus = math.prod(primes)
+            values = [s * (modulus // 4 + d) for d in range(-3, 4) for s in (1, -1)]
+            values += [(modulus - 1) // 2, (1 - modulus) // 2, 0]
+            crt = detkit._MixedRadix()
+            for q in primes:
+                crt.fold(np.array([v % q for v in values], dtype=np.int64), q)
+            lift = crt.lift()
+            assert lift.tolist() == crt.ints().tolist() == values
+            assert lift.dtype == (np.int64 if modulus < 1 << 63 else object), primes
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 47])
+    def test_inverse_product_equals_the_values_path(self, p):
+        """One int64 product by Mul(den^-1 mod q) gives the residues that den's inverse values
+        scaled in and interpolated back give (`oracles.quotient_residues_by_values`), on int64
+        blocks up to 2^62 and Python-int blocks up to 2^200, by int64 and Python-int pivots,
+        one pivot for the first four auxiliary primes; where den has a zero value mod q
+        (zeta - r, r of order p mod the first prime), both give None."""
+        rng, tables = random.Random(0x1DE + p), detkit._tables(p)
+        blocks = [np.array([[rng.randint(-(1 << 62), 1 << 62) for _ in range(p - 1)]
+                            for _ in range(5)], dtype=np.int64),
+                  cyc_array([random_cyc(rng, p, span=2**200) for _ in range(5)])]
+        dens = [np.array(random_cyc(rng, p, span=2**20).coeffs, dtype=np.int64),
+                cyc_array(random_cyc(rng, p, span=2**100))]
+        for den in dens:
+            pivot = detkit._Pivot(den)
+            for q in islice(tables, 4):
+                data = tables.data(q)
+                for flat in blocks:
+                    residues = pivot.residues(flat, data)
+                    assert residues.dtype == np.int64
+                    assert np.array_equal(residues, quotient_residues_by_values(flat, den, data))
+        data, den = tables.data(next(iter(tables))), conjugate_division(p)[1]
+        assert detkit._Pivot(den).residues(blocks[0], data) is None
+        assert quotient_residues_by_values(blocks[0], den, data) is None
+
+    def test_every_division_takes_the_primes_of_the_values_path(self, monkeypatch):
+        """Every division of C and D at 5..47 folds the primes that the division by values
+        (`oracles.divide_by_values`) folds, and returns its quotients in its dtype: int64,
+        as every modulus they take is below 2^63; Dtilde(47)'s take Python ints past it."""
+        real_fold, folded = detkit._MixedRadix.fold, []
+
+        def fold(crt, residues, q):
+            folded.append(q)
+            real_fold(crt, residues, q)
+
+        real, dtypes = detkit._divide_exact, set()
+
+        def divide(block, den):
+            folded.clear()
+            quots = real(block, den)
+            primes = list(folded)
+            expected, expected_primes = divide_by_values(block, den.coeffs)
+            assert primes == expected_primes and quots.dtype == expected.dtype
+            assert np.array_equal(quots, expected)
+            dtypes.add(quots.dtype)
+            return quots
+
+        monkeypatch.setattr(detkit._MixedRadix, "fold", fold)
+        monkeypatch.setattr(detkit, "_divide_exact", divide)
+        for p in filter(is_prime, range(5, 48)):
+            for m in (build_C(p), build_D(p)):
+                det_cyc_bareiss(m)
+        assert dtypes == {np.dtype(np.int64)}
+        det_cyc_bareiss(build("Dtilde", 47))
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+    @pytest.mark.parametrize("p", [7, 13])
+    def test_a_prime_dividing_a_conjugate_is_skipped(self, lifts, p):
+        """den = zeta - r vanishes at the node r mod the first auxiliary prime q0
+        (`conjugate_division`): the division folds no residue mod q0 and returns the
+        quotients, proven on the primes after it."""
+        block, den, quots = conjugate_division(p)
+        q0 = next(aux_primes(p))
+        quotients = detkit._divide_exact(block, detkit._Pivot(den))
+        assert quotients.tolist() == [[list(x.coeffs) for x in quots]]
+        assert lifts and all(modulus % q0 for _, modulus in lifts)
 
 
 class TestMixedRadix:

@@ -54,8 +54,8 @@ def sign_dropped(ring: str):
     def install(monkeypatch):
         real, divide_of_ring = detkit._fraction_free, divider(ring)
 
-        def unsigned(a, product, divide):
-            sign, last = real(a, product, divide)
+        def unsigned(a, product, divide, pivot):
+            sign, last = real(a, product, divide, pivot)
             return (1 if divide is divide_of_ring else sign), last
 
         monkeypatch.setattr(detkit, "_fraction_free", unsigned)
@@ -64,13 +64,16 @@ def sign_dropped(ring: str):
     return install
 
 
-def recompiled(fn, old: str, new: str):
+def recompiled(fn, old: str, new: str, *more: str):
     """`fn` compiled again from its source in its module's namespace, with the one
-    occurrence of `old` replaced by `new`."""
+    occurrence of `old` replaced by `new`, and so for each further (old, new) pair in
+    `more`."""
     source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(old) == 1, old
+    for old, new in zip((old, *more[::2]), (new, *more[1::2])):
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
     module, scope = inspect.getmodule(fn), {}
-    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), scope)
+    exec(compile(source, module.__file__, "exec"), vars(module), scope)
     return scope[fn.__name__]
 
 
@@ -80,9 +83,9 @@ def mutated_elimination(monkeypatch, old: str, new: str, ring: str | None = None
     real = detkit._fraction_free
     mutant = recompiled(real, old, new)
 
-    def elimination(a, product, divide):
+    def elimination(a, product, divide, pivot):
         in_ring = ring is None or divide is divider(ring)
-        return (mutant if in_ring else real)(a, product, divide)
+        return (mutant if in_ring else real)(a, product, divide, pivot)
 
     monkeypatch.setattr(detkit, "_fraction_free", elimination)
 
@@ -103,6 +106,40 @@ def unproven_perturbed_lift(monkeypatch):
     proofless = {name: getattr(np, name) for name in dir(np) if not name.startswith("__")}
     proofless["array_equal"] = lambda *args: True
     monkeypatch.setattr(detkit, "np", types.SimpleNamespace(**proofless))
+
+
+def mul_fold_column_dropped(monkeypatch):
+    """Mul(den^-1 mod q) is the circulant's first p-1 columns without its last subtracted,
+    the coefficient of zeta^(p-1): the divider's residues are those of a product mod
+    x^p - 1, not mod 1 + x + ... + x^(p-1)."""
+    monkeypatch.setattr(detkit, "_mul_matrix", recompiled(
+        detkit._mul_matrix, "circ[:, :-1] - circ[:, -1:]", "circ[:, :-1]"))
+
+
+def mul_of_den(monkeypatch):
+    """The divider multiplies by Mul(den mod q) in place of Mul(den^-1 mod q)."""
+    monkeypatch.setattr(detkit._Pivot, "residues", recompiled(
+        detkit._Pivot.residues, "data.interpolate(inv_vals)", "(self.coeffs % q).astype(np.int64)"))
+
+
+def pivots_share_their_matrices(monkeypatch):
+    """Every pivot reads one memo of Mul matrices, so a division reads, at each prime an
+    earlier pivot took, that pivot's Mul(d^-1 mod q)."""
+    real, shared = detkit._Pivot.__init__, {}
+
+    def init(pivot, coeffs):
+        real(pivot, coeffs)
+        pivot._muls = shared
+
+    monkeypatch.setattr(detkit._Pivot, "__init__", init)
+
+
+def skip_dropped(monkeypatch):
+    """The divider takes a prime at which den has a zero value, den's inverse read as 0 at
+    that node."""
+    monkeypatch.setattr(detkit._Pivot, "residues", recompiled(
+        detkit._Pivot.residues, "if vals.all():", "if True:",
+        "pow(v, -1, q)", "pow(v, -1, q) if v else 0"))
 
 
 def wrong_pivot_row(ring: str):
@@ -392,6 +429,14 @@ MUTANTS = [
     # p = 5 takes no cyclotomic division: C(5) and D(5) end after their first double step
     (unproven_perturbed_lift, "cyc_backend_agreement: the wrong quotient reaches det D", 7,
      "cyc_backend_agreement"),
+    # the divider's inverse product: a residue that is not the quotient's keeps every later
+    # lift from its proof, so the division raises at the 16L give-up; D(7) divides once
+    (mul_fold_column_dropped, "the exact divider: D(7)'s division is never proven", 7,
+     ArithmeticError),
+    (mul_of_den, "the exact divider: D(7)'s division is never proven", 7, ArithmeticError),
+    # 11 is the first prime with two pivots divided by, C(11)'s and D(11)'s first
+    (pivots_share_their_matrices, "the exact divider: the second pivot's division reads the "
+     "first pivot's matrices and is never proven", 11, ArithmeticError),
     (wrong_pivot_row("cyc"), "cyc_backend_agreement: Bareiss against evaluation-interpolation", 5,
      "cyc_backend_agreement"),
     (wrong_pivot_row("ints"), "int_backend_agreement: integer Bareiss against the CRT", 5,
@@ -517,7 +562,8 @@ def test_unmutated_prime_passes():
     """The primes the mutants run at pass every check as the code stands (above
     BAREISS_LIMIT the cyclotomic agreement is skipped), and the matrices they take
     have one value."""
-    for args in ((5,), (5, SWEEP), (7,), (13,), (17,), (17, SWEEP), (23,), (31,), (61,), (67,)):
+    for args in ((5,), (5, SWEEP), (7,), (11,), (13,), (17,), (17, SWEEP), (23,), (31,), (61,),
+                 (67,)):
         statuses = {name: c.status for name, c in run_prime(*args).checks.items()}
         if args[0] > verify.BAREISS_LIMIT:
             assert statuses.pop("cyc_backend_agreement") == "skipped"
@@ -525,6 +571,19 @@ def test_unmutated_prime_passes():
     assert det(swapped_cyc_matrix(), "both").value == -CycElt.zeta(5)
     for where in {row[2] for row in MUTANTS if callable(row[2]) and hasattr(row[2], "p")}:
         assert det(where(), "both").agree
+
+
+def test_skip_dropped_is_caught(monkeypatch):
+    """No division of `verify` 5..59 meets a pivot with a zero value mod a prime it takes,
+    so the skip is shown on den = zeta - r (`test_detkit.conjugate_division`): its residues
+    mod the first auxiliary prime are wrong at the node r, every later lift fails the
+    re-multiplication, and the division raises at the 16L give-up, never returning a
+    wrong quotient."""
+    skip_dropped(monkeypatch)
+    for p in (7, 13):
+        block, den, _ = test_detkit.conjugate_division(p)
+        with pytest.raises(ArithmeticError, match="not exact"):
+            detkit._divide_exact(block, detkit._Pivot(den))
 
 
 def test_lift_one_prime_short_hides_in_the_bound_slack(monkeypatch):
