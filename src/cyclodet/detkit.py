@@ -7,13 +7,12 @@ rings, on one numpy array per step: Python ints (dtype object) over Z, the
 columns by two divisions by the pivot of two steps back, both exact by
 Sylvester's identity.  `_divide_ints` is floor division checked by one
 re-multiplication; `_divide_exact` takes its quotients mod each auxiliary
-prime q by one int64 product, its array mod q times Mul(d^-1 mod q), the
-matrix of multiplication by the pivot's inverse, lifts them by one CRT and
-proves the lift by one re-multiplication; a division still unproven once the
-modulus passes a proven bound on exact quotients was not exact and raises.
-There is no cap on the primes.  `_fraction_free` makes a divider of each pivot
-(`_Pivot`), which builds Mul(d^-1 mod q) once per prime for both divisions by
-d.  A CycElt is built only for a determinant returned.
+prime q by one `lincomb` product, its array mod q times d^-1 mod q, lifts them
+by one CRT and proves the lift by one re-multiplication; a division still
+unproven once the modulus passes a proven bound on exact quotients was not
+exact and raises.  There is no cap on the primes.  `_fraction_free` makes a
+divider of each pivot (`_Pivot`), which interpolates d^-1 mod q once per prime
+for both divisions by d.  A CycElt is built only for a determinant returned.
 
 Modular: every CRT in this module is one mixed-radix conversion
 (`_MixedRadix`) over one stream of primes, the auxiliary primes q = 1 (mod p)
@@ -39,11 +38,13 @@ nodes when sigma_(g^2) shifts its rows along the squares or fixes them
 (`_orbit_step`), at all p-1 otherwise, each value by `_det_mod_stack`, under a
 Hadamard bound on its dense rows (`_coset_bounds_sq`).  Both paths take the
 sign of sigma_(g^2) from one certificate (`_galois_sign`).  Either way
-the values are broadcast to all p-1 nodes, each step along a coset times the
-sign of sigma_(g^2), the coefficients are recovered by the inverse transform
-on the same power table r^e mod q that evaluated them, and CRT-lifted past
-twice the bound, whose complex embeddings are the one float64 computation
-here, under a proven margin (`_coset_bounds_sq`).  One matrix identity is
+the values are constant on the F cosets of a subgroup of the nodes, F = f, or
+2f with values (v, -v) when sigma_(g^2) changes the sign; the coefficients are
+interpolated from them by Gauss periods on the same power table r^e mod q that
+evaluated them (`_PrimeTables.interpolate`, whose case F = p-1 is the full
+inverse transform), and CRT-lifted past twice the bound, whose complex
+embeddings are the one float64 computation here, under a proven margin
+(`_coset_bounds_sq`).  One matrix identity is
 checked the same way, A B = g C on the matrices' values at all p-1 nodes,
 exact past twice a bound on every coefficient of A B - g C (`identity_holds`).
 
@@ -51,17 +52,18 @@ Every matrix's coefficient array has the dtype of the one rule that
 `ExactMatrix` applies to every array it is given: int64 only while every
 entry is below AUX_PRIME_FLOOR in absolute value, Python ints otherwise.
 Every int64 sum here is of `count` products of at most (q-1)^2, refused up
-front when count (q-1)^2 >= 2^63: p-1 products per value in `_EvalData`
-and per coefficient of the divider's inverse product (`_Pivot.residues`),
-n-1 updates of an entry in [0, q) in `_det_mod_stack` (the largest q of the
-stack), n products of values per entry in `identity_holds`; the products of
+front when count (q-1)^2 >= 2^63: p-1 products per value in `_EvalData`,
+and the F <= p-1 products of an interpolated sum, which `_EvalData` refuses
+alike; n-1 updates of an entry in [0, q) in `_det_mod_stack` (the largest q of
+the stack), n products of values per entry in `identity_holds`; the products of
 `_MixedRadix` and of the Euclid of `_resultants` are of two numbers below
 their primes, refused from 2^31.  As every auxiliary prime q exceeds the floor,
 `_EvalData.values`, the one evaluator, takes int64 rows unreduced; the exact
-divider hands it its pivot reduced mod q.  A Bareiss step's products come from
-`lincomb`, int64 only while 4 bound < 2^63 for the bound of its sums (then by
-one int64 matmul per term where that is cheaper than packing), and every int64
-entry is at most 2 bound < 2^62, so the difference of two fits int64; the
+divider hands it its pivot reduced mod q.  Every product of elements, a
+Bareiss step's and the divider's by d^-1 mod q, comes from `lincomb`, int64
+only while 4 bound < 2^63 for the bound of its sums (then by one int64 matmul
+per term where that is cheaper than packing), and every int64 entry is at most
+2 bound < 2^62, so the difference of two fits int64; the
 quotients of `_divide_exact` are int64 when the proven modulus M is below
 2^63, as every |v| < M/2 <= 2^62, lifted in int64 (`_MixedRadix.lift`), and
 Python ints otherwise.
@@ -343,12 +345,13 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
 class _EvalData:
     """The power table of an element r of order p in F_q, for a prime q = 1 (mod p).
 
-    pow_r[e] = r^e mod q.  The nodes are r^t = pow_r[t] for t = 1..p-1, and the
-    Vandermonde matrix vand[i, t-1] = r^(i t) is gathered from the table where it is used,
-    so that a run of primes (`_runs`) holds p entries per prime, not (p-1)^2.
-    Evaluation and interpolation both sum p-1 int64 products of a residue and
-    a number below q in absolute value; a q where such a sum could wrap is refused.
-    Each is built once per (p, q) (`_tables`) and shared, so its table is read-only.
+    pow_r[e] = r^e mod q.  The nodes are r^t = pow_r[t] for t = 1..p-1.  `values` gathers
+    the Vandermonde columns r^(i t) of the nodes it reads from the table, so that a run of
+    primes (`_runs`) holds p entries per prime, not (p-1)^2.  Evaluation sums p-1 int64
+    products of a residue and a number below q in absolute value, and interpolation
+    (`_PrimeTables.interpolate`) at most p-1 products of two residues; a q where such a sum
+    could wrap is refused.  Each is built once per (p, q) (`_tables`) and shared, so its
+    table is read-only.
     """
 
     __slots__ = ("p", "q", "pow_r", "inv_p")
@@ -366,27 +369,13 @@ class _EvalData:
         self.pow_r.flags.writeable = False  # shared by every caller of `_tables`
         self.inv_p = pow(p, -1, q)
 
-    def vand(self, nodes=slice(None)) -> np.ndarray:
-        """The columns of the Vandermonde matrix at the nodes pow_r[1:][nodes]."""
-        p = self.p
-        return self.pow_r[np.outer(np.arange(p - 1), np.arange(1, p)[nodes]) % p]
-
     def values(self, coeffs: np.ndarray, nodes=slice(None)) -> np.ndarray:
         """Rows of an `ExactMatrix` at pow_r[1:][nodes] (a slice or an index array), in [0, q):
         int64 rows as they are (entries below AUX_PRIME_FLOOR < q), Python-int rows reduced."""
         if coeffs.dtype == object:
             coeffs = (coeffs % self.q).astype(np.int64)
-        return coeffs @ self.vand(nodes) % self.q
-
-    def interpolate(self, vals: np.ndarray) -> np.ndarray:
-        """Coefficients mod q of the element of degree < p-1 with values `vals` at the nodes.
-
-        The inverse transform on the same table: with v_0 the value at 1,
-        p c_i = sum_t v_t r^(-ti) over t = 0..p-1, and c_(p-1) = 0 fixes
-        v_0 = -sum_(t>0) v_t r^t.  vand @ vals[::-1] is sum_(t>0) v_t r^(-ti).
-        """
-        q = self.q
-        return (self.vand() @ vals[::-1] - self.pow_r[1:] @ vals) % q * self.inv_p % q
+        p = self.p
+        return coeffs @ self.pow_r[np.outer(np.arange(p - 1), np.arange(1, p)[nodes]) % p] % self.q
 
 
 def _order_p_element(p: int, q: int) -> int:
@@ -400,7 +389,8 @@ def _order_p_element(p: int, q: int) -> int:
 class _PrimeTables:
     """The auxiliary primes of one p found so far, in the order of `aux_primes(p)`, and the
     `_EvalData` of each, each found or built once, on first use; and g = primitive_root(p)
-    with, read-only, pow_g[k] = g^k mod p (k < p-1) and log_g[g^k mod p] = k (log_g[0] = 0).
+    with, read-only, pow_g[k] = g^k mod p (k < p-1) and log_g[g^k mod p] = k (log_g[0] = 0);
+    and the one interpolation from values at the nodes mod any of the primes (`interpolate`).
 
     Iterating yields the primes from the first; every iterator reads the one list, and the
     stream is scanned only past its end, so interleaved iterators yield the same sequence.
@@ -427,6 +417,28 @@ class _PrimeTables:
             self._data[q] = _EvalData(self.p, q)
         return self._data[q]
 
+    def interpolate(self, q: int, w: np.ndarray) -> np.ndarray:
+        """Coefficients mod q (int64, along axis 0) of the element x of degree < p-1 whose value
+        at the node r^(g^k) (r of `data(q)`) is w[k mod F], F = len(w) dividing p-1, w in [0, q)
+        of shape (F,) or (F, columns): x's values are constant on the F cosets of the subgroup
+        of index F of the nodes.  F = p-1 is the full inverse transform, its values in the
+        order of g's powers.
+
+        With v_t = x(r^t) for t = 0..p-1 (v_0 = x(1)) and c_(p-1) = 0, the inverse transform
+        of length p gives p c_i = sum_t v_t r^(-ti), as sum_t r^(tj) is p when p | j and 0
+        otherwise.  For i >= 1 let -i = g^l mod p: as t = g^k runs over the nodes,
+        r^(-ti) = r^(g^(k+l)), so sum_(t>0) v_t r^(-ti) = sum_c w_c eta_(c+l) = W_l, with the
+        Gauss periods eta_c = sum_(k = c mod F) r^(g^k) (Gauss, Disquisitiones Arithmeticae,
+        §343 ff.) and W_j = sum_c w_c eta_(c+j), every index mod F.  For i = 0 the sum is
+        ((p-1)/F) sum_c w_c.  As -(p-1) = 1 = g^0, c_(p-1) = 0 gives v_0 = -W_0.  Each W_j sums
+        F <= p-1 products of two residues, which `_EvalData` keeps below 2^63."""
+        data, p, f = self.data(q), self.p, len(w)
+        eta = data.pow_r[self.pow_g].reshape(-1, f).sum(axis=0) % q
+        big_w = eta[np.add.outer(np.arange(f), np.arange(f)) % f] @ w % q
+        total = (p - 1) // f * w.sum(axis=0) % q
+        c = np.concatenate([total[None], big_w[self.log_g[p - 1 : 1 : -1] % f]]) - big_w[0]
+        return c % q * data.inv_p % q
+
 
 @functools.lru_cache(maxsize=1)
 def _tables(p: int) -> _PrimeTables:
@@ -438,42 +450,31 @@ def _tables(p: int) -> _PrimeTables:
 # -- exact division in Z[zeta_p] --------------------------------------------
 
 
-def _mul_matrix(x: np.ndarray) -> np.ndarray:
-    """Mul(x), the (p-1, p-1) matrix of multiplication by x (shape (p-1,)) on the power
-    basis, which `cycring._by_matmul` reads from a view: row b is x zeta^b, so y @ Mul(x)
-    is y x.  It is the first p-1 columns of the circulant C[b, c] = x[(c - b) mod p], x
-    padded by x[p-1] = 0, less its last column, the coefficient of zeta^(p-1) that
-    1 + zeta + ... + zeta^(p-1) = 0 removes."""
-    p = len(x) + 1
-    circ = np.append(x, 0)[(np.arange(p) - np.arange(p - 1)[:, None]) % p]
-    return circ[:, :-1] - circ[:, -1:]
-
-
 class _Pivot:
-    """A Bareiss pivot den (`coeffs`, shape (p-1,)) and, per auxiliary prime q, built when
-    a division first reads it, Mul(den^-1 mod q) in [0, q), or None where den has a zero
-    value mod q.  `_fraction_free` makes one of each pivot, so both divisions by it in a
-    double step read one matrix per prime, and no matrix outlives its pivot."""
+    """A Bareiss pivot den (`coeffs`, shape (p-1,)) and, per auxiliary prime q, found when
+    a division first reads it, den^-1 mod q (p-1 coefficients in [0, q)), or None where den
+    has a zero value mod q.  `_fraction_free` makes one of each pivot, so both divisions by
+    it in a double step read one inverse per prime, and no inverse outlives its pivot."""
 
-    __slots__ = ("coeffs", "_muls")
+    __slots__ = ("coeffs", "_inverses")
 
     def __init__(self, coeffs: np.ndarray) -> None:
-        self.coeffs, self._muls = coeffs, {}
+        self.coeffs, self._inverses = coeffs, {}
 
-    def residues(self, flat: np.ndarray, data: _EvalData) -> np.ndarray | None:
-        """The rows `flat` (elements, p-1), int64 or Python ints, times den^-1 mod q,
-        q = data.q: (flat mod q) @ Mul(den^-1 mod q) mod q, or None when q divides a
+    def residues(self, flat: np.ndarray, tables: _PrimeTables, q: int) -> np.ndarray | None:
+        """The rows `flat` (elements, p-1), int64 or Python ints, times den^-1 mod q, in
+        [0, q): one `lincomb` product of flat mod q by den^-1 mod q, or None when q divides a
         conjugate of den.  den^-1's coefficients mod q interpolate its inverse values."""
-        q = data.q
-        if q not in self._muls:
-            vals = data.values((self.coeffs[None] % q).astype(np.int64))[0]
-            mul = None
+        if q not in self._inverses:
+            vals = tables.data(q).values(self.coeffs[None] % q, tables.pow_g - 1)[0]  # r^(g^k)
+            inverse = None
             if vals.all():
                 inv_vals = np.array([pow(v, -1, q) for v in vals.tolist()], dtype=np.int64)
-                mul = _mul_matrix(data.interpolate(inv_vals)) % q
-            self._muls[q] = mul
-        mul = self._muls[q]
-        return None if mul is None else (flat % q).astype(np.int64, copy=False) @ mul % q
+                inverse = tables.interpolate(q, inv_vals)
+            self._inverses[q] = inverse
+        inverse = self._inverses[q]
+        if inverse is not None:
+            return lincomb(tables.p, inverse[None, None], np.asarray(flat % q, np.int64)[None])[0] % q
 
 
 def _divide_exact(block: np.ndarray, pivot: _Pivot) -> np.ndarray:
@@ -481,8 +482,8 @@ def _divide_exact(block: np.ndarray, pivot: _Pivot) -> np.ndarray:
     or Python ints, by a nonzero pivot den (`pivot.coeffs`, shape (p-1,)): one
     Bareiss division.
 
-    Per auxiliary prime q, the quotients' residues are one int64 product, the
-    block's rows mod q times Mul(den^-1 mod q) (`_Pivot.residues`), folded into
+    Per auxiliary prime q, the quotients' residues are one `lincomb` product, the
+    block's rows mod q times den^-1 mod q (`_Pivot.residues`), folded into
     one mixed-radix CRT (`_MixedRadix`); a q where den has a zero value is
     skipped.  Once every top digit reads a lift below a quarter of the modulus,
     the lift (int64 while M < 2^63, `_MixedRadix.lift`) is checked by one
@@ -497,12 +498,10 @@ def _divide_exact(block: np.ndarray, pivot: _Pivot) -> np.ndarray:
     Gathen and Gerhard, Modern Computer Algebra, ch. 5 and 10).  With no zero
     value, den mod q is a unit there, and its inverse e has the values
     1/den(r^t), which interpolate to e's coefficients mod q.  A block element
-    y = x den, x in Z[zeta_p], is x den mod q, so x = y e mod q, and the
-    coefficients of y e are y @ Mul(e) (`_mul_matrix`: row b of Mul(e) is
-    e zeta^b): p-1 products of two residues below q per entry, the sum
-    `_EvalData` refuses to let wrap.  They are the residues that scaling y's
-    values by den's inverse values and interpolating gives, as y e has the
-    values y(r^t)/den(r^t).
+    y = x den, x in Z[zeta_p], is x den mod q, so x = y e mod q: the product of
+    y mod q and e mod q, exact under `lincomb`'s stated bound, reduced mod q.
+    They are the residues that scaling y's values by den's inverse values and
+    interpolating gives, as y e has the values y(r^t)/den(r^t).
 
     The stop for a non-exact division is proven.  With l1 the sum of absolute
     coefficients, L = max_x l1(x) * l1(den)^(p-2) bounds every embedding of an
@@ -521,7 +520,7 @@ def _divide_exact(block: np.ndarray, pivot: _Pivot) -> np.ndarray:
     give_up = None  # 16L, taken once a lift goes unproven
     crt, tables = _MixedRadix(), _tables(p)
     for q in tables:
-        residues = pivot.residues(flat, tables.data(q))
+        residues = pivot.residues(flat, tables, q)
         if residues is None:
             continue  # q divides a conjugate of den; unusable
         crt.fold(residues.reshape(block.shape), q)
@@ -603,7 +602,7 @@ def _orbit_step(rows: np.ndarray) -> tuple[int, int]:
     The value of det M at the node r^(g^(i+2j)) is that of sigma_(b^j)(det M) at r^(g^i), s^j
     times the value of det M there: the nodes r and r^g, one per coset of the squares, give
     all p-1.  b has order e = (p-1)/2, so det M = s^e det M; with s = -1 and e odd that proves
-    det M = 0, and the broadcast, 0 at every node, stays right.  The paper's square_perm_sign
+    det M = 0: every value is 0, on any F cosets.  The paper's square_perm_sign
     is this sign: x -> a^2 x on the squares has sign (a/p)."""
     n, p = len(rows), rows.shape[2] + 1
     half = (p - 1) // 2
@@ -838,11 +837,15 @@ def _declared_values(decl, data: list, nodes: np.ndarray) -> np.ndarray:
 
 def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     """Evaluation-interpolation determinant over Z[zeta_p]: per auxiliary prime, at the
-    f nodes r^(g^i), i < f, broadcast to all p-1: node r^(g^k) takes s^(k // f) times the
-    value at r^(g^(k mod f)).  The CRT lift takes the shortest prefix of `aux_primes(p)`
-    whose modulus passes 4H (at least one prime), H^2 a bound on every embedding of det M,
-    which holds coefficients below 2H exactly (`_coset_bounds_sq`).  The primes are
-    counted up front and taken together, in runs of at most _STACK_ENTRIES entries (`_runs`).
+    f nodes r^(g^i), i < f.  Node r^(g^k) has s^(k // f) times the value at r^(g^(k mod f)),
+    so the values are constant on the F = f cosets of the subgroup of index f when s = 1,
+    and on the F = 2f of index 2f, (v, -v) for the f values v, when s = -1; they are
+    interpolated as they stand (`_PrimeTables.interpolate`).  If 2f does not divide p-1,
+    s = -1 makes every value 0 (`_orbit_step`), and F = f serves.  The CRT lift takes the
+    shortest prefix of `aux_primes(p)` whose modulus passes 4H (at least one prime), H^2 a
+    bound on every embedding of det M, which holds coefficients below 2H exactly
+    (`_coset_bounds_sq`).  The primes are counted up front and taken together, in runs of
+    at most _STACK_ENTRIES entries (`_runs`).
 
     A matrix whose `Circulant` declaration is certified on its coefficients (`_certified`,
     which gives s = (-1)^(m-1) or 1) takes f = 2, its H^2 from the declaration
@@ -861,23 +864,23 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         f, s = _orbit_step(m.coeffs)
         h2, per_prime = max(_coset_bounds_sq(m.coeffs, f)), f * n * n
     primes = _lift_primes(p, 16 * h2 or 1)
-    columns = tables.pow_g - 1  # node r^(g^k) in data.vand()
-    k = tables.log_g[1:]  # node r^t is r^(g^k)
-    coset, sign = k % f, np.where(k // f % 2, s, 1)
+    nodes = tables.pow_g[:f] - 1  # r^(g^k), k < f, in pow_r[1:]
     if stats is not None:
         stats.update(nodes=f, moduli=primes)
     crt = _MixedRadix()
     for run in _runs(primes, per_prime):
         data = [tables.data(q) for q in run]
         if declared:
-            dets = _declared_values(m.circulant, data, columns[:f])
+            dets = _declared_values(m.circulant, data, nodes)
         else:
             vals = np.empty((len(run), f, n, n), dtype=np.int64)
             for d, v in zip(data, vals):
-                v[:] = np.moveaxis(d.values(m.coeffs, columns[:f]), 2, 0)
+                v[:] = np.moveaxis(d.values(m.coeffs, nodes), 2, 0)
             dets = _det_mod_stack(vals.reshape(-1, n, n), np.repeat(run, f)).reshape(-1, f)
-        for d, dets_q in zip(data, dets):
-            crt.fold(d.interpolate(dets_q[coset] * sign % d.q), d.q)
+        if s < 0 and (p - 1) % (2 * f) == 0:
+            dets = np.hstack([dets, -dets % np.array(run)[:, None]])
+        for q, w in zip(run, dets):
+            crt.fold(tables.interpolate(q, w), q)
     return CycElt._new(p, crt.ints())
 
 

@@ -20,7 +20,6 @@ import hashlib
 import math
 import time
 import traceback
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -536,7 +535,10 @@ def _pool_run(primes: list[int], opt: SweepOptions, workers: int) -> list:
     """One report per prime, in the given order, from a pool of `workers`; None
     where the pool broke.  The largest prime, the longest job, is submitted first
     (LPT scheduling; R. L. Graham, SIAM J. Appl. Math. 17, 1969), so that no
-    large prime starts last and leaves the other workers idle."""
+    large prime starts last and leaves the other workers idle.  The pool's module is
+    imported here, so that a serial run never loads it."""
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     futures = [None] * len(primes)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for i in sorted(range(len(primes)), key=primes.__getitem__, reverse=True):

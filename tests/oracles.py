@@ -25,7 +25,9 @@ and one `lincomb` per entry on the coefficient arrays.  The exact divider by
 values is a third: the Bareiss division as it was before its inverse product,
 den's values at the nodes, every element's values scaled by den's inverse
 values and interpolated back per prime, on the library's CRT, proof and
-give-up.
+give-up.  The interpolation of all three is the inverse transform on the
+Vandermonde table, which the library took before its Gauss periods, with the
+values in the natural order of the nodes.
 """
 from __future__ import annotations
 
@@ -190,6 +192,18 @@ def vandermonde_loop(nodes: list[int], q: int) -> np.ndarray:
     return vand
 
 
+def interpolate_vandermonde(data: _EvalData, vals: np.ndarray) -> np.ndarray:
+    """Coefficients mod q = data.q (along axis 0) of the element of degree < p-1 with values
+    `vals` (along axis 0) at the nodes pow_r[1:] in their natural order, by the inverse
+    transform on the (p-1)^2 Vandermonde table vand[i, t-1] = r^(i t), gathered from the
+    power table: the reference for `detkit._PrimeTables.interpolate`.  With v_0 the value
+    at 1, p c_i = sum_t v_t r^(-ti) over t = 0..p-1, and c_(p-1) = 0 fixes
+    v_0 = -sum_(t>0) v_t r^t.  vand @ vals[::-1] is sum_(t>0) v_t r^(-ti)."""
+    p, q = data.p, data.q
+    vand = data.pow_r[np.outer(np.arange(p - 1), np.arange(1, p)) % p]
+    return (vand @ vals[::-1] - data.pow_r[1:] @ vals) % q * data.inv_p % q
+
+
 def lagrange_loop(p: int, nodes: list[int], q: int) -> np.ndarray:
     """The interpolation matrix at the nontrivial p-th roots of unity mod q.
 
@@ -296,7 +310,7 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
         data = _EvalData(p, q)
         vals = data.values(coeffs).reshape(n, n, p - 1)
         dets = _det_mod_stack(vals.transpose(2, 0, 1), q)
-        lifted, folded = crt_lift(sym, modulus, data.interpolate(dets), q)
+        lifted, folded = crt_lift(sym, modulus, interpolate_vandermonde(data, dets), q)
         stable = 0 if modulus == 1 or lifted != sym else stable + 1  # the first fold is a change
         sym, modulus = lifted, folded
         if stable >= 2:
@@ -315,7 +329,7 @@ def quotient_residues_by_values(flat: np.ndarray, den: np.ndarray, data: _EvalDa
         return None
     inv_vals = np.array([pow(v, -1, q) for v in den_vals.tolist()], dtype=np.int64)
     quot_vals = data.values((flat % q).astype(np.int64, copy=False)) * inv_vals % q
-    return data.interpolate(quot_vals.T).T
+    return interpolate_vandermonde(data, quot_vals.T).T
 
 
 def divide_by_values(block: np.ndarray, den: np.ndarray) -> tuple:

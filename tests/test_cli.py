@@ -347,3 +347,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "det[S(7)] = -4" in proc.stdout
+
+    def test_serial_verify_never_loads_the_pool(self):
+        """`import cyclodet` and a serial `verify 5..13` in a fresh interpreter leave
+        `concurrent.futures.process` unloaded: only a pooled run imports it."""
+        code = ("import sys, cyclodet\n"
+                "from cyclodet.cli import main\n"
+                "assert main(['verify', '--pmin', '5', '--pmax', '13', '--threads', '1']) == 0\n"
+                "assert 'concurrent.futures.process' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

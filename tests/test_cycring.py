@@ -14,7 +14,7 @@ from cyclodet.cycring import (
     lincomb,
     make,
 )
-from cyclodet.detkit import _divide_exact, _EvalData, _Pivot, det_cyc_bareiss
+from cyclodet.detkit import _divide_exact, _EvalData, _Pivot, _tables, det_cyc_bareiss
 from cyclodet.matrices import _geometric_sums, build_D
 from cyclodet.modarith import aux_primes
 
@@ -22,6 +22,7 @@ from oracles import (
     coeff_rows,
     cyc_mul_loop,
     geometric_sum_loop,
+    interpolate_vandermonde,
     lagrange_loop,
     lincomb_loop,
     random_cyc,
@@ -256,24 +257,46 @@ class TestEvalMod:
 
 
 class TestPowerTable:
-    """`_EvalData`'s one power table against the entry-by-entry loops."""
+    """`_EvalData`'s one power table, and the interpolations read from it, against the
+    entry-by-entry loops."""
 
     @pytest.mark.parametrize("p", [5, 7, 13, 61, 89, 101])
     def test_vandermonde_and_interpolation(self, p):
+        """The values of the powers zeta^i are the Vandermonde table, and the reference
+        interpolation (`oracles.interpolate_vandermonde`) is the Lagrange matrix."""
         rng = random.Random(p)
         aux = aux_primes(p)
         for data in (_EvalData(p, next(aux)), _EvalData(p, next(aux))):
             q = data.q
             nodes = data.pow_r[1:].tolist()
             assert nodes == [pow(nodes[0], t, q) for t in range(1, p)]
-            assert data.vand().tolist() == vandermonde_loop(nodes, q).tolist()
+            powers = np.eye(p - 1, dtype=np.int64)
+            assert data.values(powers).tolist() == vandermonde_loop(nodes, q).tolist()
             lagrange = lagrange_loop(p, nodes, q)
             for _ in range(3):
                 vals = np.array([rng.randrange(q) for _ in range(p - 1)], dtype=np.int64)
-                assert data.interpolate(vals).tolist() == (lagrange @ vals % q).tolist()
+                assert interpolate_vandermonde(data, vals).tolist() == (lagrange @ vals % q).tolist()
             x = random_cyc(rng, p, span=10**30)
             vals = values_at_nodes([x], data)[0]
-            assert data.interpolate(vals).tolist() == [c % q for c in x.coeffs]
+            assert interpolate_vandermonde(data, vals).tolist() == [c % q for c in x.coeffs]
+
+    @pytest.mark.parametrize("p", [5, 13, 29, 61, 89, 199])
+    def test_gauss_periods_equal_the_vandermonde_inverse(self, p):
+        """`_PrimeTables.interpolate` of values w_c on the F cosets, node r^(g^k) in coset
+        k mod F, equals the reference on the values at every node in their natural order, for
+        F in {2, 4, p-1} (4 only where it divides p-1, not at 199), on random values mod two
+        auxiliary primes: one column, and five at once (a 2-D w, as the divider's oracle
+        `quotient_residues_by_values` passes)."""
+        rng, tables = random.Random(p), _tables(p)
+        for q in itertools.islice(tables, 2):
+            data = tables.data(q)
+            for f in sorted({f for f in (2, 4, p - 1) if (p - 1) % f == 0}):
+                for shape in ((f,), (f, 5)):
+                    w = np.array([rng.randrange(q) for _ in range(math.prod(shape))],
+                                 dtype=np.int64).reshape(shape)
+                    natural = w[tables.log_g[1:] % f]  # node r^t = r^(g^k) is in coset k mod F
+                    assert np.array_equal(tables.interpolate(q, w),
+                                          interpolate_vandermonde(data, natural)), (q, shape)
 
 
 class TestRingAxioms:
@@ -538,11 +561,13 @@ class TestTwoPaths:
                 assert path_taken(paths, 499, weights, rows, np.int64) == (expected, path)
 
     def test_paths_of_a_bareiss_determinant(self, paths):
-        """det D(47) by Bareiss: 37 products on the matmul (8 with 2-byte digits, 10
-        with 4, 19 with 8) and 19 on the packing (14 past the int64 headroom, 5
-        past the size limit), so a change of the rule shows here."""
+        """det D(47) by Bareiss: 37 products of the steps and the divider's proofs on the
+        matmul (8 with 2-byte digits, 10 with 4, 19 with 8) and 19 on the packing (14 past
+        the int64 headroom, 5 past the size limit), and the divider's 31 products by
+        d^-1 mod q, one per division and prime, on the matmul with 8-byte digits, so a
+        change of the rule shows here."""
         det_cyc_bareiss(build_D(47))
-        assert {name: len(calls) for name, calls in paths.items()} == {"_by_matmul": 37,
+        assert {name: len(calls) for name, calls in paths.items()} == {"_by_matmul": 37 + 31,
                                                                        "_by_packing": 19}
 
 

@@ -483,7 +483,7 @@ class TestExactDivider:
 
     @pytest.mark.parametrize("p", [5, 7, 13, 47])
     def test_inverse_product_equals_the_values_path(self, p):
-        """One int64 product by Mul(den^-1 mod q) gives the residues that den's inverse values
+        """One `lincomb` product by den^-1 mod q gives the residues that den's inverse values
         scaled in and interpolated back give (`oracles.quotient_residues_by_values`), on int64
         blocks up to 2^62 and Python-int blocks up to 2^200, by int64 and Python-int pivots,
         one pivot for the first four auxiliary primes; where den has a zero value mod q
@@ -499,11 +499,11 @@ class TestExactDivider:
             for q in islice(tables, 4):
                 data = tables.data(q)
                 for flat in blocks:
-                    residues = pivot.residues(flat, data)
+                    residues = pivot.residues(flat, tables, q)
                     assert residues.dtype == np.int64
                     assert np.array_equal(residues, quotient_residues_by_values(flat, den, data))
         data, den = tables.data(next(iter(tables))), conjugate_division(p)[1]
-        assert detkit._Pivot(den).residues(blocks[0], data) is None
+        assert detkit._Pivot(den).residues(blocks[0], tables, data.q) is None
         assert quotient_residues_by_values(blocks[0], den, data) is None
 
     def test_every_division_takes_the_primes_of_the_values_path(self, monkeypatch):

@@ -40,7 +40,6 @@ import test_evalinterp
 import test_verify
 from oracles import exact_matrix, lincomb_loop, reference_rows
 from test_cycring import headroom_sides
-from test_evalinterp import TestCoefficientBound
 
 
 def divider(ring: str):
@@ -109,27 +108,31 @@ def unproven_perturbed_lift(monkeypatch):
 
 
 def mul_fold_column_dropped(monkeypatch):
-    """Mul(den^-1 mod q) is the circulant's first p-1 columns without its last subtracted,
-    the coefficient of zeta^(p-1): the divider's residues are those of a product mod
-    x^p - 1, not mod 1 + x + ... + x^(p-1)."""
-    monkeypatch.setattr(detkit, "_mul_matrix", recompiled(
-        detkit._mul_matrix, "circ[:, :-1] - circ[:, -1:]", "circ[:, :-1]"))
+    """The divider's product by den^-1 mod q keeps its coefficient of zeta^(p-1): it is
+    `lincomb`'s matmul without the last column of its circulant subtracted (as
+    `mul_top_power_kept`, but for this product alone), so the divider's residues are those
+    of a product mod x^p - 1, not mod 1 + x + ... + x^(p-1)."""
+    unfolded = recompiled(cycring._by_matmul, "sums[..., :m] - sums[..., m:]", "sums[..., :m]")
+    monkeypatch.setattr(detkit, "_unfolded", unfolded, raising=False)
+    monkeypatch.setattr(detkit._Pivot, "residues", recompiled(
+        detkit._Pivot.residues, "lincomb(tables.p,", "_unfolded(tables.p,"))
 
 
 def mul_of_den(monkeypatch):
-    """The divider multiplies by Mul(den mod q) in place of Mul(den^-1 mod q)."""
+    """The divider multiplies by den mod q in place of den^-1 mod q."""
     monkeypatch.setattr(detkit._Pivot, "residues", recompiled(
-        detkit._Pivot.residues, "data.interpolate(inv_vals)", "(self.coeffs % q).astype(np.int64)"))
+        detkit._Pivot.residues, "tables.interpolate(q, inv_vals)",
+        "(self.coeffs % q).astype(np.int64)"))
 
 
 def pivots_share_their_matrices(monkeypatch):
-    """Every pivot reads one memo of Mul matrices, so a division reads, at each prime an
-    earlier pivot took, that pivot's Mul(d^-1 mod q)."""
+    """Every pivot reads one memo of inverses, so a division reads, at each prime an
+    earlier pivot took, that pivot's d^-1 mod q."""
     real, shared = detkit._Pivot.__init__, {}
 
     def init(pivot, coeffs):
         real(pivot, coeffs)
-        pivot._muls = shared
+        pivot._inverses = shared
 
     monkeypatch.setattr(detkit._Pivot, "__init__", init)
 
@@ -330,16 +333,41 @@ def row_scaling_dropped(monkeypatch):
 
 
 def coset_shifted(monkeypatch):
-    """Evaluation-interpolation broadcasts each node's value to the next coset."""
+    """Evaluation-interpolation hands each node's value to the next coset."""
     monkeypatch.setattr(detkit, "det_cyc_evalinterp", recompiled(
-        detkit.det_cyc_evalinterp, "k % f", "(k + 1) % f"))
+        detkit.det_cyc_evalinterp, "zip(run, dets)", "zip(run, np.roll(dets, 1, axis=1))"))
 
 
 def broadcast_sign_dropped(monkeypatch):
-    """Evaluation-interpolation broadcasts every node's value unsigned: the certificate's
-    s = -1, which C, D, DD and Dtilde take at every p = 1 (mod 4), is lost."""
+    """Evaluation-interpolation takes the values (v, v) on the 2f cosets, not (v, -v): the
+    certificate's s = -1, which C, D, DD and Dtilde take at every p = 1 (mod 4), is lost."""
     monkeypatch.setattr(detkit, "det_cyc_evalinterp", recompiled(
-        detkit.det_cyc_evalinterp, "np.where(k // f % 2, s, 1)", "np.where(k // f % 2, 1, 1)"))
+        detkit.det_cyc_evalinterp, "-dets % np.array(run)", "dets % np.array(run)"))
+
+
+def minus_half_dropped(monkeypatch):
+    """When s = -1, evaluation-interpolation drops the -v half and takes the f values v on
+    f cosets.  (v, v) on 2f cosets is v on f, so this gives `broadcast_sign_dropped`'s
+    coefficients by another line."""
+    monkeypatch.setattr(detkit, "det_cyc_evalinterp", recompiled(
+        detkit.det_cyc_evalinterp, "np.hstack([dets, -dets % np.array(run)[:, None]])", "dets"))
+
+
+def interpolation_mutant(monkeypatch, old: str, new: str):
+    """`_PrimeTables.interpolate`, which every caller shares, with `old` replaced by `new`."""
+    monkeypatch.setattr(detkit._PrimeTables, "interpolate", recompiled(
+        detkit._PrimeTables.interpolate, old, new))
+
+
+def period_one_coset_off(monkeypatch):
+    """The interpolation reads every Gauss period one coset off: W_j = sum_c w_c eta_(c+j+1)."""
+    interpolation_mutant(monkeypatch, "np.arange(f)) % f", "np.arange(f) + 1) % f")
+
+
+def c0_count_dropped(monkeypatch):
+    """The interpolation drops the (p-1)/F of c_0: p c_0 = v_0 + sum_c w_c.  F = p-1, the
+    divider's, has (p-1)/F = 1, so only evaluation-interpolation sees it."""
+    interpolation_mutant(monkeypatch, "(p - 1) // f * w.sum(axis=0)", "w.sum(axis=0)")
 
 
 def digits_uncentred(monkeypatch):
@@ -356,9 +384,8 @@ def horner_skips_a_digit(monkeypatch):
 
 
 def interpolation_without_v0(monkeypatch):
-    """`_EvalData.interpolate` drops its v_0 term, the value at 1."""
-    monkeypatch.setattr(detkit._EvalData, "interpolate", recompiled(
-        detkit._EvalData.interpolate, " - self.pow_r[1:] @ vals", ""))
+    """The interpolation drops its v_0 = -W_0 term, the value at 1."""
+    interpolation_mutant(monkeypatch, " - big_w[0]", "")
 
 
 def lift_halved(monkeypatch):
@@ -429,8 +456,8 @@ MUTANTS = [
     # p = 5 takes no cyclotomic division: C(5) and D(5) end after their first double step
     (unproven_perturbed_lift, "cyc_backend_agreement: the wrong quotient reaches det D", 7,
      "cyc_backend_agreement"),
-    # the divider's inverse product: a residue that is not the quotient's keeps every later
-    # lift from its proof, so the division raises at the 16L give-up; D(7) divides once
+    # the divider's product by d^-1 mod q: a residue that is not the quotient's keeps every
+    # later lift from its proof, so the division raises at the 16L give-up; D(7) divides once
     (mul_fold_column_dropped, "the exact divider: D(7)'s division is never proven", 7,
      ArithmeticError),
     (mul_of_den, "the exact divider: D(7)'s division is never proven", 7, ArithmeticError),
@@ -485,11 +512,22 @@ MUTANTS = [
      hand_built("D", 5), ArithmeticError),
     (orbit_step_halved, "DetResult.value", hand_built("D", 67), ArithmeticError),
     (coset_shifted, "det_product_relation: det D against det C", 5, "det_product_relation"),
-    (coset_shifted, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 61, ArithmeticError),
+    (coset_shifted, "det_product_relation", 61, "det_product_relation"),
     # s = -1 at p = 1 (mod 4) only; 5 is the first
     (broadcast_sign_dropped, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5,
      ArithmeticError),
     (broadcast_sign_dropped, "quartic_decompose", 61, ArithmeticError),
+    (minus_half_dropped, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5,
+     ArithmeticError),
+    (minus_half_dropped, "quartic_decompose", 61, ArithmeticError),
+    # the Gauss periods, shared by evaluation-interpolation (F = 2, 4) and the divider
+    # (F = p-1, which raises at 7 on the first division)
+    (period_one_coset_off, "det_product_relation: det D against det C", 5,
+     "det_product_relation"),
+    (period_one_coset_off, "det_product_relation", 61, "det_product_relation"),
+    (c0_count_dropped, "detF_corner_expansion: det F against det T and det SD", 5,
+     "detF_corner_expansion[d=2]"),
+    (c0_count_dropped, "detF_corner_expansion", 61, "detF_corner_expansion[d=2]"),
     (digits_uncentred, "quartic_decompose: det D is not in Q(sqrt(p))*delta", 5,
      ArithmeticError),
     (digits_uncentred, "twisted_det_galois: det DD against sigma_delta(det D)", 61,
@@ -624,7 +662,7 @@ def test_bound_one_embedding_is_caught(monkeypatch):
     for p in (5, 61, 67):
         assert run_prime(p).all_passed()
     with pytest.raises(AssertionError):
-        TestCoefficientBound().test_the_dense_lift_reads_every_coset()
+        test_evalinterp.TestCoefficientBound().test_the_dense_lift_reads_every_coset()
 
 
 def test_certificate_two_ahead_above_5_is_caught(monkeypatch):

@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import itertools
 import math
 import multiprocessing
@@ -409,7 +410,7 @@ class TestRunRange:
                 future.set_result(fn(p, opt))
                 return future
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlinePool)
         reports = run_primes(primes, threads=2)
         assert submitted == sorted(primes, reverse=True)
         assert [r.p for r in reports] == primes
