@@ -40,6 +40,7 @@ import test_evalinterp
 import test_verify
 from oracles import exact_matrix, lincomb_loop, reference_rows
 from test_cycring import headroom_sides
+from test_evalinterp import TestCoefficientBound
 
 
 def divider(ring: str):
@@ -662,7 +663,7 @@ def test_bound_one_embedding_is_caught(monkeypatch):
     for p in (5, 61, 67):
         assert run_prime(p).all_passed()
     with pytest.raises(AssertionError):
-        test_evalinterp.TestCoefficientBound().test_the_dense_lift_reads_every_coset()
+        TestCoefficientBound().test_the_dense_lift_reads_every_coset()
 
 
 def test_certificate_two_ahead_above_5_is_caught(monkeypatch):
