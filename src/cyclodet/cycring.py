@@ -20,8 +20,13 @@ substitution on byte boundaries) from one zero-padded numpy buffer, combines
 rows with one big-int multiply per term, and reads all k sums back with one
 `frombuffer` and one fold.  `lincomb` states the bound and the rule.
 
-Every value is immutable and hashable; all operations are pure functions,
-so elements can be shared freely between concurrent workers.
+The Galois action sigma_b: zeta -> zeta^b has one implementation on coefficient
+arrays, `galois_image`, which `CycElt.galois` and the determinant certificates
+of `detkit` share.
+
+Every value is immutable and hashable, a rational element as the int it equals;
+all operations are pure functions, so elements can be shared freely between
+concurrent workers.
 """
 from __future__ import annotations
 
@@ -177,6 +182,16 @@ def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return _by_packing(p, weights, rows, bound, w)
 
 
+def galois_image(x: np.ndarray, b: int) -> np.ndarray:
+    """sigma_b: zeta -> zeta^b, b prime to p, on coefficient arrays (..., p-1) of any dtype:
+    power b*i of the result is power i of x (power p-1 of x is 0), and zeta^(p-1) is then
+    removed.  The difference of two int64 coefficients must fit int64."""
+    p = x.shape[-1] + 1
+    padded = np.concatenate([x, np.zeros_like(x[..., :1])], axis=-1)
+    out = padded[..., np.arange(p) * pow(b, -1, p) % p]
+    return out[..., :-1] - out[..., -1:]
+
+
 class CycElt:
     """An element of Z[zeta_p]: its p - 1 integer power-basis coefficients `coeffs`."""
 
@@ -292,7 +307,7 @@ class CycElt:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        return hash(self.coeffs[0]) if self.is_rational else hash((self.p, self.coeffs))
 
     def __bool__(self):
         return not self.is_zero()
@@ -303,17 +318,10 @@ class CycElt:
     # -- Galois action --------------------------------------------------
 
     def galois(self, a: int) -> CycElt:
-        """Apply the automorphism zeta -> zeta^a (requires gcd(a, p) = 1)."""
-        p = self.p
-        a %= p
-        if a == 0:
-            raise ValueError(f"a must be coprime to {p}")
-        if a == 1:
-            return self
-        raw = [0] * p
-        for i, c in enumerate(self.coeffs):
-            raw[a * i % p] = c
-        return CycElt._from_raw(p, raw)
+        """Apply the automorphism zeta -> zeta^a (requires gcd(a, p) = 1), by `galois_image`."""
+        if a % self.p == 0:
+            raise ValueError(f"a must be coprime to {self.p}")
+        return CycElt._new(self.p, galois_image(np.array(self.coeffs, dtype=object), a).tolist())
 
     # -- display --------------------------------------------------------
 

@@ -18,15 +18,16 @@ Modular: every CRT in this module is one mixed-radix conversion
 (`_MixedRadix`) over one stream of primes, the auxiliary primes q = 1 (mod p)
 above AUX_PRIME_FLOOR (`aux_primes`): residues stay int64, each prime adds a
 digit, and the values are built once, when the lift stops: Python ints, or
-int64 for the divider's quotients while the modulus is below 2^63.  The
-primes of one p and the power table of each (`_EvalData`), and g = primitive_root(p)
-with its powers and logs, are found and built once, and kept while p stays
-the same (`_tables`): every lift, the exact divider, the identity check, the
-certificate, the node order and the bounds read them there.  A modular
-determinant counts its primes up front (`_lift_primes`) and takes them in
-runs that bound its memory (`_runs`).  Integer matrices are lifted past twice
-the Hadamard bound, taken exactly, each scalar determinant by one int64
-elimination (`_det_mod_stack`, no floats), each matrix mod its own prime.
+int64 for the divider's quotients while the modulus is below 2^63.  One
+object per p (`_PrimeTables`, kept while p stays the same by `_tables`) holds
+the primes, g = primitive_root(p) with its powers and logs, and the power
+table of each prime, each found or built once: every lift, the exact
+divider, the identity check, the certificate, the node order and the bounds
+read them there.  A modular determinant counts its primes up front
+(`_lift_primes`) and takes them in runs that bound its memory (`_runs`).
+Integer matrices are lifted past twice the Hadamard bound, taken exactly,
+each scalar determinant by one int64 elimination (`_det_mod_stack`, no
+floats), each matrix mod its own prime.
 A cyclotomic family built by `matrices` carries a `Circulant` declaration: a
 bordered Hankel or circulant block over the squares.  Certified on the
 coefficients (`_certified`), it gives the values at two elements of order p
@@ -52,14 +53,14 @@ Every matrix's coefficient array has the dtype of the one rule that
 `ExactMatrix` applies to every array it is given: int64 only while every
 entry is below AUX_PRIME_FLOOR in absolute value, Python ints otherwise.
 Every int64 sum here is of `count` products of at most (q-1)^2, refused up
-front when count (q-1)^2 >= 2^63: p-1 products per value in `_EvalData`,
-and the F <= p-1 products of an interpolated sum, which `_EvalData` refuses
-alike; n-1 updates of an entry in [0, q) in `_det_mod_stack` (the largest q of
-the stack), n products of values per entry in `identity_holds`; the products of
-`_MixedRadix` and of the Euclid of `_resultants` are of two numbers below
-their primes, refused from 2^31.  As every auxiliary prime q exceeds the floor,
-`_EvalData.values`, the one evaluator, takes int64 rows unreduced; the exact
-divider hands it its pivot reduced mod q.  Every product of elements, a
+front when count (q-1)^2 >= 2^63: p-1 products per value of the evaluator,
+and the F <= p-1 products of an interpolated sum, which `_PrimeTables.pow_r`
+refuses alike; n-1 updates of an entry in [0, q) in `_det_mod_stack` (the
+largest q of the stack), n products of values per entry in `identity_holds`;
+the products of `_MixedRadix` and of the Euclid of `_resultants` are of two
+numbers below their primes, refused from 2^31.  As every auxiliary prime q
+exceeds the floor, `_PrimeTables.values`, the one evaluator, takes int64 rows
+unreduced; the exact divider hands it its pivot reduced mod q.  Every product of elements, a
 Bareiss step's and the divider's by d^-1 mod q, comes from `lincomb`, int64
 only while 4 bound < 2^63 for the bound of its sums (then by one int64 matmul
 per term where that is cheaper than packing), and every int64 entry is at most
@@ -77,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycring import CycElt, lincomb
+from .cycring import CycElt, galois_image, lincomb
 from .matrices import ExactMatrix
 from .modarith import aux_primes, primitive_root
 
@@ -178,8 +179,7 @@ class _MixedRadix:
     takes the next digit in numpy: the Horner sum of the earlier digits mod q
     is v mod q, and d_k = (c - v) / M mod q.  All of it stays in int64 for
     primes below 2^31, as every product is of two numbers below 2^31.  The
-    values are built once, by Horner over the digits: in Python ints (`ints`),
-    or in int64 while M < 2^63 (`lift`).
+    values are built once, by Horner over the digits (`lift`).
     """
 
     __slots__ = ("primes", "digits", "modulus")
@@ -206,10 +206,6 @@ class _MixedRadix:
         then |d_top| < q_top/8 + 1/2, so 4|d_top| + 2 < q_top/2 + 4 <= q_top
         for q_top >= 8."""
         return 4 * abs(self.digits[-1]) + 2 <= self.primes[-1]
-
-    def ints(self) -> np.ndarray:
-        """The values as Python ints (dtype object), in the residues' shape."""
-        return self.lift().astype(object)
 
     def lift(self) -> np.ndarray:
         """The values, int64 while M < 2^63, Python ints otherwise.  The Horner
@@ -336,70 +332,28 @@ def det_int_modular(m: ExactMatrix, stats: dict | None = None) -> int:
         dets = _det_mod_stack(np.broadcast_to(m.coeffs, (len(run), n, n)), np.array(run))
         for q, d in zip(run, dets[:, None]):
             crt.fold(d, q)
-    return crt.ints()[0]
+    return crt.lift().tolist()[0]
 
 
-# -- evaluation data shared by the cyclotomic backends ---------------------
-
-
-class _EvalData:
-    """The power table of an element r of order p in F_q, for a prime q = 1 (mod p).
-
-    pow_r[e] = r^e mod q.  The nodes are r^t = pow_r[t] for t = 1..p-1.  `values` gathers
-    the Vandermonde columns r^(i t) of the nodes it reads from the table, so that a run of
-    primes (`_runs`) holds p entries per prime, not (p-1)^2.  Evaluation sums p-1 int64
-    products of a residue and a number below q in absolute value, and interpolation
-    (`_PrimeTables.interpolate`) at most p-1 products of two residues; a q where such a sum
-    could wrap is refused.  Each is built once per (p, q) (`_tables`) and shared, so its
-    table is read-only.
-    """
-
-    __slots__ = ("p", "q", "pow_r", "inv_p")
-
-    def __init__(self, p: int, q: int) -> None:
-        if (p - 1) * (q - 1) ** 2 >= 1 << 63:
-            raise OverflowError(f"sums of {p - 1} products mod q={q} overflow int64")
-        self.p = p
-        self.q = q
-        r = _order_p_element(p, q)
-        pow_r = [1]
-        for _ in range(p - 1):
-            pow_r.append(pow_r[-1] * r % q)
-        self.pow_r = np.array(pow_r, dtype=np.int64)
-        self.pow_r.flags.writeable = False  # shared by every caller of `_tables`
-        self.inv_p = pow(p, -1, q)
-
-    def values(self, coeffs: np.ndarray, nodes=slice(None)) -> np.ndarray:
-        """Rows of an `ExactMatrix` at pow_r[1:][nodes] (a slice or an index array), in [0, q):
-        int64 rows as they are (entries below AUX_PRIME_FLOOR < q), Python-int rows reduced."""
-        if coeffs.dtype == object:
-            coeffs = (coeffs % self.q).astype(np.int64)
-        p = self.p
-        return coeffs @ self.pow_r[np.outer(np.arange(p - 1), np.arange(1, p)[nodes]) % p] % self.q
-
-
-def _order_p_element(p: int, q: int) -> int:
-    for w in range(2, q):
-        r = pow(w, (q - 1) // p, q)
-        if r != 1:
-            return r
-    raise ArithmeticError(f"no element of order {p} in F_{q}")
+# -- the tables of one p shared by the modular backends -----------------------
 
 
 class _PrimeTables:
-    """The auxiliary primes of one p found so far, in the order of `aux_primes(p)`, and the
-    `_EvalData` of each, each found or built once, on first use; and g = primitive_root(p)
-    with, read-only, pow_g[k] = g^k mod p (k < p-1) and log_g[g^k mod p] = k (log_g[0] = 0);
-    and the one interpolation from values at the nodes mod any of the primes (`interpolate`).
+    """Everything the modular backends read of one p, each part found or built once, on first
+    use, and shared by every caller, so read-only: the auxiliary primes found so far, in the
+    order of `aux_primes(p)`; g = primitive_root(p) with pow_g[k] = g^k mod p (k < p-1) and
+    log_g[g^k mod p] = k (log_g[0] = 0); per prime q, the power table of an element r of order
+    p in F_q (`pow_r`), whose nodes r^t (t = 1..p-1) the one evaluator (`values`) and the one
+    interpolation (`interpolate`) read.
 
     Iterating yields the primes from the first; every iterator reads the one list, and the
     stream is scanned only past its end, so interleaved iterators yield the same sequence.
     An iterator keeps the tables it started on, whatever `_tables` holds later."""
 
-    __slots__ = ("p", "g", "pow_g", "log_g", "_primes", "_stream", "_data")
+    __slots__ = ("p", "g", "pow_g", "log_g", "_primes", "_stream", "_pow_r")
 
     def __init__(self, p: int) -> None:
-        self.p, self._primes, self._stream, self._data = p, [], aux_primes(p), {}
+        self.p, self._primes, self._stream, self._pow_r = p, [], aux_primes(p), {}
         self.g = primitive_root(p)
         self.pow_g = np.array([pow(self.g, k, p) for k in range(p - 1)], dtype=np.int64)
         self.log_g = np.append(0, np.argsort(self.pow_g))  # pow_g permutes 1 .. p-1
@@ -411,15 +365,38 @@ class _PrimeTables:
                 self._primes.append(next(self._stream))
             yield self._primes[i]
 
-    def data(self, q: int) -> _EvalData:
-        """The `_EvalData` of q, read-only and shared by every caller."""
-        if q not in self._data:
-            self._data[q] = _EvalData(self.p, q)
-        return self._data[q]
+    def pow_r(self, q: int) -> np.ndarray:
+        """pow_r[e] = r^e mod q (e < p) for r = w^((q-1)/p), w >= 2 the least that makes r != 1,
+        an element of order p in F_q for a prime q = 1 (mod p).  Evaluation (`values`) sums
+        p-1 int64 products of a residue and a number below q in absolute value, and
+        interpolation at most p-1 products of two residues; a q where such a sum could wrap,
+        (p-1)(q-1)^2 >= 2^63, is refused."""
+        table = self._pow_r.get(q)
+        if table is None:
+            p = self.p
+            if (p - 1) * (q - 1) ** 2 >= 1 << 63:
+                raise OverflowError(f"sums of {p - 1} products mod q={q} overflow int64")
+            r = next(r for w in range(2, q) if (r := pow(w, (q - 1) // p, q)) != 1)
+            table = [1]
+            for _ in range(p - 1):
+                table.append(table[-1] * r % q)
+            table = self._pow_r[q] = np.array(table, dtype=np.int64)
+            table.flags.writeable = False
+        return table
+
+    def values(self, q: int, coeffs: np.ndarray, nodes=slice(None)) -> np.ndarray:
+        """Rows of an `ExactMatrix` at the nodes pow_r(q)[1:][nodes] (a slice or an index
+        array), in [0, q): int64 rows as they are (entries below AUX_PRIME_FLOOR < q), Python-int
+        rows reduced.  The Vandermonde columns r^(i t) of the nodes are gathered from the power
+        table, so that a run of primes (`_runs`) holds p entries per prime, not (p-1)^2."""
+        if coeffs.dtype == object:
+            coeffs = (coeffs % q).astype(np.int64)
+        p = self.p
+        return coeffs @ self.pow_r(q)[np.outer(np.arange(p - 1), np.arange(1, p)[nodes]) % p] % q
 
     def interpolate(self, q: int, w: np.ndarray) -> np.ndarray:
         """Coefficients mod q (int64, along axis 0) of the element x of degree < p-1 whose value
-        at the node r^(g^k) (r of `data(q)`) is w[k mod F], F = len(w) dividing p-1, w in [0, q)
+        at the node r^(g^k) (r of `pow_r(q)`) is w[k mod F], F = len(w) dividing p-1, w in [0, q)
         of shape (F,) or (F, columns): x's values are constant on the F cosets of the subgroup
         of index F of the nodes.  F = p-1 is the full inverse transform, its values in the
         order of g's powers.
@@ -431,13 +408,13 @@ class _PrimeTables:
         Gauss periods eta_c = sum_(k = c mod F) r^(g^k) (Gauss, Disquisitiones Arithmeticae,
         §343 ff.) and W_j = sum_c w_c eta_(c+j), every index mod F.  For i = 0 the sum is
         ((p-1)/F) sum_c w_c.  As -(p-1) = 1 = g^0, c_(p-1) = 0 gives v_0 = -W_0.  Each W_j sums
-        F <= p-1 products of two residues, which `_EvalData` keeps below 2^63."""
-        data, p, f = self.data(q), self.p, len(w)
-        eta = data.pow_r[self.pow_g].reshape(-1, f).sum(axis=0) % q
+        F <= p-1 products of two residues, which `pow_r` keeps below 2^63."""
+        p, f = self.p, len(w)
+        eta = self.pow_r(q)[self.pow_g].reshape(-1, f).sum(axis=0) % q
         big_w = eta[np.add.outer(np.arange(f), np.arange(f)) % f] @ w % q
         total = (p - 1) // f * w.sum(axis=0) % q
         c = np.concatenate([total[None], big_w[self.log_g[p - 1 : 1 : -1] % f]]) - big_w[0]
-        return c % q * data.inv_p % q
+        return c % q * pow(p, -1, q) % q
 
 
 @functools.lru_cache(maxsize=1)
@@ -466,7 +443,7 @@ class _Pivot:
         [0, q): one `lincomb` product of flat mod q by den^-1 mod q, or None when q divides a
         conjugate of den.  den^-1's coefficients mod q interpolate its inverse values."""
         if q not in self._inverses:
-            vals = tables.data(q).values(self.coeffs[None] % q, tables.pow_g - 1)[0]  # r^(g^k)
+            vals = tables.values(q, self.coeffs[None] % q, tables.pow_g - 1)[0]  # r^(g^k)
             inverse = None
             if vals.all():
                 inv_vals = np.array([pow(v, -1, q) for v in vals.tolist()], dtype=np.int64)
@@ -547,15 +524,6 @@ def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     return CycElt._new(m.meta.p, [sign * c for c in last.tolist()])
 
 
-def _galois(x: np.ndarray, b: int) -> np.ndarray:
-    """sigma_b: zeta -> zeta^b on coefficient arrays (..., p-1): power b*i of the result is
-    power i of x (power p-1 of x is 0), and zeta^(p-1) is then removed."""
-    p = x.shape[-1] + 1
-    padded = np.concatenate([x, np.zeros_like(x[..., :1])], axis=-1)
-    out = padded[..., np.arange(p) * pow(b, -1, p) % p]
-    return out[..., :-1] - out[..., -1:]
-
-
 def _times_zeta(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """zeta^(e_i) x_i for the rows x_i of a coefficient array (rows, n, p-1), 0 < e_i < p: a
     rotation of the p powers (power p-1 of x is 0), read from the window at p - e_i of the
@@ -573,7 +541,7 @@ def _galois_sign(block: np.ndarray, p: int, order=None) -> int | None:
     stand) to the next, the last to the first: an m-cycle P of sign (-1)^(m-1), and
     sigma_b(M) = P M for the matrix M of those rows.  1 when it fixes each row (P = 1; a shift
     of equal rows reads as the shift), and None otherwise: the rows are compared exactly, so
-    the answer holds for any input.  The images (`_galois`; int64 rows are below
+    the answer holds for any input.  The images (`galois_image`; int64 rows are below
     AUX_PRIME_FLOOR, so its differences fit) are taken a run of rows at a time (`_runs`,
     which bounds the transient) up to the first run that neither holds for."""
     order = np.arange(len(block)) if order is None else order
@@ -581,7 +549,7 @@ def _galois_sign(block: np.ndarray, p: int, order=None) -> int | None:
     shift = fixed = True
     for run, after in zip(_runs(order, size), _runs(np.roll(order, -1), size)):
         x = block[run]
-        image = _galois(x, b)
+        image = galois_image(x, b)
         shift = shift and np.array_equal(image, block[after])
         fixed = fixed and np.array_equal(image, x)
         if not (shift or fixed):
@@ -633,7 +601,7 @@ def _coset_bounds_sq(rows: np.ndarray, f: int, powers=None) -> list[int]:
     value, and its cos or sin (`math`) within 2^-40 of its own (any libm within 2^11 ulp); a dot
     product of m = p-1 terms, in any order, errs by at most gamma_m sum |c_i w_i|,
     gamma_m = mu/(1 - mu) (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).  As
-    p < 2^15 (`_EvalData` refuses larger p), gamma_m < 2^-37.9, and each of Re, Im is within
+    p < 2^15 (`_PrimeTables` refuses larger p), gamma_m < 2^-37.9, and each of Re, Im is within
     l (2^-40 (1+u) + u + 2^-37.9 (1+u)(1+2^-40)) < 2^-37 l of its value, so |sigma_a(x)| <=
     |v| + 2^-36.5 l for the computed v, and e = _EPS l leaves over 2^-31 l >= 2^-31 of slack
     for any nonzero x, far above what underflow can take.  With |v| <= |Re| + |Im|,
@@ -798,9 +766,9 @@ def _resultants(h: np.ndarray, q: np.ndarray) -> np.ndarray:
     return res
 
 
-def _declared_values(decl, data: list, nodes: np.ndarray) -> np.ndarray:
-    """det M mod each q of `data` (the `_EvalData` of a run of primes) at the nodes
-    pow_r[1:][nodes], shape (primes, f), for a certified declaration `decl`.
+def _declared_values(decl, tables: _PrimeTables, run: list, nodes: np.ndarray) -> np.ndarray:
+    """det M mod each prime q of `run` at the nodes `tables.pow_r(q)[1:][nodes]`, shape
+    (primes, f), for a certified declaration `decl`.
 
     Order rows and columns alike by u (which leaves det M as it is).  A circulant block
     Z_(u,v) = h_((v-u) mod m) has det Z = prod_(w^m = 1) H(w) = H(1) R', R' of `_resultants`
@@ -813,26 +781,26 @@ def _declared_values(decl, data: list, nodes: np.ndarray) -> np.ndarray:
     +-R' H(1) without a border, an identity of polynomials in h, c, x that holds mod q.  Row
     scaling makes it det(B)/N for N = prod_s (1 - zeta^s) over the squares s, and
     1/N = sigma_g(N)/p (N sigma_g(N) = p), at the node r^t prod_s (1 - r^(t g s)) / p."""
-    p, f = data[0].p, len(nodes)
+    p, f = tables.p, len(nodes)
     half = (p - 1) // 2
-    q = np.repeat([d.q for d in data], f)
-    h = np.concatenate([d.values(decl.first, nodes).T for d in data])  # (primes f, m)
+    q = np.repeat(run, f)
+    h = np.concatenate([tables.values(prime, decl.first, nodes).T for prime in run])  # (.., m)
     dets, h1 = _resultants(h, q), h.sum(axis=1) % q
     if decl.border is None:
         dets = dets * h1 % q
     else:
         corner, x = decl.border
-        c = np.concatenate([d.values(corner[None], nodes)[0] for d in data])
-        xm = np.repeat([x * half % d.q for d in data], f)  # Python ints: x any size
+        c = np.concatenate([tables.values(prime, corner[None], nodes)[0] for prime in run])
+        xm = np.repeat([x * half % prime for prime in run], f)  # Python ints: x any size
         dets = dets * ((c * h1 - xm) % q) % q
     if decl.hankel:
         dets = dets * (-1) ** ((half - 1) // 2) % q
     if decl.scaled:
-        other = np.outer((nodes + 1) * _tables(p).g, np.arange(1, half + 1) ** 2) % p
-        for column in np.concatenate([1 - d.pow_r[other] for d in data]).T % q:
+        other = np.outer((nodes + 1) * tables.g, np.arange(1, half + 1) ** 2) % p
+        for column in np.concatenate([1 - tables.pow_r(prime)[other] for prime in run]).T % q:
             dets = dets * column % q
-        dets = dets * np.repeat([d.inv_p for d in data], f) % q
-    return dets.reshape(len(data), f)
+        dets = dets * np.repeat([pow(p, -1, prime) for prime in run], f) % q
+    return dets.reshape(len(run), f)
 
 
 def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
@@ -869,19 +837,18 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         stats.update(nodes=f, moduli=primes)
     crt = _MixedRadix()
     for run in _runs(primes, per_prime):
-        data = [tables.data(q) for q in run]
         if declared:
-            dets = _declared_values(m.circulant, data, nodes)
+            dets = _declared_values(m.circulant, tables, run, nodes)
         else:
             vals = np.empty((len(run), f, n, n), dtype=np.int64)
-            for d, v in zip(data, vals):
-                v[:] = np.moveaxis(d.values(m.coeffs, nodes), 2, 0)
+            for q, v in zip(run, vals):
+                v[:] = np.moveaxis(tables.values(q, m.coeffs, nodes), 2, 0)
             dets = _det_mod_stack(vals.reshape(-1, n, n), np.repeat(run, f)).reshape(-1, f)
         if s < 0 and (p - 1) % (2 * f) == 0:
             dets = np.hstack([dets, -dets % np.array(run)[:, None]])
         for q, w in zip(run, dets):
             crt.fold(tables.interpolate(q, w), q)
-    return CycElt._new(p, crt.ints())
+    return CycElt._new(p, crt.lift().tolist())
 
 
 # -- exact matrix identities at the nodes --------------------------------------
@@ -902,8 +869,8 @@ def identity_holds(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix, g: CycElt,
     sum of the largest terms is below 2^63, in Python ints otherwise.
 
     Exactness.  For a prime q = 1 (mod p), 1 + x + ... + x^(p-1) is the product of the
-    x - r^t over F_q, t = 1..p-1, r of order p (`_EvalData`), so evaluation at the p-1
-    nodes is an isomorphism F_q[x]/(1 + ... + x^(p-1)) -> F_q^(p-1) (von zur Gathen and
+    x - r^t over F_q, t = 1..p-1, r of order p (`_PrimeTables.pow_r`), so evaluation at the
+    p-1 nodes is an isomorphism F_q[x]/(1 + ... + x^(p-1)) -> F_q^(p-1) (von zur Gathen and
     Gerhard, Modern Computer Algebra, ch. 5 and 10), and a ring homomorphism: X = 0 mod q
     exactly when A_t B_t - g_t C_t = 0 mod q at every node t, for the matrices of values
     A_t, B_t, C_t and g's value g_t.  Over the shortest prefix of `aux_primes(p)` whose
@@ -930,11 +897,11 @@ def identity_holds(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix, g: CycElt,
     for q in primes:
         if n * (q - 1) ** 2 >= 1 << 63:
             raise OverflowError(f"sums of {n} products mod q={q} can overflow int64")
-        data = tables.data(q)
-        g_vals = data.values(g_row)[0]
+        g_vals = tables.values(q, g_row)[0]
         for run in _runs(range(p - 1), 3 * n * n):
             nodes = slice(run[0], run[-1] + 1)
-            av, bv, cv = (np.moveaxis(data.values(m.coeffs, nodes), 2, 0) for m in (a, b, c))
+            av, bv, cv = (np.moveaxis(tables.values(q, m.coeffs, nodes), 2, 0)
+                          for m in (a, b, c))
             if ((av @ bv - g_vals[nodes, None, None] * cv) % q).any():
                 return False
     return True

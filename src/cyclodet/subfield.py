@@ -152,7 +152,7 @@ class QuadElt:
         return self.x == o.x and self.y == o.y
 
     def __hash__(self):
-        return hash((self.p, self.x, self.y))
+        return hash(self.x) if self.y == 0 else hash((self.p, self.x, self.y))
 
     def __reduce__(self):
         return (QuadElt, (self.p, self.x, self.y))

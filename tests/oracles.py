@@ -6,8 +6,9 @@ the numeric determinant goes through complex floating point; the narrow
 class number enumerates reduced indefinite forms and counts reduction
 cycles; the fundamental unit is searched for by brute force; the residue
 product is multiplied out factor by factor in the cyclotomic ring, and a
-linear combination of elements term by term in schoolbook products; a
-determinant mod q is one row reduction of one matrix, reduced every step;
+linear combination of elements term by term in schoolbook products; the
+Galois action moves one coefficient at a time; a determinant mod q is one
+row reduction of one matrix, reduced every step;
 the evaluation and interpolation matrices at the order-p nodes of F_q are
 filled entry by entry; a CRT lift folds big ints one prime at a time; the
 Galois-orbit certificate keys every row by the hash of a Python tuple and
@@ -40,7 +41,7 @@ import mpmath
 import numpy as np
 
 from cyclodet.cycring import CycElt, eval_complex, lincomb, make
-from cyclodet.detkit import _det_mod_stack, _EvalData, _MixedRadix, _tables
+from cyclodet.detkit import _det_mod_stack, _MixedRadix, _PrimeTables, _tables
 from cyclodet.matrices import ExactMatrix, MatrixMeta, matmul
 from cyclodet.modarith import AUX_PRIME_FLOOR, aux_primes, is_square, legendre, primitive_root
 from cyclodet.subfield import gauss_sum
@@ -192,16 +193,16 @@ def vandermonde_loop(nodes: list[int], q: int) -> np.ndarray:
     return vand
 
 
-def interpolate_vandermonde(data: _EvalData, vals: np.ndarray) -> np.ndarray:
-    """Coefficients mod q = data.q (along axis 0) of the element of degree < p-1 with values
-    `vals` (along axis 0) at the nodes pow_r[1:] in their natural order, by the inverse
+def interpolate_vandermonde(tables: _PrimeTables, q: int, vals: np.ndarray) -> np.ndarray:
+    """Coefficients mod q (along axis 0) of the element of degree < p-1 with values
+    `vals` (along axis 0) at the nodes tables.pow_r(q)[1:] in their natural order, by the inverse
     transform on the (p-1)^2 Vandermonde table vand[i, t-1] = r^(i t), gathered from the
     power table: the reference for `detkit._PrimeTables.interpolate`.  With v_0 the value
     at 1, p c_i = sum_t v_t r^(-ti) over t = 0..p-1, and c_(p-1) = 0 fixes
     v_0 = -sum_(t>0) v_t r^t.  vand @ vals[::-1] is sum_(t>0) v_t r^(-ti)."""
-    p, q = data.p, data.q
-    vand = data.pow_r[np.outer(np.arange(p - 1), np.arange(1, p)) % p]
-    return (vand @ vals[::-1] - data.pow_r[1:] @ vals) % q * data.inv_p % q
+    p, pow_r = tables.p, tables.pow_r(q)
+    vand = pow_r[np.outer(np.arange(p - 1), np.arange(1, p)) % p]
+    return (vand @ vals[::-1] - pow_r[1:] @ vals) % q * pow(p, -1, q) % q
 
 
 def lagrange_loop(p: int, nodes: list[int], q: int) -> np.ndarray:
@@ -279,6 +280,17 @@ def literal_identity(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix, g: CycElt) 
     return matmul(a, b).coeffs, scaled.reshape(c.coeffs.shape)
 
 
+def galois_loop(x: CycElt, a: int) -> CycElt:
+    """sigma_a: zeta -> zeta^a, a prime to p, by moving each coefficient c_i to power a i mod p
+    one at a time, and removing zeta^(p-1): the reference for `cycring.galois_image` and
+    `CycElt.galois`."""
+    p = x.p
+    raw = [0] * p
+    for i, c in enumerate(x.coeffs):
+        raw[a * i % p] = c
+    return make(p, raw)
+
+
 def random_cyc(rng: random.Random, p: int, span: int = 5) -> CycElt:
     return CycElt(p, [rng.randint(-span, span) for _ in range(p - 1)])
 
@@ -305,12 +317,11 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
     two consecutive primes: no symmetry and no coefficient bound used."""
     p, n = m.meta.p, m.n
     coeffs = m.coeffs.reshape(n * n, p - 1)
-    sym, modulus, stable = [0] * (p - 1), 1, 0
+    sym, modulus, stable, tables = [0] * (p - 1), 1, 0, _PrimeTables(p)
     for q in islice(aux_primes(p), max_moduli):
-        data = _EvalData(p, q)
-        vals = data.values(coeffs).reshape(n, n, p - 1)
+        vals = tables.values(q, coeffs).reshape(n, n, p - 1)
         dets = _det_mod_stack(vals.transpose(2, 0, 1), q)
-        lifted, folded = crt_lift(sym, modulus, interpolate_vandermonde(data, dets), q)
+        lifted, folded = crt_lift(sym, modulus, interpolate_vandermonde(tables, q, dets), q)
         stable = 0 if modulus == 1 or lifted != sym else stable + 1  # the first fold is a change
         sym, modulus = lifted, folded
         if stable >= 2:
@@ -318,18 +329,17 @@ def evalinterp_all_nodes(m, max_moduli: int = 64) -> CycElt:
     raise ArithmeticError("CRT failed to stabilize")
 
 
-def quotient_residues_by_values(flat: np.ndarray, den: np.ndarray, data: _EvalData):
-    """The residues mod q = data.q of the quotients of the rows `flat` (elements, p-1) by
-    den, by values: den's values at the nodes, each element's values times den's inverse
-    values, interpolated; None where den has a zero value mod q.  The reference for
+def quotient_residues_by_values(flat: np.ndarray, den: np.ndarray, tables: _PrimeTables, q: int):
+    """The residues mod q of the quotients of the rows `flat` (elements, p-1) by den, by
+    values: den's values at the nodes, each element's values times den's inverse values,
+    interpolated; None where den has a zero value mod q.  The reference for
     `detkit._Pivot.residues`."""
-    q = data.q
-    den_vals = data.values((den[None] % q).astype(np.int64))[0]
+    den_vals = tables.values(q, (den[None] % q).astype(np.int64))[0]
     if np.any(den_vals == 0):
         return None
     inv_vals = np.array([pow(v, -1, q) for v in den_vals.tolist()], dtype=np.int64)
-    quot_vals = data.values((flat % q).astype(np.int64, copy=False)) * inv_vals % q
-    return interpolate_vandermonde(data, quot_vals.T).T
+    quot_vals = tables.values(q, (flat % q).astype(np.int64, copy=False)) * inv_vals % q
+    return interpolate_vandermonde(tables, q, quot_vals.T).T
 
 
 def divide_by_values(block: np.ndarray, den: np.ndarray) -> tuple:
@@ -341,12 +351,12 @@ def divide_by_values(block: np.ndarray, den: np.ndarray) -> tuple:
     flat = block.reshape(-1, p - 1)
     give_up, crt, tables = None, _MixedRadix(), _tables(p)
     for q in tables:
-        residues = quotient_residues_by_values(flat, den, tables.data(q))
+        residues = quotient_residues_by_values(flat, den, tables, q)
         if residues is None:
             continue
         crt.fold(residues.reshape(block.shape), q)
         if crt.fits().all():
-            quots = crt.ints()
+            quots = np.array(crt.lift().tolist(), dtype=object)
             if crt.modulus < 1 << 63:
                 quots = quots.astype(np.int64)
             if np.array_equal(lincomb(p, den[None, None], quots.reshape(1, -1, p - 1))[0], flat):

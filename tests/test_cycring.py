@@ -11,12 +11,13 @@ from cyclodet import cycring
 from cyclodet.cycring import (
     CycElt,
     eval_complex,
+    galois_image,
     lincomb,
     make,
 )
-from cyclodet.detkit import _divide_exact, _EvalData, _Pivot, _tables, det_cyc_bareiss
+from cyclodet.detkit import _divide_exact, _Pivot, _PrimeTables, _tables, det_cyc_bareiss
 from cyclodet.matrices import _geometric_sums, build_D
-from cyclodet.modarith import aux_primes
+from cyclodet.modarith import aux_primes, least_nonresidue, primitive_root
 
 from oracles import (
     coeff_rows,
@@ -26,6 +27,7 @@ from oracles import (
     lagrange_loop,
     lincomb_loop,
     random_cyc,
+    galois_loop,
     vandermonde_loop,
 )
 
@@ -99,6 +101,41 @@ class TestGalois:
     def test_rejects_multiple_of_p(self):
         with pytest.raises(ValueError):
             zeta(5).galois(10)
+        with pytest.raises(ValueError):
+            galois_image(np.zeros((2, 4), dtype=np.int64), -5)
+
+    @staticmethod
+    def exponents(p):
+        """1, 2, p-1, g, the least non-residue, each plus p, and the negatives of all."""
+        base = [1, 2, p - 1, primitive_root(p), least_nonresidue(p)]
+        return [s * a for a in base + [a + p for a in base] for s in (1, -1)]
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 89, 199])
+    def test_equals_the_loop_on_python_ints(self, p):
+        """`CycElt.galois` and `galois_image` on an object array of elements with coefficients
+        near 2^200 equal the oracle's loop, for every exponent of `exponents`."""
+        rng = random.Random(0x6A1 + p)
+        elts = [CycElt(p, [rng.choice((1, -1)) * ((1 << 200) - rng.randrange(1 << 20))
+                           for _ in range(p - 1)]) for _ in range(3)]
+        rows = np.array([x.coeffs for x in elts], dtype=object)
+        for a in self.exponents(p):
+            expected = [galois_loop(x, a) for x in elts]
+            assert [x.galois(a) for x in elts] == expected, a
+            assert galois_image(rows, a).tolist() == [list(x.coeffs) for x in expected], a
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 89, 199])
+    def test_equals_the_loop_on_int64_arrays(self, p):
+        """`galois_image` on int64 arrays of shape (p-1,), (3, p-1) and (2, 3, p-1), entries up
+        to 2^62 in absolute value, stays int64 and equals the oracle's loop per element."""
+        rng = np.random.default_rng(p)
+        for shape in ((), (3,), (2, 3)):
+            x = rng.integers(-(1 << 62), 1 << 62, size=(*shape, p - 1))
+            for a in self.exponents(p):
+                image = galois_image(x, a)
+                assert image.dtype == np.int64 and image.shape == x.shape
+                expected = [galois_loop(CycElt(p, row), a).coeffs
+                            for row in x.reshape(-1, p - 1).tolist()]
+                assert [tuple(row) for row in image.reshape(-1, p - 1).tolist()] == expected, a
 
 
 class TestExactDiv:
@@ -192,35 +229,35 @@ class TestEvalComplex:
             eval_complex(zeta(5), prec=10)
 
 
-def values_at_nodes(entries, data, nodes=slice(None)):
-    """`_EvalData.values` of the entries' coefficient rows."""
-    return data.values(coeff_rows([e.coeffs for e in entries]), nodes)
+def values_at_nodes(entries, tables, q, nodes=slice(None)):
+    """`_PrimeTables.values` mod q of the entries' coefficient rows."""
+    return tables.values(q, coeff_rows([e.coeffs for e in entries]), nodes)
 
 
 class TestEvalMod:
-    """Evaluation mod q at the order-p nodes of F_q (`detkit._EvalData.values`)."""
+    """Evaluation mod q at the order-p nodes of F_q (`detkit._PrimeTables.values`)."""
 
     @staticmethod
     def nodes_of(p):
-        data = _EvalData(p, next(aux_primes(p)))
-        return data, data.pow_r[1:].tolist()
+        tables, q = _PrimeTables(p), next(aux_primes(p))
+        return tables, q, tables.pow_r(q)[1:].tolist()
 
     def test_basis_image(self):
-        data, nodes = self.nodes_of(5)
-        assert [int(v) for v in values_at_nodes([zeta(5)], data)[0]] == nodes
-        squares = [int(v) for v in values_at_nodes([zeta(5, 2)], data)[0]]
-        assert squares == [a * a % data.q for a in nodes]
+        tables, q, nodes = self.nodes_of(5)
+        assert [int(v) for v in values_at_nodes([zeta(5)], tables, q)[0]] == nodes
+        squares = [int(v) for v in values_at_nodes([zeta(5, 2)], tables, q)[0]]
+        assert squares == [a * a % q for a in nodes]
 
     def test_zero(self):
-        data, _ = self.nodes_of(5)
-        assert not values_at_nodes([CycElt.zero(5)], data).any()
+        tables, q, _ = self.nodes_of(5)
+        assert not values_at_nodes([CycElt.zero(5)], tables, q).any()
 
     def test_orbit_sum_maps_to_zero(self):
         x = make(5, [1, 1, 1, 1, 1])
         assert x.is_zero()
-        data, _ = self.nodes_of(7)
-        powers = values_at_nodes([zeta(7, k) for k in range(7)], data)
-        assert not (powers.sum(axis=0) % data.q).any()
+        tables, q, _ = self.nodes_of(7)
+        powers = values_at_nodes([zeta(7, k) for k in range(7)], tables, q)
+        assert not (powers.sum(axis=0) % q).any()
 
     def test_rejects_non_integral(self):
         """A non-integral coefficient never reaches an evaluator: no element holds one."""
@@ -230,55 +267,55 @@ class TestEvalMod:
     def test_ring_homomorphism(self):
         rng = random.Random(7)
         for p in (5, 7, 13):
-            data, _ = self.nodes_of(p)
+            tables, q, _ = self.nodes_of(p)
             for _ in range(40):
                 x = random_cyc(rng, p, span=10**30)
                 y = random_cyc(rng, p, span=10**30)
-                vx, vy, vxy, vsum = values_at_nodes([x, y, x * y, x + y], data)
-                assert ((vx * vy - vxy) % data.q == 0).all()
-                assert ((vx + vy - vsum) % data.q == 0).all()
+                vx, vy, vxy, vsum = values_at_nodes([x, y, x * y, x + y], tables, q)
+                assert ((vx * vy - vxy) % q == 0).all()
+                assert ((vx + vy - vsum) % q == 0).all()
 
     def test_node_blocks_and_moduli_in_turn(self):
         # one conversion serves every modulus in turn and every block of nodes
         rng = random.Random(11)
         entries = [random_cyc(rng, 13, span=span) for span in (5, 10**30)]
         coeffs = coeff_rows([e.coeffs for e in entries])
-        aux = aux_primes(13)
-        first, second = _EvalData(13, next(aux)), _EvalData(13, next(aux))
-        for data in (first, second, first):
-            q, nodes = data.q, data.pow_r[1:].tolist()
+        aux, tables = aux_primes(13), _PrimeTables(13)
+        first, second = next(aux), next(aux)
+        for q in (first, second, first):
+            nodes = tables.pow_r(q)[1:].tolist()
             expected = [
                 [sum(c * pow(a, i, q) for i, c in enumerate(e.coeffs)) % q for a in nodes]
                 for e in entries
             ]
-            assert data.values(coeffs).tolist() == expected
-            blocks = [data.values(coeffs, slice(s, s + 5)).tolist() for s in (0, 5, 10)]
+            assert tables.values(q, coeffs).tolist() == expected
+            blocks = [tables.values(q, coeffs, slice(s, s + 5)).tolist() for s in (0, 5, 10)]
             assert [sum((b[i] for b in blocks), []) for i in range(2)] == expected
 
 
 class TestPowerTable:
-    """`_EvalData`'s one power table, and the interpolations read from it, against the
-    entry-by-entry loops."""
+    """`_PrimeTables`'s one power table per prime, and the interpolations read from it,
+    against the entry-by-entry loops."""
 
     @pytest.mark.parametrize("p", [5, 7, 13, 61, 89, 101])
     def test_vandermonde_and_interpolation(self, p):
         """The values of the powers zeta^i are the Vandermonde table, and the reference
         interpolation (`oracles.interpolate_vandermonde`) is the Lagrange matrix."""
         rng = random.Random(p)
-        aux = aux_primes(p)
-        for data in (_EvalData(p, next(aux)), _EvalData(p, next(aux))):
-            q = data.q
-            nodes = data.pow_r[1:].tolist()
+        aux, tables = aux_primes(p), _PrimeTables(p)
+        for q in (next(aux), next(aux)):
+            nodes = tables.pow_r(q)[1:].tolist()
             assert nodes == [pow(nodes[0], t, q) for t in range(1, p)]
             powers = np.eye(p - 1, dtype=np.int64)
-            assert data.values(powers).tolist() == vandermonde_loop(nodes, q).tolist()
+            assert tables.values(q, powers).tolist() == vandermonde_loop(nodes, q).tolist()
             lagrange = lagrange_loop(p, nodes, q)
             for _ in range(3):
                 vals = np.array([rng.randrange(q) for _ in range(p - 1)], dtype=np.int64)
-                assert interpolate_vandermonde(data, vals).tolist() == (lagrange @ vals % q).tolist()
+                interpolated = interpolate_vandermonde(tables, q, vals)
+                assert interpolated.tolist() == (lagrange @ vals % q).tolist()
             x = random_cyc(rng, p, span=10**30)
-            vals = values_at_nodes([x], data)[0]
-            assert interpolate_vandermonde(data, vals).tolist() == [c % q for c in x.coeffs]
+            vals = values_at_nodes([x], tables, q)[0]
+            assert interpolate_vandermonde(tables, q, vals).tolist() == [c % q for c in x.coeffs]
 
     @pytest.mark.parametrize("p", [5, 13, 29, 61, 89, 199])
     def test_gauss_periods_equal_the_vandermonde_inverse(self, p):
@@ -289,14 +326,13 @@ class TestPowerTable:
         `quotient_residues_by_values` passes)."""
         rng, tables = random.Random(p), _tables(p)
         for q in itertools.islice(tables, 2):
-            data = tables.data(q)
             for f in sorted({f for f in (2, 4, p - 1) if (p - 1) % f == 0}):
                 for shape in ((f,), (f, 5)):
                     w = np.array([rng.randrange(q) for _ in range(math.prod(shape))],
                                  dtype=np.int64).reshape(shape)
                     natural = w[tables.log_g[1:] % f]  # node r^t = r^(g^k) is in coset k mod F
                     assert np.array_equal(tables.interpolate(q, w),
-                                          interpolate_vandermonde(data, natural)), (q, shape)
+                                          interpolate_vandermonde(tables, q, natural)), (q, shape)
 
 
 class TestRingAxioms:
@@ -577,6 +613,16 @@ class TestValueSemantics:
         y = make(5, [1, 1, 0, 0, 0])
         assert x == y
         assert hash(x) == hash(y)
+
+    def test_rational_hashes_as_its_value(self):
+        """A rational element equals its int and hashes alike, so a set or a dict finds
+        either by the other, at any size; a non-rational element is not found by an int."""
+        for p, value in ((5, 3), (7, -1), (13, 0), (3, 2**200)):
+            x = CycElt.rational(p, value)
+            assert x == value and hash(x) == hash(value)
+            assert value in {x} and x in {value} and {value: 1}[x] == 1
+        assert CycElt.rational(5, 3) in {zeta(5) * 3 * zeta(5, 4)}
+        assert 1 + zeta(5) not in {1, 2}
 
     def test_non_integer_operands_raise(self):
         """Every element lies in Z[zeta_p]: a Fraction coefficient, operand or

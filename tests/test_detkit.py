@@ -11,7 +11,6 @@ from cyclodet.cycring import CycElt, eval_complex
 from cyclodet.detkit import (
     DetResult,
     _det_mod_stack,
-    _EvalData,
     det,
     det_cyc_bareiss,
     det_cyc_evalinterp,
@@ -73,7 +72,7 @@ def conjugate_division(p: int) -> tuple:
     of the first auxiliary prime q0, vanishes at the node r mod q0, so q0 divides a
     conjugate of den: three quotients of 30 bits, and their products with den."""
     tables = detkit._tables(p)
-    r = int(tables.data(next(iter(tables))).pow_r[1])
+    r = int(tables.pow_r(next(iter(tables)))[1])
     den = CycElt.zeta(p) - r
     rng = random.Random(0x5C1 + p)
     quots = [random_cyc(rng, p, span=2**30) for _ in range(3)]
@@ -95,7 +94,7 @@ def lifts(monkeypatch):
 
     def recorded(crt, residues, q):
         real(crt, residues, q)
-        out.append((crt.ints().tolist(), crt.modulus))
+        out.append((crt.lift().tolist(), crt.modulus))
 
     monkeypatch.setattr(detkit._MixedRadix, "fold", recorded)
     return out
@@ -478,7 +477,7 @@ class TestExactDivider:
             for q in primes:
                 crt.fold(np.array([v % q for v in values], dtype=np.int64), q)
             lift = crt.lift()
-            assert lift.tolist() == crt.ints().tolist() == values
+            assert lift.tolist() == values
             assert lift.dtype == (np.int64 if modulus < 1 << 63 else object), primes
 
     @pytest.mark.parametrize("p", [5, 7, 13, 47])
@@ -497,14 +496,14 @@ class TestExactDivider:
         for den in dens:
             pivot = detkit._Pivot(den)
             for q in islice(tables, 4):
-                data = tables.data(q)
                 for flat in blocks:
                     residues = pivot.residues(flat, tables, q)
                     assert residues.dtype == np.int64
-                    assert np.array_equal(residues, quotient_residues_by_values(flat, den, data))
-        data, den = tables.data(next(iter(tables))), conjugate_division(p)[1]
-        assert detkit._Pivot(den).residues(blocks[0], tables, data.q) is None
-        assert quotient_residues_by_values(blocks[0], den, data) is None
+                    assert np.array_equal(residues,
+                                          quotient_residues_by_values(flat, den, tables, q))
+        q, den = next(iter(tables)), conjugate_division(p)[1]
+        assert detkit._Pivot(den).residues(blocks[0], tables, q) is None
+        assert quotient_residues_by_values(blocks[0], den, tables, q) is None
 
     def test_every_division_takes_the_primes_of_the_values_path(self, monkeypatch):
         """Every division of C and D at 5..47 folds the primes that the division by values
@@ -573,21 +572,21 @@ class TestMixedRadix:
             residues = np.array([v % q for v in values], dtype=np.int64)
             crt.fold(residues, q)
             sym, modulus = crt_lift(sym, modulus, residues, q)
-            assert crt.ints().tolist() == sym and crt.modulus == modulus
+            assert crt.lift().tolist() == sym and crt.modulus == modulus
         assert crt.primes == primes
         assert sym == values
 
     def test_residues_of_any_shape(self):
-        """Residues of any shape: `ints` returns nested lists of that shape,
+        """Residues of any shape: `lift` returns arrays of that shape,
         each value its symmetric residue until the modulus holds it."""
         rng, primes = random.Random(0x2D), list(islice(aux_primes(7), 3))
         rows = [[rng.randint(-(1 << 70), 1 << 70) for _ in range(6)] for _ in range(4)]
         crt = self.folded([v for row in rows for v in row], primes[:2], (4, 6))
         half = crt.modulus // 2  # values above it come back as their symmetric residue
-        assert crt.ints().tolist() == [[(v + half) % crt.modulus - half for v in row] for row in rows]
+        assert crt.lift().tolist() == [[(v + half) % crt.modulus - half for v in row] for row in rows]
         q = primes[2]
         crt.fold(np.array([[v % q for v in row] for row in rows], dtype=np.int64), q)
-        assert crt.ints().tolist() == rows
+        assert crt.lift().tolist() == rows
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_top_digit_reading(self, count):
@@ -616,8 +615,8 @@ class TestMixedRadix:
 
 
 class TestPrimeTables:
-    """`detkit._tables`: the auxiliary primes of the current p, each with its `_EvalData`,
-    found or built once and shared by every modular consumer."""
+    """`detkit._tables`: the auxiliary primes of the current p, each with its power table
+    (`_PrimeTables.pow_r`), found or built once and shared by every modular consumer."""
 
     def test_primes_are_a_fresh_scan(self):
         """After the lifts and dividers of a prime have read them, in turn over p = 5, 7, 5
@@ -630,10 +629,11 @@ class TestPrimeTables:
             primes = list(islice(aux_primes(p), count))
             assert list(islice(tables, count)) == primes
             for q in primes:
-                data = tables.data(q)
-                assert (data.p, data.q) == (p, q) and data is tables.data(q)
-                r = int(data.pow_r[1])
+                pow_r = tables.pow_r(q)
+                assert len(pow_r) == p and pow_r is tables.pow_r(q)
+                r = int(pow_r[1])
                 assert r != 1 and pow(r, p, q) == 1
+                assert pow_r.tolist() == [pow(r, e, q) for e in range(p)]
 
     def test_interleaved_streams(self):
         """Two streams of one p, read in turn at different paces, give the scan's sequence,
@@ -650,11 +650,11 @@ class TestPrimeTables:
 
     def test_cached_arrays_are_read_only(self):
         tables = detkit._tables(7)
-        data = tables.data(next(iter(tables)))
+        pow_r = tables.pow_r(next(iter(tables)))
         with pytest.raises(ValueError):
-            data.pow_r[1] = 1
+            pow_r[1] = 1
         with pytest.raises(ValueError):
-            data.pow_r[:] += 1
+            pow_r[:] += 1
 
     def test_generator_powers_and_logs(self):
         """g, its powers and its logs equal a fresh computation from `primitive_root`, are
@@ -774,13 +774,13 @@ class TestInt64Headroom:
 
     def test_values_at_nodes_refuses_sums_that_can_wrap(self):
         # (q-1)^2 fits in int64, a sum of p-1 = 4 such products does not;
-        # the evaluation data for such a q, used by evaluation and
+        # the power table of such a q, read by evaluation and
         # interpolation alike, is refused.  This q is the first one up from
         # the largest accepted q of the test below.
         top = math.isqrt(((1 << 63) - 1) // 4) + 1  # 4 (q-1)^2 < 2^63 iff q <= top
         q = next(q for q in range(top - top % 5 + 1, 1 << 63, 5) if q > top and is_prime(q))
         with pytest.raises(OverflowError):
-            _EvalData(5, q)
+            detkit._PrimeTables(5).pow_r(q)
 
     @pytest.mark.parametrize("value, dtype", [
         (FLOOR - 1, np.int64), (1 - FLOOR, np.int64),
@@ -845,16 +845,16 @@ class TestInt64Headroom:
         top = math.isqrt(((1 << 63) - 1) // (p - 1)) + 1
         q = next(q for q in range(top - top % p + 1, 0, -p) if is_prime(q)
                  and (p - 1) * (q - 1) ** 2 < 1 << 63)
-        data = _EvalData(p, q)
+        tables = detkit._PrimeTables(p)
         rng = random.Random(p)
         big = FLOOR - 1
         rows = [[big] * (p - 1), [-big] * (p - 1), [rng.choice((big, -big)) for _ in range(p - 1)]]
         coeffs = coeff_rows(rows)
         assert coeffs.dtype == np.int64
-        nodes = data.pow_r[1:].tolist()
+        nodes = tables.pow_r(q)[1:].tolist()
         expected = [[sum(c * pow(a, i, q) for i, c in enumerate(row)) % q for a in nodes]
                     for row in rows]
-        assert data.values(coeffs).tolist() == expected
+        assert tables.values(q, coeffs).tolist() == expected
 
     @pytest.mark.parametrize("scale, dtype", [(FLOOR - 1, np.int64), (FLOOR, object)])
     def test_backends_agree_on_either_side_of_the_floor(self, scale, dtype):

@@ -64,6 +64,16 @@ class TestQuadElt:
         with pytest.raises(TypeError):
             QuadElt(5, x, y)
 
+    def test_rational_hashes_as_its_value(self):
+        """An element with y = 0 equals its x, an int or a Fraction, and hashes alike, so a
+        set or a dict finds either by the other; with y != 0 the hash keeps p."""
+        for x in (Fraction(1, 2), Fraction(-7, 3), 3, 0):
+            elt = QuadElt(5, x, 0)
+            assert elt == x and hash(elt) == hash(x)
+            assert x in {elt} and elt in {x} and {x: 1}[elt] == 1
+        assert QuadElt(5, 3, 0) in {QuadElt(5, Fraction(6, 2), 0)}
+        assert QuadElt(5, 1, 1) not in {1, QuadElt(5, 1, 2)}
+
     def test_embed_matches_cyclotomic_arithmetic(self):
         x = QuadElt(7, Fraction(5, 2), Fraction(1, 2))
         y = QuadElt(7, -1, 3)

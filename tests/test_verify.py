@@ -182,10 +182,10 @@ class TestIdentityAtNodes:
         node, so it fails."""
         a, b, c, g = identity_matrices(p, identities(p)[0])
         q = next(aux_primes(p))
-        data = detkit._tables(p).data(q)
+        tables = detkit._tables(p)
         for t in range(1, p):
-            off = vanishing_at(p, int(data.pow_r[t]), q)
-            assert data.values(off[None])[0].tolist().count(0) == 1
+            off = vanishing_at(p, int(tables.pow_r(q)[t]), q)
+            assert tables.values(q, off[None])[0].tolist().count(0) == 1
             coeffs = c.coeffs.copy()
             coeffs[1, 1] += off
             stats = {}
