@@ -11,14 +11,16 @@ any other raises TypeError.
 Every product of elements goes through `lincomb`, which takes and returns
 coefficient arrays: weights (k, t, p - 1) and rows (t, n, p - 1) give the
 (k, n, p - 1) sums: a single product, a Bareiss step's update, a divider's
-check of a whole step, a matrix product.  For int64 operands whose sums stay
-below 2^62 it takes, where that measured cheaper, one int64 `np.matmul` per
-term of the rows by Mul(x), the matrix of multiplication by the weight x on
-the power basis, read from a strided view of x (no float, no BLAS).
-Otherwise it packs each row of elements into one integer (Kronecker
+check of a whole step, a matrix product.  For int64 operands it takes one
+float64 GEMM (BLAS) of the rows by the circulants of the weights, which give
+Mul(x), the matrix of multiplication by the weight x on the power basis; the
+operands are split into integer limbs that keep every partial sum below 2^53,
+so the GEMM is exact, and the limbs are recombined in int64 or Python ints.
+For other operands it packs each row of elements into one integer (Kronecker
 substitution on byte boundaries) from one zero-padded numpy buffer, combines
 rows with one big-int multiply per term, and reads all k sums back with one
-`frombuffer` and one fold.  `lincomb` states the bound and the rule.
+`frombuffer` and one fold.  `lincomb` states the bound and proves the GEMM
+exact.
 
 The Galois action sigma_b: zeta -> zeta^b has one implementation on coefficient
 arrays, `galois_image`, which `CycElt.galois` and the determinant certificates
@@ -75,25 +77,80 @@ def _pack(a: np.ndarray, slot: int, w: int, mask: int) -> list[int]:
             for i in range(math.prod(lead))]
 
 
-def _by_matmul(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`lincomb` of int64 operands by one int64 `np.matmul` per term.
+def _split(a: np.ndarray, count: int, bits: int) -> np.ndarray:
+    """An int64 array as `count` limbs of `bits` bits on a new first axis, a = sum_i
+    limb_i 2^(bits i): limb i < count - 1 is (a >> bits i) & (2^bits - 1), in [0, 2^bits),
+    and the top one a >> bits (count - 1), the floor of a / 2^(bits (count - 1)), so it is
+    in [-2^bits, 2^bits) where |a| < 2^(bits count).  `>>` is the arithmetic shift, so a
+    negative entry, -2^63 included, needs no case of its own."""
+    if count == 1:
+        return a[None]
+    limbs = a >> (bits * np.arange(count)).reshape(-1, *[1] * a.ndim)
+    limbs[:-1] &= (1 << bits) - 1
+    return limbs
+
+
+def _horner(limbs, bits: int):
+    """sum_i limbs[i] 2^(bits i), by Horner's rule from the top limb down."""
+    acc = limbs[-1]
+    for limb in limbs[-2::-1]:
+        acc = acc * (1 << bits) + limb
+    return acc
+
+
+def _by_gemm(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`lincomb` of int64 operands by float64 products of integer limbs, one GEMM (or
+    convolutions, for one row), exact (see `lincomb` for the limbs and the proof).
 
     Row b of Mul(x) is x zeta^b: Mul(x)[b, c] = x[(c - b) mod p] - x[(p-1-b) mod p],
     x padded by x[p-1] = 0, so an element y times x is the vector y @ Mul(x).
     Mul(x) is the first p - 1 columns of the (p-1) x p circulant C[b, c] =
     x[(c - b) mod p] less its last column, the coefficient of zeta^(p-1) that
-    1 + zeta + ... + zeta^(p-1) = 0 removes.  C is a view: row b is the window
-    from p - b of x written twice, so each term refills one (k, 2p) buffer and
-    multiplies the term's rows by the k circulants at once.  The (k, n, p)
-    sums of rows @ C are folded once, as Mul prescribes.
+    1 + zeta + ... + zeta^(p-1) = 0 removes.  Row b of C is the window from p - b
+    of x written twice.  The circulants of every weight limb of every term are
+    copied from that strided view into one contiguous (k', t (p-1), p) float64
+    array, so with the t terms' rows side by side in one (n', t (p-1)) matrix, one
+    batched matmul gives every weight limb's sums for every row limb.  A single
+    row (n' = 1) takes no circulant: y @ C is the product y x mod x^p - 1, one
+    `np.convolve` per weight limb and term, whose powers p and up are added to
+    those p below; the (p-1) p floats of a circulant would be fresh memory at
+    each new p and cost more than the product.  The int64 sums of rows @ C,
+    recombined, are folded once, as Mul prescribes.
     """
-    m, k = p - 1, len(weights)
-    x2 = np.zeros((max(k, 1), 2 * p), dtype=np.int64)  # one row at k = 0 backs the empty view
-    circ = np.ndarray((k, m, p), np.int64, x2, p * 8, (x2.strides[0], -8, 8))
-    sums = np.zeros((k, rows.shape[1], p), dtype=np.int64)
-    for t, row in enumerate(rows):
-        x2[:k, :m] = x2[:k, p:-1] = weights[:, t]
-        sums += row @ circ
+    m, k, (t, n) = p - 1, len(weights), rows.shape[:2]
+    big_w, big_r = _max_abs(weights), _max_abs(rows)
+    bound = t * m * big_w * big_r
+    w_count = r_count = 1
+    w_bits = r_bits = 0
+    if bound >= 1 << 53:
+        half = (53 - (t * m).bit_length()) // 2
+        w_count = -(-big_w.bit_length() // half)
+        if w_count > 1:
+            w_bits = -(-big_w.bit_length() // w_count)
+            big_w = 1 << w_bits  # the largest weight limb
+        r_bits = 53 - (t * m * big_w).bit_length()
+        r_count = -(-big_r.bit_length() // r_bits)
+    kk = w_count * k
+    limbs = _split(rows, r_count, r_bits).transpose(0, 2, 1, 3).reshape(r_count * n, t * m)
+    limbs = limbs.astype(np.float64)
+    w_limbs = _split(weights, w_count, w_bits).reshape(kk * t, m).astype(np.float64)
+    if len(limbs) == 1:  # one vector: a convolution per weight limb and term
+        full, y = np.zeros((kk, 2 * p)), limbs.reshape(t, m)
+        for x, out in zip(w_limbs.reshape(kk, t, m), full):
+            for j in range(t):
+                out[: 2 * m - 1] += np.convolve(x[j], y[j])
+        sums = (full[:, :p] + full[:, p:])[:, None]  # zeta^(p+c) = zeta^c
+    else:
+        x2 = np.zeros((max(kk * t, 1), 2 * p))  # one row at k t = 0 backs the empty view
+        x2[: kk * t, :m] = x2[: kk * t, p:-1] = w_limbs
+        circ = np.ndarray((kk * t, m, p), np.float64, x2, p * 8, (x2.strides[0], -8, 8))
+        circ = np.ascontiguousarray(circ).reshape(kk, t * m, p)
+        sums = np.matmul(limbs, circ)
+    sums = sums.astype(np.int64)
+    if bound >= 1 << 53:
+        sums = sums.reshape(w_count, k, r_count, n, p).transpose(2, 0, 1, 3, 4)
+        sums = _horner(_horner(sums if 4 * bound < 1 << 63 else sums.astype(object), r_bits),
+                       w_bits)
     return sums[..., :m] - sums[..., m:]
 
 
@@ -132,11 +189,6 @@ def _by_packing(p: int, weights: np.ndarray, rows: np.ndarray, bound: int, w: in
     return out
 
 
-# bytes of a packed digit -> (largest p, most multiply-adds) of a `lincomb` by the
-# int64 matmul: the sizes where it measured faster than the packing (see `lincomb`)
-_MATMUL_LIMITS = {1: (131, 1 << 15), 2: (131, 1 << 20), 4: (499, 1 << 24), 8: (499, 1 << 24)}
-
-
 def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Entry [i, j] is sum_t weights[i, t] * rows[t, j] over Z[zeta_p], every
     element a vector of p - 1 coefficients: weights of shape (k, t, p - 1) and
@@ -145,40 +197,38 @@ def lincomb(p: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     A coefficient of a sum before the fold adds t (p - 1) products, so it is
     at most bound = t (p - 1) max|weight| max|row| in absolute value, and a
-    folded one at most 2 * bound, on either path.  Every partial sum of
-    `_by_matmul` is one of the two (rows @ C, then the fold, which makes it
-    rows @ Mul(x): Mul's entries are at most 2 max|x|), so with 4 * bound < 2^63
-    each is below 2^62 and nothing wraps.
+    folded one at most 2 * bound, on either path.  The dtype alone picks the
+    path: two int64 operands take `_by_gemm`, any other pair `_by_packing`.
 
-    The rule: `_by_matmul` when both operands are int64, 4 * bound < 2^63 and p
-    and the k t n (p - 1) p multiply-adds are within `_MATMUL_LIMITS` for w, the
-    bytes of a packed digit (1, 2, 4 or 8: the fewest with bound < 2^(8w - 1));
-    `_by_packing` otherwise, as for every size not measured.  Both were timed on
-    every int64 call of `verify` 5..89 and `classno` 229..317 and on dense random
-    operands at p = 5..499 up to 2^24 multiply-adds, on one shared 2-vCPU machine.
-    The matmul saves about 10 us per call.  Past 2^16 multiply-adds the packing
-    took, in the median, 0.6 times the matmul's time with 1-byte digits, 1.25
-    times with 2-byte digits at p <= 131 and 0.7 times above, 4.3 and 2.0 times
-    with 4-byte digits and 12.7 and 5.7 times with 8-byte digits.  The step at
-    p = 131 is CPython's Karatsuba cutoff of 70 30-bit digits: from p = 137 a
-    packed weight of 2-byte digits passes 2100 bits.  A single product with 2-byte
-    digits takes 35 against 37 us packed at p = 151, 49 against 45 at p = 181 and
-    222 against 107 at p = 499; with 4- and 8-byte digits the matmul was faster
-    on every call measured but one within noise.  The limits 2^15 and 2^20 were
-    fitted to the calls of `verify` 5..47; 499 and 2^24 are the largest measured.
+    `_by_gemm` is exact.  Each entry of its float64 GEMM (or of its convolutions,
+    added over the terms) sums t (p - 1) products of a weight limb and a row limb,
+    integers below 2^53 whose float64 copies are exact.  Whatever the order and
+    blocking in which the BLAS adds the products, fused or not, every partial sum
+    is the sum of some of them: an integer of absolute value at most
+    t (p - 1) max|weight limb| max|row limb|.  While that is below 2^53 every such
+    integer is a float64, so no operation rounds.  With bound < 2^53 each operand
+    is its own one limb.  Past it the rows are split (`_split`) into limbs of
+    L = 53 - bitlen(t (p - 1) W) bits, each at most 2^L in absolute value, so
+    t (p - 1) W 2^L < 2^53, W = max|weight|; the weights are split first, only
+    where their bit length passes h = floor((53 - bitlen(t (p - 1))) / 2), into
+    limbs of at most h bits, and W is then 2^(their width), which keeps L >= h.
+    The sums convert to int64 exactly and are recombined by Horner's rule
+    (`_horner`), over the row limbs and then the weight limbs, in int64 when
+    4 * bound < 2^63: int64 arithmetic is arithmetic mod 2^64, exact wherever the
+    result fits, and every result is a sum, at most bound, or a folded
+    coefficient, at most 2 * bound < 2^62.  Past that they are recombined in
+    Python ints.
     """
     m = p - 1
-    k, terms, n = len(weights), len(rows), rows.shape[1] if rows.ndim == 3 else -1
+    terms, n = len(rows), rows.shape[1] if rows.ndim == 3 else -1
     if weights.shape[1:] != (terms, m) or rows.shape != (terms, n, m):
         raise ValueError("need weights (k, t, p-1) and rows (t, n, p-1)")
+    if weights.dtype == rows.dtype == np.int64:
+        return _by_gemm(p, weights, rows)
     bound = terms * m * _max_abs(weights) * _max_abs(rows)  # products per coefficient, times the largest
     w = (bound.bit_length() + 8) // 8  # the fewest bytes with bound < 2^(8w-1)
     if w <= 8:
         w = 1 << (w - 1).bit_length()  # a width numpy reads: 1, 2, 4 or 8
-    if weights.dtype == rows.dtype == np.int64 and 4 * bound < 1 << 63:  # so w <= 8
-        top_p, most = _MATMUL_LIMITS[w]
-        if p <= top_p and k * terms * n * m * p <= most:
-            return _by_matmul(p, weights, rows)
     return _by_packing(p, weights, rows, bound, w)
 
 

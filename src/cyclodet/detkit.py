@@ -61,10 +61,10 @@ the products of `_MixedRadix` and of the Euclid of `_resultants` are of two
 numbers below their primes, refused from 2^31.  As every auxiliary prime q
 exceeds the floor, `_PrimeTables.values`, the one evaluator, takes int64 rows
 unreduced; the exact divider hands it its pivot reduced mod q.  Every product of elements, a
-Bareiss step's and the divider's by d^-1 mod q, comes from `lincomb`, int64
-only while 4 bound < 2^63 for the bound of its sums (then by one int64 matmul
-per term where that is cheaper than packing), and every int64 entry is at most
-2 bound < 2^62, so the difference of two fits int64; the
+Bareiss step's and the divider's by d^-1 mod q, comes from `lincomb` (an exact
+float64 GEMM where both operands are int64), int64 only while 4 bound < 2^63 for
+the bound of its sums, and every int64 entry is at most 2 bound < 2^62, so the
+difference of two fits int64; the
 quotients of `_divide_exact` are int64 when the proven modulus M is below
 2^63, as every |v| < M/2 <= 2^62, lifted in int64 (`_MixedRadix.lift`), and
 Python ints otherwise.
@@ -595,7 +595,7 @@ def _coset_bounds_sq(rows: np.ndarray, f: int, powers=None) -> list[int]:
     p !| k, p b_k = Tr(det zeta^(-k)) - Tr(det zeta): every coefficient |b_k| < 2H.
 
     The sums are float64, a run of rows at a time (`_runs`), u = 2^-53; the dot products
-    go through einsum, not BLAS, whose buffers the rest of a sweep never pays for.  For
+    go through einsum, and the bound below holds in any order of summation.  For
     x = sum c_i zeta^i (i < p-1), l = sum |c_i| is exact.  Each c_i converts to float within
     u|c_i| (Python ints round correctly); the angle 2 pi j/p is within 3.1u 2 pi < 2^-48 of its
     value, and its cos or sin (`math`) within 2^-40 of its own (any libm within 2^11 ulp); a dot

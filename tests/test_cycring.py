@@ -487,7 +487,7 @@ class TestKroneckerMultiplication:
 @pytest.fixture
 def paths(count_calls):
     """The calls of each of `lincomb`'s two paths, by name."""
-    return {name: count_calls(getattr(cycring, name)) for name in ("_by_matmul", "_by_packing")}
+    return {name: count_calls(getattr(cycring, name)) for name in ("_by_gemm", "_by_packing")}
 
 
 def path_taken(paths, p, weights, rows, dtype, n=None):
@@ -522,89 +522,157 @@ def extreme_operands(rng, p, terms, k, n, a, b):
     return weights, rows
 
 
+def unfolded_sums(p, weights, rows) -> list:
+    """The sums of `lincomb` before the fold, the coefficients of zeta^0 .. zeta^(p-1) of
+    each product taken mod x^p - 1, by `np.convolve` on Python ints."""
+    out = []
+    for ws in weights:
+        for j in range(len(rows[0]) if rows else 0):
+            acc = [0] * p
+            for x, row in zip(ws, rows):
+                for e, c in enumerate(np.convolve(np.array(x, object), np.array(row[j], object))):
+                    acc[e % p] += c
+            out += acc
+    return out
+
+
+I64 = (-(1 << 63), -(1 << 63) + 1, (1 << 63) - 1)  # the int64 edge values
+
+
 class TestTwoPaths:
-    """`lincomb`'s int64 matmul and its packing against the schoolbook oracle, on
-    both sides of each boundary of the rule that chooses between them."""
+    """`lincomb`'s float64 GEMM and its packing against the schoolbook oracle: the dtype
+    alone picks the path, and the GEMM's limbs keep it exact on both sides of 2^53,
+    where one GEMM of the unsplit operands would round, and of 4 * bound = 2^63, past
+    which it recombines its limbs in Python ints."""
 
     @pytest.mark.parametrize("p, terms", [(3, 1), (3, 2), (5, 1), (5, 2), (3, 4)])
     def test_int64_headroom(self, paths, p, terms):
-        """With 4 * bound just below 2^63 the matmul returns int64; exactly at
-        2^63 the packing returns Python ints.  The same values as Python ints
-        take the packing on both sides."""
-        sides = zip(headroom_sides(p, terms), ("_by_matmul", "_by_packing"))
-        for (weights, rows, dtype), path in sides:
+        """With 4 * bound just below 2^63 the GEMM returns int64; exactly at 2^63 it
+        returns Python ints.  The same values as Python ints take the packing on both
+        sides."""
+        for weights, rows, dtype in headroom_sides(p, terms):
             expected = lincomb_loop(p, weights, rows)
-            assert path_taken(paths, p, weights, rows, np.int64) == (expected, path)
+            assert path_taken(paths, p, weights, rows, np.int64) == (expected, "_by_gemm")
             assert lincomb(p, np.array(weights), np.array(rows)).dtype == dtype
             assert path_taken(paths, p, weights, rows, object) == (expected, "_by_packing")
 
     @pytest.mark.parametrize("p", [3, 5, 7, 47])
     def test_empty_shapes_on_the_matmul(self, paths, p):
-        """No terms, k = 0 and n = 0 take the matmul for int64 operands and give
-        what the oracle gives, int64 zeros or empty."""
+        """No terms (t = 0), k = 0 and n = 0 take the GEMM, one `np.matmul` (or no
+        convolution for one row), for int64 operands and give what the oracle gives,
+        int64 zeros or empty."""
         rng = random.Random(p)
         zero, x = [0] * (p - 1), [rng.randint(-9, 9) for _ in range(p - 1)]
-        cases = [([[], []], [], 2), ([], [[x, x]], None), ([[x]], [[]], None),
-                 ([[x], [x]], [[]], None), ([[x, x]], [[x], [x]], None)]
+        cases = [([[], []], [], 2), ([[], []], [], 1), ([], [[x, x]], None), ([], [[x]], None),
+                 ([[x]], [[]], None), ([[x], [x]], [[]], None), ([[x, x]], [[x], [x]], None)]
         for weights, rows, n in cases:
-            for dtype, path in ((np.int64, "_by_matmul"), (object, "_by_packing")):
+            for dtype, path in ((np.int64, "_by_gemm"), (object, "_by_packing")):
                 out, taken = path_taken(paths, p, weights, rows, dtype, n)
                 expected = lincomb_loop(p, weights, rows) if rows else [[zero] * n] * 2
                 assert (out, taken) == (expected, path)
         empty = lincomb(p, np.zeros((3, 0, p - 1), np.int64), np.zeros((0, 4, p - 1), np.int64))
         assert empty.dtype == np.int64 and empty.shape == (3, 4, p - 1) and not empty.any()
+        for k, t, n in ((0, 1, 2), (2, 1, 0), (2, 0, 2)):  # -2^63 in the one nonempty operand
+            weights, rows = (np.full((*shape, p - 1), I64[0]) for shape in ((k, t), (t, n)))
+            out = lincomb(p, weights, rows)  # Python ints past the headroom, but for t = 0
+            assert out.dtype == (np.int64 if t == 0 else object)
+            assert out.shape == (k, n, p - 1) and not out.any()
+
+    @pytest.mark.parametrize("p, terms", [(3, 1), (3, 2), (5, 3), (13, 1), (47, 2)])
+    def test_sums_just_above_2_53_are_exact(self, paths, p, terms):
+        """Sums that land on odd integers just above 2^53, where one GEMM of the unsplit
+        operands would round to an even neighbour, come out exact: (2^27 + 1)(2^26 + 1)
+        plus 2 per further term, and positive operands near a with t (p - 2) a^2 just
+        past 2^53, many of whose sums before the fold are odd and past 2^53."""
+        one = [1] + [0] * (p - 2)
+        weights = [[[(1 << 27) + 1] + one[1:]] + [[2] + one[1:]] * (terms - 1)]
+        rows = [[[(1 << 26) + 1] + one[1:]]] + [[one]] * (terms - 1)
+        total = ((1 << 27) + 1) * ((1 << 26) + 1) + 2 * (terms - 1)
+        assert unfolded_sums(p, weights, rows)[0] == total and total % 2
+        assert path_taken(paths, p, weights, rows, np.int64) == ([[[total] + one[1:]]], "_by_gemm")
+        rng = random.Random(p * terms)
+        a = math.isqrt((9 << 53) // (8 * terms * (p - 2)))  # t (p - 2) a^2 = 2^53 9/8
+        for _ in range(3):
+            def vec():
+                return [a - rng.randrange(1 << 12) for _ in range(p - 1)]
+
+            weights = [[vec() for _ in range(terms)] for _ in range(2)]
+            rows = [[vec() for _ in range(3)] for _ in range(terms)]
+            assert terms * (p - 1) * a * a < 1 << 55
+            assert any(c > 1 << 53 and c % 2 for c in unfolded_sums(p, weights, rows))
+            expected = lincomb_loop(p, weights, rows)
+            assert path_taken(paths, p, weights, rows, np.int64) == (expected, "_by_gemm")
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_int64_edge_values(self, paths, p):
+        """Operands of +-(2^63 - 1) and -2^63, mixed with small ones, give the oracle's
+        sums, as Python ints, on one row and on two; each limb split of an edge value
+        recombines to it."""
+        rng = random.Random(p)
+        for terms, n in itertools.product((1, 2, 3), (1, 2)):
+            def vec():
+                return [rng.choice(I64 + (0, 1, -1, 7)) for _ in range(p - 1)]
+
+            weights = [[vec() for _ in range(terms)] for _ in range(2)]
+            rows = [[vec() for _ in range(n)] for _ in range(terms)]
+            expected = lincomb_loop(p, weights, rows)
+            assert path_taken(paths, p, weights, rows, np.int64) == (expected, "_by_gemm")
+        edges = np.array(I64 + (0, 1, -1), np.int64)
+        for bits in (1, 7, 21, 26, 32, 52, 63):
+            limbs = cycring._split(edges, -(-64 // bits), bits)
+            assert all(abs(x) <= 1 << bits for x in limbs.ravel().tolist())
+            assert cycring._horner(limbs.astype(object), bits).tolist() == list(I64 + (0, 1, -1))
 
     @pytest.mark.parametrize("p, span, terms, below, above", [
-        (7, 4, 1, (12, 65), (11, 71)),  # 1-byte digits: k t n (p - 1) p <= 2^15 takes the matmul
-        (61, 20, 1, (2, 143), (7, 41)),  # 2-byte digits: <= 2^20
+        (7, 4, 1, (12, 65), (11, 71)),  # 1-byte sums, 2^15 multiply-adds and past them
+        (61, 20, 1, (2, 143), (7, 41)),  # 2-byte sums, 2^20 multiply-adds and past them
         (61, 10, 2, (11, 13), (12, 12)),
     ])
     def test_size_rule(self, paths, p, span, terms, below, above):
-        """One side of the size rule takes the matmul, the other the packing, and
-        both give the oracle's sums for the same int64 values."""
+        """The path does not depend on the size: int64 operands take the GEMM on both
+        sides of 2^15 and 2^20 multiply-adds k t n (p - 1) p, and give the oracle's sums,
+        and the same values as Python ints take the packing."""
         rng = random.Random(p + span)
-        for (k, n), path in ((below, "_by_matmul"), (above, "_by_packing")):
+        for k, n in (below, above):
             weights, rows = extreme_operands(rng, p, terms, k, n, span, span)
-            w = 1 if span * span * terms * (p - 1) < 1 << 7 else 2
-            most = cycring._MATMUL_LIMITS[w][1]
-            assert (k * terms * n * (p - 1) * p <= most) == (path == "_by_matmul")
             expected = lincomb_loop(p, weights, rows)
-            assert path_taken(paths, p, weights, rows, np.int64) == (expected, path)
+            assert path_taken(paths, p, weights, rows, np.int64) == (expected, "_by_gemm")
+            assert path_taken(paths, p, weights, rows, object) == (expected, "_by_packing")
 
     @pytest.mark.parametrize("span, w", [(15, 2), (1 << 10, 4), (1 << 20, 8)])
     def test_prime_limit(self, paths, span, w):
-        """A single product with w-byte digits takes the matmul at the largest p of
-        `_MATMUL_LIMITS` for w (131 for 2-byte digits, where Karatsuba starts to
-        favour the packing, and 499, the largest measured, for 4 and 8) and the
-        packing at the next prime."""
-        top_p = cycring._MATMUL_LIMITS[w][0]
+        """The path does not depend on p: a single int64 product with sums of w bytes at
+        p = 131 takes the GEMM at p = 131, 137, 499 and 503, and gives the sums of the same
+        values as Python ints, which take the packing (the oracle's at p = 131 and 137)."""
+        assert 1 << (4 * w - 1) <= 130 * span * span < 1 << (8 * w - 1)  # w bytes, not w/2
         rng = random.Random(span)
-        for p, path in ((top_p, "_by_matmul"), ({131: 137, 499: 503}[top_p], "_by_packing")):
-            assert 1 << (4 * w - 1) <= (p - 1) * span * span < 1 << (8 * w - 1)  # w bytes, not w/2
+        for p in (131, 137, 499, 503):
             weights, rows = extreme_operands(rng, p, 1, 1, 1, span, span)
-            expected = lincomb_loop(p, weights, rows)
-            assert path_taken(paths, p, weights, rows, np.int64) == (expected, path)
+            expected, _ = path_taken(paths, p, weights, rows, object)
+            if p < 200:
+                assert expected == lincomb_loop(p, weights, rows)
+            assert path_taken(paths, p, weights, rows, np.int64) == (expected, "_by_gemm")
 
     def test_wide_digits_up_to_the_largest_size_measured(self, paths):
-        """With 4- and 8-byte digits the matmul takes up to 2^24 multiply-adds and
-        the packing past them: at p = 499, 67 single products (2^23.99) and 68 give
-        the sums of the same values as Python ints, which take the packing."""
+        """Sums of 4 and 8 bytes take the GEMM at every size: at p = 499, 67 single
+        products (2^23.99 multiply-adds) and 68 give the sums of the same values as
+        Python ints, which take the packing; so do sums past 2^53 and past 2^63."""
         rng = random.Random(4)
-        for span in (1 << 10, 1 << 20):
-            for k, path in ((67, "_by_matmul"), (68, "_by_packing")):
+        for span in (1 << 10, 1 << 20, 1 << 28, 1 << 40):
+            for k in (67, 68):
                 weights, rows = extreme_operands(rng, 499, 1, k, 1, span, span)
                 expected, _ = path_taken(paths, 499, weights, rows, object)
-                assert path_taken(paths, 499, weights, rows, np.int64) == (expected, path)
+                assert path_taken(paths, 499, weights, rows, np.int64) == (expected, "_by_gemm")
 
     def test_paths_of_a_bareiss_determinant(self, paths):
-        """det D(47) by Bareiss: 37 products of the steps and the divider's proofs on the
-        matmul (8 with 2-byte digits, 10 with 4, 19 with 8) and 19 on the packing (14 past
-        the int64 headroom, 5 past the size limit), and the divider's 31 products by
-        d^-1 mod q, one per division and prime, on the matmul with 8-byte digits, so a
-        change of the rule shows here."""
+        """det D(47) by Bareiss: every operand is int64, so all 87 products take the GEMM:
+        the steps' 34 (24 of one GEMM of the unsplit operands, 2 of limbs recombined in
+        int64, 8 in Python ints past the int64 headroom), the divider's 22 proofs (14, 2
+        and 6) and its 31 products by d^-1 mod q, one per division and prime, all of limbs
+        recombined in int64; so a change of the rule shows here."""
         det_cyc_bareiss(build_D(47))
-        assert {name: len(calls) for name, calls in paths.items()} == {"_by_matmul": 37 + 31,
-                                                                       "_by_packing": 19}
+        assert {name: len(calls) for name, calls in paths.items()} == {"_by_gemm": 87,
+                                                                       "_by_packing": 0}
 
 
 class TestValueSemantics:

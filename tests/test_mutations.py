@@ -110,10 +110,10 @@ def unproven_perturbed_lift(monkeypatch):
 
 def mul_fold_column_dropped(monkeypatch):
     """The divider's product by den^-1 mod q keeps its coefficient of zeta^(p-1): it is
-    `lincomb`'s matmul without the last column of its circulant subtracted (as
+    `lincomb`'s GEMM without the last column of its circulant subtracted (as
     `mul_top_power_kept`, but for this product alone), so the divider's residues are those
     of a product mod x^p - 1, not mod 1 + x + ... + x^(p-1)."""
-    unfolded = recompiled(cycring._by_matmul, "sums[..., :m] - sums[..., m:]", "sums[..., :m]")
+    unfolded = recompiled(cycring._by_gemm, "sums[..., :m] - sums[..., m:]", "sums[..., :m]")
     monkeypatch.setattr(detkit, "_unfolded", unfolded, raising=False)
     monkeypatch.setattr(detkit._Pivot, "residues", recompiled(
         detkit._Pivot.residues, "lincomb(tables.p,", "_unfolded(tables.p,"))
@@ -183,30 +183,30 @@ def fold_drops_high_powers(monkeypatch):
 
 
 def mul_top_power_kept(monkeypatch):
-    """`lincomb`'s matmul drops the last column of its circulant from the others:
+    """`lincomb`'s GEMM drops the last column of its circulant from the others:
     Mul(x) loses its correction -x[(p-1-b) mod p], and zeta^(p-1) stays unremoved."""
-    monkeypatch.setattr(cycring, "_by_matmul", recompiled(
-        cycring._by_matmul, "sums[..., :m] - sums[..., m:]", "sums[..., :m]"))
+    monkeypatch.setattr(cycring, "_by_gemm", recompiled(
+        cycring._by_gemm, "sums[..., :m] - sums[..., m:]", "sums[..., :m]"))
 
 
-def lincomb_headroom(monkeypatch, new: str):
-    """`lincomb` with its int64 headroom condition for the matmul replaced by `new`."""
-    mutant = recompiled(cycring.lincomb, "4 * bound < 1 << 63", new)
-    for module in (cycring, detkit, matrices):
-        monkeypatch.setattr(module, "lincomb", mutant)
+def gemm_headroom(monkeypatch, new: str):
+    """`lincomb`'s GEMM with its int64 headroom condition for the recombination of its
+    limbs replaced by `new`."""
+    monkeypatch.setattr(cycring, "_by_gemm", recompiled(
+        cycring._by_gemm, "4 * bound < 1 << 63", new))
 
 
 def matmul_past_its_headroom(monkeypatch):
-    """`lincomb` takes the matmul for every pair of int64 operands, however large."""
-    real = cycring.lincomb
+    """`lincomb`'s GEMM recombines its limbs in int64 for every pair of int64 operands,
+    however large."""
+    gemm_headroom(monkeypatch, "True")
 
-    def lincomb(p, weights, rows):
-        if weights.dtype == rows.dtype == np.int64:
-            return cycring._by_matmul(p, weights, rows)
-        return real(p, weights, rows)
 
-    for module in (cycring, detkit, matrices):
-        monkeypatch.setattr(module, "lincomb", lincomb)
+def limb_split_dropped(monkeypatch):
+    """`lincomb` takes one GEMM of the unsplit operands however large the bound, so a
+    sum past 2^53 rounds."""
+    monkeypatch.setattr(cycring, "_by_gemm", recompiled(
+        cycring._by_gemm, "if bound >= 1 << 53:\n        half", "if False:\n        half"))
 
 
 def zeta_top_power_dropped(monkeypatch):
@@ -475,11 +475,15 @@ MUTANTS = [
      "cyc_backend_agreement"),
     (fold_drops_high_powers, "quad_decompose: det C no longer lies in the quadratic subfield", 5,
      ValueError),
-    (mul_top_power_kept, "quad_decompose: (x - x')*g, a product on the matmul, is not rational "
+    (mul_top_power_kept, "quad_decompose: (x - x')*g, a product on the GEMM, is not rational "
      "for the product formula's residue product", 5, ValueError),
     # the Bareiss products past the headroom hold far smaller values than their bound
     (matmul_past_its_headroom, "det_multiplicativity: det Dtilde * det D, one product whose "
      "sums pass 2^63, wraps", 31, "det_multiplicativity"),
+    # every check passes below 29; tests/test_cycring.py's
+    # `TestTwoPaths::test_sums_just_above_2_53_are_exact` catches it at any p
+    (limb_split_dropped, "quartic_reconstruction: det D * det D, one product whose sums pass "
+     "2^53, rounds, and quad_decompose finds it outside Z[g]", 29, ValueError),
     # builders; zeta^(j^2 k^2) is never zeta^(p-1) for p = 3 (mod 4), where -1 is no square
     (zeta_top_power_dropped, "quartic_reconstruction: quartic_decompose finds det D outside "
      "Q(sqrt(p))*delta", 5, ArithmeticError),
@@ -601,8 +605,8 @@ def test_unmutated_prime_passes():
     """The primes the mutants run at pass every check as the code stands (above
     BAREISS_LIMIT the cyclotomic agreement is skipped), and the matrices they take
     have one value."""
-    for args in ((5,), (5, SWEEP), (7,), (11,), (13,), (17,), (17, SWEEP), (23,), (31,), (61,),
-                 (67,)):
+    for args in ((5,), (5, SWEEP), (7,), (11,), (13,), (17,), (17, SWEEP), (23,), (29,), (31,),
+                 (61,), (67,)):
         statuses = {name: c.status for name, c in run_prime(*args).checks.items()}
         if args[0] > verify.BAREISS_LIMIT:
             assert statuses.pop("cyc_backend_agreement") == "skipped"
@@ -866,13 +870,14 @@ def test_row_handed_another_delta_changes_no_status(monkeypatch):
 
 
 def test_matmul_to_twice_its_headroom_stays_exact(monkeypatch):
-    """The matmul taken while 4 * bound < 2^64 is still exact: its partial sums are
-    at most bound < 2^62 and its folded coefficients at most 2 * bound < 2^63.  What
-    breaks is `lincomb`'s promise of int64 entries below 2^62, on which the
-    Bareiss update's headroom rests; no check of 5..59 fails (the sweep's sums stay
-    far below their bounds).  tests/test_cycring.py's `test_int64_headroom` catches
-    it: on its operands at 4 * bound = 2^63 the mutant returns int64, not Python ints."""
-    lincomb_headroom(monkeypatch, "4 * bound < 1 << 64")
+    """The GEMM's limbs recombined in int64 while 4 * bound < 2^64 are still exact: the
+    sums are at most bound < 2^62 and the folded coefficients at most 2 * bound < 2^63,
+    and int64 arithmetic mod 2^64 is exact where its results fit.  What breaks is
+    `lincomb`'s promise of int64 entries below 2^62, on which the Bareiss update's
+    headroom rests; no check of 5..59 fails (the sweep's sums stay far below their
+    bounds).  tests/test_cycring.py's `test_int64_headroom` catches it: on its operands
+    at 4 * bound = 2^63 the mutant returns int64, not Python ints."""
+    gemm_headroom(monkeypatch, "4 * bound < 1 << 64")
     assert run_prime(5).all_passed()
     dtypes = []
     for weights, rows, dtype in headroom_sides(3, 1):

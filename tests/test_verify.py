@@ -3,6 +3,8 @@ import itertools
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures import Future
 from fractions import Fraction
@@ -351,6 +353,24 @@ class TestRunRange:
             da.pop("timings_ms")
             db.pop("timings_ms")
             assert da == db
+
+    def test_pool_forked_after_blas_matches_serial(self):
+        """A pool forked after the parent ran float64 GEMMs, in the benchmark's order: a
+        Bareiss determinant (D(47), whose `lincomb` GEMMs start OpenBLAS's threads) and
+        then `run_primes([61, 67], threads=2)`, in a fresh interpreter under a timeout.
+        The pooled reports equal the serial ones, timings dropped."""
+        code = ("from cyclodet.detkit import det_cyc_bareiss\n"
+                "from cyclodet.matrices import build_D\n"
+                "from cyclodet.verify import report_to_dict, run_primes\n"
+                "def bodies(reports):\n"
+                "    return [{k: v for k, v in report_to_dict(r).items() if k != 'timings_ms'}\n"
+                "            for r in reports]\n"
+                "det_cyc_bareiss(build_D(47))\n"
+                "pooled = bodies(run_primes([61, 67], threads=2))\n"
+                "assert pooled == bodies(run_primes([61, 67])), pooled\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_backend_skip_status(self, monkeypatch):
         monkeypatch.setattr(verify, "BAREISS_LIMIT", 5)
