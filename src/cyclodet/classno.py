@@ -90,6 +90,7 @@ class ProductFormulaResult:
     sign: int | None
     detail: str
     eps: tuple[int, int] | None = None  # the fundamental unit (t, u), p = 1 (mod 4)
+    prod: CycElt | None = None  # the half-range residue product P, for its callers
 
 
 def verify_product_formula(p: int) -> ProductFormulaResult:
@@ -100,7 +101,8 @@ def verify_product_formula(p: int) -> ProductFormulaResult:
 
     p = 1 (mod 4): the least h >= 1 with P*eps^h = +/-g is reported; that h
     is the class number of Q(sqrt(p)) and the sign is recorded, and so is the
-    fundamental unit (t, u), so that no caller has to search for it again.
+    fundamental unit (t, u), so that no caller has to search for it again.  P itself is
+    returned too, so that no caller multiplies it out again.
 
     The search stops on a proof, not a cap: under g -> +sqrt(p), eps = (t + u*sqrt(p))/2 > 1 and
     |eps'| = 1/eps, so for P != 0, |P*eps^h| / |(P*eps^h)'| = |P/P'| * eps^(2h) grows strictly with
@@ -118,7 +120,7 @@ def verify_product_formula(p: int) -> ProductFormulaResult:
         ok = square_ok and qd.x == 0 and qd.y == expected
         return ProductFormulaResult(
             p, ok, h, int(qd.y) if qd.y in (1, -1) else None,
-            f"P = {qd.y}*g, expected {expected}*g from h(-p)={h}",
+            f"P = {qd.y}*g, expected {expected}*g from h(-p)={h}", prod=prod,
         )
     t, u = fundamental_unit(p)
     eps = QuadElt(p, Fraction(t, 2), Fraction(u, 2))
@@ -127,8 +129,8 @@ def verify_product_formula(p: int) -> ProductFormulaResult:
         acc, h = acc * eps, h + 1
         if acc.x == 0 and acc.y in (1, -1):  # P*eps^h = +/-g
             detail = f"P*eps^{h} = {'g' if acc.y == 1 else '-g'} (forward)"
-            return ProductFormulaResult(p, True, h, int(acc.y), detail, (t, u))
-    return ProductFormulaResult(p, False, None, None, "no unit power matched", (t, u))
+            return ProductFormulaResult(p, True, h, int(acc.y), detail, (t, u), prod)
+    return ProductFormulaResult(p, False, None, None, "no unit power matched", (t, u), prod)
 
 
 def class_data(p: int) -> ClassData:

@@ -28,15 +28,18 @@ read them there.  A modular determinant counts its primes up front
 Integer matrices are lifted past twice the Hadamard bound, taken exactly,
 each scalar determinant by one int64 elimination (`_det_mod_stack`, no
 floats), each matrix mod its own prime.
-A cyclotomic family built by `matrices` carries a `Circulant` declaration: a
-bordered Hankel or circulant block over the squares.  Certified on the
-coefficients (`_certified`), it gives the values at two elements of order p
-in F_q, one per coset of the squares, each from one resultant of its first
-row (`_declared_values`, by one lockstep int64 Euclid over every prime and
-node, `_resultants`), and a Hadamard bound from its two distinct rows
-(`_declared_bound_sq`).  Any other cyclotomic matrix is evaluated at two such
-nodes when sigma_(g^2) shifts its rows along the squares or fixes them
-(`_orbit_step`), at all p-1 otherwise, each value by `_det_mod_stack`, under a
+A cyclotomic family built by `matrices` is held by its entry table and carries
+a `Circulant` declaration: a bordered Hankel or circulant block over the
+squares.  Certified on the table by O(n^2) integer comparisons (`_certified`),
+it gives the values at two elements of order p in F_q, one per coset of the
+squares, each from one resultant of its first row (`_declared_values`, by one
+lockstep int64 Euclid over every prime and node, `_resultants`), and a
+Hadamard bound from its two distinct rows (`_declared_bound_sq`); no
+coefficient array is filled.  Any other cyclotomic matrix (one built by hand,
+or a table its declaration does not fit) is evaluated at two such nodes when
+sigma_(g^2) shifts its rows along the squares or fixes them (`_orbit_step`),
+at all p-1 otherwise, each value by `_det_mod_stack` of its entries' values
+(`_node_values`: by lookup in a table, else from the coefficients), under a
 Hadamard bound on its dense rows (`_coset_bounds_sq`).  Both paths take the
 sign of sigma_(g^2) from one certificate (`_galois_sign`).  Either way
 the values are constant on the F cosets of a subgroup of the nodes, F = f, or
@@ -46,11 +49,12 @@ evaluated them (`_PrimeTables.interpolate`, whose case F = p-1 is the full
 inverse transform), and CRT-lifted past twice the bound, whose complex
 embeddings are the one float64 computation here, under a proven margin
 (`_coset_bounds_sq`).  One matrix identity is
-checked the same way, A B = g C on the matrices' values at all p-1 nodes,
-exact past twice a bound on every coefficient of A B - g C (`identity_holds`).
+checked the same way, A B = g C on the matrices' values at all p-1 nodes
+(`_node_values`), exact past twice a bound on every coefficient of A B - g C
+(`identity_holds`).
 
-Every matrix's coefficient array has the dtype of the one rule that
-`ExactMatrix` applies to every array it is given: int64 only while every
+Every matrix's coefficient array, and a table's multipliers, have the dtype
+of the one rule that `ExactMatrix` applies to every array it holds: int64 only while every
 entry is below AUX_PRIME_FLOOR in absolute value, Python ints otherwise.
 Every int64 sum here is of `count` products of at most (q-1)^2, refused up
 front when count (q-1)^2 >= 2^63: p-1 products per value of the evaluator,
@@ -58,9 +62,11 @@ and the F <= p-1 products of an interpolated sum, which `_PrimeTables.pow_r`
 refuses alike; n-1 updates of an entry in [0, q) in `_det_mod_stack` (the
 largest q of the stack), n products of values per entry in `identity_holds`;
 the products of `_MixedRadix` and of the Euclid of `_resultants` are of two
-numbers below their primes, refused from 2^31.  As every auxiliary prime q
-exceeds the floor, `_PrimeTables.values`, the one evaluator, takes int64 rows
-unreduced; the exact divider hands it its pivot reduced mod q.  Every product of elements, a
+numbers below their primes, refused from 2^31, and the lookups of
+`_node_values` multiply two residues, below 2^62 under `pow_r`'s refusal.  As
+every auxiliary prime q exceeds the floor, `_PrimeTables.values`, the one
+evaluator of coefficient rows, takes int64 rows unreduced; the exact divider
+hands it its pivot reduced mod q.  Every product of elements, a
 Bareiss step's and the divider's by d^-1 mod q, comes from `lincomb` (an exact
 float64 GEMM where both operands are int64), int64 only while 4 bound < 2^63 for
 the bound of its sums, and every int64 entry is at most 2 bound < 2^62, so the
@@ -79,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycring import CycElt, galois_image, lincomb
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, monomial_coeffs
 from .modarith import aux_primes, primitive_root
 
 
@@ -524,17 +530,6 @@ def det_cyc_bareiss(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     return CycElt._new(m.meta.p, [sign * c for c in last.tolist()])
 
 
-def _times_zeta(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """zeta^(e_i) x_i for the rows x_i of a coefficient array (rows, n, p-1), 0 < e_i < p: a
-    rotation of the p powers (power p-1 of x is 0), read from the window at p - e_i of the
-    powers written twice, and zeta^(p-1) then removed."""
-    padded = np.concatenate([x, np.zeros_like(x[..., :1])], axis=-1)
-    p = padded.shape[-1]
-    twice = np.concatenate([padded, padded], axis=-1)
-    out = np.lib.stride_tricks.sliding_window_view(twice, p, axis=-1)[np.arange(len(x)), :, p - e]
-    return out[..., :-1] - out[..., -1:]
-
-
 def _galois_sign(block: np.ndarray, p: int, order=None) -> int | None:
     """(-1)^(m-1) when sigma_b: zeta -> zeta^b, b = g^2, maps each of the m rows of `block`,
     a coefficient array (rows, ..., p-1), taken in `order` (index array, default as they
@@ -641,40 +636,61 @@ def _coset_bounds_sq(rows: np.ndarray, f: int, powers=None) -> list[int]:
 # -- the circulant declarations of the cyclotomic families -------------------
 
 
+def _canonical(mult: np.ndarray, exp: np.ndarray, scaled: bool) -> tuple:
+    """(mult, exp) with every zero entry as (0, 0): entries c zeta^e, or c (1 - zeta^e) when
+    `scaled`, are then equal exactly when their pairs are.  A nonzero c zeta^e fixes c and e,
+    as zeta^k is irrational for p !| k; so does a nonzero c (1 - zeta^e), as the cyclotomic
+    unit (1 - zeta^e)/(1 - zeta^e') is rational only for e = e' (it would be +-1, and
+    1 - zeta^e = zeta^e' - 1 makes 2 a sum of two roots of unity other than 1 and 1)."""
+    zero = (mult == 0) | (exp == 0) if scaled else mult == 0
+    return np.where(zero, 0, mult), np.where(zero, 0, exp)
+
+
 def _certified(m: ExactMatrix) -> int | None:
-    """The sign s with sigma_(g^2)(det M) = s det M when m's `Circulant` declaration holds,
-    exactly, and None otherwise (or without a declaration).  On the declaration, sigma_(g^2)
-    fixes the corner and maps first[w] to first[w+1] (w + 1 mod m), so M to P M for P an
-    m-cycle of the block rows and s = (-1)^(m-1), or fixes first, so M, and s = 1
-    (`_galois_sign`).  On m.coeffs, the border is (corner, x) with 1 in column 0, and every
-    block row, times 1 - zeta^(j^2) when `scaled` (`_times_zeta`), equals its row of
-    first[(u + v) % m] or first[(v - u) % m], compared a run of rows at a time (`_runs`)."""
-    decl, p = m.circulant, m.meta.p
+    """The sign s with sigma_(g^2)(det M) = s det M when m's `Circulant` declaration holds
+    exactly on its builder's `EntryTable`, and None otherwise (or without either).  On the
+    declaration, sigma_(g^2) fixes the corner and maps first[w] to first[w+1] (w + 1 mod m),
+    so M to P M for P an m-cycle of the block rows and s = (-1)^(m-1), or fixes first, so
+    M, and s = 1 (`_galois_sign`).  On the table, O(n^2) integer comparisons: the border
+    is the corner at (0, 0) (the table's corner, or its own entry there), x in row 0 and 1
+    in column 0; a row scaling is 1/(1 - zeta^(j^2)) on block row j, and none goes with a
+    border; and every block entry (u, v) equals, as an element (`_canonical`), the entry at
+    w = (u + v) % m, or (v - u) % m, of block row j = 1 (u = 0, where w is the column's own
+    u), whose m entries, filled in the power basis (`matrices.monomial_coeffs`), are
+    exactly `first`."""
+    decl, table, p = m.circulant, m.table, m.meta.p
     half = (p - 1) // 2
-    if decl is None or decl.first.shape != (half, p - 1) or m.n != half + (decl.border is not None):
+    if (decl is None or table is None or decl.first.shape != (half, p - 1)
+            or m.n != half + (decl.border is not None) or decl.scaled != (table.scale is not None)
+            or decl.scaled and decl.border is not None):
         return None
     s = _galois_sign(decl.first, p)
     if s is None:
         return None
-    block = m.coeffs
+    mult, exp = table.mult, table.exp
+    if table.corner is not None and (decl.border is None or table.corner_at != (0, 0)):
+        return None
     if decl.border is not None:
         corner, x = decl.border
-        if not (_galois_sign(corner[None], p) == 1
-                and np.array_equal(block[0, 0], corner)
-                and (block[0, 1:, 0] == x).all() and not block[0, 1:, 1:].any()
-                and (block[1:, 0, 0] == 1).all() and not block[1:, 0, 1:].any()):
+        at_00 = table.corner
+        if at_00 is None:
+            at_00 = monomial_coeffs(p, mult[0, :1], exp[0, :1])[0]
+        if not (_galois_sign(corner[None], p) == 1 and np.array_equal(at_00, corner)
+                and (mult[0, 1:] == x).all() and (x == 0 or not exp[0, 1:].any())
+                and (mult[1:, 0] == 1).all() and not exp[1:, 0].any()):
             return None
-        block = block[1:, 1:]
+        mult, exp = mult[1:, 1:], exp[1:, 1:]
+    squares = np.arange(1, half + 1) ** 2 % p
+    if decl.scaled and not np.array_equal(table.scale, squares):
+        return None
     u = _tables(p).log_g[1 : half + 1] % half  # j^2 = g^(2u) for j = 1 .. m
     w = (u[:, None] + u) % half if decl.hankel else (u - u[:, None]) % half
-    squares = np.arange(1, half + 1) ** 2 % p
-    for run in _runs(range(half), half * p):
-        rows = slice(run[0], run[-1] + 1)
-        x = block[rows]
-        if decl.scaled:
-            x = x - _times_zeta(x, squares[rows])
-        if not np.array_equal(x, decl.first[w[rows]]):
-            return None
+    c, e = _canonical(mult, exp, decl.scaled)
+    first_c, first_e = np.empty_like(c[0]), np.empty_like(e[0])
+    first_c[u], first_e[u] = c[0], e[0]
+    if not (np.array_equal(c, first_c[w]) and np.array_equal(e, first_e[w])
+            and np.array_equal(monomial_coeffs(p, first_c, first_e, decl.scaled), decl.first)):
+        return None
     return s
 
 
@@ -803,6 +819,28 @@ def _declared_values(decl, tables: _PrimeTables, run: list, nodes: np.ndarray) -
     return dets.reshape(len(run), f)
 
 
+def _node_values(tables: _PrimeTables, q: int, m: ExactMatrix, nodes) -> np.ndarray:
+    """m's entries at the nodes r^t, r^t = tables.pow_r(q)[1:][nodes] (a slice or an index
+    array), shape (nodes, n, n), in [0, q).  A matrix held by its `EntryTable` takes
+    c pow_r[e t mod p] per entry c zeta^e, O(n^2) lookups per node, and with a row scaling
+    c (1 - pow_r[e t mod p]) (1 - pow_r[s_j t mod p])^-1, which exists as r has order p and
+    p !| s_j t; its corner, and a matrix held by its coefficients, go through
+    `_PrimeTables.values`.  Every product is of two residues."""
+    if m.table is None:
+        return np.moveaxis(tables.values(q, m.coeffs, nodes), 2, 0)
+    table, p, pow_r = m.table, tables.p, tables.pow_r(q)
+    t = np.arange(1, p)[nodes]
+    vals = pow_r[table.exp * t[:, None, None] % p]
+    if table.scale is not None:
+        den = (1 - pow_r[np.outer(t, table.scale) % p]) % q
+        inv = np.array([pow(d, -1, q) for d in den.ravel().tolist()], dtype=np.int64)
+        vals = (1 - vals) % q * inv.reshape(den.shape)[..., None] % q
+    vals = vals * (table.mult % q).astype(np.int64, copy=False) % q
+    if table.corner is not None:
+        vals[(slice(None), *table.corner_at)] = tables.values(q, table.corner[None], nodes)[0]
+    return vals
+
+
 def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     """Evaluation-interpolation determinant over Z[zeta_p]: per auxiliary prime, at the
     f nodes r^(g^i), i < f.  Node r^(g^k) has s^(k // f) times the value at r^(g^(k mod f)),
@@ -815,12 +853,12 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
     (`_coset_bounds_sq`).  The primes are counted up front and taken together, in runs of
     at most _STACK_ENTRIES entries (`_runs`).
 
-    A matrix whose `Circulant` declaration is certified on its coefficients (`_certified`,
+    A matrix whose `Circulant` declaration is certified on its entry table (`_certified`,
     which gives s = (-1)^(m-1) or 1) takes f = 2, its H^2 from the declaration
     (`_declared_bound_sq`), and each value from one resultant of its first row
-    (`_declared_values`).  Any other cyclotomic matrix
+    (`_declared_values`); its coefficients are never filled.  Any other cyclotomic matrix
     takes the (f, s) of `_orbit_step` (f = 2 or p-1), H^2 from its dense rows, and each value
-    from one elimination (`_det_mod_stack`) of its values at the node."""
+    from one elimination (`_det_mod_stack`) of its values at the node (`_node_values`)."""
     if m.kind != "cyc":
         raise ValueError("cyclotomic matrix required")
     p, n = m.meta.p, m.n
@@ -842,7 +880,7 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
         else:
             vals = np.empty((len(run), f, n, n), dtype=np.int64)
             for q, v in zip(run, vals):
-                v[:] = np.moveaxis(tables.values(q, m.coeffs, nodes), 2, 0)
+                v[:] = _node_values(tables, q, m, nodes)
             dets = _det_mod_stack(vals.reshape(-1, n, n), np.repeat(run, f)).reshape(-1, f)
         if s < 0 and (p - 1) % (2 * f) == 0:
             dets = np.hstack([dets, -dets % np.array(run)[:, None]])
@@ -857,16 +895,17 @@ def det_cyc_evalinterp(m: ExactMatrix, stats: dict | None = None) -> CycElt:
 def identity_holds(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix, g: CycElt,
                    stats: dict | None = None) -> bool:
     """Whether A B = g C exactly, for n x n matrices A, B, C over Z[zeta_p] and g in Z[zeta_p],
-    from the matrices' values at the p-1 nodes mod the auxiliary primes; no product of
-    elements is formed.
+    from the matrices' values at the p-1 nodes mod the auxiliary primes (`_node_values`: a
+    built matrix's by lookup in its table, O(n^2 p) per prime); no product of elements is
+    formed.
 
     The bound.  For x, y in Z[zeta_p] with l1 the sum of absolute coefficients, every
     coefficient of xy is at most l1(x) l1(y): the product of the two polynomials has l1 at
     most l1(x) l1(y), folding x^p = 1 adds its coefficients in pairs, and removing x^(p-1)
     by 1 + x + ... + x^(p-1) = 0 makes coefficient i the folded c_i - c_(p-1), at most
     |c_i| + |c_(p-1)| <= l1(folded).  So every coefficient of X = A B - g C is at most
-    B = max_jl (sum_k l1(A_jk) l1(B_kl) + l1(g) l1(C_jl)), taken exactly: in int64 when a
-    sum of the largest terms is below 2^63, in Python ints otherwise.
+    B = max_jl (sum_k l1(A_jk) l1(B_kl) + l1(g) l1(C_jl)), taken exactly (`_l1`): in int64
+    when a sum of the largest terms is below 2^63, in Python ints otherwise.
 
     Exactness.  For a prime q = 1 (mod p), 1 + x + ... + x^(p-1) is the product of the
     x - r^t over F_q, t = 1..p-1, r of order p (`_PrimeTables.pow_r`), so evaluation at the
@@ -882,9 +921,9 @@ def identity_holds(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix, g: CycElt,
     nodes are taken a run at a time (`_runs`), which bounds the transient arrays.  With
     `stats`, records the `bound` B and the `moduli`."""
     p, n = a.meta.p, a.n
-    if not (a.kind == "cyc" and a.coeffs.shape == b.coeffs.shape == c.coeffs.shape and g.p == p):
+    if not (all(x.kind == "cyc" and x.n == n and x.meta.p == p for x in (a, b, c)) and g.p == p):
         raise ValueError("three n x n cyclotomic matrices and g over one p required")
-    la, lb, lc = (abs(m.coeffs).sum(axis=2) for m in (a, b, c))  # int64: p-1 terms below 2^24
+    la, lb, lc = (_l1(m) for m in (a, b, c))
     lg = sum(map(abs, g.coeffs))
     if n * int(la.max()) * int(lb.max()) + lg * int(lc.max()) >= 1 << 63:
         la, lb, lc = (x.astype(object) for x in (la, lb, lc))
@@ -900,11 +939,25 @@ def identity_holds(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix, g: CycElt,
         g_vals = tables.values(q, g_row)[0]
         for run in _runs(range(p - 1), 3 * n * n):
             nodes = slice(run[0], run[-1] + 1)
-            av, bv, cv = (np.moveaxis(tables.values(q, m.coeffs, nodes), 2, 0)
-                          for m in (a, b, c))
+            av, bv, cv = (_node_values(tables, q, m, nodes) for m in (a, b, c))
             if ((av @ bv - g_vals[nodes, None, None] * cv) % q).any():
                 return False
     return True
+
+
+def _l1(m: ExactMatrix) -> np.ndarray:
+    """The sum of the absolute coefficients of each entry, shape (n, n): from m's table,
+    |c| for c zeta^e and (p-1)|c| for c zeta^(p-1), -c in every coefficient, with its
+    corner's own (int64 below 2^24 (p-1) < 2^39, Python ints past the floor); from the
+    coefficients for a row-scaled table or a matrix held by its coefficients."""
+    table, p = m.table, m.meta.p
+    if table is None or table.scale is not None:
+        return abs(m.coeffs).sum(axis=2)
+    out = abs(table.mult) * np.where(table.exp == p - 1, p - 1, 1)
+    if table.corner is not None:
+        out = out.astype(object) if table.corner.dtype == object else out
+        out[table.corner_at] = abs(table.corner).sum()
+    return out
 
 
 _CHOICES = {"bareiss": (0,), "modular": (1,), "both": (0, 1)}

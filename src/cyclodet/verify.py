@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
-from .classno import ClassData, squares_product, verify_product_formula
+from .classno import ClassData, verify_product_formula
 from .cycring import CycElt, eval_complex
 from .detkit import DetResult, det, identity_holds
 from .matrices import build
@@ -372,7 +372,7 @@ CHECKS = (
     Check("residue_product_formula", None, "", "",
           lambda pv: (pv.pf.passed, pv.pf.detail, "exact product identity")),
     Check("det_product_relation", None, "", "det D = (-1)^m * prod(1 - zeta^(k^2)) * det C",
-          lambda pv: (pv.value("D"), (-1) ** pv.m * (squares_product(pv.p) * pv.value("C")))),
+          lambda pv: (pv.value("D"), (-1) ** pv.m * (pv.pf.prod * pv.value("C")))),
     Check("dtilde_scaling", None, "", "det Dtilde = 2^m * det D",
           lambda pv: (pv.value("Dtilde"), 2**pv.m * pv.value("D"))),
     # p = 3 (mod 4)

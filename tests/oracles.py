@@ -15,7 +15,8 @@ Galois-orbit certificate keys every row by the hash of a Python tuple and
 accepts any row permutation; the coefficient-size (l) bound and the images under all p-1 embeddings (from
 mpmath tables) bound and check the determinant's size; a geometric sum adds
 every one of its terms; the reference matrices are built one entry at a time
-as ints or CycElts; bare coefficient rows take the dtype rule of
+as ints or CycElts, and their coefficient arrays filled family by family as the
+builders did before they held the entry formula; bare coefficient rows take the dtype rule of
 `ExactMatrix` from a comparison of every entry with the floor.  The all-node
 evaluation-interpolation determinant is the one exception: it reuses the
 library's per-prime steps, and stands apart from `det_cyc_evalinterp` in its
@@ -222,6 +223,59 @@ def lagrange_loop(p: int, nodes: list[int], q: int) -> np.ndarray:
             b = (b * a + 1) % q
             lagrange[i, t] = b * w % q
     return lagrange
+
+
+def zeta_powers(p: int, e: np.ndarray) -> np.ndarray:
+    """zeta^e for exponents 0 <= e < p as coefficient rows: a one-hot at e, or -1 in every
+    coefficient for e = p-1."""
+    out = (e[..., None] == np.arange(p - 1)).astype(np.int64)
+    out[e == p - 1] = -1
+    return out
+
+
+def zeta_coeffs(p: int, delta: int) -> np.ndarray:
+    """Entries zeta^(delta j^2 k^2) for 0 <= j, k <= m."""
+    sq = np.arange((p + 1) // 2) ** 2 % p
+    return zeta_powers(p, delta % p * np.outer(sq, sq) % p)
+
+
+def geometric_sums(p: int, e, n) -> np.ndarray:
+    """Entry (a, b) the sum 1 + zeta^e_a + ... + zeta^(e_a (n_b - 1)), each e_a nonzero mod p.
+    As a full cycle of p powers sums to 0, zeta^t is a term iff t / e_a mod p < n_b mod p."""
+    inv = np.array([pow(int(x), -1, p) for x in e], dtype=np.int64)
+    raw = (np.outer(inv, np.arange(p)) % p)[:, None] < (np.asarray(n) % p)[:, None]
+    out = raw[..., :-1].astype(np.int64)
+    out -= raw[..., -1:]  # remove zeta^(p-1)
+    return out
+
+
+def with_corner(p: int, delta: int, corner: CycElt) -> np.ndarray:
+    """The Legendre symbols ((j^2 + delta k^2)/p) from index 0 as rational elements, with
+    `corner` at (0, 0)."""
+    sq = np.arange((p + 1) // 2) ** 2 % p
+    sums = (sq[:, None] + delta * sq) % p
+    symbols = np.array([[legendre(int(x), p) for x in row] for row in sums])
+    out = symbols[..., None] * np.eye(1, p - 1, dtype=np.int64)[0]
+    out[0, 0] = corner.coeffs
+    return out
+
+
+def dense_coeffs(family: str, p: int, *delta: int) -> np.ndarray:
+    """The (n, n, p-1) coefficient array of a cyclotomic family as its builder filled it
+    before matrices were held by their entry formulas: one-hots for D, DD and Dtilde
+    (`zeta_coeffs`, Dtilde's columns 1..m doubled), geometric sums for C
+    (`geometric_sums`), and the Legendre symbols with the Gauss-sum corner for E and F
+    (`with_corner`).  The reference for the coefficients filled from a table."""
+    d = delta[0] if delta else 1
+    if family == "C":
+        sq = np.arange(1, (p + 1) // 2) ** 2 % p
+        return geometric_sums(p, sq, sq)
+    if family in ("D", "DD", "Dtilde"):
+        out = zeta_coeffs(p, d)
+        if family == "Dtilde":
+            out[:, 1:] *= 2  # column 0 is zeta^0 = 1 already
+        return out
+    return with_corner(p, d, -gauss_sum(p) if family == "E" else gauss_sum(p))
 
 
 def geometric_sum_loop(p: int, e: int, n: int) -> CycElt:

@@ -16,7 +16,7 @@ from cyclodet.cycring import (
     make,
 )
 from cyclodet.detkit import _divide_exact, _Pivot, _PrimeTables, _tables, det_cyc_bareiss
-from cyclodet.matrices import _geometric_sums, build_D
+from cyclodet.matrices import EntryTable, ExactMatrix, MatrixMeta, build_D
 from cyclodet.modarith import aux_primes, least_nonresidue, primitive_root
 
 from oracles import (
@@ -176,12 +176,14 @@ class TestExactDiv:
 
 
 def geometric_quotient(p, e, n):
-    """1 + zeta^e + ... + zeta^(e(n-1)) as one entry of `matrices._geometric_sums`."""
-    return CycElt(p, _geometric_sums(p, [e], [n])[0, 0].tolist())
+    """1 + zeta^e + ... + zeta^(e(n-1)) as the coefficients filled from a 1 x 1 row-scaled
+    `EntryTable`, (1 - zeta^(e n)) / (1 - zeta^e)."""
+    table = EntryTable(np.array([[e * n % p]]), np.array([[1]]), np.array([e % p]))
+    return CycElt(p, ExactMatrix(table, MatrixMeta(p, "test")).coeffs[0, 0].tolist())
 
 
 class TestGeometricQuotient:
-    """The geometric sums that fill C, one entry at a time."""
+    """The geometric sums that fill C's coefficients from its table, one entry at a time."""
 
     def test_definition(self):
         assert geometric_quotient(7, 1, 4) == 1 + zeta(7) + zeta(7, 2) + zeta(7, 3)

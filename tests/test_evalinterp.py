@@ -1,5 +1,5 @@
 """The evaluation-interpolation backend's proofs: the circulant declarations of
-the built families, certified on their coefficients, the signed Galois-orbit
+the built families, certified on their entry tables, the signed Galois-orbit
 certificate that lets one node per coset stand for all p-1 on any other
 matrix, and the coefficient bounds, from a declaration or from the coset
 embeddings of the dense rows, that stop the CRT lift.
@@ -17,6 +17,7 @@ are read through `detkit` on every call, so that a mutant installed there is
 the one tested.
 """
 import dataclasses
+import itertools
 import math
 import random
 from functools import cache
@@ -24,7 +25,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from cyclodet import detkit
+from cyclodet import detkit, matrices
 from cyclodet.cycring import CycElt
 from cyclodet.detkit import det_cyc_bareiss, det_cyc_evalinterp
 from cyclodet.matrices import ExactMatrix, MatrixMeta, build, build_D
@@ -119,7 +120,7 @@ def built(p: int):
 
 
 class TestDeclarations:
-    """The `Circulant` declaration each builder attaches, certified on its coefficients."""
+    """The `Circulant` declaration each builder attaches, certified on its entry table."""
 
     @pytest.mark.parametrize("p", ALL_PRIMES)
     def test_every_built_family_certifies(self, p):
@@ -150,15 +151,16 @@ class TestDeclarations:
 
     @pytest.mark.parametrize("x", [-(2**63 // 3), 2**62, 3**50])
     def test_a_large_border_is_reduced_exactly(self, x):
-        """D(7) with x in row 0 past int64's headroom, declared by hand: x m just above
-        -2^63 (where c H(1) - x m would wrap in int64), past 2^63, and x itself past
-        2^63.  It certifies, and its value and primes are those of the dense path on the
-        same coefficients."""
+        """D(7) with x in row 0 past int64's headroom, in its table and its declaration,
+        both by hand: x m just above -2^63 (where c H(1) - x m would wrap in int64), past
+        2^63, and x itself past 2^63.  It certifies, and its value and primes are those of
+        the dense path on the same coefficients."""
         d7 = build_D(7)
-        coeffs = d7.coeffs.astype(object)
-        coeffs[0, 1:] *= x
+        mult = d7.table.mult.astype(object)
+        mult[0, 1:] *= x
         decl = dataclasses.replace(d7.circulant, border=(d7.circulant.border[0], x))
-        m = ExactMatrix(coeffs, d7.meta, decl)
+        m = ExactMatrix(dataclasses.replace(d7.table, mult=mult), d7.meta, decl)
+        assert m.coeffs.dtype == object and m.coeffs[0, 1:, 0].tolist() == [x] * 3
         assert detkit._certified(m) == 1  # sigma_(g^2) shifts the first row: a 3-cycle
         stats, dense_stats = {}, {}
         value = det_cyc_evalinterp(m, stats)
@@ -170,6 +172,42 @@ class TestDeclarations:
         decl = build_D(7).circulant
         with pytest.raises(TypeError):
             dataclasses.replace(decl, border=(decl.border[0], x))
+
+
+class TestTables:
+    """The builders' entry tables, read by lookup: node values and the certified path."""
+
+    @pytest.mark.parametrize("p", ALL_PRIMES)
+    def test_node_values_by_lookup_equal_the_evaluator(self, p):
+        """`_node_values` on each built table equals `_PrimeTables.values` on the filled
+        coefficients (a hand-built copy) at every node of the first two auxiliary primes up
+        to p = 47, and at the two nodes of the certified path above; the scaled rows of C,
+        the corners of E and F and a multiplier past the floor included."""
+        tables = detkit._tables(p)
+        nodes = slice(None) if p <= 47 else tables.pow_g[:2] - 1
+        for m in built(p):
+            for q in list(itertools.islice(tables, 2)):
+                expected = detkit._node_values(tables, q, hand_built(m), nodes)
+                assert np.array_equal(detkit._node_values(tables, q, m, nodes), expected), m
+        big = build_D(7)
+        mult = big.table.mult.astype(object) * (AUX_PRIME_FLOOR * 3**40)
+        m = ExactMatrix(dataclasses.replace(big.table, mult=mult), big.meta)
+        tables = detkit._tables(7)
+        q = next(iter(tables))
+        assert np.array_equal(detkit._node_values(tables, q, m, slice(None)),
+                              detkit._node_values(tables, q, hand_built(m), slice(None)))
+
+    def test_the_certified_path_fills_no_coefficients(self, monkeypatch):
+        """C(199) is taken from its table and declaration alone: its coefficient array,
+        (99, 99, 198), is never filled."""
+        m = build("C", 199)
+
+        def filled(table, p):
+            raise AssertionError("coefficients filled")
+
+        monkeypatch.setattr(matrices, "_filled", filled)
+        det_cyc_evalinterp(m)
+        assert detkit._certified(m) is not None and m._coeffs is None
 
 
 def circulant(row) -> np.ndarray:

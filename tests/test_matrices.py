@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from cyclodet.cycring import CycElt
 from cyclodet.matrices import (
+    EntryTable,
     ExactMatrix,
     MatrixMeta,
     build,
@@ -22,9 +24,12 @@ from cyclodet.matrices import (
 from cyclodet.modarith import distinct_nonresidues, is_prime, legendre
 from cyclodet.subfield import gauss_sum
 
-from oracles import entries, exact_matrix, reference_rows
+from oracles import dense_coeffs, entries, exact_matrix, reference_rows
 
 REFERENCE_PRIMES = [p for p in range(5, 62) if is_prime(p)] + [101, 103]
+TABLE_CASES = [(family, p) for p in range(3, 114) if is_prime(p)
+               for family in ("C", "D", "Dtilde") + (("E",) if p % 4 == 3 else ("DD", "F"))]
+TABLE_CASES += [("C", 197), ("DD", 197), ("C", 199), ("D", 199)]
 REFERENCE_CASES = [
     (family, p) for p in REFERENCE_PRIMES
     for family in ("C", "D", "Dtilde", "S", "T", "SD", "DD", "E" if p % 4 == 3 else "F")
@@ -194,6 +199,34 @@ class TestExactMatrix:
             assert m.coeffs.dtype == np.int64 and not m.coeffs.flags.writeable
             assert m.coeffs.tolist() == expected
             assert entries(m) == tuple(map(tuple, ref))
+
+    @pytest.mark.parametrize("family, p", TABLE_CASES)
+    def test_coeffs_from_the_table_equal_the_dense_fill(self, family, p):
+        """The coefficients filled from each cyclotomic builder's table on first read are
+        the array the builders filled before they held tables (`oracles.dense_coeffs`), int64
+        and read-only, and are kept; DD and F at each of three non-residues."""
+        deltas = distinct_nonresidues(p, 3) if family in ("DD", "F") else [None]
+        for delta in deltas:
+            args = () if delta is None else (delta,)
+            m = build(family, p, *args)
+            assert m.table is not None and m.kind == "cyc"
+            assert m.coeffs.dtype == np.int64 and not m.coeffs.flags.writeable
+            assert np.array_equal(m.coeffs, dense_coeffs(family, p, *args))
+            assert m.coeffs is m.coeffs
+
+    @pytest.mark.parametrize("change", [
+        {"exp": np.array([[0, 6]])}, {"exp": np.array([[0, -1], [0, 1]])},
+        {"exp": np.array([[0, 7], [0, 1]])}, {"scale": np.array([0, 1])},
+        {"scale": np.array([1])}, {"corner": np.zeros(5, dtype=np.int64)},
+        {"corner_at": (0, 2)}, {"corner_at": (0,)}, {"exp": np.array(0), "mult": np.array(1)},
+    ])
+    def test_a_table_that_fits_no_matrix_is_refused(self, change):
+        """Tables of another shape or none, exponents outside [0, p), a row scaling by
+        zeta^0 or of another length, a corner of another length or outside the matrix."""
+        base = EntryTable(np.zeros((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64),
+                          np.array([1, 2]), np.zeros(6, dtype=np.int64))
+        with pytest.raises(ValueError, match="tables"):
+            ExactMatrix(dataclasses.replace(base, **change), MatrixMeta(7, "test"))
 
     @pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 3, 4), (2, 2, 4, 1)])
     def test_rejects_non_square(self, shape):

@@ -210,49 +210,56 @@ def limb_split_dropped(monkeypatch):
 
 
 def zeta_top_power_dropped(monkeypatch):
-    """An entry zeta^(p-1) of D, DD or Dtilde becomes 0 instead of -1 - zeta - ... - zeta^(p-2)."""
-    real = matrices._zeta_coeffs
+    """An entry zeta^(p-1) of D's, DD's or Dtilde's table becomes 0 instead of
+    -1 - zeta - ... - zeta^(p-2): its multiplier is 0 where its exponent is p-1."""
+    real = matrices._zeta_table
 
-    def zeta_coeffs(p, delta):
-        out = real(p, delta)
-        out[(out == -1).all(axis=-1)] = 0
-        return out
+    def zeta_table(p, delta, x=1):
+        table = real(p, delta, x)
+        return dataclasses.replace(table, mult=np.where(table.exp == p - 1, 0, table.mult))
 
-    monkeypatch.setattr(matrices, "_zeta_coeffs", zeta_coeffs)
+    monkeypatch.setattr(matrices, "_zeta_table", zeta_table)
 
 
 def geometric_top_power_kept(monkeypatch):
-    """C's geometric sums drop their term zeta^(p-1) instead of rewriting it in the basis."""
-    real = matrices._geometric_sums
+    """C's table reads its top exponent p-1 as 0, as in a basis of p-1 powers, instead of
+    keeping zeta^(p-1): each entry (1 - zeta^(p-1)) / (1 - zeta^(j^2)) becomes 0."""
+    real = matrices.build_C
 
-    def geometric_sums(p, e, n):
-        inv_top = np.array([(p - 1) * pow(int(x), -1, p) % p for x in e])
-        return real(p, e, n) + (inv_top[:, None] < np.asarray(n) % p)[..., None]
+    def build_c(p):
+        m = real(p)
+        exp = np.where(m.table.exp == p - 1, 0, m.table.exp)
+        return matrices.ExactMatrix(dataclasses.replace(m.table, exp=exp), m.meta, m.circulant)
 
-    monkeypatch.setattr(matrices, "_geometric_sums", geometric_sums)
+    monkeypatch.setattr(matrices, "build_C", build_c)
 
 
 def dtilde_doubled_by_row(monkeypatch):
-    """Dtilde doubles rows 1..m of D instead of columns 1..m: the same determinant."""
+    """Dtilde's table doubles rows 1..m of D instead of columns 1..m: the same
+    determinant."""
 
     def build_d_tilde(p):
-        coeffs = matrices._zeta_coeffs(p, 1)
-        coeffs[1:] *= 2
-        return matrices.ExactMatrix(coeffs, matrices.MatrixMeta(p, "Dtilde"))
+        table = matrices._zeta_table(p, 1)
+        mult = table.mult.copy()
+        mult[1:] *= 2
+        return matrices.ExactMatrix(dataclasses.replace(table, mult=mult),
+                                    matrices.MatrixMeta(p, "Dtilde"), matrices._zeta_block(p, 1, 2))
 
     monkeypatch.setattr(matrices, "build_D_tilde", build_d_tilde)
 
 
 def corner_misplaced(monkeypatch):
-    """E's and F's Gauss-sum corner lands at (m, m), and (0, 0) gets (m, m)'s symbol."""
-    real = matrices._with_corner
+    """E's and F's Gauss-sum corner lands at (m, m) of their tables, and (0, 0) gets
+    (m, m)'s symbol."""
+    real = matrices._legendre_table
 
-    def with_corner(p, delta, corner):
-        out = real(p, delta, corner)
-        out[[0, -1], [0, -1]] = out[[-1, 0], [-1, 0]]
-        return out
+    def legendre_table(p, delta, corner):
+        table = real(p, delta, corner)
+        mult = table.mult.copy()
+        mult[0, 0] = mult[-1, -1]
+        return dataclasses.replace(table, mult=mult, corner_at=(len(mult) - 1,) * 2)
 
-    monkeypatch.setattr(matrices, "_with_corner", with_corner)
+    monkeypatch.setattr(matrices, "_legendre_table", legendre_table)
 
 
 def stack_swap_unsigned(monkeypatch):
@@ -779,21 +786,21 @@ def test_tables_of_the_previous_p_are_caught(monkeypatch):
 
 
 def constructor_without_the_rule(monkeypatch):
-    """`ExactMatrix` keeps the array it is given as it is, whatever its dtype and entries."""
+    """`ExactMatrix` keeps the array it is given as it is, whatever its dtype and entries:
+    the dtype rule `_held` only marks it read-only."""
 
-    def init(self, coeffs, meta, circulant=None):
-        coeffs = np.asarray(coeffs)
+    def held(coeffs):
         coeffs.flags.writeable = False
-        self.coeffs, self.meta, self.circulant = coeffs, meta, circulant
+        return coeffs
 
-    monkeypatch.setattr(matrices.ExactMatrix, "__init__", init)
+    monkeypatch.setattr(matrices, "_held", held)
 
 
 def test_constructor_without_the_rule_is_caught(monkeypatch):
     """A constructor without the dtype rule passes every check at 5 and 61: every `build_*`
-    fills an int64 array far below AUX_PRIME_FLOOR.  On a matrix built by hand from int64
-    coefficients of 2^40 it gives a wrong determinant with no error, as the evaluator's
-    unreduced int64 sums wrap.
+    holds int64 tables or an int64 array far below AUX_PRIME_FLOOR.  On a matrix built by
+    hand from int64 coefficients of 2^40 it gives a wrong determinant with no error, as the
+    evaluator's unreduced int64 sums wrap.
     tests/test_detkit.py's `test_int64_past_the_floor_is_held_as_python_ints` catches it."""
     constructor_without_the_rule(monkeypatch)
     for p in (5, 61):
@@ -816,7 +823,7 @@ def declaration_corrupted(family: str):
             first = m.circulant.first.copy()
             first[0, 0] += 1
             decl = dataclasses.replace(m.circulant, first=first)
-            return matrices.ExactMatrix(m.coeffs, m.meta, decl)
+            return matrices.ExactMatrix(m.table, m.meta, decl)
 
         monkeypatch.setattr(matrices, f"build_{name}", corrupted)
 
@@ -825,10 +832,10 @@ def declaration_corrupted(family: str):
 
 @pytest.mark.parametrize("family", ["C", "D", "Dtilde", "E", "DD", "F"])
 def test_corrupted_declaration_is_caught(monkeypatch, family):
-    """A declaration with one entry of its first row corrupted fails its certificate, and
-    the matrix takes the dense path: every check passes at the smallest prime of the
-    family's run (7 for E, 5 for the others, where run_prime starts), with the same
-    report.  tests/test_evalinterp.py's
+    """A declaration with one entry of its first row corrupted fails its certificate on the
+    builder's table, and the matrix takes the dense path: every check passes at the
+    smallest prime of the family's run (7 for E, 5 for the others, where run_prime starts),
+    with the same report.  tests/test_evalinterp.py's
     `TestDeclarations::test_every_built_family_certifies` catches it."""
     p = 7 if family == "E" else 5
     expected = run_prime(p)
@@ -838,6 +845,53 @@ def test_corrupted_declaration_is_caught(monkeypatch, family):
     assert (report.det_C, report.det_D) == (expected.det_C, expected.det_D)
     with pytest.raises(AssertionError):
         test_evalinterp.TestDeclarations().test_every_built_family_certifies(p)
+
+
+def table_corrupted(family: str, field: str, at: tuple):
+    """`build(family, p)` holds its table with the entry at `at` of `field` corrupted: an
+    exponent e becomes e + 1 mod p, a multiplier c becomes c + 1; its declaration is the
+    builder's own."""
+
+    def install(monkeypatch):
+        real = getattr(matrices, f"build_{family}")
+
+        def corrupted(p):
+            m = real(p)
+            values = getattr(m.table, field).copy()
+            values[at] = (values[at] + 1) % p if field == "exp" else values[at] + 1
+            table = dataclasses.replace(m.table, **{field: values})
+            return matrices.ExactMatrix(table, m.meta, m.circulant)
+
+        monkeypatch.setattr(matrices, f"build_{family}", corrupted)
+
+    install.__name__ = f"{field}_corrupted_{family}"
+    return install
+
+
+# one exponent of D's table and one multiplier of E's, each in row 0 (the border), in
+# block row j = 1 (the one the certificate fills and compares with the first row) and
+# deeper in the block
+TABLE_MUTANTS = [table_corrupted(family, field, at)
+                 for family, field in (("D", "exp"), ("E", "mult"))
+                 for at in ((0, 2), (1, 2), (2, 3))]
+
+
+@pytest.mark.parametrize("mutant", TABLE_MUTANTS,
+                         ids=[f"{m.__name__}-{i % 3}" for i, m in enumerate(TABLE_MUTANTS)])
+def test_corrupted_table_is_refused(monkeypatch, mutant):
+    """A table with one exponent or one multiplier corrupted fails its certificate, and
+    the matrix takes the dense path on the coefficients filled from the same table: at
+    p = 7 and 11 its value is Bareiss's on them, and not the builder's."""
+    mutant(monkeypatch)
+    family = "D" if "_D" in mutant.__name__ else "E"
+    for p in (7, 11):
+        m = matrices.build(family, p)
+        assert detkit._certified(m) is None
+        value = detkit.det_cyc_evalinterp(m)
+        assert value == detkit.det_cyc_bareiss(m)
+        monkeypatch.undo()
+        assert value != detkit.det_cyc_evalinterp(matrices.build(family, p))
+        mutant(monkeypatch)
 
 
 def test_chi_of_zero_one_changes_no_determinant(monkeypatch):
