@@ -668,7 +668,7 @@ def _certified(m: ExactMatrix) -> int | None:
     if s is None:
         return None
     mult, exp = table.mult, table.exp
-    if table.corner is not None and (decl.border is None or table.corner_at != (0, 0)):
+    if table.corner is not None and decl.border is None:
         return None
     if decl.border is not None:
         corner, x = decl.border
@@ -837,7 +837,7 @@ def _node_values(tables: _PrimeTables, q: int, m: ExactMatrix, nodes) -> np.ndar
         vals = (1 - vals) % q * inv.reshape(den.shape)[..., None] % q
     vals = vals * (table.mult % q).astype(np.int64, copy=False) % q
     if table.corner is not None:
-        vals[(slice(None), *table.corner_at)] = tables.values(q, table.corner[None], nodes)[0]
+        vals[:, 0, 0] = tables.values(q, table.corner[None], nodes)[0]
     return vals
 
 
@@ -904,8 +904,8 @@ def identity_holds(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix, g: CycElt,
     most l1(x) l1(y), folding x^p = 1 adds its coefficients in pairs, and removing x^(p-1)
     by 1 + x + ... + x^(p-1) = 0 makes coefficient i the folded c_i - c_(p-1), at most
     |c_i| + |c_(p-1)| <= l1(folded).  So every coefficient of X = A B - g C is at most
-    B = max_jl (sum_k l1(A_jk) l1(B_kl) + l1(g) l1(C_jl)), taken exactly (`_l1`): in int64
-    when a sum of the largest terms is below 2^63, in Python ints otherwise.
+    B = max_jl (sum_k l1(A_jk) l1(B_kl) + l1(g) l1(C_jl)), taken exactly: in int64 when a
+    sum of the largest terms is below 2^63, in Python ints otherwise.
 
     Exactness.  For a prime q = 1 (mod p), 1 + x + ... + x^(p-1) is the product of the
     x - r^t over F_q, t = 1..p-1, r of order p (`_PrimeTables.pow_r`), so evaluation at the
@@ -923,7 +923,7 @@ def identity_holds(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix, g: CycElt,
     p, n = a.meta.p, a.n
     if not (all(x.kind == "cyc" and x.n == n and x.meta.p == p for x in (a, b, c)) and g.p == p):
         raise ValueError("three n x n cyclotomic matrices and g over one p required")
-    la, lb, lc = (_l1(m) for m in (a, b, c))
+    la, lb, lc = (abs(m.coeffs).sum(axis=2) for m in (a, b, c))  # int64: p-1 terms below 2^24
     lg = sum(map(abs, g.coeffs))
     if n * int(la.max()) * int(lb.max()) + lg * int(lc.max()) >= 1 << 63:
         la, lb, lc = (x.astype(object) for x in (la, lb, lc))
@@ -943,21 +943,6 @@ def identity_holds(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix, g: CycElt,
             if ((av @ bv - g_vals[nodes, None, None] * cv) % q).any():
                 return False
     return True
-
-
-def _l1(m: ExactMatrix) -> np.ndarray:
-    """The sum of the absolute coefficients of each entry, shape (n, n): from m's table,
-    |c| for c zeta^e and (p-1)|c| for c zeta^(p-1), -c in every coefficient, with its
-    corner's own (int64 below 2^24 (p-1) < 2^39, Python ints past the floor); from the
-    coefficients for a row-scaled table or a matrix held by its coefficients."""
-    table, p = m.table, m.meta.p
-    if table is None or table.scale is not None:
-        return abs(m.coeffs).sum(axis=2)
-    out = abs(table.mult) * np.where(table.exp == p - 1, p - 1, 1)
-    if table.corner is not None:
-        out = out.astype(object) if table.corner.dtype == object else out
-        out[table.corner_at] = abs(table.corner).sum()
-    return out
 
 
 _CHOICES = {"bareiss": (0,), "modular": (1,), "both": (0, 1)}

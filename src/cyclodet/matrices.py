@@ -92,7 +92,7 @@ class EntryTable:
     """The entries of a cyclotomic matrix by their formula.  Entry (j, k) is
     mult[j, k] zeta^(exp[j, k]), or, with a row scaling `scale`,
     mult[j, k] (1 - zeta^(exp[j, k])) / (1 - zeta^(scale[j])), a geometric sum in Z[zeta_p].
-    `corner`, when given, is the power-basis coefficients (p-1,) of the entry at `corner_at`,
+    `corner`, when given, is the power-basis coefficients (p-1,) of the entry at (0, 0),
     which replace the tables' there.  `exp` (n, n) holds exponents in [0, p) and `scale` (n,)
     in [1, p), int64 (`ExactMatrix` checks both against p); `mult` and `corner` are held
     under the dtype rule of `ExactMatrix`."""
@@ -101,7 +101,6 @@ class EntryTable:
     mult: np.ndarray
     scale: np.ndarray | None = None
     corner: np.ndarray | None = None
-    corner_at: tuple = (0, 0)
 
     def __post_init__(self) -> None:
         for name in ("exp", "mult", "scale", "corner"):
@@ -115,8 +114,7 @@ class EntryTable:
         if self.scale is not None:
             ok = ok and self.scale.shape == (n,) and _within(self.scale, 1, p)
         if self.corner is not None:
-            ok = (ok and self.corner.shape == (p - 1,) and len(self.corner_at) == 2
-                  and all(0 <= i < n for i in self.corner_at))
+            ok = ok and n > 0 and self.corner.shape == (p - 1,)
         if not ok:
             raise ValueError(f"tables that fit no n x n matrix over Z[zeta_{p}]")
 
@@ -148,7 +146,7 @@ def _filled(table: EntryTable, p: int) -> np.ndarray:
         out = (raw[..., :-1].astype(np.int64) - raw[..., -1:]) * table.mult[..., None]
     if table.corner is not None:
         out = out.astype(object) if table.corner.dtype == object else out
-        out[table.corner_at] = table.corner
+        out[0, 0] = table.corner
     return out
 
 

@@ -218,11 +218,13 @@ class TestExactMatrix:
         {"exp": np.array([[0, 6]])}, {"exp": np.array([[0, -1], [0, 1]])},
         {"exp": np.array([[0, 7], [0, 1]])}, {"scale": np.array([0, 1])},
         {"scale": np.array([1])}, {"corner": np.zeros(5, dtype=np.int64)},
-        {"corner_at": (0, 2)}, {"corner_at": (0,)}, {"exp": np.array(0), "mult": np.array(1)},
+        {"exp": np.array(0), "mult": np.array(1)},
+        {"exp": np.zeros((0, 0), dtype=np.int64), "mult": np.zeros((0, 0), dtype=np.int64),
+         "scale": np.zeros(0, dtype=np.int64)},
     ])
     def test_a_table_that_fits_no_matrix_is_refused(self, change):
         """Tables of another shape or none, exponents outside [0, p), a row scaling by
-        zeta^0 or of another length, a corner of another length or outside the matrix."""
+        zeta^0 or of another length, a corner of another length or in an empty matrix."""
         base = EntryTable(np.zeros((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64),
                           np.array([1, 2]), np.zeros(6, dtype=np.int64))
         with pytest.raises(ValueError, match="tables"):

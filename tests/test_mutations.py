@@ -249,17 +249,19 @@ def dtilde_doubled_by_row(monkeypatch):
 
 
 def corner_misplaced(monkeypatch):
-    """E's and F's Gauss-sum corner lands at (m, m) of their tables, and (0, 0) gets
-    (m, m)'s symbol."""
-    real = matrices._legendre_table
+    """E's and F's Gauss-sum corner lands at (m, m), and (0, 0) gets (m, m)'s symbol: the
+    matrix is held by its coefficients, which are never certified, so it takes the dense
+    path."""
+    for name in ("E", "F"):
+        real = getattr(matrices, f"build_{name}")
 
-    def legendre_table(p, delta, corner):
-        table = real(p, delta, corner)
-        mult = table.mult.copy()
-        mult[0, 0] = mult[-1, -1]
-        return dataclasses.replace(table, mult=mult, corner_at=(len(mult) - 1,) * 2)
+        def swapped(p, *delta, real=real):
+            m = real(p, *delta)
+            coeffs = m.coeffs.copy()
+            coeffs[[0, -1], [0, -1]] = coeffs[[-1, 0], [-1, 0]]
+            return matrices.ExactMatrix(coeffs, m.meta, m.circulant)
 
-    monkeypatch.setattr(matrices, "_legendre_table", legendre_table)
+        monkeypatch.setattr(matrices, f"build_{name}", swapped)
 
 
 def stack_swap_unsigned(monkeypatch):
